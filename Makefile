@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race bench benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak ci
+.PHONY: all build vet fmtcheck test race bench benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak hostbench ci
 
 all: build
 
@@ -93,5 +93,20 @@ servegate:
 # inside `make race` / `make ci`; this is the heavyweight version.
 soak:
 	CGCM_SOAK=1 $(GO) test -race -timeout 30m -run 'TestSoak' -v ./internal/server/
+
+# Host-clock benchmark (BENCHMARK.json, hostbench/README.md): run the four
+# workloads and print each end-to-end metric. Advisory — host time is
+# noisy and one run is not a measurement — so it is not part of `ci` and
+# never fails the build on a verdict. For verdicts, run it at the parent
+# commit on the same machine first and keep that result as
+# .bench_build/base.json (hostbench/baseline.json holds the reference
+# medians as a summary; it is not a -compare input).
+hostbench:
+	bash hostbench/run.sh -all -out .bench_build/all.json
+	@if [ -f .bench_build/base.json ]; then \
+		bash hostbench/run.sh -compare .bench_build/base.json .bench_build/all.json || true; \
+	else \
+		echo "hostbench: no .bench_build/base.json to compare against (copy a parent-commit .bench_build/all.json there for verdicts)"; \
+	fi
 
 ci: build fmtcheck vet race benchsmoke overlap fuzzsmoke resilience critpath runlog servegate

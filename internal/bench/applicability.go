@@ -90,12 +90,13 @@ int main() {
 			Feature: "pointer arithmetic",
 			Source: `
 // The kernel receives a pointer into the middle of an allocation unit
-// and walks it with arbitrary arithmetic.
+// and walks it with arbitrary arithmetic. It writes 24 elements past what
+// any thread reads, so threads stay independent (a DOALL kernel).
 __global__ void smooth(float *mid, int n) {
 	int i = tid();
 	if (i > 0 && i < n - 1) {
 		float *p = mid + i - 8;
-		p[0] = 0.5 * (*(p - 1) + *(p + 1));
+		p[24] = 0.5 * (*(p - 1) + *(p + 1));
 	}
 }
 int main() {

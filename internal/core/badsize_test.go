@@ -1,0 +1,59 @@
+package core_test
+
+import (
+	"errors"
+	"strings"
+	"testing"
+
+	"cgcm/internal/core"
+	"cgcm/internal/interp"
+)
+
+// negativeSizePrograms each hand a negative byte count to an allocator or
+// a copy verb. A negative count used to reach make([]byte, n) in the
+// machine and kill the process; it is tenant input, so it must end in a
+// typed run error instead.
+var negativeSizePrograms = []struct{ name, src, want string }{
+	{"realloc", `
+int main() {
+	int *p = (int*)malloc(64);
+	p = (int*)realloc(p, -5);
+	print_int(1);
+	return 0;
+}`, "negative size"},
+	{"cuda_memcpy_h2d", `
+int main() {
+	int *p = (int*)malloc(64);
+	int *d = (int*)cuda_malloc(64);
+	cuda_memcpy_h2d(d, p, -1);
+	print_int(1);
+	return 0;
+}`, "negative size"},
+	{"malloc", `
+int main() {
+	int *p = (int*)malloc(-8);
+	p[0] = 3;
+	print_int(p[0]);
+	return 0;
+}`, "unmapped address"}, // malloc returned NULL; the store faults
+}
+
+func TestNegativeSizesAreTypedErrors(t *testing.T) {
+	for _, tc := range negativeSizePrograms {
+		for _, strat := range []core.Strategy{core.Sequential, core.CGCMUnoptimized, core.CGCMOptimized} {
+			t.Run(tc.name+"/"+strat.String(), func(t *testing.T) {
+				rep, err := core.CompileAndRun(tc.name+".c", tc.src, core.Options{Strategy: strat})
+				if err == nil {
+					t.Fatalf("run succeeded, output %q", rep.Output)
+				}
+				var ie *interp.Error
+				if !errors.As(err, &ie) {
+					t.Fatalf("error is %T, want a wrapped *interp.Error: %v", err, err)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("error %q does not mention %q", err, tc.want)
+				}
+			})
+		}
+	}
+}

@@ -6,6 +6,7 @@ import (
 
 	"cgcm/internal/ir"
 	"cgcm/internal/machine"
+	"cgcm/internal/runtime"
 )
 
 // intrinsic dispatches an OpIntrinsic instruction. It returns the result
@@ -21,8 +22,12 @@ func (ex *exec) intrinsic(fr *frame, instr *ir.Instr, ops []operand) (uint64, in
 	// --- Heap (CPU only; sema enforces) ---
 	case "malloc":
 		ex.flushOps()
+		size := int64(a(0))
+		if size < 0 {
+			return 0, 8, nil // like libc: a size no allocator can satisfy yields NULL
+		}
 		in.RT.SiteLine = int(instr.Line)
-		return in.RT.Malloc(int64(a(0))), 8, nil
+		return in.RT.Malloc(size), 8, nil
 	case "calloc":
 		ex.flushOps()
 		in.RT.SiteLine = int(instr.Line)
@@ -152,62 +157,40 @@ func (ex *exec) intrinsic(fr *frame, instr *ir.Instr, ops []operand) (uint64, in
 		return 0, 0, ex.wrapErr(fr, in.Mach.CopyDtoH(a(0), a(1), int64(a(2))))
 
 	// --- CGCM runtime library ---
-	case "cgcm.map":
-		if onGPU {
-			return 0, 0, &Error{Fn: fr.fn.Name, Msg: "cgcm.map on GPU"}
+	case "cgcm.map", "cgcm.mapAsync", "cgcm.unmap", "cgcm.unmapAsync", "cgcm.release",
+		"cgcm.mapArray", "cgcm.unmapArray", "cgcm.releaseArray":
+		if onGPU && (instr.Name == "cgcm.map" || instr.Name == "cgcm.mapAsync") {
+			return 0, 0, &Error{Fn: fr.fn.Name, Msg: instr.Name + " on GPU"}
 		}
 		ex.flushOps()
 		t0 := ex.profRTEnter(instr)
-		p, err := in.RT.Map(a(0))
+		p, err := rtCall(in.RT, instr.Name, a(0))
 		ex.profRTExit(instr, t0)
 		return p, 0, ex.wrapErr(fr, err)
-	case "cgcm.mapAsync":
-		if onGPU {
-			return 0, 0, &Error{Fn: fr.fn.Name, Msg: "cgcm.mapAsync on GPU"}
-		}
-		ex.flushOps()
-		t0 := ex.profRTEnter(instr)
-		p, err := in.RT.MapAsync(a(0))
-		ex.profRTExit(instr, t0)
-		return p, 0, ex.wrapErr(fr, err)
-	case "cgcm.unmap":
-		ex.flushOps()
-		t0 := ex.profRTEnter(instr)
-		err := in.RT.Unmap(a(0))
-		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
-	case "cgcm.unmapAsync":
-		ex.flushOps()
-		t0 := ex.profRTEnter(instr)
-		err := in.RT.UnmapAsync(a(0))
-		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
-	case "cgcm.release":
-		ex.flushOps()
-		t0 := ex.profRTEnter(instr)
-		err := in.RT.Release(a(0))
-		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
-	case "cgcm.mapArray":
-		ex.flushOps()
-		t0 := ex.profRTEnter(instr)
-		p, err := in.RT.MapArray(a(0))
-		ex.profRTExit(instr, t0)
-		return p, 0, ex.wrapErr(fr, err)
-	case "cgcm.unmapArray":
-		ex.flushOps()
-		t0 := ex.profRTEnter(instr)
-		err := in.RT.UnmapArray(a(0))
-		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
-	case "cgcm.releaseArray":
-		ex.flushOps()
-		t0 := ex.profRTEnter(instr)
-		err := in.RT.ReleaseArray(a(0))
-		ex.profRTExit(instr, t0)
-		return 0, 0, ex.wrapErr(fr, err)
 	}
 	return 0, 0, &Error{Fn: fr.fn.Name, Msg: "unknown intrinsic " + instr.Name}
+}
+
+// rtCall dispatches one cgcm.* runtime-library call; the verbs that
+// return no pointer yield 0.
+func rtCall(rt *runtime.Runtime, name string, ptr uint64) (uint64, error) {
+	switch name {
+	case "cgcm.map":
+		return rt.Map(ptr)
+	case "cgcm.mapAsync":
+		return rt.MapAsync(ptr)
+	case "cgcm.mapArray":
+		return rt.MapArray(ptr)
+	case "cgcm.unmap":
+		return 0, rt.Unmap(ptr)
+	case "cgcm.unmapAsync":
+		return 0, rt.UnmapAsync(ptr)
+	case "cgcm.unmapArray":
+		return 0, rt.UnmapArray(ptr)
+	case "cgcm.release":
+		return 0, rt.Release(ptr)
+	}
+	return 0, rt.ReleaseArray(ptr)
 }
 
 // profRTEnter prepares attribution for one cgcm.* runtime-library call:

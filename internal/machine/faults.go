@@ -19,7 +19,7 @@ import (
 )
 
 // rescueSlowdown is the cost multiplier of the slow reliable transfer
-// channel used by RescueCopyDtoH (think: staged cuMemcpy through pinned
+// channel charged by RescueCopyDtoH (think: staged cuMemcpy through pinned
 // bounce buffers with per-chunk acknowledgment).
 const rescueSlowdown = 8.0
 
@@ -152,41 +152,14 @@ func (m *Machine) Penalty(d float64) {
 }
 
 // RescueCopyDtoH copies n device bytes to the host over the driver's
-// slow reliable channel. It never consults the fault plan and always
-// succeeds (given valid addresses), at rescueSlowdown times the normal
-// transfer cost — the escape hatch that lets the runtime flush dirty
-// data off a dying device, making CPU-fallback degradation lossless.
+// slow reliable channel: a blocking CopyDtoH that never consults the fault
+// plan and always succeeds (given valid addresses), at rescueSlowdown
+// times the normal transfer cost — the escape hatch that lets the runtime
+// flush dirty data off a dying device, making CPU-fallback degradation
+// lossless.
 func (m *Machine) RescueCopyDtoH(dst, src uint64, n int64) error {
-	data, err := m.ReadBytes(src, n)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteBytes(dst, data); err != nil {
-		return err
-	}
-	m.flushCPUSpan()
-	if m.gpuReady > m.cpuTime {
-		m.emit(trace.KindStall, m.cpuTime, m.gpuReady, "sync", 0, "")
-		m.stats.StallTime += m.gpuReady - m.cpuTime
-		m.cpuTime = m.gpuReady
-	}
-	d := (m.Cost.TransferLat + float64(n)*m.Cost.TransferPerB) * rescueSlowdown
-	unit := m.faultUnitAt(dst)
-	if m.tr != nil {
-		m.tr.Emit(trace.Span{
-			Kind: trace.KindDtoH, Lane: trace.LaneXfer, Name: "rescue",
-			Start: m.cpuTime, End: m.cpuTime + d, Bytes: n, Unit: unit,
-		})
-	}
-	m.met.dtohBytes.Observe(float64(n))
-	m.cpuTime += d
-	m.gpuReady = m.cpuTime
-	m.stats.CommTime += d
-	m.stats.PenaltyTime += d * (1 - 1/rescueSlowdown)
-	m.stats.BytesDtoH += n
-	m.stats.NumDtoH++
-	m.stats.RescueCopies++
-	return nil
+	_, err := m.transfer(trace.KindDtoH, nil, dst, src, n, true, nil)
+	return err
 }
 
 // RunKernelOnCPUAt charges a degraded (CPU-fallback) kernel execution:

@@ -166,19 +166,6 @@ func DefaultCostModel() CostModel {
 	}
 }
 
-// spanLane maps a machine span kind to its display lane; the synchronous
-// verbs emit on these fixed lanes, while stream copies emit on their
-// stream's own lane (see stream.go).
-func spanLane(k trace.Kind) trace.Lane {
-	switch k {
-	case trace.KindKernel:
-		return trace.LaneGPU
-	case trace.KindHtoD, trace.KindDtoH:
-		return trace.LaneXfer
-	}
-	return trace.LaneCPU
-}
-
 // Stats aggregates the temporal counters the evaluation reports.
 type Stats struct {
 	CPUTime    float64 // total busy CPU compute time
@@ -441,7 +428,13 @@ func (m *Machine) LookupSegment(addr uint64) *Segment {
 	return seg
 }
 
+// segmentFor resolves the single allocation unit holding [addr, addr+size).
+// Every sized access and copy goes through it, so a negative size — which
+// would wrap the end-of-unit comparison — is rejected here, once.
 func (m *Machine) segmentFor(addr uint64, size int64) (*Segment, error) {
+	if size < 0 {
+		return nil, &Fault{Addr: addr, Size: size, Msg: "negative size"}
+	}
 	seg := m.FindSegment(addr)
 	if seg == nil {
 		return nil, &Fault{Addr: addr, Size: size, Msg: "unmapped address"}
@@ -459,13 +452,8 @@ func (m *Machine) Load(addr uint64, size int64) (uint64, error) {
 	if err != nil {
 		return 0, err
 	}
-	off := addr - seg.Base
-	if size == 1 {
-		return uint64(seg.Data[off]), nil
-	}
-	d := seg.Data[off : off+8]
-	return uint64(d[0]) | uint64(d[1])<<8 | uint64(d[2])<<16 | uint64(d[3])<<24 |
-		uint64(d[4])<<32 | uint64(d[5])<<40 | uint64(d[6])<<48 | uint64(d[7])<<56, nil
+	v, _ := seg.Load(addr, size)
+	return v, nil
 }
 
 // Store writes size bytes (1 or 8) of val at addr, little-endian.
@@ -474,20 +462,7 @@ func (m *Machine) Store(addr uint64, size int64, val uint64) error {
 	if err != nil {
 		return err
 	}
-	off := addr - seg.Base
-	if size == 1 {
-		seg.Data[off] = byte(val)
-		return nil
-	}
-	d := seg.Data[off : off+8]
-	d[0] = byte(val)
-	d[1] = byte(val >> 8)
-	d[2] = byte(val >> 16)
-	d[3] = byte(val >> 24)
-	d[4] = byte(val >> 32)
-	d[5] = byte(val >> 40)
-	d[6] = byte(val >> 48)
-	d[7] = byte(val >> 56)
+	seg.Store(addr, size, val)
 	return nil
 }
 
@@ -513,21 +488,18 @@ func (m *Machine) WriteBytes(addr uint64, data []byte) error {
 	return nil
 }
 
-// emit records one timeline span; no-op unless a tracer is attached.
-func (m *Machine) emit(kind trace.Kind, start, end float64, name string, bytes int64, unit string) {
+// emit records one CPU-lane timeline span (compute, inspection, stall);
+// no-op unless a tracer is attached.
+func (m *Machine) emit(kind trace.Kind, start, end float64, name string) {
 	if m.tr == nil {
 		return
 	}
-	m.tr.Emit(trace.Span{
-		Kind: kind, Lane: spanLane(kind), Name: name,
-		Start: start, End: end, Bytes: bytes, Unit: unit,
-	})
+	m.tr.Emit(trace.Span{Kind: kind, Lane: trace.LaneCPU, Name: name, Start: start, End: end})
 }
 
 func (m *Machine) flushCPUSpan() {
 	if m.pendingCPUOps > 0 {
-		m.emit(trace.KindCPU, m.pendingCPUStart, m.cpuTime,
-			fmt.Sprintf("%d ops", m.pendingCPUOps), 0, "")
+		m.emit(trace.KindCPU, m.pendingCPUStart, m.cpuTime, fmt.Sprintf("%d ops", m.pendingCPUOps))
 		m.pendingCPUOps = 0
 	}
 }
@@ -555,7 +527,7 @@ func (m *Machine) InspectorOps(n int64) {
 	d := float64(n) * m.Cost.InspectorPerOp
 	m.cpuTime += d
 	m.stats.CPUTime += d
-	m.emit(trace.KindCPU, m.cpuTime-d, m.cpuTime, fmt.Sprintf("inspect %d", n), 0, "")
+	m.emit(trace.KindCPU, m.cpuTime-d, m.cpuTime, fmt.Sprintf("inspect %d", n))
 }
 
 // LaunchKernel models an asynchronous kernel launch executing totalOps
@@ -629,46 +601,20 @@ func (m *Machine) unitNameAt(addr uint64) string {
 }
 
 // CopyHtoD models a host-to-device DMA of n bytes plus the functional byte
-// copy from src (CPU space) to dst (GPU space). The transfer must wait for
-// in-flight kernels (the device serializes its DMA engine with compute,
-// like cudaMemcpy on the default stream).
+// copy from src (CPU space) to dst (GPU space), blocking: the transfer
+// waits for in-flight kernels (the device serializes its DMA engine with
+// compute, like cudaMemcpy on the default stream) and the CPU pays it
+// inline. It is CopyHtoDAsync with no stream.
 func (m *Machine) CopyHtoD(dst, src uint64, n int64) error {
-	if m.plan != nil {
-		if de := m.DecideFault(faultinject.VerbHtoD, m.faultUnitAt(src)); de != nil {
-			return de
-		}
-	}
-	data, err := m.ReadBytes(src, n)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteBytes(dst, data); err != nil {
-		return err
-	}
-	m.xfer(trace.KindHtoD, n, m.unitNameAt(src))
-	m.stats.BytesHtoD += n
-	m.stats.NumHtoD++
-	return nil
+	_, err := m.transfer(trace.KindHtoD, nil, dst, src, n, false, nil)
+	return err
 }
 
-// CopyDtoH models a device-to-host DMA of n bytes plus the byte copy.
+// CopyDtoH models a blocking device-to-host DMA of n bytes plus the byte
+// copy: CopyDtoHAsync with no stream.
 func (m *Machine) CopyDtoH(dst, src uint64, n int64) error {
-	if m.plan != nil {
-		if de := m.DecideFault(faultinject.VerbDtoH, m.faultUnitAt(dst)); de != nil {
-			return de
-		}
-	}
-	data, err := m.ReadBytes(src, n)
-	if err != nil {
-		return err
-	}
-	if err := m.WriteBytes(dst, data); err != nil {
-		return err
-	}
-	m.xfer(trace.KindDtoH, n, m.unitNameAt(dst))
-	m.stats.BytesDtoH += n
-	m.stats.NumDtoH++
-	return nil
+	_, err := m.transfer(trace.KindDtoH, nil, dst, src, n, false, nil)
+	return err
 }
 
 // ChargeTransfer charges transfer time for n bytes in the given direction
@@ -683,35 +629,7 @@ func (m *Machine) ChargeTransfer(kind trace.Kind, n int64) {
 // ChargeTransferUnit is ChargeTransfer with an allocation-unit tag for
 // the emitted trace span.
 func (m *Machine) ChargeTransferUnit(kind trace.Kind, n int64, unit string) {
-	m.xfer(kind, n, unit)
-	if kind == trace.KindHtoD {
-		m.stats.BytesHtoD += n
-		m.stats.NumHtoD++
-	} else {
-		m.stats.BytesDtoH += n
-		m.stats.NumDtoH++
-	}
-}
-
-// xfer charges one synchronous transfer: a sync-on-default-stream copy.
-// It is exactly CopyHtoDAsync/CopyDtoHAsync on an implicit default stream
-// followed immediately by WaitEvent — the CPU stalls until in-flight
-// kernels drain, pays the DMA inline, and resynchronizes the GPU — kept
-// as straight-line code so the synchronous cost model is unchanged.
-func (m *Machine) xfer(kind trace.Kind, n int64, unit string) {
-	m.flushCPUSpan()
-	// Transfers synchronize with the GPU: wait for kernels to drain.
-	m.stallTo(m.gpuReady)
-	d := m.Cost.TransferLat + float64(n)*m.Cost.TransferPerB
-	m.emit(kind, m.cpuTime, m.cpuTime+d, "", n, unit)
-	if kind == trace.KindHtoD {
-		m.met.htodBytes.Observe(float64(n))
-	} else {
-		m.met.dtohBytes.Observe(float64(n))
-	}
-	m.cpuTime += d
-	m.gpuReady = m.cpuTime
-	m.stats.CommTime += d
+	m.charge(kind, nil, 0, 0, n, unit, false, nil)
 }
 
 // ChargeAllocGPU charges the CPU timeline for one cuMemAlloc call. The

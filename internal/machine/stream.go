@@ -8,27 +8,30 @@
 // compute timeline via GPUReadyEvent), exactly like cuEventRecord /
 // cuStreamWaitEvent.
 //
-// The async verbs split the machine's two concerns differently than the
-// synchronous ones:
+// Every copy verb — blocking, stream, rescue — is one path: move (the
+// functional byte copy, eager, at issue time, on the root goroutine, in
+// program order) followed by charge (the temporal account). Program output
+// is therefore structurally bit-identical with overlap on or off, at any
+// worker count, under any fault schedule, and a fault schedule hits the
+// identical call sequence either way: move is the only place a copy
+// consults the fault plan.
 //
-//   - Functionally they are eager: the bytes move at issue time, on the
-//     root goroutine, in program order. Program output is therefore
-//     structurally bit-identical with overlap on or off, at any worker
-//     count, under any fault schedule — the PR 1/5 invariant.
-//   - Temporally they are deferred: the copy occupies [start, end) on the
-//     stream's lane, where start honors the CPU clock, the stream's
-//     occupancy, the explicit waits, and (for DtoH) the GPU timeline.
-//     The CPU does not stall at issue. Pending copies resolve at the
-//     next synchronization point — a kernel launch that waits on them, a
-//     host access to a flushing unit, a free of an involved range, or
-//     Sync — and the portion of each copy's duration that elapsed before
-//     the synchronization observer is credited as overlapped
-//     communication (Stats.OverlappedBytes, the ledger's overlap column,
-//     and the machine.xfer.overlapped_bytes counter).
+// What differs is only where charge puts the DMA on the timeline:
 //
-// Fault injection fires at issue time in the same verb order as the
-// synchronous path, so a fault schedule hits the identical call sequence
-// whether overlap is on or off.
+//   - Blocking (no stream): the copy runs on the implicit default stream
+//     and the CPU waits for it. The CPU stalls until in-flight kernels
+//     drain, pays the DMA inline on its own clock, and the GPU
+//     resynchronizes to the CPU — issue plus immediate wait.
+//   - Deferred (a stream): the copy occupies [start, end) on the stream's
+//     lane, where start honors the CPU clock, the stream's occupancy, the
+//     explicit waits, and (for DtoH) the GPU timeline. The CPU does not
+//     stall at issue. Pending copies resolve at the next synchronization
+//     point — a kernel launch that waits on them, a host access to a
+//     flushing unit, a free of an involved range, or Sync — and the
+//     portion of each copy's duration that elapsed before the
+//     synchronization observer is credited as overlapped communication
+//     (Stats.OverlappedBytes, the ledger's overlap column, and the
+//     machine.xfer.overlapped_bytes counter).
 package machine
 
 import (
@@ -93,112 +96,146 @@ func (m *Machine) SetOverlapSink(fn func(hostBase uint64, overlapped int64)) {
 // wait when it must not race the compute timeline.
 func (m *Machine) GPUReadyEvent() Event { return Event{t: m.gpuReady} }
 
-// CopyHtoDAsync issues an asynchronous host-to-device copy on stream s.
-// The bytes move immediately (so program semantics match the synchronous
-// verb exactly); the DMA occupies the stream's lane starting after the
+// CopyHtoDAsync issues a host-to-device copy on stream s. The bytes move
+// immediately; the DMA occupies the stream's lane starting after the
 // stream's previous copy and every wait event. It does not wait for
 // in-flight kernels: the runtime only uploads to freshly allocated or
-// explicitly event-ordered device memory.
+// explicitly event-ordered device memory. A nil stream makes the copy
+// blocking — CopyHtoD — which orders behind compute instead and ignores
+// waits.
 func (m *Machine) CopyHtoDAsync(s *Stream, dst, src uint64, n int64, waits ...Event) (Event, error) {
-	if m.plan != nil {
-		if de := m.DecideFault(faultinject.VerbHtoD, m.faultUnitAt(src)); de != nil {
-			return Event{}, de
-		}
-	}
-	data, err := m.ReadBytes(src, n)
-	if err != nil {
-		return Event{}, err
-	}
-	if err := m.WriteBytes(dst, data); err != nil {
-		return Event{}, err
-	}
-	ev := m.issueCopy(s, trace.KindHtoD, dst, src, n, waits)
-	m.stats.BytesHtoD += n
-	m.stats.NumHtoD++
-	return ev, nil
+	return m.transfer(trace.KindHtoD, s, dst, src, n, false, waits)
 }
 
-// CopyDtoHAsync issues an asynchronous device-to-host copy on stream s.
-// It implicitly waits for in-flight kernels (the device data must be
-// final) in addition to the stream's occupancy and the explicit waits.
-// The host bytes are updated immediately, so a later host read is always
-// correct; the machine only charges the wait when the host actually
-// touches the flushing unit before the DMA completes (WaitHostUnit).
+// CopyDtoHAsync issues a device-to-host copy on stream s. It implicitly
+// waits for in-flight kernels (the device data must be final) in addition
+// to the stream's occupancy and the explicit waits. The host bytes are
+// updated immediately, so a later host read is always correct; the machine
+// only charges the wait when the host actually touches the flushing unit
+// before the DMA completes (WaitHostUnit). A nil stream makes the copy
+// blocking — CopyDtoH.
 func (m *Machine) CopyDtoHAsync(s *Stream, dst, src uint64, n int64, waits ...Event) (Event, error) {
-	if m.plan != nil {
-		if de := m.DecideFault(faultinject.VerbDtoH, m.faultUnitAt(dst)); de != nil {
-			return Event{}, de
-		}
-	}
-	data, err := m.ReadBytes(src, n)
-	if err != nil {
-		return Event{}, err
-	}
-	if err := m.WriteBytes(dst, data); err != nil {
-		return Event{}, err
-	}
-	ev := m.issueCopy(s, trace.KindDtoH, dst, src, n, waits)
-	m.stats.BytesDtoH += n
-	m.stats.NumDtoH++
-	return ev, nil
+	return m.transfer(trace.KindDtoH, s, dst, src, n, false, waits)
 }
 
-// issueCopy charges one asynchronous DMA: spans (issue instant on the CPU
-// lane, copy interval on the stream lane, linked by a flow id), byte
-// histograms, CommTime, stream occupancy, and the pending-op record that
-// later resolves into overlap credit.
-func (m *Machine) issueCopy(s *Stream, kind trace.Kind, dst, src uint64, n int64, waits []Event) Event {
-	m.flushCPUSpan()
-	start := m.cpuTime
-	if s.ready > start {
-		start = s.ready
+// transfer is one copy across the bus: move the bytes, then charge the
+// timeline. kind gives the direction, so the host side is src for HtoD
+// and dst for DtoH.
+func (m *Machine) transfer(kind trace.Kind, s *Stream, dst, src uint64, n int64, rescue bool, waits []Event) (Event, error) {
+	if err := m.move(kind, dst, src, n, rescue); err != nil {
+		return Event{}, err
 	}
-	if kind == trace.KindDtoH && m.gpuReady > start {
-		start = m.gpuReady
+	host, dev := src, dst
+	if kind == trace.KindDtoH {
+		host, dev = dst, src
 	}
-	for _, e := range waits {
-		if e.t > start {
-			start = e.t
+	return m.charge(kind, s, host, dev, n, m.unitNameAt(host), rescue, waits), nil
+}
+
+// move is the functional half of every copy verb: one fault-plan decision
+// (tagged with the host-side unit; the rescue channel is reliable and
+// skips it), the bounds checks, and the byte copy straight from one
+// segment into the other. A failed move has changed nothing but the fault
+// plan's call count and the failed driver call's latency.
+func (m *Machine) move(kind trace.Kind, dst, src uint64, n int64, rescue bool) error {
+	if m.plan != nil && !rescue {
+		verb, host := faultinject.VerbHtoD, src
+		if kind == trace.KindDtoH {
+			verb, host = faultinject.VerbDtoH, dst
+		}
+		if de := m.DecideFault(verb, m.faultUnitAt(host)); de != nil {
+			return de
 		}
 	}
+	from, err := m.segmentFor(src, n)
+	if err != nil {
+		return err
+	}
+	to, err := m.segmentFor(dst, n)
+	if err != nil {
+		return err
+	}
+	copy(to.Data[dst-to.Base:], from.Data[src-from.Base:][:n])
+	return nil
+}
+
+// charge is the temporal half of every copy verb: it places one n-byte
+// DMA on the timeline and accounts for it (spans, byte histograms,
+// CommTime, Bytes*/Num* counters). With no stream the copy is blocking and
+// lands on the transfer lane; with a stream it is deferred — an issue
+// instant on the CPU lane linked by a flow id to the copy interval on the
+// stream's lane, stream occupancy, and a pending-op record that later
+// resolves into overlap credit. rescue charges the driver's slow reliable
+// channel: the same copy at rescueSlowdown times the cost, the excess
+// booked as PenaltyTime.
+func (m *Machine) charge(kind trace.Kind, s *Stream, host, dev uint64, n int64, unit string, rescue bool, waits []Event) Event {
+	m.flushCPUSpan()
 	d := m.Cost.TransferLat + float64(n)*m.Cost.TransferPerB
-	end := start + d
-	hostBase, devBase := src, dst
-	if kind == trace.KindDtoH {
-		hostBase, devBase = dst, src
+	span := trace.Span{Kind: kind, Lane: trace.LaneXfer, Bytes: n, Unit: unit}
+	if rescue {
+		d *= rescueSlowdown
+		span.Name = "rescue"
+		m.stats.PenaltyTime += d * (1 - 1/rescueSlowdown)
+		m.stats.RescueCopies++
 	}
-	m.nextFlow++
-	flow := m.nextFlow
-	if m.tr != nil {
-		unit := m.unitNameAt(hostBase)
-		m.tr.Emit(trace.Span{
-			Kind: trace.KindIssue, Lane: trace.LaneCPU,
-			Name:  "issue " + kind.String() + " " + s.name,
-			Start: m.cpuTime, End: m.cpuTime, Bytes: n, Unit: unit, Flow: flow,
-		})
-		m.tr.Emit(trace.Span{
-			Kind: kind, Lane: s.lane, Name: s.name,
-			Start: start, End: end, Bytes: n, Unit: unit, Flow: flow,
-		})
-	}
-	if kind == trace.KindHtoD {
-		m.met.htodBytes.Observe(float64(n))
+	if s == nil {
+		// Blocking: wait for kernels to drain, pay the DMA inline, and
+		// resynchronize the GPU.
+		m.stallTo(m.gpuReady)
+		span.Start = m.cpuTime
+		m.cpuTime += d
+		m.gpuReady = m.cpuTime
 	} else {
-		m.met.dtohBytes.Observe(float64(n))
-		// A pending host-bound flush: invalidate the interpreter's inline
-		// caches so the next host access to any unit re-resolves through
-		// the machine and charges WaitHostUnit if it touches this one.
-		m.gen++
+		span.Start = m.cpuTime
+		if s.ready > span.Start {
+			span.Start = s.ready
+		}
+		if kind == trace.KindDtoH && m.gpuReady > span.Start {
+			span.Start = m.gpuReady
+		}
+		for _, e := range waits {
+			if e.t > span.Start {
+				span.Start = e.t
+			}
+		}
+		s.ready = span.Start + d
+		m.nextFlow++
+		span.Lane, span.Name, span.Flow = s.lane, s.name, m.nextFlow
+		if m.tr != nil {
+			m.tr.Emit(trace.Span{
+				Kind: trace.KindIssue, Lane: trace.LaneCPU,
+				Name:  "issue " + kind.String() + " " + s.name,
+				Start: m.cpuTime, End: m.cpuTime, Bytes: n, Unit: unit, Flow: span.Flow,
+			})
+		}
+		m.pending = append(m.pending, asyncOp{
+			kind: kind, bytes: n, start: span.Start, end: s.ready,
+			hostBase: host, hostEnd: host + uint64(n),
+			devBase: dev, devEnd: dev + uint64(n),
+		})
+		m.met.streamDepth.Observe(float64(len(m.pending)))
+	}
+	span.End = span.Start + d
+	if m.tr != nil {
+		m.tr.Emit(span)
 	}
 	m.stats.CommTime += d
-	s.ready = end
-	m.pending = append(m.pending, asyncOp{
-		kind: kind, bytes: n, start: start, end: end,
-		hostBase: hostBase, hostEnd: hostBase + uint64(n),
-		devBase: devBase, devEnd: devBase + uint64(n),
-	})
-	m.met.streamDepth.Observe(float64(len(m.pending)))
-	return Event{t: end, flow: flow}
+	if kind == trace.KindHtoD {
+		m.met.htodBytes.Observe(float64(n))
+		m.stats.BytesHtoD += n
+		m.stats.NumHtoD++
+	} else {
+		m.met.dtohBytes.Observe(float64(n))
+		m.stats.BytesDtoH += n
+		m.stats.NumDtoH++
+		if s != nil {
+			// A pending host-bound flush: invalidate the interpreter's inline
+			// caches so the next host access to any unit re-resolves through
+			// the machine and charges WaitHostUnit if it touches this one.
+			m.gen++
+		}
+	}
+	return Event{t: span.End, flow: span.Flow}
 }
 
 // retire credits the portion of one finished copy that ran before the
@@ -249,7 +286,7 @@ func (m *Machine) stallTo(t float64) {
 		return
 	}
 	m.flushCPUSpan()
-	m.emit(trace.KindStall, m.cpuTime, t, "sync", 0, "")
+	m.emit(trace.KindStall, m.cpuTime, t, "sync")
 	m.stats.StallTime += t - m.cpuTime
 	m.cpuTime = t
 }

@@ -2,40 +2,22 @@
 //
 // The overlap compiler pass rewrites cgcm.map/cgcm.unmap call sites to
 // cgcm.mapAsync/cgcm.unmapAsync where it can prove the host does not
-// touch the unit before the next synchronization point. This file
-// implements those verbs on top of the machine's stream API:
-//
-//   - MapAsync issues the HtoD upload on the dedicated upload stream and
-//     remembers its completion event; the interpreter passes the
-//     accumulated events (TakeLaunchWaits) to the next kernel launch, so
-//     the kernel starts only after its inputs landed — but the CPU never
-//     stalls, and the upload overlaps whatever the GPU was still running.
-//   - UnmapAsync issues the DtoH flush on the dedicated flush stream. The
-//     host bytes are updated immediately (the machine's async verbs are
-//     functionally eager), so correctness never depends on the DMA
-//     completing; the machine charges the wait only if host code touches
-//     a flushing unit before its copy retires (WaitHostUnit).
-//
-// Fault handling mirrors the synchronous path call-for-call: each issue
-// consults the fault plan exactly once, transient faults retry with the
-// same bounded backoff, and a persistent DtoH fault lands the bytes over
-// the machine's slow reliable rescue channel — so a fault schedule plays
-// out identically whether overlap is on or off, and degradation keeps
-// output bit-identical.
+// touch the unit before the next synchronization point. Those verbs are
+// Map and Unmap handed a stream: the copy itself, its fault handling and
+// its bookkeeping are the one path in resilience.go (copyUnit, uploadUnit,
+// flushUnit), where a nil stream means blocking. What this file adds is
+// the streams and the launch-side ordering: the interpreter passes the
+// accumulated upload events (TakeLaunchWaits) to the next kernel launch,
+// so the kernel starts only after its inputs landed.
 package runtime
 
-import (
-	"errors"
-
-	"cgcm/internal/faultinject"
-	"cgcm/internal/machine"
-)
+import "cgcm/internal/machine"
 
 // EnableAsync switches the runtime into overlapped-communication mode:
-// it creates the upload and flush streams and arms MapAsync/UnmapAsync.
-// Without it the async entry points degrade to their synchronous
-// equivalents, so IR rewritten by the overlap pass stays correct even
-// when a run disables overlap.
+// it creates the upload and flush streams MapAsync/UnmapAsync copy on.
+// Without it the streams are nil and the async entry points are their
+// blocking equivalents, so IR rewritten by the overlap pass stays correct
+// even when a run disables overlap.
 func (r *Runtime) EnableAsync() {
 	if r.async {
 		return
@@ -49,17 +31,13 @@ func (r *Runtime) EnableAsync() {
 // AsyncEnabled reports whether overlapped communication is armed.
 func (r *Runtime) AsyncEnabled() bool { return r.async }
 
-// MapAsync is Map with the HtoD copy issued asynchronously on the upload
-// stream (when EnableAsync armed it; otherwise it is exactly Map).
-func (r *Runtime) MapAsync(ptr uint64) (uint64, error) {
-	return r.mapImpl(ptr, r.async && !r.degraded)
-}
+// MapAsync is Map with the HtoD copy issued on the upload stream. Until
+// EnableAsync creates that stream it is nil, and this is exactly Map.
+func (r *Runtime) MapAsync(ptr uint64) (uint64, error) { return r.mapImpl(ptr, r.h2d) }
 
-// UnmapAsync is Unmap with the DtoH copy issued asynchronously on the
-// flush stream (when EnableAsync armed it; otherwise it is exactly Unmap).
-func (r *Runtime) UnmapAsync(ptr uint64) error {
-	return r.unmapImpl(ptr, r.async && !r.degraded)
-}
+// UnmapAsync is Unmap with the DtoH copy issued on the flush stream;
+// exactly Unmap until EnableAsync.
+func (r *Runtime) UnmapAsync(ptr uint64) error { return r.unmapImpl(ptr, r.d2h) }
 
 // TakeLaunchWaits returns the completion events of every async upload
 // issued since the last call and clears the list. The interpreter passes
@@ -72,71 +50,4 @@ func (r *Runtime) TakeLaunchWaits() []machine.Event {
 	w := r.pendingUploads
 	r.pendingUploads = nil
 	return w
-}
-
-// uploadAsync issues one allocation unit's HtoD copy on the upload
-// stream. A freshly allocated destination cannot race anything; a reused
-// device region (cached copy, global named region) orders behind the
-// compute timeline so the upload never lands under a running kernel.
-// Per-unit copies chain through lastXfer so two transfers of the same
-// unit never reorder.
-func (r *Runtime) uploadAsync(info *AllocInfo, fresh bool) error {
-	waits := []machine.Event{r.lastXfer[info.Base]}
-	if !fresh {
-		waits = append(waits, r.M.GPUReadyEvent())
-	}
-	ev, err := r.copyHtoDAsyncRetry(info.DevPtr, info.Base, info.Size, waits)
-	if err != nil {
-		return err
-	}
-	r.lastXfer[info.Base] = ev
-	r.pendingUploads = append(r.pendingUploads, ev)
-	return nil
-}
-
-// flushDtoHAsync lands one unit's device bytes on the host, issuing the
-// copy on the flush stream. Like the synchronous flushDtoH, the bytes
-// must land no matter what: transient faults retry, and a persistent
-// fault falls back to the machine's slow reliable rescue channel (which
-// is synchronous — a dying device does not get to overlap).
-func (r *Runtime) flushDtoHAsync(info *AllocInfo) error {
-	ev, err := r.copyDtoHAsyncRetry(info.Base, info.DevPtr, info.Size,
-		[]machine.Event{r.lastXfer[info.Base]})
-	if err == nil {
-		r.lastXfer[info.Base] = ev
-		return nil
-	}
-	var de *faultinject.DeviceError
-	if !errors.As(err, &de) {
-		return err // functional error (bad address): a real bug, propagate
-	}
-	r.stats.RescueCopies++
-	r.met.rescues.Inc()
-	return r.M.RescueCopyDtoH(info.Base, info.DevPtr, info.Size)
-}
-
-// copyHtoDAsyncRetry is CopyHtoDAsync with the same bounded
-// transient-fault retry as the synchronous copyHtoDRetry, so the two
-// paths consume identical fault-plan decisions.
-func (r *Runtime) copyHtoDAsyncRetry(dst, src uint64, n int64, waits []machine.Event) (machine.Event, error) {
-	for attempt := 0; ; {
-		ev, err := r.M.CopyHtoDAsync(r.h2d, dst, src, n, waits...)
-		if err == nil || !r.retryable(err, attempt) {
-			return ev, err
-		}
-		attempt++
-		r.noteRetry(attempt)
-	}
-}
-
-// copyDtoHAsyncRetry is CopyDtoHAsync with bounded transient-fault retry.
-func (r *Runtime) copyDtoHAsyncRetry(dst, src uint64, n int64, waits []machine.Event) (machine.Event, error) {
-	for attempt := 0; ; {
-		ev, err := r.M.CopyDtoHAsync(r.d2h, dst, src, n, waits...)
-		if err == nil || !r.retryable(err, attempt) {
-			return ev, err
-		}
-		attempt++
-		r.noteRetry(attempt)
-	}
 }

@@ -115,6 +115,31 @@ func TestErrorTaxonomy(t *testing.T) {
 			want: ErrBadSize,
 		},
 		{
+			name: "realloc to a negative size",
+			call: func(rt *Runtime) error {
+				_, err := rt.Realloc(rt.Malloc(64), -5)
+				return err
+			},
+			want: ErrBadSize,
+		},
+		{
+			name: "realloc of NULL to a negative size",
+			call: func(rt *Runtime) error {
+				_, err := rt.Realloc(0, -1)
+				return err
+			},
+			want: ErrBadSize,
+		},
+		{
+			// The element's sentinel must survive mapArray's wrapping.
+			name: "mapArray with a dangling element pointer",
+			call: func(rt *Runtime) error {
+				_, err := rt.MapArray(danglingArray(rt))
+				return err
+			},
+			want: ErrUnknownPointer,
+		},
+		{
 			name: "calloc overflow",
 			call: func(rt *Runtime) error {
 				_, err := rt.Calloc(math.MaxInt64/2, 4)
@@ -160,5 +185,40 @@ func TestErrorSentinelsAreDistinct(t *testing.T) {
 	}
 	if !errors.Is(err, ErrDoubleFree) {
 		t.Errorf("double free does not match ErrDoubleFree: %v", err)
+	}
+}
+
+// danglingArray builds a two-element pointer array whose first element is
+// a live heap unit and whose second points at a unit already freed.
+func danglingArray(rt *Runtime) uint64 {
+	arr, live, dead := rt.Malloc(16), rt.Malloc(8), rt.Malloc(8)
+	rt.M.Store(arr, 8, live)
+	rt.M.Store(arr+8, 8, dead)
+	if err := rt.Free(dead); err != nil {
+		panic(err)
+	}
+	return arr
+}
+
+// TestMapArrayFailureReleasesElements: when an element fails to map, no
+// shadow is registered, so nothing could ever release the elements mapped
+// before it — MapArray must drop their references and device copies
+// itself.
+func TestMapArrayFailureReleasesElements(t *testing.T) {
+	rt, m := newRT()
+	arr := danglingArray(rt)
+	if _, err := rt.MapArray(arr); err == nil {
+		t.Fatal("mapArray of a dangling element succeeded")
+	}
+	live, _ := m.Load(arr, 8)
+	info := rt.Lookup(live)
+	if info.RefCount != 0 || info.DevPtr != 0 {
+		t.Errorf("mapped element leaked: RefCount=%d DevPtr=%#x", info.RefCount, info.DevPtr)
+	}
+	if used := m.GPUMemUsed(); used != 0 {
+		t.Errorf("%d device bytes still allocated after the failed mapArray", used)
+	}
+	if err := rt.ReleaseArray(arr); !errors.Is(err, ErrUnbalancedRelease) {
+		t.Errorf("failed mapArray left a shadow behind: releaseArray = %v", err)
 	}
 }

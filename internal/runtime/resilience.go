@@ -101,46 +101,97 @@ func (r *Runtime) retryable(err error, attempt int) bool {
 	return errors.As(err, &de) && de.Transient && attempt < r.res.MaxRetries
 }
 
-// copyHtoDRetry is CopyHtoD with bounded retry of transient faults.
-func (r *Runtime) copyHtoDRetry(dst, src uint64, n int64) error {
+// copyUnit moves info's whole allocation unit across the bus — host to
+// device when htod, device to host otherwise — on stream s, or blocking
+// when s is nil (the machine's degenerate schedule, which ignores waits).
+// Every copy the runtime makes of a unit goes through here, so this is the
+// runtime's only transient-fault retry loop, and a fault schedule consumes
+// identical fault-plan decisions with overlap on or off.
+func (r *Runtime) copyUnit(info *AllocInfo, htod bool, s *machine.Stream, waits ...machine.Event) (ev machine.Event, err error) {
 	for attempt := 0; ; {
-		err := r.M.CopyHtoD(dst, src, n)
+		if htod {
+			ev, err = r.M.CopyHtoDAsync(s, info.DevPtr, info.Base, info.Size, waits...)
+		} else {
+			ev, err = r.M.CopyDtoHAsync(s, info.Base, info.DevPtr, info.Size, waits...)
+		}
 		if err == nil || !r.retryable(err, attempt) {
-			return err
+			break
 		}
 		attempt++
 		r.noteRetry(attempt)
 	}
+	if err == nil && s != nil {
+		// Per-unit copies chain through lastXfer so two stream transfers
+		// of the same unit never reorder.
+		r.lastXfer[info.Base] = ev
+	}
+	return ev, err
 }
 
-// copyDtoHRetry is CopyDtoH with bounded retry of transient faults.
-func (r *Runtime) copyDtoHRetry(dst, src uint64, n int64) error {
-	for attempt := 0; ; {
-		err := r.M.CopyDtoH(dst, src, n)
-		if err == nil || !r.retryable(err, attempt) {
+// noteCopy books one program-requested transfer of info's unit: RTStats
+// copy counter, metrics counter, and profile row, at the source line of
+// the cgcm.* call in progress. It is the only place those three are
+// touched, so they cannot disagree about transfers.
+func (r *Runtime) noteCopy(info *AllocInfo, htod bool) {
+	if htod {
+		r.stats.HtoDCopies++
+		r.met.htodCopies.Inc()
+	} else {
+		r.stats.DtoHCopies++
+		r.met.dtohCopies.Inc()
+	}
+	r.Prof.AddTransfer(info.Name, r.ProfLine, htod, info.Size)
+}
+
+// uploadUnit copies info's host bytes to its device copy and books the
+// transfer. On the upload stream s it queues the copy's completion event
+// for the next kernel launch (TakeLaunchWaits), so the kernel starts only
+// after its inputs landed but the CPU never stalls. A freshly allocated
+// destination cannot race anything; a reused device region (cached copy,
+// global named region) orders behind the compute timeline so the upload
+// never lands under a running kernel.
+func (r *Runtime) uploadUnit(info *AllocInfo, s *machine.Stream, fresh bool) error {
+	waits := [2]machine.Event{r.lastXfer[info.Base]}
+	if !fresh {
+		waits[1] = r.M.GPUReadyEvent()
+	}
+	ev, err := r.copyUnit(info, true, s, waits[:]...)
+	if err != nil {
+		return err
+	}
+	if s != nil {
+		r.pendingUploads = append(r.pendingUploads, ev)
+	}
+	info.Dirty = false
+	r.noteCopy(info, true)
+	return nil
+}
+
+// flushUnit lands info's device bytes on the host no matter what: the
+// normal copy (on stream s, or blocking when nil) with retry first, then
+// the machine's slow reliable rescue channel, which is always blocking —
+// a dying device does not get to overlap. Device data is never lost to a
+// fault — the invariant that makes degradation outputs bit-identical to
+// fault-free runs. This is the runtime's only retry-then-rescue ladder.
+// An unmap's flush is booked as a transfer; an eviction's is housekeeping
+// the ledger books under the unit's Evictions instead (counted false).
+func (r *Runtime) flushUnit(info *AllocInfo, s *machine.Stream, counted bool) error {
+	if _, err := r.copyUnit(info, false, s, r.lastXfer[info.Base]); err != nil {
+		var de *faultinject.DeviceError
+		if !errors.As(err, &de) {
+			return err // functional error (bad address): a real bug, propagate
+		}
+		r.stats.RescueCopies++
+		r.met.rescues.Inc()
+		if err := r.M.RescueCopyDtoH(info.Base, info.DevPtr, info.Size); err != nil {
 			return err
 		}
-		attempt++
-		r.noteRetry(attempt)
 	}
-}
-
-// flushDtoH lands device bytes on the host no matter what: normal copy
-// with retry first, then the machine's slow reliable rescue channel.
-// Device data is never lost to a fault — the invariant that makes
-// degradation outputs bit-identical to fault-free runs.
-func (r *Runtime) flushDtoH(dst, src uint64, n int64) error {
-	err := r.copyDtoHRetry(dst, src, n)
-	if err == nil {
-		return nil
+	info.Dirty = false
+	if counted {
+		r.noteCopy(info, false)
 	}
-	var de *faultinject.DeviceError
-	if !errors.As(err, &de) {
-		return err // functional error (bad address): a real bug, propagate
-	}
-	r.stats.RescueCopies++
-	r.met.rescues.Inc()
-	return r.M.RescueCopyDtoH(dst, src, n)
+	return nil
 }
 
 // allocDevice is the fallible device allocator with the eviction loop:
@@ -209,10 +260,9 @@ func (r *Runtime) evictOne() (bool, error) {
 // evictUnit drops one unit's device copy (flushing dirty bytes first).
 func (r *Runtime) evictUnit(info *AllocInfo) error {
 	if info.Dirty && !info.ReadOnly {
-		if err := r.flushDtoH(info.Base, info.DevPtr, info.Size); err != nil {
+		if err := r.flushUnit(info, nil, false); err != nil {
 			return err
 		}
-		info.Dirty = false
 	}
 	if !info.IsGlobal {
 		if err := r.M.Free(machine.GPU, info.DevPtr); err != nil {

@@ -87,12 +87,12 @@ var (
 
 // Error is a runtime-library error (unknown pointer, unbalanced release,
 // and similar misuse). Err, when set, is the sentinel class the error
-// belongs to, matchable with errors.Is.
+// belongs to — or a cause wrapping one — matchable with errors.Is.
 type Error struct {
 	Op  string
 	Ptr uint64
 	Msg string
-	Err error // sentinel class (ErrUnknownPointer, ...), or nil
+	Err error // sentinel class (ErrUnknownPointer, ...), a cause wrapping one, or nil
 }
 
 func (e *Error) Error() string {
@@ -317,6 +317,9 @@ func (r *Runtime) Calloc(n, size int64) (uint64, error) {
 
 // Realloc resizes a heap unit, preserving contents up to the smaller size.
 func (r *Runtime) Realloc(ptr uint64, size int64) (uint64, error) {
+	if size < 0 {
+		return 0, &Error{Op: "realloc", Ptr: ptr, Msg: "negative size", Err: ErrBadSize}
+	}
 	if ptr == 0 {
 		return r.Malloc(size), nil
 	}
@@ -385,14 +388,13 @@ func (r *Runtime) lookupOrErr(op string, ptr uint64) (*AllocInfo, error) {
 // Map implements Algorithm 1: given a CPU pointer, return the equivalent
 // GPU pointer, allocating and copying the allocation unit if it is not
 // already resident.
-func (r *Runtime) Map(ptr uint64) (uint64, error) { return r.mapImpl(ptr, false) }
+func (r *Runtime) Map(ptr uint64) (uint64, error) { return r.mapImpl(ptr, nil) }
 
-// mapImpl is Map with an upload-mode switch: async=true issues the HtoD
-// copy on the upload stream instead of paying it inline. Everything else
-// — stats, ledger, profile, spans, reference counts, fault handling — is
-// byte-for-byte the synchronous path, which is what keeps a run's ledger
-// and remarks identical with overlap on or off.
-func (r *Runtime) mapImpl(ptr uint64, async bool) (uint64, error) {
+// mapImpl is Map with an upload schedule: on stream s the HtoD copy is
+// issued on s instead of being paid inline; nil is the blocking Map.
+// Nothing else depends on s, which is what keeps a run's ledger and
+// remarks identical with overlap on or off.
+func (r *Runtime) mapImpl(ptr uint64, s *machine.Stream) (uint64, error) {
 	r.M.CPUOps(runtimeCallOps)
 	r.stats.Maps++
 	r.met.maps.Inc()
@@ -427,19 +429,9 @@ func (r *Runtime) mapImpl(ptr uint64, async bool) (uint64, error) {
 		} else {
 			info.DevPtr = info.DeviceGlobal // cuModuleGetGlobal
 		}
-		var cerr error
-		if async {
-			cerr = r.uploadAsync(info, fresh)
-		} else {
-			cerr = r.copyHtoDRetry(info.DevPtr, info.Base, info.Size)
-		}
-		if cerr != nil {
+		if cerr := r.uploadUnit(info, s, fresh); cerr != nil {
 			return r.degradeMap(ptr, "upload of "+info.Name, cerr)
 		}
-		info.Dirty = false
-		r.stats.HtoDCopies++
-		r.met.htodCopies.Inc()
-		r.Prof.AddTransfer(info.Name, r.ProfLine, true, info.Size)
 	} else {
 		r.stats.ResidencySkips++
 		r.met.resSkips.Inc()
@@ -456,13 +448,13 @@ func (r *Runtime) mapImpl(ptr uint64, async bool) (uint64, error) {
 
 // Unmap implements Algorithm 2: update the CPU allocation unit from the
 // GPU copy unless the unit's epoch is current or the unit is read-only.
-func (r *Runtime) Unmap(ptr uint64) error { return r.unmapImpl(ptr, false) }
+func (r *Runtime) Unmap(ptr uint64) error { return r.unmapImpl(ptr, nil) }
 
-// unmapImpl is Unmap with a flush-mode switch: async=true issues the DtoH
-// copy on the flush stream (host bytes land immediately; the wall-clock
-// wait is only charged if the host touches the unit before the DMA
-// completes). All bookkeeping matches the synchronous path exactly.
-func (r *Runtime) unmapImpl(ptr uint64, async bool) error {
+// unmapImpl is Unmap with a flush schedule: on stream s the DtoH copy is
+// issued on s (host bytes land immediately; the wall-clock wait is only
+// charged if the host touches the unit before the DMA completes); nil is
+// the blocking Unmap.
+func (r *Runtime) unmapImpl(ptr uint64, s *machine.Stream) error {
 	r.M.CPUOps(runtimeCallOps)
 	r.stats.Unmaps++
 	r.met.unmaps.Inc()
@@ -480,20 +472,9 @@ func (r *Runtime) unmapImpl(ptr uint64, async bool) error {
 		if info.DevPtr == 0 {
 			return &Error{Op: "unmap", Ptr: ptr, Msg: "allocation unit has no GPU copy", Err: ErrNotMapped}
 		}
-		// The copy-back must land: retry transient faults, then fall
-		// back to the machine's slow reliable rescue channel.
-		if async {
-			err = r.flushDtoHAsync(info)
-		} else {
-			err = r.flushDtoH(info.Base, info.DevPtr, info.Size)
-		}
-		if err != nil {
+		if err := r.flushUnit(info, s, true); err != nil {
 			return err
 		}
-		info.Dirty = false
-		r.stats.DtoHCopies++
-		r.met.dtohCopies.Inc()
-		r.Prof.AddTransfer(info.Name, r.ProfLine, false, info.Size)
 		info.Epoch = r.epoch
 	} else {
 		r.stats.EpochSkips++
@@ -563,8 +544,9 @@ func (r *Runtime) MapArray(ptr uint64) (uint64, error) {
 		// Shadow already live: re-map every element so reference counts
 		// stay balanced with the matching ReleaseArray (the maps are
 		// residency hits and copy nothing).
-		for _, p := range sh.Elems {
+		for i, p := range sh.Elems {
 			if _, err := r.Map(p); err != nil {
+				r.releaseElems(sh.Elems[:i])
 				return 0, err
 			}
 		}
@@ -589,8 +571,9 @@ func (r *Runtime) MapArray(ptr uint64) (uint64, error) {
 			}
 			d, err := r.Map(p)
 			if err != nil {
+				r.releaseElems(elems)
 				return 0, &Error{Op: "mapArray", Ptr: ptr,
-					Msg: fmt.Sprintf("element %d: %v", i, err)}
+					Msg: fmt.Sprintf("element %d: %v", i, err), Err: err}
 			}
 			if r.degraded {
 				// An element map degraded the device; the whole array
@@ -620,9 +603,7 @@ func (r *Runtime) MapArray(ptr uint64) (uint64, error) {
 			}
 		}
 		r.M.ChargeTransferUnit(trace.KindHtoD, info.Size, info.Name)
-		r.stats.HtoDCopies++
-		r.met.htodCopies.Inc()
-		r.Prof.AddTransfer(info.Name, r.ProfLine, true, info.Size)
+		r.noteCopy(info, true)
 		r.Ledger.RecordUpload(info.Base, info.Name, info.Size, r.epoch)
 		r.span(trace.KindMap, info, info.Size)
 		sh = &shadowArray{DevArr: devArr, Elems: elems}
@@ -630,6 +611,14 @@ func (r *Runtime) MapArray(ptr uint64) (uint64, error) {
 	}
 	sh.RefCount++
 	return sh.DevArr + (ptr - info.Base), nil
+}
+
+// releaseElems drops the references a failing MapArray already took on
+// elems: they are on no shadow's count, so no ReleaseArray would.
+func (r *Runtime) releaseElems(elems []uint64) {
+	for _, p := range elems {
+		_ = r.Release(p)
+	}
 }
 
 // UnmapArray updates the CPU copy of every allocation unit pointed to by

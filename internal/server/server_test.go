@@ -381,3 +381,35 @@ func TestHTTPMethodRouting(t *testing.T) {
 		t.Fatalf("GET /run = %d, want 405", rec.Code)
 	}
 }
+
+// TestNegativeSizeIsRunFailed: a tenant program that hands a negative byte
+// count to realloc, cuda_memcpy or malloc used to panic inside the worker
+// goroutine (make([]byte, n) in the machine) and take the daemon down. It
+// must come back as a typed 422 and leave the server answering.
+func TestNegativeSizeIsRunFailed(t *testing.T) {
+	s := newTestServer(t, Config{})
+	h := s.Handler()
+	post := func(program, source string) *httptest.ResponseRecorder {
+		body, _ := json.Marshal(RunRequest{Tenant: "web", Program: program, Source: source})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/run", strings.NewReader(string(body))))
+		return rec
+	}
+	for name, src := range map[string]string{
+		"realloc.c": `int main() { int *p = (int*)malloc(64); p = (int*)realloc(p, -5); print_int(1); return 0; }`,
+		"memcpy.c":  `int main() { int *p = (int*)malloc(64); int *d = (int*)cuda_malloc(64); cuda_memcpy_h2d(d, p, -1); return 0; }`,
+		"malloc.c":  `int main() { int *p = (int*)malloc(-8); p[0] = 3; print_int(p[0]); return 0; }`,
+	} {
+		rec := post(name, src)
+		var eb ErrorBody
+		if err := json.Unmarshal(rec.Body.Bytes(), &eb); err != nil || eb.Error == nil {
+			t.Fatalf("%s: body %s (err=%v)", name, rec.Body.String(), err)
+		}
+		if rec.Code != http.StatusUnprocessableEntity || eb.Error.Code != CodeRunFailed {
+			t.Errorf("%s: status %d code %q, want 422 %q", name, rec.Code, eb.Error.Code, CodeRunFailed)
+		}
+	}
+	if rec := post("vec.c", gpuVec); rec.Code != http.StatusOK {
+		t.Fatalf("server did not answer the next request: %d %s", rec.Code, rec.Body.String())
+	}
+}
