@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race bench benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak hostbench ci
+.PHONY: all build vet fmtcheck test race bench interpbench interpbenchsmoke benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak hostbench ci
 
 all: build
 
@@ -31,6 +31,18 @@ race:
 # Host-side engine speedup: compare workers=1 vs workers=N.
 bench:
 	$(GO) test -bench 'BenchmarkEngine$$' -benchtime 3x ./internal/bench/
+
+# The interpreter's per-layer benchmarks (internal/interp/bench_test.go):
+# host ns per simulated op for each execution context and op class, and
+# the cost of lowering the suite. Advisory, like hostbench — host time is
+# noisy; compare two commits with the same file (it uses only the
+# exported API).
+interpbench:
+	$(GO) test -run=NONE -bench=. -benchtime=2s -count=5 ./internal/interp/
+
+# One iteration of each of those benchmarks, so they cannot rot.
+interpbenchsmoke:
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/interp/
 
 # Run the full suite and fail on any >25% simulated-wall regression
 # against the committed baseline. The simulation is deterministic, so a
@@ -109,4 +121,4 @@ hostbench:
 		echo "hostbench: no .bench_build/base.json to compare against (copy a parent-commit .bench_build/all.json there for verdicts)"; \
 	fi
 
-ci: build fmtcheck vet race benchsmoke overlap fuzzsmoke resilience critpath runlog servegate
+ci: build fmtcheck vet race interpbenchsmoke benchsmoke overlap fuzzsmoke resilience critpath runlog servegate

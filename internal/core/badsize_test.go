@@ -9,10 +9,11 @@ import (
 	"cgcm/internal/interp"
 )
 
-// negativeSizePrograms each hand a negative byte count to an allocator or
-// a copy verb. A negative count used to reach make([]byte, n) in the
-// machine and kill the process; it is tenant input, so it must end in a
-// typed run error instead.
+// negativeSizePrograms each hand an impossible byte count to an allocator
+// or a copy verb: negative, or (the 1<<62 rows) larger than the simulated
+// address space. Such a count used to reach make([]byte, n) in the machine
+// and kill the process; it is tenant input, so it must end in a typed run
+// error instead.
 var negativeSizePrograms = []struct{ name, src, want string }{
 	{"realloc", `
 int main() {
@@ -36,6 +37,40 @@ int main() {
 	print_int(p[0]);
 	return 0;
 }`, "unmapped address"}, // malloc returned NULL; the store faults
+	{"malloc_1<<62", `
+int main() {
+	long n = 1;
+	n = n << 62;
+	char *p = (char*)malloc(n);
+	p[0] = 3;
+	print_int(p[0]);
+	return 0;
+}`, "unmapped address"}, // NULL again
+	{"calloc_1<<62", `
+int main() {
+	long n = 1;
+	n = n << 31;
+	char *p = (char*)calloc(n, n);
+	print_int(1);
+	return 0;
+}`, "size exceeds the address space"},
+	{"realloc_1<<62", `
+int main() {
+	long n = 1;
+	n = n << 62;
+	char *p = (char*)malloc(64);
+	p = (char*)realloc(p, n);
+	print_int(1);
+	return 0;
+}`, "size exceeds the address space"},
+	{"cuda_malloc_1<<62", `
+int main() {
+	long n = 1;
+	n = n << 62;
+	char *d = (char*)cuda_malloc(n);
+	print_int(1);
+	return 0;
+}`, "do not fit in the device address space"},
 }
 
 func TestNegativeSizesAreTypedErrors(t *testing.T) {

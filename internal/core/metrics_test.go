@@ -89,3 +89,26 @@ func TestMetricsOffByDefault(t *testing.T) {
 		t.Fatal("Report.Metrics set without Options.Metrics")
 	}
 }
+
+// TestStepsGaugeCountsInstructions: interp.steps is instructions
+// executed, not step-pool draws — a program that executes one instruction
+// reports 1, not a batch — and the same for any engine worker count.
+func TestStepsGaugeCountsInstructions(t *testing.T) {
+	steps := func(src string, o core.Options) float64 {
+		t.Helper()
+		o.Metrics = metrics.New()
+		rep, err := core.CompileAndRun("steps.c", src, o)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return rep.Metrics.Gauge("interp.steps")
+	}
+	if got := steps(`int main() { return 0; }`, core.Options{Strategy: core.Sequential}); got != 1 {
+		t.Errorf("interp.steps = %v for a program that executes one ret", got)
+	}
+	one := steps(hotLoop, core.Options{Strategy: core.CGCMOptimized, Workers: 1})
+	four := steps(hotLoop, core.Options{Strategy: core.CGCMOptimized, Workers: 4})
+	if one != four || one <= 0 {
+		t.Errorf("interp.steps = %v with 1 worker, %v with 4", one, four)
+	}
+}

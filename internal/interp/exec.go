@@ -2,8 +2,10 @@ package interp
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
+	"math"
 
 	"cgcm/internal/ir"
 	"cgcm/internal/machine"
@@ -20,10 +22,7 @@ import (
 // Managed launches place scratch above every real GPU allocation;
 // inspector launches (which run threads against CPU memory) place it
 // just below GPUBase, far above any real CPU allocation.
-const (
-	gpuScratchBase uint64 = 1 << 47 // 0x8000_0000_0000, still GPU space
-	scratchStride  uint64 = 1 << 32 // private arena bytes per worker
-)
+const scratchStride uint64 = 1 << 32 // private arena bytes per worker
 
 // stepBatch is how many steps a context draws from the shared pool at a
 // time; the MaxSteps limit is exact in total, only its attribution to a
@@ -37,48 +36,92 @@ type inspectState struct {
 	acc     int64
 }
 
+// segCache is a monomorphic inline cache: most load/store sites touch
+// one allocation unit for the life of the program, so remembering its
+// bytes skips the tree walk. A machine generation mismatch (some segment
+// was freed) forces re-validation. The zero value misses.
+type segCache struct {
+	data []byte
+	base uint64
+	lim8 uint64 // offsets below this can hold an 8-byte access
+	gen  uint64
+}
+
+// lineOps is profile attribution the per-pc counters cannot hold: the
+// executed head of a run that faulted part-way.
+type lineOps struct {
+	line int32
+	ops  int64
+}
+
 // exec is one execution context. The interpreter's root context runs CPU
-// code exactly as the sequential interpreter did; each kernel launch
-// borrows additional worker contexts (one per host core) that execute
-// disjoint chunks of the thread space concurrently. Everything a thread
-// mutates during execution lives here, so workers share only read-only
-// state: the module, the compiled-function cache, and the machine's
-// segment tree.
+// code; each kernel launch borrows additional worker contexts (one per
+// host core) that execute disjoint chunks of the thread space
+// concurrently. Everything execution mutates lives here, so contexts
+// share only read-only state: the lowered code, the interpreter's frame
+// images, and the machine's segment tree.
 type exec struct {
 	in *Interp
 
 	// budget is the context's remaining share of the step pool.
 	budget int64
 
-	depth      int
-	rng        uint64
-	pendingOps int64 // root context only: unflushed CPU op charges
-	out        io.Writer
+	// ops counts charged op cost: for the root context the CPU ops not
+	// yet flushed to the machine, for a worker the current thread's.
+	ops int64
+
+	depth int
+	rng   uint64
+	out   io.Writer
+
+	// stack holds the frames of every active call, innermost last.
+	stack []uint64
+	// image is the frame image of the space this context runs against.
+	image []uint64
 
 	// worker marks contexts that execute kernel chunks; they resolve
 	// memory through lock-free lookups and private caches.
 	worker bool
 	id     int // worker index, selects the scratch arena
 
-	// profCounts holds this context's per-instruction op counters when
-	// exact profiling is on, mirroring the caches layout. Counters are
-	// folded into the interpreter's collector (and zeroed) after every
-	// launch barrier, so they always belong to exactly one kernel. nil
-	// whenever Interp.Prof is nil — the hot path then only pays one
-	// nil check per counted site.
-	profCounts map[*compiledFunc][][]int64
+	// Per-launch thread context (workers only). hostMem makes threads
+	// resolve memory against CPU space: set for inspector launches (the
+	// oracle's transfers are assumed perfect) and for CPU-fallback
+	// launches after device degradation. inspect (implies hostMem) turns
+	// on touch-set recording.
+	tid, ntid        int64
+	hostMem, inspect bool
 
-	// caches holds this worker's per-instruction inline caches, the
-	// concurrency-safe equivalent of compiledFunc.segCaches.
-	caches   map[*compiledFunc][][]segCache
+	// prof holds this context's profile counters, indexed by pc, while a
+	// launch runs with exact profiling on: at an opCharge how many times
+	// its run executed, elsewhere the ops the instruction charged itself.
+	// They are folded into the interpreter's collector (and zeroed) after
+	// every launch barrier, so they always belong to exactly one kernel.
+	// nil whenever Interp.Prof is nil — the hot path then pays one nil
+	// check per run.
+	prof      []int64
+	profSpill []lineOps
+
+	// ic holds this context's inline caches, one per memory instruction.
+	ic       []segCache
 	segCache [4]*machine.Segment
 	segIdx   uint8
 	cacheGen uint64
 
-	// scratch stack allocator for kernel allocas (worker contexts).
+	// allocas lists the CPU-frame allocation units of the active calls
+	// (root context), popped at return.
+	allocas []uint64
+
+	// Scratch stack allocator for kernel allocas (worker contexts): units
+	// are carved out of arena, which backs [scratchBase, scratchNext).
 	scratchBase uint64
 	scratchNext uint64
-	scratchSegs []*machine.Segment
+	scratchSegs []machine.Segment
+	arena       []byte
+	// arenaLim8 bounds the arena offsets the slot instructions may access
+	// directly: len(arena)-7, or 0 to send them down the checked path
+	// (inspector launches, which must see every access).
+	arenaLim8 uint64
 
 	// insp is non-nil while running an inspector-mode chunk.
 	insp *inspectState
@@ -92,7 +135,7 @@ type exec struct {
 	// totalOps/maxOps accumulate per-thread op counts for the launch.
 	totalOps, maxOps int64
 
-	frames []*frame // frame free list
+	args []uint64 // scratch for intrinsic arguments
 }
 
 // Write implements io.Writer for worker contexts: kernel-side output is
@@ -107,19 +150,28 @@ func (ex *exec) Write(p []byte) (int, error) {
 // beginLaunch prepares a worker context for one kernel launch. hostMem
 // places scratch in CPU space (inspector and CPU-fallback launches);
 // inspect additionally turns on touch-set recording.
-func (ex *exec) beginLaunch(hostMem, inspect bool, depth int) {
+func (ex *exec) beginLaunch(hostMem, inspect bool, threads int64) {
+	in := ex.in
+	if ex.ic == nil {
+		ex.ic = make([]segCache, in.code.numIC)
+	} else if ex.hostMem != hostMem {
+		// The caches hold segments of one space only, which is what lets
+		// a hit skip the space check.
+		clear(ex.ic)
+	}
+	ex.hostMem, ex.inspect, ex.ntid = hostMem, inspect, threads
 	if hostMem {
 		ex.scratchBase = machine.GPUBase - uint64(ex.id+1)*scratchStride
+		ex.image = in.image[machine.CPU]
 	} else {
-		ex.scratchBase = gpuScratchBase + uint64(ex.id)*scratchStride
+		ex.scratchBase = machine.GPUScratchBase + uint64(ex.id)*scratchStride
+		ex.image = in.image[machine.GPU]
 	}
-	ex.scratchNext = ex.scratchBase
-	ex.scratchSegs = ex.scratchSegs[:0]
-	ex.depth = depth
 	ex.totalOps, ex.maxOps = 0, 0
 	for i := range ex.segCache {
 		ex.segCache[i] = nil
 	}
+	ex.setArenaLim()
 	if inspect {
 		if ex.insp == nil {
 			ex.insp = &inspectState{touched: make(map[uint64]bool), wrote: make(map[uint64]bool)}
@@ -131,13 +183,16 @@ func (ex *exec) beginLaunch(hostMem, inspect bool, depth int) {
 	} else {
 		ex.insp = nil
 	}
-	if ex.in.RaceCheck && !inspect {
+	if in.RaceCheck && !inspect {
 		if ex.race == nil {
 			ex.race = &raceLog{}
 		}
 		ex.race.ivs = ex.race.ivs[:0]
 	} else {
 		ex.race = nil
+	}
+	if in.Prof != nil && ex.prof == nil {
+		ex.prof = make([]int64, len(in.code.insts))
 	}
 }
 
@@ -174,68 +229,43 @@ func (in *Interp) returnSteps(n int64) {
 	}
 }
 
-// refillSteps tops up the context's budget; false means the global step
-// limit is exhausted or the run's context was canceled. Doubling as the
-// cancellation checkpoint keeps the instruction hot path free of any
-// per-step poll: every context — root and kernel workers alike —
-// observes cancellation within stepBatch instructions.
-func (ex *exec) refillSteps() bool {
-	if ex.in.done != nil && ex.in.interrupted() {
-		return false
+// step pays for one self-charging instruction.
+func (ex *exec) step(fc *funcCode) error {
+	if ex.budget--; ex.budget >= 0 {
+		return nil
 	}
-	take := ex.in.takeSteps(stepBatch)
-	if take == 0 {
-		return false
+	return ex.refill(fc)
+}
+
+// refill tops the context's overdrawn budget up from the shared pool,
+// failing when the global step limit is exhausted or the run's context
+// was canceled. Doubling as the cancellation checkpoint keeps the
+// instruction hot path free of any per-step poll: every context — root
+// and kernel workers alike — observes cancellation within stepBatch
+// instructions.
+func (ex *exec) refill(fc *funcCode) error {
+	in := ex.in
+	for ex.budget < 0 {
+		take := int64(0)
+		if in.done == nil || !in.interrupted() {
+			take = in.takeSteps(stepBatch)
+		}
+		if take == 0 {
+			if cerr := in.checkCancel(fc.name); cerr != nil {
+				return cerr
+			}
+			return &Error{Fn: fc.name, Msg: "step limit exceeded (infinite loop?)"}
+		}
+		ex.budget += take
 	}
-	ex.budget += take
-	return true
+	return nil
 }
 
 func (ex *exec) flushOps() {
-	if ex.pendingOps > 0 {
-		ex.in.Mach.CPUOps(ex.pendingOps)
-		ex.pendingOps = 0
+	if !ex.worker && ex.ops > 0 {
+		ex.in.Mach.CPUOps(ex.ops)
+		ex.ops = 0
 	}
-}
-
-func (ex *exec) chargeWork(fr *frame, n int64) {
-	if n == 0 {
-		return
-	}
-	if fr.gpu != nil {
-		*fr.gpu.ops += n
-	} else {
-		ex.pendingOps += n
-	}
-}
-
-// getFrame takes a frame from the free list (or allocates one) and
-// resets it for fn: registers zeroed, alloca bookkeeping cleared.
-func (ex *exec) getFrame(fn *ir.Func, cf *compiledFunc, gpu *gpuCtx) *frame {
-	var fr *frame
-	if n := len(ex.frames); n > 0 {
-		fr = ex.frames[n-1]
-		ex.frames = ex.frames[:n-1]
-		if cap(fr.regs) < fn.NumRegs {
-			fr.regs = make([]uint64, fn.NumRegs)
-		} else {
-			fr.regs = fr.regs[:fn.NumRegs]
-			for i := range fr.regs {
-				fr.regs[i] = 0
-			}
-		}
-		clear(fr.allocaCache)
-		fr.allocas = fr.allocas[:0]
-	} else {
-		fr = &frame{regs: make([]uint64, fn.NumRegs)}
-	}
-	fr.fn, fr.cf, fr.gpu = fn, cf, gpu
-	return fr
-}
-
-func (ex *exec) putFrame(fr *frame) {
-	fr.gpu = nil
-	ex.frames = append(ex.frames, fr)
 }
 
 // inScratch reports whether addr falls in this worker's scratch arena.
@@ -243,21 +273,67 @@ func (ex *exec) inScratch(addr uint64) bool {
 	return ex.worker && addr-ex.scratchBase < scratchStride
 }
 
-// allocScratch carves a kernel alloca out of the worker's private arena.
-func (ex *exec) allocScratch(size int64, space machine.Space, name string) (uint64, error) {
+// alloca creates the stack unit of an alloca executing for the first
+// time in its frame: a machine segment registered with the runtime on
+// the CPU, a slice of the private arena in a kernel.
+func (ex *exec) alloca(fc *funcCode, size int64, line int) (uint64, error) {
+	in := ex.in
+	if !ex.worker {
+		base := in.Mach.Alloc(machine.CPU, size, fc.alloca)
+		if base == 0 {
+			return 0, &Error{Fn: fc.name, Msg: fmt.Sprintf("alloca of %d bytes does not fit in the address space", size)}
+		}
+		in.RT.SiteLine = line
+		in.RT.DeclareAlloca(base, size, fc.alloca)
+		ex.allocas = append(ex.allocas, base)
+		return base, nil
+	}
 	if size <= 0 {
 		size = 1
 	}
 	base := ex.scratchNext
 	next := (base + uint64(size) + 15) &^ 15
-	if next-ex.scratchBase > scratchStride {
-		return 0, fmt.Errorf("kernel scratch arena exhausted (%d bytes requested)", size)
+	if next-ex.scratchBase > scratchStride || next < base {
+		return 0, &Error{Fn: fc.name, Msg: fmt.Sprintf("kernel scratch arena exhausted (%d bytes requested)", size)}
 	}
 	ex.scratchNext = next
-	ex.scratchSegs = append(ex.scratchSegs, &machine.Segment{
-		Base: base, Data: make([]byte, size), Space: space, Name: name,
-	})
+	off := base - ex.scratchBase
+	if need := off + uint64(size); need > uint64(len(ex.arena)) {
+		ex.growArena(need)
+	}
+	data := ex.arena[off : off+uint64(size) : off+uint64(size)]
+	clear(data)
+	space := machine.GPU
+	if ex.hostMem {
+		space = machine.CPU
+	}
+	ex.scratchSegs = append(ex.scratchSegs, machine.Segment{Base: base, Data: data, Space: space, Name: fc.kalloc})
 	return base, nil
+}
+
+// growArena enlarges the scratch arena to at least need bytes, moving the
+// live units with it.
+func (ex *exec) growArena(need uint64) {
+	n := uint64(4096)
+	for n < need {
+		n *= 2
+	}
+	arena := make([]byte, n)
+	copy(arena, ex.arena)
+	for i := range ex.scratchSegs {
+		s := &ex.scratchSegs[i]
+		off := s.Base - ex.scratchBase
+		s.Data = arena[off : off+uint64(len(s.Data)) : off+uint64(len(s.Data))]
+	}
+	ex.arena = arena
+	ex.setArenaLim()
+}
+
+func (ex *exec) setArenaLim() {
+	ex.arenaLim8 = 0
+	if n := uint64(len(ex.arena)); n >= 8 && !ex.inspect {
+		ex.arenaLim8 = n - 7
+	}
 }
 
 // lookupSeg resolves addr for a worker context: scratch first (private,
@@ -266,7 +342,7 @@ func (ex *exec) allocScratch(size int64, space machine.Space, name string) (uint
 func (ex *exec) lookupSeg(addr uint64) *machine.Segment {
 	if addr-ex.scratchBase < scratchStride {
 		for i := len(ex.scratchSegs) - 1; i >= 0; i-- {
-			if s := ex.scratchSegs[i]; addr >= s.Base && addr < s.End() {
+			if s := &ex.scratchSegs[i]; addr >= s.Base && addr < s.End() {
 				return s
 			}
 		}
@@ -296,8 +372,8 @@ func (ex *exec) lookupSeg(addr uint64) *machine.Segment {
 
 // segForAccess resolves the segment for a size-byte access at addr,
 // reproducing the machine's fault messages. Root contexts go through
-// the machine (warming its access cache as before); workers use the
-// lock-free path.
+// the machine (warming its access cache); workers use the lock-free
+// path.
 func (ex *exec) segForAccess(addr uint64, size int64) (*machine.Segment, error) {
 	var seg *machine.Segment
 	if ex.worker {
@@ -323,59 +399,74 @@ func (ex *exec) segForAccess(addr uint64, size int64) (*machine.Segment, error) 
 	return seg, nil
 }
 
-// memLoad is the general memory read used by intrinsics (strlen and
-// friends); the interpreter loop has its own inlined copy of this path.
-func (ex *exec) memLoad(fr *frame, addr uint64, size int64) (uint64, error) {
-	if err := ex.checkSpace(fr, addr, false); err != nil {
-		return 0, err
+// access is the checked path of every memory access: it validates the
+// address space, notes the access for the inspector, resolves the
+// allocation unit and, when c is non-nil, remembers it there for the
+// instruction's next execution. Scratch units are never cached (their
+// frames come and go without a generation bump), nor is anything in
+// inspector mode, which must see every access.
+func (ex *exec) access(fc *funcCode, addr uint64, size int64, write bool, c *segCache) (*machine.Segment, error) {
+	if err := ex.checkSpace(fc, addr, write); err != nil {
+		return nil, err
 	}
-	ex.recordInspect(addr, false)
+	if ex.insp != nil {
+		ex.recordInspect(addr, write)
+	}
 	seg, err := ex.segForAccess(addr, size)
 	if err != nil {
-		return 0, &Error{Fn: fr.fn.Name, Msg: err.Error()}
+		return nil, &Error{Fn: fc.name, Msg: err.Error()}
+	}
+	if c != nil && ex.insp == nil && !ex.inScratch(addr) {
+		*c = segCache{data: seg.Data, base: seg.Base, gen: ex.in.Mach.Gen()}
+		if n := uint64(len(seg.Data)); n >= 8 {
+			c.lim8 = n - 7
+		}
+		if write && ex.race != nil {
+			ex.race.record(addr, size)
+		}
+	}
+	return seg, nil
+}
+
+// load and store are the inline-cache miss paths of the memory
+// instructions; with a nil cache, load is also how builtins (strlen and
+// friends) read memory.
+func (ex *exec) load(fc *funcCode, addr uint64, size int64, c *segCache) (uint64, error) {
+	seg, err := ex.access(fc, addr, size, false, c)
+	if err != nil {
+		return 0, err
 	}
 	v, _ := seg.Load(addr, size)
 	return v, nil
 }
 
-func (ex *exec) evalOp(fr *frame, op *operand) uint64 {
-	switch op.kind {
-	case opConst:
-		return op.bits
-	case opReg:
-		return fr.regs[op.reg]
-	default:
-		if fr.gpu != nil && !fr.gpu.hostMem {
-			return ex.in.devAddr[op.g]
-		}
-		return ex.in.globalAddr[op.g]
+func (ex *exec) store(fc *funcCode, addr uint64, size int64, val uint64, c *segCache) error {
+	seg, err := ex.access(fc, addr, size, true, c)
+	if err != nil {
+		return err
 	}
+	seg.Store(addr, size, val)
+	return nil
 }
 
 // checkSpace validates that an access belongs to the executing context's
 // address space.
-func (ex *exec) checkSpace(fr *frame, addr uint64, write bool) error {
+func (ex *exec) checkSpace(fc *funcCode, addr uint64, write bool) error {
 	space := machine.SpaceOf(addr)
-	if fr.gpu != nil && !fr.gpu.hostMem {
-		if space != machine.GPU {
-			what := "read"
-			if write {
-				what = "write"
-			}
-			return &Error{Fn: fr.fn.Name, Msg: fmt.Sprintf(
-				"GPU kernel %s of CPU address %#x (missing or incorrect communication management)", what, addr)}
-		}
+	onGPU := ex.worker && !ex.hostMem
+	if (space == machine.GPU) == onGPU {
 		return nil
 	}
-	if space != machine.CPU {
-		what := "read"
-		if write {
-			what = "write"
-		}
-		return &Error{Fn: fr.fn.Name, Msg: fmt.Sprintf(
-			"CPU %s of GPU address %#x (stale translation or missing unmap)", what, addr)}
+	what := "read"
+	if write {
+		what = "write"
 	}
-	return nil
+	if onGPU {
+		return &Error{Fn: fc.name, Msg: fmt.Sprintf(
+			"GPU kernel %s of CPU address %#x (missing or incorrect communication management)", what, addr)}
+	}
+	return &Error{Fn: fc.name, Msg: fmt.Sprintf(
+		"CPU %s of GPU address %#x (stale translation or missing unmap)", what, addr)}
 }
 
 // recordInspect notes one inspector-mode memory access. Scratch
@@ -383,9 +474,6 @@ func (ex *exec) checkSpace(fr *frame, addr uint64, write bool) error {
 // never transferred, so they are not recorded.
 func (ex *exec) recordInspect(addr uint64, write bool) {
 	st := ex.insp
-	if st == nil {
-		return
-	}
 	st.acc++
 	if addr-ex.scratchBase < scratchStride {
 		return
@@ -398,331 +486,436 @@ func (ex *exec) recordInspect(addr uint64, write bool) {
 	}
 }
 
-// profBlock returns this context's per-instruction op counters for one
-// block, allocating lazily (same shape as the worker inline caches).
-// Only called when profiling is enabled, so the disabled path never
-// touches it.
-func (ex *exec) profBlock(cf *compiledFunc, blkIndex int) []int64 {
-	if ex.profCounts == nil {
-		ex.profCounts = make(map[*compiledFunc][][]int64)
+// foldProf credits every accumulated profile count to its source line
+// under (kernel, site) and zeroes the counters. Called on the launch
+// goroutine after the worker barrier, so no context is concurrently
+// counting.
+func (ex *exec) foldProf(col *prof.Collector, kernel string, site int) {
+	code := ex.in.code
+	for pc, n := range ex.prof {
+		if n == 0 {
+			continue
+		}
+		ex.prof[pc] = 0
+		first := code.sites[pc].orig
+		if head := &code.insts[pc]; head.op == opCharge {
+			for _, o := range code.origs[first : first+head.b] {
+				col.AddKernelOps(kernel, site, int(o.line), n*int64(o.cost))
+			}
+		} else {
+			col.AddKernelOps(kernel, site, int(code.origs[first].line), n)
+		}
 	}
-	pc, ok := ex.profCounts[cf]
-	if !ok {
-		pc = make([][]int64, len(cf.blockArgs))
-		ex.profCounts[cf] = pc
+	for _, s := range ex.profSpill {
+		col.AddKernelOps(kernel, site, int(s.line), s.ops)
 	}
-	if pc[blkIndex] == nil {
-		pc[blkIndex] = make([]int64, len(cf.blockArgs[blkIndex]))
-	}
-	return pc[blkIndex]
+	ex.profSpill = ex.profSpill[:0]
 }
 
-// foldProf credits every accumulated per-instruction op count to its
-// source line under (kernel, site) and zeroes the counters. Called on
-// the launch goroutine after the worker barrier, so no context is
-// concurrently counting.
-func (ex *exec) foldProf(col *prof.Collector, kernel string, site int) {
-	for cf, blocks := range ex.profCounts {
-		for bi, counts := range blocks {
-			if counts == nil {
-				continue
-			}
-			lines := cf.lines[bi]
-			for ii, n := range counts {
-				if n != 0 {
-					col.AddKernelOps(kernel, site, int(lines[ii]), n)
-					counts[ii] = 0
+// faultAt fails the instruction at pc with err. The run it belongs to
+// was charged whole when it began; the part from the failing instruction
+// on did not execute, so its cost (and every step past the failing
+// instruction's own) goes back, and the profile keeps the executed head.
+func (ex *exec) faultAt(pc int32, err error) error {
+	code := ex.in.code
+	s := code.sites[pc]
+	if s.run < 0 {
+		return err
+	}
+	head := &code.insts[s.run]
+	first := code.sites[s.run].orig
+	done := code.origs[first:s.orig]
+	var cost int64
+	for _, o := range done {
+		cost += int64(o.cost)
+	}
+	ex.ops -= int64(head.a) - cost
+	ex.budget += int64(head.b) - int64(len(done)+1)
+	if ex.prof != nil {
+		ex.prof[s.run]--
+		for _, o := range done {
+			ex.profSpill = append(ex.profSpill, lineOps{line: o.line, ops: int64(o.cost)})
+		}
+	}
+	return err
+}
+
+// invoke runs function fc in the frame prepare made at stack offset
+// base, into whose parameter slots the caller has stored the arguments.
+func (ex *exec) invoke(fc *funcCode, base int) (uint64, error) {
+	if ex.depth++; ex.depth > ex.in.depthLimit {
+		ex.depth--
+		return 0, &Error{Fn: fc.name, Msg: "call depth limit exceeded"}
+	}
+	ret, err := ex.run(fc, base)
+	ex.depth--
+	return ret, err
+}
+
+// prepare makes room for fc's frame at stack offset base and fills it
+// from the context's frame image: registers zero, constants and global
+// addresses in place.
+func (ex *exec) prepare(fc *funcCode, base int) []uint64 {
+	end := base + int(fc.frame)
+	if end > len(ex.stack) {
+		n := 2 * len(ex.stack)
+		if n < end {
+			n = end + 1024
+		}
+		stack := make([]uint64, n)
+		copy(stack, ex.stack[:base])
+		ex.stack = stack
+	}
+	frame := ex.stack[base:end]
+	copy(frame, ex.image[fc.off:fc.off+fc.frame])
+	return frame
+}
+
+// run is the dispatch loop: it executes fc in the frame at stack offset
+// base and returns its result bits. One loop serves every context — CPU
+// root, kernel worker, CPU fallback and inspector; what differs between
+// them is data (frame image, inline caches, scratch base), not code.
+func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
+	in := ex.in
+	code := in.code
+	insts := code.insts
+	mach := in.Mach
+	ic := ex.ic
+	prof := ex.prof
+	race := ex.race
+	regs := ex.stack[base : base+int(fc.frame)]
+	cpuAllocas := len(ex.allocas)
+	scratchNext, scratchLen := ex.scratchNext, len(ex.scratchSegs)
+
+	pc := fc.entry
+	var addr uint64 // of the memory access being executed
+	for {
+		i := &insts[pc]
+		pc++
+		switch i.op {
+		case opCharge:
+			if ex.budget -= int64(i.b); ex.budget < 0 {
+				if err := ex.refill(fc); err != nil {
+					return 0, err
 				}
 			}
+			ex.ops += int64(i.a)
+			if prof != nil {
+				prof[pc-1]++
+			}
+
+		case opAdd:
+			regs[i.dst] = regs[i.a] + regs[i.b]
+		case opSub:
+			regs[i.dst] = regs[i.a] - regs[i.b]
+		case opMul:
+			regs[i.dst] = uint64(int64(regs[i.a]) * int64(regs[i.b]))
+		case opDiv:
+			b := int64(regs[i.b])
+			if b == 0 {
+				return 0, ex.faultAt(pc-1, &Error{Fn: fc.name, Msg: "integer division by zero"})
+			}
+			regs[i.dst] = uint64(int64(regs[i.a]) / b)
+		case opRem:
+			b := int64(regs[i.b])
+			if b == 0 {
+				return 0, ex.faultAt(pc-1, &Error{Fn: fc.name, Msg: "integer remainder by zero"})
+			}
+			regs[i.dst] = uint64(int64(regs[i.a]) % b)
+		case opAnd:
+			regs[i.dst] = regs[i.a] & regs[i.b]
+		case opOr:
+			regs[i.dst] = regs[i.a] | regs[i.b]
+		case opXor:
+			regs[i.dst] = regs[i.a] ^ regs[i.b]
+		case opShl:
+			regs[i.dst] = regs[i.a] << (regs[i.b] & 63)
+		case opShr:
+			regs[i.dst] = uint64(int64(regs[i.a]) >> (regs[i.b] & 63))
+		case opEq:
+			regs[i.dst] = b2i(regs[i.a] == regs[i.b])
+		case opNe:
+			regs[i.dst] = b2i(regs[i.a] != regs[i.b])
+		case opLt:
+			regs[i.dst] = b2i(int64(regs[i.a]) < int64(regs[i.b]))
+		case opLe:
+			regs[i.dst] = b2i(int64(regs[i.a]) <= int64(regs[i.b]))
+		case opGt:
+			regs[i.dst] = b2i(int64(regs[i.a]) > int64(regs[i.b]))
+		case opGe:
+			regs[i.dst] = b2i(int64(regs[i.a]) >= int64(regs[i.b]))
+
+		case opFAdd:
+			regs[i.dst] = ir.F2B(ir.B2F(regs[i.a]) + ir.B2F(regs[i.b]))
+		case opFSub:
+			regs[i.dst] = ir.F2B(ir.B2F(regs[i.a]) - ir.B2F(regs[i.b]))
+		case opFMul:
+			regs[i.dst] = ir.F2B(ir.B2F(regs[i.a]) * ir.B2F(regs[i.b]))
+		case opFDiv:
+			regs[i.dst] = ir.F2B(ir.B2F(regs[i.a]) / ir.B2F(regs[i.b]))
+		case opFRem:
+			regs[i.dst] = ir.F2B(math.Mod(ir.B2F(regs[i.a]), ir.B2F(regs[i.b])))
+		case opFEq:
+			regs[i.dst] = b2i(ir.B2F(regs[i.a]) == ir.B2F(regs[i.b]))
+		case opFNe:
+			regs[i.dst] = b2i(ir.B2F(regs[i.a]) != ir.B2F(regs[i.b]))
+		case opFLt:
+			regs[i.dst] = b2i(ir.B2F(regs[i.a]) < ir.B2F(regs[i.b]))
+		case opFLe:
+			regs[i.dst] = b2i(ir.B2F(regs[i.a]) <= ir.B2F(regs[i.b]))
+		case opFGt:
+			regs[i.dst] = b2i(ir.B2F(regs[i.a]) > ir.B2F(regs[i.b]))
+		case opFGe:
+			regs[i.dst] = b2i(ir.B2F(regs[i.a]) >= ir.B2F(regs[i.b]))
+		case opIToF:
+			regs[i.dst] = ir.F2B(float64(int64(regs[i.a])))
+		case opFToI:
+			regs[i.dst] = uint64(int64(ir.B2F(regs[i.a])))
+
+		case opAlloca:
+			// The slot doubles as the frame's record of the unit: a loop
+			// re-executing the alloca reuses it (C scope re-entry).
+			if regs[i.dst] == 0 {
+				at := code.origs[code.sites[pc-1].orig]
+				unit, err := ex.alloca(fc, code.allocas[i.a], int(at.line))
+				if err != nil {
+					return 0, ex.faultAt(pc-1, err)
+				}
+				regs[i.dst] = unit
+				ex.ops += costAllocaFirst
+				if prof != nil {
+					prof[pc-1] += costAllocaFirst
+				}
+			}
+
+		case opLoad8:
+			addr = regs[i.a]
+			goto load8
+		case opLoadA8:
+			addr = regs[i.a] + regs[i.b]
+			goto load8
+		case opLoadMA8:
+			addr = regs[i.a] + uint64(int64(regs[i.b])*int64(regs[i.d]))
+			goto load8
+		case opLoadSlot8:
+			addr = regs[i.a]
+			if off := addr - ex.scratchBase; off < ex.arenaLim8 {
+				regs[i.dst] = binary.LittleEndian.Uint64(ex.arena[off:])
+				continue
+			}
+			goto load8
+		case opLoad1:
+			addr = regs[i.a]
+			c := &ic[i.c]
+			if off := addr - c.base; off < uint64(len(c.data)) && c.gen == mach.Gen() {
+				regs[i.dst] = uint64(c.data[off])
+			} else {
+				v, err := ex.load(fc, addr, 1, c)
+				if err != nil {
+					return 0, ex.faultAt(pc-1, err)
+				}
+				regs[i.dst] = v
+			}
+		case opStore8:
+			addr = regs[i.a]
+			goto store8
+		case opStoreA8:
+			addr = regs[i.a] + regs[i.b]
+			goto store8
+		case opStoreMA8:
+			addr = regs[i.a] + uint64(int64(regs[i.b])*int64(regs[i.d]))
+			goto store8
+		case opStoreSlot8:
+			addr = regs[i.a]
+			if off := addr - ex.scratchBase; off < ex.arenaLim8 {
+				binary.LittleEndian.PutUint64(ex.arena[off:], regs[i.dst])
+				continue
+			}
+			goto store8
+		case opStore1:
+			addr = regs[i.a]
+			c := &ic[i.c]
+			if off := addr - c.base; off < uint64(len(c.data)) && c.gen == mach.Gen() {
+				c.data[off] = byte(regs[i.dst])
+				if race != nil {
+					race.record(addr, 1)
+				}
+			} else if err := ex.store(fc, addr, 1, regs[i.dst], c); err != nil {
+				return 0, ex.faultAt(pc-1, err)
+			}
+
+		case opPure:
+			regs[i.dst] = pureIntrinsic(intrinsicID(i.c), regs[i.a], regs[i.b])
+		case opTid:
+			if !ex.worker {
+				return 0, ex.faultAt(pc-1, &Error{Fn: fc.name, Msg: "tid() outside kernel"})
+			}
+			regs[i.dst] = uint64(ex.tid)
+		case opNtid:
+			if !ex.worker {
+				return 0, ex.faultAt(pc-1, &Error{Fn: fc.name, Msg: "ntid() outside kernel"})
+			}
+			regs[i.dst] = uint64(ex.ntid)
+
+		case opBr:
+			pc = i.c
+		case opCondBr:
+			pc = branch(regs[i.a] != 0, i)
+		case opBrEq:
+			pc = branch(regs[i.a] == regs[i.b], i)
+		case opBrNe:
+			pc = branch(regs[i.a] != regs[i.b], i)
+		case opBrLt:
+			pc = branch(int64(regs[i.a]) < int64(regs[i.b]), i)
+		case opBrLe:
+			pc = branch(int64(regs[i.a]) <= int64(regs[i.b]), i)
+		case opBrGt:
+			pc = branch(int64(regs[i.a]) > int64(regs[i.b]), i)
+		case opBrGe:
+			pc = branch(int64(regs[i.a]) >= int64(regs[i.b]), i)
+		case opBrFEq:
+			pc = branch(ir.B2F(regs[i.a]) == ir.B2F(regs[i.b]), i)
+		case opBrFNe:
+			pc = branch(ir.B2F(regs[i.a]) != ir.B2F(regs[i.b]), i)
+		case opBrFLt:
+			pc = branch(ir.B2F(regs[i.a]) < ir.B2F(regs[i.b]), i)
+		case opBrFLe:
+			pc = branch(ir.B2F(regs[i.a]) <= ir.B2F(regs[i.b]), i)
+		case opBrFGt:
+			pc = branch(ir.B2F(regs[i.a]) > ir.B2F(regs[i.b]), i)
+		case opBrFGe:
+			pc = branch(ir.B2F(regs[i.a]) >= ir.B2F(regs[i.b]), i)
+
+		case opRet, opRetVoid:
+			var ret uint64
+			if i.op == opRet {
+				ret = regs[i.a]
+			}
+			if ex.worker {
+				// Kernel allocas live in the scratch arena: unwind the
+				// stack allocator to the frame's entry watermark.
+				ex.scratchSegs = ex.scratchSegs[:scratchLen]
+				ex.scratchNext = scratchNext
+			} else if len(ex.allocas) > cpuAllocas {
+				ex.popAllocas(cpuAllocas)
+			}
+			return ret, nil
+
+		case opCall:
+			if err := ex.step(fc); err != nil {
+				return 0, err
+			}
+			callee := &code.funcs[i.c]
+			top := base + int(fc.frame)
+			frame := ex.prepare(callee, top)
+			regs = ex.stack[base:top] // prepare may have moved the stack
+			for j, s := range code.args[i.a : i.a+i.b] {
+				frame[j] = regs[s]
+			}
+			v, err := ex.invoke(callee, top)
+			if err != nil {
+				return 0, err
+			}
+			regs = ex.stack[base:top]
+			if i.dst >= 0 {
+				regs[i.dst] = v
+			}
+			ex.ops += costCall
+			if prof != nil {
+				prof[pc-1] += costCall
+			}
+
+		case opIntrinsic:
+			if err := ex.step(fc); err != nil {
+				return 0, err
+			}
+			args := ex.args[:0]
+			for _, s := range code.args[i.a : i.a+i.b] {
+				args = append(args, regs[s])
+			}
+			ex.args = args
+			line := code.origs[code.sites[pc-1].orig].line
+			v, cost, err := ex.intrinsic(fc, intrinsicID(i.c), int(line), args)
+			if err != nil {
+				return 0, err
+			}
+			if i.dst >= 0 {
+				regs[i.dst] = v
+			}
+			ex.ops += cost
+			if prof != nil {
+				prof[pc-1] += cost
+			}
+
+		case opLaunch:
+			if err := ex.step(fc); err != nil {
+				return 0, err
+			}
+			if ex.worker {
+				return 0, &Error{Fn: fc.name, Msg: "nested kernel launch"}
+			}
+			args := make([]uint64, i.b)
+			for j, s := range code.args[i.a : i.a+i.b] {
+				args[j] = regs[s]
+			}
+			line := code.origs[code.sites[pc-1].orig].line
+			if err := ex.launch(&code.funcs[i.c], int(line), args); err != nil {
+				return 0, err
+			}
+			// The machine charged the launch; the instruction itself is free.
+
+		default: // opFault
+			return 0, ex.faultAt(pc-1, &Error{Fn: fc.name, Msg: code.msgs[i.a]})
+		}
+		continue
+
+	load8:
+		if c := &ic[i.c]; addr-c.base < c.lim8 && c.gen == mach.Gen() {
+			regs[i.dst] = binary.LittleEndian.Uint64(c.data[addr-c.base:])
+		} else {
+			v, err := ex.load(fc, addr, 8, c)
+			if err != nil {
+				return 0, ex.faultAt(pc-1, err)
+			}
+			regs[i.dst] = v
+		}
+		continue
+
+	store8:
+		if c := &ic[i.c]; addr-c.base < c.lim8 && c.gen == mach.Gen() {
+			binary.LittleEndian.PutUint64(c.data[addr-c.base:], regs[i.dst])
+			if race != nil {
+				race.record(addr, 8)
+			}
+		} else if err := ex.store(fc, addr, 8, regs[i.dst], c); err != nil {
+			return 0, ex.faultAt(pc-1, err)
 		}
 	}
 }
 
-// blockCaches returns the per-instruction inline caches for blk. The
-// root context uses the compiledFunc's own storage (as the sequential
-// interpreter did); workers keep private copies so concurrent chunks
-// never write to shared cache lines.
-func (ex *exec) blockCaches(cf *compiledFunc, blkIndex int) []segCache {
-	if !ex.worker {
-		return cf.segCaches[blkIndex]
+// branch selects a conditional terminator's target pc.
+func branch(taken bool, i *inst) int32 {
+	if taken {
+		return i.c
 	}
-	if ex.caches == nil {
-		ex.caches = make(map[*compiledFunc][][]segCache)
-	}
-	sc, ok := ex.caches[cf]
-	if !ok {
-		sc = make([][]segCache, len(cf.segCaches))
-		for i := range sc {
-			sc[i] = make([]segCache, len(cf.segCaches[i]))
-		}
-		ex.caches[cf] = sc
-	}
-	return sc[blkIndex]
+	return i.d
 }
 
-// call executes f with argument bits, returning the result bits.
-func (ex *exec) call(f *ir.Func, args []uint64, gpu *gpuCtx) (uint64, error) {
+// popAllocas expires the CPU-frame allocation units created since the
+// frame's entry mark.
+func (ex *exec) popAllocas(mark int) {
 	in := ex.in
-	if in.depthLimit == 0 {
-		in.stepLimit = in.maxSteps()
-		in.depthLimit = in.maxDepth()
-	}
-	if ex.depth++; ex.depth > in.depthLimit {
-		ex.depth--
-		return 0, &Error{Fn: f.Name, Msg: "call depth limit exceeded"}
-	}
-	defer func() { ex.depth-- }()
-
-	cf := in.compile(f)
-	fr := ex.getFrame(f, cf, gpu)
-	for i := range f.Params {
-		if i < len(args) {
-			fr.regs[f.Params[i].Reg] = args[i]
-		}
-	}
-	if gpu != nil {
-		fr.scratchMark = ex.scratchNext
-		fr.scratchLen = len(ex.scratchSegs)
-	}
-	defer func() {
-		ex.popAllocas(fr)
-		ex.putFrame(fr)
-	}()
-
-	blk := f.Entry()
-	for {
-		br, ret, done, err := ex.execBlock(fr, blk)
-		if err != nil || done {
-			return ret, err
-		}
-		blk = br
-	}
-}
-
-func (ex *exec) popAllocas(fr *frame) {
-	if fr.gpu != nil {
-		// Kernel allocas live in the worker's scratch arena: unwind the
-		// stack allocator to the frame's entry watermark.
-		ex.scratchSegs = ex.scratchSegs[:fr.scratchLen]
-		ex.scratchNext = fr.scratchMark
-		return
-	}
-	in := ex.in
-	for i := len(fr.allocas) - 1; i >= 0; i-- {
-		base := fr.allocas[i]
+	for i := len(ex.allocas) - 1; i >= mark; i-- {
+		base := ex.allocas[i]
 		in.RT.RemoveAlloca(base)
 		_ = in.Mach.Free(machine.CPU, base)
 	}
-	fr.allocas = fr.allocas[:0]
+	ex.allocas = ex.allocas[:mark]
 }
 
-// execBlock runs one basic block and returns the successor (or the return
-// value with done=true).
-func (ex *exec) execBlock(fr *frame, blk *ir.Block) (next *ir.Block, ret uint64, done bool, err error) {
-	in := ex.in
-	gpu := fr.gpu
-	blockOps := fr.cf.blockArgs[blk.Index]
-	blockSC := ex.blockCaches(fr.cf, blk.Index)
-	onGPU := gpu != nil && !gpu.hostMem
-	wantSpace := machine.CPU
-	if onGPU {
-		wantSpace = machine.GPU
+func b2i(b bool) uint64 {
+	if b {
+		return 1
 	}
-	inspecting := gpu != nil && gpu.inspect
-	// profBlk, when non-nil, receives each instruction's op cost so the
-	// profiler can attribute exact GPU work to source lines.
-	var profBlk []int64
-	if gpu != nil && in.Prof != nil {
-		profBlk = ex.profBlock(fr.cf, blk.Index)
-	}
-	for ii, instr := range blk.Instrs {
-		ops := blockOps[ii]
-		if ex.budget--; ex.budget < 0 {
-			if !ex.refillSteps() {
-				if cerr := in.checkCancel(fr.fn.Name); cerr != nil {
-					return nil, 0, false, cerr
-				}
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: "step limit exceeded (infinite loop?)"}
-			}
-		}
-		cost := int64(1)
-		switch instr.Op {
-		case ir.OpAlloca:
-			if base, ok := fr.allocaCache[instr]; ok {
-				fr.regs[instr.Reg] = base
-				break
-			}
-			var base uint64
-			if gpu != nil {
-				space := machine.GPU
-				name := "kalloca " + fr.fn.Name
-				if gpu.hostMem {
-					space = machine.CPU
-				}
-				var aerr error
-				base, aerr = ex.allocScratch(instr.Size, space, name)
-				if aerr != nil {
-					return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: aerr.Error()}
-				}
-			} else {
-				base = in.Mach.Alloc(machine.CPU, instr.Size, "alloca "+fr.fn.Name)
-				in.RT.SiteLine = int(instr.Line)
-				in.RT.DeclareAlloca(base, instr.Size, "alloca "+fr.fn.Name)
-				fr.allocas = append(fr.allocas, base)
-			}
-			if fr.allocaCache == nil {
-				fr.allocaCache = make(map[*ir.Instr]uint64)
-			}
-			fr.allocaCache[instr] = base
-			fr.regs[instr.Reg] = base
-			cost = 2
-
-		case ir.OpLoad:
-			addr := ex.evalOp(fr, &ops[0])
-			cost = 3
-			// Inline-cache fast path (not in inspector mode, which must
-			// record every access).
-			if !inspecting {
-				sc := &blockSC[ii]
-				if sc.seg != nil && sc.gen == in.Mach.Gen() && sc.seg.Space == wantSpace {
-					if v, ok := sc.seg.Load(addr, instr.Size); ok {
-						fr.regs[instr.Reg] = v
-						break
-					}
-				}
-			} else {
-				ex.recordInspect(addr, false)
-			}
-			if err := ex.checkSpace(fr, addr, false); err != nil {
-				return nil, 0, false, err
-			}
-			seg, serr := ex.segForAccess(addr, instr.Size)
-			if serr != nil {
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: serr.Error()}
-			}
-			v, _ := seg.Load(addr, instr.Size)
-			fr.regs[instr.Reg] = v
-			if !inspecting && !ex.inScratch(addr) {
-				blockSC[ii] = segCache{seg: seg, gen: in.Mach.Gen()}
-			}
-
-		case ir.OpStore:
-			addr := ex.evalOp(fr, &ops[0])
-			cost = 3
-			if !inspecting {
-				sc := &blockSC[ii]
-				if sc.seg != nil && sc.gen == in.Mach.Gen() && sc.seg.Space == wantSpace {
-					if sc.seg.Store(addr, instr.Size, ex.evalOp(fr, &ops[1])) {
-						if ex.race != nil {
-							ex.race.record(addr, instr.Size)
-						}
-						break
-					}
-				}
-			} else {
-				ex.recordInspect(addr, true)
-			}
-			if err := ex.checkSpace(fr, addr, true); err != nil {
-				return nil, 0, false, err
-			}
-			seg, serr := ex.segForAccess(addr, instr.Size)
-			if serr != nil {
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: serr.Error()}
-			}
-			seg.Store(addr, instr.Size, ex.evalOp(fr, &ops[1]))
-			if !inspecting && !ex.inScratch(addr) {
-				blockSC[ii] = segCache{seg: seg, gen: in.Mach.Gen()}
-				if ex.race != nil {
-					ex.race.record(addr, instr.Size)
-				}
-			}
-
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-			ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
-			x := ex.evalOp(fr, &ops[0])
-			y := ex.evalOp(fr, &ops[1])
-			v, err := arith(instr, x, y)
-			if err != nil {
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: err.Error()}
-			}
-			fr.regs[instr.Reg] = v
-
-		case ir.OpIToF:
-			fr.regs[instr.Reg] = ir.F2B(float64(int64(ex.evalOp(fr, &ops[0]))))
-		case ir.OpFToI:
-			fr.regs[instr.Reg] = uint64(int64(ir.B2F(ex.evalOp(fr, &ops[0]))))
-
-		case ir.OpCall:
-			args := make([]uint64, len(ops))
-			for i := range ops {
-				args[i] = ex.evalOp(fr, &ops[i])
-			}
-			v, err := ex.call(instr.Callee, args, gpu)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if in.exited {
-				return nil, 0, true, nil
-			}
-			if instr.Reg >= 0 {
-				fr.regs[instr.Reg] = v
-			}
-			cost = 5
-
-		case ir.OpIntrinsic:
-			v, c, err := ex.intrinsic(fr, instr, ops)
-			if err != nil {
-				return nil, 0, false, err
-			}
-			if instr.Reg >= 0 {
-				fr.regs[instr.Reg] = v
-			}
-			cost = c
-
-		case ir.OpLaunch:
-			if gpu != nil {
-				return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: "nested kernel launch"}
-			}
-			if err := ex.launch(fr, instr, ops); err != nil {
-				return nil, 0, false, err
-			}
-			cost = 0 // launch cost charged by the machine
-
-		case ir.OpRet:
-			if profBlk != nil {
-				profBlk[ii] += cost
-			}
-			ex.chargeWork(fr, cost)
-			if len(ops) > 0 {
-				return nil, ex.evalOp(fr, &ops[0]), true, nil
-			}
-			return nil, 0, true, nil
-
-		case ir.OpBr:
-			if profBlk != nil {
-				profBlk[ii] += cost
-			}
-			ex.chargeWork(fr, cost)
-			return instr.Targets[0], 0, false, nil
-
-		case ir.OpCondBr:
-			if profBlk != nil {
-				profBlk[ii] += cost
-			}
-			ex.chargeWork(fr, cost)
-			if ex.evalOp(fr, &ops[0]) != 0 {
-				return instr.Targets[0], 0, false, nil
-			}
-			return instr.Targets[1], 0, false, nil
-
-		default:
-			return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: "unknown opcode " + instr.Op.String()}
-		}
-		if profBlk != nil {
-			profBlk[ii] += cost
-		}
-		ex.chargeWork(fr, cost)
-	}
-	return nil, 0, false, &Error{Fn: fr.fn.Name, Msg: "block " + blk.Name + " fell through without terminator"}
+	return 0
 }

@@ -21,13 +21,16 @@
 // counters, scratch allocator, and inspector touch-set. Results merge
 // deterministically after the barrier, so program output, machine
 // statistics, and faults are identical for any worker count.
+//
+// Execution does not walk the IR. The first interpreter made for a module
+// lowers it once to flat code kept on the module (lower.go), and one
+// dispatch loop (exec.run) executes that code in every context.
 package interp
 
 import (
 	"context"
 	"fmt"
 	"io"
-	"math"
 	"sync/atomic"
 
 	"cgcm/internal/ir"
@@ -121,13 +124,16 @@ type Interp struct {
 	// Races accumulates race detector findings across launches.
 	Races []RaceFinding
 
-	globalAddr map[*ir.Global]uint64 // host addresses
-	devAddr    map[*ir.Global]uint64 // device named regions
+	// code is the module's lowered form, shared read-only with every
+	// other interpreter of the same module (see lower.go).
+	code *code
 
-	// compiled caches per-function operand descriptors (see compile.go).
-	// It is filled by the root context only; launches pre-compile every
-	// function reachable from the kernel so workers hit read-only.
-	compiled   map[*ir.Func]*compiledFunc
+	// globalAddr holds each global's host address, indexed like
+	// Mod.Globals. image holds, per address space, every function's
+	// initial frame with the global addresses of that space filled in.
+	globalAddr []uint64
+	image      [2][]uint64
+
 	stepLimit  int64
 	depthLimit int
 
@@ -137,46 +143,63 @@ type Interp struct {
 	stepsTaken atomic.Int64
 
 	// ctx/done carry the optional cancellation signal (SetContext).
-	// done is cached so the hot path's poll is one channel select; a nil
-	// done channel never delivers, so the uncanceled default costs only
-	// the select itself — and only once per stepBatch refill.
+	// done is cached so the poll is one channel select; a nil done channel
+	// never delivers, so the uncanceled default costs only the select
+	// itself — and only once per stepBatch refill.
 	ctx  context.Context
 	done <-chan struct{}
-
-	exited   bool
-	exitCode int64
 
 	// root executes CPU code; workers execute kernel thread chunks.
 	root    *exec
 	workers []*exec
 }
 
-// New prepares an interpreter for the module: it loads globals into both
-// memory spaces, registers them with the runtime, and seeds the RNG.
+// New prepares an interpreter for the module: it lowers the module to
+// flat code if no interpreter has yet (the result is kept on the module,
+// so this happens once however many runs share it), loads globals into
+// both memory spaces, registers them with the runtime, and seeds the RNG.
 // Module load is fallible: a bad global initializer is a typed error, and
 // under fault injection the device regions for globals may fail to
 // allocate — the runtime then degrades to CPU fallback before main runs,
 // which is still a successful load.
 func New(mod *ir.Module, mach *machine.Machine, rt *runtime.Runtime, out io.Writer) (*Interp, error) {
+	code := lowered(mod)
+	if code == nil {
+		return nil, &Error{Fn: "module load", Msg: "internal: module could not be lowered"}
+	}
 	in := &Interp{
 		Mod: mod, Mach: mach, RT: rt, Out: out,
 		Lim:        DefaultLimits,
-		globalAddr: make(map[*ir.Global]uint64),
-		devAddr:    make(map[*ir.Global]uint64),
-		compiled:   make(map[*ir.Func]*compiledFunc),
+		code:       code,
+		globalAddr: make([]uint64, len(mod.Globals)),
 	}
-	in.root = &exec{in: in, out: out, rng: 0x9E3779B97F4A7C15}
-	for _, g := range mod.Globals {
+	devAddr := make([]uint64, len(mod.Globals))
+	for i, g := range mod.Globals {
 		base := mach.Alloc(machine.CPU, g.Size, "global "+g.Name)
+		if base == 0 {
+			return nil, &Error{Fn: "module load", Msg: fmt.Sprintf("global %s: %d bytes do not fit in the address space", g.Name, g.Size)}
+		}
 		if g.Init != nil {
 			if err := mach.WriteBytes(base, g.Init); err != nil {
 				return nil, &Error{Fn: "module load", Msg: "global " + g.Name + " init: " + err.Error()}
 			}
 		}
-		in.globalAddr[g] = base
-		dev := rt.AllocDeviceGlobal(base, g.Size, g.Name)
-		in.devAddr[g] = dev
-		rt.DeclareGlobal(g.Name, base, g.Size, g.ReadOnly, dev)
+		in.globalAddr[i] = base
+		devAddr[i] = rt.AllocDeviceGlobal(base, g.Size, g.Name)
+		rt.DeclareGlobal(g.Name, base, g.Size, g.ReadOnly, devAddr[i])
+	}
+	for space, addrs := range [2][]uint64{machine.CPU: in.globalAddr, machine.GPU: devAddr} {
+		image := make([]uint64, len(code.image))
+		copy(image, code.image)
+		for _, fix := range code.fixes {
+			image[fix.pos] = addrs[fix.global]
+		}
+		in.image[space] = image
+	}
+	in.root = &exec{
+		in: in, out: out, rng: 0x9E3779B97F4A7C15,
+		image: in.image[machine.CPU],
+		ic:    make([]segCache, code.numIC),
 	}
 	return in, nil
 }
@@ -225,14 +248,22 @@ func (in *Interp) checkCancel(fn string) error {
 	return nil
 }
 
-// GlobalAddr returns the host address of a module global.
-func (in *Interp) GlobalAddr(g *ir.Global) uint64 { return in.globalAddr[g] }
+// GlobalAddr returns the host address of a module global (0 for a global
+// of another module).
+func (in *Interp) GlobalAddr(g *ir.Global) uint64 {
+	for i, mg := range in.Mod.Globals {
+		if mg == g {
+			return in.globalAddr[i]
+		}
+	}
+	return 0
+}
 
-// Steps reports how many instruction steps have been drawn from the
-// shared step pool. Contexts batch their draws, so the value may
-// overcount live work by at most stepBatch per context mid-launch; after
-// Run it is exact up to the unused remainder of each context's final
-// batch.
+// Steps reports how many instruction steps the run has executed. Contexts
+// draw steps from a shared pool in batches, so mid-run the value may
+// overcount live work by at most stepBatch per context; every context
+// returns its unused remainder when it finishes, so after Run the count
+// is exact.
 func (in *Interp) Steps() int64 { return in.stepsTaken.Load() }
 
 // Run executes __cgcm_init (if present) then main, and finally syncs the
@@ -240,27 +271,45 @@ func (in *Interp) Steps() int64 { return in.stepsTaken.Load() }
 func (in *Interp) Run() (int64, error) {
 	in.stepLimit = in.maxSteps()
 	in.depthLimit = in.maxDepth()
-	if f := in.Mod.Func("__cgcm_init"); f != nil {
-		if _, err := in.root.call(f, nil, nil); err != nil {
+	// Whatever way the run ends, the root context hands back the unused
+	// part of its last step batch, so Steps counts steps, not draws.
+	defer func() {
+		in.returnSteps(in.root.budget)
+		in.root.budget = 0
+	}()
+	if in.code.initFn >= 0 {
+		if _, err := in.runRoot(in.code.initFn); err != nil {
 			in.emitFault(err)
 			return 0, err
 		}
 	}
-	mainFn := in.Mod.Func("main")
-	if mainFn == nil {
+	if in.code.mainFn < 0 {
 		return 0, &Error{Fn: "main", Msg: "module has no main"}
 	}
-	ret, err := in.root.call(mainFn, nil, nil)
+	ret, err := in.runRoot(in.code.mainFn)
 	if err != nil {
 		in.emitFault(err)
 		return 0, err
 	}
 	in.root.flushOps()
 	in.Mach.Sync()
-	if in.exited {
-		return in.exitCode, nil
-	}
 	return int64(ret), nil
+}
+
+// runRoot runs one of the module's entry functions on the root context.
+// A Go panic below it — a bug in the interpreter, or in the machine or
+// runtime it drives — becomes a typed execution error, as runThread
+// does for kernel threads: it may fail the run, never the process
+// serving it.
+func (in *Interp) runRoot(fn int32) (ret uint64, err error) {
+	fc := &in.code.funcs[fn]
+	defer func() {
+		if p := recover(); p != nil {
+			err = &Error{Fn: fc.name, Msg: fmt.Sprintf("internal: panic in interpreter: %v", p)}
+		}
+	}()
+	in.root.prepare(fc, 0)
+	return in.root.invoke(fc, 0)
 }
 
 // emitFault marks where execution died on the traced timeline.
@@ -275,35 +324,6 @@ func (in *Interp) emitFault(err error) {
 	})
 }
 
-// gpuCtx is per-thread kernel execution context.
-type gpuCtx struct {
-	tid, ntid int64
-	ops       *int64
-	// hostMem makes the thread resolve memory against CPU space: set for
-	// inspector launches (the oracle's transfers are assumed perfect) and
-	// for CPU-fallback launches after device degradation.
-	hostMem bool
-	// inspect is set in Inspector mode: touched allocation units are
-	// recorded. inspect implies hostMem.
-	inspect bool
-}
-
-type frame struct {
-	fn      *ir.Func
-	cf      *compiledFunc
-	regs    []uint64
-	allocas []uint64 // CPU-frame allocation unit bases (root context only)
-	gpu     *gpuCtx
-	// allocaCache reuses a slot when the same alloca re-executes in one
-	// frame (C scope re-entry semantics; keeps loop-local declarations
-	// from growing the segment table).
-	allocaCache map[*ir.Instr]uint64
-	// scratchMark/scratchLen snapshot the worker scratch allocator at
-	// frame entry so popAllocas can unwind kernel allocas in O(1).
-	scratchMark uint64
-	scratchLen  int
-}
-
 func (in *Interp) maxDepth() int {
 	if in.Lim.MaxCallDepth > 0 {
 		return in.Lim.MaxCallDepth
@@ -316,84 +336,4 @@ func (in *Interp) maxSteps() int64 {
 		return in.Lim.MaxSteps
 	}
 	return DefaultLimits.MaxSteps
-}
-
-func arith(instr *ir.Instr, x, y uint64) (uint64, error) {
-	if instr.Float {
-		a, b := ir.B2F(x), ir.B2F(y)
-		switch instr.Op {
-		case ir.OpAdd:
-			return ir.F2B(a + b), nil
-		case ir.OpSub:
-			return ir.F2B(a - b), nil
-		case ir.OpMul:
-			return ir.F2B(a * b), nil
-		case ir.OpDiv:
-			return ir.F2B(a / b), nil
-		case ir.OpRem:
-			return ir.F2B(math.Mod(a, b)), nil
-		case ir.OpEq:
-			return b2i(a == b), nil
-		case ir.OpNe:
-			return b2i(a != b), nil
-		case ir.OpLt:
-			return b2i(a < b), nil
-		case ir.OpLe:
-			return b2i(a <= b), nil
-		case ir.OpGt:
-			return b2i(a > b), nil
-		case ir.OpGe:
-			return b2i(a >= b), nil
-		}
-		return 0, fmt.Errorf("float op %s unsupported", instr.Op)
-	}
-	a, b := int64(x), int64(y)
-	switch instr.Op {
-	case ir.OpAdd:
-		return uint64(a + b), nil
-	case ir.OpSub:
-		return uint64(a - b), nil
-	case ir.OpMul:
-		return uint64(a * b), nil
-	case ir.OpDiv:
-		if b == 0 {
-			return 0, fmt.Errorf("integer division by zero")
-		}
-		return uint64(a / b), nil
-	case ir.OpRem:
-		if b == 0 {
-			return 0, fmt.Errorf("integer remainder by zero")
-		}
-		return uint64(a % b), nil
-	case ir.OpAnd:
-		return x & y, nil
-	case ir.OpOr:
-		return x | y, nil
-	case ir.OpXor:
-		return x ^ y, nil
-	case ir.OpShl:
-		return x << (y & 63), nil
-	case ir.OpShr:
-		return uint64(a >> (y & 63)), nil
-	case ir.OpEq:
-		return b2i(a == b), nil
-	case ir.OpNe:
-		return b2i(a != b), nil
-	case ir.OpLt:
-		return b2i(a < b), nil
-	case ir.OpLe:
-		return b2i(a <= b), nil
-	case ir.OpGt:
-		return b2i(a > b), nil
-	case ir.OpGe:
-		return b2i(a >= b), nil
-	}
-	return 0, fmt.Errorf("int op %s unsupported", instr.Op)
-}
-
-func b2i(b bool) uint64 {
-	if b {
-		return 1
-	}
-	return 0
 }

@@ -1,0 +1,675 @@
+package interp
+
+import (
+	"cgcm/internal/ir"
+)
+
+// Lowering turns a finished *ir.Module into flat code once, on the first
+// interp.New for it, and memoises the result on the module (ir.Module.
+// Derived), so compilation does none of this work and every later run —
+// concurrent ones included — dispatches on the same read-only arrays.
+//
+// Layout. Every function's instructions sit in one module-wide []inst;
+// a function is an entry pc plus a frame size. A frame is a window of the
+// context's value stack holding, in order, the function's registers, its
+// distinct constants and the addresses of the globals it names, so an
+// operand is always one indexed read: no kind switch, no map. The frame's
+// initial contents (zero registers, constants, global addresses) are a
+// slice of a per-space image that a call copies in.
+//
+// Charging. A straight-line run of instructions whose op cost is known
+// at lowering is headed by one opCharge carrying the run's summed cost
+// and step count. A run ends at a block end and before every instruction
+// that charges itself: calls (their cost lands after the callee returns),
+// launches, and the intrinsics that flush the CPU op counter to the
+// machine, print, consume the RNG or cost a data-dependent amount. So
+// the machine receives the same op counts at the same points of the
+// timeline as when every instruction charged itself. The origs table
+// keeps each original instruction's line and cost in program order; a
+// run is a contiguous range of it, which is what lets a fault part-way
+// through a run give back exactly the unexecuted tail, and the profiler
+// attribute a run's executions to source lines.
+//
+// Fusion. Two patterns make up most of every loop and become single
+// instructions: integer add (optionally of an integer multiply) feeding
+// the address of one 8-byte load or store, and a compare feeding a
+// conditional branch. The absorbed instructions keep their entries in
+// origs, so cost, steps and line attribution are the sum of the parts;
+// they are absorbed only when the consumer is their single use, in the
+// same block, and their own operands are defined before them, so no
+// value they read can change between their place and the consumer's.
+
+type opcode uint8
+
+const (
+	opCharge opcode = iota // ops += a, steps -= b
+
+	opAdd
+	opSub
+	opMul
+	opDiv
+	opRem
+	opAnd
+	opOr
+	opXor
+	opShl
+	opShr
+	opEq
+	opNe
+	opLt
+	opLe
+	opGt
+	opGe
+	opFAdd
+	opFSub
+	opFMul
+	opFDiv
+	opFRem
+	opFEq
+	opFNe
+	opFLt
+	opFLe
+	opFGt
+	opFGe
+	opIToF
+	opFToI
+
+	opAlloca // dst = stack unit of allocas[a], created on first execution in a frame
+
+	// Memory: a = address slot, c = inline-cache slot; stores read the
+	// value from dst. The A forms address regs[a]+regs[b], the MA forms
+	// regs[a]+regs[b]*regs[d]. The Slot forms address a whole 8-byte-or-
+	// larger alloca of their own function through its register: in a
+	// kernel that is a live unit of the scratch arena by construction, so
+	// they read and write the arena directly.
+	opLoad8
+	opLoad1
+	opLoadA8
+	opLoadMA8
+	opLoadSlot8
+	opStore8
+	opStore1
+	opStoreA8
+	opStoreMA8
+	opStoreSlot8
+
+	opPure // dst = pureIntrinsic(c, regs[a], regs[b])
+	opTid
+	opNtid
+
+	// Terminators: c (and d, the false edge) are target pcs.
+	opBr
+	opCondBr
+	opBrEq
+	opBrNe
+	opBrLt
+	opBrLe
+	opBrGt
+	opBrGe
+	opBrFEq
+	opBrFNe
+	opBrFLt
+	opBrFLe
+	opBrFGt
+	opBrFGe
+	opRet // a = value slot
+	opRetVoid
+
+	// Self-charging instructions; args[a:a+b] are the operand slots.
+	opCall      // c = callee index
+	opIntrinsic // c = intrinsic id
+	opLaunch    // c = kernel index
+
+	opFault // fails with msgs[a]
+)
+
+// inst is one lowered instruction. Field use depends on op (see above).
+type inst struct {
+	op         opcode
+	dst        int32
+	a, b, c, d int32
+}
+
+// site is the cold half of an instruction: which original instruction it
+// stands for (for a fused one, the component that can fault — the memory
+// access) and the opCharge heading its run, -1 for a self-charging one.
+type site struct {
+	orig int32
+	run  int32
+}
+
+// origInstr is one IR instruction's source line and static op cost.
+type origInstr struct {
+	line int32
+	cost int32
+}
+
+type funcCode struct {
+	name   string
+	alloca string // allocation-unit label of CPU-frame allocas
+	kalloc string // ... and of kernel-scratch allocas
+	entry  int32
+	off    int32 // frame image offset
+	frame  int32 // frame length in slots
+	params int32
+}
+
+type globalFix struct {
+	pos    int32 // slot in the frame image
+	global int32 // index into Module.Globals
+}
+
+// code is a module's lowered form. It is immutable once built: anything
+// an execution mutates (inline caches, profile counters, frames) lives in
+// the Interp or its contexts, indexed by the numbers assigned here.
+type code struct {
+	insts   []inst
+	sites   []site
+	origs   []origInstr
+	funcs   []funcCode
+	args    []int32
+	allocas []int64 // alloca sizes
+	msgs    []string
+	image   []uint64
+	fixes   []globalFix
+	numIC   int32 // inline-cache slots, one per memory instruction
+	mainFn  int32 // -1 when absent
+	initFn  int32
+}
+
+// lowered returns mod's flat code, lowering it on first use.
+func lowered(mod *ir.Module) *code {
+	c, _ := mod.Derived(func(m *ir.Module) any { return lower(m) }).(*code)
+	return c
+}
+
+// Op costs, as the machine's timing model counts them.
+const (
+	costDefault = 1
+	costMemory  = 3
+	costCall    = 5
+	// An alloca costs 2 the first time it executes in a frame and 1 when
+	// a loop re-executes it: 1 is charged with its run, the other when the
+	// unit is created.
+	costAllocaFirst = 1
+)
+
+func lower(mod *ir.Module) *code {
+	c := &code{mainFn: -1, initFn: -1, funcs: make([]funcCode, len(mod.Funcs))}
+	funcIndex := make(map[*ir.Func]int32, len(mod.Funcs))
+	for i, f := range mod.Funcs {
+		funcIndex[f] = int32(i)
+		switch f.Name {
+		case "main":
+			c.mainFn = int32(i)
+		case "__cgcm_init":
+			c.initFn = int32(i)
+		}
+	}
+	globalIndex := make(map[*ir.Global]int32, len(mod.Globals))
+	for i, g := range mod.Globals {
+		globalIndex[g] = int32(i)
+	}
+	n := 0
+	for _, f := range mod.Funcs {
+		for _, b := range f.Blocks {
+			n += len(b.Instrs)
+		}
+	}
+	c.origs = make([]origInstr, 0, n)
+	c.insts = make([]inst, 0, n+n/4) // most blocks gain an opCharge, fusion takes some back
+	c.sites = make([]site, 0, n+n/4)
+	l := &lowerer{
+		c: c, funcIndex: funcIndex, globalIndex: globalIndex,
+		consts: make(map[uint64]int32), globals: make(map[int32]int32),
+	}
+	for i, f := range mod.Funcs {
+		l.lowerFunc(&c.funcs[i], f)
+	}
+	return c
+}
+
+// lowerer holds lowering scratch; the maps exist only while lowering.
+type lowerer struct {
+	c           *code
+	funcIndex   map[*ir.Func]int32
+	globalIndex map[*ir.Global]int32
+
+	// Per function.
+	f        *ir.Func
+	consts   map[uint64]int32
+	globals  map[int32]int32
+	extra    []uint64 // frame image past the registers
+	uses     []int32  // per register: how many operands read it
+	pos      []int32  // per register: program position of its definition
+	absorbed []int32  // per register: nonzero when its consumer computes it
+	blockPC  []int32
+	run      int32 // pc of the open run's opCharge, -1 when none
+}
+
+func (l *lowerer) lowerFunc(fc *funcCode, f *ir.Func) {
+	c := l.c
+	*fc = funcCode{
+		name: f.Name, alloca: "alloca " + f.Name, kalloc: "kalloca " + f.Name,
+		entry: int32(len(c.insts)), off: int32(len(c.image)), params: int32(len(f.Params)),
+	}
+	l.f = f
+	clear(l.consts)
+	clear(l.globals)
+	l.extra = l.extra[:0]
+	l.uses = resize(l.uses, f.NumRegs)
+	l.pos = resize(l.pos, f.NumRegs)
+	l.absorbed = resize(l.absorbed, f.NumRegs)
+	l.blockPC = resize(l.blockPC, len(f.Blocks))
+	l.run = -1
+
+	n := int32(0)
+	f.Instrs(func(in *ir.Instr) {
+		for _, a := range in.Args {
+			if d, ok := a.(*ir.Instr); ok && l.hasReg(d) {
+				l.uses[d.Reg]++
+			}
+		}
+		if l.hasReg(in) {
+			l.pos[in.Reg] = n
+		}
+		n++
+	})
+
+	if len(f.Blocks) == 0 {
+		l.fault(0, "function has no blocks")
+	}
+	first := len(c.insts)
+	base := int32(0)
+	for bi, b := range f.Blocks {
+		l.blockPC[bi] = int32(len(c.insts))
+		l.lowerBlock(b, base)
+		base += int32(len(b.Instrs))
+	}
+	// Branch targets were recorded as block indices.
+	for pc := first; pc < len(c.insts); pc++ {
+		in := &c.insts[pc]
+		if in.op == opBr {
+			in.c = l.blockPC[in.c]
+		} else if in.op >= opCondBr && in.op <= opBrFGe {
+			in.c, in.d = l.blockPC[in.c], l.blockPC[in.d]
+		}
+	}
+
+	fc.frame = int32(f.NumRegs + len(l.extra))
+	c.image = append(c.image, make([]uint64, f.NumRegs)...)
+	c.image = append(c.image, l.extra...)
+}
+
+func resize(s []int32, n int) []int32 {
+	if cap(s) < n {
+		return make([]int32, n)
+	}
+	s = s[:n]
+	clear(s)
+	return s
+}
+
+// hasReg reports whether in owns a register of the current function.
+func (l *lowerer) hasReg(in *ir.Instr) bool {
+	return in.Reg >= 0 && in.Reg < l.f.NumRegs
+}
+
+// slot returns the frame slot that holds v.
+func (l *lowerer) slot(v ir.Value) int32 {
+	switch v := v.(type) {
+	case *ir.Param:
+		return int32(v.Reg)
+	case *ir.Instr:
+		if l.hasReg(v) {
+			return int32(v.Reg)
+		}
+	case *ir.Const:
+		return l.constSlot(v.Bits)
+	case *ir.GlobalRef:
+		if g, ok := l.globalIndex[v.Global]; ok {
+			s, ok := l.globals[g]
+			if !ok {
+				s = l.extraSlot(0)
+				l.globals[g] = s
+				l.c.fixes = append(l.c.fixes, globalFix{pos: int32(len(l.c.image)) + s, global: g})
+			}
+			return s
+		}
+	}
+	return l.constSlot(0) // malformed operand: reads as zero
+}
+
+func (l *lowerer) constSlot(bits uint64) int32 {
+	s, ok := l.consts[bits]
+	if !ok {
+		s = l.extraSlot(bits)
+		l.consts[bits] = s
+	}
+	return s
+}
+
+func (l *lowerer) extraSlot(v uint64) int32 {
+	l.extra = append(l.extra, v)
+	return int32(l.f.NumRegs + len(l.extra) - 1)
+}
+
+// emit appends one instruction standing for original instruction orig.
+func (l *lowerer) emit(in inst, orig int32) {
+	l.c.insts = append(l.c.insts, in)
+	l.c.sites = append(l.c.sites, site{orig: orig, run: l.run})
+}
+
+// account enters one original instruction into origs. A statically
+// costed one joins the open run, opening it first if need be; a
+// self-charging one (static false) closes it.
+func (l *lowerer) account(line int32, cost int32, static bool) int32 {
+	c := l.c
+	orig := int32(len(c.origs))
+	c.origs = append(c.origs, origInstr{line: line, cost: cost})
+	if !static {
+		l.run = -1
+		return orig
+	}
+	if l.run < 0 {
+		l.run = int32(len(c.insts))
+		l.emit(inst{op: opCharge}, orig)
+	}
+	head := &c.insts[l.run]
+	head.a += cost
+	head.b++
+	return orig
+}
+
+// fault emits an instruction that fails with msg, accounted as one
+// zero-cost instruction of the open run.
+func (l *lowerer) fault(line int32, msg string) {
+	orig := l.account(line, 0, true)
+	l.c.msgs = append(l.c.msgs, msg)
+	l.emit(inst{op: opFault, a: int32(len(l.c.msgs) - 1)}, orig)
+}
+
+// argList stores the operand slots of a self-charging instruction.
+func (l *lowerer) argList(vals []ir.Value) (off, n int32) {
+	off = int32(len(l.c.args))
+	for _, v := range vals {
+		l.c.args = append(l.c.args, l.slot(v))
+	}
+	return off, int32(len(vals))
+}
+
+// operandsSettled reports whether every instruction operand of x that
+// lives in x's block is defined ahead of x there, i.e. x reads nothing a
+// later instruction of the same block execution will overwrite.
+func (l *lowerer) operandsSettled(x *ir.Instr) bool {
+	for _, a := range x.Args {
+		if d, ok := a.(*ir.Instr); ok && d.Block == x.Block {
+			if !l.hasReg(d) || l.pos[d.Reg] >= l.pos[x.Reg] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// absorbable returns v when it is a two-operand instruction of the wanted
+// kind whose only use is the consumer at program position at in block b,
+// so the consumer may compute it itself; nil otherwise.
+func (l *lowerer) absorbable(v ir.Value, b *ir.Block, at int32, wanted func(*ir.Instr) bool) *ir.Instr {
+	x, ok := v.(*ir.Instr)
+	if !ok || x.Block != b || !l.hasReg(x) || len(x.Args) != 2 || !wanted(x) {
+		return nil
+	}
+	if l.uses[x.Reg] != 1 || l.pos[x.Reg] >= at || !l.operandsSettled(x) {
+		return nil
+	}
+	return x
+}
+
+func isIntAdd(x *ir.Instr) bool  { return x.Op == ir.OpAdd && !x.Float }
+func isIntMul(x *ir.Instr) bool  { return x.Op == ir.OpMul && !x.Float }
+func isCompare(x *ir.Instr) bool { return x.Op >= ir.OpEq && x.Op <= ir.OpGe }
+
+// fusedAddress returns the add that the 8-byte memory instruction m at
+// position at absorbs, and, when one operand of that add is a multiply it
+// can absorb too, the multiply and the add's other operand.
+func (l *lowerer) fusedAddress(m *ir.Instr, at int32) (add, mul *ir.Instr, plain ir.Value) {
+	if m.Size != 8 || len(m.Args) == 0 {
+		return nil, nil, nil
+	}
+	add = l.absorbable(m.Args[0], m.Block, at, isIntAdd)
+	if add == nil {
+		return nil, nil, nil
+	}
+	for _, i := range [2]int{1, 0} {
+		if mul = l.absorbable(add.Args[i], m.Block, l.pos[add.Reg], isIntMul); mul != nil {
+			return add, mul, add.Args[1-i]
+		}
+	}
+	return add, nil, nil
+}
+
+// lowerBlock lowers b, whose first instruction has program position base.
+func (l *lowerer) lowerBlock(b *ir.Block, base int32) {
+	l.run = -1
+	// First pass: which instructions their consumer computes.
+	absorb := func(x *ir.Instr) { l.absorbed[x.Reg] = 1 }
+	for i, in := range b.Instrs {
+		at := base + int32(i)
+		switch in.Op {
+		case ir.OpLoad, ir.OpStore:
+			if add, mul, _ := l.fusedAddress(in, at); add != nil {
+				absorb(add)
+				if mul != nil {
+					absorb(mul)
+				}
+			}
+		case ir.OpCondBr:
+			if len(in.Args) == 1 {
+				if cmp := l.absorbable(in.Args[0], b, at, isCompare); cmp != nil {
+					absorb(cmp)
+				}
+			}
+		}
+	}
+
+	for i, in := range b.Instrs {
+		if l.hasReg(in) && l.absorbed[in.Reg] != 0 {
+			l.account(in.Line, costDefault, true)
+			continue
+		}
+		l.lowerInstr(in, base+int32(i))
+	}
+	if b.Terminator() == nil {
+		l.fault(0, "block "+b.Name+" fell through without terminator")
+	}
+	l.run = -1
+}
+
+func (l *lowerer) lowerInstr(in *ir.Instr, at int32) {
+	c := l.c
+	dst := int32(-1)
+	if l.hasReg(in) {
+		dst = int32(in.Reg)
+	}
+	arg := func(i int) int32 {
+		if i < len(in.Args) {
+			return l.slot(in.Args[i])
+		}
+		return l.constSlot(0)
+	}
+	light := func(op opcode, cost int32, x inst) {
+		x.op = op
+		orig := l.account(in.Line, cost, true)
+		l.emit(x, orig)
+	}
+
+	switch in.Op {
+	case ir.OpAlloca:
+		c.allocas = append(c.allocas, in.Size)
+		light(opAlloca, costDefault, inst{dst: dst, a: int32(len(c.allocas) - 1)})
+
+	case ir.OpLoad, ir.OpStore:
+		store := in.Op == ir.OpStore
+		need := 1
+		if store {
+			need = 2
+		}
+		if len(in.Args) != need || (in.Size != 1 && in.Size != 8) || (!store && dst < 0) {
+			l.fault(in.Line, "malformed "+in.Op.String())
+			return
+		}
+		x := inst{dst: dst, a: arg(0), c: c.numIC}
+		c.numIC++
+		if store {
+			x.dst = arg(1)
+		}
+		op := opLoad8
+		switch add, mul, plain := l.fusedAddress(in, at); {
+		case in.Size == 1:
+			op = opLoad1
+		case mul != nil:
+			op = opLoadMA8
+			x.a, x.b, x.d = l.slot(plain), l.slot(mul.Args[0]), l.slot(mul.Args[1])
+		case add != nil:
+			op = opLoadA8
+			x.a, x.b = l.slot(add.Args[0]), l.slot(add.Args[1])
+		default:
+			if unit, ok := in.Args[0].(*ir.Instr); ok && unit.Op == ir.OpAlloca && l.hasReg(unit) && unit.Size >= 8 {
+				op = opLoadSlot8
+			}
+		}
+		if store {
+			op += opStore8 - opLoad8
+		}
+		light(op, costMemory, x)
+
+	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
+		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
+		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe:
+		op, ok := arithOp(in)
+		if !ok {
+			kind := "int"
+			if in.Float {
+				kind = "float"
+			}
+			l.fault(in.Line, kind+" op "+in.Op.String()+" unsupported")
+			return
+		}
+		light(op, costDefault, inst{dst: dst, a: arg(0), b: arg(1)})
+
+	case ir.OpIToF:
+		light(opIToF, costDefault, inst{dst: dst, a: arg(0)})
+	case ir.OpFToI:
+		light(opFToI, costDefault, inst{dst: dst, a: arg(0)})
+
+	case ir.OpCall:
+		callee, ok := l.funcIndex[in.Callee]
+		if !ok {
+			l.fault(in.Line, "call of a function outside the module")
+			return
+		}
+		// Arguments beyond the callee's parameters were never read.
+		vals := in.Args
+		if n := len(in.Callee.Params); len(vals) > n {
+			vals = vals[:n]
+		}
+		off, n := l.argList(vals)
+		l.emit(inst{op: opCall, dst: dst, a: off, b: n, c: callee}, l.account(in.Line, 0, false))
+
+	case ir.OpIntrinsic:
+		l.lowerIntrinsic(in, dst)
+
+	case ir.OpLaunch:
+		kernel, ok := l.funcIndex[in.Callee]
+		if !ok || len(in.Args) < 2 {
+			l.fault(in.Line, "malformed launch")
+			return
+		}
+		off, n := l.argList(in.Args)
+		l.emit(inst{op: opLaunch, a: off, b: n, c: kernel}, l.account(in.Line, 0, false))
+
+	case ir.OpRet:
+		if len(in.Args) > 0 {
+			light(opRet, costDefault, inst{a: arg(0)})
+		} else {
+			light(opRetVoid, costDefault, inst{})
+		}
+
+	case ir.OpBr:
+		if len(in.Targets) != 1 || !l.ownBlock(in.Targets[0]) {
+			l.fault(in.Line, "malformed br")
+			return
+		}
+		light(opBr, costDefault, inst{c: int32(in.Targets[0].Index)})
+
+	case ir.OpCondBr:
+		if len(in.Targets) != 2 || len(in.Args) != 1 || !l.ownBlock(in.Targets[0]) || !l.ownBlock(in.Targets[1]) {
+			l.fault(in.Line, "malformed condbr")
+			return
+		}
+		x := inst{a: arg(0), c: int32(in.Targets[0].Index), d: int32(in.Targets[1].Index)}
+		op := opCondBr
+		if cmp := l.absorbable(in.Args[0], in.Block, at, isCompare); cmp != nil {
+			op = opBrEq + opcode(cmp.Op-ir.OpEq)
+			if cmp.Float {
+				op += opBrFEq - opBrEq
+			}
+			x.a, x.b = l.slot(cmp.Args[0]), l.slot(cmp.Args[1])
+		}
+		light(op, costDefault, x)
+
+	default:
+		l.fault(in.Line, "unknown opcode "+in.Op.String())
+	}
+}
+
+// ownBlock reports whether t is a block of the function being lowered at
+// the index it claims.
+func (l *lowerer) ownBlock(t *ir.Block) bool {
+	return t != nil && t.Index >= 0 && t.Index < len(l.f.Blocks) && l.f.Blocks[t.Index] == t
+}
+
+// arithOp selects the specialised opcode of a binary instruction.
+func arithOp(in *ir.Instr) (opcode, bool) {
+	if !in.Float {
+		return opAdd + opcode(in.Op-ir.OpAdd), true
+	}
+	switch {
+	case in.Op >= ir.OpAdd && in.Op <= ir.OpRem:
+		return opFAdd + opcode(in.Op-ir.OpAdd), true
+	case in.Op >= ir.OpEq && in.Op <= ir.OpGe:
+		return opFEq + opcode(in.Op-ir.OpEq), true
+	}
+	return 0, false // bitwise ops have no float form
+}
+
+func (l *lowerer) lowerIntrinsic(in *ir.Instr, dst int32) {
+	id, ok := intrinsicIDs[in.Name]
+	if !ok {
+		l.fault(in.Line, "unknown intrinsic "+in.Name)
+		return
+	}
+	info := &intrinsics[id]
+	if len(in.Args) < info.args {
+		l.fault(in.Line, "malformed intrinsic "+in.Name)
+		return
+	}
+	switch {
+	case id == inTid || id == inNtid:
+		op := opTid
+		if id == inNtid {
+			op = opNtid
+		}
+		l.emit(inst{op: op, dst: dst}, l.account(in.Line, 1, true))
+	case info.pure:
+		x := inst{op: opPure, dst: dst, a: l.slot(in.Args[0]), b: l.constSlot(0), c: int32(id)}
+		if info.args > 1 {
+			x.b = l.slot(in.Args[1])
+		}
+		l.emit(x, l.account(in.Line, info.cost, true))
+	default:
+		off, n := l.argList(in.Args)
+		l.emit(inst{op: opIntrinsic, dst: dst, a: off, b: n, c: int32(id)}, l.account(in.Line, 0, false))
+	}
+}

@@ -14,7 +14,10 @@
 // tolerate.
 package ir
 
-import "fmt"
+import (
+	"fmt"
+	"sync"
+)
 
 // Value is anything an instruction can use as an operand.
 type Value interface {
@@ -366,6 +369,22 @@ type Module struct {
 	Funcs   []*Func
 
 	byName map[string]*Func
+
+	// derived memoises a form an executor derives from the finished
+	// module (see Derived).
+	deriveOnce sync.Once
+	derived    any
+}
+
+// Derived returns the value build produced the first time Derived was
+// called on this module, calling build only that once however many
+// goroutines ask. The interpreter keeps its lowered code here, so every
+// run of a compiled program — concurrent ones included — shares one
+// lowering and compilation itself pays nothing for it. The module must
+// not be mutated after the first call: the derived form would not follow.
+func (m *Module) Derived(build func(*Module) any) any {
+	m.deriveOnce.Do(func() { m.derived = build(m) })
+	return m.derived
 }
 
 // NewModule creates an empty module.

@@ -105,6 +105,12 @@ func (m *Machine) AllocDevice(size int64, name string) (uint64, error) {
 			return 0, de
 		}
 	}
+	if !m.fits(GPU, size) {
+		return 0, &faultinject.DeviceError{
+			Verb: faultinject.VerbAlloc, Unit: name,
+			Msg: fmt.Sprintf("%d bytes do not fit in the device address space", size),
+		}
+	}
 	need := int64(align(uint64(size)))
 	if m.capacity > 0 && m.gpuUsed+need > m.capacity {
 		return 0, &faultinject.DeviceError{

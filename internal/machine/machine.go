@@ -46,11 +46,14 @@ func (s Space) String() string {
 	return "CPU"
 }
 
-// Address space layout: the GPU space begins at GPUBase. Nothing is ever
-// allocated in [0, nullGuard) so that null and small integers fault.
+// Address space layout: the GPU space begins at GPUBase, and allocations
+// in it stay below GPUScratchBase, above which the interpreter places its
+// per-worker kernel scratch arenas. Nothing is ever allocated in
+// [0, nullGuard) so that null and small integers fault.
 const (
-	GPUBase   uint64 = 0x4000_0000_0000
-	nullGuard uint64 = 0x1_0000
+	GPUBase        uint64 = 0x4000_0000_0000
+	GPUScratchBase uint64 = 1 << 47
+	nullGuard      uint64 = 0x1_0000
 )
 
 // SpaceOf returns which space an address belongs to.
@@ -344,12 +347,30 @@ func (m *Machine) Now() float64 { return m.cpuTime }
 
 func align(n uint64) uint64 { return (n + 15) &^ 15 }
 
+// fits reports whether size more bytes, aligned, still end inside the
+// space's address range.
+func (m *Machine) fits(space Space, size int64) bool {
+	next, limit := m.nextCPU, GPUBase
+	if space == GPU {
+		next, limit = m.nextGPU, GPUScratchBase
+	}
+	const slack = 15 // the most align adds
+	return uint64(size) <= limit-next-slack
+}
+
 // Alloc creates a segment of size bytes in the given space and returns its
 // base address. Size 0 allocates a 1-byte unit (like malloc(0) returning a
-// unique pointer).
+// unique pointer). A size that no longer fits in the space's address range
+// (CPU: below GPUBase; GPU: below GPUScratchBase) is refused: Alloc
+// returns 0, the null address, and allocates nothing — the size is tenant
+// input, and growing past the range would hand out addresses of the
+// neighbouring space.
 func (m *Machine) Alloc(space Space, size int64, name string) uint64 {
 	if size <= 0 {
 		size = 1
+	}
+	if !m.fits(space, size) {
+		return 0
 	}
 	var base uint64
 	if space == CPU {

@@ -1,10 +1,12 @@
 package machine
 
 import (
+	"errors"
 	"strings"
 	"testing"
 	"testing/quick"
 
+	"cgcm/internal/faultinject"
 	"cgcm/internal/trace"
 )
 
@@ -242,5 +244,35 @@ func TestQuickWallMonotonic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestAllocRefusesWhatCannotFit: a size larger than what is left of a
+// space's address range is refused before any memory is requested — it
+// used to reach make (and panic), or push the bump pointer into the
+// neighbouring space. The refusal changes nothing: the next allocation
+// gets the address it would have had.
+func TestAllocRefusesWhatCannotFit(t *testing.T) {
+	for _, space := range []Space{CPU, GPU} {
+		m := newM()
+		before := m.Alloc(space, 8, "before")
+		for _, size := range []int64{1 << 62, int64(GPUBase), int64(GPUScratchBase - GPUBase)} {
+			if got := m.Alloc(space, size, "huge"); got != 0 {
+				t.Errorf("%s: Alloc(%#x) = %#x, want refusal", space, size, got)
+			}
+		}
+		after := m.Alloc(space, 8, "after")
+		if after != before+16 || SpaceOf(after) != space {
+			t.Errorf("%s: allocation after the refusals at %#x, want %#x", space, after, before+16)
+		}
+		if space == GPU && m.GPUMemUsed() != 32 {
+			t.Errorf("refused device allocations counted as used memory: %d", m.GPUMemUsed())
+		}
+	}
+	m := newM()
+	_, err := m.AllocDevice(1<<62, "huge")
+	var de *faultinject.DeviceError
+	if !errors.As(err, &de) || de.Verb != faultinject.VerbAlloc || de.Injected {
+		t.Fatalf("AllocDevice(1<<62) = %v, want a device alloc failure", err)
 	}
 }

@@ -293,9 +293,13 @@ func (r *Runtime) RemoveAlloca(base uint64) {
 }
 
 // Malloc allocates a heap allocation unit and registers it (the library
-// "wraps around malloc, calloc, realloc, and free").
+// "wraps around malloc, calloc, realloc, and free"). Like libc it returns
+// NULL for a size the address space cannot hold.
 func (r *Runtime) Malloc(size int64) uint64 {
 	base := r.M.Alloc(machine.CPU, size, "malloc")
+	if base == 0 {
+		return 0
+	}
 	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: "malloc"})
 	r.Ledger.NoteLine(base, r.SiteLine)
 	return base
@@ -312,7 +316,11 @@ func (r *Runtime) Calloc(n, size int64) (uint64, error) {
 	if size != 0 && n > math.MaxInt64/size {
 		return 0, &Error{Op: "calloc", Msg: "size overflow", Err: ErrBadSize}
 	}
-	return r.Malloc(n * size), nil
+	base := r.Malloc(n * size)
+	if base == 0 {
+		return 0, &Error{Op: "calloc", Msg: "size exceeds the address space", Err: ErrBadSize}
+	}
+	return base, nil
 }
 
 // Realloc resizes a heap unit, preserving contents up to the smaller size.
@@ -328,6 +336,9 @@ func (r *Runtime) Realloc(ptr uint64, size int64) (uint64, error) {
 		return 0, &Error{Op: "realloc", Ptr: ptr, Msg: "not a heap allocation unit base", Err: ErrNotHeapUnit}
 	}
 	nbase := r.Malloc(size)
+	if nbase == 0 {
+		return 0, &Error{Op: "realloc", Ptr: ptr, Msg: "size exceeds the address space", Err: ErrBadSize}
+	}
 	n := info.Size
 	if size < n {
 		n = size

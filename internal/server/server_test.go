@@ -399,6 +399,10 @@ func TestNegativeSizeIsRunFailed(t *testing.T) {
 		"realloc.c": `int main() { int *p = (int*)malloc(64); p = (int*)realloc(p, -5); print_int(1); return 0; }`,
 		"memcpy.c":  `int main() { int *p = (int*)malloc(64); int *d = (int*)cuda_malloc(64); cuda_memcpy_h2d(d, p, -1); return 0; }`,
 		"malloc.c":  `int main() { int *p = (int*)malloc(-8); p[0] = 3; print_int(p[0]); return 0; }`,
+		// Sizes past the simulated address space: these reached make too.
+		"bigmalloc.c":  `int main() { long n = 1; n = n << 62; char *p = (char*)malloc(n); p[0] = 1; return 0; }`,
+		"bigrealloc.c": `int main() { long n = 1; n = n << 62; char *p = (char*)malloc(8); p = (char*)realloc(p, n); return 0; }`,
+		"bigcuda.c":    `int main() { long n = 1; n = n << 62; char *d = (char*)cuda_malloc(n); return 0; }`,
 	} {
 		rec := post(name, src)
 		var eb ErrorBody
