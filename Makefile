@@ -54,11 +54,11 @@ benchsmoke:
 baseline:
 	$(GO) run ./cmd/cgcmbench -q -baseline BENCH_0.json
 
-# Communication-overlap gate: every Comm.-limited program must improve
-# under -async with bit-identical output and nonzero overlapped bytes,
-# and the async walls must match the committed BENCH_1.json baseline.
+# Communication-overlap gate: the async walls must match the committed
+# BENCH_1.json baseline. (That every Comm.-limited program improves under
+# -async with bit-identical output and nonzero overlapped bytes is
+# TestOverlapWins, in `make race`.)
 overlap:
-	$(GO) run ./cmd/cgcmbench -overlap-gate -q
 	$(GO) run ./cmd/cgcmbench -q -async -compare BENCH_1.json -threshold 0.25
 
 # Re-freeze the async baseline (after an intentional perf change).

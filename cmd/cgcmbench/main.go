@@ -34,8 +34,6 @@
 //	cgcmbench -async       # measure with communication overlap enabled
 //	cgcmbench -metrics-listen :9090      # serve live Prometheus /metrics
 //	                       # over HTTP while the suite measures
-//	cgcmbench -overlap-gate  # CI gate: -async must beat sync wall and
-//	                       # report overlapped bytes on Comm.-limited programs
 //	cgcmbench -runlog .cgcm/runs  # append one durable run record per program
 //	                       # (optimized-CGCM run) to the store
 //	cgcmbench -version     # print build identity and exit
@@ -97,7 +95,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.Var(&bench.Ablate, "ablate", "comma-separated passes to skip (doall, gluekernel, allocapromo, mappromo, overlap)")
 	var ablateDiff core.PassSet
 	fs.Var(&ablateDiff, "ablate-diff", "explain per allocation unit what ablating these passes costs (vs the -ablate set)")
-	overlapGate := fs.Bool("overlap-gate", false, "verify the overlap win: -async must improve wall and overlap bytes on the Comm.-limited programs")
 	runf := cli.AddRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -129,10 +126,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		defer ms.Close()
 		fmt.Fprintf(stderr, "serving metrics at http://%s/metrics\n", ms.Addr)
-	}
-
-	if *overlapGate {
-		return runOverlapGate(stdout, stderr, *quiet)
 	}
 
 	if ablateDiff != nil {
@@ -273,28 +266,6 @@ func compareAgainst(stdout, stderr io.Writer, path string, rows []*bench.Row, th
 	cmp := bench.Compare(base, rows, threshold)
 	bench.RenderComparison(stdout, cmp)
 	if cmp.Failed() {
-		return 1
-	}
-	return 0
-}
-
-// runOverlapGate measures the Comm.-limited programs with synchronous
-// and overlapped transfers and gates on the overlap win: identical
-// output, nonzero overlapped bytes, and an improved simulated wall on
-// every program. Exit 1 on any miss, so CI can gate on it.
-func runOverlapGate(stdout, stderr io.Writer, quiet bool) int {
-	var logw io.Writer = stderr
-	if quiet {
-		logw = io.Discard
-	}
-	rows, err := bench.RunOverlapGate(logw)
-	if err != nil {
-		fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
-		return 1
-	}
-	bench.RenderOverlap(stdout, rows)
-	if !bench.OverlapGatePassed(rows) {
-		fmt.Fprintln(stderr, "cgcmbench: overlap gate failed: -async must keep output identical, overlap bytes, and improve the wall on every Comm.-limited program")
 		return 1
 	}
 	return 0

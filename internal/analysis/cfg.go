@@ -78,9 +78,6 @@ func (d *Dominators) intersect(a, b *ir.Block) *ir.Block {
 	return a
 }
 
-// Idom returns the immediate dominator of b (entry's idom is itself).
-func (d *Dominators) Idom(b *ir.Block) *ir.Block { return d.idom[b] }
-
 // Dominates reports whether a dominates b.
 func (d *Dominators) Dominates(a, b *ir.Block) bool {
 	for {

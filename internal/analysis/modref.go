@@ -174,14 +174,6 @@ func (e RegionEffect) Touches(s ObjSet) bool {
 	return e.Mod.Intersects(s) || e.Ref.Intersects(s)
 }
 
-// Writes reports whether the effect writes any object in s.
-func (e RegionEffect) Writes(s ObjSet) bool {
-	if len(s) == 0 {
-		return true
-	}
-	return e.Mod.Intersects(s)
-}
-
 // Invariance answers whether a value is region-invariant: recomputable at
 // region entry with the same result on every iteration/path. It is the
 // pointsToChanges test of Algorithm 4 (a candidate pointer whose value

@@ -259,9 +259,6 @@ func (pt *PointsTo) ObjectOf(in *ir.Instr) *Object {
 	return pt.objByInstr[in]
 }
 
-// GlobalObject returns the abstract object of a global.
-func (pt *PointsTo) GlobalObject(g *ir.Global) *Object { return pt.objByGlobal[g] }
-
 // MayAlias reports whether two pointer values may reference the same
 // allocation unit. Empty sets are treated as "may alias anything" to stay
 // conservative about pointers the analysis cannot see through (e.g.

@@ -7,7 +7,6 @@ import (
 	"os"
 	"path/filepath"
 	"runtime"
-	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -518,14 +517,4 @@ func RenderLedger(w io.Writer, rows []*Row) {
 	}
 	fmt.Fprintln(w, strings.Repeat("-", 96))
 	fmt.Fprintf(w, "totals: %d cyclic units unoptimized -> %d optimized\n", cycUn, cycOpt)
-}
-
-// SortBySuite orders rows in the paper's Table 3 order (already the
-// default order of All); exported for tests that shuffle.
-func SortBySuite(rows []*Row) {
-	order := map[string]int{}
-	for i, p := range All() {
-		order[p.Name] = i
-	}
-	sort.Slice(rows, func(i, j int) bool { return order[rows[i].Name] < order[rows[j].Name] })
 }

@@ -1,97 +1,7 @@
 package bench
 
-import (
-	"fmt"
-	"io"
-	"strings"
-
-	"cgcm/internal/core"
-)
-
 // CommLimited names the suite programs whose optimized run is
 // communication-limited (Table 3's "Comm." rows) — the programs
 // transfer/compute overlap is supposed to rescue, and the ones the
-// overlap CI gate measures.
+// overlap tests measure.
 var CommLimited = []string{"atax", "bicg", "gemver", "gesummv"}
-
-// OverlapRow is one program measured under optimized CGCM with
-// synchronous transfers and again with -async overlap.
-type OverlapRow struct {
-	Name            string
-	WallSync        float64 // simulated seconds, synchronous transfers
-	WallAsync       float64 // simulated seconds, overlapped transfers
-	OverlappedBytes int64   // ledger total of bytes moved under other work
-	OverlapSites    int     // map/unmap sites the overlap pass rewrote
-	OutputMatch     bool    // async output bit-identical to sync
-}
-
-// Improved reports whether overlap reduced the simulated wall.
-func (r *OverlapRow) Improved() bool { return r.WallAsync < r.WallSync }
-
-// RunOverlapGate measures every Comm.-limited program both ways.
-func RunOverlapGate(log io.Writer) ([]OverlapRow, error) {
-	var rows []OverlapRow
-	for _, name := range CommLimited {
-		p, ok := ByName(name)
-		if !ok {
-			return nil, fmt.Errorf("overlap gate: program %s missing from the suite", name)
-		}
-		if log != nil {
-			fmt.Fprintf(log, "running %-16s sync vs async...\n", name)
-		}
-		sync, err := core.CompileAndRun(p.Name, p.Source, core.Options{
-			Strategy: core.CGCMOptimized, Workers: Workers,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("overlap gate: %s sync: %w", name, err)
-		}
-		async, err := core.CompileAndRun(p.Name, p.Source, core.Options{
-			Strategy: core.CGCMOptimized, Workers: Workers, Async: true,
-		})
-		if err != nil {
-			return nil, fmt.Errorf("overlap gate: %s async: %w", name, err)
-		}
-		rows = append(rows, OverlapRow{
-			Name:            name,
-			WallSync:        sync.Stats.Wall,
-			WallAsync:       async.Stats.Wall,
-			OverlappedBytes: async.Comm.OverlappedBytes(),
-			OverlapSites:    async.OverlapSites,
-			OutputMatch:     sync.Output == async.Output,
-		})
-	}
-	return rows, nil
-}
-
-// OverlapGatePassed is the CI verdict: every program's output must be
-// bit-identical, every program must report overlapped bytes, and the
-// wall must improve on every Comm.-limited program.
-func OverlapGatePassed(rows []OverlapRow) bool {
-	for i := range rows {
-		r := &rows[i]
-		if !r.OutputMatch || r.OverlappedBytes == 0 || !r.Improved() {
-			return false
-		}
-	}
-	return len(rows) > 0
-}
-
-// RenderOverlap prints the sync-vs-async comparison.
-func RenderOverlap(w io.Writer, rows []OverlapRow) {
-	fmt.Fprintln(w, "Communication overlap: optimized CGCM, synchronous vs -async transfers")
-	fmt.Fprintln(w, strings.Repeat("-", 86))
-	fmt.Fprintf(w, "%-16s %12s %12s %8s %12s %6s %7s\n",
-		"program", "sync wall", "async wall", "gain", "overlapped", "sites", "output")
-	for i := range rows {
-		r := &rows[i]
-		verdict := "same"
-		if !r.OutputMatch {
-			verdict = "DIFFERS"
-		}
-		fmt.Fprintf(w, "%-16s %10.1fus %10.1fus %7.2f%% %11.1fKB %6d %7s\n",
-			r.Name, r.WallSync*1e6, r.WallAsync*1e6,
-			100*(1-r.WallAsync/r.WallSync),
-			float64(r.OverlappedBytes)/1024, r.OverlapSites, verdict)
-	}
-	fmt.Fprintln(w, strings.Repeat("-", 86))
-}

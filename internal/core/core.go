@@ -540,17 +540,20 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 		cost = *p.Opts.Cost
 	}
 	mach := machine.New(cost)
-	// Trace into a private per-run tracer; it merges into the caller's
-	// sink after the run, so concurrent runs never interleave spans.
+	// The machine owns the run's observers; the runtime library and the
+	// interpreter pick them up from it. Tracing goes into a private
+	// per-run tracer that merges into the caller's sink after the run, so
+	// concurrent runs never interleave spans.
 	var runTr *trace.Tracer
 	if p.Opts.tracing() {
 		runTr = trace.New()
-		mach.SetTracer(runTr)
 	}
-	mach.SetMetrics(met)
+	var col *prof.Collector
+	if p.Opts.Profile {
+		col = prof.NewCollector(p.name)
+	}
+	mach.Observe(runTr, met, col)
 	rt := runtimelib.New(mach)
-	rt.Tr = runTr
-	rt.SetMetrics(met)
 	// Fault model: a finite or fault-injected device flips the runtime
 	// into resilient mode before module load, so even the device regions
 	// of globals go through the evict/retry/degrade ladder. A per-run
@@ -569,22 +572,12 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 		rt.EnableResilience(runtimelib.DefaultResilience())
 	}
 	if p.Opts.Async {
-		// Arm the upload/flush streams and route per-copy overlap credit
-		// into the communication ledger's overlapped-bytes column.
 		rt.EnableAsync()
-		mach.SetOverlapSink(rt.Ledger.RecordOverlap)
 	}
 	var out bytes.Buffer
 	in, err := interp.New(p.Module, mach, rt, &out)
 	if err != nil {
 		return nil, err
-	}
-	in.Tr = runTr
-	var col *prof.Collector
-	if p.Opts.Profile {
-		col = prof.NewCollector(p.name)
-		rt.Prof = col
-		in.Prof = col
 	}
 	if p.Opts.Strategy == InspectorExecutor {
 		in.Mode = interp.Inspector
@@ -630,21 +623,54 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 	if p.Opts.Remarks {
 		rep.Remarks = withRuntimeRemarks(p.name, p.remarks, rep.Comm, rep.RTStats, rt.DegradeReason())
 	}
-	if m := met; m != nil {
-		st := rep.Stats
-		m.Gauge("machine.wall_seconds").Set(st.Wall)
-		m.Gauge("machine.cpu_ops").Set(float64(st.CPUOps))
-		m.Gauge("machine.gpu_ops").Set(float64(st.GPUOps))
-		m.Gauge("machine.stall_seconds").Set(st.StallTime)
-		m.Gauge("interp.steps").Set(float64(in.Steps()))
-		m.Gauge("runtime.live_units").Set(float64(rep.RTStats.LiveUnits))
-		m.Gauge("machine.gpu_mem_peak_bytes").Set(float64(mach.GPUMemPeak()))
-		rep.Metrics = m.Snapshot()
+	if met != nil {
+		publishRun(met, rep.Stats, rep.RTStats, in.Steps(), mach.GPUMemPeak())
+		rep.Metrics = met.Snapshot()
 	}
-	if err != nil {
-		return rep, err
+	return rep, err
+}
+
+// publishRun adds one finished (or cancelled, or failed) run to the
+// registry: the counters that mirror a Stats or RTStats field, by this
+// name-to-field table and nowhere else, and the per-run gauges, which
+// report the latest run (runtime.degraded included: it must fall back to
+// 0 on a registry that outlives a degraded run). The machine feeds only
+// the histograms while it runs; see DESIGN.md, "Accounting: one event
+// stream, its folds".
+func publishRun(m *metrics.Registry, st machine.Stats, rts runtimelib.Stats, steps, gpuMemPeak int64) {
+	for _, c := range []struct {
+		name string
+		n    int64
+	}{
+		{"runtime.map.calls", rts.Maps},
+		{"runtime.unmap.calls", rts.Unmaps},
+		{"runtime.release.calls", rts.Releases},
+		{"runtime.htod.copies", rts.HtoDCopies},
+		{"runtime.dtoh.copies", rts.DtoHCopies},
+		{"runtime.epoch.skips", rts.EpochSkips},
+		{"runtime.residency.skips", rts.ResidencySkips},
+		{"runtime.evictions", rts.Evictions},
+		{"runtime.retries", rts.Retries},
+		{"runtime.rescue.copies", rts.RescueCopies},
+		{"machine.kernel.launches", st.NumKernels},
+		{"machine.faults.injected", st.InjectedFaults},
+		{"machine.fallback.kernels", st.FallbackKernels},
+		{"machine.xfer.overlapped_bytes", st.OverlappedBytes},
+	} {
+		m.Counter(c.name).Add(c.n)
 	}
-	return rep, nil
+	m.Gauge("machine.wall_seconds").Set(st.Wall)
+	m.Gauge("machine.cpu_ops").Set(float64(st.CPUOps))
+	m.Gauge("machine.gpu_ops").Set(float64(st.GPUOps))
+	m.Gauge("machine.stall_seconds").Set(st.StallTime)
+	m.Gauge("machine.gpu_mem_peak_bytes").Set(float64(gpuMemPeak))
+	m.Gauge("interp.steps").Set(float64(steps))
+	m.Gauge("runtime.live_units").Set(float64(rts.LiveUnits))
+	degraded := 0.0
+	if rts.Degraded {
+		degraded = 1
+	}
+	m.Gauge("runtime.degraded").Set(degraded)
 }
 
 // withRuntimeRemarks appends execution-time findings to the compile-time

@@ -1,10 +1,16 @@
 package core_test
 
 import (
+	"os"
+	"regexp"
+	"strings"
 	"testing"
 
+	"cgcm/internal/bench"
 	"cgcm/internal/core"
+	"cgcm/internal/faultinject"
 	"cgcm/internal/metrics"
+	"cgcm/internal/trace"
 )
 
 // TestMetricsEndToEnd attaches a registry to a full compile+run and
@@ -110,5 +116,97 @@ func TestStepsGaugeCountsInstructions(t *testing.T) {
 	four := steps(hotLoop, core.Options{Strategy: core.CGCMOptimized, Workers: 4})
 	if one != four || one <= 0 {
 		t.Errorf("interp.steps = %v with 1 worker, %v with 4", one, four)
+	}
+}
+
+// TestDegradedGaugeFollowsTheRun: runtime.degraded is a per-run gauge on a
+// registry that may outlive the run (a cgcmd tenant's, cgcmbench
+// -metrics-listen's), so a clean run after a degraded one must read 0.
+func TestDegradedGaugeFollowsTheRun(t *testing.T) {
+	p, ok := bench.ByName("atax")
+	if !ok {
+		t.Fatal("atax missing from the suite")
+	}
+	reg := metrics.New()
+	for _, c := range []struct {
+		gpuMem int64
+		want   float64
+	}{{64, 1}, {0, 0}} {
+		rep, err := core.CompileAndRun(p.Name, p.Source, core.Options{
+			Strategy: core.CGCMOptimized, GPUMemBytes: c.gpuMem, Metrics: reg,
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rep.RTStats.Degraded != (c.want == 1) {
+			t.Fatalf("GPUMemBytes %d: Degraded = %v", c.gpuMem, rep.RTStats.Degraded)
+		}
+		if got := rep.Metrics.Gauge("runtime.degraded"); got != c.want {
+			t.Errorf("GPUMemBytes %d: runtime.degraded = %v, want %v", c.gpuMem, got, c.want)
+		}
+	}
+}
+
+// TestMetricsCatalogueComplete keeps DESIGN.md's instrument table from
+// drifting: every instrument a run registers — with every observer on, on
+// a faulty finite device with streams, so nothing stays unregistered —
+// must be named in the first column of the catalogue table.
+func TestMetricsCatalogueComplete(t *testing.T) {
+	doc, err := os.ReadFile("../../DESIGN.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, table, ok := strings.Cut(string(doc), "| instrument | kind | fed | meaning |")
+	if !ok {
+		t.Fatal("DESIGN.md: metrics catalogue table not found")
+	}
+	table, _, _ = strings.Cut(table, "\n\n")
+	var catalogue []*regexp.Regexp
+	for _, row := range strings.Split(table, "\n")[1:] {
+		cells := strings.Split(row, "|")
+		if len(cells) < 2 {
+			continue
+		}
+		for _, name := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(cells[1], -1) {
+			pat := strings.ReplaceAll(regexp.QuoteMeta(name[1]), "<phase>", "[a-z]+")
+			catalogue = append(catalogue, regexp.MustCompile("^"+pat+"$"))
+		}
+	}
+	if len(catalogue) < 20 {
+		t.Fatalf("DESIGN.md: parsed only %d instrument names from the catalogue", len(catalogue))
+	}
+
+	faults, err := faultinject.ParseSpec("seed=7,htod=0.2,dtoh=0.2,alloc=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	rep, err := core.CompileAndRun("hot.c", hotLoop, core.Options{
+		Strategy: core.CGCMOptimized, Async: true, GPUMemBytes: 256 << 10, FaultSpec: faults,
+		Tracer: trace.New(), Profile: true, Remarks: true, Metrics: metrics.New(),
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	var names []string
+	for _, c := range rep.Metrics.Counters {
+		names = append(names, c.Name)
+	}
+	for _, g := range rep.Metrics.Gauges {
+		names = append(names, g.Name)
+	}
+	for _, h := range rep.Metrics.Histograms {
+		names = append(names, h.Name)
+	}
+	if len(names) < 30 {
+		t.Fatalf("the run registered only %d instruments: %v", len(names), names)
+	}
+next:
+	for _, name := range names {
+		for _, re := range catalogue {
+			if re.MatchString(name) {
+				continue next
+			}
+		}
+		t.Errorf("instrument %q is registered by a run but missing from DESIGN.md's catalogue table", name)
 	}
 }

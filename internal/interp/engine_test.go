@@ -585,6 +585,7 @@ func buildEngine(c engineCase, ctx ctxKind) (*ir.Module, want) {
 func runEngine(t *testing.T, mod *ir.Module, ctx ctxKind, col *prof.Collector) (*Interp, *machine.Machine, string, error) {
 	t.Helper()
 	m := machine.New(machine.DefaultCostModel())
+	m.Observe(nil, nil, col)
 	rt := runtimelib.New(m)
 	if ctx == ctxFallback {
 		spec, err := faultinject.ParseSpec("fail=launch@0")
@@ -600,7 +601,6 @@ func runEngine(t *testing.T, mod *ir.Module, ctx ctxKind, col *prof.Collector) (
 		t.Fatalf("New: %v", err)
 	}
 	in.Workers = 1
-	in.Prof = col
 	if ctx == ctxInspector {
 		in.Mode = Inspector
 	}

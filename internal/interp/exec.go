@@ -97,7 +97,7 @@ type exec struct {
 	// its run executed, elsewhere the ops the instruction charged itself.
 	// They are folded into the interpreter's collector (and zeroed) after
 	// every launch barrier, so they always belong to exactly one kernel.
-	// nil whenever Interp.Prof is nil — the hot path then pays one nil
+	// nil when no collector is attached — the hot path then pays one nil
 	// check per run.
 	prof      []int64
 	profSpill []lineOps
@@ -191,7 +191,7 @@ func (ex *exec) beginLaunch(hostMem, inspect bool, threads int64) {
 	} else {
 		ex.race = nil
 	}
-	if in.Prof != nil && ex.prof == nil {
+	if ex.prof == nil && in.Mach.Profile() != nil {
 		ex.prof = make([]int64, len(in.code.insts))
 	}
 }
@@ -283,7 +283,7 @@ func (ex *exec) alloca(fc *funcCode, size int64, line int) (uint64, error) {
 		if base == 0 {
 			return 0, &Error{Fn: fc.name, Msg: fmt.Sprintf("alloca of %d bytes does not fit in the address space", size)}
 		}
-		in.RT.SiteLine = line
+		in.RT.Line = line
 		in.RT.DeclareAlloca(base, size, fc.alloca)
 		ex.allocas = append(ex.allocas, base)
 		return base, nil

@@ -35,9 +35,7 @@ import (
 
 	"cgcm/internal/ir"
 	"cgcm/internal/machine"
-	"cgcm/internal/prof"
 	"cgcm/internal/runtime"
-	"cgcm/internal/trace"
 )
 
 // LaunchMode selects how kernel launches are executed.
@@ -99,17 +97,6 @@ type Interp struct {
 	Mode LaunchMode
 	Lim  Limits
 
-	// Tr, when non-nil, receives a fault span when execution dies, so
-	// exported traces show where a run ended.
-	Tr *trace.Tracer
-
-	// Prof, when non-nil, receives exact execution attribution: every
-	// simulated GPU op is credited to the source line of the instruction
-	// that incurred it (folded after each launch), and every cgcm.*
-	// runtime call is timed on the simulated clock. When nil, the kernel
-	// hot path performs no profiling work and no allocations.
-	Prof *prof.Collector
-
 	// Workers is the number of host goroutines used to execute the
 	// threads of each kernel launch; 0 means GOMAXPROCS. Output, machine
 	// statistics, and faults are identical for every worker count.
@@ -158,6 +145,12 @@ type Interp struct {
 // flat code if no interpreter has yet (the result is kept on the module,
 // so this happens once however many runs share it), loads globals into
 // both memory spaces, registers them with the runtime, and seeds the RNG.
+// The run's observers are the ones attached to mach (Machine.Observe): with
+// a profile collector there, every simulated GPU op is credited to the
+// source line of the instruction that incurred it (folded after each
+// launch) and every cgcm.* runtime call is timed on the simulated clock;
+// without one the kernel hot path does no profiling work and allocates
+// nothing for it.
 // Module load is fallible: a bad global initializer is a typed error, and
 // under fault injection the device regions for globals may fail to
 // allocate — the runtime then degrades to CPU fallback before main runs,
@@ -248,17 +241,6 @@ func (in *Interp) checkCancel(fn string) error {
 	return nil
 }
 
-// GlobalAddr returns the host address of a module global (0 for a global
-// of another module).
-func (in *Interp) GlobalAddr(g *ir.Global) uint64 {
-	for i, mg := range in.Mod.Globals {
-		if mg == g {
-			return in.globalAddr[i]
-		}
-	}
-	return 0
-}
-
 // Steps reports how many instruction steps the run has executed. Contexts
 // draw steps from a shared pool in batches, so mid-run the value may
 // overcount live work by at most stepBatch per context; every context
@@ -279,7 +261,7 @@ func (in *Interp) Run() (int64, error) {
 	}()
 	if in.code.initFn >= 0 {
 		if _, err := in.runRoot(in.code.initFn); err != nil {
-			in.emitFault(err)
+			in.Mach.RunFailed(err)
 			return 0, err
 		}
 	}
@@ -288,7 +270,7 @@ func (in *Interp) Run() (int64, error) {
 	}
 	ret, err := in.runRoot(in.code.mainFn)
 	if err != nil {
-		in.emitFault(err)
+		in.Mach.RunFailed(err)
 		return 0, err
 	}
 	in.root.flushOps()
@@ -310,18 +292,6 @@ func (in *Interp) runRoot(fn int32) (ret uint64, err error) {
 	}()
 	in.root.prepare(fc, 0)
 	return in.root.invoke(fc, 0)
-}
-
-// emitFault marks where execution died on the traced timeline.
-func (in *Interp) emitFault(err error) {
-	if in.Tr == nil || err == nil {
-		return
-	}
-	now := in.Mach.Now()
-	in.Tr.Emit(trace.Span{
-		Kind: trace.KindFault, Lane: trace.LaneCPU,
-		Name: err.Error(), Start: now, End: now,
-	})
 }
 
 func (in *Interp) maxDepth() int {

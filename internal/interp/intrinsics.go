@@ -171,16 +171,16 @@ func (ex *exec) intrinsic(fc *funcCode, id intrinsicID, line int, a []uint64) (u
 		if size < 0 {
 			return 0, 8, nil // like libc: a size no allocator can satisfy yields NULL
 		}
-		in.RT.SiteLine = line
+		in.RT.Line = line
 		return in.RT.Malloc(size), 8, nil
 	case inCalloc:
 		ex.flushOps()
-		in.RT.SiteLine = line
+		in.RT.Line = line
 		p, err := in.RT.Calloc(int64(a[0]), int64(a[1]))
 		return p, 8, wrapErr(fc, err)
 	case inRealloc:
 		ex.flushOps()
-		in.RT.SiteLine = line
+		in.RT.Line = line
 		p, err := in.RT.Realloc(a[0], int64(a[1]))
 		return p, 8, wrapErr(fc, err)
 	case inFree:
@@ -257,17 +257,12 @@ func (ex *exec) intrinsic(fc *funcCode, id intrinsicID, line int, a []uint64) (u
 		return 0, 0, &Error{Fn: fc.name, Msg: name + " on GPU"}
 	}
 	ex.flushOps()
-	var t0 float64
-	if in.Prof != nil {
-		// Stamp the runtime's current source line (so transfer bytes land
-		// on the call site) and time the call on the simulated clock.
-		in.RT.ProfLine = line
-		t0 = in.Mach.Now()
-	}
+	// Stamp the call site (the profile charges the call's transfers to it)
+	// and time the call on the simulated clock.
+	in.RT.Line = line
+	t0 := in.Mach.Now()
 	p, err := rtCall(in.RT, id, a[0])
-	if in.Prof != nil {
-		in.Prof.AddRuntime(name, line, in.Mach.Now()-t0)
-	}
+	in.Mach.Profile().AddRuntime(name, line, in.Mach.Now()-t0)
 	return p, 0, wrapErr(fc, err)
 }
 

@@ -78,7 +78,6 @@ func (in *Interp) launchFallback(kernel *funcCode, line int, threads int64, args
 		return err
 	}
 	in.Mach.RunKernelOnCPUAt(kernel.name, line, res.totalOps)
-	in.RT.NoteFallbackKernel()
 	return nil
 }
 
@@ -279,9 +278,9 @@ func (in *Interp) runGrid(kernel *funcCode, line int, threads int64, args []uint
 	// barrier above guarantees no context is still counting, and zeroing
 	// after the fold scopes every counter to exactly one launch. Folding
 	// happens even on a fault so partial work is still attributed.
-	if in.Prof != nil {
+	if col := in.Mach.Profile(); col != nil {
 		for _, ex := range ws {
-			ex.foldProf(in.Prof, kernel.name, line)
+			ex.foldProf(col, kernel.name, line)
 		}
 	}
 

@@ -49,13 +49,13 @@ func runKernelProgram(t *testing.T, col *prof.Collector) (*Interp, *machine.Mach
 	t.Helper()
 	mod := buildModule(t, profKernelSrc)
 	m := machine.New(machine.DefaultCostModel())
+	m.Observe(nil, nil, col)
 	rt := runtimelib.New(m)
 	var out bytes.Buffer
 	in, nerr := New(mod, m, rt, &out)
 	if nerr != nil {
 		t.Fatalf("New: %v", nerr)
 	}
-	in.Prof = col
 	if _, err := in.Run(); err != nil {
 		t.Fatalf("run: %v", err)
 	}
@@ -63,7 +63,7 @@ func runKernelProgram(t *testing.T, col *prof.Collector) (*Interp, *machine.Mach
 }
 
 // TestProfDisabledAllocatesNothing pins the disabled-path guarantee:
-// with Interp.Prof nil, no execution context ever allocates profiling
+// with no collector attached, no execution context ever allocates profiling
 // state — the kernel hot path pays only a nil check.
 func TestProfDisabledAllocatesNothing(t *testing.T) {
 	in, _ := runKernelProgram(t, nil)

@@ -34,23 +34,11 @@ func (m *Machine) SetFaultPlan(p *faultinject.Plan) { m.plan = p }
 // FaultPlan returns the attached plan, if any.
 func (m *Machine) FaultPlan() *faultinject.Plan { return m.plan }
 
-// GPUMemCapacity returns the configured device-memory limit (0 = unlimited).
-func (m *Machine) GPUMemCapacity() int64 { return m.capacity }
-
 // GPUMemUsed returns the current aligned GPU-space segment bytes.
 func (m *Machine) GPUMemUsed() int64 { return m.gpuUsed }
 
 // GPUMemPeak returns the high-water mark of GPUMemUsed.
 func (m *Machine) GPUMemPeak() int64 { return m.gpuPeak }
-
-// faultUnitAt names the allocation unit containing addr for fault
-// tagging; unlike unitNameAt it does not require a tracer.
-func (m *Machine) faultUnitAt(addr uint64) string {
-	if seg := m.FindSegment(addr); seg != nil {
-		return seg.Name
-	}
-	return ""
-}
 
 // DecideFault consults the fault plan for one call of verb and returns
 // the injected *DeviceError, or nil when the call proceeds. A fired
@@ -74,21 +62,15 @@ func (m *Machine) DecideFault(v faultinject.Verb, unit string) *faultinject.Devi
 	}
 	start := m.cpuTime
 	m.cpuTime += cost
-	m.stats.InjectedFaults++
-	m.met.faultsInjected.Inc()
-	de := &faultinject.DeviceError{
+	m.emit(&trace.Event{
+		Kind: trace.EvFault, Label: v.String(), Ops: call,
+		Start: start, End: m.cpuTime, Unit: unit,
+	})
+	return &faultinject.DeviceError{
 		Verb: v, Unit: unit, Call: call,
 		Transient: !persistent, Injected: true,
 		Msg: "injected by fault plan",
 	}
-	if m.tr != nil {
-		m.tr.Emit(trace.Span{
-			Kind: trace.KindFault, Lane: trace.LaneRT,
-			Name:  fmt.Sprintf("%s fault #%d", v, call),
-			Start: start, End: m.cpuTime, Unit: unit,
-		})
-	}
-	return de
 }
 
 // AllocDevice is the fallible device allocator: it consults the fault
@@ -148,13 +130,7 @@ func (m *Machine) Penalty(d float64) {
 	m.flushCPUSpan()
 	start := m.cpuTime
 	m.cpuTime += d
-	m.stats.PenaltyTime += d
-	if m.tr != nil {
-		m.tr.Emit(trace.Span{
-			Kind: trace.KindStall, Lane: trace.LaneCPU,
-			Name: "retry backoff", Start: start, End: m.cpuTime,
-		})
-	}
+	m.emit(&trace.Event{Kind: trace.EvPenalty, Start: start, End: m.cpuTime, Dur: d})
 }
 
 // RescueCopyDtoH copies n device bytes to the host over the driver's
@@ -177,15 +153,8 @@ func (m *Machine) RunKernelOnCPUAt(name string, line int, totalOps int64) {
 	d := float64(totalOps) * m.Cost.CPUOp
 	start := m.cpuTime
 	m.cpuTime += d
-	m.stats.CPUTime += d
-	m.stats.CPUOps += totalOps
-	m.stats.FallbackKernels++
-	m.stats.FallbackOps += totalOps
-	m.met.fallbackKernels.Inc()
-	if m.tr != nil {
-		m.tr.Emit(trace.Span{
-			Kind: trace.KindFallback, Lane: trace.LaneCPU, Name: name,
-			Start: start, End: m.cpuTime, Line: line,
-		})
-	}
+	m.emit(&trace.Event{
+		Kind: trace.EvFallback, Label: name, Line: line,
+		Start: start, End: m.cpuTime, Dur: d, Ops: totalOps,
+	})
 }

@@ -26,6 +26,7 @@ import (
 
 	"cgcm/internal/faultinject"
 	"cgcm/internal/metrics"
+	"cgcm/internal/prof"
 	"cgcm/internal/rbtree"
 	"cgcm/internal/trace"
 )
@@ -210,8 +211,17 @@ type Machine struct {
 
 	stats Stats
 
-	// tr, when non-nil, receives structured timeline spans.
-	tr *trace.Tracer
+	// epoch is the kernel epoch ("an epoch count which increases every
+	// time the program launches a GPU function"): the runtime library
+	// advances and consults it, and every event is stamped with it.
+	epoch uint64
+
+	// The run's observers (Observe); each may be nil. The machine books
+	// its own events into tr and met; the runtime library and the
+	// interpreter reach the tracer and the profile collector through it.
+	tr   *trace.Tracer
+	prof *prof.Collector
+	met  machMetrics
 
 	// pendingCPU accumulates CPU op time not yet flushed to the trace, so
 	// traces show contiguous CPU spans rather than one per instruction.
@@ -227,10 +237,6 @@ type Machine struct {
 	// gen increments whenever a segment is freed, invalidating the
 	// interpreter's per-instruction inline caches.
 	gen uint64
-
-	// met holds pre-resolved metrics instruments; all nil (free no-ops)
-	// unless SetMetrics attached a registry.
-	met machMetrics
 
 	// Device model (faults.go): capacity is the GPU memory limit in bytes
 	// (0 = unlimited), gpuUsed/gpuPeak track aligned GPU-space segment
@@ -249,25 +255,24 @@ type Machine struct {
 
 	// Stream state (stream.go): created streams, in-flight async copies
 	// awaiting temporal resolution, the flow-id allocator linking issue
-	// instants to copy spans, and the overlap sink feeding the ledger.
+	// instants to copy spans, and the overlap sink feeding the ledger
+	// (Runtime.EnableAsync installs it).
 	streams     []*Stream
 	pending     []asyncOp
 	nextFlow    uint64
 	overlapSink func(hostBase uint64, overlapped int64)
 }
 
-// machMetrics is the machine's pre-resolved instrument set. Handles are
-// resolved once in SetMetrics so per-event updates never touch the
-// registry map.
+// machMetrics is the machine's per-event instruments: the histograms,
+// which only an event can feed. Handles are resolved once in Observe so an
+// update never touches the registry map; all nil (free no-ops) without a
+// registry. Counters that mirror a Stats field are not instruments of the
+// machine: core.RunWith publishes them from the run's final Stats.
 type machMetrics struct {
-	kernelLaunches  *metrics.Counter
-	kernelDur       *metrics.Histogram
-	htodBytes       *metrics.Histogram
-	dtohBytes       *metrics.Histogram
-	faultsInjected  *metrics.Counter
-	fallbackKernels *metrics.Counter
-	overlappedBytes *metrics.Counter
-	streamDepth     *metrics.Histogram
+	kernelDur   *metrics.Histogram
+	htodBytes   *metrics.Histogram
+	dtohBytes   *metrics.Histogram
+	streamDepth *metrics.Histogram
 }
 
 // Gen returns the segment-table generation; it changes whenever a
@@ -284,30 +289,17 @@ func New(cost CostModel) *Machine {
 	}
 }
 
-// SetTracer directs the machine's timeline spans into t (nil disables).
-func (m *Machine) SetTracer(t *trace.Tracer) { m.tr = t }
-
-// SetMetrics resolves the machine's instruments against r (nil detaches:
-// every instrument handle becomes a nil no-op). Instrument names:
-//
-//	machine.kernel.launches         counter, kernel launches
-//	machine.kernel.duration_seconds histogram, per-kernel simulated duration
-//	machine.xfer.htod_bytes         histogram, per-transfer H2D payload
-//	machine.xfer.dtoh_bytes         histogram, per-transfer D2H payload
-//	machine.faults.injected         counter, faults fired by the fault plan
-//	machine.fallback.kernels        counter, kernels run on the CPU after degradation
-//	machine.xfer.overlapped_bytes   counter, transfer bytes overlapped with compute
-//	machine.stream.depth            histogram, in-flight async copies at each issue
-func (m *Machine) SetMetrics(r *metrics.Registry) {
+// Observe attaches the run's observers, any of which may be nil: tr
+// receives the timeline, reg the per-event histograms and col the profile.
+// The runtime library and the interpreter handed this machine reach the
+// tracer and the collector through it.
+func (m *Machine) Observe(tr *trace.Tracer, reg *metrics.Registry, col *prof.Collector) {
+	m.tr, m.prof = tr, col
 	m.met = machMetrics{
-		kernelLaunches:  r.Counter("machine.kernel.launches"),
-		kernelDur:       r.Histogram("machine.kernel.duration_seconds", KernelDurBuckets()),
-		htodBytes:       r.Histogram("machine.xfer.htod_bytes", TransferSizeBuckets()),
-		dtohBytes:       r.Histogram("machine.xfer.dtoh_bytes", TransferSizeBuckets()),
-		faultsInjected:  r.Counter("machine.faults.injected"),
-		fallbackKernels: r.Counter("machine.fallback.kernels"),
-		overlappedBytes: r.Counter("machine.xfer.overlapped_bytes"),
-		streamDepth:     r.Histogram("machine.stream.depth", StreamDepthBuckets()),
+		kernelDur:   reg.Histogram("machine.kernel.duration_seconds", KernelDurBuckets()),
+		htodBytes:   reg.Histogram("machine.xfer.htod_bytes", TransferSizeBuckets()),
+		dtohBytes:   reg.Histogram("machine.xfer.dtoh_bytes", TransferSizeBuckets()),
+		streamDepth: reg.Histogram("machine.stream.depth", StreamDepthBuckets()),
 	}
 }
 
@@ -323,8 +315,18 @@ func KernelDurBuckets() []float64 { return metrics.ExpBuckets(1e-6, 4, 13) }
 // 1 to 128 in-flight copies, powers of 2.
 func StreamDepthBuckets() []float64 { return metrics.ExpBuckets(1, 2, 8) }
 
-// Tracer returns the machine's tracer, if any.
+// Tracer returns the attached tracer, if any.
 func (m *Machine) Tracer() *trace.Tracer { return m.tr }
+
+// Profile returns the attached profile collector, if any.
+func (m *Machine) Profile() *prof.Collector { return m.prof }
+
+// Epoch returns the kernel epoch.
+func (m *Machine) Epoch() uint64 { return m.epoch }
+
+// NextEpoch starts the next kernel epoch; the runtime library calls it at
+// every kernel launch.
+func (m *Machine) NextEpoch() { m.epoch++ }
 
 // Stats returns a snapshot of the counters; Wall reflects a full sync,
 // including any still-pending stream copies.
@@ -509,18 +511,60 @@ func (m *Machine) WriteBytes(addr uint64, data []byte) error {
 	return nil
 }
 
-// emit records one CPU-lane timeline span (compute, inspection, stall);
-// no-op unless a tracer is attached.
-func (m *Machine) emit(kind trace.Kind, start, end float64, name string) {
-	if m.tr == nil {
-		return
+// emit books one event: it is the only place the machine's tallies are
+// written (CPUOps and InspectorOps' clock-and-op adds apart). The folds run
+// in a fixed order: Stats, then the ledger's overlap column (the sink) or
+// the histogram the kind feeds, and the timeline last.
+func (m *Machine) emit(ev *trace.Event) {
+	ev.Epoch = m.epoch
+	st := &m.stats
+	switch ev.Kind {
+	case trace.EvKernel:
+		st.GPUTime += ev.Dur
+		st.NumKernels++
+		st.GPUOps += ev.Ops
+		m.met.kernelDur.Observe(ev.Dur)
+	case trace.EvFallback:
+		st.CPUTime += ev.Dur
+		st.CPUOps += ev.Ops
+		st.FallbackKernels++
+		st.FallbackOps += ev.Ops
+	case trace.EvHtoD, trace.EvDtoH:
+		if ev.Rescue {
+			st.PenaltyTime += ev.Dur * (1 - 1/rescueSlowdown)
+			st.RescueCopies++
+		}
+		st.CommTime += ev.Dur
+		if ev.Kind == trace.EvHtoD {
+			st.BytesHtoD += ev.Bytes
+			st.NumHtoD++
+			m.met.htodBytes.Observe(float64(ev.Bytes))
+		} else {
+			st.BytesDtoH += ev.Bytes
+			st.NumDtoH++
+			m.met.dtohBytes.Observe(float64(ev.Bytes))
+		}
+		if ev.Flow != 0 {
+			m.met.streamDepth.Observe(float64(ev.Ops))
+		}
+	case trace.EvStall:
+		st.StallTime += ev.Dur
+	case trace.EvPenalty:
+		st.PenaltyTime += ev.Dur
+	case trace.EvFault:
+		st.InjectedFaults++
+	case trace.EvOverlap:
+		st.OverlappedBytes += ev.Bytes
+		if m.overlapSink != nil {
+			m.overlapSink(ev.Base, ev.Bytes)
+		}
 	}
-	m.tr.Emit(trace.Span{Kind: kind, Lane: trace.LaneCPU, Name: name, Start: start, End: end})
+	m.tr.Record(ev)
 }
 
 func (m *Machine) flushCPUSpan() {
 	if m.pendingCPUOps > 0 {
-		m.emit(trace.KindCPU, m.pendingCPUStart, m.cpuTime, fmt.Sprintf("%d ops", m.pendingCPUOps))
+		m.emit(&trace.Event{Kind: trace.EvCPU, Start: m.pendingCPUStart, End: m.cpuTime, Ops: m.pendingCPUOps})
 		m.pendingCPUOps = 0
 	}
 }
@@ -548,7 +592,7 @@ func (m *Machine) InspectorOps(n int64) {
 	d := float64(n) * m.Cost.InspectorPerOp
 	m.cpuTime += d
 	m.stats.CPUTime += d
-	m.emit(trace.KindCPU, m.cpuTime-d, m.cpuTime, fmt.Sprintf("inspect %d", n))
+	m.emit(&trace.Event{Kind: trace.EvInspect, Start: m.cpuTime - d, End: m.cpuTime, Ops: n})
 }
 
 // LaunchKernel models an asynchronous kernel launch executing totalOps
@@ -592,29 +636,18 @@ func (m *Machine) LaunchKernelAt(name string, line int, threads int64, totalOps,
 		dur = m.Cost.LaunchGPU + critical
 	}
 	m.gpuReady = start + dur
-	m.stats.GPUTime += dur
-	m.stats.NumKernels++
-	m.stats.GPUOps += totalOps
-	m.met.kernelLaunches.Inc()
-	m.met.kernelDur.Observe(dur)
-	if m.tr != nil {
-		m.tr.Emit(trace.Span{
-			Kind: trace.KindKernel, Lane: trace.LaneGPU, Name: name,
-			Start: start, End: m.gpuReady, Line: line,
-		})
-	}
+	m.emit(&trace.Event{
+		Kind: trace.EvKernel, Label: name, Line: line,
+		Start: start, End: m.gpuReady, Dur: dur, Ops: totalOps,
+	})
 	if m.Cost.SyncAfterLaunch {
-		m.stats.StallTime += m.gpuReady - m.cpuTime
-		m.cpuTime = m.gpuReady
+		m.stallTo(m.gpuReady)
 	}
 }
 
-// unitNameAt names the allocation unit containing the CPU-side address of
-// a transfer, for span tagging; empty when untraced or unknown.
+// unitNameAt names the allocation unit containing addr, for tagging
+// transfer events and fault decisions; empty when unknown.
 func (m *Machine) unitNameAt(addr uint64) string {
-	if m.tr == nil {
-		return ""
-	}
 	if seg := m.FindSegment(addr); seg != nil {
 		return seg.Name
 	}
@@ -673,3 +706,10 @@ func (m *Machine) Sync() {
 
 // FlushTrace closes any open CPU span (call before reading Trace).
 func (m *Machine) FlushTrace() { m.flushCPUSpan() }
+
+// RunFailed marks where execution died on the timeline, so an exported
+// trace shows where the run ended; the interpreter reports the error that
+// stopped it.
+func (m *Machine) RunFailed(err error) {
+	m.emit(&trace.Event{Kind: trace.EvRunError, Start: m.cpuTime, End: m.cpuTime, Label: err.Error()})
+}

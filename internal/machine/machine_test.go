@@ -183,7 +183,7 @@ func TestKernelCriticalPath(t *testing.T) {
 func TestTrace(t *testing.T) {
 	m := newM()
 	tr := trace.New()
-	m.SetTracer(tr)
+	m.Observe(tr, nil, nil)
 	m.CPUOps(1000)
 	m.LaunchKernel("k", 16, 1600, 100)
 	m.ChargeTransfer(trace.KindDtoH, 64)

@@ -10,7 +10,6 @@ package machine
 
 import (
 	"fmt"
-	"sort"
 	"sync"
 )
 
@@ -87,25 +86,6 @@ func (p *QuotaPool) Usage(tenant string) (used, peak, denials int64) {
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	return p.used[tenant], p.peak[tenant], p.denials[tenant]
-}
-
-// Tenants lists every tenant the pool has seen, sorted.
-func (p *QuotaPool) Tenants() []string {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	seen := make(map[string]bool, len(p.used)+len(p.quota))
-	for t := range p.used {
-		seen[t] = true
-	}
-	for t := range p.quota {
-		seen[t] = true
-	}
-	out := make([]string, 0, len(seen))
-	for t := range seen {
-		out = append(out, t)
-	}
-	sort.Strings(out)
-	return out
 }
 
 // Governor returns the tenant's MemGovernor view of the pool. All runs

@@ -30,8 +30,8 @@
 //     flushing unit, a free of an involved range, or Sync — and the
 //     portion of each copy's duration that elapsed before the
 //     synchronization observer is credited as overlapped communication
-//     (Stats.OverlappedBytes, the ledger's overlap column, and the
-//     machine.xfer.overlapped_bytes counter).
+//     (an EvOverlap event: Stats.OverlappedBytes and the ledger's overlap
+//     column).
 package machine
 
 import (
@@ -85,8 +85,11 @@ func (m *Machine) NewStream(name string) *Stream {
 }
 
 // SetOverlapSink directs per-copy overlap credits (CPU base address of
-// the copied host range, overlapped bytes) to fn; core.Run wires it to
-// the communication ledger. nil detaches.
+// the copied host range, overlapped bytes) to fn; nil detaches.
+// Runtime.EnableAsync points it at its ledger, so nobody assembling a run
+// needs to. It stays exported only because hostbench's hand-assembled run
+// still makes that call itself (setting the same sink twice is harmless:
+// there is one slot, so no credit is booked twice).
 func (m *Machine) SetOverlapSink(fn func(hostBase uint64, overlapped int64)) {
 	m.overlapSink = fn
 }
@@ -143,7 +146,7 @@ func (m *Machine) move(kind trace.Kind, dst, src uint64, n int64, rescue bool) e
 		if kind == trace.KindDtoH {
 			verb, host = faultinject.VerbDtoH, dst
 		}
-		if de := m.DecideFault(verb, m.faultUnitAt(host)); de != nil {
+		if de := m.DecideFault(verb, m.unitNameAt(host)); de != nil {
 			return de
 		}
 	}
@@ -160,82 +163,65 @@ func (m *Machine) move(kind trace.Kind, dst, src uint64, n int64, rescue bool) e
 }
 
 // charge is the temporal half of every copy verb: it places one n-byte
-// DMA on the timeline and accounts for it (spans, byte histograms,
-// CommTime, Bytes*/Num* counters). With no stream the copy is blocking and
-// lands on the transfer lane; with a stream it is deferred — an issue
-// instant on the CPU lane linked by a flow id to the copy interval on the
-// stream's lane, stream occupancy, and a pending-op record that later
+// DMA on the timeline and books it as one event. With no stream the copy is
+// blocking and lands on the transfer lane; with a stream it is deferred — an
+// issue instant on the CPU lane linked by a flow id to the copy interval on
+// the stream's lane, stream occupancy, and a pending-op record that later
 // resolves into overlap credit. rescue charges the driver's slow reliable
 // channel: the same copy at rescueSlowdown times the cost, the excess
 // booked as PenaltyTime.
 func (m *Machine) charge(kind trace.Kind, s *Stream, host, dev uint64, n int64, unit string, rescue bool, waits []Event) Event {
 	m.flushCPUSpan()
 	d := m.Cost.TransferLat + float64(n)*m.Cost.TransferPerB
-	span := trace.Span{Kind: kind, Lane: trace.LaneXfer, Bytes: n, Unit: unit}
 	if rescue {
 		d *= rescueSlowdown
-		span.Name = "rescue"
-		m.stats.PenaltyTime += d * (1 - 1/rescueSlowdown)
-		m.stats.RescueCopies++
+	}
+	ev := trace.Event{
+		Kind: trace.EvHtoD, Lane: trace.LaneXfer, Dur: d,
+		Bytes: n, Base: host, Unit: unit, Rescue: rescue,
+	}
+	if kind == trace.KindDtoH {
+		ev.Kind = trace.EvDtoH
 	}
 	if s == nil {
 		// Blocking: wait for kernels to drain, pay the DMA inline, and
 		// resynchronize the GPU.
 		m.stallTo(m.gpuReady)
-		span.Start = m.cpuTime
+		ev.Start = m.cpuTime
 		m.cpuTime += d
 		m.gpuReady = m.cpuTime
 	} else {
-		span.Start = m.cpuTime
-		if s.ready > span.Start {
-			span.Start = s.ready
+		ev.Start = m.cpuTime
+		if s.ready > ev.Start {
+			ev.Start = s.ready
 		}
-		if kind == trace.KindDtoH && m.gpuReady > span.Start {
-			span.Start = m.gpuReady
+		if kind == trace.KindDtoH && m.gpuReady > ev.Start {
+			ev.Start = m.gpuReady
 		}
 		for _, e := range waits {
-			if e.t > span.Start {
-				span.Start = e.t
+			if e.t > ev.Start {
+				ev.Start = e.t
 			}
 		}
-		s.ready = span.Start + d
+		s.ready = ev.Start + d
 		m.nextFlow++
-		span.Lane, span.Name, span.Flow = s.lane, s.name, m.nextFlow
-		if m.tr != nil {
-			m.tr.Emit(trace.Span{
-				Kind: trace.KindIssue, Lane: trace.LaneCPU,
-				Name:  "issue " + kind.String() + " " + s.name,
-				Start: m.cpuTime, End: m.cpuTime, Bytes: n, Unit: unit, Flow: span.Flow,
-			})
-		}
 		m.pending = append(m.pending, asyncOp{
-			kind: kind, bytes: n, start: span.Start, end: s.ready,
+			kind: kind, bytes: n, start: ev.Start, end: s.ready,
 			hostBase: host, hostEnd: host + uint64(n),
 			devBase: dev, devEnd: dev + uint64(n),
 		})
-		m.met.streamDepth.Observe(float64(len(m.pending)))
-	}
-	span.End = span.Start + d
-	if m.tr != nil {
-		m.tr.Emit(span)
-	}
-	m.stats.CommTime += d
-	if kind == trace.KindHtoD {
-		m.met.htodBytes.Observe(float64(n))
-		m.stats.BytesHtoD += n
-		m.stats.NumHtoD++
-	} else {
-		m.met.dtohBytes.Observe(float64(n))
-		m.stats.BytesDtoH += n
-		m.stats.NumDtoH++
-		if s != nil {
+		ev.Lane, ev.Label, ev.Flow = s.lane, s.name, m.nextFlow
+		ev.Issued, ev.Ops = m.cpuTime, int64(len(m.pending))
+		if kind == trace.KindDtoH {
 			// A pending host-bound flush: invalidate the interpreter's inline
 			// caches so the next host access to any unit re-resolves through
 			// the machine and charges WaitHostUnit if it touches this one.
 			m.gen++
 		}
 	}
-	return Event{t: span.End, flow: span.Flow}
+	ev.End = ev.Start + d
+	m.emit(&ev)
+	return Event{t: ev.End, flow: ev.Flow}
 }
 
 // retire credits the portion of one finished copy that ran before the
@@ -249,14 +235,8 @@ func (m *Machine) retire(op asyncOp, tObs float64) {
 	if d <= 0 || ov <= 0 {
 		return
 	}
-	ob := int64(float64(op.bytes) * ov / d)
-	if ob <= 0 {
-		return
-	}
-	m.stats.OverlappedBytes += ob
-	m.met.overlappedBytes.Add(ob)
-	if m.overlapSink != nil {
-		m.overlapSink(op.hostBase, ob)
+	if ob := int64(float64(op.bytes) * ov / d); ob > 0 {
+		m.emit(&trace.Event{Kind: trace.EvOverlap, Base: op.hostBase, Bytes: ob})
 	}
 }
 
@@ -286,15 +266,8 @@ func (m *Machine) stallTo(t float64) {
 		return
 	}
 	m.flushCPUSpan()
-	m.emit(trace.KindStall, m.cpuTime, t, "sync")
-	m.stats.StallTime += t - m.cpuTime
+	m.emit(&trace.Event{Kind: trace.EvStall, Start: m.cpuTime, End: t, Dur: t - m.cpuTime})
 	m.cpuTime = t
-}
-
-// WaitEvent blocks the CPU until the event completes (cuEventSynchronize).
-func (m *Machine) WaitEvent(e Event) {
-	m.resolvePending(e.t, m.cpuTime)
-	m.stallTo(e.t)
 }
 
 // SyncStreams drains every pending stream copy, stalling the CPU to the

@@ -223,7 +223,7 @@ func TestStreamTraceLanes(t *testing.T) {
 	const n = 1024
 	m, host, dev := newTestMachine(n)
 	tr := trace.New()
-	m.SetTracer(tr)
+	m.Observe(tr, nil, nil)
 	s := m.NewStream("h2d")
 	if _, err := m.CopyHtoDAsync(s, dev, host, n); err != nil {
 		t.Fatal(err)

@@ -143,9 +143,6 @@ func roundUp(v, a int64) int64 {
 	return (v + a - 1) / a * a
 }
 
-// NumFields returns the field count of a struct type.
-func (t *Type) NumFields() int { return len(t.fields) }
-
 // FieldByName returns the named field of a struct type.
 func (t *Type) FieldByName(name string) (Field, bool) {
 	for _, f := range t.fields {

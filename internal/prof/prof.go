@@ -8,9 +8,10 @@
 //   - the interpreter's kernel engine folds per-instruction op counts
 //     into the collector after every launch (AddKernelOps), keyed by the
 //     line stamped on each IR instruction during lowering;
-//   - the CGCM runtime reports every H2D/D2H copy it performs
-//     (AddTransfer) at exactly the points it feeds the communication
-//     ledger, so profile byte totals always agree with the ledger;
+//   - the CGCM runtime folds every map/unmap/upload event that moved a
+//     unit into a transfer row (AddTransfer), in the same function that
+//     folds it into the communication ledger, so profile byte totals
+//     cannot disagree with the ledger;
 //   - the interpreter times each cgcm.* runtime call on the simulated
 //     clock (AddRuntime);
 //   - kernel wall time and launch counts come from the trace spans the
@@ -105,8 +106,8 @@ func (c *Collector) AddKernelOps(kernel string, site, line int, ops int64) {
 
 // AddTransfer charges one host/device copy of bytes to the named
 // allocation unit at the given source line; htod selects the direction.
-// The runtime calls this at exactly the points it updates the
-// communication ledger, so per-unit profile totals equal ledger totals.
+// Runtime.emit calls it for the events it folds into the communication
+// ledger as copies, so per-unit profile totals equal ledger totals.
 func (c *Collector) AddTransfer(unit string, line int, htod bool, bytes int64) {
 	if c == nil {
 		return

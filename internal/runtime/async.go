@@ -14,7 +14,9 @@ package runtime
 import "cgcm/internal/machine"
 
 // EnableAsync switches the runtime into overlapped-communication mode:
-// it creates the upload and flush streams MapAsync/UnmapAsync copy on.
+// it creates the upload and flush streams MapAsync/UnmapAsync copy on, and
+// routes the machine's per-copy overlap credit into the ledger's
+// overlapped-bytes column.
 // Without it the streams are nil and the async entry points are their
 // blocking equivalents, so IR rewritten by the overlap pass stays correct
 // even when a run disables overlap.
@@ -26,10 +28,8 @@ func (r *Runtime) EnableAsync() {
 	r.h2d = r.M.NewStream("h2d")
 	r.d2h = r.M.NewStream("d2h")
 	r.lastXfer = make(map[uint64]machine.Event)
+	r.M.SetOverlapSink(r.Ledger.RecordOverlap)
 }
-
-// AsyncEnabled reports whether overlapped communication is armed.
-func (r *Runtime) AsyncEnabled() bool { return r.async }
 
 // MapAsync is Map with the HtoD copy issued on the upload stream. Until
 // EnableAsync creates that stream it is nil, and this is exactly Map.

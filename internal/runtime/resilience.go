@@ -56,9 +56,6 @@ func (r *Runtime) EnableResilience(res Resilience) {
 	r.res = res
 }
 
-// Resilient reports whether resilient mode is on.
-func (r *Runtime) Resilient() bool { return r.resilient }
-
 // Degraded reports whether the device has failed and the run is in
 // CPU-fallback mode.
 func (r *Runtime) Degraded() bool { return r.degraded }
@@ -86,8 +83,7 @@ func (r *Runtime) TranslateDev(addr uint64) (uint64, bool) {
 
 // noteRetry charges one retry: counter plus exponential simulated backoff.
 func (r *Runtime) noteRetry(attempt int) {
-	r.stats.Retries++
-	r.met.retries.Inc()
+	r.emit(trace.EvRetry, nil, false)
 	if attempt > 30 {
 		attempt = 30
 	}
@@ -128,23 +124,8 @@ func (r *Runtime) copyUnit(info *AllocInfo, htod bool, s *machine.Stream, waits 
 	return ev, err
 }
 
-// noteCopy books one program-requested transfer of info's unit: RTStats
-// copy counter, metrics counter, and profile row, at the source line of
-// the cgcm.* call in progress. It is the only place those three are
-// touched, so they cannot disagree about transfers.
-func (r *Runtime) noteCopy(info *AllocInfo, htod bool) {
-	if htod {
-		r.stats.HtoDCopies++
-		r.met.htodCopies.Inc()
-	} else {
-		r.stats.DtoHCopies++
-		r.met.dtohCopies.Inc()
-	}
-	r.Prof.AddTransfer(info.Name, r.ProfLine, htod, info.Size)
-}
-
-// uploadUnit copies info's host bytes to its device copy and books the
-// transfer. On the upload stream s it queues the copy's completion event
+// uploadUnit copies info's host bytes to its device copy (the map event of
+// the call in progress books the transfer). On the upload stream s it queues the copy's completion event
 // for the next kernel launch (TakeLaunchWaits), so the kernel starts only
 // after its inputs landed but the CPU never stalls. A freshly allocated
 // destination cannot race anything; a reused device region (cached copy,
@@ -163,7 +144,6 @@ func (r *Runtime) uploadUnit(info *AllocInfo, s *machine.Stream, fresh bool) err
 		r.pendingUploads = append(r.pendingUploads, ev)
 	}
 	info.Dirty = false
-	r.noteCopy(info, true)
 	return nil
 }
 
@@ -173,24 +153,20 @@ func (r *Runtime) uploadUnit(info *AllocInfo, s *machine.Stream, fresh bool) err
 // a dying device does not get to overlap. Device data is never lost to a
 // fault — the invariant that makes degradation outputs bit-identical to
 // fault-free runs. This is the runtime's only retry-then-rescue ladder.
-// An unmap's flush is booked as a transfer; an eviction's is housekeeping
-// the ledger books under the unit's Evictions instead (counted false).
-func (r *Runtime) flushUnit(info *AllocInfo, s *machine.Stream, counted bool) error {
+// An unmap's flush is booked as a transfer by the unmap event; an
+// eviction's is housekeeping no runtime tally counts as a copy (the machine
+// still counts the DMA, and the ledger books the unit's Evictions).
+func (r *Runtime) flushUnit(info *AllocInfo, s *machine.Stream) error {
 	if _, err := r.copyUnit(info, false, s, r.lastXfer[info.Base]); err != nil {
 		var de *faultinject.DeviceError
 		if !errors.As(err, &de) {
 			return err // functional error (bad address): a real bug, propagate
 		}
-		r.stats.RescueCopies++
-		r.met.rescues.Inc()
 		if err := r.M.RescueCopyDtoH(info.Base, info.DevPtr, info.Size); err != nil {
 			return err
 		}
 	}
 	info.Dirty = false
-	if counted {
-		r.noteCopy(info, false)
-	}
 	return nil
 }
 
@@ -239,8 +215,8 @@ func (r *Runtime) lruRemove(base uint64) {
 }
 
 // evictOne evicts the least-recently-released cached unit: flush dirty
-// bytes D2H, free the device copy, and record the eviction in stats,
-// ledger, metrics, and trace. Returns false when no candidate exists.
+// bytes D2H, free the device copy, and book the eviction. Returns false
+// when no candidate exists.
 func (r *Runtime) evictOne() (bool, error) {
 	for len(r.lru) > 0 {
 		base := r.lru[0]
@@ -260,7 +236,7 @@ func (r *Runtime) evictOne() (bool, error) {
 // evictUnit drops one unit's device copy (flushing dirty bytes first).
 func (r *Runtime) evictUnit(info *AllocInfo) error {
 	if info.Dirty && !info.ReadOnly {
-		if err := r.flushUnit(info, nil, false); err != nil {
+		if err := r.flushUnit(info, nil); err != nil {
 			return err
 		}
 	}
@@ -270,18 +246,7 @@ func (r *Runtime) evictUnit(info *AllocInfo) error {
 		}
 	}
 	info.DevPtr = 0
-	r.stats.Evictions++
-	r.stats.EvictionBytes += info.Size
-	r.met.evictions.Inc()
-	r.Ledger.RecordEvict(info.Base, info.Name, info.Size)
-	if r.Tr != nil {
-		now := r.M.Now()
-		r.Tr.Emit(trace.Span{
-			Kind: trace.KindEvict, Lane: trace.LaneRT,
-			Name: "evict " + info.Name, Start: now, End: now,
-			Bytes: info.Size, Unit: info.Name,
-		})
-	}
+	r.emit(trace.EvEvict, info, false)
 	return nil
 }
 
@@ -299,12 +264,11 @@ func (r *Runtime) degrade(what string, cause error) error {
 	// before the device state is torn down.
 	r.M.SyncStreams()
 	r.degraded = true
-	r.degradeEpoch = r.epoch
 	r.degradeReason = what
 	if cause != nil {
 		r.degradeReason = fmt.Sprintf("%s: %v", what, cause)
 	}
-	start := r.M.Now()
+	r.degradeStart = r.M.Now()
 
 	// Resident units: translation entries, dirty flushes, device frees.
 	// Ascend order is base-address order — deterministic.
@@ -349,15 +313,7 @@ func (r *Runtime) degrade(what string, cause error) error {
 
 	sort.Slice(r.devRanges, func(i, j int) bool { return r.devRanges[i].lo < r.devRanges[j].lo })
 	r.lru = nil
-	r.stats.Degraded = true
-	r.met.degraded.Set(1)
-	if r.Tr != nil {
-		r.Tr.Emit(trace.Span{
-			Kind: trace.KindFault, Lane: trace.LaneRT,
-			Name:  "device degraded: " + r.degradeReason,
-			Start: start, End: r.M.Now(),
-		})
-	}
+	r.emit(trace.EvDegrade, nil, false)
 	return nil
 }
 
@@ -375,18 +331,15 @@ func (r *Runtime) addDevRange(lo uint64, size int64, cpu uint64) {
 }
 
 // degradeMap handles an unrecoverable device error during Map/MapArray:
-// device faults degrade the run to CPU fallback and return the identity
-// mapping; functional errors (bad addresses — real bugs) propagate.
-func (r *Runtime) degradeMap(ptr uint64, what string, cause error) (uint64, error) {
+// device faults degrade the run to CPU fallback, after which the caller
+// returns the identity mapping; functional errors (bad addresses — real
+// bugs) propagate.
+func (r *Runtime) degradeMap(what string, cause error) error {
 	var de *faultinject.DeviceError
 	if !errors.As(cause, &de) {
-		return 0, cause
+		return cause
 	}
-	if err := r.degrade(what+" failed", cause); err != nil {
-		return 0, err
-	}
-	r.stats.FallbackMaps++
-	return ptr, nil
+	return r.degrade(what+" failed", cause)
 }
 
 // PreLaunch models the kernel-launch driver call under the fault plan:
@@ -410,10 +363,6 @@ func (r *Runtime) PreLaunch(kernel string) error {
 		r.noteRetry(attempt)
 	}
 }
-
-// NoteFallbackKernel counts one kernel executed on the CPU after
-// degradation (the machine tracks its own copy for the trace/metrics).
-func (r *Runtime) NoteFallbackKernel() { r.stats.FallbackKernels++ }
 
 // AllocDeviceGlobal allocates a global's device named region at module
 // load (cuModuleGetGlobal). Under fault injection the load itself can

@@ -22,8 +22,6 @@ import (
 	"math"
 
 	"cgcm/internal/machine"
-	"cgcm/internal/metrics"
-	"cgcm/internal/prof"
 	"cgcm/internal/rbtree"
 	"cgcm/internal/trace"
 )
@@ -116,9 +114,9 @@ type Stats struct {
 	Evictions       int64 // device copies dropped under memory pressure
 	EvictionBytes   int64 // bytes those units spanned
 	Retries         int64 // transient-fault retries (with backoff)
-	RescueCopies    int64 // DtoH flushes over the slow reliable channel
+	RescueCopies    int64 // DtoH flushes over the slow reliable channel (the machine's count)
 	FallbackMaps    int64 // map calls absorbed as identity after degradation
-	FallbackKernels int64 // kernels executed on the CPU after degradation
+	FallbackKernels int64 // kernels executed on the CPU after degradation (the machine's count)
 	Degraded        bool  // the device failed and the run fell back to the CPU
 }
 
@@ -126,33 +124,20 @@ type Stats struct {
 type Runtime struct {
 	M *machine.Machine
 
-	// Tr, when non-nil, receives an instant span per map/unmap/release
-	// call, tagged with the allocation unit touched.
-	Tr *trace.Tracer
 	// Ledger folds per-allocation-unit communication activity; it is
 	// always on (the fold is a few map updates per runtime call) so every
 	// Report carries a communication ledger.
 	Ledger *trace.LedgerBuilder
 
-	// Prof, when non-nil, receives one AddTransfer per copy the runtime
-	// performs, at exactly the points the Ledger is updated — which is
-	// what guarantees profile byte totals equal ledger totals. ProfLine is
-	// the source line of the cgcm.* call currently executing; the
-	// interpreter sets it before dispatching into the runtime.
-	Prof     *prof.Collector
-	ProfLine int
-
-	// SiteLine is the source line of the allocation-producing instruction
-	// currently executing (malloc/calloc/realloc call or alloca); the
-	// interpreter sets it so the ledger can stamp each unit with its
-	// allocation site for source-level diagnostics.
-	SiteLine int
+	// Line is the source line of the instruction currently calling into the
+	// library: the interpreter stamps it before every allocation (the
+	// ledger records it as the unit's allocation site) and every cgcm.*
+	// call (the profile charges that call's transfers to it).
+	Line int
 
 	allocs  rbtree.Tree[*AllocInfo]
 	shadows map[uint64]*shadowArray
-	epoch   uint64
 	stats   Stats
-	met     rtMetrics
 
 	// Async communication state (async.go). async gates MapAsync/UnmapAsync
 	// between stream copies and their synchronous equivalents, so the
@@ -169,21 +154,10 @@ type Runtime struct {
 	res           Resilience
 	degraded      bool
 	degradeReason string
-	degradeEpoch  uint64
+	degradeStart  float64  // simulated time the escalation began
 	lru           []uint64 // eviction candidates, least recently released first
 	devRanges     []devRange
 	freed         map[uint64]bool // heap bases freed, for double-free detection
-}
-
-// rtMetrics is the runtime's pre-resolved instrument set; all nil (free
-// no-ops) unless SetMetrics attached a registry.
-type rtMetrics struct {
-	maps, unmaps, releases *metrics.Counter
-	htodCopies, dtohCopies *metrics.Counter
-	epochSkips, resSkips   *metrics.Counter
-	evictions, retries     *metrics.Counter
-	rescues                *metrics.Counter
-	degraded               *metrics.Gauge
 }
 
 // New creates a runtime for machine m.
@@ -195,61 +169,80 @@ func New(m *machine.Machine) *Runtime {
 	}
 }
 
-// span emits one instant runtime-call span on the runtime lane.
-func (r *Runtime) span(kind trace.Kind, info *AllocInfo, bytes int64) {
-	if r.Tr == nil {
-		return
-	}
+// emit books one runtime-library event about info's unit (nil: the event
+// names no unit — the call failed or was absorbed after degradation, or the
+// kind has none); copied says the call moved the unit's bytes. It is the
+// only place the runtime's tallies are written, and the folds run in a
+// fixed order: Stats, the ledger, the profile's transfer rows, the
+// timeline. The machine the runtime was handed owns the run's observers and
+// the kernel epoch, so there is nothing to wire.
+func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
 	now := r.M.Now()
-	r.Tr.Emit(trace.Span{
-		Kind: kind, Lane: trace.LaneRT, Name: kind.String() + " " + info.Name,
-		Start: now, End: now, Bytes: bytes, Unit: info.Name,
-	})
-}
-
-// SetMetrics resolves the runtime's instruments against reg (nil
-// detaches). Instrument names:
-//
-//	runtime.map.calls / runtime.unmap.calls / runtime.release.calls
-//	runtime.htod.copies / runtime.dtoh.copies
-//	runtime.epoch.skips / runtime.residency.skips
-//	runtime.evictions / runtime.retries / runtime.rescue.copies
-//	runtime.degraded (gauge, 1 after CPU-fallback degradation)
-//
-// The array variants count into the same instruments via their per-element
-// Map/Unmap/Release calls.
-func (r *Runtime) SetMetrics(reg *metrics.Registry) {
-	r.met = rtMetrics{
-		maps:       reg.Counter("runtime.map.calls"),
-		unmaps:     reg.Counter("runtime.unmap.calls"),
-		releases:   reg.Counter("runtime.release.calls"),
-		htodCopies: reg.Counter("runtime.htod.copies"),
-		dtohCopies: reg.Counter("runtime.dtoh.copies"),
-		epochSkips: reg.Counter("runtime.epoch.skips"),
-		resSkips:   reg.Counter("runtime.residency.skips"),
-		evictions:  reg.Counter("runtime.evictions"),
-		retries:    reg.Counter("runtime.retries"),
-		rescues:    reg.Counter("runtime.rescue.copies"),
-		degraded:   reg.Gauge("runtime.degraded"),
+	ev := trace.Event{Kind: kind, Start: now, End: now, Line: r.Line, Epoch: r.M.Epoch(), Copied: copied}
+	if info != nil {
+		ev.Base, ev.Size, ev.Unit = info.Base, info.Size, info.Name
 	}
+	st := &r.stats
+	switch kind {
+	case trace.EvMap:
+		st.Maps++
+	case trace.EvUnmap:
+		st.Unmaps++
+	case trace.EvRelease:
+		st.Releases++
+	case trace.EvMapArray:
+		st.MapArrays++
+	case trace.EvUnmapArray:
+		st.UnmapArrays++
+	case trace.EvReleaseArray:
+		st.ReleaseArrays++
+	case trace.EvEvict:
+		st.Evictions++
+		st.EvictionBytes += info.Size
+	case trace.EvRetry:
+		st.Retries++
+	case trace.EvDegrade:
+		st.Degraded = true
+		ev.Start, ev.Label = r.degradeStart, r.degradeReason
+	}
+	htod := kind != trace.EvUnmap
+	switch {
+	case info == nil:
+		if r.degraded && (kind == trace.EvMap || kind == trace.EvMapArray) {
+			st.FallbackMaps++ // absorbed: the caller returns the identity mapping
+		}
+	case copied && htod:
+		st.HtoDCopies++
+	case copied:
+		st.DtoHCopies++
+	case kind == trace.EvMap:
+		st.ResidencySkips++
+	case kind == trace.EvUnmap:
+		st.EpochSkips++
+	}
+	r.Ledger.Fold(&ev)
+	if copied {
+		r.M.Profile().AddTransfer(info.Name, r.Line, htod, info.Size)
+	}
+	r.M.Tracer().Record(&ev)
 }
 
-// Stats returns a snapshot of the runtime counters.
+// Stats returns a snapshot of the runtime counters. Rescue copies and
+// fallback kernels are things the machine does; the snapshot reports the
+// machine's counts rather than keep a second tally.
 func (r *Runtime) Stats() Stats {
 	s := r.stats
 	s.LiveUnits = r.allocs.Len()
+	ms := r.M.Stats()
+	s.RescueCopies, s.FallbackKernels = ms.RescueCopies, ms.FallbackKernels
 	return s
 }
-
-// Epoch returns the current kernel epoch.
-func (r *Runtime) Epoch() uint64 { return r.epoch }
 
 // KernelLaunched advances the global epoch; the interpreter calls it at
 // every kernel launch ("an epoch count which increases every time the
 // program launches a GPU function").
 func (r *Runtime) KernelLaunched() {
-	r.epoch++
-	r.Tr.AdvanceEpoch()
+	r.M.NextEpoch()
 	if r.resilient && !r.degraded {
 		// The kernel may have written any writable resident unit: mark
 		// them dirty so a later eviction flushes them host-side first.
@@ -276,7 +269,7 @@ func (r *Runtime) DeclareGlobal(name string, base uint64, size int64, readOnly b
 // The registration expires when the frame pops (RemoveAlloca).
 func (r *Runtime) DeclareAlloca(base uint64, size int64, name string) {
 	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: name})
-	r.Ledger.NoteLine(base, r.SiteLine)
+	r.Ledger.NoteLine(base, r.Line)
 }
 
 // RemoveAlloca expires a stack registration. Any GPU residual is freed
@@ -301,7 +294,7 @@ func (r *Runtime) Malloc(size int64) uint64 {
 		return 0
 	}
 	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: "malloc"})
-	r.Ledger.NoteLine(base, r.SiteLine)
+	r.Ledger.NoteLine(base, r.Line)
 	return base
 }
 
@@ -407,54 +400,57 @@ func (r *Runtime) Map(ptr uint64) (uint64, error) { return r.mapImpl(ptr, nil) }
 // remarks identical with overlap on or off.
 func (r *Runtime) mapImpl(ptr uint64, s *machine.Stream) (uint64, error) {
 	r.M.CPUOps(runtimeCallOps)
-	r.stats.Maps++
-	r.met.maps.Inc()
-	if r.degraded {
-		// CPU-fallback mode: kernels run against CPU memory, so the
-		// "GPU pointer" for ptr is ptr itself.
-		r.stats.FallbackMaps++
-		return ptr, nil
-	}
-	info, err := r.lookupOrErr("map", ptr)
+	info, copied, err := r.mapUnit(ptr, s)
+	r.emit(trace.EvMap, info, copied)
 	if err != nil {
 		return 0, err
 	}
-	copied := info.RefCount == 0
-	if copied {
-		fresh := false
-		if !info.IsGlobal {
-			if info.DevPtr == 0 {
-				dev, aerr := r.allocDevice(info.Size, "dev:"+info.Name)
-				if aerr != nil {
-					return r.degradeMap(ptr, "device allocation for "+info.Name, aerr)
-				}
-				info.DevPtr = dev
-				r.M.ChargeAllocGPU()
-				fresh = true
-			} else {
-				// Resilient mode cached the device copy at release time:
-				// reuse the allocation, but re-upload below — the CPU may
-				// have written the unit since.
-				r.lruRemove(info.Base)
-			}
-		} else {
-			info.DevPtr = info.DeviceGlobal // cuModuleGetGlobal
-		}
-		if cerr := r.uploadUnit(info, s, fresh); cerr != nil {
-			return r.degradeMap(ptr, "upload of "+info.Name, cerr)
-		}
-	} else {
-		r.stats.ResidencySkips++
-		r.met.resSkips.Inc()
-	}
-	r.Ledger.RecordMap(info.Base, info.Name, info.Size, r.epoch, copied)
-	if copied {
-		r.span(trace.KindMap, info, info.Size)
-	} else {
-		r.span(trace.KindMap, info, 0)
+	if info == nil {
+		// Absorbed by CPU-fallback mode: kernels run against CPU memory,
+		// so the "GPU pointer" for ptr is ptr itself.
+		return ptr, nil
 	}
 	info.RefCount++
 	return info.DevPtr + (ptr - info.Base), nil
+}
+
+// mapUnit makes ptr's unit resident and reports whether that took an
+// upload. It returns no unit when the call failed or the runtime is (or
+// just became) degraded.
+func (r *Runtime) mapUnit(ptr uint64, s *machine.Stream) (*AllocInfo, bool, error) {
+	if r.degraded {
+		return nil, false, nil
+	}
+	info, err := r.lookupOrErr("map", ptr)
+	if err != nil {
+		return nil, false, err
+	}
+	if info.RefCount > 0 {
+		return info, false, nil
+	}
+	fresh := false
+	if !info.IsGlobal {
+		if info.DevPtr == 0 {
+			dev, aerr := r.allocDevice(info.Size, "dev:"+info.Name)
+			if aerr != nil {
+				return nil, false, r.degradeMap("device allocation for "+info.Name, aerr)
+			}
+			info.DevPtr = dev
+			r.M.ChargeAllocGPU()
+			fresh = true
+		} else {
+			// Resilient mode cached the device copy at release time:
+			// reuse the allocation, but re-upload below — the CPU may
+			// have written the unit since.
+			r.lruRemove(info.Base)
+		}
+	} else {
+		info.DevPtr = info.DeviceGlobal // cuModuleGetGlobal
+	}
+	if cerr := r.uploadUnit(info, s, fresh); cerr != nil {
+		return nil, false, r.degradeMap("upload of "+info.Name, cerr)
+	}
+	return info, true, nil
 }
 
 // Unmap implements Algorithm 2: update the CPU allocation unit from the
@@ -467,57 +463,52 @@ func (r *Runtime) Unmap(ptr uint64) error { return r.unmapImpl(ptr, nil) }
 // the blocking Unmap.
 func (r *Runtime) unmapImpl(ptr uint64, s *machine.Stream) error {
 	r.M.CPUOps(runtimeCallOps)
-	r.stats.Unmaps++
-	r.met.unmaps.Inc()
+	info, copied, err := r.unmapUnit(ptr, s)
+	r.emit(trace.EvUnmap, info, copied)
+	return err
+}
+
+// unmapUnit brings the host copy of ptr's unit up to date and reports
+// whether that took a copy. It returns no unit when the call failed or the
+// runtime is degraded (kernels then write CPU memory directly, so there is
+// nothing to copy back).
+func (r *Runtime) unmapUnit(ptr uint64, s *machine.Stream) (*AllocInfo, bool, error) {
 	if r.degraded {
-		// CPU-fallback mode: kernels write CPU memory directly, so there
-		// is nothing to copy back.
-		return nil
+		return nil, false, nil
 	}
 	info, err := r.lookupOrErr("unmap", ptr)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	copied := info.Epoch != r.epoch && !info.ReadOnly
-	if copied {
-		if info.DevPtr == 0 {
-			return &Error{Op: "unmap", Ptr: ptr, Msg: "allocation unit has no GPU copy", Err: ErrNotMapped}
-		}
-		if err := r.flushUnit(info, s, true); err != nil {
-			return err
-		}
-		info.Epoch = r.epoch
-	} else {
-		r.stats.EpochSkips++
-		r.met.epochSkips.Inc()
+	if info.Epoch == r.M.Epoch() || info.ReadOnly {
+		return info, false, nil
 	}
-	r.Ledger.RecordUnmap(info.Base, info.Name, info.Size, r.epoch, copied)
-	if copied {
-		r.span(trace.KindUnmap, info, info.Size)
-	} else {
-		r.span(trace.KindUnmap, info, 0)
+	if info.DevPtr == 0 {
+		return nil, false, &Error{Op: "unmap", Ptr: ptr, Msg: "allocation unit has no GPU copy", Err: ErrNotMapped}
 	}
-	return nil
+	if err := r.flushUnit(info, s); err != nil {
+		return nil, false, err
+	}
+	info.Epoch = r.M.Epoch()
+	return info, true, nil
 }
 
 // Release implements Algorithm 3: drop a reference; free the GPU copy of
 // a non-global unit when the count reaches zero.
 func (r *Runtime) Release(ptr uint64) error {
 	r.M.CPUOps(runtimeCallOps)
-	r.stats.Releases++
-	r.met.releases.Inc()
-	if r.degraded {
-		return nil
+	var info *AllocInfo
+	var err error
+	if !r.degraded {
+		info, err = r.lookupOrErr("release", ptr)
+		if err == nil && info.RefCount == 0 {
+			info, err = nil, &Error{Op: "release", Ptr: ptr, Msg: "unbalanced release (refcount already zero)", Err: ErrUnbalancedRelease}
+		}
 	}
-	info, err := r.lookupOrErr("release", ptr)
-	if err != nil {
+	r.emit(trace.EvRelease, info, false)
+	if info == nil {
 		return err
 	}
-	if info.RefCount == 0 {
-		return &Error{Op: "release", Ptr: ptr, Msg: "unbalanced release (refcount already zero)", Err: ErrUnbalancedRelease}
-	}
-	r.Ledger.RecordRelease(info.Base, info.Name, info.Size)
-	r.span(trace.KindRelease, info, 0)
 	info.RefCount--
 	if info.RefCount == 0 && !info.IsGlobal {
 		if r.resilient {
@@ -539,11 +530,18 @@ func (r *Runtime) Release(ptr uint64) error {
 // GPU-side array, then return a pointer into that array.
 func (r *Runtime) MapArray(ptr uint64) (uint64, error) {
 	r.M.CPUOps(runtimeCallOps)
-	r.stats.MapArrays++
+	dev, err := r.mapArray(ptr)
+	r.emit(trace.EvMapArray, nil, false)
+	return dev, err
+}
+
+// mapArray does MapArray's work. Whenever it finds the runtime degraded —
+// on entry, or because one of its own maps or allocations killed the
+// device — the whole array falls back to its CPU form: the CPU array
+// already holds CPU element pointers, which is exactly what fallback
+// kernels need.
+func (r *Runtime) mapArray(ptr uint64) (uint64, error) {
 	if r.degraded {
-		// CPU-fallback mode: the CPU array already holds CPU element
-		// pointers, which is exactly what fallback kernels need.
-		r.stats.FallbackMaps++
 		return ptr, nil
 	}
 	info, err := r.lookupOrErr("mapArray", ptr)
@@ -562,66 +560,59 @@ func (r *Runtime) MapArray(ptr uint64) (uint64, error) {
 			}
 		}
 		if r.degraded {
-			r.stats.FallbackMaps++
 			return ptr, nil
 		}
 		sh.RefCount++
 		return sh.DevArr + (ptr - info.Base), nil
 	}
-	{
-		n := info.Size / 8
-		elems := make([]uint64, 0, n)
-		devElems := make([]uint64, n)
-		for i := int64(0); i < n; i++ {
-			p, err := r.M.Load(info.Base+uint64(i*8), 8)
-			if err != nil {
-				return 0, err
-			}
-			if p == 0 {
-				continue
-			}
-			d, err := r.Map(p)
-			if err != nil {
-				r.releaseElems(elems)
-				return 0, &Error{Op: "mapArray", Ptr: ptr,
-					Msg: fmt.Sprintf("element %d: %v", i, err), Err: err}
-			}
-			if r.degraded {
-				// An element map degraded the device; the whole array
-				// falls back to its CPU form.
-				r.stats.FallbackMaps++
-				return ptr, nil
-			}
-			devElems[i] = d
-			elems = append(elems, p)
+	n := info.Size / 8
+	elems := make([]uint64, 0, n)
+	devElems := make([]uint64, n)
+	for i := int64(0); i < n; i++ {
+		p, err := r.M.Load(info.Base+uint64(i*8), 8)
+		if err != nil {
+			return 0, err
 		}
-		var devArr uint64
-		if info.IsGlobal {
-			// A global array of pointers is translated in place into its
-			// device named region, so kernels referencing the global see
-			// device element pointers.
-			devArr = info.DeviceGlobal
-		} else {
-			devArr, err = r.allocDevice(info.Size, "devarray:"+info.Name)
-			if err != nil {
-				return r.degradeMap(ptr, "device allocation for array "+info.Name, err)
-			}
-			r.M.ChargeAllocGPU()
+		if p == 0 {
+			continue
 		}
-		for i, d := range devElems {
-			if err := r.M.Store(devArr+uint64(i*8), 8, d); err != nil {
-				return 0, err
-			}
+		d, err := r.Map(p)
+		if err != nil {
+			r.releaseElems(elems)
+			return 0, &Error{Op: "mapArray", Ptr: ptr,
+				Msg: fmt.Sprintf("element %d: %v", i, err), Err: err}
 		}
-		r.M.ChargeTransferUnit(trace.KindHtoD, info.Size, info.Name)
-		r.noteCopy(info, true)
-		r.Ledger.RecordUpload(info.Base, info.Name, info.Size, r.epoch)
-		r.span(trace.KindMap, info, info.Size)
-		sh = &shadowArray{DevArr: devArr, Elems: elems}
-		r.shadows[info.Base] = sh
+		if r.degraded {
+			return ptr, nil
+		}
+		devElems[i] = d
+		elems = append(elems, p)
 	}
-	sh.RefCount++
-	return sh.DevArr + (ptr - info.Base), nil
+	var devArr uint64
+	if info.IsGlobal {
+		// A global array of pointers is translated in place into its
+		// device named region, so kernels referencing the global see
+		// device element pointers.
+		devArr = info.DeviceGlobal
+	} else {
+		devArr, err = r.allocDevice(info.Size, "devarray:"+info.Name)
+		if err != nil {
+			if err = r.degradeMap("device allocation for array "+info.Name, err); err != nil {
+				return 0, err
+			}
+			return ptr, nil
+		}
+		r.M.ChargeAllocGPU()
+	}
+	for i, d := range devElems {
+		if err := r.M.Store(devArr+uint64(i*8), 8, d); err != nil {
+			return 0, err
+		}
+	}
+	r.M.ChargeTransferUnit(trace.KindHtoD, info.Size, info.Name)
+	r.emit(trace.EvUpload, info, true)
+	r.shadows[info.Base] = &shadowArray{DevArr: devArr, RefCount: 1, Elems: elems}
+	return devArr + (ptr - info.Base), nil
 }
 
 // releaseElems drops the references a failing MapArray already took on
@@ -638,7 +629,7 @@ func (r *Runtime) releaseElems(elems []uint64) {
 // have changed, and copying GPU pointers into CPU memory would corrupt it.
 func (r *Runtime) UnmapArray(ptr uint64) error {
 	r.M.CPUOps(runtimeCallOps)
-	r.stats.UnmapArrays++
+	r.emit(trace.EvUnmapArray, nil, false)
 	if r.degraded {
 		return nil
 	}
@@ -662,7 +653,7 @@ func (r *Runtime) UnmapArray(ptr uint64) error {
 // allocation unit, freeing the GPU shadow array at zero.
 func (r *Runtime) ReleaseArray(ptr uint64) error {
 	r.M.CPUOps(runtimeCallOps)
-	r.stats.ReleaseArrays++
+	r.emit(trace.EvReleaseArray, nil, false)
 	if r.degraded {
 		return nil
 	}
@@ -689,12 +680,4 @@ func (r *Runtime) ReleaseArray(ptr uint64) error {
 		delete(r.shadows, info.Base)
 	}
 	return nil
-}
-
-// TrackedUnits returns the number of live allocation units (tests).
-func (r *Runtime) TrackedUnits() int { return r.allocs.Len() }
-
-// VisitUnits calls fn for each tracked allocation unit in address order.
-func (r *Runtime) VisitUnits(fn func(*AllocInfo) bool) {
-	r.allocs.Ascend(func(_ uint64, info *AllocInfo) bool { return fn(info) })
 }

@@ -371,6 +371,29 @@ func TestHTTPEndToEnd(t *testing.T) {
 	}
 }
 
+// TestDegradedGaugeFollowsTheRun: a tenant's registry outlives its runs,
+// so after a degraded run and then a clean one /metrics must say the
+// tenant's device is fine again.
+func TestDegradedGaugeFollowsTheRun(t *testing.T) {
+	h := newTestServer(t, Config{}).Handler()
+	for _, c := range []struct {
+		gpuMem int64
+		want   string
+	}{{64, `runtime_degraded{tenant="web"} 1`}, {0, `runtime_degraded{tenant="web"} 0`}} {
+		body, _ := json.Marshal(RunRequest{Tenant: "web", Program: "vec.c", Source: gpuVec, Options: RunOptions{GPUMem: c.gpuMem}})
+		rec := httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("POST", "/run", strings.NewReader(string(body))))
+		if rec.Code != http.StatusOK {
+			t.Fatalf("POST /run = %d: %s", rec.Code, rec.Body.String())
+		}
+		rec = httptest.NewRecorder()
+		h.ServeHTTP(rec, httptest.NewRequest("GET", "/metrics", nil))
+		if page := rec.Body.String(); !strings.Contains(page, c.want) {
+			t.Errorf("gpu_mem_bytes %d: /metrics missing %q\npage:\n%s", c.gpuMem, c.want, page)
+		}
+	}
+}
+
 // TestHTTPMethodRouting: wrong methods do not reach the handlers.
 func TestHTTPMethodRouting(t *testing.T) {
 	s := newTestServer(t, Config{})

@@ -1,0 +1,140 @@
+// The accounting event: the one record every tally of a run is folded from.
+//
+// The machine and the runtime library each book what they do as an Event,
+// at one place per layer (machine.emit, runtime.emit). That place applies
+// the folds — machine.Stats, runtime.Stats, the ledger (LedgerBuilder.Fold),
+// the profile's transfer rows, the per-event histograms and, when a tracer
+// is attached, the timeline (Tracer.Record) — so the tallies cannot
+// disagree about what happened. DESIGN.md ("Accounting: one event stream,
+// its folds") has the catalogue of kinds and the fields each fold reads.
+package trace
+
+import "fmt"
+
+// EventKind says what happened.
+type EventKind int
+
+// Event kinds. The machine books the first group, the runtime library the
+// second.
+const (
+	EvCPU      EventKind = iota // a flushed run of CPU ops (Ops)
+	EvInspect                   // inspector-executor address-stream walk (Ops)
+	EvKernel                    // a kernel launch on the GPU (Label, Line, Ops, Dur)
+	EvFallback                  // a kernel executed on the CPU after degradation (Label, Line, Ops, Dur)
+	EvHtoD                      // a host-to-device copy (Lane, Bytes, Base, Unit, Dur, Rescue; on a stream: Label, Flow, Issued, Ops = copies in flight)
+	EvDtoH                      // a device-to-host copy (as EvHtoD)
+	EvStall                     // the CPU waited for the device (Dur)
+	EvPenalty                   // retry backoff (Dur)
+	EvFault                     // the fault plan failed a driver call (Label = verb, Ops = call index, Unit)
+	EvOverlap                   // Bytes of a finished stream copy ran under other work (Base = host address)
+	EvRunError                  // execution died (Label = the error)
+
+	EvMap          // cgcm.map of a unit (Copied: uploaded, else a residency skip); no unit: absorbed after degradation, or failed
+	EvUnmap        // cgcm.unmap (Copied: copied back, else an epoch skip)
+	EvRelease      // cgcm.release
+	EvMapArray     // cgcm.mapArray (its element maps are events of their own)
+	EvUnmapArray   // cgcm.unmapArray
+	EvReleaseArray // cgcm.releaseArray
+	EvUpload       // mapArray uploaded the unit's shadow pointer array
+	EvEvict        // a unit's device copy was dropped under memory pressure or at degradation
+	EvRetry        // a transient device fault is being retried
+	EvDegrade      // the device failed; the run continues in CPU fallback (Label = reason)
+)
+
+// Event is one accountable thing a run did. It is a plain fixed-size value:
+// layers build it on the stack and hand it to their emit function, nothing
+// retains it, and every string in it already existed — names for the
+// timeline are built by Tracer.Record, and only when there is a tracer.
+type Event struct {
+	Kind EventKind
+	Lane Lane // copies: the transfer lane, or the stream's lane
+
+	Start, End float64 // simulated seconds; equal for an instant
+	// Dur is the simulated time charged for the event — what CommTime,
+	// GPUTime, StallTime and PenaltyTime sum. It is carried on its own
+	// because End-Start is not bit-equal to it.
+	Dur    float64
+	Issued float64 // stream copies: the CPU clock when the copy was issued
+
+	Bytes int64 // payload moved or credited
+	Ops   int64 // scalar ops executed; see the kinds for its other uses
+
+	// The allocation unit concerned: its CPU base address, size and name.
+	// Machine copies know only the host address and the name.
+	Base uint64
+	Size int64
+	Unit string
+
+	Label string // kernel, stream, fault verb, degrade reason or error text
+	Line  int    // source line of the launch or of the cgcm.* call in progress
+	Epoch uint64 // kernel epoch, stamped by the emit functions
+	Flow  uint64 // stream copies: links the issue instant to the copy
+
+	Copied bool // map/unmap/upload: the call moved the unit's bytes
+	Rescue bool // copies: taken over the slow reliable channel
+}
+
+// Record renders an event onto the timeline. Events that are tallies only
+// (overlap credit, retries, the array verbs, a map call that named no
+// unit) leave no span. This is the only place span names are built.
+func (t *Tracer) Record(ev *Event) {
+	if t == nil {
+		return
+	}
+	s := Span{Lane: LaneCPU, Start: ev.Start, End: ev.End, Unit: ev.Unit, Epoch: ev.Epoch}
+	call := false // a runtime-library call about a unit: an instant named after it
+	switch ev.Kind {
+	case EvCPU:
+		s.Kind, s.Name = KindCPU, fmt.Sprintf("%d ops", ev.Ops)
+	case EvInspect:
+		s.Kind, s.Name = KindCPU, fmt.Sprintf("inspect %d", ev.Ops)
+	case EvKernel:
+		s.Kind, s.Lane, s.Name, s.Line = KindKernel, LaneGPU, ev.Label, ev.Line
+	case EvFallback:
+		s.Kind, s.Name, s.Line = KindFallback, ev.Label, ev.Line
+	case EvHtoD, EvDtoH:
+		s.Kind, s.Lane, s.Name, s.Bytes, s.Flow = KindHtoD, ev.Lane, ev.Label, ev.Bytes, ev.Flow
+		if ev.Kind == EvDtoH {
+			s.Kind = KindDtoH
+		}
+		if ev.Rescue {
+			s.Name = "rescue"
+		}
+		if ev.Flow != 0 {
+			issue := s
+			issue.Kind, issue.Lane, issue.Name = KindIssue, LaneCPU, "issue "+s.Kind.String()+" "+ev.Label
+			issue.Start, issue.End = ev.Issued, ev.Issued
+			t.Emit(issue)
+		}
+	case EvStall:
+		s.Kind, s.Name = KindStall, "sync"
+	case EvPenalty:
+		s.Kind, s.Name = KindStall, "retry backoff"
+	case EvFault:
+		s.Kind, s.Lane, s.Name = KindFault, LaneRT, fmt.Sprintf("%s fault #%d", ev.Label, ev.Ops)
+	case EvDegrade:
+		s.Kind, s.Lane, s.Name = KindFault, LaneRT, "device degraded: "+ev.Label
+	case EvRunError:
+		s.Kind, s.Name = KindFault, ev.Label
+	case EvMap, EvUpload:
+		s.Kind, call = KindMap, true
+	case EvUnmap:
+		s.Kind, call = KindUnmap, true
+	case EvRelease:
+		s.Kind, call = KindRelease, true
+	case EvEvict:
+		s.Kind, s.Bytes, call = KindEvict, ev.Size, true
+	default:
+		return
+	}
+	if call {
+		if ev.Base == 0 {
+			return
+		}
+		if ev.Copied {
+			s.Bytes = ev.Size
+		}
+		s.Lane, s.Name = LaneRT, s.Kind.String()+" "+ev.Unit
+	}
+	t.Emit(s)
+}

@@ -7,8 +7,8 @@
 // serialize the CPU and GPU), while the communication optimizations hoist
 // the transfers out of loops (an acyclic pattern that overlaps CPU and
 // GPU work). Aggregate transfer counters cannot show *which* unit
-// ping-pongs; the ledger can, because the runtime records every
-// map/unmap/release per unit and the fold classifies each unit's pattern.
+// ping-pongs; the ledger can, because every map/unmap/release event names
+// its unit and the fold classifies each unit's pattern.
 package trace
 
 import (
@@ -181,9 +181,9 @@ func fmtBytes(n int64) string {
 	return fmt.Sprintf("%dB", n)
 }
 
-// LedgerBuilder accumulates runtime-library activity and folds it into a
-// Ledger. The runtime calls it from the single root execution context, so
-// it needs no locking; a fresh builder is created per Program.Run.
+// LedgerBuilder folds runtime-library events into a Ledger. The runtime
+// calls it from the single root execution context, so it needs no locking;
+// a fresh builder is created per Program.Run.
 type LedgerBuilder struct {
 	units map[uint64]*unitAcc
 	order []uint64
@@ -225,69 +225,59 @@ func (b *LedgerBuilder) unit(base uint64, name string, size int64) *unitAcc {
 	return u
 }
 
-func (u *unitAcc) copied(epoch uint64, bytes int64, htod bool) {
-	if !u.epochsSeen[epoch] {
-		u.epochsSeen[epoch] = true
+// Fold books one runtime-library event against the unit it names: a map,
+// unmap or release call (Copied tells a transfer from a residency or epoch
+// skip), the shadow-array upload of mapArray (always Copied), or an
+// eviction. An event that names no unit — a call absorbed after
+// degradation, a failed call, a retry — is not the ledger's business.
+func (b *LedgerBuilder) Fold(ev *Event) {
+	if b == nil || ev.Base == 0 {
+		return
+	}
+	u := b.unit(ev.Base, ev.Unit, ev.Size)
+	switch ev.Kind {
+	case EvMap:
+		u.Maps++
+		if !ev.Copied {
+			u.ResidencySkips++
+		}
+	case EvUnmap:
+		u.Unmaps++
+		if !ev.Copied {
+			u.EpochSkips++
+		}
+	case EvRelease:
+		u.Releases++
+	case EvEvict:
+		u.Evictions++
+	}
+	if !ev.Copied {
+		return
+	}
+	if !u.epochsSeen[ev.Epoch] {
+		u.epochsSeen[ev.Epoch] = true
 		u.TransferEpochs++
 	}
 	if u.HtoDCopies+u.DtoHCopies == 0 {
-		u.FirstEpoch = epoch
+		u.FirstEpoch = ev.Epoch
 	}
-	u.LastEpoch = epoch
-	if htod {
+	u.LastEpoch = ev.Epoch
+	if ev.Kind != EvUnmap {
 		if u.sawDtoH {
 			u.RoundTrips++
 		}
 		u.HtoDCopies++
-		u.BytesHtoD += bytes
+		u.BytesHtoD += ev.Size
 	} else {
 		u.sawDtoH = true
 		u.DtoHCopies++
-		u.BytesDtoH += bytes
+		u.BytesDtoH += ev.Size
 	}
-}
-
-// RecordMap records one map call; copied says whether an HtoD transfer
-// was performed (false: a residency skip).
-func (b *LedgerBuilder) RecordMap(base uint64, name string, size int64, epoch uint64, copied bool) {
-	if b == nil {
-		return
-	}
-	u := b.unit(base, name, size)
-	u.Maps++
-	if copied {
-		u.copied(epoch, size, true)
-	} else {
-		u.ResidencySkips++
-	}
-}
-
-// RecordUnmap records one unmap call; copied says whether a DtoH transfer
-// was performed (false: an epoch or read-only skip).
-func (b *LedgerBuilder) RecordUnmap(base uint64, name string, size int64, epoch uint64, copied bool) {
-	if b == nil {
-		return
-	}
-	u := b.unit(base, name, size)
-	u.Unmaps++
-	if copied {
-		u.copied(epoch, size, false)
-	} else {
-		u.EpochSkips++
-	}
-}
-
-// RecordRelease records one release call.
-func (b *LedgerBuilder) RecordRelease(base uint64, name string, size int64) {
-	if b == nil {
-		return
-	}
-	b.unit(base, name, size).Releases++
 }
 
 // RecordOverlap credits n transferred bytes of the unit at base as
-// overlapped with concurrent CPU/GPU work. The machine's async-copy
-// resolver calls it (through the overlap sink core.Run wires up) when a
+// overlapped with concurrent CPU/GPU work. It is the machine's overlap
+// sink (Runtime.EnableAsync installs it): the machine calls it when a
 // stream copy retires, so the credit lands on the unit whose host range
 // the copy moved. A copy for an unknown base (e.g. a manual cuda_memcpy
 // outside any tracked unit) is dropped rather than inventing a row.
@@ -300,23 +290,6 @@ func (b *LedgerBuilder) RecordOverlap(base uint64, n int64) {
 		return
 	}
 	u.OverlappedBytes += n
-}
-
-// RecordEvict records a device-memory eviction of the unit.
-func (b *LedgerBuilder) RecordEvict(base uint64, name string, size int64) {
-	if b == nil {
-		return
-	}
-	b.unit(base, name, size).Evictions++
-}
-
-// RecordUpload records an HtoD transfer outside a map call (the shadow
-// pointer-array upload of mapArray).
-func (b *LedgerBuilder) RecordUpload(base uint64, name string, size int64, epoch uint64) {
-	if b == nil {
-		return
-	}
-	b.unit(base, name, size).copied(epoch, size, true)
 }
 
 // Ledger folds the accumulated activity, classifying each unit:

@@ -118,10 +118,9 @@ func TestReadChromeRejects(t *testing.T) {
 func TestReadChromeLive(t *testing.T) {
 	tr := New()
 	tr.Emit(Span{Kind: KindCPU, Lane: LaneCPU, Start: 0, End: 0.25e-6})
-	tr.AdvanceEpoch()
-	tr.Emit(Span{Kind: KindIssue, Lane: LaneCPU, Start: 0.25e-6, End: 0.25e-6, Flow: 7})
-	tr.Emit(Span{Kind: KindHtoD, Lane: LaneStreamBase + 1, Start: 0.3e-6, End: 0.9e-6, Bytes: 4096, Unit: "a", Flow: 7})
-	tr.Emit(Span{Kind: KindKernel, Lane: LaneGPU, Name: "k0", Start: 0.9e-6, End: 2.4e-6, Line: 12})
+	tr.Emit(Span{Kind: KindIssue, Lane: LaneCPU, Start: 0.25e-6, End: 0.25e-6, Flow: 7, Epoch: 1})
+	tr.Emit(Span{Kind: KindHtoD, Lane: LaneStreamBase + 1, Start: 0.3e-6, End: 0.9e-6, Bytes: 4096, Unit: "a", Flow: 7, Epoch: 1})
+	tr.Emit(Span{Kind: KindKernel, Lane: LaneGPU, Name: "k0", Start: 0.9e-6, End: 2.4e-6, Line: 12, Epoch: 1})
 	tr.RecordPhases(PhaseSpan{Name: "sema", HostNS: 1, Activity: 0, Note: "x"})
 	var buf bytes.Buffer
 	if err := WriteChrome(&buf, tr); err != nil {

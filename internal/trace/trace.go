@@ -8,13 +8,15 @@
 //     constfold, doall, commmgmt, gluekernel, allocapromo, mappromo) with
 //     host wall time and an activity count (loops parallelized, calls
 //     promoted, ...);
-//   - the simulated machine records CPU compute, kernel, transfer, and
-//     stall spans on the simulated CPU/GPU/transfer timelines;
-//   - the CGCM runtime library records map/unmap/release calls as instant
-//     spans tagged with the allocation unit they touched, and feeds the
-//     communication Ledger (ledger.go), which classifies each allocation
-//     unit's transfer pattern as cyclic or acyclic — the distinction the
-//     paper's Figure 2 and §5 are about.
+//   - the simulated machine and the CGCM runtime library book what they
+//     do as accounting events (event.go); the tracer renders those as
+//     spans — CPU compute, kernels, transfers and stalls on the simulated
+//     CPU/GPU/transfer timelines, map/unmap/release calls as instants
+//     tagged with the allocation unit they touched — and the
+//     communication Ledger (ledger.go) folds the runtime's into a
+//     per-unit summary that classifies each allocation unit's transfer
+//     pattern as cyclic or acyclic — the distinction the paper's Figure 2
+//     and §5 are about.
 //
 // Spans export to Chrome trace-event JSON (chrome.go) viewable in
 // Perfetto or chrome://tracing.
@@ -144,31 +146,19 @@ type Tracer struct {
 	mu     sync.Mutex
 	spans  []Span
 	phases []PhaseSpan
-	epoch  uint64
 }
 
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
-// Emit appends a span, stamping it with the current kernel epoch.
+// Emit appends a span as given. The layers of a run do not call it: they
+// book events, and Record renders those.
 func (t *Tracer) Emit(s Span) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	s.Epoch = t.epoch
 	t.spans = append(t.spans, s)
-	t.mu.Unlock()
-}
-
-// AdvanceEpoch bumps the epoch stamped onto subsequent spans; the CGCM
-// runtime calls it at every kernel launch.
-func (t *Tracer) AdvanceEpoch() {
-	if t == nil {
-		return
-	}
-	t.mu.Lock()
-	t.epoch++
 	t.mu.Unlock()
 }
 

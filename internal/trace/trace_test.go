@@ -5,10 +5,15 @@ import (
 	"testing"
 )
 
+// fold books one runtime-library event about the unit at base.
+func fold(b *LedgerBuilder, kind EventKind, base uint64, name string, size int64, epoch uint64, copied bool) {
+	b.Fold(&Event{Kind: kind, Base: base, Unit: name, Size: size, Epoch: epoch, Copied: copied})
+}
+
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Span{Kind: KindCPU})
-	tr.AdvanceEpoch()
+	tr.Record(&Event{Kind: EvKernel})
 	tr.RecordPhases(PhaseSpan{Name: "x"})
 	tr.BeginPhase("p")(1, "")
 	tr.Merge(New())
@@ -16,10 +21,10 @@ func TestTracerNilSafe(t *testing.T) {
 		t.Fatal("nil tracer returned data")
 	}
 	var b *LedgerBuilder
-	b.RecordMap(1, "u", 8, 0, true)
-	b.RecordUnmap(1, "u", 8, 0, true)
-	b.RecordRelease(1, "u", 8)
-	b.RecordUpload(1, "u", 8, 0)
+	fold(b, EvMap, 1, "u", 8, 0, true)
+	fold(b, EvUnmap, 1, "u", 8, 0, true)
+	fold(b, EvRelease, 1, "u", 8, 0, false)
+	fold(b, EvUpload, 1, "u", 8, 0, true)
 	if got := b.Ledger(); len(got.Units) != 0 {
 		t.Fatal("nil builder produced units")
 	}
@@ -27,10 +32,9 @@ func TestTracerNilSafe(t *testing.T) {
 
 func TestTracerEpochStamping(t *testing.T) {
 	tr := New()
-	tr.Emit(Span{Kind: KindHtoD})
-	tr.AdvanceEpoch()
-	tr.AdvanceEpoch()
-	tr.Emit(Span{Kind: KindKernel})
+	tr.Record(&Event{Kind: EvHtoD})
+	tr.Record(&Event{Kind: EvRetry, Epoch: 1}) // a tally, not a span
+	tr.Record(&Event{Kind: EvKernel, Epoch: 2})
 	spans := tr.Spans()
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans", len(spans))
@@ -68,9 +72,9 @@ func TestBeginPhaseRecords(t *testing.T) {
 func TestLedgerCyclicClassification(t *testing.T) {
 	b := NewLedgerBuilder()
 	for epoch := uint64(0); epoch < 4; epoch++ {
-		b.RecordMap(0x1000, "malloc", 8192, epoch, true)
-		b.RecordUnmap(0x1000, "malloc", 8192, epoch+1, true)
-		b.RecordRelease(0x1000, "malloc", 8192)
+		fold(b, EvMap, 0x1000, "malloc", 8192, epoch, true)
+		fold(b, EvUnmap, 0x1000, "malloc", 8192, epoch+1, true)
+		fold(b, EvRelease, 0x1000, "malloc", 8192, 0, false)
 	}
 	l := b.Ledger()
 	if len(l.Units) != 1 {
@@ -95,13 +99,13 @@ func TestLedgerCyclicClassification(t *testing.T) {
 // launches (residency skips), one copy-back — the optimized pattern.
 func TestLedgerAcyclicClassification(t *testing.T) {
 	b := NewLedgerBuilder()
-	b.RecordMap(0x1000, "malloc", 8192, 0, true)
+	fold(b, EvMap, 0x1000, "malloc", 8192, 0, true)
 	for epoch := uint64(1); epoch < 5; epoch++ {
-		b.RecordMap(0x1000, "malloc", 8192, epoch, false)   // residency skip
-		b.RecordUnmap(0x1000, "malloc", 8192, epoch, false) // epoch skip
+		fold(b, EvMap, 0x1000, "malloc", 8192, epoch, false)   // residency skip
+		fold(b, EvUnmap, 0x1000, "malloc", 8192, epoch, false) // epoch skip
 	}
-	b.RecordUnmap(0x1000, "malloc", 8192, 5, true)
-	b.RecordRelease(0x1000, "malloc", 8192)
+	fold(b, EvUnmap, 0x1000, "malloc", 8192, 5, true)
+	fold(b, EvRelease, 0x1000, "malloc", 8192, 0, false)
 	l := b.Ledger()
 	u := l.Units[0]
 	if u.Pattern != PatternAcyclic {
@@ -119,7 +123,7 @@ func TestLedgerAcyclicClassification(t *testing.T) {
 // classifies as none.
 func TestLedgerNonePattern(t *testing.T) {
 	b := NewLedgerBuilder()
-	b.RecordMap(0x2000, "ro", 64, 0, false)
+	fold(b, EvMap, 0x2000, "ro", 64, 0, false)
 	l := b.Ledger()
 	if got := l.Units[0].Pattern; got != PatternNone {
 		t.Errorf("pattern = %s, want none", got)
@@ -128,8 +132,8 @@ func TestLedgerNonePattern(t *testing.T) {
 
 func TestLedgerRenderAndUnit(t *testing.T) {
 	b := NewLedgerBuilder()
-	b.RecordMap(0x3000, "a", 128, 0, true)
-	b.RecordUpload(0x4000, "b", 256, 1)
+	fold(b, EvMap, 0x3000, "a", 128, 0, true)
+	fold(b, EvUpload, 0x4000, "b", 256, 1, true)
 	l := b.Ledger()
 	if l.Unit("b") == nil || l.Unit("b").BytesHtoD != 256 {
 		t.Errorf("Unit lookup failed: %+v", l.Unit("b"))
@@ -147,10 +151,10 @@ func TestLedgerRenderAndUnit(t *testing.T) {
 
 func TestPassThroughSumsAndSorting(t *testing.T) {
 	b := NewLedgerBuilder()
-	b.RecordMap(0x9000, "z", 8, 0, true)
-	b.RecordMap(0x1000, "a", 8, 0, true)
-	b.RecordUnmap(0x9000, "z", 8, 1, true)
-	b.RecordMap(0x9000, "z", 8, 2, true) // round trip
+	fold(b, EvMap, 0x9000, "z", 8, 0, true)
+	fold(b, EvMap, 0x1000, "a", 8, 0, true)
+	fold(b, EvUnmap, 0x9000, "z", 8, 1, true)
+	fold(b, EvMap, 0x9000, "z", 8, 2, true) // round trip
 	l := b.Ledger()
 	if l.Units[0].Name != "a" || l.Units[1].Name != "z" {
 		t.Errorf("units not in address order: %+v", l.Units)
