@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race bench interpbench interpbenchsmoke benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak hostbench ci
+.PHONY: all build vet fmtcheck test race bench interpbench interpbenchsmoke compilebench compilebenchsmoke benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak hostbench ci
 
 all: build
 
@@ -44,6 +44,19 @@ interpbench:
 interpbenchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/interp/
 
+# The compiler's per-layer benchmarks: core.Compile of generated
+# programs of 8 to 128 loop groups (internal/core/bench_test.go; ns/op
+# that more than doubles from one size to the next is a pass that is not
+# linear) and the two whole-module analysis builders over the suite and a
+# 32-group module (internal/analysis/bench_test.go). Advisory, and
+# exported API only, like interpbench.
+compilebench:
+	$(GO) test -run=NONE -bench=. -benchtime=2s -count=5 ./internal/core/ ./internal/analysis/
+
+# One iteration of each of those benchmarks, so they cannot rot.
+compilebenchsmoke:
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/core/ ./internal/analysis/
+
 # Run the full suite and fail on any >25% simulated-wall regression
 # against the committed baseline. The simulation is deterministic, so a
 # no-op change diffs at exactly +0.00%.
@@ -65,12 +78,15 @@ overlap:
 baseline-async:
 	$(GO) run ./cmd/cgcmbench -q -async -baseline BENCH_1.json
 
-# Short native-fuzz pass over the mini-C front end and the full compile
-# pipeline: seeds always run; a few seconds of mutation catches easy
+# Short native-fuzz pass over the mini-C front end, the full compile
+# pipeline and the parallelizer's differential oracle (the one-verdict
+# driver against the restart driver it replaced, on FuzzCompile's seed
+# corpus): seeds always run; a few seconds of mutation catches easy
 # panics without slowing the gate much.
 fuzzsmoke:
 	$(GO) test -run=NONE -fuzz=FuzzParse -fuzztime 10s ./internal/minic/parser/
 	$(GO) test -run=NONE -fuzz=FuzzCompile -fuzztime 10s ./internal/core/
+	$(GO) test -run=NONE -fuzz=FuzzRunMatchesRestartDriver -fuzztime 10s ./internal/doall/
 	$(GO) test -run=NONE -fuzz=FuzzServerRequest -fuzztime 10s ./internal/server/
 
 # Fault-model invariant across the whole suite: transient faults plus a
@@ -121,4 +137,4 @@ hostbench:
 		echo "hostbench: no .bench_build/base.json to compare against (copy a parent-commit .bench_build/all.json there for verdicts)"; \
 	fi
 
-ci: build fmtcheck vet race interpbenchsmoke benchsmoke overlap fuzzsmoke resilience critpath runlog servegate
+ci: build fmtcheck vet race interpbenchsmoke compilebenchsmoke benchsmoke overlap fuzzsmoke resilience critpath runlog servegate

@@ -4,10 +4,18 @@ import (
 	"testing"
 
 	"cgcm/internal/analysis"
+	"cgcm/internal/bench"
+	"cgcm/internal/doall"
 	"cgcm/internal/ir"
 	"cgcm/internal/irbuild"
 	"cgcm/internal/minic/parser"
 	"cgcm/internal/minic/sema"
+	"cgcm/internal/passes/allocapromo"
+	"cgcm/internal/passes/commmgmt"
+	"cgcm/internal/passes/constfold"
+	"cgcm/internal/passes/gluekernel"
+	"cgcm/internal/passes/mappromo"
+	"cgcm/internal/passes/overlap"
 )
 
 // compile lowers a mini-C source to IR for analysis testing.
@@ -372,4 +380,347 @@ int main() {
 	if _, ok := fwd[twiceSlot]; ok {
 		t.Error("multi-store slot forwarded")
 	}
+}
+
+// ---- Oracles for the sparse builders ---------------------------------
+//
+// sweepPointsTo and sweepModRef are the solvers BuildPointsTo and
+// BuildModRef replaced: re-evaluate every instruction of the module
+// until nothing changes. Same constraints, least fixed point by brute
+// force; the worklist builders must give the same answers to every
+// query.
+
+// site identifies an abstract object across two analyses: the alloca or
+// allocating intrinsic (*ir.Instr), or the global (*ir.Global).
+type site any
+
+type siteSet map[site]bool
+
+func (s siteSet) addAll(t siteSet) bool {
+	changed := false
+	for x := range t {
+		if !s[x] {
+			s[x] = true
+			changed = true
+		}
+	}
+	return changed
+}
+
+type sweepPT struct {
+	pts      map[ir.Value]siteSet
+	contents map[site]siteSet
+}
+
+func (pt *sweepPT) set(v ir.Value) siteSet {
+	s := pt.pts[v]
+	if s == nil {
+		s = make(siteSet)
+		pt.pts[v] = s
+	}
+	if g, ok := v.(*ir.GlobalRef); ok {
+		s[g.Global] = true
+	}
+	return s
+}
+
+func (pt *sweepPT) held(o site) siteSet {
+	s := pt.contents[o]
+	if s == nil {
+		s = make(siteSet)
+		pt.contents[o] = s
+	}
+	return s
+}
+
+func sweepPointsTo(m *ir.Module) *sweepPT {
+	pt := &sweepPT{pts: make(map[ir.Value]siteSet), contents: make(map[site]siteSet)}
+	transfer := func(in *ir.Instr) bool {
+		changed := false
+		switch in.Op {
+		case ir.OpAlloca:
+			changed = pt.set(in).addAll(siteSet{in: true})
+		case ir.OpIntrinsic:
+			switch in.Name {
+			case "malloc", "calloc", "realloc", "cuda_malloc":
+				changed = pt.set(in).addAll(siteSet{in: true})
+			}
+		case ir.OpAdd, ir.OpSub:
+			for _, a := range in.Args {
+				changed = pt.set(in).addAll(pt.set(a)) || changed
+			}
+		case ir.OpLoad:
+			if in.Size == 8 {
+				for o := range pt.set(in.Args[0]) {
+					changed = pt.set(in).addAll(pt.held(o)) || changed
+				}
+			}
+		case ir.OpStore:
+			if in.Size == 8 {
+				for o := range pt.set(in.Args[0]) {
+					changed = pt.held(o).addAll(pt.set(in.Args[1])) || changed
+				}
+			}
+		case ir.OpCall, ir.OpLaunch:
+			args := in.Args
+			if in.Op == ir.OpLaunch {
+				args = args[2:]
+			}
+			for i, p := range in.Callee.Params {
+				if i < len(args) {
+					changed = pt.set(p).addAll(pt.set(args[i])) || changed
+				}
+			}
+			if in.Op == ir.OpCall && in.Callee.HasResult {
+				for _, b := range in.Callee.Blocks {
+					if t := b.Terminator(); t != nil && t.Op == ir.OpRet && len(t.Args) > 0 {
+						changed = pt.set(in).addAll(pt.set(t.Args[0])) || changed
+					}
+				}
+			}
+		}
+		return changed
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, f := range m.Funcs {
+			f.Instrs(func(in *ir.Instr) { changed = transfer(in) || changed })
+		}
+	}
+	return pt
+}
+
+// sites translates a set of the analysis under test.
+func sites(s analysis.ObjSet) siteSet {
+	out := make(siteSet)
+	for o := range s {
+		switch {
+		case o.Global != nil:
+			out[o.Global] = true
+		case o.Heap != nil:
+			out[o.Heap] = true
+		default:
+			out[o.Alloca] = true
+		}
+	}
+	return out
+}
+
+func sameSites(a, b siteSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for x := range a {
+		if !b[x] {
+			return false
+		}
+	}
+	return true
+}
+
+// sweepModRef is the per-instruction effect function and the sweep
+// BuildModRef replaced, over the points-to analysis under test.
+func sweepModRef(m *ir.Module, pt *analysis.PointsTo) (mod, ref map[*ir.Func]analysis.ObjSet) {
+	mod, ref = make(map[*ir.Func]analysis.ObjSet), make(map[*ir.Func]analysis.ObjSet)
+	for _, f := range m.Funcs {
+		mod[f], ref[f] = make(analysis.ObjSet), make(analysis.ObjSet)
+	}
+	grow := func(dst, src analysis.ObjSet) bool {
+		changed := false
+		for o := range src {
+			if !dst[o] {
+				dst[o] = true
+				changed = true
+			}
+		}
+		return changed
+	}
+	effect := func(in *ir.Instr) (imod, iref analysis.ObjSet) {
+		imod, iref = make(analysis.ObjSet), make(analysis.ObjSet)
+		switch in.Op {
+		case ir.OpLoad:
+			grow(iref, pt.PTS(in.Args[0]))
+		case ir.OpStore:
+			grow(imod, pt.PTS(in.Args[0]))
+		case ir.OpCall:
+			if !in.Callee.Kernel {
+				grow(imod, mod[in.Callee])
+				grow(iref, ref[in.Callee])
+			}
+		case ir.OpIntrinsic:
+			switch in.Name {
+			case "free":
+				grow(imod, pt.PTS(in.Args[0]))
+			case "realloc":
+				grow(iref, pt.PTS(in.Args[0]))
+				grow(imod, pt.PTS(in.Args[0]))
+			case "strlen", "print_str":
+				grow(iref, pt.PTS(in.Args[0]))
+			}
+		}
+		return
+	}
+	for changed := true; changed; {
+		changed = false
+		for _, f := range m.Funcs {
+			f.Instrs(func(in *ir.Instr) {
+				imod, iref := effect(in)
+				changed = grow(mod[f], imod) || changed
+				changed = grow(ref[f], iref) || changed
+			})
+		}
+	}
+	return mod, ref
+}
+
+func sameObjs(a, b analysis.ObjSet) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for o := range a {
+		if !b[o] {
+			return false
+		}
+	}
+	return true
+}
+
+// checkBuilders compares the builders with the sweeps on m: the set of
+// every value, the contents of every object, the summaries of every
+// function, and the device flag of every site.
+func checkBuilders(t *testing.T, when string, m *ir.Module) {
+	t.Helper()
+	pt := analysis.BuildPointsTo(m)
+	want := sweepPointsTo(m)
+	check := func(v ir.Value, what string) {
+		if got := sites(pt.PTS(v)); !sameSites(got, want.pts[v]) && !(len(got) == 0 && len(want.pts[v]) == 0) {
+			t.Errorf("%s: PTS of %s has %d objects, the sweep %d", when, what, len(got), len(want.pts[v]))
+		}
+	}
+	for _, f := range m.Funcs {
+		for _, p := range f.Params {
+			check(p, f.Name+"/"+p.Name)
+		}
+		f.Instrs(func(in *ir.Instr) {
+			if in.Op.HasResult() {
+				check(in, f.Name+"/"+in.String())
+			}
+			for _, a := range in.Args {
+				if g, ok := a.(*ir.GlobalRef); ok {
+					if got := sites(pt.PTS(g)); !sameSites(got, siteSet{g.Global: true}) {
+						t.Errorf("%s: PTS of @%s is not the global itself", when, g.Global.Name)
+					}
+				}
+			}
+			o := pt.ObjectOf(in)
+			isSite := in.Op == ir.OpAlloca || in.Op == ir.OpIntrinsic &&
+				(in.Name == "malloc" || in.Name == "calloc" || in.Name == "realloc" || in.Name == "cuda_malloc")
+			if (o != nil) != isSite {
+				t.Errorf("%s: ObjectOf(%s) = %v", when, in, o)
+			} else if o != nil && o.Device != (in.Name == "cuda_malloc") {
+				t.Errorf("%s: Device flag of %s is %v", when, in, o.Device)
+			}
+		})
+	}
+	objs := make(analysis.ObjSet)
+	for v := range want.pts {
+		for o := range pt.PTS(v) {
+			objs[o] = true
+		}
+	}
+	for o := range objs {
+		one := analysis.ObjSet{o: true}
+		var key site
+		for key = range sites(one) {
+		}
+		if got := sites(pt.Contents(one)); !sameSites(got, want.contents[key]) && !(len(got) == 0 && len(want.contents[key]) == 0) {
+			t.Errorf("%s: contents of %s has %d objects, the sweep %d", when, o.Label(), len(got), len(want.contents[key]))
+		}
+	}
+
+	mr := analysis.BuildModRef(m, pt, analysis.BuildCallGraph(m))
+	mod, ref := sweepModRef(m, pt)
+	for _, f := range m.Funcs {
+		if !sameObjs(mr.FuncMod(f), mod[f]) {
+			t.Errorf("%s: FuncMod(%s) = {%s}, the sweep {%s}", when, f.Name, mr.FuncMod(f).Labels(), mod[f].Labels())
+		}
+		if !sameObjs(mr.FuncRef(f), ref[f]) {
+			t.Errorf("%s: FuncRef(%s) = {%s}, the sweep {%s}", when, f.Name, mr.FuncRef(f).Labels(), ref[f].Labels())
+		}
+	}
+}
+
+// callChain makes summaries travel: effects three calls deep, a cycle,
+// a pointer returned through two functions, and a global.
+const callChain = `
+float total[4];
+float *pick(float *p, float *q, int k) { if (k > 0) return p; return q; }
+float *relay(float *p, float *q, int k) { return pick(q, p, k); }
+void leaf(float *p) { p[0] = p[1] + 1.0; }
+void mid(float *p) { leaf(p); total[0] = p[0]; }
+void top(float *p) { mid(p); }
+void ping(float *p, int n);
+void pong(float *p, int n) { if (n > 0) ping(p, n - 1); }
+void ping(float *p, int n) { p[2] = 1.0; pong(p, n); }
+int main() {
+	float *a = (float*)malloc(64);
+	float *b = (float*)malloc(64);
+	float **cell = (float**)malloc(8);
+	cell[0] = relay(a, b, 1);
+	float *c = cell[0];
+	top(c);
+	ping(b, 3);
+	for (int i = 0; i < 8; i++) a[i] = b[i] * 2.0;
+	print_float(a[0] + total[0]);
+	free(a); free(b);
+	return 0;
+}`
+
+func TestSparseBuildersMatchSweeps(t *testing.T) {
+	progs := bench.All()
+	progs = append(progs, bench.Program{Name: "groups3", Source: loopGroups(3)}, bench.Program{Name: "callchain", Source: callChain})
+	for _, p := range progs {
+		m := compile(t, p.Source)
+		checkBuilders(t, p.Name+" after irbuild", m)
+		stage := func(name string, err error) {
+			if err != nil {
+				t.Fatalf("%s: %s: %v", p.Name, name, err)
+			}
+			checkBuilders(t, p.Name+" after "+name, m)
+		}
+		_, err := constfold.Run(m)
+		stage("constfold", err)
+		_, err = doall.Run(m, nil)
+		stage("doall", err)
+		_, err = commmgmt.Run(m, nil)
+		stage("commmgmt", err)
+		_, err = gluekernel.Run(m, nil)
+		stage("gluekernel", err)
+		_, err = allocapromo.Run(m, nil)
+		stage("allocapromo", err)
+		_, err = mappromo.Run(m, nil)
+		stage("mappromo", err)
+		_, err = overlap.Run(m, nil)
+		stage("overlap", err)
+	}
+}
+
+func TestPointsToOnStaleRegisterNumbers(t *testing.T) {
+	// A pass may build the analysis between inserting instructions and
+	// renumbering; the answers must not depend on the numbers.
+	m := compile(t, `
+int main() {
+	float *a = (float*)malloc(64);
+	float **pp = (float**)malloc(8);
+	pp[0] = a;
+	float *b = pp[0];
+	b[1] = 2.0;
+	return 0;
+}`)
+	main := m.Func("main")
+	entry := main.Entry()
+	extra := &ir.Instr{Op: ir.OpAlloca, Size: 8}
+	entry.InsertBefore(extra, entry.Instrs[0])
+	entry.InsertAfter(&ir.Instr{Op: ir.OpStore, Size: 8, Args: []ir.Value{extra, ir.IntConst(0)}}, extra)
+	checkBuilders(t, "stale numbers", m)
 }

@@ -17,87 +17,135 @@ import (
 // Dominators computes the immediate dominator of every reachable block
 // using the Cooper-Harvey-Kennedy iterative algorithm.
 type Dominators struct {
-	fn   *ir.Func
-	idom map[*ir.Block]*ir.Block
-	// rpo numbers blocks in reverse postorder.
+	// rpo numbers the reachable blocks in reverse postorder (the entry
+	// is 0).
 	rpo map[*ir.Block]int
+	// span is, by that number, each block's [first, last] interval in a
+	// preorder numbering of the dominator tree: a dominates b exactly
+	// when a's interval holds b's first.
+	span [][2]int
 }
 
 // NewDominators computes the dominator tree of fn.
 func NewDominators(fn *ir.Func) *Dominators {
-	d := &Dominators{
-		fn:   fn,
-		idom: make(map[*ir.Block]*ir.Block),
-		rpo:  make(map[*ir.Block]int),
-	}
 	order := postorder(fn)
-	// Reverse postorder numbering.
-	for i := len(order) - 1; i >= 0; i-- {
-		d.rpo[order[i]] = len(order) - 1 - i
+	n := len(order)
+	d := &Dominators{rpo: make(map[*ir.Block]int, n), span: make([][2]int, n)}
+	for i, b := range order {
+		d.rpo[b] = n - 1 - i
 	}
-	preds := fn.Preds()
-	entry := fn.Entry()
-	d.idom[entry] = entry
-	changed := true
-	for changed {
+	// Predecessors by number, grouped by a counting sort over the edges.
+	predOff := make([]int, n+1)
+	edges := 0
+	for _, b := range order {
+		for _, s := range b.Succs() {
+			predOff[d.rpo[s]+1]++
+			edges++
+		}
+	}
+	for i := 0; i < n; i++ {
+		predOff[i+1] += predOff[i]
+	}
+	preds := make([]int, edges)
+	fill := append([]int(nil), predOff[:n]...)
+	for i := n - 1; i >= 0; i-- {
+		from := n - 1 - i
+		for _, s := range order[i].Succs() {
+			to := d.rpo[s]
+			preds[fill[to]] = from
+			fill[to]++
+		}
+	}
+
+	// idom is each block's immediate dominator, by number; the entry is
+	// its own.
+	const unset = -1
+	idom := make([]int, n)
+	for i := 1; i < n; i++ {
+		idom[i] = unset
+	}
+	for changed := true; changed; {
 		changed = false
-		for i := len(order) - 1; i >= 0; i-- {
-			b := order[i]
-			if b == entry {
-				continue
-			}
-			var newIdom *ir.Block
-			for _, p := range preds[b] {
-				if d.idom[p] == nil {
-					continue
-				}
-				if newIdom == nil {
-					newIdom = p
-				} else {
-					newIdom = d.intersect(p, newIdom)
+		for b := 1; b < n; b++ {
+			dom := unset
+			for _, p := range preds[predOff[b]:predOff[b+1]] {
+				switch {
+				case idom[p] == unset:
+				case dom == unset:
+					dom = p
+				default:
+					dom = intersect(idom, p, dom)
 				}
 			}
-			if newIdom != nil && d.idom[b] != newIdom {
-				d.idom[b] = newIdom
+			if dom != unset && idom[b] != dom {
+				idom[b] = dom
 				changed = true
 			}
 		}
 	}
+
+	// A block's dominator has a smaller number, so one backward pass
+	// sizes every subtree of the dominator tree and one forward pass
+	// hands each block the next free interval inside its dominator's.
+	size := fill // done with fill
+	for i := range size {
+		size[i] = 1
+	}
+	for b := n - 1; b > 0; b-- {
+		size[idom[b]] += size[b]
+	}
+	next := make([]int, n)
+	next[0] = 1
+	d.span[0] = [2]int{0, n - 1}
+	for b := 1; b < n; b++ {
+		first := next[idom[b]]
+		next[idom[b]] += size[b]
+		next[b] = first + 1
+		d.span[b] = [2]int{first, first + size[b] - 1}
+	}
 	return d
 }
 
-func (d *Dominators) intersect(a, b *ir.Block) *ir.Block {
+// intersect returns the nearest common ancestor of a and b in the
+// dominator tree so far (a dominator's number is smaller).
+func intersect(idom []int, a, b int) int {
 	for a != b {
-		for d.rpo[a] > d.rpo[b] {
-			a = d.idom[a]
+		for a > b {
+			a = idom[a]
 		}
-		for d.rpo[b] > d.rpo[a] {
-			b = d.idom[b]
+		for b > a {
+			b = idom[b]
 		}
 	}
 	return a
 }
 
-// Dominates reports whether a dominates b.
+// Dominates reports whether a dominates b. A block the tree does not
+// know (unreachable, or created after the tree was computed) dominates
+// and is dominated by itself only.
 func (d *Dominators) Dominates(a, b *ir.Block) bool {
-	for {
-		if a == b {
-			return true
-		}
-		next := d.idom[b]
-		if next == nil || next == b {
-			return false
-		}
-		b = next
+	if a == b {
+		return true
 	}
+	na, ok := d.rpo[a]
+	nb, ok2 := d.rpo[b]
+	return ok && ok2 && d.span[na][0] <= d.span[nb][0] && d.span[nb][0] <= d.span[na][1]
 }
 
 // Reachable reports whether b is reachable from entry.
-func (d *Dominators) Reachable(b *ir.Block) bool { return d.idom[b] != nil }
+func (d *Dominators) Reachable(b *ir.Block) bool {
+	_, ok := d.rpo[b]
+	return ok
+}
+
+// RPO returns b's reverse-postorder number (0 for a block the tree does
+// not know). Collapsing a single-entry, single-exit region of the CFG
+// keeps the relative numbers of the blocks that survive.
+func (d *Dominators) RPO(b *ir.Block) int { return d.rpo[b] }
 
 func postorder(fn *ir.Func) []*ir.Block {
 	var order []*ir.Block
-	seen := make(map[*ir.Block]bool)
+	seen := make(map[*ir.Block]bool, len(fn.Blocks))
 	var visit func(*ir.Block)
 	visit = func(b *ir.Block) {
 		if seen[b] {
@@ -123,6 +171,22 @@ type Loop struct {
 	// Children are the immediately nested loops.
 	Children []*Loop
 	Depth    int
+
+	// order lists Blocks in function order, so walking the loop costs
+	// the loop and not the function. Blocks spliced in later
+	// (preheaders, exit blocks) are appended to the function and to
+	// order alike.
+	order []*ir.Block
+}
+
+// BlockList returns the loop's blocks in function order. The slice is
+// the loop's own; callers must not modify it.
+func (l *Loop) BlockList() []*ir.Block { return l.order }
+
+// adopt adds a block newly appended to the function to the loop.
+func (l *Loop) adopt(b *ir.Block) {
+	l.Blocks[b] = true
+	l.order = append(l.order, b)
 }
 
 // Contains reports whether b is inside the loop.
@@ -134,7 +198,7 @@ func (l *Loop) ContainsInstr(in *ir.Instr) bool { return in.Block != nil && l.Bl
 // Exits returns the loop's exit edges: (inside block, outside successor).
 func (l *Loop) Exits() [][2]*ir.Block {
 	var exits [][2]*ir.Block
-	for b := range l.Blocks {
+	for _, b := range l.order {
 		for _, s := range b.Succs() {
 			if !l.Blocks[s] {
 				exits = append(exits, [2]*ir.Block{b, s})
@@ -146,10 +210,7 @@ func (l *Loop) Exits() [][2]*ir.Block {
 
 // Instrs calls fn for every instruction in the loop, in block order.
 func (l *Loop) Instrs(fn func(*ir.Instr)) {
-	for _, b := range l.Fn.Blocks {
-		if !l.Blocks[b] {
-			continue
-		}
+	for _, b := range l.order {
 		for _, in := range b.Instrs {
 			fn(in)
 		}
@@ -205,7 +266,7 @@ func FindLoops(fn *ir.Func, dom *Dominators) *LoopForest {
 		}
 	}
 	// Nest loops: loop A is a child of the smallest loop B (≠A) whose
-	// block set strictly contains A's header.
+	// block set contains A's header.
 	var loops []*Loop
 	for _, l := range forest.ByHeader {
 		loops = append(loops, l)
@@ -222,29 +283,32 @@ func FindLoops(fn *ir.Func, dom *Dominators) *LoopForest {
 		}
 		return dom.rpo[loops[i].Header] < dom.rpo[loops[j].Header]
 	})
+	// Outer loops come first, so when a loop's turn comes the innermost
+	// loop seen so far around its header is its parent (natural loops of
+	// a reducible CFG nest or are disjoint), and one pass over each
+	// loop's blocks replaces comparing every pair of loops.
+	innermost := make(map[*ir.Block]*Loop, len(fn.Blocks))
 	for _, l := range loops {
-		var best *Loop
-		for _, m := range loops {
-			if m == l || !m.Blocks[l.Header] {
-				continue
-			}
-			if best == nil || len(m.Blocks) < len(best.Blocks) {
-				best = m
-			}
-		}
-		l.Parent = best
-		if best != nil {
-			best.Children = append(best.Children, l)
+		l.Parent = innermost[l.Header]
+		if l.Parent != nil {
+			l.Parent.Children = append(l.Parent.Children, l)
 		} else {
 			forest.Top = append(forest.Top, l)
 		}
+		for b := range l.Blocks {
+			innermost[b] = l
+		}
+	}
+	for _, b := range fn.Blocks {
+		for l := innermost[b]; l != nil; l = l.Parent {
+			l.order = append(l.order, b)
+		}
 	}
 	for _, l := range loops {
-		d := 1
-		for p := l.Parent; p != nil; p = p.Parent {
-			d++
+		l.Depth = 1
+		if l.Parent != nil {
+			l.Depth = l.Parent.Depth + 1
 		}
-		l.Depth = d
 	}
 	forest.All = loops
 	return forest
@@ -255,9 +319,15 @@ func FindLoops(fn *ir.Func, dom *Dominators) *LoopForest {
 // which every entry edge flows. It returns that block, creating and
 // splicing one in if needed. The function must be Renumbered afterwards.
 func EnsurePreheader(fn *ir.Func, loop *Loop) *ir.Block {
-	preds := fn.Preds()
+	return EnsurePreheaderFrom(fn, loop, fn.Preds()[loop.Header])
+}
+
+// EnsurePreheaderFrom is EnsurePreheader for a caller that already
+// knows the header's predecessors and does not want the function
+// scanned for them.
+func EnsurePreheaderFrom(fn *ir.Func, loop *Loop, headerPreds []*ir.Block) *ir.Block {
 	var outside []*ir.Block
-	for _, p := range preds[loop.Header] {
+	for _, p := range headerPreds {
 		if !loop.Blocks[p] {
 			outside = append(outside, p)
 		}
@@ -281,7 +351,7 @@ func EnsurePreheader(fn *ir.Func, loop *Loop) *ir.Block {
 	// The new preheader is outside the loop; enclosing loops that contain
 	// the header's outside predecessors must adopt it.
 	for anc := loop.Parent; anc != nil; anc = anc.Parent {
-		anc.Blocks[pre] = true
+		anc.adopt(pre)
 	}
 	return pre
 }
@@ -291,10 +361,7 @@ func EnsurePreheader(fn *ir.Func, loop *Loop) *ir.Block {
 // returns the dedicated exit blocks (one per original exit edge).
 func SplitExitEdges(fn *ir.Func, loop *Loop) []*ir.Block {
 	var exits []*ir.Block
-	for _, b := range fn.Blocks {
-		if !loop.Blocks[b] {
-			continue
-		}
+	for _, b := range loop.order {
 		t := b.Terminator()
 		if t == nil {
 			continue
@@ -307,7 +374,7 @@ func SplitExitEdges(fn *ir.Func, loop *Loop) []*ir.Block {
 			ex.Append(&ir.Instr{Op: ir.OpBr, Targets: []*ir.Block{s}})
 			t.Targets[i] = ex
 			for anc := loop.Parent; anc != nil; anc = anc.Parent {
-				anc.Blocks[ex] = true
+				anc.adopt(ex)
 			}
 			exits = append(exits, ex)
 		}

@@ -2,6 +2,90 @@ package analysis
 
 import "cgcm/internal/ir"
 
+// SlotUse records how one stack slot (an alloca) is used in its function.
+type SlotUse struct {
+	// Direct lists the loads from and stores to the slot itself, in
+	// function order (so within one block, in execution order). An
+	// entry whose Block is nil has left the function and does not count.
+	Direct []*ir.Instr
+	// Escaped is set once the slot's address is used any other way
+	// (arithmetic, stored as a value, passed on), after which something
+	// else may alias it.
+	Escaped bool
+}
+
+// SlotIndex maps every stack slot a function uses to its uses. It is
+// built by one scan, and a pass that rewrites the function can keep it
+// in step with Add instead of scanning again.
+type SlotIndex map[*ir.Instr]*SlotUse
+
+// IndexSlots indexes the stack-slot uses of f.
+func IndexSlots(f *ir.Func) SlotIndex {
+	idx := make(SlotIndex)
+	f.Instrs(idx.Add)
+	return idx
+}
+
+// Add records the slot uses of in. An instruction added after the index
+// was built must be the last one so far to use its slots in its block
+// (true of code appended in front of a block's terminator), which keeps
+// Direct in execution order.
+func (idx SlotIndex) Add(in *ir.Instr) {
+	for i, a := range in.Args {
+		slot, ok := a.(*ir.Instr)
+		if !ok || slot.Op != ir.OpAlloca {
+			continue
+		}
+		u := idx[slot]
+		if u == nil {
+			u = &SlotUse{}
+			idx[slot] = u
+		}
+		if i == 0 && (in.Op == ir.OpLoad || in.Op == ir.OpStore) {
+			u.Direct = append(u.Direct, in)
+		} else {
+			u.Escaped = true
+		}
+	}
+}
+
+// Forwarded returns the value every load of the slot reads, when that
+// is decidable the cheap way: the slot never escapes and is written by
+// exactly one store, which dominates all its loads. Otherwise nil.
+func (u *SlotUse) Forwarded(dom *Dominators) ir.Value {
+	if u.Escaped {
+		return nil
+	}
+	var st *ir.Instr
+	at := 0
+	for i, in := range u.Direct {
+		if in.Block == nil || in.Op != ir.OpStore {
+			continue
+		}
+		if st != nil {
+			return nil
+		}
+		st, at = in, i
+	}
+	if st == nil {
+		return nil
+	}
+	for i, ld := range u.Direct {
+		if ld.Block == nil || ld.Op != ir.OpLoad {
+			continue
+		}
+		if ld.Block == st.Block {
+			// Same block: the store must come first.
+			if i < at {
+				return nil
+			}
+		} else if !dom.Dominates(st.Block, ld.Block) {
+			return nil
+		}
+	}
+	return st.Args[1]
+}
+
 // SpillForwarding computes, for every stack slot in f that is only ever
 // used as a direct load/store address and written by exactly one store
 // that dominates all its loads, the value that store wrote. Loads of such
@@ -10,70 +94,10 @@ import "cgcm/internal/ir"
 // lightweight stand-in for mem2reg when chasing pointer values.
 func SpillForwarding(f *ir.Func) map[*ir.Instr]ir.Value {
 	dom := NewDominators(f)
-	type slotUse struct {
-		stores []*ir.Instr
-		loads  []*ir.Instr
-		direct bool
-	}
-	uses := make(map[*ir.Instr]*slotUse)
-	f.Instrs(func(in *ir.Instr) {
-		if in.Op == ir.OpAlloca {
-			uses[in] = &slotUse{direct: true}
-		}
-	})
-	f.Instrs(func(in *ir.Instr) {
-		for i, a := range in.Args {
-			slot, ok := a.(*ir.Instr)
-			if !ok {
-				continue
-			}
-			u, tracked := uses[slot]
-			if !tracked {
-				continue
-			}
-			switch {
-			case in.Op == ir.OpLoad && i == 0:
-				u.loads = append(u.loads, in)
-			case in.Op == ir.OpStore && i == 0:
-				u.stores = append(u.stores, in)
-			default:
-				u.direct = false
-			}
-		}
-	})
 	fwd := make(map[*ir.Instr]ir.Value)
-	for slot, u := range uses {
-		if !u.direct || len(u.stores) != 1 {
-			continue
-		}
-		st := u.stores[0]
-		ok := true
-		for _, ld := range u.loads {
-			if ld.Block == st.Block {
-				// Same block: the store must come first.
-				before := false
-				for _, in := range ld.Block.Instrs {
-					if in == st {
-						before = true
-						break
-					}
-					if in == ld {
-						break
-					}
-				}
-				if !before {
-					ok = false
-					break
-				}
-				continue
-			}
-			if !dom.Dominates(st.Block, ld.Block) {
-				ok = false
-				break
-			}
-		}
-		if ok {
-			fwd[slot] = st.Args[1]
+	for slot, u := range IndexSlots(f) {
+		if v := u.Forwarded(dom); v != nil {
+			fwd[slot] = v
 		}
 	}
 	return fwd
@@ -84,7 +108,7 @@ func SpillForwarding(f *ir.Func) map[*ir.Instr]ir.Value {
 func (pt *PointsTo) Contents(s ObjSet) ObjSet {
 	out := make(ObjSet)
 	for o := range s {
-		out.addAll(pt.contents[o])
+		pt.contents[o].addTo(out)
 	}
 	return out
 }

@@ -40,30 +40,44 @@ type ModRef struct {
 	ref map[*ir.Func]ObjSet
 }
 
-// BuildModRef computes summaries to a fixed point.
+// BuildModRef computes the summaries: one pass over each function for
+// its own loads, stores and intrinsics, then the callees' sets flow to
+// their callers along the call graph until nothing grows. Union is
+// monotone, so this reaches the same least fixed point as re-evaluating
+// every instruction of the module until nothing changes.
 func BuildModRef(m *ir.Module, pt *PointsTo, cg *CallGraph) *ModRef {
 	mr := &ModRef{
 		PT: pt, CG: cg,
-		mod: make(map[*ir.Func]ObjSet),
-		ref: make(map[*ir.Func]ObjSet),
+		mod: make(map[*ir.Func]ObjSet, len(m.Funcs)),
+		ref: make(map[*ir.Func]ObjSet, len(m.Funcs)),
 	}
+	// work holds the CPU functions whose summary grew since their
+	// callers last took it.
+	var work []*ir.Func
 	for _, f := range m.Funcs {
-		mr.mod[f] = make(ObjSet)
-		mr.ref[f] = make(ObjSet)
+		mod, ref := make(ObjSet), make(ObjSet)
+		mr.mod[f], mr.ref[f] = mod, ref
+		f.Instrs(func(in *ir.Instr) {
+			if in.Op != ir.OpCall {
+				mr.addEffect(in, mod, ref)
+			}
+		})
+		if !f.Kernel {
+			work = append(work, f)
+		}
 	}
-	changed := true
-	for changed {
-		changed = false
-		for _, f := range m.Funcs {
-			f.Instrs(func(in *ir.Instr) {
-				mod, ref := mr.instrEffect(in, nil)
-				if mr.mod[f].addAll(mod) {
-					changed = true
-				}
-				if mr.ref[f].addAll(ref) {
-					changed = true
-				}
-			})
+	for len(work) > 0 {
+		callee := work[len(work)-1]
+		work = work[:len(work)-1]
+		for _, site := range cg.Callers[callee] {
+			if site.Instr.Op != ir.OpCall {
+				continue
+			}
+			grewMod := mr.mod[site.Caller].addAll(mr.mod[callee])
+			grewRef := mr.ref[site.Caller].addAll(mr.ref[callee])
+			if (grewMod || grewRef) && !site.Caller.Kernel {
+				work = append(work, site.Caller)
+			}
 		}
 	}
 	return mr
@@ -75,19 +89,14 @@ func (mr *ModRef) FuncMod(f *ir.Func) ObjSet { return mr.mod[f] }
 // FuncRef returns the summary ref set of f.
 func (mr *ModRef) FuncRef(f *ir.Func) ObjSet { return mr.ref[f] }
 
-// instrEffect returns the (mod, ref) object sets of one instruction.
-// exclude filters out specific instructions (a candidate's own runtime
-// calls). Launches have no host-memory effect.
-func (mr *ModRef) instrEffect(in *ir.Instr, exclude map[*ir.Instr]bool) (mod, ref ObjSet) {
-	mod, ref = make(ObjSet), make(ObjSet)
-	if exclude[in] {
-		return
-	}
+// addEffect adds the objects one instruction may write and read to mod
+// and ref. Launches have no host-memory effect.
+func (mr *ModRef) addEffect(in *ir.Instr, mod, ref ObjSet) {
 	switch in.Op {
 	case ir.OpLoad:
-		ref.addAll(mr.PT.PTS(in.Args[0]))
+		mr.PT.objs(in.Args[0]).addTo(ref)
 	case ir.OpStore:
-		mod.addAll(mr.PT.PTS(in.Args[0]))
+		mr.PT.objs(in.Args[0]).addTo(mod)
 	case ir.OpCall:
 		if !in.Callee.Kernel {
 			mod.addAll(mr.mod[in.Callee])
@@ -100,27 +109,26 @@ func (mr *ModRef) instrEffect(in *ir.Instr, exclude map[*ir.Instr]bool) (mod, re
 		}
 		for _, i := range eff.refArgs {
 			if i < len(in.Args) {
-				ref.addAll(mr.PT.PTS(in.Args[i]))
+				mr.PT.objs(in.Args[i]).addTo(ref)
 			}
 		}
 		for _, i := range eff.modArgs {
 			if i < len(in.Args) {
-				mod.addAll(mr.PT.PTS(in.Args[i]))
+				mr.PT.objs(in.Args[i]).addTo(mod)
 			}
 		}
 		if eff.refContents || eff.modContents {
 			for o := range mr.PT.PTS(in.Args[0]) {
 				inner := mr.PT.contents[o]
 				if eff.refContents {
-					ref.addAll(inner)
+					inner.addTo(ref)
 				}
 				if eff.modContents {
-					mod.addAll(inner)
+					inner.addTo(mod)
 				}
 			}
 		}
 	}
-	return
 }
 
 // Region is a promotion region: either a loop or a whole function body
@@ -154,13 +162,13 @@ type RegionEffect struct {
 }
 
 // RegionEffect computes the region's host-memory effect, excluding the
-// given instructions.
+// given instructions (a candidate's own runtime calls).
 func (mr *ModRef) RegionEffect(r Region, exclude map[*ir.Instr]bool) RegionEffect {
 	eff := RegionEffect{Mod: make(ObjSet), Ref: make(ObjSet)}
 	r.Instrs(func(in *ir.Instr) {
-		mod, ref := mr.instrEffect(in, exclude)
-		eff.Mod.addAll(mod)
-		eff.Ref.addAll(ref)
+		if !exclude[in] {
+			mr.addEffect(in, eff.Mod, eff.Ref)
+		}
 	})
 	return eff
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"testing"
 	"time"
 
@@ -89,5 +90,65 @@ func TestRunContextCancelImmediate(t *testing.T) {
 	}
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not unwrap to context.Canceled", err)
+	}
+}
+
+// pollCountCtx reports cancellation from its failAt-th Err call on, so a
+// test can cancel "during" any one phase of a compile.
+type pollCountCtx struct {
+	context.Context
+	polls, failAt int
+}
+
+func (c *pollCountCtx) Err() error {
+	c.polls++
+	if c.polls >= c.failAt {
+		return context.Canceled
+	}
+	return nil
+}
+
+// TestCompileCanceledBeforeEveryPhase: the context is polled before each
+// phase, not only before parsing, constant folding and the optimization
+// block. Canceled at the k-th poll, the compile stops before the k-th
+// phase of its strategy: the error names that phase and nothing from it
+// on has run.
+func TestCompileCanceledBeforeEveryPhase(t *testing.T) {
+	for _, opts := range []core.Options{
+		{Strategy: core.Sequential},
+		{Strategy: core.InspectorExecutor},
+		{Strategy: core.CGCMUnoptimized, Async: true},
+		{Strategy: core.CGCMOptimized, Async: true},
+	} {
+		full, err := core.Compile("vecscale.c", vecScale, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var phases []string
+		for _, ph := range full.Phases() {
+			phases = append(phases, ph.Name)
+		}
+		for k := 1; k <= len(phases)+1; k++ {
+			var dumps strings.Builder
+			o := opts
+			o.DumpWriter = &dumps
+			ctx := &pollCountCtx{Context: context.Background(), failAt: k}
+			prog, err := core.CompileContext(ctx, "vecscale.c", vecScale, o)
+			if k > len(phases) {
+				if err != nil || prog == nil {
+					t.Errorf("%s: canceled after the last poll: %v", opts.Strategy, err)
+				}
+				continue
+			}
+			want := "canceled before " + phases[k-1]
+			if err == nil || !errors.Is(err, context.Canceled) || !strings.Contains(err.Error(), want+": ") {
+				t.Errorf("%s, canceled at poll %d: error %v, want %q wrapping context.Canceled", opts.Strategy, k, err, want)
+			}
+			for _, later := range phases[k-1:] {
+				if strings.Contains(dumps.String(), "=== after "+later+" ===") {
+					t.Errorf("%s, canceled before %s: phase %s ran anyway", opts.Strategy, phases[k-1], later)
+				}
+			}
+		}
 	}
 }

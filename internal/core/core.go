@@ -306,16 +306,22 @@ func Compile(name, src string, opts Options) (*Program, error) {
 }
 
 // CompileContext is Compile with cancellation: the context is checked
-// between compilation phases, so a canceled caller (request deadline,
-// client disconnect) stops paying for the remaining passes. The
-// returned error wraps the context's error, so errors.Is sees it.
+// before every compilation phase, so a canceled caller (request
+// deadline, client disconnect) pays for at most the phase it was in.
+// The returned error wraps the context's error, so errors.Is sees it.
 func CompileContext(ctx context.Context, name, src string, opts Options) (prog *Program, err error) {
 	if ctx == nil {
 		ctx = context.Background()
 	}
 	defer recoverInternal("compile", &err)
 	var phases []trace.PhaseSpan
-	begin := func(phase string) func(activity int, note string) {
+	// begin opens a phase, unless the context is done: compilation is all
+	// host work, so cancellation is polled at every phase boundary and
+	// not inside the phases.
+	begin := func(phase string) (func(activity int, note string), error) {
+		if cerr := ctx.Err(); cerr != nil {
+			return nil, fmt.Errorf("compile %s: canceled before %s: %w", name, phase, cerr)
+		}
 		start := time.Now()
 		return func(activity int, note string) {
 			phases = append(phases, trace.PhaseSpan{
@@ -324,36 +330,31 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 				Activity: activity,
 				Note:     note,
 			})
-		}
+		}, nil
 	}
 
-	// Phase-boundary cancellation: compilation is all host work, so the
-	// check lives between phases, not inside them.
-	canceled := func(next string) error {
-		if cerr := ctx.Err(); cerr != nil {
-			return fmt.Errorf("compile %s: canceled before %s: %w", name, next, cerr)
-		}
-		return nil
-	}
-	if err := canceled("parse"); err != nil {
+	end, err := begin("parse")
+	if err != nil {
 		return nil, err
 	}
-
-	end := begin("parse")
 	file, perrs := parser.Parse(name, src)
 	if len(perrs) > 0 {
 		return nil, joinErrors("parse", perrs)
 	}
 	end(len(file.Decls), "")
 
-	end = begin("sema")
+	if end, err = begin("sema"); err != nil {
+		return nil, err
+	}
 	info, serrs := sema.Check(file)
 	if len(serrs) > 0 {
 		return nil, joinErrors("check", serrs)
 	}
 	end(0, "")
 
-	end = begin("irbuild")
+	if end, err = begin("irbuild"); err != nil {
+		return nil, err
+	}
 	mod, err := irbuild.Build(info)
 	if err != nil {
 		return nil, err
@@ -397,14 +398,13 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 		return p, nil
 	}
 
-	if err := canceled("constfold"); err != nil {
-		return nil, err
-	}
 	// Constant folding is semantics-preserving and runs under every
 	// strategy, so all four systems execute identical arithmetic; it
 	// also lets the parallelizer compute static trip counts from
 	// literal-expression bounds.
-	end = begin("constfold")
+	if end, err = begin("constfold"); err != nil {
+		return nil, err
+	}
 	cres, err := constfold.Run(mod)
 	if err != nil {
 		return nil, err
@@ -416,7 +416,9 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 		return finish()
 	}
 	if !opts.ablated(PassDOALL) {
-		end = begin("doall")
+		if end, err = begin("doall"); err != nil {
+			return nil, err
+		}
 		dres, err := doall.Run(mod, rc)
 		if err != nil {
 			return nil, err
@@ -431,7 +433,9 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 		// compile-time management is inserted.
 		return finish()
 	}
-	end = begin("commmgmt")
+	if end, err = begin("commmgmt"); err != nil {
+		return nil, err
+	}
 	mres, err := commmgmt.Run(mod, rc)
 	if err != nil {
 		return nil, err
@@ -440,13 +444,12 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 	dump("commmgmt")
 
 	if opts.Strategy == CGCMOptimized {
-		if err := canceled("optimization passes"); err != nil {
-			return nil, err
-		}
 		// §5.4: "the glue kernel optimization runs before alloca
 		// promotion, and map promotion runs last."
 		if !opts.ablated(PassGlueKernel) {
-			end = begin("gluekernel")
+			if end, err = begin("gluekernel"); err != nil {
+				return nil, err
+			}
 			gres, err := gluekernel.Run(mod, rc)
 			if err != nil {
 				return nil, err
@@ -456,7 +459,9 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 			dump("gluekernel")
 		}
 		if !opts.ablated(PassAllocaPromo) {
-			end = begin("allocapromo")
+			if end, err = begin("allocapromo"); err != nil {
+				return nil, err
+			}
 			ares, err := allocapromo.Run(mod, rc)
 			if err != nil {
 				return nil, err
@@ -466,7 +471,9 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 			dump("allocapromo")
 		}
 		if !opts.ablated(PassMapPromo) {
-			end = begin("mappromo")
+			if end, err = begin("mappromo"); err != nil {
+				return nil, err
+			}
 			pres, err := mappromo.Run(mod, rc)
 			if err != nil {
 				return nil, err
@@ -481,7 +488,9 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 	// asynchronous communication; it renames provably safe map/unmap
 	// sites to their stream variants.
 	if opts.Async && !opts.ablated(PassOverlap) {
-		end = begin("overlap")
+		if end, err = begin("overlap"); err != nil {
+			return nil, err
+		}
 		ores, err := overlap.Run(mod, rc)
 		if err != nil {
 			return nil, err

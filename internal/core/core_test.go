@@ -1,10 +1,12 @@
 package core_test
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
 	"cgcm/internal/core"
+	"cgcm/internal/remarks"
 )
 
 // vecScale repeatedly scales a heap vector on the GPU inside a timestep
@@ -219,5 +221,69 @@ func TestStringArrayMapArray(t *testing.T) {
 	want := "15\n9\n15\n"
 	if rep.Output != want {
 		t.Errorf("got %q want %q", rep.Output, want)
+	}
+}
+
+// TestDOALLLoopsFoundCountsLoopsNotRetries: vecScale has four loops —
+// init, the timestep loop (rejected), its DOALL child, and the sum loop
+// (rejected). The restart driver re-judged the rejected ones after every
+// outline and reported 6 "candidate loops inspected".
+func TestDOALLLoopsFoundCountsLoopsNotRetries(t *testing.T) {
+	rep := compileRun(t, "vecscale.c", vecScale, core.Options{Strategy: core.CGCMOptimized})
+	if rep.DOALLLoopsFound != 4 || rep.DOALLLoopsParallelized != 2 {
+		t.Errorf("DOALL inspected %d loops and parallelized %d, want 4 and 2",
+			rep.DOALLLoopsFound, rep.DOALLLoopsParallelized)
+	}
+}
+
+// shrinkingParent pins the order loops become kernels in, which names
+// them — and with them every trace, profile and baseline row. The t loop
+// (line 7) is rejected and its first child outlined (doall1); that
+// shrinks it below the loop at line 15, which therefore goes next
+// (doall2), ahead of the t loop's second child at line 13 (doall3). A
+// single walk of the loop forest as it was at the start swaps the two.
+const shrinkingParent = `
+int main() {
+	float *a = (float*)malloc(16 * 8);
+	float *b = (float*)malloc(16 * 8);
+	float *c = (float*)malloc(16 * 8);
+	for (int i = 0; i < 16; i++) { a[i] = (float)i; c[i] = (float)(16 - i); }
+	for (int t = 0; t < 3; t++) {
+		for (int i = 0; i < 16; i++) {
+			if (a[i] > 4.0) b[i] = a[i] * 2.0; else b[i] = a[i];
+			if (a[i] > 8.0) b[i] = b[i] + 1.0; else b[i] = b[i] - 1.0;
+			if (a[i] > 12.0) b[i] = b[i] * 0.5; else b[i] = b[i] * 1.5;
+		}
+		for (int i = 0; i < 16; i++) a[i] = b[i] * 0.5;
+	}
+	for (int i = 0; i < 16; i++) {
+		if (c[i] > 2.0) c[i] = c[i] - 1.0; else c[i] = c[i] + 1.0;
+		if (c[i] > 4.0) c[i] = c[i] * 0.5; else c[i] = c[i] * 2.0;
+		if (c[i] > 6.0) c[i] = c[i] - 3.0; else c[i] = c[i] + 3.0;
+		if (c[i] > 8.0) c[i] = c[i] * 0.25; else c[i] = c[i] * 4.0;
+	}
+	print_float(a[3] + b[5] + c[7]);
+	free(a); free(b); free(c);
+	return 0;
+}`
+
+func TestKernelNumberingFollowsShrinkingParent(t *testing.T) {
+	p, err := core.Compile("shrink.c", shrinkingParent, core.Options{Strategy: core.CGCMOptimized, Remarks: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	kernelAt := map[int]string{}
+	for _, r := range p.Remarks() {
+		if r.Pass == "doall" && r.Kind == remarks.Applied {
+			kernelAt[r.Line] = r.Message[strings.Index(r.Message, "main__"):strings.Index(r.Message, ",")]
+		}
+	}
+	want := map[int]string{6: "main__doall4", 8: "main__doall1", 13: "main__doall3", 15: "main__doall2"}
+	if !reflect.DeepEqual(kernelAt, want) {
+		t.Errorf("kernels by loop line = %v, want %v", kernelAt, want)
+	}
+	seq := compileRun(t, "shrink.c", shrinkingParent, core.Options{Strategy: core.Sequential})
+	if rep := compileRun(t, "shrink.c", shrinkingParent, core.Options{Strategy: core.CGCMOptimized}); rep.Output != seq.Output {
+		t.Errorf("optimized output %q, sequential %q", rep.Output, seq.Output)
 	}
 }

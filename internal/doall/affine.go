@@ -25,7 +25,6 @@ type affineCtx struct {
 	ivSlot *ir.Instr
 	inner  map[*ir.Instr]*ivRange
 	inv    *analysis.Invariance
-	dom    *analysis.Dominators
 	// forward maps private single-store scalar slots to their stored
 	// value (poor man's mem2reg for address computations).
 	forward map[*ir.Instr]ir.Value
@@ -233,13 +232,13 @@ func (cx *affineCtx) symKey(v ir.Value) (string, bool) {
 // discoverInnerIVs recognizes constant-bounded induction variables of
 // loops nested inside l, so stores like a[i*M+j] can be proven disjoint
 // across i when |M*elem| covers j's span.
-func discoverInnerIVs(f *ir.Func, l *analysis.Loop, forest *analysis.LoopForest, dom *analysis.Dominators, pt *analysis.PointsTo) map[*ir.Instr]*ivRange {
+func (fs *funcState) discoverInnerIVs(l *analysis.Loop) map[*ir.Instr]*ivRange {
 	out := make(map[*ir.Instr]*ivRange)
 	var walk func(m *analysis.Loop)
 	walk = func(m *analysis.Loop) {
 		for _, c := range m.Children {
-			if iv, _ := recognizeIV(f, c, dom, pt); iv != nil {
-				if r := constRange(f, l, c, iv); r != nil {
+			if iv, _ := fs.recognizeIV(c); iv != nil {
+				if r := fs.constRange(c, iv); r != nil {
 					out[iv.slot] = r
 				}
 			}
@@ -250,40 +249,42 @@ func discoverInnerIVs(f *ir.Func, l *analysis.Loop, forest *analysis.LoopForest,
 	return out
 }
 
+// initConst returns the integer constant the induction variable of loop
+// l starts from, when every store to its slot outside l (anywhere in
+// the function) writes that one constant.
+func (fs *funcState) initConst(l *analysis.Loop, iv *ivInfo) (int64, bool) {
+	var init *int64
+	for _, in := range fs.slots[iv.slot].Direct {
+		if in.Op != ir.OpStore || in.Block == nil || l.ContainsInstr(in) {
+			continue // a load, a store that left with an outlined loop, or the increment
+		}
+		c, ok := in.Args[1].(*ir.Const)
+		if !ok || c.Float {
+			return 0, false
+		}
+		v := c.Int()
+		if init != nil && *init != v {
+			return 0, false
+		}
+		init = &v
+	}
+	if init == nil {
+		return 0, false
+	}
+	return *init, true
+}
+
 // constRange derives the value range of an inner IV when its init and
 // bound are integer constants.
-func constRange(f *ir.Func, outer, inner *analysis.Loop, iv *ivInfo) *ivRange {
+func (fs *funcState) constRange(inner *analysis.Loop, iv *ivInfo) *ivRange {
 	hiC, ok := iv.hi.(*ir.Const)
 	if !ok || hiC.Float {
 		return nil
 	}
-	// Find init stores: stores to the slot inside the outer loop but
-	// outside the inner loop. All must store the same constant.
-	var initVal *int64
-	bad := false
-	f.Instrs(func(in *ir.Instr) {
-		if bad || in.Op != ir.OpStore || in.Args[0] != iv.slot {
-			return
-		}
-		if inner.ContainsInstr(in) {
-			return // the increment
-		}
-		c, ok := in.Args[1].(*ir.Const)
-		if !ok || c.Float {
-			bad = true
-			return
-		}
-		v := c.Int()
-		if initVal != nil && *initVal != v {
-			bad = true
-			return
-		}
-		initVal = &v
-	})
-	if bad || initVal == nil {
+	lo, ok := fs.initConst(inner, iv)
+	if !ok {
 		return nil
 	}
-	lo := *initVal
 	hiEx := hiC.Int() + iv.hiAdd
 	if hiEx <= lo {
 		return &ivRange{slot: iv.slot, min: lo, max: lo}
@@ -521,42 +522,26 @@ func checkGroup(accs []access, step, ivTrip int64) string {
 
 // outerTrip statically evaluates the candidate loop's trip count when its
 // init and bound are constants, else -1.
-func outerTrip(f *ir.Func, l *analysis.Loop, iv *ivInfo) int64 {
+func (fs *funcState) outerTrip(l *analysis.Loop, iv *ivInfo) int64 {
 	hiC, ok := iv.hi.(*ir.Const)
 	if !ok || hiC.Float {
 		return -1
 	}
-	var initVal *int64
-	bad := false
-	f.Instrs(func(in *ir.Instr) {
-		if bad || in.Op != ir.OpStore || in.Args[0] != iv.slot || l.ContainsInstr(in) {
-			return
-		}
-		c, ok := in.Args[1].(*ir.Const)
-		if !ok || c.Float {
-			bad = true
-			return
-		}
-		v := c.Int()
-		if initVal != nil && *initVal != v {
-			bad = true
-			return
-		}
-		initVal = &v
-	})
-	if bad || initVal == nil {
+	lo, ok := fs.initConst(l, iv)
+	if !ok {
 		return -1
 	}
 	hiEx := hiC.Int() + iv.hiAdd
-	if hiEx <= *initVal {
+	if hiEx <= lo {
 		return 0
 	}
-	return (hiEx - *initVal + iv.step - 1) / iv.step
+	return (hiEx - lo + iv.step - 1) / iv.step
 }
 
 // checkDependences proves all cross-iteration independence requirements.
 // It returns "" on success or a rejection reason.
-func checkDependences(f *ir.Func, l *analysis.Loop, iv *ivInfo, cx *affineCtx, pt *analysis.PointsTo) string {
+func (fs *funcState) checkDependences(l *analysis.Loop, iv *ivInfo, cx *affineCtx) string {
+	pt := fs.d.pt
 	// Private objects: allocas inside the loop body.
 	private := make(map[*analysis.Object]bool)
 	l.Instrs(func(in *ir.Instr) {
@@ -611,10 +596,20 @@ func checkDependences(f *ir.Func, l *analysis.Loop, iv *ivInfo, cx *affineCtx, p
 
 	// Group stores — and the loads that may touch stored units — by the
 	// invariant base of their addresses.
+	// bases lists the groups' keys in order of first access, so that of
+	// several conflicting groups the first in program order is the one
+	// reported, compile after compile.
 	groups := make(map[string][]access)
+	var bases []string
+	join := func(a access) {
+		key := a.aff.baseKey()
+		if _, ok := groups[key]; !ok {
+			bases = append(bases, key)
+		}
+		groups[key] = append(groups[key], a)
+	}
 	for _, s := range stores {
-		key := s.aff.baseKey()
-		groups[key] = append(groups[key], s)
+		join(s)
 	}
 	loadReason := ""
 	l.Instrs(func(in *ir.Instr) {
@@ -639,15 +634,15 @@ func checkDependences(f *ir.Func, l *analysis.Loop, iv *ivInfo, cx *affineCtx, p
 			loadReason = "load from a stored unit is not affine"
 			return
 		}
-		key := aff.baseKey()
-		groups[key] = append(groups[key], access{in: in, aff: aff, size: in.Size})
+		join(access{in: in, aff: aff, size: in.Size})
 	})
 	if loadReason != "" {
 		return loadReason
 	}
 
-	ivTrip := outerTrip(f, l, iv)
-	for _, accs := range groups {
+	ivTrip := fs.outerTrip(l, iv)
+	for _, base := range bases {
+		accs := groups[base]
 		hasStore := false
 		for _, a := range accs {
 			hasStore = hasStore || a.isStore
@@ -663,38 +658,21 @@ func checkDependences(f *ir.Func, l *analysis.Loop, iv *ivInfo, cx *affineCtx, p
 	// target disjoint units; since we cannot compare bases symbolically,
 	// require that no two distinct store groups share a points-to object.
 	// (Loads joined a store's group only by identical base, so a load in
-	// a different group aliasing a store is also caught here.)
+	// a different group aliasing a store is also caught here. Accesses
+	// outside every group touch no stored unit and cannot conflict.)
 	seen := make(map[*analysis.Object]string)
-	bad := ""
-	l.Instrs(func(in *ir.Instr) {
-		if bad != "" || in == iv.incr {
-			return
-		}
-		var addr ir.Value
-		switch in.Op {
-		case ir.OpStore, ir.OpLoad:
-			addr = in.Args[0]
-		default:
-			return
-		}
-		if isPrivate(addr) {
-			return
-		}
-		aff := cx.affineOf(addr)
-		if aff == nil {
-			return // already handled above for relevant accesses
-		}
-		key := aff.baseKey()
-		for o := range pt.PTS(addr) {
-			if !storedObjs[o] {
-				continue
+	for _, base := range bases {
+		for _, a := range groups[base] {
+			for o := range pt.PTS(a.in.Args[0]) {
+				if !storedObjs[o] {
+					continue
+				}
+				if prev, ok := seen[o]; ok && prev != base {
+					return "two differently-based accesses may touch one stored unit"
+				}
+				seen[o] = base
 			}
-			if prev, ok := seen[o]; ok && prev != key {
-				bad = "two differently-based accesses may touch one stored unit"
-				return
-			}
-			seen[o] = key
 		}
-	})
-	return bad
+	}
+	return ""
 }

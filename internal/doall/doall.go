@@ -40,40 +40,193 @@ const BlockDim = 128
 type Result struct {
 	// Kernels maps each generated kernel to the function it came from.
 	Kernels map[*ir.Func]*ir.Func
-	// LoopsFound counts candidate loops inspected.
+	// LoopsFound counts candidate loops inspected: every loop is judged
+	// once, and loops nested in a parallelized loop not at all.
 	LoopsFound int
 	// LoopsParallelized counts loops converted to kernel launches.
 	LoopsParallelized int
-	// Rejections records why loops were not parallelized (diagnostics).
+	// Rejections records why loops were not parallelized (diagnostics),
+	// one line per loop and reason.
 	Rejections []string
 }
 
 // Run parallelizes every DOALL loop in the module's CPU functions.
 // Pass activity is reported as optimization remarks through rc (which
 // may be nil).
+//
+// The whole-module analyses are built once. Outlining a loop moves its
+// memory operations into a kernel reached through one launch, clones
+// the loads it hoists and adds one store of integer arithmetic, so the
+// flow-insensitive points-to facts of every value that stays behind are
+// what they were, and no later verdict needs them rebuilt.
 func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
-	res := &Result{Kernels: make(map[*ir.Func]*ir.Func)}
-	kernelCount := 0
+	d := newDriver(m, rc)
 	for _, f := range m.Funcs {
-		if f.Kernel {
-			continue
-		}
-		// Iterate: each transformation invalidates the CFG analyses.
-		for {
-			changed, err := runOnce(m, f, res, &kernelCount, rc)
-			if err != nil {
-				return nil, err
-			}
-			if !changed {
-				break
-			}
+		if !f.Kernel {
+			d.function(f)
 		}
 	}
 	m.Renumber()
 	if err := m.Verify(); err != nil {
 		return nil, fmt.Errorf("doall produced invalid IR: %w", err)
 	}
-	return res, nil
+	return d.res, nil
+}
+
+// driver carries what one Run shares across functions.
+type driver struct {
+	m       *ir.Module
+	pt      *analysis.PointsTo
+	mr      *analysis.ModRef
+	rc      *remarks.Collector
+	res     *Result
+	kernels int // kernels generated so far; names the next one
+}
+
+func newDriver(m *ir.Module, rc *remarks.Collector) *driver {
+	pt := analysis.BuildPointsTo(m)
+	return &driver{
+		m: m, pt: pt, rc: rc,
+		mr:  analysis.BuildModRef(m, pt, analysis.BuildCallGraph(m)),
+		res: &Result{Kernels: make(map[*ir.Func]*ir.Func)},
+	}
+}
+
+// node is one loop of a function's forest as the driver sees it: the
+// loop, its verdict once it has one, and its place in the visit order.
+type node struct {
+	loop   *analysis.Loop
+	parent *node
+	// kids are the nested loops still to be visited, in visit order.
+	kids []*node
+	// size is the number of blocks the loop has now (it shrinks when a
+	// loop inside it becomes a launch) and rpo its header's
+	// reverse-postorder number; together they are the visit order.
+	size, rpo int
+	// pending counts the loops of this subtree not yet judged.
+	pending int
+	judged  bool
+	line    int
+	// screened is set when the verdict came from the body screen or
+	// later, and bad is then the first instruction of the loop that a
+	// kernel cannot contain, if any. A loop like that meets the screen
+	// again once a loop inside it has become a launch.
+	screened bool
+	bad      *ir.Instr
+	// whys are the rejection reasons already reported for the loop.
+	whys []string
+}
+
+// before is the visit order among sibling loops: bigger first, then by
+// header position. It is FindLoops' order, re-evaluated on the sizes
+// the loops have now.
+func (n *node) before(o *node) bool {
+	if n.size != o.size {
+		return n.size > o.size
+	}
+	return n.rpo < o.rpo
+}
+
+// function parallelizes the loops of f. Every loop is judged exactly
+// once, parents before children, and a loop nested in an outlined one
+// never (it is kernel code by then).
+func (d *driver) function(f *ir.Func) {
+	fs := d.newFuncState(f)
+	for n := next(&fs.top); n != nil; n = next(&fs.top) {
+		d.res.LoopsFound++
+		n.judged = true
+		for a := n; a != nil; a = a.parent {
+			a.pending--
+		}
+		plan, why := fs.judge(n)
+		if plan == nil {
+			d.reject(f, n, why)
+			continue
+		}
+		launch := fs.outline(n.loop, plan)
+		d.applied(fs.f, n, launch)
+		fs.settle(n, launch)
+	}
+	fs.sweep()
+}
+
+// applied records that loop n of f became launch.
+func (d *driver) applied(f *ir.Func, n *node, launch *ir.Instr) {
+	d.res.LoopsParallelized++
+	d.rc.Emit(remarks.Remark{
+		Pass: "doall", Kind: remarks.Applied,
+		Line: n.line, Function: f.Name,
+		Message: fmt.Sprintf("loop parallelized into GPU kernel %s, one thread per iteration",
+			launch.Callee.Name),
+	})
+}
+
+// next returns the loop to judge next: the first not yet judged in a
+// preorder walk of the forest with siblings in visit order. Subtrees
+// with nothing left to judge are dropped from the front as they are
+// met, so every ancestor of the loop returned heads its sibling list.
+func next(list *[]*node) *node {
+	for len(*list) > 0 {
+		n := (*list)[0]
+		switch {
+		case n.pending == 0:
+			*list = (*list)[1:]
+		case !n.judged:
+			return n
+		default:
+			return next(&n.kids)
+		}
+	}
+	return nil
+}
+
+// settle puts the forest in order again after loop n became launch: the
+// loops inside n are kernel code now, and every enclosing loop lost n's
+// blocks (and gained the preheader, if outlining had to make one).
+//
+// An enclosing loop that shrinks may fall behind a sibling it used to
+// precede, which moves that sibling's whole subtree ahead of the
+// enclosing loop's remaining children — so the order is re-established
+// here rather than fixed up front. And an enclosing loop whose verdict
+// came from the body screen or later would, judged again, be stopped by
+// the launch it now contains: that second reason is reported for it,
+// unless an inadmissible instruction it already had comes first.
+func (fs *funcState) settle(n *node, launch *ir.Instr) {
+	inside := n.pending
+	n.pending = 0
+	for a := n.parent; a != nil; a = a.parent {
+		a.pending -= inside
+		a.size += fs.grew - n.size
+		sibs := fs.top
+		if a.parent != nil {
+			sibs = a.parent.kids
+		}
+		i := 0
+		for ; i+1 < len(sibs) && sibs[i+1].before(a); i++ {
+			sibs[i] = sibs[i+1]
+		}
+		sibs[i] = a
+		if a.screened && (a.bad == nil || launch.Block.Index < a.bad.Block.Index) {
+			fs.d.reject(fs.f, a, launchInBody)
+		}
+	}
+}
+
+// reject reports why loop n is not parallelized, once per reason.
+func (d *driver) reject(f *ir.Func, n *node, why string) {
+	for _, w := range n.whys {
+		if w == why {
+			return
+		}
+	}
+	n.whys = append(n.whys, why)
+	d.res.Rejections = append(d.res.Rejections, fmt.Sprintf("%s/%s: %s", f.Name, n.loop.Header.Name, why))
+	d.rc.Emit(remarks.Remark{
+		Pass: "doall", Kind: remarks.Missed,
+		Reason: classifyRejection(why),
+		Line:   n.line, Function: f.Name,
+		Message: "loop not parallelized: " + why,
+	})
 }
 
 // loopLine is the source position charged to a loop's remarks: the first
@@ -124,51 +277,6 @@ func classifyRejection(why string) remarks.Reason {
 	}
 }
 
-// runOnce tries to parallelize one loop in f, outermost first.
-func runOnce(m *ir.Module, f *ir.Func, res *Result, kernelCount *int, rc *remarks.Collector) (bool, error) {
-	f.Renumber()
-	dom := analysis.NewDominators(f)
-	forest := analysis.FindLoops(f, dom)
-	pt := analysis.BuildPointsTo(m)
-	cg := analysis.BuildCallGraph(m)
-	mr := analysis.BuildModRef(m, pt, cg)
-
-	var try func(l *analysis.Loop) (bool, error)
-	try = func(l *analysis.Loop) (bool, error) {
-		res.LoopsFound++
-		if done, why := parallelize(m, f, l, dom, forest, pt, mr, kernelCount); done {
-			res.LoopsParallelized++
-			rc.Emit(remarks.Remark{
-				Pass: "doall", Kind: remarks.Applied,
-				Line: loopLine(l), Function: f.Name,
-				Message: fmt.Sprintf("loop parallelized into GPU kernel %s__doall%d, one thread per iteration",
-					f.Name, *kernelCount),
-			})
-			return true, nil
-		} else if why != "" {
-			res.Rejections = append(res.Rejections, fmt.Sprintf("%s/%s: %s", f.Name, l.Header.Name, why))
-			rc.Emit(remarks.Remark{
-				Pass: "doall", Kind: remarks.Missed,
-				Reason: classifyRejection(why),
-				Line:   loopLine(l), Function: f.Name,
-				Message: "loop not parallelized: " + why,
-			})
-		}
-		for _, c := range l.Children {
-			if ok, err := try(c); ok || err != nil {
-				return ok, err
-			}
-		}
-		return false, nil
-	}
-	for _, l := range forest.Top {
-		if ok, err := try(l); ok || err != nil {
-			return ok, err
-		}
-	}
-	return false, nil
-}
-
 // ivInfo describes a recognized induction variable.
 type ivInfo struct {
 	slot  *ir.Instr // the alloca holding the variable
@@ -182,7 +290,7 @@ type ivInfo struct {
 // recognizeIV matches the counted-loop pattern produced by the front end:
 // header loads the variable, compares it against an invariant bound, and a
 // single store in the latch-dominating block advances it by a constant.
-func recognizeIV(f *ir.Func, l *analysis.Loop, dom *analysis.Dominators, pt *analysis.PointsTo) (*ivInfo, string) {
+func (fs *funcState) recognizeIV(l *analysis.Loop) (*ivInfo, string) {
 	term := l.Header.Terminator()
 	if term == nil || term.Op != ir.OpCondBr {
 		return nil, "header does not end in a conditional branch"
@@ -205,17 +313,8 @@ func recognizeIV(f *ir.Func, l *analysis.Loop, dom *analysis.Dominators, pt *ana
 	}
 	// The slot must be used only as the direct address of loads/stores, so
 	// nothing aliases it.
-	escaped := false
-	f.Instrs(func(in *ir.Instr) {
-		for i, a := range in.Args {
-			if a == slot {
-				if !((in.Op == ir.OpLoad && i == 0) || (in.Op == ir.OpStore && i == 0)) {
-					escaped = true
-				}
-			}
-		}
-	})
-	if escaped {
+	use := fs.slots[slot]
+	if use.Escaped {
 		return nil, "induction variable escapes"
 	}
 	iv := &ivInfo{slot: slot, hi: cmp.Args[1], cmp: cmp}
@@ -223,16 +322,17 @@ func recognizeIV(f *ir.Func, l *analysis.Loop, dom *analysis.Dominators, pt *ana
 		iv.hiAdd = 1
 	}
 	// Find the unique advancing store inside the loop.
-	var stores []*ir.Instr
-	l.Instrs(func(in *ir.Instr) {
-		if in.Op == ir.OpStore && in.Args[0] == slot {
-			stores = append(stores, in)
+	var st *ir.Instr
+	stores := 0
+	for _, in := range use.Direct {
+		if in.Op == ir.OpStore && l.ContainsInstr(in) {
+			st = in
+			stores++
 		}
-	})
-	if len(stores) != 1 {
+	}
+	if stores != 1 {
 		return nil, "induction variable has multiple updates"
 	}
-	st := stores[0]
 	add, ok := st.Args[1].(*ir.Instr)
 	if !ok || add.Op != ir.OpAdd || add.Float {
 		return nil, "induction update is not an addition"
@@ -250,9 +350,8 @@ func recognizeIV(f *ir.Func, l *analysis.Loop, dom *analysis.Dominators, pt *ana
 	iv.incr = st
 	// The update must run exactly once per iteration: its block dominates
 	// every latch (source of a back edge to the header).
-	preds := f.Preds()
-	for _, p := range preds[l.Header] {
-		if l.Blocks[p] && !dom.Dominates(st.Block, p) {
+	for _, p := range fs.preds[l.Header] {
+		if l.Blocks[p] && !fs.dom.Dominates(st.Block, p) {
 			return nil, "induction update does not dominate the latch"
 		}
 	}
@@ -272,29 +371,40 @@ func singleExit(l *analysis.Loop) (*ir.Block, string) {
 	return exits[0][1], ""
 }
 
-// bodyAdmissible screens the loop body for instructions a kernel cannot
-// contain.
-func bodyAdmissible(l *analysis.Loop) string {
-	bad := ""
-	l.Instrs(func(in *ir.Instr) {
-		if bad != "" {
-			return
+// launchInBody is the body screen's reason for a loop that contains a
+// launch; the driver also states it for a loop that has just acquired
+// one.
+const launchInBody = "loop body launches a kernel"
+
+// inadmissible says why a kernel cannot contain in, or "" if it can.
+func inadmissible(in *ir.Instr) string {
+	switch in.Op {
+	case ir.OpCall:
+		return "loop body calls a function"
+	case ir.OpLaunch:
+		return launchInBody
+	case ir.OpRet:
+		return "loop body returns"
+	case ir.OpIntrinsic:
+		switch in.Name {
+		case "sqrt", "fabs", "exp", "log", "pow", "sin", "cos",
+			"floor", "ceil", "iabs", "imin", "imax", "fmin", "fmax":
+		default:
+			return "loop body calls impure intrinsic " + in.Name
 		}
-		switch in.Op {
-		case ir.OpCall:
-			bad = "loop body calls a function"
-		case ir.OpLaunch:
-			bad = "loop body launches a kernel"
-		case ir.OpRet:
-			bad = "loop body returns"
-		case ir.OpIntrinsic:
-			switch in.Name {
-			case "sqrt", "fabs", "exp", "log", "pow", "sin", "cos",
-				"floor", "ceil", "iabs", "imin", "imax", "fmin", "fmax":
-			default:
-				bad = "loop body calls impure intrinsic " + in.Name
+	}
+	return ""
+}
+
+// screenBody finds the first instruction of the loop that a kernel
+// cannot contain.
+func screenBody(l *analysis.Loop) (bad *ir.Instr, why string) {
+	for _, b := range l.BlockList() {
+		for _, in := range b.Instrs {
+			if why := inadmissible(in); why != "" {
+				return in, why
 			}
 		}
-	})
-	return bad
+	}
+	return nil, ""
 }

@@ -285,3 +285,61 @@ int main() {
 		t.Errorf("kernels = %d, want 1", kernels)
 	}
 }
+
+// initThenTimestep is four loops: an init loop, and a timestep loop
+// (rejected: it carries a dependence through a and b) around two DOALL
+// loops.
+const initThenTimestep = `
+int main() {
+	float *a = (float*)malloc(32 * 8);
+	float *b = (float*)malloc(32 * 8);
+	for (int i = 0; i < 32; i++) a[i] = (float)i;
+	for (int t = 0; t < 3; t++) {
+		for (int i = 0; i < 32; i++) b[i] = a[i] + 1.0;
+		for (int i = 0; i < 32; i++) a[i] = b[i] * 0.5;
+	}
+	print_float(a[3]);
+	free(a); free(b);
+	return 0;
+}`
+
+func TestEveryLoopJudgedOnce(t *testing.T) {
+	// The restart driver re-judged the timestep loop after each outline
+	// and counted it each time (7 for these 4 loops), repeating its
+	// rejection line once per restart.
+	_, res := runDoall(t, initThenTimestep)
+	if res.LoopsParallelized != 3 {
+		t.Fatalf("parallelized %d loops, want 3; rejections: %v", res.LoopsParallelized, res.Rejections)
+	}
+	if res.LoopsFound != 4 {
+		t.Errorf("LoopsFound = %d, want 4: one verdict per loop", res.LoopsFound)
+	}
+	// One line per (loop, reason): the timestep loop's dependence, and
+	// the launch it contains once its first child is outlined.
+	if len(res.Rejections) != 2 {
+		t.Fatalf("Rejections = %q, want 2 lines", res.Rejections)
+	}
+	if !strings.Contains(res.Rejections[0], "loop-carried dependence") ||
+		!strings.Contains(res.Rejections[1], "loop body launches a kernel") {
+		t.Errorf("Rejections = %q, want the dependence, then the launch", res.Rejections)
+	}
+	if res.Rejections[0][:strings.Index(res.Rejections[0], ":")] != res.Rejections[1][:strings.Index(res.Rejections[1], ":")] {
+		t.Errorf("Rejections = %q name two loops, want both lines about the timestep loop", res.Rejections)
+	}
+}
+
+func TestContinueInsideParallelLoop(t *testing.T) {
+	// The front end leaves an unreachable block behind the continue; it
+	// branches into the loop and must leave the function with it.
+	m, res := runDoall(t, wrap(`
+	for (int i = 0; i < 128; i++) {
+		if (i % 2 == 0) continue;
+		a[i] = 1.0;
+	}`))
+	if res.LoopsParallelized != 1 {
+		t.Fatalf("parallelized %d loops, want 1; rejections: %v", res.LoopsParallelized, res.Rejections)
+	}
+	if err := m.Verify(); err != nil {
+		t.Errorf("module invalid after outlining: %v", err)
+	}
+}

@@ -7,124 +7,192 @@ import (
 	"cgcm/internal/ir"
 )
 
-// parallelize attempts to convert one loop into a kernel launch. It
-// returns (true, "") on success, or (false, reason) where a non-empty
-// reason is recorded as a diagnostic.
-func parallelize(m *ir.Module, f *ir.Func, l *analysis.Loop,
-	dom *analysis.Dominators, forest *analysis.LoopForest,
-	pt *analysis.PointsTo, mr *analysis.ModRef, kernelCount *int) (bool, string) {
+// funcState is what the driver knows about one function: analyses
+// computed once, and facts read off the IR that outline keeps in step
+// with what it rewrites, so that no verdict has to scan the function.
+type funcState struct {
+	d   *driver
+	f   *ir.Func
+	dom *analysis.Dominators
+	// top are the outermost loops still to be visited, in visit order.
+	top []*node
+	// preds are the CFG predecessors of the blocks f had when the state
+	// was built and still has (a preheader made since has no entry).
+	preds map[*ir.Block][]*ir.Block
+	// slots indexes the uses of every stack slot of f.
+	slots analysis.SlotIndex
+	// uses counts, by register number, the operand positions that name
+	// each value f had when the state was built; inside is liveOut's
+	// scratch, all zero between calls. Instructions outline adds carry
+	// register number -1 until the function is renumbered.
+	uses, inside []int32
+	// gone are the blocks that left f with outlined loops; sweep drops
+	// them from its block list.
+	gone map[*ir.Block]bool
+	// blocks is how many blocks f had when the state was built, and
+	// grew how many the latest outline added.
+	blocks, grew int
+}
 
-	iv, why := recognizeIV(f, l, dom, pt)
+// newFuncState analyses f and lays out its loop forest for the driver.
+func (d *driver) newFuncState(f *ir.Func) *funcState {
+	f.Renumber()
+	fs := &funcState{d: d, f: f, dom: analysis.NewDominators(f), blocks: len(f.Blocks)}
+	forest := analysis.FindLoops(f, fs.dom)
+	if len(forest.All) == 0 {
+		return fs
+	}
+	fs.preds = f.Preds()
+	fs.slots = make(analysis.SlotIndex)
+	fs.uses = make([]int32, f.NumRegs)
+	fs.inside = make([]int32, f.NumRegs)
+	fs.gone = make(map[*ir.Block]bool)
+	f.Instrs(fs.added)
+
+	// FindLoops lists outer loops before inner ones and siblings in
+	// visit order.
+	nodes := make(map[*analysis.Loop]*node, len(forest.All))
+	for _, l := range forest.All {
+		n := &node{loop: l, parent: nodes[l.Parent], size: len(l.Blocks), rpo: fs.dom.RPO(l.Header), line: loopLine(l)}
+		nodes[l] = n
+		if n.parent == nil {
+			fs.top = append(fs.top, n)
+		} else {
+			n.parent.kids = append(n.parent.kids, n)
+		}
+		for a := n; a != nil; a = a.parent {
+			a.pending++
+		}
+	}
+	return fs
+}
+
+// added enters an instruction that is now part of f into the indexes.
+func (fs *funcState) added(in *ir.Instr) {
+	fs.slots.Add(in)
+	for _, a := range in.Args {
+		if x, ok := a.(*ir.Instr); ok && x.Reg >= 0 {
+			fs.uses[x.Reg]++
+		}
+	}
+}
+
+// sweep drops from f the blocks that left it with outlined loops.
+func (fs *funcState) sweep() {
+	if len(fs.gone) == 0 {
+		return
+	}
+	kept := fs.f.Blocks[:0]
+	for _, b := range fs.f.Blocks {
+		if !fs.gone[b] {
+			kept = append(kept, b)
+		}
+	}
+	fs.f.Blocks = kept
+}
+
+// plan is what judge learned about a DOALL loop that outline needs.
+type plan struct {
+	iv   *ivInfo
+	exit *ir.Block
+	inv  *analysis.Invariance
+}
+
+// judge decides whether loop n can become a kernel launch. It returns
+// the plan for outlining it, or nil and the reason. Its cost is the
+// loop's size (plus the uses of the slots its induction variables live
+// in), not the function's.
+func (fs *funcState) judge(n *node) (*plan, string) {
+	l := n.loop
+	iv, why := fs.recognizeIV(l)
 	if iv == nil {
-		return false, why
+		return nil, why
 	}
 	exitTarget, why := singleExit(l)
 	if exitTarget == nil {
-		return false, why
+		return nil, why
 	}
-	if why := bodyAdmissible(l); why != "" {
-		return false, why
+	n.screened = true
+	if n.bad, why = screenBody(l); n.bad != nil {
+		return nil, why
 	}
 
 	region := analysis.Region{Loop: l}
-	eff := mr.RegionEffect(region, nil)
-	inv := mr.NewInvariance(region, eff)
+	eff := fs.d.mr.RegionEffect(region, nil)
+	inv := fs.d.mr.NewInvariance(region, eff)
 	if !inv.Invariant(iv.hi) {
-		return false, "loop bound is not invariant"
+		return nil, "loop bound is not invariant"
 	}
 
 	cx := &affineCtx{
 		loop:    l,
 		ivSlot:  iv.slot,
-		inner:   discoverInnerIVs(f, l, forest, dom, pt),
+		inner:   fs.discoverInnerIVs(l),
 		inv:     inv,
-		dom:     dom,
-		forward: buildForwarding(f, l, dom, pt),
+		forward: fs.forwarding(l),
 	}
-	if why := checkDependences(f, l, iv, cx, pt); why != "" {
-		return false, why
+	if why := fs.checkDependences(l, iv, cx); why != "" {
+		return nil, why
 	}
-
-	// No register value defined in the loop may be used outside it.
-	inLoop := make(map[*ir.Instr]bool)
-	l.Instrs(func(in *ir.Instr) { inLoop[in] = true })
-	liveOut := false
-	f.Instrs(func(in *ir.Instr) {
-		if inLoop[in] {
-			return
-		}
-		for _, a := range in.Args {
-			if x, ok := a.(*ir.Instr); ok && inLoop[x] {
-				liveOut = true
-			}
-		}
-	})
-	if liveOut {
-		return false, "loop produces register live-outs"
+	if fs.liveOut(l) {
+		return nil, "loop produces register live-outs"
 	}
-
-	outline(m, f, l, iv, exitTarget, inv, kernelCount)
-	return true, ""
+	return &plan{iv: iv, exit: exitTarget, inv: inv}, ""
 }
 
-// buildForwarding finds loop-private scalar slots with a single dominating
-// store, usable for address forwarding (a lightweight mem2reg).
-func buildForwarding(f *ir.Func, l *analysis.Loop, dom *analysis.Dominators, pt *analysis.PointsTo) map[*ir.Instr]ir.Value {
-	type slotUse struct {
-		stores []*ir.Instr
-		loads  []*ir.Instr
-		direct bool
-	}
-	uses := make(map[*ir.Instr]*slotUse)
+// liveOut reports whether a register value defined in the loop is used
+// outside it: it is when the function uses it more often than the loop
+// does.
+func (fs *funcState) liveOut(l *analysis.Loop) bool {
 	l.Instrs(func(in *ir.Instr) {
-		if in.Op == ir.OpAlloca {
-			uses[in] = &slotUse{direct: true}
-		}
-	})
-	f.Instrs(func(in *ir.Instr) {
-		for i, a := range in.Args {
-			slot, ok := a.(*ir.Instr)
-			if !ok {
-				continue
-			}
-			u, tracked := uses[slot]
-			if !tracked {
-				continue
-			}
-			switch {
-			case in.Op == ir.OpLoad && i == 0:
-				u.loads = append(u.loads, in)
-			case in.Op == ir.OpStore && i == 0:
-				u.stores = append(u.stores, in)
-			default:
-				u.direct = false
+		for _, a := range in.Args {
+			if x, ok := a.(*ir.Instr); ok && l.ContainsInstr(x) {
+				fs.inside[x.Reg]++
 			}
 		}
 	})
+	out := false
+	l.Instrs(func(in *ir.Instr) {
+		if in.Op.HasResult() {
+			out = out || fs.uses[in.Reg] != fs.inside[in.Reg]
+			fs.inside[in.Reg] = 0
+		}
+	})
+	return out
+}
+
+// forwarding finds loop-private scalar slots with a single dominating
+// store, usable for address forwarding (a lightweight mem2reg).
+func (fs *funcState) forwarding(l *analysis.Loop) map[*ir.Instr]ir.Value {
 	fwd := make(map[*ir.Instr]ir.Value)
-	for slot, u := range uses {
-		if !u.direct || len(u.stores) != 1 {
-			continue
+	l.Instrs(func(in *ir.Instr) {
+		if in.Op != ir.OpAlloca {
+			return
 		}
-		st := u.stores[0]
-		ok := true
-		for _, ld := range u.loads {
-			if !dom.Dominates(st.Block, ld.Block) {
-				ok = false
-				break
+		if use := fs.slots[in]; use != nil {
+			if v := use.Forwarded(fs.dom); v != nil {
+				fwd[in] = v
 			}
 		}
-		if ok {
-			fwd[slot] = st.Args[1]
-		}
-	}
+	})
 	return fwd
 }
 
-// outline carves the loop body into a fresh kernel and replaces the loop
-// with a launch.
-func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget *ir.Block, inv *analysis.Invariance, kernelCount *int) {
-	pre := analysis.EnsurePreheader(f, l)
+// outline carves the loop body into a fresh kernel, replaces the loop
+// with a launch, and returns the launch. The loop's blocks stay listed
+// in f until sweep; everything else the driver knows about f is brought
+// up to date here.
+func (fs *funcState) outline(l *analysis.Loop, p *plan) *ir.Instr {
+	f, m := fs.f, fs.d.m
+	iv, inv := p.iv, p.inv
+	blocks := len(f.Blocks)
+	pre := analysis.EnsurePreheaderFrom(f, l, fs.preds[l.Header])
+	fs.grew = len(f.Blocks) - blocks
+	if fs.grew > 0 {
+		// A new preheader sits where sweep will leave it, after every
+		// older block.
+		pre.Index = blocks
+	}
 	// The loop header's source line stands in for the whole launch site:
 	// the launch, its setup code, and the kernel's synthesized prologue all
 	// inherit it so the profiler can charge them to the original loop.
@@ -135,14 +203,15 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 			break
 		}
 	}
+	first := len(pre.Instrs) - 1 // where the code inserted below starts
 	insert := func(in *ir.Instr) *ir.Instr {
 		if in.Line == 0 {
 			in.Line = hline
 		}
+		in.Reg = -1
 		pre.InsertBefore(in, pre.Terminator())
 		return in
 	}
-
 	// Bound value available in the preheader: clone its def chain when it
 	// is computed inside the loop (it is invariant, so the clone computes
 	// the same value).
@@ -173,8 +242,8 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 		Args: []ir.Value{rawTrip, ir.IntConst(0)}, Comment: "doall trip"})
 
 	// Build the kernel.
-	*kernelCount++
-	k := &ir.Func{Name: fmt.Sprintf("%s__doall%d", f.Name, *kernelCount), Kernel: true}
+	fs.d.kernels++
+	k := &ir.Func{Name: fmt.Sprintf("%s__doall%d", f.Name, fs.d.kernels), Kernel: true}
 	m.AddFunc(k)
 	pLo := &ir.Param{Fn: k, Index: 0, Name: "lo"}
 	pHi := &ir.Param{Fn: k, Index: 1, Name: "hi"}
@@ -190,13 +259,10 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 	guard := entry.Append(&ir.Instr{Op: ir.OpLt, Args: []ir.Value{iVal, pHi}})
 
 	// Clone the loop blocks.
-	blockMap := make(map[*ir.Block]*ir.Block)
-	var loopBlocks []*ir.Block
-	for _, b := range f.Blocks {
-		if l.Blocks[b] {
-			loopBlocks = append(loopBlocks, b)
-			blockMap[b] = k.NewBlock(b.Name)
-		}
+	loopBlocks := l.BlockList()
+	blockMap := make(map[*ir.Block]*ir.Block, len(loopBlocks))
+	for _, b := range loopBlocks {
+		blockMap[b] = k.NewBlock(b.Name)
 	}
 	entry.Append(&ir.Instr{Op: ir.OpCondBr, Args: []ir.Value{guard},
 		Targets: []*ir.Block{blockMap[l.Header], retBlk}})
@@ -204,8 +270,6 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 	valueMap := make(map[ir.Value]ir.Value)
 	liveIns := make(map[ir.Value]*ir.Param)
 	var liveInVals []ir.Value
-	inLoop := make(map[*ir.Instr]bool)
-	l.Instrs(func(in *ir.Instr) { inLoop[in] = true })
 
 	// Invariant loads of outside slots (array base pointers, scalar
 	// bounds) are hoisted to the preheader and passed by value, so the
@@ -228,7 +292,7 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 		case *ir.Const, *ir.GlobalRef, *ir.Param:
 			return true
 		case *ir.Instr:
-			return !inLoop[x]
+			return !l.ContainsInstr(x)
 		}
 		return false
 	}
@@ -265,7 +329,7 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 				case *ir.Instr:
 					if mapped, ok := valueMap[x]; ok {
 						c.Args[i] = mapped
-					} else if !inLoop[x] {
+					} else if !l.ContainsInstr(x) {
 						c.Args[i] = liveInParam(k, x, liveIns, &liveInVals)
 					}
 				case *ir.Param:
@@ -308,7 +372,7 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 		}})
 	launchArgs := []ir.Value{grid, ir.IntConst(BlockDim), lo, hiEx}
 	launchArgs = append(launchArgs, liveInVals...)
-	insert(&ir.Instr{Op: ir.OpLaunch, Callee: k, Args: launchArgs,
+	launch := insert(&ir.Instr{Op: ir.OpLaunch, Callee: k, Args: launchArgs,
 		Comment: "DOALL parallelized loop"})
 
 	// The induction variable's final value, as the loop would have left it.
@@ -317,7 +381,7 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 	insert(&ir.Instr{Op: ir.OpStore, Args: []ir.Value{iv.slot, fin}, Size: 8,
 		Comment: "final induction value"})
 
-	pre.Terminator().Targets[0] = exitTarget
+	pre.Terminator().Targets[0] = p.exit
 
 	// Synthesized kernel instructions (entry guard, return block) have no
 	// line of their own; charge them to the loop header.
@@ -327,16 +391,60 @@ func outline(m *ir.Module, f *ir.Func, l *analysis.Loop, iv *ivInfo, exitTarget 
 		}
 	})
 
-	// Remove the loop's blocks from f.
-	var kept []*ir.Block
-	for _, b := range f.Blocks {
-		if !l.Blocks[b] {
-			kept = append(kept, b)
+	k.Renumber()
+
+	// The loop has left f, and with it the unreachable blocks that
+	// branch into it (the front end leaves a dead block behind every
+	// continue and break; it belongs to no loop, but it cannot outlive
+	// its target). Their instructions no longer use anything, the code
+	// inserted above does, and the exit target is now entered from the
+	// preheader.
+	left := append([]*ir.Block(nil), loopBlocks...)
+	for i := 0; i < len(left); i++ {
+		fs.gone[left[i]] = true
+		for _, from := range fs.preds[left[i]] {
+			// (A preheader made here is unknown to the tree, not dead.)
+			if !fs.gone[from] && from.Index < fs.blocks && !fs.dom.Reachable(from) {
+				fs.gone[from] = true
+				left = append(left, from)
+			}
 		}
 	}
-	f.Blocks = kept
-	f.Renumber()
-	k.Renumber()
+	for _, b := range left {
+		for _, in := range b.Instrs {
+			for _, a := range in.Args {
+				if x, ok := a.(*ir.Instr); ok && x.Reg >= 0 && !fs.gone[x.Block] {
+					fs.uses[x.Reg]--
+				}
+			}
+		}
+		for _, to := range b.Succs() {
+			if !fs.gone[to] {
+				fs.preds[to] = without(fs.preds[to], b)
+			}
+		}
+	}
+	for _, b := range left {
+		for _, in := range b.Instrs {
+			in.Block = nil
+		}
+	}
+	for _, in := range pre.Instrs[first : len(pre.Instrs)-1] {
+		fs.added(in)
+	}
+	fs.preds[p.exit] = append(fs.preds[p.exit], pre)
+	return launch
+}
+
+// without returns list with every occurrence of b removed, in place.
+func without(list []*ir.Block, b *ir.Block) []*ir.Block {
+	kept := list[:0]
+	for _, x := range list {
+		if x != b {
+			kept = append(kept, x)
+		}
+	}
+	return kept
 }
 
 // liveInParam returns (creating if needed) the kernel parameter carrying

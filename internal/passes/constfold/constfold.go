@@ -42,20 +42,47 @@ func Run(m *ir.Module) (*Result, error) {
 	return res, nil
 }
 
+// foldOnce sweeps f once, folding what it can. An instruction sees the
+// folds made earlier in the sweep: repl maps each folded instruction to
+// its replacement, and operands are rewritten as their user is reached,
+// so a sweep costs the function once however many instructions fold.
 func foldOnce(f *ir.Func, res *Result) bool {
-	changed := false
+	var repl map[*ir.Instr]ir.Value
+	rewrite := func(in *ir.Instr) {
+		for i, a := range in.Args {
+			for x, ok := a.(*ir.Instr); ok; x, ok = a.(*ir.Instr) {
+				r, folded := repl[x]
+				if !folded {
+					break
+				}
+				a = r
+			}
+			in.Args[i] = a
+		}
+	}
 	f.Instrs(func(in *ir.Instr) {
+		if repl != nil {
+			rewrite(in)
+		}
 		if v, ok := foldInstr(in); ok {
-			f.ReplaceUses(in, v)
+			if repl == nil {
+				repl = make(map[*ir.Instr]ir.Value)
+			}
+			repl[in] = v
 			if _, isConst := v.(*ir.Const); isConst {
 				res.Folded++
 			} else {
 				res.Simplified++
 			}
-			changed = true
 		}
 	})
-	return changed
+	if repl == nil {
+		return false
+	}
+	// Users that come before the definition in block order were reached
+	// too early.
+	f.Instrs(rewrite)
+	return true
 }
 
 // foldInstr computes a replacement value for in, if one exists.

@@ -113,8 +113,8 @@ func outlineOne(m *ir.Module, f *ir.Func, count *int, rc *remarks.Collector) (*i
 				inChild[cb] = true
 			}
 		}
-		for _, b := range f.Blocks {
-			if !loop.Blocks[b] || inChild[b] {
+		for _, b := range loop.BlockList() {
+			if inChild[b] {
 				continue
 			}
 			if run := findRun(b, pt, mapped, blocked, rc); run != nil {

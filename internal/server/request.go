@@ -129,8 +129,10 @@ func DecodeRequest(body []byte, maxSource int) (*RunRequest, *Error) {
 	if req.DeadlineMS < 0 {
 		return nil, errf(CodeBadRequest, "deadline_ms must be non-negative, got %d", req.DeadlineMS)
 	}
-	if d := req.Deadline(); d > maxDeadline {
-		return nil, errf(CodeBadRequest, "deadline %v exceeds maximum %v", d, maxDeadline)
+	// Compared in milliseconds: a count large enough overflows Duration
+	// and would pass as a negative deadline.
+	if req.DeadlineMS > maxDeadline.Milliseconds() {
+		return nil, errf(CodeBadRequest, "deadline %dms exceeds maximum %v", req.DeadlineMS, maxDeadline)
 	}
 
 	o := req.Options
