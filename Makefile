@@ -7,7 +7,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race bench interpbench interpbenchsmoke compilebench compilebenchsmoke benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak hostbench ci
+.PHONY: all build vet fmtcheck test race bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke benchsmoke baseline baseline-async overlap fuzzsmoke resilience critpath runlog servegate soak hostbench ci
 
 all: build
 
@@ -56,6 +56,17 @@ compilebench:
 # One iteration of each of those benchmarks, so they cannot rot.
 compilebenchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/core/ ./internal/analysis/
+
+# The communication layer's benchmark (internal/runtime/bench_test.go):
+# the map -> launch -> unmap -> release cycle on one unit, blocking and on
+# streams, at 4 KiB, 64 KiB and 512 KiB — host ns, bytes and objects
+# allocated per cycle. Advisory, and exported API only, like interpbench.
+commbench:
+	$(GO) test -run=NONE -bench=. -benchtime=2s -count=5 ./internal/runtime/
+
+# One iteration of each of those benchmarks, so they cannot rot.
+commbenchsmoke:
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/runtime/
 
 # Run the full suite and fail on any >25% simulated-wall regression
 # against the committed baseline. The simulation is deterministic, so a
@@ -137,4 +148,4 @@ hostbench:
 		echo "hostbench: no .bench_build/base.json to compare against (copy a parent-commit .bench_build/all.json there for verdicts)"; \
 	fi
 
-ci: build fmtcheck vet race interpbenchsmoke compilebenchsmoke benchsmoke overlap fuzzsmoke resilience critpath runlog servegate
+ci: build fmtcheck vet race interpbenchsmoke compilebenchsmoke commbenchsmoke benchsmoke overlap fuzzsmoke resilience critpath runlog servegate

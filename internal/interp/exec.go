@@ -135,7 +135,7 @@ type exec struct {
 	// totalOps/maxOps accumulate per-thread op counts for the launch.
 	totalOps, maxOps int64
 
-	args []uint64 // scratch for intrinsic arguments
+	args []uint64 // scratch for intrinsic arguments and launch operands
 }
 
 // Write implements io.Writer for worker contexts: kernel-side output is
@@ -854,10 +854,13 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			if ex.worker {
 				return 0, &Error{Fn: fc.name, Msg: "nested kernel launch"}
 			}
-			args := make([]uint64, i.b)
-			for j, s := range code.args[i.a : i.a+i.b] {
-				args[j] = regs[s]
+			// The threads run on worker contexts, so the root's intrinsic
+			// scratch is free to hold the operands for the whole launch.
+			args := ex.args[:0]
+			for _, s := range code.args[i.a : i.a+i.b] {
+				args = append(args, regs[s])
 			}
+			ex.args = args
 			line := code.origs[code.sites[pc-1].orig].line
 			if err := ex.launch(&code.funcs[i.c], int(line), args); err != nil {
 				return 0, err

@@ -136,9 +136,11 @@ type Interp struct {
 	ctx  context.Context
 	done <-chan struct{}
 
-	// root executes CPU code; workers execute kernel thread chunks.
+	// root executes CPU code; workers execute kernel thread chunks, which
+	// they claim from grid, the launch in progress.
 	root    *exec
 	workers []*exec
+	grid    gridRun
 }
 
 // New prepares an interpreter for the module: it lowers the module to

@@ -174,6 +174,80 @@ func threadSeed(seed uint64, tid int64) uint64 {
 	return z ^ (z >> 31)
 }
 
+// gridRun is the state the contexts of one launch share. It lives on the
+// interpreter and is reset by every launch (launches never nest: a kernel
+// that reaches a launch instruction faults), so a launch allocates none of
+// it; outs and faults keep their backing arrays from one launch to the next.
+type gridRun struct {
+	kernel           *funcCode
+	args             []uint64
+	threads          int64
+	chunk, nChunks   int64
+	hostMem, inspect bool
+	seed             uint64 // the root context's RNG state at the launch
+	depth            int    // and its call depth
+
+	outs   []*bytes.Buffer // per chunk, made by the first write
+	next   atomic.Int64    // next unclaimed chunk
+	minErr atomic.Int64    // lowest faulting thread id; threads while none
+
+	faultMu sync.Mutex
+	faults  []threadFault
+	wg      sync.WaitGroup
+}
+
+// run is one worker context's share of the launch: it claims chunks until
+// none is left or every remaining thread lies above a faulting one.
+func (g *gridRun) run(ex *exec) {
+	ex.beginLaunch(g.hostMem, g.inspect, g.threads)
+	for {
+		ci := g.next.Add(1) - 1
+		if ci >= g.nChunks {
+			break
+		}
+		lo := ci * g.chunk
+		hi := lo + g.chunk
+		if hi > g.threads {
+			hi = g.threads
+		}
+		if lo > g.minErr.Load() {
+			break
+		}
+		ex.outSlot = &g.outs[ci]
+		ex.out = ex
+		for t := lo; t < hi; t++ {
+			if t > g.minErr.Load() {
+				break
+			}
+			ex.rng = threadSeed(g.seed, t)
+			if ex.race != nil {
+				ex.race.tid = t
+			}
+			// Each thread starts from an empty scratch stack and its
+			// own op count, whatever the previous one left behind.
+			ex.tid, ex.ops, ex.depth = t, 0, g.depth
+			ex.scratchNext, ex.scratchSegs = ex.scratchBase, ex.scratchSegs[:0]
+			if err := ex.runThread(g.kernel, g.args); err != nil {
+				g.faultMu.Lock()
+				g.faults = append(g.faults, threadFault{t, err})
+				g.faultMu.Unlock()
+				for {
+					cur := g.minErr.Load()
+					if t >= cur || g.minErr.CompareAndSwap(cur, t) {
+						break
+					}
+				}
+				break
+			}
+			ex.totalOps += ex.ops
+			if ex.ops > ex.maxOps {
+				ex.maxOps = ex.ops
+			}
+		}
+	}
+	ex.endLaunch()
+}
+
 // runGrid executes the grid×block thread space of one kernel launch.
 //
 // The thread space is split into contiguous chunks claimed from an
@@ -199,79 +273,39 @@ func (in *Interp) runGrid(kernel *funcCode, line int, threads int64, args []uint
 		chunk = 1
 	}
 	nChunks := (threads + chunk - 1) / chunk
-	outs := make([]*bytes.Buffer, nChunks)
 
-	var next atomic.Int64
-	var minErr atomic.Int64
-	minErr.Store(threads) // sentinel: no fault
-	var faultMu sync.Mutex
-	var faults []threadFault
-	seed := in.root.rng
-	depth := in.root.depth
-
-	run := func(ex *exec) {
-		ex.beginLaunch(hostMem, inspect, threads)
-		for {
-			ci := next.Add(1) - 1
-			if ci >= nChunks {
-				break
-			}
-			lo := ci * chunk
-			hi := lo + chunk
-			if hi > threads {
-				hi = threads
-			}
-			if lo > minErr.Load() {
-				break
-			}
-			ex.outSlot = &outs[ci]
-			ex.out = ex
-			for t := lo; t < hi; t++ {
-				if t > minErr.Load() {
-					break
-				}
-				ex.rng = threadSeed(seed, t)
-				if ex.race != nil {
-					ex.race.tid = t
-				}
-				// Each thread starts from an empty scratch stack and its
-				// own op count, whatever the previous one left behind.
-				ex.tid, ex.ops, ex.depth = t, 0, depth
-				ex.scratchNext, ex.scratchSegs = ex.scratchBase, ex.scratchSegs[:0]
-				if err := ex.runThread(kernel, args); err != nil {
-					faultMu.Lock()
-					faults = append(faults, threadFault{t, err})
-					faultMu.Unlock()
-					for {
-						cur := minErr.Load()
-						if t >= cur || minErr.CompareAndSwap(cur, t) {
-							break
-						}
-					}
-					break
-				}
-				ex.totalOps += ex.ops
-				if ex.ops > ex.maxOps {
-					ex.maxOps = ex.ops
-				}
-			}
-		}
-		ex.endLaunch()
+	g := &in.grid
+	g.kernel, g.args, g.threads = kernel, args, threads
+	g.chunk, g.nChunks = chunk, nChunks
+	g.hostMem, g.inspect = hostMem, inspect
+	g.seed, g.depth = in.root.rng, in.root.depth
+	if int64(cap(g.outs)) < nChunks {
+		g.outs = make([]*bytes.Buffer, nChunks)
 	}
+	g.outs = g.outs[:nChunks]
+	g.next.Store(0)
+	g.minErr.Store(threads) // sentinel: no fault
+	g.faults = g.faults[:0]
+	// Whichever way the launch ends, the state keeps neither the caller's
+	// arguments nor the output and errors of this launch alive.
+	defer func() {
+		g.kernel, g.args = nil, nil
+		clear(g.outs)
+		clear(g.faults)
+	}()
 
 	ws := in.workerCtxs(nw)
 	if nw == 1 {
-		run(ws[0])
+		g.run(ws[0])
 	} else {
-		var wg sync.WaitGroup
 		for _, ex := range ws {
-			wg.Add(1)
+			g.wg.Add(1)
 			go func(ex *exec) {
-				defer wg.Done()
-				run(ex)
+				defer g.wg.Done()
+				g.run(ex)
 			}(ex)
 		}
-		wg.Wait()
+		g.wg.Wait()
 	}
 
 	// Fold exact per-line op attribution on the launch goroutine: the
@@ -287,14 +321,14 @@ func (in *Interp) runGrid(kernel *funcCode, line int, threads int64, args []uint
 	// Replay buffered kernel output in thread order; on a fault, exactly
 	// the output threads 0..faultTid produced, as sequential execution
 	// would have printed.
-	errTid := minErr.Load()
+	errTid := g.minErr.Load()
 	for ci := int64(0); ci < nChunks && ci*chunk <= errTid; ci++ {
-		if outs[ci] != nil {
-			in.Out.Write(outs[ci].Bytes())
+		if out := g.outs[ci]; out != nil {
+			in.Out.Write(out.Bytes())
 		}
 	}
 	if errTid < threads {
-		for _, f := range faults {
+		for _, f := range g.faults {
 			if f.tid == errTid {
 				prefix := "kernel"
 				if inspect {

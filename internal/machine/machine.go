@@ -246,6 +246,14 @@ type Machine struct {
 	gpuPeak  int64
 	plan     *faultinject.Plan
 
+	// free recycles the backing buffers of freed GPU segments, by exact
+	// size, and pooled is their aligned total (deviceBuf). Host memory
+	// only: no simulated address, byte count or event depends on it. The
+	// map is made by the first device Free, so a run that never frees a
+	// device segment pays nothing.
+	free   map[int64][][]byte
+	pooled int64
+
 	// Quota model (quota.go): gov, when non-nil, must approve every
 	// AllocDevice; govBytes remembers how much each reserved base was
 	// charged so Free releases exactly what was reserved (GPU segments
@@ -375,9 +383,11 @@ func (m *Machine) Alloc(space Space, size int64, name string) uint64 {
 		return 0
 	}
 	var base uint64
+	var data []byte
 	if space == CPU {
 		base = m.nextCPU
 		m.nextCPU = align(m.nextCPU + uint64(size))
+		data = make([]byte, size)
 	} else {
 		base = m.nextGPU
 		m.nextGPU = align(m.nextGPU + uint64(size))
@@ -385,10 +395,34 @@ func (m *Machine) Alloc(space Space, size int64, name string) uint64 {
 		if m.gpuUsed > m.gpuPeak {
 			m.gpuPeak = m.gpuUsed
 		}
+		data = m.deviceBuf(size)
 	}
-	seg := &Segment{Base: base, Data: make([]byte, size), Space: space, Name: name}
+	seg := &Segment{Base: base, Data: data, Space: space, Name: name}
 	m.segs[space].Put(base, seg)
 	return base
+}
+
+// deviceBuf returns the zeroed backing buffer of a new size-byte device
+// segment, already counted in gpuUsed: a recycled one of exactly that size
+// when the free list holds one, else a fresh one. A recycled buffer is
+// cleared, so machine memory always reads zero until written. gpuUsed+pooled never exceeds gpuPeak: Free keeps a buffer in
+// place of the live bytes it held, and a miss that would carry the sum
+// past the mark drops the list, so the host memory behind device segments
+// stays within what the program once had live.
+func (m *Machine) deviceBuf(size int64) []byte {
+	if l := m.free[size]; len(l) > 0 {
+		buf := l[len(l)-1]
+		l[len(l)-1] = nil
+		m.free[size] = l[:len(l)-1]
+		m.pooled -= int64(align(uint64(size)))
+		clear(buf)
+		return buf
+	}
+	if m.pooled > 0 && m.gpuUsed+m.pooled > m.gpuPeak {
+		clear(m.free)
+		m.pooled = 0
+	}
+	return make([]byte, size)
 }
 
 // Free removes the segment at base. It is an error to free a non-base
@@ -404,11 +438,23 @@ func (m *Machine) Free(space Space, base uint64) error {
 		m.waitRange(space, base, int64(len(seg.Data)))
 	}
 	if space == GPU {
-		m.gpuUsed -= int64(align(uint64(len(seg.Data))))
+		size := int64(len(seg.Data))
+		m.gpuUsed -= int64(align(uint64(size)))
 		if n, ok := m.govBytes[base]; ok && m.gov != nil {
 			m.gov.Release(n)
 			delete(m.govBytes, base)
 		}
+		// The buffer moves to the free list and the segment loses it: a
+		// *Segment held past this Free (an inline cache that missed the Gen
+		// change) then fails its bounds check instead of reading the bytes
+		// of whichever unit the buffer backs next. Segments themselves are
+		// never recycled, for the same reason.
+		if m.free == nil {
+			m.free = make(map[int64][][]byte)
+		}
+		m.free[size] = append(m.free[size], seg.Data)
+		m.pooled += int64(align(uint64(size)))
+		seg.Data = nil
 	}
 	m.segs[space].Delete(base)
 	for i, c := range &m.cache[space] {

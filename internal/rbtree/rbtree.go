@@ -26,6 +26,30 @@ type node[V any] struct {
 type Tree[V any] struct {
 	root *node[V]
 	size int
+
+	// free chains (through left) the nodes Delete unlinked, for Put to
+	// reuse: the runtime deletes and re-inserts an entry on every
+	// release/map pair. Nodes never leave the tree, so no caller can hold
+	// one; the list is as long as the tree once was large.
+	free *node[V]
+}
+
+// newNode returns a red leaf for key, recycled when the free list has one.
+func (t *Tree[V]) newNode(key uint64, val V) *node[V] {
+	n := t.free
+	if n == nil {
+		return &node[V]{key: key, val: val, color: red}
+	}
+	t.free = n.left
+	*n = node[V]{key: key, val: val, color: red}
+	return n
+}
+
+// release puts an unlinked node on the free list, dropping its value so the
+// list keeps nothing alive.
+func (t *Tree[V]) release(n *node[V]) {
+	*n = node[V]{left: t.free}
+	t.free = n
 }
 
 // Len returns the number of entries.
@@ -79,7 +103,7 @@ func (t *Tree[V]) Put(key uint64, val V) {
 func (t *Tree[V]) put(h *node[V], key uint64, val V) *node[V] {
 	if h == nil {
 		t.size++
-		return &node[V]{key: key, val: val, color: red}
+		return t.newNode(key, val)
 	}
 	switch {
 	case key < h.key:
@@ -221,6 +245,7 @@ func minNode[V any](h *node[V]) *node[V] {
 
 func (t *Tree[V]) delMin(h *node[V]) *node[V] {
 	if h.left == nil {
+		t.release(h)
 		return nil
 	}
 	if !isRed(h.left) && !isRed(h.left.left) {
@@ -241,6 +266,7 @@ func (t *Tree[V]) del(h *node[V], key uint64) *node[V] {
 			h = rotateRight(h)
 		}
 		if key == h.key && h.right == nil {
+			t.release(h)
 			return nil
 		}
 		if !isRed(h.right) && !isRed(h.right.left) {

@@ -142,6 +142,86 @@ func TestRandomOpsAgainstMap(t *testing.T) {
 	}
 }
 
+// freeLen counts the nodes on the tree's free list.
+func freeLen[V any](t *Tree[V]) int {
+	n := 0
+	for f := t.free; f != nil; f = f.left {
+		n++
+	}
+	return n
+}
+
+// TestDeletePutThroughRecycledNodes interleaves deletes and puts on a tree
+// that has shrunk, so every Put takes a node Delete unlinked: the
+// invariants, the order and the reference map must hold after every
+// operation, the nodes in the tree and on the list must add up to the most
+// the tree ever held, a listed node must keep no value alive, and a
+// Delete/Put pair must allocate nothing.
+func TestDeletePutThroughRecycledNodes(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	var tr Tree[*int]
+	ref := make(map[uint64]*int)
+	const keys = 256
+	for k := uint64(0); k < keys; k++ {
+		v := new(int)
+		tr.Put(k*16, v)
+		ref[k*16] = v
+	}
+	for i := 0; i < 20000; i++ {
+		k := uint64(rng.Intn(keys)) * 16
+		// Two deletes for every put until the tree is half empty, then the
+		// reverse, so the list both grows and drains.
+		del := rng.Intn(3) != 0
+		if (i/2000)%2 == 1 {
+			del = !del
+		}
+		if del {
+			_, okRef := ref[k]
+			if ok := tr.Delete(k); ok != okRef {
+				t.Fatalf("op %d: Delete(%d) = %v, ref %v", i, k, ok, okRef)
+			}
+			delete(ref, k)
+		} else {
+			v := new(int)
+			tr.Put(k, v)
+			ref[k] = v
+		}
+		if !tr.CheckInvariants() {
+			t.Fatalf("op %d: invariants violated", i)
+		}
+		if tr.Len() != len(ref) || tr.Len()+freeLen(&tr) != keys {
+			t.Fatalf("op %d: Len %d, ref %d, free %d, want Len+free = %d", i, tr.Len(), len(ref), freeLen(&tr), keys)
+		}
+		if i%500 != 0 {
+			continue
+		}
+		prev, first := uint64(0), true
+		tr.Ascend(func(k uint64, v *int) bool {
+			if !first && k <= prev {
+				t.Fatalf("op %d: Ascend out of order at %d", i, k)
+			}
+			if ref[k] != v {
+				t.Fatalf("op %d: key %d holds another key's value", i, k)
+			}
+			prev, first = k, false
+			return true
+		})
+		for f := tr.free; f != nil; f = f.left {
+			if f.val != nil || f.right != nil {
+				t.Fatalf("op %d: a free node still references a value or a subtree", i)
+			}
+		}
+	}
+	v := new(int)
+	tr.Put(8, v)
+	if a := testing.AllocsPerRun(100, func() {
+		tr.Delete(8)
+		tr.Put(8, v)
+	}); a != 0 {
+		t.Errorf("Delete+Put allocated %v objects per pair, want 0", a)
+	}
+}
+
 // TestQuickGreatestLTE property: GreatestLTE always equals the brute
 // force maximum key <= query.
 func TestQuickGreatestLTE(t *testing.T) {

@@ -42,12 +42,11 @@ func (r *Runtime) UnmapAsync(ptr uint64) error { return r.unmapImpl(ptr, r.d2h) 
 // TakeLaunchWaits returns the completion events of every async upload
 // issued since the last call and clears the list. The interpreter passes
 // them to LaunchKernelAt so the kernel waits for its inputs without the
-// CPU ever stalling.
+// CPU ever stalling. LaunchKernelAt reads the events and keeps no
+// reference to the slice, so the list's backing array is reused: the
+// result is valid only until the next async upload.
 func (r *Runtime) TakeLaunchWaits() []machine.Event {
-	if len(r.pendingUploads) == 0 {
-		return nil
-	}
 	w := r.pendingUploads
-	r.pendingUploads = nil
+	r.pendingUploads = w[:0]
 	return w
 }

@@ -51,6 +51,10 @@ type AllocInfo struct {
 	// last host flush. Maintained only in resilient mode, where evicting
 	// a dirty unit must copy it back first.
 	Dirty bool
+
+	// devName is "dev:"+Name, the label of the unit's device copies, built
+	// by the first map that allocates one.
+	devName string
 }
 
 // shadowArray tracks the GPU-side pointer array created by MapArray for a
@@ -282,6 +286,7 @@ func (r *Runtime) RemoveAlloca(base uint64) {
 			r.lruRemove(base)
 		}
 		r.allocs.Delete(base)
+		delete(r.lastXfer, base)
 	}
 }
 
@@ -369,6 +374,9 @@ func (r *Runtime) Free(ptr uint64) error {
 	}
 	r.allocs.Delete(ptr)
 	r.freed[ptr] = true
+	// Host addresses are never handed out twice, so nothing can order
+	// behind this unit's last stream copy any more.
+	delete(r.lastXfer, ptr)
 	return r.M.Free(machine.CPU, ptr)
 }
 
@@ -431,7 +439,10 @@ func (r *Runtime) mapUnit(ptr uint64, s *machine.Stream) (*AllocInfo, bool, erro
 	fresh := false
 	if !info.IsGlobal {
 		if info.DevPtr == 0 {
-			dev, aerr := r.allocDevice(info.Size, "dev:"+info.Name)
+			if info.devName == "" {
+				info.devName = "dev:" + info.Name
+			}
+			dev, aerr := r.allocDevice(info.Size, info.devName)
 			if aerr != nil {
 				return nil, false, r.degradeMap("device allocation for "+info.Name, aerr)
 			}

@@ -326,3 +326,93 @@ func TestDeclareAllocaExpiry(t *testing.T) {
 		t.Error("alloca registration did not expire")
 	}
 }
+
+// TestFreeForgetsLastTransfer: the per-unit ordering entry an async copy
+// leaves behind dies with the unit. Host addresses are never reused, so
+// an entry that outlives its unit can only leak.
+func TestFreeForgetsLastTransfer(t *testing.T) {
+	rt, m := newRT()
+	rt.EnableAsync()
+	const n = 32
+	for i := 0; i < n; i++ {
+		p := rt.Malloc(256)
+		if i%2 == 1 {
+			// Every other unit leaves through realloc's free of the old unit.
+			q, err := rt.Realloc(p, 512)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := rt.MapAsync(p); err == nil {
+				t.Fatal("map of a reallocated-away unit succeeded")
+			}
+			p = q
+		}
+		if _, err := rt.MapAsync(p); err != nil {
+			t.Fatal(err)
+		}
+		rt.KernelLaunched()
+		m.LaunchKernelAt("k", 0, 1, 1, 1, rt.TakeLaunchWaits()...)
+		if err := rt.UnmapAsync(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Release(p); err != nil {
+			t.Fatal(err)
+		}
+		if len(rt.lastXfer) != 1 {
+			t.Fatalf("unit %d: %d ordering entries while one unit has copied, want 1", i, len(rt.lastXfer))
+		}
+		if err := rt.Free(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	// A stack unit leaves through RemoveAlloca.
+	s := m.Alloc(machine.CPU, 64, "alloca f")
+	rt.DeclareAlloca(s, 64, "alloca f")
+	if _, err := rt.MapAsync(s); err != nil {
+		t.Fatal(err)
+	}
+	if err := rt.Release(s); err != nil {
+		t.Fatal(err)
+	}
+	rt.RemoveAlloca(s)
+	m.Sync()
+	if len(rt.lastXfer) != 0 {
+		t.Errorf("%d ordering entries left after every unit was freed, want 0", len(rt.lastXfer))
+	}
+}
+
+// TestDeviceCopyNameBuiltOnce: the label of a unit's device copies reaches
+// DeviceError.Unit, fault events and traces, so it is still "dev:"+Name —
+// and it is the same string on every map of the unit, not a new one.
+func TestDeviceCopyNameBuiltOnce(t *testing.T) {
+	rt, m := newRT()
+	p := rt.Malloc(64)
+	var names []string
+	for i := 0; i < 3; i++ {
+		dev, err := rt.Map(p)
+		if err != nil {
+			t.Fatal(err)
+		}
+		names = append(names, m.FindSegment(dev).Name)
+		if err := rt.Release(p); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for _, n := range names {
+		if n != "dev:malloc" {
+			t.Errorf("device copy named %q, want %q", n, "dev:malloc")
+		}
+	}
+	if a := testing.AllocsPerRun(50, func() {
+		if _, err := rt.Map(p); err != nil {
+			t.Fatal(err)
+		}
+		if err := rt.Release(p); err != nil {
+			t.Fatal(err)
+		}
+	}); a > 1 {
+		// The one object left is the device copy's Segment, which is never
+		// recycled (a stale holder must not see another unit through it).
+		t.Errorf("a map/release pair allocated %v objects, want 1 (the Segment)", a)
+	}
+}
