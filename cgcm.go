@@ -102,6 +102,9 @@ const (
 	PassAllocaPromo = core.PassAllocaPromo
 	// PassMapPromo is map promotion (§5.1).
 	PassMapPromo = core.PassMapPromo
+	// PassOverlap is the communication-overlap pass, scheduled under
+	// Options.Async.
+	PassOverlap = core.PassOverlap
 )
 
 // PassSet is a set of passes to ablate; it implements flag.Value, so it

@@ -92,7 +92,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	compareWith := fs.String("compare", "", "diff this run against the given baseline; exit 1 on regression")
 	threshold := fs.Float64("threshold", 0.25, "relative simulated-wall regression that fails -compare (0.25 = 25%)")
 	workers := fs.Int("workers", 0, "kernel-engine worker goroutines per launch (0 = GOMAXPROCS)")
-	fs.Var(&bench.Ablate, "ablate", "comma-separated passes to skip (doall, gluekernel, allocapromo, mappromo, overlap)")
+	cli.AddAblateFlag(fs, &bench.Ablate)
 	var ablateDiff core.PassSet
 	fs.Var(&ablateDiff, "ablate-diff", "explain per allocation unit what ablating these passes costs (vs the -ablate set)")
 	runf := cli.AddRunFlags(fs)

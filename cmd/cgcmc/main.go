@@ -52,7 +52,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	strategy := fs.String("strategy", "opt", "sequential | inspector | unopt | opt")
 	phases := fs.Bool("phases", false, "report compile phases with wall time and activity")
 	var ablate core.PassSet
-	fs.Var(&ablate, "ablate", "comma-separated passes to skip (doall, gluekernel, allocapromo, mappromo, overlap)")
+	cli.AddAblateFlag(fs, &ablate)
 	runf := cli.AddRunFlags(fs)
 	rflags := cli.AddRemarkFlags(fs)
 	if err := fs.Parse(args); err != nil {

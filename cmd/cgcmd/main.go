@@ -15,7 +15,6 @@
 //	cgcmd -quota 1048576               # 1 MiB device-memory quota per tenant
 //	cgcmd -tenant-quota alpha=262144 -weight alpha=3
 //	cgcmd -runlog .cgcm/runs           # append one run record per request
-//	cgcmd -gate                        # CI gate: contention bit-identity
 //	cgcmd -version                     # print build identity and exit
 //
 // Endpoints:
@@ -100,20 +99,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	weight := &kvFlag{label: "weight"}
 	fs.Var(weight, "weight", "per-tenant scheduling weight, tenant=n (repeatable; default 1)")
 	runlogDir := fs.String("runlog", "", "append one durable run record per completed request to this store directory")
-	gate := fs.Bool("gate", false, "CI gate: verify response payloads are bit-identical solo vs loaded server across the bench suite")
 	version := fs.Bool("version", false, "print build identity and exit")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
 	if *version {
 		cli.PrintVersion(stdout, "cgcmd")
-		return 0
-	}
-	if *gate {
-		if err := server.RunGate(stdout); err != nil {
-			fmt.Fprintf(stderr, "cgcmd: %v\n", err)
-			return 1
-		}
 		return 0
 	}
 	if fs.NArg() > 0 {

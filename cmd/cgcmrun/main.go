@@ -7,12 +7,14 @@
 //	cgcmrun file.c                    # optimized CGCM
 //	cgcmrun -strategy seq file.c      # plain sequential CPU execution
 //	cgcmrun -compare file.c           # run all four systems, report table
+//	                                  # (under -ablate, -async, -gpu-mem,
+//	                                  # -faults and -timeout, like one run)
 //	cgcmrun -trace file.c             # append an execution schedule
 //	cgcmrun -trace-out t.json file.c  # write a Perfetto-viewable trace
 //	cgcmrun -ledger file.c            # per-allocation-unit communication
 //	cgcmrun -ablate mappromo file.c   # skip named optimization passes
 //	cgcmrun -prof file.c              # exact profile: hot lines, sites, transfers
-//	cgcmrun -prof -prof-n 40 file.c   # show 40 hot lines (-prof-top works too)
+//	cgcmrun -prof -prof-n 40 file.c   # show 40 hot lines
 //	cgcmrun -prof-folded p.folded file.c  # folded stacks for flamegraph tools
 //	cgcmrun -metrics m.json file.c    # machine/runtime/compiler metrics JSON
 //	cgcmrun -metrics-listen :9090 file.c  # serve live Prometheus /metrics
@@ -63,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	compare := fs.Bool("compare", false, "run all four systems and compare")
 	ledger := fs.Bool("ledger", false, "print the per-allocation-unit communication ledger")
 	var ablate core.PassSet
-	fs.Var(&ablate, "ablate", "comma-separated passes to skip (doall, gluekernel, allocapromo, mappromo, overlap)")
+	cli.AddAblateFlag(fs, &ablate)
 	runf := cli.AddRunFlags(fs)
 	rflags := cli.AddRemarkFlags(fs)
 	if err := fs.Parse(args); err != nil {
@@ -89,21 +91,39 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	name := fs.Arg(0)
 
+	// What shapes a run's simulated result: -compare varies Strategy over
+	// these, the single run adds its observers.
+	opts := core.Options{Ablate: ablate, GPUMemBytes: runf.GPUMem, FaultSpec: faultSpec, Async: runf.Async}
+	ctx, cancel := runf.RunContext()
+	defer cancel()
+	runFailed := func(err error) int {
+		var cancelErr *interp.CancelError
+		if errors.As(err, &cancelErr) {
+			fmt.Fprintf(stderr, "cgcmrun: run aborted by -timeout %v: %v\n", runf.Timeout, err)
+		} else {
+			fmt.Fprintf(stderr, "cgcmrun: %v\n", err)
+		}
+		return 1
+	}
+
 	if *compare {
 		fmt.Fprintf(stdout, "%-20s %12s %10s %10s %8s %8s\n", "system", "sim time", "HtoD", "DtoH", "kernels", "speedup")
-		var base float64
+		var seq *core.Report
 		for _, s := range []core.Strategy{core.Sequential, core.InspectorExecutor, core.CGCMUnoptimized, core.CGCMOptimized} {
-			rep, err := core.CompileAndRun(name, string(src), core.Options{Strategy: s, Ablate: ablate})
+			opts.Strategy = s
+			rep, err := core.CompileAndRunContext(ctx, name, string(src), opts)
 			if err != nil {
-				fmt.Fprintf(stderr, "cgcmrun: %s: %v\n", s, err)
-				return 1
+				return runFailed(fmt.Errorf("%s: %w", s, err))
 			}
 			if s == core.Sequential {
-				base = rep.Stats.Wall
+				seq = rep
+			}
+			if rep.Output != seq.Output {
+				return runFailed(fmt.Errorf("%s: output diverged from sequential", s))
 			}
 			fmt.Fprintf(stdout, "%-20s %10.1fus %10d %10d %8d %7.2fx\n",
 				s, rep.Stats.Wall*1e6, rep.Stats.NumHtoD, rep.Stats.NumDtoH,
-				rep.Stats.NumKernels, base/rep.Stats.Wall)
+				rep.Stats.NumKernels, seq.Stats.Wall/rep.Stats.Wall)
 		}
 		return 0
 	}
@@ -132,29 +152,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		defer ms.Close()
 		fmt.Fprintf(stderr, "--- serving metrics at http://%s/metrics\n", ms.Addr)
 	}
-	opts := core.Options{
-		Strategy:    st,
-		Tracer:      tr,
-		Ablate:      ablate,
-		Profile:     runf.Profiling(),
-		Metrics:     reg,
-		Remarks:     rflags.Wanted() || runf.Runlog != "",
-		GPUMemBytes: runf.GPUMem,
-		FaultSpec:   faultSpec,
-		Async:       runf.Async,
-	}
-	ctx, cancel := runf.RunContext()
-	defer cancel()
+	opts.Strategy = st
+	opts.Tracer = tr
+	opts.Profile = runf.Profiling()
+	opts.Metrics = reg
+	opts.Remarks = rflags.Wanted() || runf.Runlog != ""
 	hostStart := time.Now()
 	rep, err := core.CompileAndRunContext(ctx, name, string(src), opts)
 	hostNS := time.Since(hostStart).Nanoseconds()
 	if err != nil {
-		var cancelErr *interp.CancelError
-		if errors.As(err, &cancelErr) {
-			fmt.Fprintf(stderr, "cgcmrun: run aborted by -timeout %v: %v\n", runf.Timeout, err)
-		} else {
-			fmt.Fprintf(stderr, "cgcmrun: %v\n", err)
-		}
+		runFailed(err)
 		if rep != nil && rep.Output != "" {
 			fmt.Fprintf(stderr, "partial output:\n%s", rep.Output)
 		}

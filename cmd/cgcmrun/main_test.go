@@ -34,25 +34,17 @@ func writeDemo(t *testing.T) string {
 	return path
 }
 
-// TestProfN covers the -prof-n flag and its -prof-top alias: both bound
-// the hot-lines table, visible in the "(top N of M)" header.
+// TestProfN covers the -prof-n flag: it bounds the hot-lines table,
+// visible in the "(top N of M)" header.
 func TestProfN(t *testing.T) {
 	path := writeDemo(t)
-	for _, tc := range []struct {
-		flag string
-		n    string
-		want string
-	}{
-		{"-prof-n", "1", "(top 1 of"},
-		{"-prof-n", "3", "(top 3 of"},
-		{"-prof-top", "2", "(top 2 of"},
-	} {
+	for _, n := range []string{"1", "3"} {
 		var stdout, stderr bytes.Buffer
-		if code := run([]string{"-prof", tc.flag, tc.n, path}, &stdout, &stderr); code != 0 {
-			t.Fatalf("%s %s: exit %d, stderr:\n%s", tc.flag, tc.n, code, stderr.String())
+		if code := run([]string{"-prof", "-prof-n", n, path}, &stdout, &stderr); code != 0 {
+			t.Fatalf("-prof-n %s: exit %d, stderr:\n%s", n, code, stderr.String())
 		}
-		if !strings.Contains(stderr.String(), tc.want) {
-			t.Errorf("%s %s: profile header missing %q:\n%s", tc.flag, tc.n, tc.want, stderr.String())
+		if want := "(top " + n + " of"; !strings.Contains(stderr.String(), want) {
+			t.Errorf("-prof-n %s: profile header missing %q:\n%s", n, want, stderr.String())
 		}
 	}
 }
@@ -98,6 +90,38 @@ func TestTraceOutSchemaUnderAblation(t *testing.T) {
 	}
 	if len(doc.TraceEvents) == 0 {
 		t.Fatal("empty trace")
+	}
+}
+
+// TestCompareHonorsRunFlags: -compare runs its four systems under the
+// same run flags a single run gets. -async moves the unoptimized wall
+// (every map and unmap of the timestep loop overlaps) while the table
+// still prints all four rows — the comparison checks every system's
+// output against sequential before it prints the row.
+func TestCompareHonorsRunFlags(t *testing.T) {
+	path := writeDemo(t)
+	table := func(args ...string) map[string]string {
+		var stdout, stderr bytes.Buffer
+		if code := run(append(args, path), &stdout, &stderr); code != 0 {
+			t.Fatalf("%v: exit %d, stderr:\n%s", args, code, stderr.String())
+		}
+		walls := make(map[string]string)
+		for _, line := range strings.Split(stdout.String(), "\n")[1:] {
+			if f := strings.Fields(line); len(f) > 1 {
+				walls[f[0]] = f[1]
+			}
+		}
+		if len(walls) != 4 {
+			t.Fatalf("%v: want four system rows:\n%s", args, stdout.String())
+		}
+		return walls
+	}
+	sync, async := table("-compare"), table("-compare", "-async")
+	if sync["cgcm-unoptimized"] == async["cgcm-unoptimized"] {
+		t.Errorf("-async left the unoptimized wall at %s", sync["cgcm-unoptimized"])
+	}
+	if sync["sequential"] != async["sequential"] {
+		t.Errorf("-async moved the sequential wall: %s vs %s", sync["sequential"], async["sequential"])
 	}
 }
 

@@ -32,16 +32,18 @@ func TestTimeoutFlag(t *testing.T) {
 	}
 	before := runtime.NumGoroutine()
 
-	var stdout, stderr bytes.Buffer
-	code := run([]string{"-timeout", "50ms", path}, &stdout, &stderr)
-	if code == 0 {
-		t.Fatal("run completed despite -timeout 50ms")
-	}
-	if !strings.Contains(stderr.String(), "aborted by -timeout") {
-		t.Fatalf("stderr %q lacks the typed timeout message", stderr.String())
-	}
-	if !strings.Contains(stderr.String(), "run canceled") {
-		t.Fatalf("stderr %q does not surface the interp cancellation", stderr.String())
+	for _, mode := range [][]string{{}, {"-compare"}} {
+		var stdout, stderr bytes.Buffer
+		code := run(append(mode, "-timeout", "50ms", path), &stdout, &stderr)
+		if code == 0 {
+			t.Fatalf("%v: run completed despite -timeout 50ms", mode)
+		}
+		if !strings.Contains(stderr.String(), "aborted by -timeout") {
+			t.Fatalf("%v: stderr %q lacks the typed timeout message", mode, stderr.String())
+		}
+		if !strings.Contains(stderr.String(), "run canceled") {
+			t.Fatalf("%v: stderr %q does not surface the interp cancellation", mode, stderr.String())
+		}
 	}
 
 	deadline := time.Now().Add(2 * time.Second)

@@ -16,7 +16,6 @@
 //	cgcmstat -whatif zero-comm file.c   # one counterfactual replay
 //	cgcmstat -diff file.c            # sync vs -async, delta attribution
 //	cgcmstat -diff a.json b.json     # attribute the delta of two traces
-//	cgcmstat -gate                   # CI gate: invariants across the suite
 //
 // It is also the query CLI over the durable run-record store the other
 // commands append to with -runlog (default store: .cgcm/runs):
@@ -29,9 +28,6 @@
 //	                                 # the responsible pass or remark
 //	cgcmstat -report out.html        # self-contained byte-deterministic
 //	                                 # HTML report over the whole store
-//	cgcmstat -runlog-gate            # CI gate: record the suite sync+async,
-//	                                 # assert exact regression attribution
-//	                                 # and report determinism
 //	cgcmstat -version                # print build identity and exit
 //
 // The execution flags (-async, -gpu-mem, -faults, -ablate, -workers,
@@ -40,7 +36,6 @@
 package main
 
 import (
-	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -48,7 +43,6 @@ import (
 	"path/filepath"
 	"strings"
 
-	"cgcm/internal/bench"
 	"cgcm/internal/cli"
 	"cgcm/internal/core"
 	"cgcm/internal/critpath"
@@ -64,14 +58,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs.SetOutput(stderr)
 	whatif := fs.String("whatif", "", "replay one scenario: zero-comm | gpu-2x | perfect-overlap | identity (default: all)")
 	diff := fs.Bool("diff", false, "attribute a wall-time delta: two inputs, or one source run sync vs async")
-	gate := fs.Bool("gate", false, "CI gate: verify the critical-path invariants on the whole bench suite")
 	workers := fs.Int("workers", 0, "kernel-engine worker goroutines per launch (0 = GOMAXPROCS)")
 	var ablate core.PassSet
-	fs.Var(&ablate, "ablate", "comma-separated passes to skip (doall, gluekernel, allocapromo, mappromo, overlap)")
+	cli.AddAblateFlag(fs, &ablate)
 	history := fs.Bool("history", false, "list the run-record store as a per-program trend table")
 	regress := fs.Bool("regress", false, "attribute the wall delta between two stored records (two record IDs or paths)")
 	report := fs.String("report", "", "write a self-contained HTML report over the run-record store to this file")
-	runlogGate := fs.Bool("runlog-gate", false, "CI gate: record the suite sync and async, verify exact -regress attribution and report determinism")
 	runf := cli.AddRunFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,14 +88,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		storeDir = runlog.DefaultDir
 	}
 
-	if *runlogGate {
-		if fs.NArg() != 0 {
-			fmt.Fprintln(stderr, "usage: cgcmstat -runlog-gate")
-			return 2
-		}
-		return runRunlogGate(stdout, stderr)
-	}
-
 	if *history {
 		return runHistory(stdout, stderr, storeDir)
 	}
@@ -120,20 +104,12 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runReport(stdout, stderr, storeDir, *report)
 	}
 
-	if *gate {
-		if fs.NArg() != 0 {
-			fmt.Fprintln(stderr, "usage: cgcmstat -gate")
-			return 2
-		}
-		return runGate(stdout, stderr, opts)
-	}
-
 	if *diff {
 		return runDiff(stdout, stderr, fs.Args(), opts)
 	}
 
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: cgcmstat [-whatif scenario | -diff | -gate | -history | -regress a b | -report out.html | -runlog-gate] [-async] file.c|trace.json")
+		fmt.Fprintln(stderr, "usage: cgcmstat [-whatif scenario | -diff | -history | -regress a b | -report out.html] [-async] file.c|trace.json")
 		return 2
 	}
 	a, err := load(fs.Arg(0), opts)
@@ -268,98 +244,6 @@ func diffLabels(a, b string) (string, string) {
 	return la, lb
 }
 
-// gateEps is the relative tolerance for float re-accumulation in the
-// gate's sum and replay comparisons; path times themselves, and every
-// cross-worker comparison, must match bit for bit.
-const gateEps = 1e-9
-
-// runGate verifies, for every bench program, sync and async, the
-// package's contract: the critical path tiles [0, Stats.Wall] exactly;
-// the path, limiting factor, and what-if predictions are bit-identical
-// across engine worker counts; and the zero-comm replay never predicts
-// a wall above the measured one.
-func runGate(stdout, stderr io.Writer, opts core.Options) int {
-	fail := 0
-	fmt.Fprintf(stdout, "critical-path gate: invariant + worker stability, %d programs x {sync, async}\n", len(bench.All()))
-	fmt.Fprintf(stdout, "%-16s %-6s %12s %10s %5s %12s\n", "program", "mode", "wall", "limiting", "segs", "zero-comm")
-	for _, p := range bench.All() {
-		for _, async := range []bool{false, true} {
-			mode := "sync"
-			if async {
-				mode = "async"
-			}
-			bad := func(format string, args ...any) {
-				fail++
-				fmt.Fprintf(stderr, "cgcmstat: %s [%s]: %s\n", p.Name, mode, fmt.Sprintf(format, args...))
-			}
-			var base *critpath.Analysis
-			var basePreds []critpath.Prediction
-			for _, workers := range []int{1, 4} {
-				o := opts
-				o.Async, o.Workers = async, workers
-				a, rep, err := analyzeLive(p.Name, p.Source, o)
-				if err != nil {
-					bad("%v", err)
-					break
-				}
-				if err := a.Validate(); err != nil {
-					bad("workers=%d: %v", workers, err)
-					continue
-				}
-				if s := a.PathSum(); s < rep.Stats.Wall*(1-gateEps) || s > rep.Stats.Wall*(1+gateEps) {
-					bad("workers=%d: path sums to %g, wall is %g", workers, s, rep.Stats.Wall)
-				}
-				preds := a.WhatIfAll()
-				for _, pr := range preds {
-					if pr.Scenario == critpath.ScenarioZeroComm && pr.Wall > rep.Stats.Wall*(1+gateEps) {
-						bad("workers=%d: zero-comm predicts %g above measured %g", workers, pr.Wall, rep.Stats.Wall)
-					}
-				}
-				if base == nil {
-					base, basePreds = a, preds
-					continue
-				}
-				switch {
-				case a.Wall != base.Wall:
-					bad("wall differs across workers: %g vs %g", a.Wall, base.Wall)
-				case a.Limiting != base.Limiting:
-					bad("limiting differs across workers: %s vs %s", a.Limiting, base.Limiting)
-				case len(a.Path) != len(base.Path):
-					bad("path length differs across workers: %d vs %d", len(a.Path), len(base.Path))
-				default:
-					for i := range a.Path {
-						if a.Path[i] != base.Path[i] {
-							bad("path segment %d differs across workers", i)
-							break
-						}
-					}
-					for i := range preds {
-						if preds[i] != basePreds[i] {
-							bad("%s prediction differs across workers", preds[i].Scenario)
-						}
-					}
-				}
-			}
-			if base != nil {
-				var zc float64
-				for _, pr := range basePreds {
-					if pr.Scenario == critpath.ScenarioZeroComm {
-						zc = pr.Wall
-					}
-				}
-				fmt.Fprintf(stdout, "%-16s %-6s %10.2fus %10s %5d %10.2fus\n",
-					p.Name, mode, base.Wall*1e6, base.Limiting, len(base.Path), zc*1e6)
-			}
-		}
-	}
-	if fail > 0 {
-		fmt.Fprintf(stderr, "cgcmstat: gate failed: %d violation(s)\n", fail)
-		return 1
-	}
-	fmt.Fprintln(stdout, "gate passed: paths tile the wall, classifications and predictions are worker-independent, zero-comm bounds hold")
-	return 0
-}
-
 // runHistory renders the run-record store as a per-program trend table:
 // one line per record in store order, with the wall delta against the
 // program's previous record.
@@ -484,89 +368,4 @@ func countPrograms(recs []*runlog.Record) int {
 		seen[r.Program] = true
 	}
 	return len(seen)
-}
-
-// runRunlogGate is the CI gate over the run-record subsystem: it sweeps
-// the bench suite twice into a throwaway store — synchronous transfers,
-// then -async — and verifies that (1) for every program, -regress
-// between the two stored records attributes the wall delta to span
-// classes exactly, with zero residue, and (2) the HTML report over the
-// store is byte-identical across exports.
-func runRunlogGate(stdout, stderr io.Writer) int {
-	dir, err := os.MkdirTemp("", "cgcm-runlog-gate-")
-	if err != nil {
-		fmt.Fprintf(stderr, "cgcmstat: %v\n", err)
-		return 1
-	}
-	defer os.RemoveAll(dir)
-	st, err := runlog.Open(dir)
-	if err != nil {
-		fmt.Fprintf(stderr, "cgcmstat: %v\n", err)
-		return 1
-	}
-	prevRunlog, prevAsync := bench.Runlog, bench.Async
-	defer func() { bench.Runlog, bench.Async = prevRunlog, prevAsync }()
-	bench.Runlog = st
-	for _, async := range []bool{false, true} {
-		bench.Async = async
-		if _, err := bench.RunAll(io.Discard); err != nil {
-			fmt.Fprintf(stderr, "cgcmstat: %v\n", err)
-			return 1
-		}
-	}
-	fail := 0
-	fmt.Fprintf(stdout, "runlog gate: exact regression attribution, %d programs, sync -> async\n", len(bench.All()))
-	fmt.Fprintf(stdout, "%-16s %12s %12s %12s %6s\n", "program", "sync wall", "async wall", "delta", "exact")
-	for _, p := range bench.All() {
-		ra, err := st.Load(p.Name + "-1")
-		if err == nil {
-			var rb *runlog.Record
-			if rb, err = st.Load(p.Name + "-2"); err == nil {
-				if ra.Critpath == nil || rb.Critpath == nil {
-					fail++
-					fmt.Fprintf(stderr, "cgcmstat: %s: stored record has no critical-path digest\n", p.Name)
-					continue
-				}
-				var d *critpath.DiffResult
-				if d, err = critpath.DiffSummaries(*ra.Critpath, *rb.Critpath); err == nil {
-					ok := d.Exact()
-					if !ok {
-						fail++
-						fmt.Fprintf(stderr, "cgcmstat: %s: class deltas do not sum to the wall delta\n", p.Name)
-					}
-					fmt.Fprintf(stdout, "%-16s %10.2fus %10.2fus %10.2fus %6v\n",
-						p.Name, ra.Stats.Wall*1e6, rb.Stats.Wall*1e6,
-						(rb.Stats.Wall-ra.Stats.Wall)*1e6, ok)
-				}
-			}
-		}
-		if err != nil {
-			fail++
-			fmt.Fprintf(stderr, "cgcmstat: %s: %v\n", p.Name, err)
-		}
-	}
-	// Report determinism: two exports over freshly loaded records must be
-	// byte-identical.
-	var buf1, buf2 bytes.Buffer
-	for i, buf := range []*bytes.Buffer{&buf1, &buf2} {
-		recs, err := st.Records()
-		if err != nil {
-			fmt.Fprintf(stderr, "cgcmstat: %v\n", err)
-			return 1
-		}
-		if err := runlog.WriteHTML(buf, recs); err != nil {
-			fmt.Fprintf(stderr, "cgcmstat: report export %d: %v\n", i+1, err)
-			return 1
-		}
-	}
-	if !bytes.Equal(buf1.Bytes(), buf2.Bytes()) {
-		fail++
-		fmt.Fprintln(stderr, "cgcmstat: HTML report is not byte-deterministic across exports")
-	}
-	if fail > 0 {
-		fmt.Fprintf(stderr, "cgcmstat: runlog gate failed: %d violation(s)\n", fail)
-		return 1
-	}
-	fmt.Fprintf(stdout, "runlog gate passed: attribution exact on every program, report deterministic (%d bytes)\n", buf1.Len())
-	return 0
 }

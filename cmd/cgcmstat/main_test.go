@@ -182,7 +182,4 @@ func TestErrors(t *testing.T) {
 	if code := run([]string{"-diff", bad}, &out, &out); code != 2 {
 		t.Errorf("-diff with one json exit %d, want 2", code)
 	}
-	if code := run([]string{"-gate", "extra"}, &out, &out); code != 2 {
-		t.Errorf("-gate with args exit %d, want 2", code)
-	}
 }

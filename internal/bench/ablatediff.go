@@ -16,33 +16,10 @@ import (
 	"cgcm/internal/trace"
 )
 
-// UnitKey identifies one allocation unit across two runs of the same
-// program. Base addresses differ between runs, but the allocation site
-// (diagnostic name + source line) plus the occurrence index among units
-// sharing that site is stable, because the simulated machine allocates
-// deterministically and the ledger lists units in base-address order.
-type UnitKey struct {
-	Name string `json:"name"`
-	Line int    `json:"line"` // allocation-site source line (0: unknown)
-	N    int    `json:"n"`    // occurrence index among same-site units
-}
-
-// String renders the key as a remark-style unit label.
-func (k UnitKey) String() string {
-	s := k.Name
-	if k.Line > 0 {
-		s = fmt.Sprintf("%s:%d", k.Name, k.Line)
-	}
-	if k.N > 0 {
-		s = fmt.Sprintf("%s#%d", s, k.N)
-	}
-	return s
-}
-
 // UnitDiff is one allocation unit's communication pattern under the two
 // ablation sets, with the remark that explains the difference.
 type UnitDiff struct {
-	UnitKey
+	trace.UnitKey
 	// Base / Ablated are the unit's patterns under the base and ablated
 	// pass sets (PatternNone when the unit never transferred in that run).
 	Base, Ablated trace.Pattern
@@ -75,21 +52,6 @@ type AblationDiff struct {
 	// BaseRemarks / AblatedRemarks are the full remark streams of the two
 	// runs (compile + runtime), canonically sorted.
 	BaseRemarks, AblatedRemarks []remarks.Remark
-}
-
-// ledgerKeys assigns every ledger unit its cross-run key, in ledger
-// order.
-func ledgerKeys(l trace.Ledger) []UnitKey {
-	occ := make(map[UnitKey]int)
-	keys := make([]UnitKey, len(l.Units))
-	for i := range l.Units {
-		u := &l.Units[i]
-		k := UnitKey{Name: u.Name, Line: u.Line}
-		k.N = occ[k]
-		occ[UnitKey{Name: u.Name, Line: u.Line}]++
-		keys[i] = k
-	}
-	return keys
 }
 
 // appliedRemark finds the Applied remark of an optimization pass naming
@@ -170,13 +132,13 @@ func DiffAblation(p Program, base, ablated core.PassSet) (*AblationDiff, error) 
 		pattern trace.Pattern
 		trips   int64
 	}
-	basePat := make(map[UnitKey]side)
-	for i, k := range ledgerKeys(baseRep.Comm) {
+	basePat := make(map[trace.UnitKey]side)
+	for i, k := range baseRep.Comm.Keys() {
 		u := &baseRep.Comm.Units[i]
 		basePat[k] = side{u.Pattern, u.RoundTrips}
 	}
-	seen := make(map[UnitKey]bool)
-	for i, k := range ledgerKeys(ablRep.Comm) {
+	seen := make(map[trace.UnitKey]bool)
+	for i, k := range ablRep.Comm.Keys() {
 		u := &ablRep.Comm.Units[i]
 		seen[k] = true
 		b := basePat[k] // zero value (PatternNone) when absent
@@ -196,7 +158,7 @@ func DiffAblation(p Program, base, ablated core.PassSet) (*AblationDiff, error) 
 		}
 	}
 	// Units cyclic under base that vanished from the ablated ledger.
-	for i, k := range ledgerKeys(baseRep.Comm) {
+	for i, k := range baseRep.Comm.Keys() {
 		if seen[k] || baseRep.Comm.Units[i].Pattern != trace.PatternCyclic {
 			continue
 		}

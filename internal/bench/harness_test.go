@@ -6,6 +6,8 @@ import (
 	"testing"
 
 	"cgcm/internal/bench"
+	"cgcm/internal/critpath"
+	"cgcm/internal/runlog"
 )
 
 func TestTable1FeatureProgramsPass(t *testing.T) {
@@ -167,5 +169,70 @@ func TestRenderers(t *testing.T) {
 	}
 	if !strings.Contains(tab3.String(), "seidel") || !strings.Contains(tab3.String(), "Other") {
 		t.Error("Table 3 rendering incomplete")
+	}
+}
+
+// TestRunAllRecordsTheSuite drives the harness-to-store path end to end:
+// the suite swept sync and then async with bench.Runlog set. Each
+// program's two stored records must carry a critical-path digest, and
+// the digests' per-class deltas must sum to the wall delta exactly —
+// what `cgcmstat -regress` attributes; the HTML report over the store
+// must be byte-identical across two exports.
+func TestRunAllRecordsTheSuite(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps the whole suite twice")
+	}
+	st, err := runlog.Open(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevRunlog, prevAsync := bench.Runlog, bench.Async
+	t.Cleanup(func() { bench.Runlog, bench.Async = prevRunlog, prevAsync })
+	bench.Runlog = st
+	for _, async := range []bool{false, true} {
+		bench.Async = async
+		if _, err := bench.RunAll(nil); err != nil {
+			t.Fatalf("async=%v: %v", async, err)
+		}
+	}
+	for _, p := range bench.All() {
+		ra, err := st.Load(p.Name + "-1")
+		if err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+			continue
+		}
+		rb, err := st.Load(p.Name + "-2")
+		if err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+			continue
+		}
+		if ra.Options.Async || !rb.Options.Async {
+			t.Errorf("%s: records are not the sync run then the async run: %s, %s", p.Name, ra.Options.Label(), rb.Options.Label())
+		}
+		if ra.Critpath == nil || rb.Critpath == nil {
+			t.Errorf("%s: stored record has no critical-path digest", p.Name)
+			continue
+		}
+		d, err := critpath.DiffSummaries(*ra.Critpath, *rb.Critpath)
+		if err != nil {
+			t.Errorf("%s: %v", p.Name, err)
+			continue
+		}
+		if !d.Exact() {
+			t.Errorf("%s: class deltas do not sum to the wall delta %g", p.Name, rb.Stats.Wall-ra.Stats.Wall)
+		}
+	}
+	var exports [2]bytes.Buffer
+	for i := range exports {
+		recs, err := st.Records()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := runlog.WriteHTML(&exports[i], recs); err != nil {
+			t.Fatalf("export %d: %v", i+1, err)
+		}
+	}
+	if !bytes.Equal(exports[0].Bytes(), exports[1].Bytes()) {
+		t.Error("HTML report is not byte-deterministic across exports")
 	}
 }

@@ -29,7 +29,7 @@ func AddRemarkFlags(fs *flag.FlagSet) *RemarkFlags {
 	rf := &RemarkFlags{}
 	fs.BoolVar(&rf.Show, "remarks", false, "print optimization remarks (applied, missed with reasons, analysis)")
 	fs.StringVar(&rf.JSONOut, "remarks-json", "", "write optimization remarks as JSON to this file")
-	fs.StringVar(&rf.Pass, "remarks-pass", "", "show only remarks from this pass (doall, commmgmt, gluekernel, allocapromo, mappromo, runtime)")
+	fs.StringVar(&rf.Pass, "remarks-pass", "", "show only remarks from this pass ("+core.RemarkPassNames()+")")
 	fs.StringVar(&rf.Kind, "remarks-kind", "", "show only remarks of this kind (applied, missed, analysis, runtime)")
 	fs.StringVar(&rf.Unit, "remarks-unit", "", "show only remarks whose allocation-unit label contains this substring")
 	fs.BoolVar(&rf.MissedOnly, "remarks-missed-only", false, "show only missed-optimization (and runtime) remarks")
@@ -76,6 +76,11 @@ func (rf *RemarkFlags) Write(cmd string, rs []remarks.Remark, out, stderr io.Wri
 		fmt.Fprintf(stderr, "--- remarks written to %s\n", rf.JSONOut)
 	}
 	return 0
+}
+
+// AddAblateFlag registers -ablate on fs, accumulating into set.
+func AddAblateFlag(fs *flag.FlagSet, set *core.PassSet) {
+	fs.Var(set, "ablate", "comma-separated passes to skip ("+core.AblatableNames()+")")
 }
 
 // ParseStrategy maps the -strategy spellings to core strategies.

@@ -10,12 +10,12 @@ import (
 
 // RunFlags is the shared execution-surface flag bundle: tracing,
 // profiling, metrics export, device configuration, fault injection, and
-// the -async overlap switch. All three commands (cgcmrun, cgcmc,
-// cgcmbench) register it identically — same names, same help text — so
-// flags move between command lines without respelling. Flags that do
-// not apply to a command parse and are ignored there (cgcmc never
-// executes, so the run-only flags are inert; each command's doc comment
-// says which).
+// the -async overlap switch. All four commands (cgcmrun, cgcmc,
+// cgcmbench, cgcmstat) register it identically — same names, same help
+// text — so flags move between command lines without respelling. Flags
+// that do not apply to a command parse and are ignored there (cgcmc
+// never executes, so the run-only flags are inert; each command's doc
+// comment says which).
 type RunFlags struct {
 	Trace         bool
 	TraceOut      string
@@ -38,11 +38,7 @@ func AddRunFlags(fs *flag.FlagSet) *RunFlags {
 	fs.BoolVar(&rf.Trace, "trace", false, "print the machine span trace after the run")
 	fs.StringVar(&rf.TraceOut, "trace-out", "", "write Chrome trace-event JSON for ui.perfetto.dev (cgcmbench: a directory, one trace per program and system)")
 	fs.BoolVar(&rf.Prof, "prof", false, "print the exact execution profile (hot lines, launch sites, transfers)")
-	// -prof-n is the documented flag; -prof-top is kept as an alias for
-	// existing scripts. Both set the same variable; last one parsed wins.
-	rf.ProfN = 20
 	fs.IntVar(&rf.ProfN, "prof-n", 20, "number of hot lines shown by -prof")
-	fs.IntVar(&rf.ProfN, "prof-top", 20, "alias for -prof-n")
 	fs.StringVar(&rf.ProfFolded, "prof-folded", "", "write folded stacks (kernel@site;line ops) for flamegraph tools")
 	fs.StringVar(&rf.MetricsOut, "metrics", "", "write the metrics registry snapshot as JSON")
 	fs.StringVar(&rf.MetricsListen, "metrics-listen", "", "serve live metrics at http://<addr>/metrics (Prometheus text format) while the run executes")

@@ -1,6 +1,7 @@
 package core_test
 
 import (
+	"strings"
 	"testing"
 
 	"cgcm/internal/bench"
@@ -170,5 +171,101 @@ int main() {
 	}
 	if rep.Stats.NumKernels != 2 {
 		t.Errorf("kernels = %d", rep.Stats.NumKernels)
+	}
+}
+
+// everyPass is a program on which every pass of the pipeline records
+// activity: a helper with a stack buffer the kernels communicate (alloca
+// promotion), CPU glue between launches in a timestep loop (glue kernels),
+// and maps to promote and overlap.
+const everyPass = `
+void step(float *a, int n) {
+	float tmp[64];
+	for (int i = 0; i < n; i++) tmp[i] = a[i] * 0.5;
+	for (int i = 0; i < n; i++) a[i] = tmp[i] + 1.0;
+}
+int main() {
+	int n = 64;
+	float *a = (float*)malloc(n * sizeof(float));
+	float *s = (float*)malloc(2 * sizeof(float));
+	for (int i = 0; i < n; i++) a[i] = (float)i;
+	s[0] = 1.0;
+	for (int t = 0; t < 4; t++) {
+		step(a, n);
+		s[0] = a[0] * 0.5 + a[63] * 0.25;
+		for (int i = 0; i < n; i++) a[i] = a[i] * s[0];
+	}
+	print_float(a[5]);
+	free(a);
+	free(s);
+	return 0;
+}`
+
+// TestReportCountsArePhaseActivity: for every strategy, with and without
+// -async, under no ablation and each single-pass ablation, the compile
+// schedules exactly the phases §5.4 prescribes, and each per-pass count
+// of the Report is the Activity of the phase of that name — 0 when the
+// pass was not scheduled.
+func TestReportCountsArePhaseActivity(t *testing.T) {
+	ablations := []core.Pass{"", core.PassDOALL, core.PassGlueKernel, core.PassAllocaPromo, core.PassMapPromo, core.PassOverlap}
+	fired := map[core.Pass]bool{}
+	for _, s := range []core.Strategy{core.Sequential, core.InspectorExecutor, core.CGCMUnoptimized, core.CGCMOptimized} {
+		for _, async := range []bool{false, true} {
+			for _, abl := range ablations {
+				opts := core.Options{Strategy: s, Async: async}
+				if abl != "" {
+					opts.Ablate = core.PassSet{abl: true}
+				}
+				rep, err := core.CompileAndRun("everypass.c", everyPass, opts)
+				if err != nil {
+					t.Fatalf("%s async=%v ablate=%q: %v", s, async, abl, err)
+				}
+				want := []string{"parse", "sema", "irbuild", "constfold"}
+				sched := func(pass core.Pass, on bool) {
+					if on && abl != pass {
+						want = append(want, string(pass))
+					}
+				}
+				sched(core.PassDOALL, s >= core.InspectorExecutor)
+				sched("commmgmt", s >= core.CGCMUnoptimized)
+				sched(core.PassGlueKernel, s == core.CGCMOptimized)
+				sched(core.PassAllocaPromo, s == core.CGCMOptimized)
+				sched(core.PassMapPromo, s == core.CGCMOptimized)
+				sched(core.PassOverlap, s >= core.CGCMUnoptimized && async)
+				activity := map[string]int{}
+				var got []string
+				for _, ph := range rep.Phases {
+					got = append(got, ph.Name)
+					activity[ph.Name] = ph.Activity
+				}
+				if strings.Join(got, " ") != strings.Join(want, " ") {
+					t.Errorf("%s async=%v ablate=%q: phases %v, want %v", s, async, abl, got, want)
+				}
+				for _, c := range []struct {
+					pass  core.Pass
+					count int
+				}{
+					{core.PassDOALL, rep.DOALLLoopsParallelized},
+					{core.PassGlueKernel, rep.GlueKernels},
+					{core.PassAllocaPromo, rep.AllocaPromotions},
+					{core.PassMapPromo, rep.Promotions},
+					{core.PassOverlap, rep.OverlapSites},
+				} {
+					if c.count != activity[string(c.pass)] {
+						t.Errorf("%s async=%v ablate=%q: Report counts %d for %s, its phase recorded %d",
+							s, async, abl, c.count, c.pass, activity[string(c.pass)])
+					}
+					if c.count > 0 {
+						fired[c.pass] = true
+					}
+				}
+			}
+		}
+	}
+	// The equalities above are vacuous for a pass that never fires.
+	for _, pass := range ablations[1:] {
+		if !fired[pass] {
+			t.Errorf("%s never recorded activity", pass)
+		}
 	}
 }

@@ -89,8 +89,116 @@ const (
 	PassOverlap Pass = "overlap"
 )
 
-// ablatablePasses lists the valid PassSet members.
-var ablatablePasses = []Pass{PassDOALL, PassGlueKernel, PassAllocaPromo, PassMapPromo, PassOverlap}
+// pass is one row of the compile pipeline behind the front end.
+type pass struct {
+	// name is the phase name, and the pass's spelling in -ablate and
+	// -remarks-pass.
+	name Pass
+	// from is the least Strategy that schedules the pass.
+	from Strategy
+	// async marks a pass scheduled only under Options.Async.
+	async bool
+	// ablatable admits the pass to a PassSet.
+	ablatable bool
+	// remarks marks a pass that reports through the remarks collector.
+	remarks bool
+	// note labels the phase's Activity.
+	note string
+	// run applies the pass to p.Module and returns the phase's Activity.
+	run func(p *Program, rc *remarks.Collector) (activity int, err error)
+}
+
+// pipeline is the pass schedule, in order; CompileContext walks it once.
+// Constant folding is semantics-preserving and runs under every strategy,
+// so all four systems execute identical arithmetic; it also lets the
+// parallelizer compute static trip counts from literal-expression bounds.
+// Inspector-executor manages communication at run time, so nothing from
+// commmgmt on is scheduled for it. §5.4: "the glue kernel optimization
+// runs before alloca promotion, and map promotion runs last." The overlap
+// pass runs after map promotion has settled where the runtime calls live,
+// and only when the caller asked for asynchronous communication; it
+// renames provably safe map/unmap sites to their stream variants.
+var pipeline = [...]pass{
+	{name: "constfold", from: Sequential, note: "instructions folded",
+		run: func(p *Program, _ *remarks.Collector) (int, error) {
+			res, err := constfold.Run(p.Module)
+			if err != nil {
+				return 0, err
+			}
+			return res.Folded + res.Simplified, nil
+		}},
+	{name: PassDOALL, from: InspectorExecutor, ablatable: true, remarks: true, note: "loops parallelized",
+		run: func(p *Program, rc *remarks.Collector) (int, error) {
+			res, err := doall.Run(p.Module, rc)
+			if err != nil {
+				return 0, err
+			}
+			p.doallFound = res.LoopsFound
+			return res.LoopsParallelized, nil
+		}},
+	{name: "commmgmt", from: CGCMUnoptimized, remarks: true, note: "maps inserted",
+		run: func(p *Program, rc *remarks.Collector) (int, error) {
+			res, err := commmgmt.Run(p.Module, rc)
+			if err != nil {
+				return 0, err
+			}
+			return res.MapsInserted, nil
+		}},
+	{name: PassGlueKernel, from: CGCMOptimized, ablatable: true, remarks: true, note: "kernels outlined",
+		run: func(p *Program, rc *remarks.Collector) (int, error) {
+			res, err := gluekernel.Run(p.Module, rc)
+			if err != nil {
+				return 0, err
+			}
+			return res.Outlined, nil
+		}},
+	{name: PassAllocaPromo, from: CGCMOptimized, ablatable: true, remarks: true, note: "allocas promoted",
+		run: func(p *Program, rc *remarks.Collector) (int, error) {
+			res, err := allocapromo.Run(p.Module, rc)
+			if err != nil {
+				return 0, err
+			}
+			return res.Promoted, nil
+		}},
+	{name: PassMapPromo, from: CGCMOptimized, ablatable: true, remarks: true, note: "maps promoted",
+		run: func(p *Program, rc *remarks.Collector) (int, error) {
+			res, err := mappromo.Run(p.Module, rc)
+			if err != nil {
+				return 0, err
+			}
+			return res.Promotions, nil
+		}},
+	{name: PassOverlap, from: CGCMUnoptimized, async: true, ablatable: true, remarks: true, note: "sites moved to streams",
+		run: func(p *Program, rc *remarks.Collector) (int, error) {
+			res, err := overlap.Run(p.Module, rc)
+			if err != nil {
+				return 0, err
+			}
+			return res.Rewritten(), nil
+		}},
+}
+
+// passNames lists the pipeline passes keep admits, in pipeline order.
+func passNames(keep func(*pass) bool) string {
+	var names []string
+	for i := range pipeline {
+		if keep(&pipeline[i]) {
+			names = append(names, string(pipeline[i].name))
+		}
+	}
+	return strings.Join(names, ", ")
+}
+
+// AblatableNames lists the valid PassSet members, for flag help.
+func AblatableNames() string {
+	return passNames(func(ps *pass) bool { return ps.ablatable })
+}
+
+// RemarkPassNames lists the values Remark.Pass takes — every pass that
+// reports through the collector, then the run-time source — for flag help.
+func RemarkPassNames() string {
+	return passNames(func(ps *pass) bool { return ps.remarks }) + ", runtime"
+}
 
 // PassSet is a set of passes to ablate. It implements flag.Value, so CLI
 // flags can say -ablate gluekernel,mappromo; repeated flags accumulate.
@@ -127,26 +235,18 @@ func (s *PassSet) Set(v string) error {
 			continue
 		}
 		ok := false
-		for _, p := range ablatablePasses {
-			if string(p) == name {
+		for i := range pipeline {
+			if ps := &pipeline[i]; ps.ablatable && string(ps.name) == name {
 				ok = true
 				break
 			}
 		}
 		if !ok {
-			return fmt.Errorf("unknown pass %q (valid: %s)", name, passNames())
+			return fmt.Errorf("unknown pass %q (valid: %s)", name, AblatableNames())
 		}
 		(*s)[Pass(name)] = true
 	}
 	return nil
-}
-
-func passNames() string {
-	names := make([]string, len(ablatablePasses))
-	for i, p := range ablatablePasses {
-		names[i] = string(p)
-	}
-	return strings.Join(names, ", ")
 }
 
 // Options configures a compilation.
@@ -269,13 +369,9 @@ type Program struct {
 	Module *ir.Module
 	Opts   Options
 
-	name              string
-	doallFound        int
-	doallParallelized int
-	promotions        int
-	glueKernels       int
-	allocaPromotions  int
-	overlapSites      int
+	name string
+	// doallFound is the one pass count no phase records.
+	doallFound int
 
 	kernels     int
 	launchSites int
@@ -293,6 +389,17 @@ func (p *Program) LaunchSites() int { return p.launchSites }
 
 // Phases returns the compile-phase spans recorded during Compile.
 func (p *Program) Phases() []trace.PhaseSpan { return p.phases }
+
+// activity is the Activity the pass's compile phase recorded: what the
+// Report's per-pass counts are (0 when the pass was not scheduled).
+func (p *Program) activity(name Pass) int {
+	for i := range p.phases {
+		if p.phases[i].Name == string(name) {
+			return p.phases[i].Activity
+		}
+	}
+	return 0
+}
 
 // Remarks returns the compile-time optimization remarks, canonically
 // sorted (empty unless Options.Remarks was set).
@@ -372,134 +479,45 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 		}
 	}
 	dump("irbuild")
-	finish := func() (*Program, error) {
-		p.remarks = rc.Remarks()
-		mod.Renumber()
-		for _, f := range mod.Funcs {
-			if f.Kernel {
-				p.kernels++
-			}
-			f.Instrs(func(instr *ir.Instr) {
-				if instr.Op == ir.OpLaunch {
-					p.launchSites++
-				}
-			})
+	for i := range pipeline {
+		ps := &pipeline[i]
+		if opts.Strategy < ps.from || (ps.async && !opts.Async) || (ps.ablatable && opts.ablated(ps.name)) {
+			continue
 		}
-		p.phases = phases
-		opts.Tracer.RecordPhases(phases...)
-		// Per-phase compile metrics: host wall time and activity count,
-		// named compile.<phase>.host_ns / compile.<phase>.activity.
-		// Gauges (not counters) so repeated compiles report the latest
-		// compile, matching what Phases shows.
-		for _, ph := range phases {
-			opts.Metrics.Gauge("compile." + ph.Name + ".host_ns").Set(float64(ph.HostNS))
-			opts.Metrics.Gauge("compile." + ph.Name + ".activity").Set(float64(ph.Activity))
-		}
-		return p, nil
-	}
-
-	// Constant folding is semantics-preserving and runs under every
-	// strategy, so all four systems execute identical arithmetic; it
-	// also lets the parallelizer compute static trip counts from
-	// literal-expression bounds.
-	if end, err = begin("constfold"); err != nil {
-		return nil, err
-	}
-	cres, err := constfold.Run(mod)
-	if err != nil {
-		return nil, err
-	}
-	end(cres.Folded+cres.Simplified, "instructions folded")
-	dump("constfold")
-
-	if opts.Strategy == Sequential {
-		return finish()
-	}
-	if !opts.ablated(PassDOALL) {
-		if end, err = begin("doall"); err != nil {
+		if end, err = begin(string(ps.name)); err != nil {
 			return nil, err
 		}
-		dres, err := doall.Run(mod, rc)
+		activity, err := ps.run(p, rc)
 		if err != nil {
 			return nil, err
 		}
-		p.doallFound = dres.LoopsFound
-		p.doallParallelized = dres.LoopsParallelized
-		end(dres.LoopsParallelized, "loops parallelized")
-		dump("doall")
+		end(activity, ps.note)
+		dump(string(ps.name))
 	}
-	if opts.Strategy == InspectorExecutor {
-		// Inspector-executor manages communication at run time; no
-		// compile-time management is inserted.
-		return finish()
-	}
-	if end, err = begin("commmgmt"); err != nil {
-		return nil, err
-	}
-	mres, err := commmgmt.Run(mod, rc)
-	if err != nil {
-		return nil, err
-	}
-	end(mres.MapsInserted, "maps inserted")
-	dump("commmgmt")
 
-	if opts.Strategy == CGCMOptimized {
-		// §5.4: "the glue kernel optimization runs before alloca
-		// promotion, and map promotion runs last."
-		if !opts.ablated(PassGlueKernel) {
-			if end, err = begin("gluekernel"); err != nil {
-				return nil, err
-			}
-			gres, err := gluekernel.Run(mod, rc)
-			if err != nil {
-				return nil, err
-			}
-			p.glueKernels = gres.Outlined
-			end(gres.Outlined, "kernels outlined")
-			dump("gluekernel")
+	p.remarks = rc.Remarks()
+	mod.Renumber()
+	for _, f := range mod.Funcs {
+		if f.Kernel {
+			p.kernels++
 		}
-		if !opts.ablated(PassAllocaPromo) {
-			if end, err = begin("allocapromo"); err != nil {
-				return nil, err
+		f.Instrs(func(instr *ir.Instr) {
+			if instr.Op == ir.OpLaunch {
+				p.launchSites++
 			}
-			ares, err := allocapromo.Run(mod, rc)
-			if err != nil {
-				return nil, err
-			}
-			p.allocaPromotions = ares.Promoted
-			end(ares.Promoted, "allocas promoted")
-			dump("allocapromo")
-		}
-		if !opts.ablated(PassMapPromo) {
-			if end, err = begin("mappromo"); err != nil {
-				return nil, err
-			}
-			pres, err := mappromo.Run(mod, rc)
-			if err != nil {
-				return nil, err
-			}
-			p.promotions = pres.Promotions
-			end(pres.Promotions, "maps promoted")
-			dump("mappromo")
-		}
+		})
 	}
-	// The overlap pass runs last (after map promotion has settled where
-	// the runtime calls live) and only when the caller asked for
-	// asynchronous communication; it renames provably safe map/unmap
-	// sites to their stream variants.
-	if opts.Async && !opts.ablated(PassOverlap) {
-		if end, err = begin("overlap"); err != nil {
-			return nil, err
-		}
-		ores, err := overlap.Run(mod, rc)
-		if err != nil {
-			return nil, err
-		}
-		p.overlapSites = ores.Rewritten()
-		end(ores.Rewritten(), "sites moved to streams")
-		dump("overlap")
+	p.phases = phases
+	opts.Tracer.RecordPhases(phases...)
+	// Per-phase compile metrics: host wall time and activity count,
+	// named compile.<phase>.host_ns / compile.<phase>.activity.
+	// Gauges (not counters) so repeated compiles report the latest
+	// compile, matching what Phases shows.
+	for _, ph := range phases {
+		opts.Metrics.Gauge("compile." + ph.Name + ".host_ns").Set(float64(ph.HostNS))
+		opts.Metrics.Gauge("compile." + ph.Name + ".activity").Set(float64(ph.Activity))
 	}
-	return finish()
+	return p, nil
 }
 
 // RunConfig carries per-run overrides for RunWith, the per-request
@@ -609,11 +627,11 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 		Kernels:                p.kernels,
 		LaunchSites:            p.launchSites,
 		DOALLLoopsFound:        p.doallFound,
-		DOALLLoopsParallelized: p.doallParallelized,
-		Promotions:             p.promotions,
-		GlueKernels:            p.glueKernels,
-		AllocaPromotions:       p.allocaPromotions,
-		OverlapSites:           p.overlapSites,
+		DOALLLoopsParallelized: p.activity(PassDOALL),
+		Promotions:             p.activity(PassMapPromo),
+		GlueKernels:            p.activity(PassGlueKernel),
+		AllocaPromotions:       p.activity(PassAllocaPromo),
+		OverlapSites:           p.activity(PassOverlap),
 		Races:                  in.Races,
 		Comm:                   rt.Ledger.Ledger(),
 		Phases:                 p.phases,

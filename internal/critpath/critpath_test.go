@@ -1,6 +1,7 @@
 package critpath_test
 
 import (
+	"fmt"
 	"math"
 	"testing"
 
@@ -111,9 +112,22 @@ func TestSyntheticAsyncOverlap(t *testing.T) {
 	}
 }
 
-// livePrograms is the representative sample used by the live-trace
-// tests: one Comm.-limited, one GPU-heavy, one with eviction pressure.
-var livePrograms = []string{"atax", "jacobi-2d-imper", "gramschmidt"}
+// liveSample is a representative sample of the suite: one Comm.-limited
+// program, one GPU-heavy, one with eviction pressure.
+var liveSample = []string{"atax", "jacobi-2d-imper", "gramschmidt"}
+
+// livePrograms names the inputs of the live-trace tests: the whole bench
+// suite, or under -short the sample.
+func livePrograms() []string {
+	if testing.Short() {
+		return liveSample
+	}
+	var names []string
+	for _, p := range bench.All() {
+		names = append(names, p.Name)
+	}
+	return names
+}
 
 func analyzeLive(t *testing.T, name string, opts core.Options) (*critpath.Analysis, *core.Report) {
 	t.Helper()
@@ -137,7 +151,7 @@ func analyzeLive(t *testing.T, name string, opts core.Options) (*critpath.Analys
 // TestLiveInvariant runs real programs sync and async and asserts the
 // tiling invariant plus the zero-comm bound.
 func TestLiveInvariant(t *testing.T) {
-	for _, name := range livePrograms {
+	for _, name := range livePrograms() {
 		for _, async := range []bool{false, true} {
 			a, rep := analyzeLive(t, name, core.Options{Strategy: core.CGCMOptimized, Async: async})
 			tile(t, a)
@@ -162,55 +176,53 @@ func TestLiveInvariant(t *testing.T) {
 }
 
 // TestLiveDeterminism asserts the path, limiting factor, and what-if
-// predictions are bit-identical across engine worker counts, with and
-// without a fault schedule.
+// predictions are bit-identical across engine worker counts: sync and
+// async on every program, and under a fault schedule on a small device
+// on the sample.
 func TestLiveDeterminism(t *testing.T) {
+	for _, name := range livePrograms() {
+		for _, async := range []bool{false, true} {
+			sameAcrossWorkers(t, name, core.Options{Strategy: core.CGCMOptimized, Async: async})
+		}
+	}
 	spec, err := faultinject.ParseSpec("seed=7,htod=0.2,dtoh=0.2,alloc=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, name := range livePrograms {
-		for _, faulty := range []bool{false, true} {
-			var base *critpath.Analysis
-			var basePred []critpath.Prediction
-			for _, workers := range []int{1, 4} {
-				opts := core.Options{Strategy: core.CGCMOptimized, Workers: workers, Async: true}
-				if faulty {
-					opts.FaultSpec = spec
-					opts.GPUMemBytes = 262144
-				}
-				a, _ := analyzeLive(t, name, opts)
-				tile(t, a)
-				preds := a.WhatIfAll()
-				if base == nil {
-					base, basePred = a, preds
-					continue
-				}
-				if a.Wall != base.Wall {
-					t.Fatalf("%s faulty=%v: wall differs across workers: %g vs %g",
-						name, faulty, a.Wall, base.Wall)
-				}
-				if a.Limiting != base.Limiting {
-					t.Errorf("%s faulty=%v: limiting differs across workers: %s vs %s",
-						name, faulty, a.Limiting, base.Limiting)
-				}
-				if len(a.Path) != len(base.Path) {
-					t.Fatalf("%s faulty=%v: path length differs: %d vs %d",
-						name, faulty, len(a.Path), len(base.Path))
-				}
-				for i := range a.Path {
-					if a.Path[i] != base.Path[i] {
-						t.Fatalf("%s faulty=%v: path segment %d differs: %+v vs %+v",
-							name, faulty, i, a.Path[i], base.Path[i])
-					}
-				}
-				for i := range preds {
-					if preds[i] != basePred[i] {
-						t.Errorf("%s faulty=%v: prediction %s differs: %+v vs %+v",
-							name, faulty, preds[i].Scenario, preds[i], basePred[i])
-					}
-				}
-			}
+	for _, name := range liveSample {
+		sameAcrossWorkers(t, name, core.Options{Strategy: core.CGCMOptimized, Async: true, FaultSpec: spec, GPUMemBytes: 262144})
+	}
+}
+
+// sameAcrossWorkers runs the program under opts with 1 and 4 engine
+// workers and requires the two analyses to be bit-identical.
+func sameAcrossWorkers(t *testing.T, name string, opts core.Options) {
+	t.Helper()
+	label := fmt.Sprintf("%s async=%v faulty=%v", name, opts.Async, opts.FaultSpec != nil)
+	opts.Workers = 1
+	base, _ := analyzeLive(t, name, opts)
+	tile(t, base)
+	opts.Workers = 4
+	a, _ := analyzeLive(t, name, opts)
+	tile(t, a)
+	if a.Wall != base.Wall {
+		t.Fatalf("%s: wall differs across workers: %g vs %g", label, a.Wall, base.Wall)
+	}
+	if a.Limiting != base.Limiting {
+		t.Errorf("%s: limiting differs across workers: %s vs %s", label, a.Limiting, base.Limiting)
+	}
+	if len(a.Path) != len(base.Path) {
+		t.Fatalf("%s: path length differs: %d vs %d", label, len(a.Path), len(base.Path))
+	}
+	for i := range a.Path {
+		if a.Path[i] != base.Path[i] {
+			t.Fatalf("%s: path segment %d differs: %+v vs %+v", label, i, a.Path[i], base.Path[i])
+		}
+	}
+	basePred := base.WhatIfAll()
+	for i, p := range a.WhatIfAll() {
+		if p != basePred[i] {
+			t.Errorf("%s: prediction %s differs: %+v vs %+v", label, p.Scenario, p, basePred[i])
 		}
 	}
 }

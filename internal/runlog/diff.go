@@ -19,41 +19,6 @@ import (
 	"cgcm/internal/trace"
 )
 
-// unitKey identifies one allocation unit across two runs of the same
-// program: allocation site (name + line) plus occurrence index.
-type unitKey struct {
-	name string
-	line int
-	n    int
-}
-
-// String renders the key as a remark-style unit label.
-func (k unitKey) String() string {
-	s := k.name
-	if k.line > 0 {
-		s = fmt.Sprintf("%s:%d", s, k.line)
-	}
-	if k.n > 0 {
-		s = fmt.Sprintf("%s#%d", s, k.n)
-	}
-	return s
-}
-
-// ledgerKeys assigns every ledger unit its cross-run key, in ledger
-// order.
-func ledgerKeys(l trace.Ledger) []unitKey {
-	occ := make(map[unitKey]int)
-	keys := make([]unitKey, len(l.Units))
-	for i := range l.Units {
-		u := &l.Units[i]
-		k := unitKey{name: u.Name, line: u.Line}
-		k.n = occ[k]
-		occ[unitKey{name: u.Name, line: u.Line}]++
-		keys[i] = k
-	}
-	return keys
-}
-
 // UnitDelta is one allocation unit's communication change between two
 // records. A / B sides are zero-valued with PatternNone when the unit
 // is absent from that record's ledger.
@@ -164,14 +129,14 @@ func DiffLedgers(a, b *Record) []UnitDelta {
 			ov:      u.OverlappedBytes,
 		}
 	}
-	aSide := make(map[unitKey]side)
-	aKeys := ledgerKeys(a.Comm)
+	aSide := make(map[trace.UnitKey]side)
+	aKeys := a.Comm.Keys()
 	for i, k := range aKeys {
 		aSide[k] = sideOf(&a.Comm.Units[i])
 	}
 	var out []UnitDelta
-	seen := make(map[unitKey]bool)
-	for i, k := range ledgerKeys(b.Comm) {
+	seen := make(map[trace.UnitKey]bool)
+	for i, k := range b.Comm.Keys() {
 		seen[k] = true
 		sb := sideOf(&b.Comm.Units[i])
 		sa := aSide[k] // zero value (PatternNone) when absent
@@ -188,16 +153,16 @@ func DiffLedgers(a, b *Record) []UnitDelta {
 		}
 		switch {
 		case sa.pattern == trace.PatternCyclic && sb.pattern != trace.PatternCyclic:
-			d.Explain = appliedRemark(b.Remarks, k.name, k.line)
+			d.Explain = appliedRemark(b.Remarks, k.Name, k.Line)
 		case sb.pattern == trace.PatternCyclic:
-			d.Explain = missedRemark(b.Remarks, k.name, k.line)
+			d.Explain = missedRemark(b.Remarks, k.Name, k.Line)
 		case sb.ov != sa.ov:
-			d.Explain = overlapRemark(b.Remarks, k.name, k.line)
+			d.Explain = overlapRemark(b.Remarks, k.Name, k.Line)
 			if d.Explain == nil {
-				d.Explain = appliedRemark(b.Remarks, k.name, k.line)
+				d.Explain = appliedRemark(b.Remarks, k.Name, k.Line)
 			}
 		default:
-			d.Explain = appliedRemark(b.Remarks, k.name, k.line)
+			d.Explain = appliedRemark(b.Remarks, k.Name, k.Line)
 		}
 		out = append(out, d)
 	}
@@ -215,7 +180,7 @@ func DiffLedgers(a, b *Record) []UnitDelta {
 		if !d.changed() {
 			continue
 		}
-		d.Explain = appliedRemark(b.Remarks, k.name, k.line)
+		d.Explain = appliedRemark(b.Remarks, k.Name, k.Line)
 		out = append(out, d)
 	}
 	return out

@@ -7,10 +7,13 @@ import (
 	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
+	"cgcm/internal/bench"
 	"cgcm/internal/core"
+	"cgcm/internal/machine"
 	"cgcm/internal/runlog"
 )
 
@@ -78,34 +81,126 @@ func mustRequest(t *testing.T, tenant, program, source string, opts RunOptions, 
 	return req
 }
 
-// TestSubmitMatchesSolo: the smallest instance of the headline
-// invariant — one request's payload equals the solo run's.
+// soloRun is the expectation every served response is held to: the
+// request compiled and run alone, in process, through the API the server
+// itself uses. It returns the response payload and the raw output.
+func soloRun(t *testing.T, req *RunRequest, rc core.RunConfig) (payload []byte, output string) {
+	t.Helper()
+	prog, err := core.CompileContext(context.Background(), req.Program, req.Source, req.CoreOptions())
+	if err != nil {
+		t.Fatalf("%s: solo compile: %v", req.Program, err)
+	}
+	rep, err := prog.RunWith(rc)
+	if err != nil {
+		t.Fatalf("%s: solo run: %v", req.Program, err)
+	}
+	if payload, err = newRunResponse(req, rep, false, 0).Payload(); err != nil {
+		t.Fatalf("%s: solo payload: %v", req.Program, err)
+	}
+	return payload, rep.Output
+}
+
+// The standard injected-fault schedule on a capacity-limited device, the
+// one `make resilience` sweeps the suite under.
+const (
+	stdFaultSpec = "seed=7,htod=0.2,dtoh=0.2,alloc=0.1"
+	stdGPUMem    = 262144
+)
+
+// TestSubmitMatchesSolo is the headline invariant: a response payload
+// from a loaded multi-tenant server — concurrent submissions from
+// competing tenants, injected faults on a small device, a quota-governed
+// tenant, a cold and then a warm compilation cache — is byte-identical to
+// a solo in-process run of the same request. Rows are gpuVec and every
+// bench program under each configuration (-short keeps gpuVec and the
+// first four programs).
 func TestSubmitMatchesSolo(t *testing.T) {
-	s := newTestServer(t, Config{})
-	req := mustRequest(t, "a", "vec.c", gpuVec, RunOptions{}, 0)
+	programs := append([]bench.Program{{Name: "vec.c", Source: gpuVec}}, bench.All()...)
+	const head = 5 // gpuVec and the first four bench programs
+	if testing.Short() {
+		programs = programs[:head]
+	}
+	configs := []struct {
+		name string
+		opts RunOptions
+		// quota, when non-zero, runs the configuration under a
+		// quota-governed tenant: generous enough that no interleaving of
+		// the tenant's runs trips it (the row exercises the governor path;
+		// denial has its own tests), and on the head programs only.
+		quota int64
+	}{
+		{name: "plain"},
+		{name: "faults", opts: RunOptions{Faults: stdFaultSpec, GPUMem: stdGPUMem}},
+		{name: "quota", quota: 1 << 30},
+	}
+	type row struct {
+		name    string
+		req     *RunRequest
+		payload []byte // of the solo run
+		output  string // of the solo run
+	}
+	// Tenants rotate so the scheduler interleaves competing queues.
+	tenants := []string{"alpha", "beta", "gamma", "delta"}
+	quotas := make(map[string]int64)
+	var rows []*row
+	for _, cfg := range configs {
+		for i, p := range programs {
+			if cfg.quota > 0 && i >= head {
+				break
+			}
+			tenant := tenants[i%len(tenants)]
+			rc := core.RunConfig{}
+			if cfg.quota > 0 {
+				tenant = "quota-" + tenant
+				quotas[tenant] = cfg.quota
+				pool := machine.NewQuotaPool(0)
+				pool.SetQuota(tenant, cfg.quota)
+				rc.MemGovernor = pool.Governor(tenant)
+			}
+			r := &row{name: p.Name + "/" + cfg.name, req: mustRequest(t, tenant, p.Name, p.Source, cfg.opts, 0)}
+			r.payload, r.output = soloRun(t, r.req, rc)
+			rows = append(rows, r)
+		}
+	}
 
-	rep, err := core.CompileAndRun("vec.c", gpuVec, req.CoreOptions())
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := newRunResponse(req, rep, false, 0).Payload()
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	resp, serr, _ := s.Submit(context.Background(), req)
-	if serr != nil {
-		t.Fatalf("submit: %v", serr)
-	}
-	got, err := resp.Payload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if string(got) != string(want) {
-		t.Fatalf("payload differs:\nserver: %s\nsolo:   %s", got, want)
-	}
-	if resp.Output != rep.Output {
-		t.Fatal("output differs from solo run")
+	// One loaded server, its queue sized to hold every row at once so
+	// admission never sheds (shedding has its own tests).
+	s := newTestServer(t, Config{
+		QueueCapacity: 2 * len(rows),
+		TenantQuotas:  quotas,
+		Weights:       map[string]int{"alpha": 3, "beta": 1},
+	})
+	for _, pass := range []string{"cold", "warm"} {
+		var wg sync.WaitGroup
+		for _, r := range rows {
+			wg.Add(1)
+			go func(r *row) {
+				defer wg.Done()
+				resp, serr, _ := s.Submit(context.Background(), r.req)
+				if serr != nil {
+					t.Errorf("%s, %s pass: submit: %v", r.name, pass, serr)
+					return
+				}
+				// Only the warm pass pins Cached: on the cold pass a row
+				// whose key collides (quota rows reuse the plain options)
+				// may hit its twin's fresh compilation.
+				if pass == "warm" && !resp.Cached {
+					t.Errorf("%s: cached=false on the warm pass", r.name)
+				}
+				got, err := resp.Payload()
+				if err != nil {
+					t.Errorf("%s, %s pass: payload: %v", r.name, pass, err)
+					return
+				}
+				if string(got) != string(r.payload) {
+					t.Errorf("%s, %s pass: payload differs under load:\nserver: %s\nsolo:   %s", r.name, pass, got, r.payload)
+				}
+				if resp.Output != r.output {
+					t.Errorf("%s, %s pass: output differs from the solo run", r.name, pass)
+				}
+			}(r)
+		}
+		wg.Wait()
 	}
 }
 

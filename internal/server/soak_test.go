@@ -40,16 +40,9 @@ func soloPayloadFor(t *testing.T, tmpl *soakTemplate) {
 	if derr != nil {
 		t.Fatalf("%s: decode: %v", tmpl.name, derr)
 	}
-	rep, err := core.CompileAndRun(req.Program, req.Source, req.CoreOptions())
-	if err != nil {
-		t.Fatalf("%s: solo run: %v", tmpl.name, err)
-	}
-	p, err := newRunResponse(req, rep, false, 0).Payload()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tmpl.wantPayload = string(p)
-	tmpl.wantOutput = hashOutput(rep.Output)
+	payload, output := soloRun(t, req, core.RunConfig{})
+	tmpl.wantPayload = string(payload)
+	tmpl.wantOutput = hashOutput(output)
 }
 
 // TestSoak hammers one server through its full HTTP surface with
@@ -100,7 +93,7 @@ func TestSoak(t *testing.T) {
 		&soakTemplate{
 			name:   "gpu-faults",
 			tenant: "t5",
-			body:   mkBody("t5", "vec.c", gpuVec, RunOptions{Faults: gateFaultSpec, GPUMem: gateGPUMem}, 0),
+			body:   mkBody("t5", "vec.c", gpuVec, RunOptions{Faults: stdFaultSpec, GPUMem: stdGPUMem}, 0),
 		},
 	)
 	for _, tmpl := range templates {

@@ -140,6 +140,42 @@ func (l Ledger) Unit(name string) *UnitStats {
 	return nil
 }
 
+// UnitKey identifies one allocation unit across two runs of the same
+// program. Base addresses differ between runs, but the allocation site
+// (diagnostic name + source line) plus the occurrence index among units
+// sharing that site is stable, because the simulated machine allocates
+// deterministically and the ledger lists units in base-address order.
+type UnitKey struct {
+	Name string
+	Line int // allocation-site source line (0: unknown)
+	N    int // occurrence index among same-site units
+}
+
+// String renders the key as a remark-style unit label.
+func (k UnitKey) String() string {
+	s := k.Name
+	if k.Line > 0 {
+		s = fmt.Sprintf("%s:%d", s, k.Line)
+	}
+	if k.N > 0 {
+		s = fmt.Sprintf("%s#%d", s, k.N)
+	}
+	return s
+}
+
+// Keys assigns every unit its cross-run key, in ledger order.
+func (l Ledger) Keys() []UnitKey {
+	occ := make(map[UnitKey]int)
+	keys := make([]UnitKey, len(l.Units))
+	for i := range l.Units {
+		site := UnitKey{Name: l.Units[i].Name, Line: l.Units[i].Line}
+		keys[i] = site
+		keys[i].N = occ[site]
+		occ[site]++
+	}
+	return keys
+}
+
 // OverlappedBytes sums overlapped transfer bytes across all units.
 func (l Ledger) OverlappedBytes() int64 {
 	var n int64
