@@ -103,6 +103,26 @@ func SpillForwarding(f *ir.Func) map[*ir.Instr]ir.Value {
 	return fwd
 }
 
+// Resolve chases loads of forwarded spill slots (fwd is SpillForwarding's
+// map for v's function) to the value behind them.
+func Resolve(v ir.Value, fwd map[*ir.Instr]ir.Value) ir.Value {
+	for {
+		ld, ok := v.(*ir.Instr)
+		if !ok || ld.Op != ir.OpLoad {
+			return v
+		}
+		slot, ok := ld.Args[0].(*ir.Instr)
+		if !ok {
+			return v
+		}
+		val, ok := fwd[slot]
+		if !ok {
+			return v
+		}
+		v = val
+	}
+}
+
 // Contents returns the union of the content sets of the objects in s
 // (what the doubly-indirect elements of those units point to).
 func (pt *PointsTo) Contents(s ObjSet) ObjSet {

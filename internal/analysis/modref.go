@@ -2,32 +2,6 @@ package analysis
 
 import "cgcm/internal/ir"
 
-// intrinsicEffect describes which pointer arguments an intrinsic reads or
-// writes through. Math and RNG intrinsics access no program memory.
-type intrinsicEffect struct {
-	refArgs []int // argument indices whose pointees are read
-	modArgs []int // argument indices whose pointees are written
-	// refContents marks doubly-indirect reads (element units of arg 0).
-	refContents bool
-	modContents bool
-}
-
-// Runtime-library calls (cgcm.*) are deliberately absent: although map
-// reads a unit and unmap writes it, those effects are exactly the
-// communication map promotion reasons about, and treating them as
-// ordinary CPU accesses would stop candidates from climbing past other
-// (balanced) runtime calls on the same unit. This is sound because while
-// a hoisted map holds a reference, interior maps copy nothing, interior
-// releases cannot free, and interior unmaps only refresh the CPU copy —
-// and CGCM's no-pointer-stores restriction means no unmap can change a
-// pointer chain's value.
-var intrinsicEffects = map[string]intrinsicEffect{
-	"free":      {modArgs: []int{0}},
-	"realloc":   {refArgs: []int{0}, modArgs: []int{0}},
-	"strlen":    {refArgs: []int{0}},
-	"print_str": {refArgs: []int{0}},
-}
-
 // ModRef computes, per function, the abstract objects the function (and
 // its CPU-side callees, transitively) may read and write. Kernel bodies
 // are excluded: GPU code touches device copies, never the host allocation
@@ -103,29 +77,18 @@ func (mr *ModRef) addEffect(in *ir.Instr, mod, ref ObjSet) {
 			ref.addAll(mr.ref[in.Callee])
 		}
 	case ir.OpIntrinsic:
-		eff, ok := intrinsicEffects[in.Name]
-		if !ok {
+		row := in.Intrinsic()
+		if row == nil {
 			return
 		}
-		for _, i := range eff.refArgs {
+		for _, i := range row.Ref {
 			if i < len(in.Args) {
 				mr.PT.objs(in.Args[i]).addTo(ref)
 			}
 		}
-		for _, i := range eff.modArgs {
+		for _, i := range row.Mod {
 			if i < len(in.Args) {
 				mr.PT.objs(in.Args[i]).addTo(mod)
-			}
-		}
-		if eff.refContents || eff.modContents {
-			for o := range mr.PT.PTS(in.Args[0]) {
-				inner := mr.PT.contents[o]
-				if eff.refContents {
-					inner.addTo(ref)
-				}
-				if eff.modContents {
-					inner.addTo(mod)
-				}
 			}
 		}
 	}
@@ -226,18 +189,16 @@ func (inv *Invariance) instrInvariant(x *ir.Instr) bool {
 	if !inv.region.Contains(x) {
 		return true
 	}
-	switch x.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
-		ir.OpIToF, ir.OpFToI:
+	switch {
+	case x.Pure():
+		// Arithmetic and math builtins are invariant over invariant inputs.
 		for _, a := range x.Args {
 			if !inv.Invariant(a) {
 				return false
 			}
 		}
 		return true
-	case ir.OpLoad:
+	case x.Op == ir.OpLoad:
 		// A load is invariant when its address is invariant and nothing in
 		// the region may write the loaded unit.
 		if !inv.Invariant(x.Args[0]) {
@@ -248,19 +209,6 @@ func (inv *Invariance) instrInvariant(x *ir.Instr) bool {
 			return false
 		}
 		return !inv.eff.Mod.Intersects(pts)
-	case ir.OpIntrinsic:
-		// Pure math is invariant over invariant inputs.
-		switch x.Name {
-		case "sqrt", "fabs", "exp", "log", "pow", "sin", "cos",
-			"floor", "ceil", "iabs", "imin", "imax", "fmin", "fmax":
-			for _, a := range x.Args {
-				if !inv.Invariant(a) {
-					return false
-				}
-			}
-			return true
-		}
-		return false
 	}
 	return false
 }

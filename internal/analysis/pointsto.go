@@ -13,10 +13,11 @@ import (
 type Object struct {
 	// Exactly one of the following is set.
 	Alloca *ir.Instr  // stack unit (OpAlloca site)
-	Heap   *ir.Instr  // heap unit (malloc/calloc/realloc site)
+	Heap   *ir.Instr  // heap unit (a builtin whose ir.Intrinsics row allocates)
 	Global *ir.Global // global unit
-	// Device marks GPU memory from cuda_malloc (manual management);
-	// such objects need no CGCM translation. Heap holds the site.
+	// Device marks GPU memory (ir.DeviceAlloc: cuda_malloc, manual
+	// management); such objects need no CGCM translation. Heap holds the
+	// site.
 	Device bool
 
 	// id numbers the object within its analysis, and self is the set
@@ -194,11 +195,8 @@ func BuildPointsTo(m *ir.Module) *PointsTo {
 
 // allocates reports whether in is an allocation site.
 func allocates(in *ir.Instr) bool {
-	if in.Op == ir.OpIntrinsic {
-		switch in.Name {
-		case "malloc", "calloc", "realloc", "cuda_malloc":
-			return true
-		}
+	if row := in.Intrinsic(); row != nil {
+		return row.Alloc != ir.NoAlloc
 	}
 	return in.Op == ir.OpAlloca
 }
@@ -322,9 +320,9 @@ func (s *ptSolver) scan(in *ir.Instr, base int) {
 		s.vals[base+in.Reg] = in
 	}
 	if allocates(in) {
-		o := Object{Heap: in, Device: in.Name == "cuda_malloc"}
-		if in.Op == ir.OpAlloca {
-			o = Object{Alloca: in}
+		o := Object{Alloca: in}
+		if row := in.Intrinsic(); row != nil {
+			o = Object{Heap: in, Device: row.Alloc == ir.DeviceAlloc}
 		}
 		s.pt.objByInstr[in] = s.intern(o)
 		s.sites = append(s.sites, in)

@@ -237,23 +237,6 @@ func ApplicabilityOf(name, source string) (cgcm, ie, nr int, err error) {
 			fwd[f] = analysis.SpillForwarding(f)
 		}
 	}
-	resolve := func(caller *ir.Func, v ir.Value) ir.Value {
-		for {
-			ld, ok := v.(*ir.Instr)
-			if !ok || ld.Op != ir.OpLoad {
-				return v
-			}
-			slot, ok := ld.Args[0].(*ir.Instr)
-			if !ok {
-				return v
-			}
-			val, ok := fwd[caller][slot]
-			if !ok {
-				return v
-			}
-			v = val
-		}
-	}
 	for _, f := range m.Funcs {
 		if !f.Kernel {
 			continue
@@ -285,7 +268,7 @@ func ApplicabilityOf(name, source string) (cgcm, ie, nr int, err error) {
 				}
 				// A pointer computed by arithmetic names the middle of a
 				// unit; named regions transfer whole declared arrays only.
-				if r, isInstr := resolve(launch.Block.Fn, arg).(*ir.Instr); isInstr {
+				if r, isInstr := analysis.Resolve(arg, fwd[launch.Block.Fn]).(*ir.Instr); isInstr {
 					if r.Op == ir.OpAdd || r.Op == ir.OpSub {
 						ok = false
 					}

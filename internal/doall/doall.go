@@ -386,10 +386,7 @@ func inadmissible(in *ir.Instr) string {
 	case ir.OpRet:
 		return "loop body returns"
 	case ir.OpIntrinsic:
-		switch in.Name {
-		case "sqrt", "fabs", "exp", "log", "pow", "sin", "cos",
-			"floor", "ceil", "iabs", "imin", "imax", "fmin", "fmax":
-		default:
+		if !in.Pure() {
 			return "loop body calls impure intrinsic " + in.Name
 		}
 	}

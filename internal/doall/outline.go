@@ -238,7 +238,7 @@ func (fs *funcState) outline(l *analysis.Loop, p *plan) *ir.Instr {
 	diff := insert(&ir.Instr{Op: ir.OpSub, Args: []ir.Value{hiEx, lo}})
 	num := insert(&ir.Instr{Op: ir.OpAdd, Args: []ir.Value{diff, ir.IntConst(iv.step - 1)}})
 	rawTrip := insert(&ir.Instr{Op: ir.OpDiv, Args: []ir.Value{num, ir.IntConst(iv.step)}})
-	trip := insert(&ir.Instr{Op: ir.OpIntrinsic, Name: "imax",
+	trip := insert(&ir.Instr{Op: ir.OpIntrinsic, Name: ir.Intrinsics[ir.InImax].Name,
 		Args: []ir.Value{rawTrip, ir.IntConst(0)}, Comment: "doall trip"})
 
 	// Build the kernel.
@@ -253,7 +253,7 @@ func (fs *funcState) outline(l *analysis.Loop, p *plan) *ir.Instr {
 	retBlk := k.NewBlock("ret")
 	retBlk.Append(&ir.Instr{Op: ir.OpRet})
 
-	tid := entry.Append(&ir.Instr{Op: ir.OpIntrinsic, Name: "tid"})
+	tid := entry.Append(&ir.Instr{Op: ir.OpIntrinsic, Name: ir.Intrinsics[ir.InTid].Name})
 	offs := entry.Append(&ir.Instr{Op: ir.OpMul, Args: []ir.Value{tid, ir.IntConst(iv.step)}})
 	iVal := entry.Append(&ir.Instr{Op: ir.OpAdd, Args: []ir.Value{pLo, offs}, Comment: "iteration index"})
 	guard := entry.Append(&ir.Instr{Op: ir.OpLt, Args: []ir.Value{iVal, pHi}})

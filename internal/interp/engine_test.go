@@ -689,8 +689,8 @@ func TestEngineProfileIsPerInstruction(t *testing.T) {
 		case ir.OpAlloca:
 			return 2
 		case ir.OpIntrinsic:
-			if id, ok := intrinsicIDs[in.Name]; ok && intrinsics[id].pure {
-				return int64(intrinsics[id].cost)
+			if row := in.Intrinsic(); row != nil && row.Math {
+				return int64(row.Cost)
 			}
 			switch in.Name {
 			case "tid", "ntid", "srand":

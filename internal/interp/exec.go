@@ -745,7 +745,7 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			}
 
 		case opPure:
-			regs[i.dst] = pureIntrinsic(intrinsicID(i.c), regs[i.a], regs[i.b])
+			regs[i.dst] = pureIntrinsic(ir.IntrinsicID(i.c), regs[i.a], regs[i.b])
 		case opTid:
 			if !ex.worker {
 				return 0, ex.faultAt(pc-1, &Error{Fn: fc.name, Msg: "tid() outside kernel"})
@@ -835,7 +835,7 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			}
 			ex.args = args
 			line := code.origs[code.sites[pc-1].orig].line
-			v, cost, err := ex.intrinsic(fc, intrinsicID(i.c), int(line), args)
+			v, cost, err := ex.intrinsic(fc, ir.IntrinsicID(i.c), int(line), args)
 			if err != nil {
 				return 0, err
 			}

@@ -645,31 +645,31 @@ func arithOp(in *ir.Instr) (opcode, bool) {
 }
 
 func (l *lowerer) lowerIntrinsic(in *ir.Instr, dst int32) {
-	id, ok := intrinsicIDs[in.Name]
-	if !ok {
+	row := in.Intrinsic()
+	if row == nil {
 		l.fault(in.Line, "unknown intrinsic "+in.Name)
 		return
 	}
-	info := &intrinsics[id]
-	if len(in.Args) < info.args {
+	if len(in.Args) < len(row.Params) {
 		l.fault(in.Line, "malformed intrinsic "+in.Name)
 		return
 	}
 	switch {
-	case id == inTid || id == inNtid:
+	case row.ID == ir.InTid || row.ID == ir.InNtid:
 		op := opTid
-		if id == inNtid {
+		if row.ID == ir.InNtid {
 			op = opNtid
 		}
 		l.emit(inst{op: op, dst: dst}, l.account(in.Line, 1, true))
-	case info.pure:
-		x := inst{op: opPure, dst: dst, a: l.slot(in.Args[0]), b: l.constSlot(0), c: int32(id)}
-		if info.args > 1 {
+	case row.Math:
+		// No effect but its result, so it executes inside a charge run.
+		x := inst{op: opPure, dst: dst, a: l.slot(in.Args[0]), b: l.constSlot(0), c: int32(row.ID)}
+		if len(row.Params) > 1 {
 			x.b = l.slot(in.Args[1])
 		}
-		l.emit(x, l.account(in.Line, info.cost, true))
+		l.emit(x, l.account(in.Line, row.Cost, true))
 	default:
 		off, n := l.argList(in.Args)
-		l.emit(inst{op: opIntrinsic, dst: dst, a: off, b: n, c: int32(id)}, l.account(in.Line, 0, false))
+		l.emit(inst{op: opIntrinsic, dst: dst, a: off, b: n, c: int32(row.ID)}, l.account(in.Line, 0, false))
 	}
 }

@@ -118,7 +118,7 @@ const (
 
 	// Calls.
 	OpCall      // user function call; Callee set
-	OpIntrinsic // builtin/runtime call; Name set (e.g. "malloc", "cgcm.map")
+	OpIntrinsic // builtin/runtime call; Name is a row of Intrinsics ("malloc", "cgcm.map")
 	OpLaunch    // GPU kernel launch; Callee = kernel, args[0]=grid, args[1]=block, rest kernel args
 
 	// Terminators.
@@ -190,19 +190,6 @@ type Instr struct {
 func (in *Instr) IsFloat() bool { return in.Float }
 
 func (in *Instr) valueString(fn *Func) string { return fmt.Sprintf("%%v%d", in.Reg) }
-
-// IsRuntimeCall reports whether the instruction is a call to the named
-// CGCM runtime intrinsic ("map", "unmap", ...); name "" matches any
-// cgcm.* intrinsic.
-func (in *Instr) IsRuntimeCall(name string) bool {
-	if in.Op != OpIntrinsic {
-		return false
-	}
-	if name == "" {
-		return len(in.Name) > 5 && in.Name[:5] == "cgcm."
-	}
-	return in.Name == "cgcm."+name
-}
 
 // Block is a basic block: a straight-line instruction sequence ending in a
 // terminator.

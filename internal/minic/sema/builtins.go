@@ -1,84 +1,54 @@
 package sema
 
-import "cgcm/internal/minic/types"
+import (
+	"cgcm/internal/ir"
+	"cgcm/internal/minic/types"
+)
 
 // Builtin describes a function provided by the execution environment
 // rather than by user code: heap management, math, deterministic random
-// numbers, printing, and the GPU thread-index intrinsic.
+// numbers, printing, and the GPU thread-index intrinsic. It is the typed
+// view of one source-callable row of ir.Intrinsics.
 type Builtin struct {
 	Name   string
 	Result *types.Type
 	Params []*types.Type
-	// Variadic allows extra arguments after the declared ones (printf-like;
-	// unused by the current builtins but kept for extension).
-	Variadic bool
 	// GPUOnly marks builtins available only inside kernels (tid, ntid).
 	GPUOnly bool
 	// CPUOnly marks builtins unavailable inside kernels (heap, printing).
 	CPUOnly bool
-	// Pure marks builtins with no side effects and no memory access; the
-	// optimizer may reorder, clone, or delete calls to them.
-	Pure bool
 }
 
-var voidPtr = types.PointerTo(types.VoidType)
-var charPtr = types.PointerTo(types.CharType)
-
-// Builtins is the table of environment-provided functions, keyed by name.
-var Builtins = map[string]*Builtin{
-	// Heap management. The CGCM run-time library wraps these to maintain
-	// the allocation map (§3.1).
-	"malloc":  {Name: "malloc", Result: voidPtr, Params: []*types.Type{types.IntType}, CPUOnly: true},
-	"calloc":  {Name: "calloc", Result: voidPtr, Params: []*types.Type{types.IntType, types.IntType}, CPUOnly: true},
-	"realloc": {Name: "realloc", Result: voidPtr, Params: []*types.Type{voidPtr, types.IntType}, CPUOnly: true},
-	"free":    {Name: "free", Result: types.VoidType, Params: []*types.Type{voidPtr}, CPUOnly: true},
-
-	// Strings.
-	"strlen": {Name: "strlen", Result: types.IntType, Params: []*types.Type{charPtr}},
-
-	// Math. All pure; usable on both CPU and GPU.
-	"sqrt":  {Name: "sqrt", Result: types.FloatType, Params: []*types.Type{types.FloatType}, Pure: true},
-	"fabs":  {Name: "fabs", Result: types.FloatType, Params: []*types.Type{types.FloatType}, Pure: true},
-	"exp":   {Name: "exp", Result: types.FloatType, Params: []*types.Type{types.FloatType}, Pure: true},
-	"log":   {Name: "log", Result: types.FloatType, Params: []*types.Type{types.FloatType}, Pure: true},
-	"pow":   {Name: "pow", Result: types.FloatType, Params: []*types.Type{types.FloatType, types.FloatType}, Pure: true},
-	"sin":   {Name: "sin", Result: types.FloatType, Params: []*types.Type{types.FloatType}, Pure: true},
-	"cos":   {Name: "cos", Result: types.FloatType, Params: []*types.Type{types.FloatType}, Pure: true},
-	"floor": {Name: "floor", Result: types.FloatType, Params: []*types.Type{types.FloatType}, Pure: true},
-	"ceil":  {Name: "ceil", Result: types.FloatType, Params: []*types.Type{types.FloatType}, Pure: true},
-	"iabs":  {Name: "iabs", Result: types.IntType, Params: []*types.Type{types.IntType}, Pure: true},
-	"imin":  {Name: "imin", Result: types.IntType, Params: []*types.Type{types.IntType, types.IntType}, Pure: true},
-	"imax":  {Name: "imax", Result: types.IntType, Params: []*types.Type{types.IntType, types.IntType}, Pure: true},
-	"fmin":  {Name: "fmin", Result: types.FloatType, Params: []*types.Type{types.FloatType, types.FloatType}, Pure: true},
-	"fmax":  {Name: "fmax", Result: types.FloatType, Params: []*types.Type{types.FloatType, types.FloatType}, Pure: true},
-
-	// Deterministic pseudo-random numbers (xorshift with explicit seed so
-	// benchmark workloads are reproducible).
-	"srand":      {Name: "srand", Result: types.VoidType, Params: []*types.Type{types.IntType}, CPUOnly: true},
-	"rand_int":   {Name: "rand_int", Result: types.IntType, Params: []*types.Type{types.IntType}, CPUOnly: true},
-	"rand_float": {Name: "rand_float", Result: types.FloatType, Params: nil, CPUOnly: true},
-
-	// Output for validation.
-	"print_int":   {Name: "print_int", Result: types.VoidType, Params: []*types.Type{types.IntType}, CPUOnly: true},
-	"print_float": {Name: "print_float", Result: types.VoidType, Params: []*types.Type{types.FloatType}, CPUOnly: true},
-	"print_str":   {Name: "print_str", Result: types.VoidType, Params: []*types.Type{charPtr}, CPUOnly: true},
-
-	// GPU thread identity: tid() is the global thread index of the calling
-	// GPU thread; ntid() is the total thread count of the launch.
-	"tid":  {Name: "tid", Result: types.IntType, Params: nil, GPUOnly: true, Pure: true},
-	"ntid": {Name: "ntid", Result: types.IntType, Params: nil, GPUOnly: true, Pure: true},
-
-	// Manual communication management, CUDA driver style (the paper's
-	// Listing 1). Programs that use these bypass CGCM entirely for the
-	// units involved: cuda_malloc returns a device pointer the program
-	// must copy into and out of explicitly. They exist so the "manual
-	// parallelization, manual communication" quadrant of Figure 1 can be
-	// written and compared against automatic management.
-	"cuda_malloc":     {Name: "cuda_malloc", Result: voidPtr, Params: []*types.Type{types.IntType}, CPUOnly: true},
-	"cuda_free":       {Name: "cuda_free", Result: types.VoidType, Params: []*types.Type{voidPtr}, CPUOnly: true},
-	"cuda_memcpy_h2d": {Name: "cuda_memcpy_h2d", Result: types.VoidType, Params: []*types.Type{voidPtr, voidPtr, types.IntType}, CPUOnly: true},
-	"cuda_memcpy_d2h": {Name: "cuda_memcpy_d2h", Result: types.VoidType, Params: []*types.Type{voidPtr, voidPtr, types.IntType}, CPUOnly: true},
-}
+// Builtins is the table of environment-provided functions, keyed by name:
+// every row of ir.Intrinsics a program can call (the run-time library's
+// rows are reachable only from pass-inserted code).
+var Builtins = func() map[string]*Builtin {
+	typeOf := [...]*types.Type{
+		ir.KVoid:  types.VoidType,
+		ir.KInt:   types.IntType,
+		ir.KFloat: types.FloatType,
+		ir.KPtr:   types.PointerTo(types.VoidType),
+		ir.KStr:   types.PointerTo(types.CharType),
+	}
+	m := make(map[string]*Builtin, len(ir.Intrinsics))
+	for i := range ir.Intrinsics {
+		row := &ir.Intrinsics[i]
+		if row.Verb.Op != 0 {
+			continue
+		}
+		b := &Builtin{
+			Name:    row.Name,
+			Result:  typeOf[row.Result],
+			GPUOnly: row.Place == ir.KernelOnly,
+			CPUOnly: row.Place == ir.CPUOnly,
+		}
+		for _, k := range row.Params {
+			b.Params = append(b.Params, typeOf[k])
+		}
+		m[row.Name] = b
+	}
+	return m
+}()
 
 // IsBuiltin reports whether name denotes a builtin function.
 func IsBuiltin(name string) bool {

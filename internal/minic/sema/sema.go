@@ -554,7 +554,7 @@ func (c *checker) binaryType(e *ast.BinaryExpr) *types.Type {
 
 func (c *checker) callType(e *ast.CallExpr) *types.Type {
 	if b, ok := Builtins[e.Name]; ok {
-		if len(e.Args) != len(b.Params) && !b.Variadic {
+		if len(e.Args) != len(b.Params) {
 			c.errorf(e.Pos(), "%s expects %d arguments, got %d", e.Name, len(b.Params), len(e.Args))
 		}
 		for i, a := range e.Args {

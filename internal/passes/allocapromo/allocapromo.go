@@ -13,7 +13,6 @@ package allocapromo
 
 import (
 	"fmt"
-	"strings"
 
 	"cgcm/internal/analysis"
 	"cgcm/internal/ir"
@@ -137,7 +136,7 @@ func promotable(f *ir.Func) []*ir.Instr {
 			for _, a := range in.Args[2:] {
 				mark(a)
 			}
-		case in.Op == ir.OpIntrinsic && strings.HasPrefix(in.Name, "cgcm."):
+		case in.IsRuntimeCall(""):
 			for _, a := range in.Args {
 				mark(a)
 			}

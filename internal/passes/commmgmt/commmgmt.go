@@ -140,16 +140,17 @@ func manage(launch *ir.Instr, cls *typeinfer.Classification, res *Result, pt *an
 		ins = append(ins, livein{val: &ir.GlobalRef{Global: g}, depth: cls.GlobalDepth[g], argIdx: -1})
 	}
 
+	call := func(op ir.RuntimeOp, li livein, why string) *ir.Instr {
+		return &ir.Instr{Op: ir.OpIntrinsic, Name: ir.RuntimeVerb{Op: op, Array: li.depth == 2}.Name(),
+			Args: []ir.Value{li.val}, Comment: why + " for " + k.Name, Line: launch.Line}
+	}
 	// Before the launch: map each live-in, rewriting pointer arguments to
 	// the translated device pointer.
 	for _, li := range ins {
-		name := "cgcm.map"
 		if li.depth == 2 {
-			name = "cgcm.mapArray"
 			res.ArrayMaps++
 		}
-		mp := &ir.Instr{Op: ir.OpIntrinsic, Name: name, Args: []ir.Value{li.val},
-			Comment: "live-in for " + k.Name, Line: launch.Line}
+		mp := call(ir.RtMap, li, "live-in")
 		blk.InsertBefore(mp, launch)
 		if li.argIdx >= 0 {
 			launch.Args[li.argIdx] = mp
@@ -159,22 +160,12 @@ func manage(launch *ir.Instr, cls *typeinfer.Classification, res *Result, pt *an
 	// After the launch: unmap every live-out, then release everything.
 	cursor := launch
 	for _, li := range ins {
-		name := "cgcm.unmap"
-		if li.depth == 2 {
-			name = "cgcm.unmapArray"
-		}
-		um := &ir.Instr{Op: ir.OpIntrinsic, Name: name, Args: []ir.Value{li.val},
-			Comment: "live-out for " + k.Name, Line: launch.Line}
+		um := call(ir.RtUnmap, li, "live-out")
 		blk.InsertAfter(um, cursor)
 		cursor = um
 	}
 	for _, li := range ins {
-		name := "cgcm.release"
-		if li.depth == 2 {
-			name = "cgcm.releaseArray"
-		}
-		rel := &ir.Instr{Op: ir.OpIntrinsic, Name: name, Args: []ir.Value{li.val},
-			Comment: "balance for " + k.Name, Line: launch.Line}
+		rel := call(ir.RtRelease, li, "balance")
 		blk.InsertAfter(rel, cursor)
 		cursor = rel
 	}

@@ -276,7 +276,7 @@ func removeDead(f *ir.Func, res *Result) bool {
 			if used[in] || !in.Op.HasResult() {
 				continue
 			}
-			if !pure(in) {
+			if !in.Pure() {
 				continue
 			}
 			b.Remove(in)
@@ -285,21 +285,4 @@ func removeDead(f *ir.Func, res *Result) bool {
 		}
 	}
 	return changed
-}
-
-func pure(in *ir.Instr) bool {
-	switch in.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
-		ir.OpIToF, ir.OpFToI:
-		return true
-	case ir.OpIntrinsic:
-		switch in.Name {
-		case "sqrt", "fabs", "exp", "log", "pow", "sin", "cos",
-			"floor", "ceil", "iabs", "imin", "imax", "fmin", "fmax":
-			return true
-		}
-	}
-	return false
 }

@@ -13,7 +13,6 @@ package gluekernel
 
 import (
 	"fmt"
-	"strings"
 
 	"cgcm/internal/analysis"
 	"cgcm/internal/ir"
@@ -88,7 +87,7 @@ func outlineOne(m *ir.Module, f *ir.Func, count *int, rc *remarks.Collector) (*i
 						mapped[o] = true
 					}
 				}
-			case in.Op == ir.OpIntrinsic && strings.HasPrefix(in.Name, "cgcm."):
+			case in.IsRuntimeCall(""):
 				for o := range pt.PTS(in.Args[0]) {
 					mapped[o] = true
 				}
@@ -272,13 +271,10 @@ func mappedAccess(in *ir.Instr, pt *analysis.PointsTo, mapped analysis.ObjSet) b
 // outlineable classifies one instruction; touches reports whether it
 // accesses a mapped unit (the reason glue kernels exist).
 func outlineable(in *ir.Instr, pt *analysis.PointsTo, mapped analysis.ObjSet, blocked map[ir.Value]bool) (ok, touches bool) {
-	switch in.Op {
-	case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-		ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-		ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
-		ir.OpIToF, ir.OpFToI:
+	switch {
+	case in.Pure():
 		return true, false
-	case ir.OpLoad, ir.OpStore:
+	case in.Op == ir.OpLoad || in.Op == ir.OpStore:
 		if blocked[in.Args[0]] {
 			return false, false
 		}
@@ -295,13 +291,6 @@ func outlineable(in *ir.Instr, pt *analysis.PointsTo, mapped analysis.ObjSet, bl
 		// Accesses entirely within mapped units are the glue we want on
 		// the GPU; anything else pins the run to the CPU.
 		return all, all
-	case ir.OpIntrinsic:
-		switch in.Name {
-		case "sqrt", "fabs", "exp", "log", "pow", "sin", "cos",
-			"floor", "ceil", "iabs", "imin", "imax", "fmin", "fmax":
-			return true, false
-		}
-		return false, false
 	}
 	return false, false
 }

@@ -143,6 +143,13 @@ func (c *candidate) line() int32 {
 	return 0
 }
 
+// call builds a promoted runtime-library call: op applied to ptr, the
+// candidate's pointer as computed outside the region.
+func (c *candidate) call(op ir.RuntimeOp, ptr ir.Value, comment string) *ir.Instr {
+	return &ir.Instr{Op: ir.OpIntrinsic, Name: ir.RuntimeVerb{Op: op, Array: c.isArray}.Name(),
+		Args: []ir.Value{ptr}, Comment: comment, Line: c.line()}
+}
+
 func (c *candidate) calls() map[*ir.Instr]bool {
 	s := make(map[*ir.Instr]bool)
 	for _, in := range c.maps {
@@ -163,7 +170,9 @@ func findCandidates(r analysis.Region, fwd map[*ir.Instr]ir.Value) []*candidate 
 	byKey := make(map[string]*candidate)
 	var order []string
 	r.Instrs(func(in *ir.Instr) {
-		if in.Op != ir.OpIntrinsic || !strings.HasPrefix(in.Name, "cgcm.") {
+		// Promotion runs before the overlap pass, on synchronous calls.
+		verb, ok := in.RuntimeCall()
+		if !ok || verb.Async {
 			return
 		}
 		key, ok := canonKey(in.Args[0], fwd)
@@ -176,21 +185,20 @@ func findCandidates(r analysis.Region, fwd map[*ir.Instr]ir.Value) []*candidate 
 			byKey[key] = c
 			order = append(order, key)
 		}
-		isArr := strings.HasSuffix(in.Name, "Array")
-		switch in.Name {
-		case "cgcm.map", "cgcm.mapArray":
+		switch verb.Op {
+		case ir.RtMap:
 			if len(c.maps)+len(c.unmaps)+len(c.releases) == 0 {
-				c.isArray = isArr
-			} else if c.isArray != isArr {
+				c.isArray = verb.Array
+			} else if c.isArray != verb.Array {
 				c.mixed = true
 			}
 			c.maps = append(c.maps, in)
-		case "cgcm.unmap", "cgcm.unmapArray":
-			if isArr != c.isArray && len(c.maps) > 0 {
+		case ir.RtUnmap:
+			if verb.Array != c.isArray && len(c.maps) > 0 {
 				c.mixed = true
 			}
 			c.unmaps = append(c.unmaps, in)
-		case "cgcm.release", "cgcm.releaseArray":
+		case ir.RtRelease:
 			c.releases = append(c.releases, in)
 		}
 	})
@@ -205,7 +213,7 @@ func findCandidates(r analysis.Region, fwd map[*ir.Instr]ir.Value) []*candidate 
 // loads of single-store spill slots to the stored value so that distinct
 // loads of the same variable unify.
 func canonKey(v ir.Value, fwd map[*ir.Instr]ir.Value) (string, bool) {
-	switch x := v.(type) {
+	switch x := analysis.Resolve(v, fwd).(type) {
 	case *ir.Const:
 		return fmt.Sprintf("c:%x:%v", x.Bits, x.Float), true
 	case *ir.Param:
@@ -214,11 +222,6 @@ func canonKey(v ir.Value, fwd map[*ir.Instr]ir.Value) (string, bool) {
 		return "g:" + x.Global.Name, true
 	case *ir.Instr:
 		if x.Op == ir.OpLoad {
-			if slot, ok := x.Args[0].(*ir.Instr); ok {
-				if val, ok := fwd[slot]; ok {
-					return canonKey(val, fwd)
-				}
-			}
 			ak, ok := canonKey(x.Args[0], fwd)
 			if !ok {
 				return "", false
@@ -246,25 +249,6 @@ func canonKey(v ir.Value, fwd map[*ir.Instr]ir.Value) (string, bool) {
 	return "", false
 }
 
-// resolve chases spill-slot loads to the underlying value.
-func resolve(v ir.Value, fwd map[*ir.Instr]ir.Value) ir.Value {
-	for {
-		ld, ok := v.(*ir.Instr)
-		if !ok || ld.Op != ir.OpLoad {
-			return v
-		}
-		slot, ok := ld.Args[0].(*ir.Instr)
-		if !ok {
-			return v
-		}
-		val, ok := fwd[slot]
-		if !ok {
-			return v
-		}
-		v = val
-	}
-}
-
 // stripToUnitBase peels region-variant pointer arithmetic off a
 // candidate pointer. C99 pointer arithmetic cannot leave an allocation
 // unit, so `base + varyingOffset` names the same unit as `base`; mapping
@@ -286,7 +270,7 @@ func stripToUnitBase(v ir.Value, fwd map[*ir.Instr]ir.Value, pt *analysis.Points
 		if len(pt.PTS(in.Args[1])) != 0 {
 			return v // offset side might itself be the pointer
 		}
-		base := resolve(in.Args[0], fwd)
+		base := analysis.Resolve(in.Args[0], fwd)
 		bpts, vpts := pt.PTS(base), pt.PTS(in)
 		if len(bpts) == 0 || len(vpts) == 0 || !bpts.Intersects(vpts) {
 			return v
@@ -317,19 +301,7 @@ func cloneableChain(v ir.Value, r analysis.Region) bool {
 		if !r.Contains(in) {
 			continue
 		}
-		switch in.Op {
-		case ir.OpAdd, ir.OpSub, ir.OpMul, ir.OpDiv, ir.OpRem,
-			ir.OpAnd, ir.OpOr, ir.OpXor, ir.OpShl, ir.OpShr,
-			ir.OpEq, ir.OpNe, ir.OpLt, ir.OpLe, ir.OpGt, ir.OpGe,
-			ir.OpIToF, ir.OpFToI, ir.OpLoad:
-		case ir.OpIntrinsic:
-			switch in.Name {
-			case "sqrt", "fabs", "exp", "log", "pow", "sin", "cos",
-				"floor", "ceil", "iabs", "imin", "imax", "fmin", "fmax":
-			default:
-				return false
-			}
-		default:
+		if in.Op != ir.OpLoad && !in.Pure() {
 			return false
 		}
 	}
@@ -354,11 +326,4 @@ func cloneChainInto(v ir.Value, r analysis.Region, blk *ir.Block, pos *ir.Instr,
 	blk.InsertBefore(c, pos)
 	remap[v] = c
 	return c
-}
-
-func runtimeName(base string, isArray bool) string {
-	if isArray {
-		return "cgcm." + base + "Array"
-	}
-	return "cgcm." + base
 }

@@ -58,7 +58,7 @@ func promoteLoops(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, mr *analysis.
 			exclude := c.calls()
 			eff := mr.RegionEffect(region, exclude)
 			inv := mr.NewInvariance(region, eff)
-			rep := resolve(c.rep, fwd)
+			rep := analysis.Resolve(c.rep, fwd)
 			// pointsToChanges: the pointer must refer to one allocation
 			// unit throughout the region. A varying pointer whose *base*
 			// is invariant still qualifies — peel the arithmetic.
@@ -117,27 +117,15 @@ func promoteLoops(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, mr *analysis.
 // applyLoopPromotion performs Algorithm 4's rewrites for one candidate.
 func applyLoopPromotion(c *candidate, region analysis.Region, pre *ir.Block, exits []*ir.Block) {
 	// copy(above(region), candidate.map)
-	line := c.line()
 	remap := make(map[ir.Value]ir.Value)
 	ptrAbove := cloneChainInto(c.rep, region, pre, pre.Terminator(), remap)
-	pre.InsertBefore(&ir.Instr{
-		Op: ir.OpIntrinsic, Name: runtimeName("map", c.isArray),
-		Args: []ir.Value{ptrAbove}, Comment: "map promotion: hoisted map", Line: line,
-	}, pre.Terminator())
+	pre.InsertBefore(c.call(ir.RtMap, ptrAbove, "map promotion: hoisted map"), pre.Terminator())
 
 	// copy(below(region), candidate.unmap); copy(below, candidate.release)
 	for _, ex := range exits {
 		t := ex.Terminator()
-		um := &ir.Instr{
-			Op: ir.OpIntrinsic, Name: runtimeName("unmap", c.isArray),
-			Args: []ir.Value{ptrAbove}, Comment: "map promotion: sunk unmap", Line: line,
-		}
-		ex.InsertBefore(um, t)
-		rel := &ir.Instr{
-			Op: ir.OpIntrinsic, Name: runtimeName("release", c.isArray),
-			Args: []ir.Value{ptrAbove}, Comment: "map promotion: balancing release", Line: line,
-		}
-		ex.InsertBefore(rel, t)
+		ex.InsertBefore(c.call(ir.RtUnmap, ptrAbove, "map promotion: sunk unmap"), t)
+		ex.InsertBefore(c.call(ir.RtRelease, ptrAbove, "map promotion: balancing release"), t)
 	}
 
 	// deleteAll(candidate.DtoH): interior unmaps vanish.
@@ -212,7 +200,7 @@ func promoteFunction(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, cg *analys
 		exclude := c.calls()
 		eff := mr.RegionEffect(region, exclude)
 		inv := mr.NewInvariance(region, eff)
-		rep := resolve(c.rep, fwd)
+		rep := analysis.Resolve(c.rep, fwd)
 		rep = stripToUnitBase(rep, fwd, pt, inv)
 		if !inv.Invariant(rep) {
 			miss(remarks.ReasonLoopVariantBase,
@@ -299,22 +287,11 @@ func applyFuncPromotion(c *candidate, rep ir.Value, region analysis.Region, site
 			remap[p] = site.Instr.Args[i]
 		}
 	}
-	line := c.line()
 	ptr := cloneChainIntoWithParams(rep, region, blk, site.Instr, remap)
-	blk.InsertBefore(&ir.Instr{
-		Op: ir.OpIntrinsic, Name: runtimeName("map", c.isArray),
-		Args: []ir.Value{ptr}, Comment: "map promotion: hoisted to caller", Line: line,
-	}, site.Instr)
-	um := &ir.Instr{
-		Op: ir.OpIntrinsic, Name: runtimeName("unmap", c.isArray),
-		Args: []ir.Value{ptr}, Comment: "map promotion: sunk to caller", Line: line,
-	}
+	blk.InsertBefore(c.call(ir.RtMap, ptr, "map promotion: hoisted to caller"), site.Instr)
+	um := c.call(ir.RtUnmap, ptr, "map promotion: sunk to caller")
 	blk.InsertAfter(um, site.Instr)
-	rel := &ir.Instr{
-		Op: ir.OpIntrinsic, Name: runtimeName("release", c.isArray),
-		Args: []ir.Value{ptr}, Comment: "map promotion: balancing release", Line: line,
-	}
-	blk.InsertAfter(rel, um)
+	blk.InsertAfter(c.call(ir.RtRelease, ptr, "map promotion: balancing release"), um)
 }
 
 // cloneChainIntoWithParams is cloneChainInto but with a pre-seeded remap

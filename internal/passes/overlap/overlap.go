@@ -70,9 +70,10 @@ func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 		}
 		for _, blk := range f.Blocks {
 			for i, in := range blk.Instrs {
+				verb, _ := in.RuntimeCall()
 				switch {
-				case in.IsRuntimeCall("map"):
-					in.Name = "cgcm.mapAsync"
+				case verb == ir.RuntimeVerb{Op: ir.RtMap}:
+					in.Name = ir.RuntimeVerb{Op: ir.RtMap, Async: true}.Name()
 					res.MapsRewritten++
 					if rc != nil {
 						rc.Emit(remarks.Remark{
@@ -83,7 +84,7 @@ func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 								"the next kernel launch waits for it, the CPU does not",
 						})
 					}
-				case in.IsRuntimeCall("unmap"):
+				case verb == ir.RuntimeVerb{Op: ir.RtUnmap}:
 					if hz := hostHazard(pt, blk, i, in.Args[0]); hz != nil {
 						res.Missed++
 						if rc != nil {
@@ -99,7 +100,7 @@ func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 						}
 						continue
 					}
-					in.Name = "cgcm.unmapAsync"
+					in.Name = ir.RuntimeVerb{Op: ir.RtUnmap, Async: true}.Name()
 					res.UnmapsRewritten++
 					if rc != nil {
 						rc.Emit(remarks.Remark{
@@ -110,7 +111,7 @@ func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 								"host work continues while the DMA drains",
 						})
 					}
-				case in.IsRuntimeCall("mapArray") || in.IsRuntimeCall("unmapArray"):
+				case verb.Array && verb.Op != ir.RtRelease:
 					res.Missed++
 					if rc != nil {
 						rc.Emit(remarks.Remark{

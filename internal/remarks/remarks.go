@@ -335,26 +335,6 @@ func (c *Collector) Emit(r Remark) {
 	}
 }
 
-// Drop removes every collected remark matching pred. Passes use it to
-// retract Missed remarks for candidates that a later convergence round
-// did transform.
-func (c *Collector) Drop(pred func(Remark) bool) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	kept := c.rs[:0]
-	for _, r := range c.rs {
-		if pred(r) {
-			delete(c.seen, r.key())
-		} else {
-			kept = append(kept, r)
-		}
-	}
-	c.rs = kept
-}
-
 // Remarks returns a canonically sorted copy of the collected remarks.
 func (c *Collector) Remarks() []Remark {
 	if c == nil {

@@ -59,7 +59,6 @@ func TestRemarkString(t *testing.T) {
 func TestCollectorNilSafe(t *testing.T) {
 	var c *Collector
 	c.Emit(Remark{Pass: "x", Message: "m"}) // must not panic
-	c.Drop(func(Remark) bool { return true })
 	if rs := c.Remarks(); rs != nil {
 		t.Errorf("nil collector returned %v", rs)
 	}
@@ -83,22 +82,6 @@ func TestCollectorDedupAndSort(t *testing.T) {
 		if r.File != "t.c" {
 			t.Errorf("file not stamped: %q", r.File)
 		}
-	}
-}
-
-func TestCollectorDrop(t *testing.T) {
-	c := NewCollector("t.c")
-	c.Emit(Remark{Pass: "mappromo", Kind: Missed, Line: 5, Message: "rejected"})
-	c.Emit(Remark{Pass: "mappromo", Kind: Applied, Line: 5, Message: "promoted"})
-	c.Drop(func(r Remark) bool { return r.Kind == Missed })
-	rs := c.Remarks()
-	if len(rs) != 1 || rs[0].Kind != Applied {
-		t.Fatalf("Drop left %v", rs)
-	}
-	// The dropped remark can be re-emitted (its dedup key is cleared).
-	c.Emit(Remark{Pass: "mappromo", Kind: Missed, Line: 5, Message: "rejected"})
-	if got := len(c.Remarks()); got != 2 {
-		t.Errorf("re-emit after Drop: %d remarks, want 2", got)
 	}
 }
 

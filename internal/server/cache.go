@@ -13,6 +13,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -77,34 +78,58 @@ func newCompileCache() *compileCache {
 // the response's "cached" field.
 //
 // Failed compilations are cached too: a source that does not compile
-// does not compile, and the herd should learn that once. ctx aborts
-// only this caller's wait, never the shared compile.
+// does not compile, and the herd should learn that once. A compilation
+// cut short by its leader's context is different — it says nothing about
+// the source — so its entry is dropped, and a waiter whose own context is
+// still live starts over (and may become the leader). ctx aborts only
+// this caller's wait, never the shared compile.
 func (c *compileCache) get(ctx context.Context, key string, compile func() (*core.Program, error)) (prog *core.Program, cached bool, err error) {
-	c.mu.Lock()
-	e, ok := c.entries[key]
-	if ok {
-		c.mu.Unlock()
-		select {
-		case <-e.done:
-			c.hits.Add(1)
-			return e.prog, true, e.err
-		default:
-		}
-		c.dedups.Add(1)
-		select {
-		case <-e.done:
+	for {
+		c.mu.Lock()
+		e, ok := c.entries[key]
+		if !ok {
+			e = &cacheEntry{done: make(chan struct{})}
+			c.entries[key] = e
+			c.mu.Unlock()
+			c.misses.Add(1)
+			e.prog, e.err = compile()
+			if canceled(e.err) {
+				c.mu.Lock()
+				delete(c.entries, key)
+				c.mu.Unlock()
+			}
+			close(e.done)
 			return e.prog, false, e.err
-		case <-ctx.Done():
-			return nil, false, ctx.Err()
 		}
+		c.mu.Unlock()
+		hit := false
+		select {
+		case <-e.done:
+			hit = true
+		default:
+			c.dedups.Add(1)
+			select {
+			case <-e.done:
+			case <-ctx.Done():
+				return nil, false, ctx.Err()
+			}
+		}
+		if canceled(e.err) {
+			if err := ctx.Err(); err != nil {
+				return nil, false, err
+			}
+			continue
+		}
+		if hit {
+			c.hits.Add(1)
+		}
+		return e.prog, hit, e.err
 	}
-	e = &cacheEntry{done: make(chan struct{})}
-	c.entries[key] = e
-	c.mu.Unlock()
-	c.misses.Add(1)
-	e.prog, e.err = compile()
-	close(e.done)
-	return e.prog, false, e.err
+}
+
+// canceled reports whether err is a context's cancellation or expiry.
+func canceled(err error) bool {
+	return errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded)
 }
 
 // counters reports lifetime hit/miss/dedup totals.

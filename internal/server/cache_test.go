@@ -6,6 +6,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"cgcm/internal/core"
 )
@@ -129,5 +130,54 @@ func TestCacheWaiterCancellation(t *testing.T) {
 	prog, _, err := c.get(context.Background(), "k", nil)
 	if err != nil || prog == nil {
 		t.Fatalf("post-cancel get: prog=%v err=%v", prog, err)
+	}
+}
+
+// TestCacheCanceledLeaderIsNotCached: a compile cut short by its leader's
+// context is no verdict on the source. A waiter whose own context is live
+// starts over and succeeds, and so does every later get.
+func TestCacheCanceledLeaderIsNotCached(t *testing.T) {
+	c := newCompileCache()
+	compile := func(ctx context.Context) func() (*core.Program, error) {
+		return func() (*core.Program, error) {
+			return core.CompileContext(ctx, "p.c", tinyProg, core.Options{Strategy: core.CGCMOptimized})
+		}
+	}
+	leaderCtx, cancel := context.WithCancel(context.Background())
+	started, gate := make(chan struct{}), make(chan struct{})
+	leader, waiter := make(chan error, 1), make(chan error, 1)
+	go func() {
+		_, _, err := c.get(leaderCtx, "k", func() (*core.Program, error) {
+			close(started)
+			<-gate
+			return compile(leaderCtx)()
+		})
+		leader <- err
+	}()
+	<-started
+	go func() {
+		prog, _, err := c.get(context.Background(), "k", compile(context.Background()))
+		if err == nil && prog == nil {
+			err = errors.New("no error and no program")
+		}
+		waiter <- err
+	}()
+	for {
+		if _, _, dedups := c.counters(); dedups == 1 {
+			break // the waiter is on the leader's entry
+		}
+		time.Sleep(time.Millisecond)
+	}
+	cancel()
+	close(gate)
+	if err := <-leader; !errors.Is(err, context.Canceled) {
+		t.Fatalf("canceled leader err = %v, want context.Canceled", err)
+	}
+	if err := <-waiter; err != nil {
+		t.Fatalf("live waiter of a canceled leader: %v", err)
+	}
+	prog, _, err := c.get(context.Background(), "k", compile(context.Background()))
+	if err != nil || prog == nil {
+		t.Fatalf("get after a canceled leader: prog=%v err=%v", prog, err)
 	}
 }

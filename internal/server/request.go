@@ -181,7 +181,8 @@ func DecodeRequest(body []byte, maxSource int) (*RunRequest, *Error) {
 // RunResponse is the success payload of one request. Everything under
 // the deterministic section is bit-identical whether the run executed
 // alone or under contention, cached or uncached, and under any injected
-// fault schedule — the service's headline invariant, gated by Gate.
+// fault schedule — the service's headline invariant, held by
+// TestSubmitMatchesSolo.
 type RunResponse struct {
 	Tenant  string `json:"tenant"`
 	Program string `json:"program"`

@@ -23,8 +23,8 @@
 // The headline invariant extends the resilience model's: a request's
 // response payload (output hash, Stats, ledger) is bit-identical
 // whether the run executed alone, under contention, cached or uncached,
-// or under any injected fault schedule. Gate checks it across the whole
-// bench suite.
+// or under any injected fault schedule. TestSubmitMatchesSolo checks it
+// across the whole bench suite.
 package server
 
 import (
@@ -458,7 +458,8 @@ func (s *Server) Draining() bool {
 	return s.sched.draining
 }
 
-// QuotaPool exposes the server's quota pool (tests and the gate).
+// QuotaPool exposes the server's quota pool (the quota tests and the soak
+// read it; TestSubmitMatchesSolo builds its own).
 func (s *Server) QuotaPool() *machine.QuotaPool { return s.pool }
 
 // CacheCounters reports lifetime compile-cache hit/miss/dedup totals.

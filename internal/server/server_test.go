@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -225,6 +226,45 @@ func TestSubmitDeadline(t *testing.T) {
 	}
 	if !errors.Is(dl, context.DeadlineExceeded) {
 		t.Fatalf("DeadlineError does not unwrap to context.DeadlineExceeded: %v", dl)
+	}
+}
+
+// TestCanceledCompileIsNotCached: a tenant whose deadline expires inside
+// the compilation it leads gets its deadline outcome, and the next tenant
+// to send the same source gets a compilation of its own — a response
+// byte-identical to a solo run, not the first tenant's cancellation.
+func TestCanceledCompileIsNotCached(t *testing.T) {
+	var b strings.Builder
+	b.WriteString("int main() {\n\tfloat *a = (float*)malloc(16 * 8);\n")
+	for i := 0; i < 400; i++ {
+		fmt.Fprintf(&b, "\tfor (int i = 0; i < 16; i++) a[i] = (float)i + %d.0;\n", i)
+	}
+	b.WriteString("\tprint_float(a[3]);\n\tfree(a);\n\treturn 0;\n}\n")
+	src := b.String()
+
+	s := newTestServer(t, Config{})
+	// A deadline that fires while the request is still queued starts no
+	// compilation; try a longer one until tenant a has led one.
+	for ms := int64(1); ; ms *= 2 {
+		resp, serr, _ := s.Submit(context.Background(), mustRequest(t, "a", "big.c", src, RunOptions{}, ms))
+		if resp != nil || serr.Code != CodeDeadline {
+			t.Fatalf("%dms deadline: resp=%v serr=%v, want %s", ms, resp, serr, CodeDeadline)
+		}
+		if _, misses, _ := s.CacheCounters(); misses > 0 {
+			break
+		}
+	}
+	req := mustRequest(t, "b", "big.c", src, RunOptions{}, 0)
+	resp, serr, _ := s.Submit(context.Background(), req)
+	if serr != nil {
+		t.Fatalf("same source, no deadline, after a canceled compile: %v", serr)
+	}
+	got, err := resp.Payload()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want, _ := soloRun(t, req, core.RunConfig{}); string(got) != string(want) {
+		t.Errorf("payload differs from the solo run:\nserver: %s\nsolo:   %s", got, want)
 	}
 }
 

@@ -33,15 +33,3 @@ func GeomeanClamped(xs []float64) float64 {
 	}
 	return Geomean(clamped)
 }
-
-// Mean returns the arithmetic mean.
-func Mean(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s / float64(len(xs))
-}

@@ -37,15 +37,6 @@ func TestGeomeanClamped(t *testing.T) {
 	}
 }
 
-func TestMean(t *testing.T) {
-	if m := Mean([]float64{1, 2, 3}); !approx(m, 2) {
-		t.Errorf("mean = %g", m)
-	}
-	if m := Mean(nil); m != 0 {
-		t.Errorf("empty mean = %g", m)
-	}
-}
-
 // Property: geomean is scale-equivariant (geomean(kx) = k*geomean(x)) and
 // bounded by min/max.
 func TestQuickGeomeanProperties(t *testing.T) {

@@ -25,7 +25,6 @@ package trace
 import (
 	"fmt"
 	"sync"
-	"time"
 )
 
 // Lane identifies a timeline in the trace display. Machine spans live on
@@ -160,23 +159,6 @@ func (t *Tracer) Emit(s Span) {
 	t.mu.Lock()
 	t.spans = append(t.spans, s)
 	t.mu.Unlock()
-}
-
-// BeginPhase starts timing a compiler phase; the returned func records
-// the PhaseSpan with the given activity count and note.
-func (t *Tracer) BeginPhase(name string) func(activity int, note string) {
-	if t == nil {
-		return func(int, string) {}
-	}
-	start := time.Now()
-	return func(activity int, note string) {
-		t.RecordPhases(PhaseSpan{
-			Name:     name,
-			HostNS:   time.Since(start).Nanoseconds(),
-			Activity: activity,
-			Note:     note,
-		})
-	}
 }
 
 // RecordPhases appends already-measured phase spans.

@@ -15,7 +15,6 @@ func TestTracerNilSafe(t *testing.T) {
 	tr.Emit(Span{Kind: KindCPU})
 	tr.Record(&Event{Kind: EvKernel})
 	tr.RecordPhases(PhaseSpan{Name: "x"})
-	tr.BeginPhase("p")(1, "")
 	tr.Merge(New())
 	if tr.Spans() != nil || tr.Phases() != nil {
 		t.Fatal("nil tracer returned data")
@@ -52,18 +51,6 @@ func TestTracerMerge(t *testing.T) {
 	sink.Merge(sink) // self-merge is a no-op, not a duplication
 	if len(sink.Spans()) != 1 || len(sink.Phases()) != 1 {
 		t.Errorf("merge: %d spans, %d phases", len(sink.Spans()), len(sink.Phases()))
-	}
-}
-
-func TestBeginPhaseRecords(t *testing.T) {
-	tr := New()
-	tr.BeginPhase("doall")(3, "loops parallelized")
-	ph := tr.Phases()
-	if len(ph) != 1 || ph[0].Name != "doall" || ph[0].Activity != 3 {
-		t.Fatalf("phases = %+v", ph)
-	}
-	if ph[0].HostNS < 0 {
-		t.Errorf("negative phase duration: %d", ph[0].HostNS)
 	}
 }
 

@@ -88,8 +88,13 @@ func Infer(k *ir.Func, pt *analysis.PointsTo) (*Classification, error) {
 				inf.markChain(in.Args[0], inf.ptr)
 			}
 		case ir.OpIntrinsic:
-			if in.Name == "strlen" && len(in.Args) > 0 {
-				inf.markChain(in.Args[0], inf.ptr)
+			// A builtin that reads through an argument makes it a pointer.
+			if row := in.Intrinsic(); row != nil {
+				for _, i := range row.Ref {
+					if i < len(in.Args) {
+						inf.markChain(in.Args[i], inf.ptr)
+					}
+				}
 			}
 		}
 	})
