@@ -71,11 +71,11 @@ commbench:
 commbenchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/runtime/
 
-# Run the full suite and fail on any >25% simulated-wall regression
-# against the committed baseline. The simulation is deterministic, so a
-# no-op change diffs at exactly +0.00%.
+# Run the full suite and fail on any change in a simulated wall or in the
+# transfer totals against the committed baseline. The simulation is
+# deterministic, so a no-op change diffs at exactly zero.
 benchsmoke:
-	$(GO) run ./cmd/cgcmbench -q -compare BENCH_0.json -threshold 0.25
+	$(GO) run ./cmd/cgcmbench -q -compare BENCH_0.json
 
 # Re-freeze the committed baseline (after an intentional perf change).
 baseline:
@@ -86,7 +86,7 @@ baseline:
 # -async with bit-identical output and nonzero overlapped bytes is
 # TestOverlapWins, in `make race`.)
 overlap:
-	$(GO) run ./cmd/cgcmbench -q -async -compare BENCH_1.json -threshold 0.25
+	$(GO) run ./cmd/cgcmbench -q -async -compare BENCH_1.json
 
 # Re-freeze the async baseline (after an intentional perf change).
 baseline-async:

@@ -3,7 +3,8 @@
 // the program-characteristics table (Table 3), and the whole-program
 // speedups (Figure 4). It also maintains performance baselines: a run
 // can be frozen into a schema-versioned JSON document and later runs
-// diffed against it, failing on simulated-wall regressions.
+// diffed against it, failing on any change in a simulated wall or in the
+// transfer totals.
 //
 // Usage:
 //
@@ -17,9 +18,8 @@
 //	cgcmbench -json        # also write machine-readable BENCH_<n>.json
 //	cgcmbench -baseline BENCH_0.json   # freeze this run as a baseline
 //	cgcmbench -compare BENCH_0.json    # diff against a baseline; exit 1 on
-//	                                   # regression (works with -program too:
+//	                                   # any difference (works with -program too:
 //	                                   # only that program's row is gated)
-//	cgcmbench -compare BENCH_0.json -threshold 0.10  # tighter gate (10%)
 //	cgcmbench -trace-out traces/       # Perfetto trace per program and system
 //	cgcmbench -workers 8   # kernel-engine worker goroutines per launch
 //	cgcmbench -ablate mappromo  # skip named optimization passes
@@ -89,8 +89,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	quiet := fs.Bool("q", false, "suppress progress output")
 	jsonOut := fs.Bool("json", false, "write measured rows to BENCH_<n>.json")
 	baselineOut := fs.String("baseline", "", "freeze this run as a baseline at the given path")
-	compareWith := fs.String("compare", "", "diff this run against the given baseline; exit 1 on regression")
-	threshold := fs.Float64("threshold", 0.25, "relative simulated-wall regression that fails -compare (0.25 = 25%)")
+	compareWith := fs.String("compare", "", "diff this run against the given baseline; exit 1 on any difference")
 	workers := fs.Int("workers", 0, "kernel-engine worker goroutines per launch (0 = GOMAXPROCS)")
 	cli.AddAblateFlag(fs, &bench.Ablate)
 	var ablateDiff core.PassSet
@@ -178,7 +177,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		if *compareWith != "" {
 			// Single-program gate: keep only this program's baseline row,
 			// so the rest of the suite is not reported missing.
-			return compareAgainst(stdout, stderr, *compareWith, []*bench.Row{row}, *threshold, row.Name)
+			return compareAgainst(stdout, stderr, *compareWith, []*bench.Row{row}, row.Name)
 		}
 		return 0
 	}
@@ -239,7 +238,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "wrote baseline %s\n", *baselineOut)
 		}
 		if *compareWith != "" {
-			return compareAgainst(stdout, stderr, *compareWith, rows, *threshold, "")
+			return compareAgainst(stdout, stderr, *compareWith, rows, "")
 		}
 	}
 	return 0
@@ -248,7 +247,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 // compareAgainst diffs rows against the baseline at path and renders the
 // result, returning 1 when the gate fails. When onlyProgram is set, the
 // baseline is narrowed to that program's row first.
-func compareAgainst(stdout, stderr io.Writer, path string, rows []*bench.Row, threshold float64, onlyProgram string) int {
+func compareAgainst(stdout, stderr io.Writer, path string, rows []*bench.Row, onlyProgram string) int {
 	base, err := bench.ReadBaseline(path)
 	if err != nil {
 		fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
@@ -263,7 +262,7 @@ func compareAgainst(stdout, stderr io.Writer, path string, rows []*bench.Row, th
 		}
 		base.Rows = kept
 	}
-	cmp := bench.Compare(base, rows, threshold)
+	cmp := bench.Compare(base, rows)
 	bench.RenderComparison(stdout, cmp)
 	if cmp.Failed() {
 		return 1

@@ -10,8 +10,11 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
+
+	"cgcm/internal/machine"
 )
 
 // BaselineSchema versions the baseline JSON document. Readers reject
@@ -109,19 +112,26 @@ func ReadBaseline(path string) (*Baseline, error) {
 	return &b, nil
 }
 
+// wallTolerance is the relative wall change Compare lets through. The
+// simulation is deterministic and a float64 survives the JSON round trip
+// exactly, so a clean run diffs at zero; the margin only keeps the gate
+// from depending on that last bit.
+const wallTolerance = 1e-9
+
 // DeltaRow is one program's baseline-versus-current diff. Deltas are
-// relative: (new-old)/old, positive = regression (slower / more bytes).
+// relative: (new-old)/old, positive = slower / more bytes.
 type DeltaRow struct {
 	Program string
 	// WallDelta holds the per-strategy relative wall change, in the
 	// order sequential, inspector, unoptimized CGCM, optimized CGCM.
 	WallDelta [4]float64
-	// MaxWallDelta is the worst (most positive) of the four; the gate.
-	MaxWallDelta float64
 	// XferBytesDelta is the relative change in optimized-CGCM transfer
-	// bytes (informational; exact equality is expected for no-op changes).
+	// bytes.
 	XferBytesDelta float64
-	Failed         bool
+	// Drift names the first measurement that differs from the baseline;
+	// empty when none does.
+	Drift  string
+	Failed bool
 	// Missing marks a baseline program absent from the current run —
 	// always a failure (coverage loss).
 	Missing bool
@@ -129,14 +139,13 @@ type DeltaRow struct {
 
 // Comparison is the outcome of diffing a run against a baseline.
 type Comparison struct {
-	Threshold float64
-	Rows      []DeltaRow
+	Rows []DeltaRow
 	// New lists programs measured now but absent from the baseline
 	// (informational: they cannot regress).
 	New []string
 }
 
-// Failed reports whether any row breached the threshold or went missing.
+// Failed reports whether any row drifted or went missing.
 func (c *Comparison) Failed() bool {
 	for _, r := range c.Rows {
 		if r.Failed {
@@ -158,12 +167,15 @@ func rel(oldV, newV float64) float64 {
 	return (newV - oldV) / oldV
 }
 
-// Compare diffs measured rows against a baseline. A program fails when
-// any strategy's simulated wall regressed by more than threshold
-// (relative, e.g. 0.25 = 25% slower), or when a baseline program is
-// missing from the run.
-func Compare(base *Baseline, rows []*Row, threshold float64) *Comparison {
-	cmp := &Comparison{Threshold: threshold}
+var strategyNames = [4]string{"seq", "inspector", "unopt", "opt"}
+
+// Compare diffs measured rows against a baseline. The comparison is
+// exact: a program fails when any strategy's simulated wall moved by more
+// than wallTolerance (relative) in either direction, when the transfer
+// bytes or copy counts of either CGCM system changed at all, or when it
+// is missing from the run.
+func Compare(base *Baseline, rows []*Row) *Comparison {
+	cmp := &Comparison{}
 	byName := make(map[string]*Row, len(rows))
 	for _, r := range rows {
 		byName[r.Name] = r
@@ -181,14 +193,20 @@ func Compare(base *Baseline, rows []*Row, threshold float64) *Comparison {
 		d.WallDelta[1] = rel(br.WallIE, r.IE.Stats.Wall)
 		d.WallDelta[2] = rel(br.WallUn, r.Unopt.Stats.Wall)
 		d.WallDelta[3] = rel(br.WallOpt, r.Opt.Stats.Wall)
-		for _, w := range d.WallDelta {
-			if w > d.MaxWallDelta {
-				d.MaxWallDelta = w
-			}
-		}
 		d.XferBytesDelta = rel(float64(br.XferBytesOpt),
 			float64(r.Opt.Stats.BytesHtoD+r.Opt.Stats.BytesDtoH))
-		d.Failed = d.MaxWallDelta > threshold
+		for i, w := range d.WallDelta {
+			if d.Drift == "" && math.Abs(w) > wallTolerance {
+				d.Drift = fmt.Sprintf("%s wall %+.3g%%", strategyNames[i], w*100)
+			}
+		}
+		if d.Drift == "" {
+			d.Drift = xferDrift("unopt", br.XferBytesUn, br.XferCopiesUn, r.Unopt.Stats)
+		}
+		if d.Drift == "" {
+			d.Drift = xferDrift("opt", br.XferBytesOpt, br.XferCopiesOpt, r.Opt.Stats)
+		}
+		d.Failed = d.Drift != ""
 		cmp.Rows = append(cmp.Rows, d)
 	}
 	for _, r := range rows {
@@ -199,10 +217,19 @@ func Compare(base *Baseline, rows []*Row, threshold float64) *Comparison {
 	return cmp
 }
 
-// RenderComparison prints the diff, worst regressions first among
-// failures, then the rest in baseline order.
+// xferDrift describes how one system's transfer totals differ from the
+// baseline's, or returns "" when they are equal.
+func xferDrift(system string, bytes, copies int64, st machine.Stats) string {
+	nb, nc := st.BytesHtoD+st.BytesDtoH, st.NumHtoD+st.NumDtoH
+	if nb == bytes && nc == copies {
+		return ""
+	}
+	return fmt.Sprintf("%s transfers %d B in %d copies, baseline %d B in %d", system, nb, nc, bytes, copies)
+}
+
+// RenderComparison prints the diff in baseline order.
 func RenderComparison(w io.Writer, cmp *Comparison) {
-	fmt.Fprintf(w, "Baseline comparison (fail threshold: wall +%.0f%%)\n", cmp.Threshold*100)
+	fmt.Fprintf(w, "Baseline comparison (exact: walls within %g relative, transfers equal)\n", wallTolerance)
 	fmt.Fprintln(w, strings.Repeat("-", 86))
 	fmt.Fprintf(w, "%-16s %9s %9s %9s %9s %11s  %s\n",
 		"program", "seq", "inspector", "unopt", "opt", "xfer bytes", "verdict")
@@ -216,7 +243,7 @@ func RenderComparison(w io.Writer, cmp *Comparison) {
 		}
 		verdict := "ok"
 		if d.Failed {
-			verdict = fmt.Sprintf("FAIL (wall %s)", pct(d.MaxWallDelta))
+			verdict = "FAIL (" + d.Drift + ")"
 			nFail++
 		}
 		fmt.Fprintf(w, "%-16s %9s %9s %9s %9s %11s  %s\n",
@@ -228,10 +255,8 @@ func RenderComparison(w io.Writer, cmp *Comparison) {
 	}
 	fmt.Fprintln(w, strings.Repeat("-", 86))
 	if nFail > 0 {
-		fmt.Fprintf(w, "%d of %d programs FAILED the %.0f%% gate\n",
-			nFail, len(cmp.Rows), cmp.Threshold*100)
+		fmt.Fprintf(w, "%d of %d programs differ from the baseline\n", nFail, len(cmp.Rows))
 	} else {
-		fmt.Fprintf(w, "all %d programs within the %.0f%% gate\n",
-			len(cmp.Rows), cmp.Threshold*100)
+		fmt.Fprintf(w, "all %d programs match the baseline\n", len(cmp.Rows))
 	}
 }

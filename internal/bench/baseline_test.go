@@ -90,64 +90,71 @@ func TestBaselineSchemaRejected(t *testing.T) {
 // from the same rows yields all-zero deltas and no failures.
 func TestCompareCleanRunPasses(t *testing.T) {
 	rows := syntheticRows()
-	cmp := Compare(NewBaseline(rows), rows, 0.25)
+	cmp := Compare(NewBaseline(rows), rows)
 	if cmp.Failed() {
 		t.Fatal("identical run failed the gate")
 	}
 	for _, d := range cmp.Rows {
-		if d.MaxWallDelta != 0 || d.XferBytesDelta != 0 {
+		if d.WallDelta != [4]float64{} || d.XferBytesDelta != 0 || d.Drift != "" {
 			t.Errorf("%s: nonzero delta on identical run: %+v", d.Program, d)
 		}
 	}
 	var out strings.Builder
 	RenderComparison(&out, cmp)
-	if !strings.Contains(out.String(), "all 3 programs within") {
+	if !strings.Contains(out.String(), "all 3 programs match the baseline") {
 		t.Errorf("render did not report a clean pass:\n%s", out.String())
 	}
 }
 
-// TestCompareFlagsSlowdown injects an artificial 40% slowdown into one
-// program's optimized wall and checks the 25% gate catches exactly it.
+// TestCompareFlagsSlowdown: the comparison is exact. A wall one part in a
+// million slower or faster than the baseline fails, as does one more copy
+// with the same bytes; a change far below a float's last printed digit
+// does not.
 func TestCompareFlagsSlowdown(t *testing.T) {
 	base := NewBaseline(syntheticRows())
-	rows := syntheticRows()
-	rows[1].Opt.Stats.Wall *= 1.4
-	cmp := Compare(base, rows, 0.25)
-	if !cmp.Failed() {
-		t.Fatal("40% slowdown passed the 25% gate")
-	}
-	for _, d := range cmp.Rows {
-		switch d.Program {
-		case "beta":
-			if !d.Failed {
-				t.Error("beta not flagged")
+	for _, c := range []struct {
+		name  string
+		edit  func(r *Row)
+		drift string // "" when the edit must pass
+	}{
+		{"slower", func(r *Row) { r.Opt.Stats.Wall *= 1 + 1e-6 }, "opt wall +0.0001%"},
+		{"faster", func(r *Row) { r.IE.Stats.Wall *= 1 - 1e-6 }, "inspector wall -0.0001%"},
+		{"one more copy", func(r *Row) { r.Unopt.Stats.NumHtoD++ }, "unopt transfers 6144 B in 7 copies, baseline 6144 B in 6"},
+		{"more bytes", func(r *Row) { r.Opt.Stats.BytesDtoH++ }, "opt transfers 6145 B in 6 copies, baseline 6144 B in 6"},
+		{"last bit", func(r *Row) { r.Seq.Stats.Wall *= 1 + 1e-15 }, ""},
+	} {
+		rows := syntheticRows()
+		c.edit(rows[1])
+		cmp := Compare(base, rows)
+		if cmp.Failed() != (c.drift != "") {
+			t.Errorf("%s: Failed() = %v", c.name, cmp.Failed())
+		}
+		for _, d := range cmp.Rows {
+			want := ""
+			if d.Program == "beta" {
+				want = c.drift
 			}
-			if d.MaxWallDelta < 0.39 || d.MaxWallDelta > 0.41 {
-				t.Errorf("beta delta = %v, want ~0.40", d.MaxWallDelta)
-			}
-		default:
-			if d.Failed {
-				t.Errorf("%s flagged without a regression", d.Program)
+			if d.Drift != want || d.Failed != (want != "") {
+				t.Errorf("%s: %s drift %q (failed %v), want %q", c.name, d.Program, d.Drift, d.Failed, want)
 			}
 		}
-	}
-	// The same slowdown passes a looser gate.
-	if Compare(base, rows, 0.50).Failed() {
-		t.Error("40% slowdown failed a 50% gate")
-	}
-	var out strings.Builder
-	RenderComparison(&out, cmp)
-	if !strings.Contains(out.String(), "FAIL") || !strings.Contains(out.String(), "1 of 3") {
-		t.Errorf("render did not surface the failure:\n%s", out.String())
+		if c.drift == "" {
+			continue
+		}
+		var out strings.Builder
+		RenderComparison(&out, cmp)
+		if !strings.Contains(out.String(), "FAIL ("+c.drift+")") || !strings.Contains(out.String(), "1 of 3 programs differ") {
+			t.Errorf("%s: render did not surface the failure:\n%s", c.name, out.String())
+		}
 	}
 }
 
 // TestCompareMissingProgramFails: losing a benchmark is a coverage
-// regression and must fail regardless of threshold.
+// regression and must fail.
 func TestCompareMissingProgramFails(t *testing.T) {
 	base := NewBaseline(syntheticRows())
 	rows := syntheticRows()[:2] // gamma vanished
-	cmp := Compare(base, rows, 1e9)
+	cmp := Compare(base, rows)
 	if !cmp.Failed() {
 		t.Fatal("missing program passed the gate")
 	}
@@ -170,7 +177,7 @@ func TestCompareMissingProgramFails(t *testing.T) {
 func TestCompareNewProgramInformational(t *testing.T) {
 	base := NewBaseline(syntheticRows())
 	rows := append(syntheticRows(), syntheticRow("delta", 1, 1, 1, 1))
-	cmp := Compare(base, rows, 0.25)
+	cmp := Compare(base, rows)
 	if cmp.Failed() {
 		t.Fatal("new program failed the gate")
 	}

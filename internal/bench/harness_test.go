@@ -2,6 +2,7 @@ package bench_test
 
 import (
 	"bytes"
+	"fmt"
 	"strings"
 	"testing"
 
@@ -173,11 +174,12 @@ func TestRenderers(t *testing.T) {
 }
 
 // TestRunAllRecordsTheSuite drives the harness-to-store path end to end:
-// the suite swept sync and then async with bench.Runlog set. Each
-// program's two stored records must carry a critical-path digest, and
-// the digests' per-class deltas must sum to the wall delta exactly —
-// what `cgcmstat -regress` attributes; the HTML report over the store
-// must be byte-identical across two exports.
+// the suite swept sync and then async with bench.Runlog set. The two
+// sweeps must reproduce the committed baselines BENCH_0.json and
+// BENCH_1.json exactly. Each program's two stored records must carry a
+// critical-path digest, and the digests' per-class deltas must sum to
+// the wall delta exactly — what `cgcmstat -regress` attributes; the HTML
+// report over the store must be byte-identical across two exports.
 func TestRunAllRecordsTheSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps the whole suite twice")
@@ -189,10 +191,21 @@ func TestRunAllRecordsTheSuite(t *testing.T) {
 	prevRunlog, prevAsync := bench.Runlog, bench.Async
 	t.Cleanup(func() { bench.Runlog, bench.Async = prevRunlog, prevAsync })
 	bench.Runlog = st
-	for _, async := range []bool{false, true} {
+	for i, async := range []bool{false, true} {
 		bench.Async = async
-		if _, err := bench.RunAll(nil); err != nil {
+		rows, err := bench.RunAll(nil)
+		if err != nil {
 			t.Fatalf("async=%v: %v", async, err)
+		}
+		path := fmt.Sprintf("../../BENCH_%d.json", i)
+		base, err := bench.ReadBaseline(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if cmp := bench.Compare(base, rows); cmp.Failed() {
+			var out strings.Builder
+			bench.RenderComparison(&out, cmp)
+			t.Errorf("async=%v: the suite no longer reproduces %s:\n%s", async, path, out.String())
 		}
 	}
 	for _, p := range bench.All() {

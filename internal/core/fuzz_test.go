@@ -205,3 +205,232 @@ int main() {
 		}
 	}
 }
+
+// assignGen builds a random straight-line run of plain and compound
+// assignments over int locals a0.. and float locals f0.., each statement
+// kept both as mini-C text and as a step of a Go evaluator.
+type assignGen struct {
+	rng        *rand.Rand
+	nInt, nFlt int
+}
+
+// operand is a local (kind and index) or, when local < 0, a constant.
+type operand struct {
+	float bool
+	local int
+	c     float64
+}
+
+type assignStmt struct {
+	float    bool
+	dst      int
+	compound byte // 0 for plain =, else '+', '-' or '*'
+	x, y     operand
+	bin      byte // 0 when the right-hand side is x alone
+}
+
+func (g *assignGen) operand(float bool) operand {
+	switch {
+	case g.rng.Intn(5) == 0:
+		if float {
+			return operand{float: true, local: -1, c: float64(1+g.rng.Intn(8)) / 4}
+		}
+		return operand{local: -1, c: float64(1 + g.rng.Intn(9))}
+	case float && g.rng.Intn(4) == 0: // an int local, converted
+		return operand{local: g.rng.Intn(g.nInt)}
+	case float:
+		return operand{float: true, local: g.rng.Intn(g.nFlt)}
+	}
+	return operand{local: g.rng.Intn(g.nInt)}
+}
+
+func (g *assignGen) stmt() assignStmt {
+	s := assignStmt{float: g.rng.Intn(2) == 0}
+	n, bins := g.nInt, "+-*&^|"
+	if s.float {
+		n, bins = g.nFlt, "+-*"
+	}
+	s.dst = g.rng.Intn(n)
+	if g.rng.Intn(2) == 0 {
+		s.compound = "+-*"[g.rng.Intn(3)]
+	}
+	s.x = g.operand(s.float)
+	if g.rng.Intn(4) != 0 {
+		s.bin, s.y = bins[g.rng.Intn(len(bins))], g.operand(s.float)
+	}
+	return s
+}
+
+func (o operand) src(inFloat bool) string {
+	switch {
+	case o.local < 0 && o.float:
+		return fmt.Sprintf("%g", o.c)
+	case o.local < 0:
+		return fmt.Sprintf("%d", int64(o.c))
+	case o.float:
+		return fmt.Sprintf("f%d", o.local)
+	case inFloat:
+		return fmt.Sprintf("(float)a%d", o.local)
+	}
+	return fmt.Sprintf("a%d", o.local)
+}
+
+func (s assignStmt) src() string {
+	dst, op := fmt.Sprintf("a%d", s.dst), "="
+	if s.float {
+		dst = fmt.Sprintf("f%d", s.dst)
+	}
+	if s.compound != 0 {
+		op = string(s.compound) + "="
+	}
+	rhs := s.x.src(s.float)
+	if s.bin != 0 {
+		rhs = fmt.Sprintf("%s %c %s", rhs, s.bin, s.y.src(s.float))
+	}
+	return fmt.Sprintf("%s %s %s;", dst, op, rhs)
+}
+
+// Every float operation goes through float64(...), which the Go spec
+// says rounds, so the evaluator never fuses a multiply into an add.
+func fop(op byte, x, y float64) float64 {
+	switch op {
+	case '+':
+		return float64(x + y)
+	case '-':
+		return float64(x - y)
+	}
+	return float64(x * y)
+}
+
+func iop(op byte, x, y int64) int64 {
+	switch op {
+	case '+':
+		return x + y
+	case '-':
+		return x - y
+	case '*':
+		return x * y
+	case '&':
+		return x & y
+	case '^':
+		return x ^ y
+	}
+	return x | y
+}
+
+func (s assignStmt) eval(a []int64, f []float64) {
+	ival := func(o operand) int64 {
+		if o.local < 0 {
+			return int64(o.c)
+		}
+		return a[o.local]
+	}
+	fval := func(o operand) float64 {
+		switch {
+		case o.local < 0:
+			return o.c
+		case o.float:
+			return f[o.local]
+		}
+		return float64(a[o.local])
+	}
+	if s.float {
+		v := fval(s.x)
+		if s.bin != 0 {
+			v = fop(s.bin, v, fval(s.y))
+		}
+		if s.compound != 0 {
+			v = fop(s.compound, f[s.dst], v)
+		}
+		f[s.dst] = v
+		return
+	}
+	v := ival(s.x)
+	if s.bin != 0 {
+		v = iop(s.bin, v, ival(s.y))
+	}
+	if s.compound != 0 {
+		v = iop(s.compound, a[s.dst], v)
+	}
+	a[s.dst] = v
+}
+
+// TestFuzzAssignmentsAgainstNativeGo runs random sequences of plain and
+// compound assignments over 4-6 int and float locals declared in a loop
+// body (a = b + a; b += a * c; c = c - b; ...) and checks every
+// iteration's final values against a Go evaluator, sequentially on the
+// CPU and as the kernel DOALL outlines under optimized CGCM. Which load
+// of a local may read the local directly and which instruction may
+// write it depends on exactly these interleavings.
+func TestFuzzAssignmentsAgainstNativeGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(2026))
+	const n = 24
+	for trial := 0; trial < 150; trial++ {
+		g := &assignGen{rng: rng, nInt: 2 + rng.Intn(2), nFlt: 2 + rng.Intn(2)}
+		stmts := make([]assignStmt, 3+rng.Intn(10))
+		for i := range stmts {
+			stmts[i] = g.stmt()
+		}
+		iInit, fInit := make([]int64, g.nInt), make([]float64, g.nFlt)
+		for k := range iInit {
+			iInit[k] = int64(rng.Intn(19) - 9)
+		}
+		for k := range fInit {
+			fInit[k] = float64(rng.Intn(16)) / 8
+		}
+
+		var decl, body, out, prints strings.Builder
+		var want [2]strings.Builder // ints then floats, array by array
+		a, f := make([]int64, g.nInt), make([]float64, g.nFlt)
+		iters := make([][]int64, n)
+		fiters := make([][]float64, n)
+		for i := 0; i < n; i++ {
+			for k := range a {
+				a[k] = int64(i) + iInit[k]
+			}
+			for k := range f {
+				f[k] = float64(float64(i)*0.5) + fInit[k]
+			}
+			for _, s := range stmts {
+				s.eval(a, f)
+			}
+			iters[i], fiters[i] = append([]int64(nil), a...), append([]float64(nil), f...)
+		}
+		for k := 0; k < g.nInt; k++ {
+			fmt.Fprintf(&decl, "\tint *oa%d = (int*)malloc(%d * 8);\n", k, n)
+			fmt.Fprintf(&body, "\t\tint a%d = i + %d;\n", k, iInit[k])
+			fmt.Fprintf(&out, "\t\toa%d[i] = a%d;\n", k, k)
+			fmt.Fprintf(&prints, "\tfor (int i = 0; i < %d; i++) print_int(oa%d[i]);\n", n, k)
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&want[0], "%d\n", iters[i][k])
+			}
+		}
+		for k := 0; k < g.nFlt; k++ {
+			fmt.Fprintf(&decl, "\tfloat *of%d = (float*)malloc(%d * 8);\n", k, n)
+			fmt.Fprintf(&body, "\t\tfloat f%d = (float)i * 0.5 + %g;\n", k, fInit[k])
+			fmt.Fprintf(&out, "\t\tof%d[i] = f%d;\n", k, k)
+			fmt.Fprintf(&prints, "\tfor (int i = 0; i < %d; i++) print_float(of%d[i]);\n", n, k)
+			for i := 0; i < n; i++ {
+				fmt.Fprintf(&want[1], "%.6g\n", fiters[i][k])
+			}
+		}
+		for _, s := range stmts {
+			fmt.Fprintf(&body, "\t\t%s\n", s.src())
+		}
+		prog := fmt.Sprintf("int main() {\n%s\tfor (int i = 0; i < %d; i++) {\n%s%s\t}\n%s\treturn 0;\n}\n",
+			decl.String(), n, body.String(), out.String(), prints.String())
+
+		for _, s := range []core.Strategy{core.Sequential, core.CGCMOptimized} {
+			rep, err := core.CompileAndRun("assign.c", prog, core.Options{Strategy: s})
+			if err != nil {
+				t.Fatalf("trial %d [%s]: %v\nprogram:\n%s", trial, s, err, prog)
+			}
+			if got := rep.Output; got != want[0].String()+want[1].String() {
+				t.Fatalf("trial %d [%s]: output\n%s\nwant\n%s\nprogram:\n%s", trial, s, got, want[0].String()+want[1].String(), prog)
+			}
+			if s == core.CGCMOptimized && rep.Stats.NumKernels == 0 {
+				t.Fatalf("trial %d: the loop was not outlined as a kernel\nprogram:\n%s", trial, prog)
+			}
+		}
+	}
+}

@@ -40,6 +40,12 @@ var dispatchBodies = []struct{ name, decls, body string }{
 	{"alloca", "", `
 	int x = 0;
 	for (int j = 0; j < N; j++) { int t[2]; t[0] = j; t[1] = x; x = t[0] + t[1]; }`},
+	// x's address is taken, so it stays in memory: the path every scalar
+	// local took before promotion.
+	{"escaped", "", `
+	int x = 0;
+	int *p = &x;
+	for (int j = 0; j < N; j++) { x = x + j; *p = *p ^ (j & 3); }`},
 }
 
 func dispatchSource(decls, body string, kernel bool) string {

@@ -115,7 +115,7 @@ type engineCase struct {
 
 type want struct {
 	out   string
-	ops   int64
+	ops   int64 // on a fault, when nonzero: what the failing thread was charged
 	fault string
 	steps int64
 	// uses lists opcodes the lowered t must contain; lacks, ones it must not.
@@ -337,6 +337,8 @@ func engineCases() []engineCase {
 
 	// Allocas: a unit per frame, created (cost 2) on first execution and
 	// reused (cost 1) when a loop comes round again; zeroed; bounds kept.
+	// An 8-byte one used only as a whole lives in a frame slot: its loads
+	// and stores are moves or nothing, at memory cost.
 	add("alloca/slot", allCtx, i7, nil, func(t *tb) want {
 		s := t.alloca(8)
 		t.print(t.load(s, 8)) // fresh memory reads zero
@@ -345,7 +347,8 @@ func engineCases() []engineCase {
 		c := t.alloca(1)
 		t.store(c, ic(0x141), 1)
 		t.print(t.load(c, 1))
-		return want{out: "0\n7\n65\n", ops: 2*2 + 5*3 + 3*4, uses: []opcode{opAlloca, opLoadSlot8, opStoreSlot8, opLoad1, opStore1}}
+		return want{out: "0\n7\n65\n", ops: 2*2 + 5*3 + 3*4,
+			uses: []opcode{opAlloca, opMove, opLoad1, opStore1}, lacks: []opcode{opLoad8, opStore8}}
 	})
 	add("alloca/loop-reuse", allCtx, i3, nil, func(t *tb) want {
 		// i = x; do { int v; v += i; i--; } while (i != 0); print v  -> 3+2+1
@@ -382,6 +385,89 @@ func engineCases() []engineCase {
 		t.load(t.op(ir.OpAdd, a, t.x), 8)
 		name := map[bool]string{true: `"alloca t"`, false: `"kalloca t"`}[t.ctx == ctxRoot]
 		return want{fault: "access crosses end of allocation unit " + name, steps: 3}
+	})
+
+	// Promoted locals: where a load may not be forwarded or a store
+	// retargeted, the access is a move, and the old value is what reads.
+	add("promote/write-after-load", allCtx, i7, nil, func(t *tb) want {
+		s := t.alloca(8)
+		t.store(s, t.x, 8)
+		a := t.load(s, 8)
+		t.store(s, ic(5), 8)
+		t.print(a)
+		t.print(t.load(s, 8))
+		return want{out: "7\n5\n", ops: 2 + 4*3 + 2*4, uses: []opcode{opMove}, lacks: []opcode{opLoad8, opStore8}}
+	})
+	add("promote/write-before-fused-read", allCtx, ic(16), nil, func(t *tb) want {
+		t.store(t.op(ir.OpAdd, t.ref(t.buf), ic(16)), ic(99), 8)
+		s := t.alloca(8)
+		t.store(s, t.x, 8)
+		a := t.load(s, 8)
+		addr := t.op(ir.OpAdd, t.ref(t.buf), a) // absorbed: reads a at the load below
+		t.store(s, ic(0), 8)
+		t.print(t.load(addr, 8))
+		return want{out: "99\n", ops: (1 + 3) + 2 + 3*3 + (1 + 3) + 4, uses: []opcode{opLoadA8, opMove}, lacks: []opcode{opAdd}}
+	})
+	add("promote/read-in-another-block", allCtx, i7, nil, func(t *tb) want {
+		s := t.alloca(8)
+		t.store(s, t.x, 8)
+		a := t.load(s, 8)
+		next := t.block()
+		t.br(next)
+		t.b = next
+		t.store(s, ic(5), 8)
+		t.print(a)
+		return want{out: "7\n", ops: 2 + 3*3 + 1 + 4, uses: []opcode{opMove}}
+	})
+	add("promote/read-before-store", allCtx, i7, nil, func(t *tb) want {
+		s := t.alloca(8)
+		t.store(s, t.x, 8)
+		d := t.op(ir.OpAdd, t.x, ic(1))
+		b := t.load(s, 8) // between d and its store: d may not write s
+		t.store(s, d, 8)
+		t.print(b)
+		t.print(t.load(s, 8))
+		return want{out: "7\n8\n", ops: 2 + 3 + 1 + 3*3 + 2*4, uses: []opcode{opAdd, opMove}}
+	})
+	add("promote/retargeted-write-before-read", allCtx, i7, nil, func(t *tb) want {
+		s := t.alloca(8)
+		t.store(s, t.x, 8)
+		a := t.load(s, 8)
+		d := t.op(ir.OpAdd, t.x, ic(1)) // writes s here, not at its store
+		t.print(a)
+		t.store(s, d, 8)
+		t.print(t.load(s, 8))
+		return want{out: "7\n8\n", ops: 2 + 3 + 3 + 1 + 4 + 3 + 3 + 4, uses: []opcode{opAdd, opMove}}
+	})
+	add("promote/x=x+1", allCtx, i7, nil, func(t *tb) want {
+		s := t.alloca(8)
+		t.store(s, t.x, 8)
+		t.store(s, t.op(ir.OpAdd, t.load(s, 8), ic(1)), 8) // one add, writing s
+		t.print(t.load(s, 8))
+		return want{out: "8\n", ops: 2 + 3 + (3 + 1 + 3) + 3 + 4, uses: []opcode{opAdd}, lacks: []opcode{opLoad8, opStore8}}
+	})
+	add("promote/escapes-to-arithmetic", allCtx, i7, nil, func(t *tb) want {
+		s := t.alloca(8)
+		t.store(s, t.x, 8)
+		t.print(t.load(t.op(ir.OpAdd, s, ic(0)), 8))
+		return want{out: "7\n", ops: 2 + 3 + (1 + 3) + 4, uses: []opcode{opStore8, opLoadA8}, lacks: []opcode{opMove}}
+	})
+	add("promote/escapes-to-intrinsic", allCtx, ic(0x6968), nil, func(t *tb) want {
+		s := t.alloca(8)
+		t.store(s, t.x, 8) // "hi"
+		t.print(t.intr("strlen", s))
+		t.print(t.load(s, 8))
+		return want{out: "2\n26984\n", ops: 2 + 3 + (2 + 2) + 4 + 3 + 4, uses: []opcode{opStore8, opLoad8}, lacks: []opcode{opMove}}
+	})
+	// A fault part-way through a run of elided and moved accesses gives
+	// back exactly the tail: the retargeted div never writes s.
+	add("promote/fault-mid-run", allCtx, i7, ic(0), func(t *tb) want {
+		s := t.alloca(8)
+		t.store(s, t.x, 8)
+		t.store(s, t.op(ir.OpAdd, t.load(s, 8), ic(1)), 8)
+		t.store(s, t.op(ir.OpDiv, t.x, t.y), 8)
+		t.print(t.load(s, 8))
+		return want{fault: "integer division by zero", steps: 6, ops: 2 + 3 + 3 + 1 + 3} // the div's own cost goes back too
 	})
 
 	// Pure builtins execute inside a run at their static cost.
@@ -643,6 +729,15 @@ func TestEngineTable(t *testing.T) {
 					}
 					if got := in.Steps(); got != harness+w.steps {
 						t.Errorf("a run that failed at t's instruction %d counted %d steps, want %d", w.steps, got, harness+w.steps)
+					}
+					// Nothing flushes inside t, so its charged ops are
+					// still pending on the context that ran it.
+					pending := in.root.ops
+					if ctx != ctxRoot {
+						pending = in.workers[0].ops
+					}
+					if w.ops != 0 && pending != w.ops {
+						t.Errorf("a run that failed at t's instruction %d was charged %d ops, want %d", w.steps, pending, w.ops)
 					}
 					return
 				}

@@ -118,10 +118,6 @@ type exec struct {
 	scratchNext uint64
 	scratchSegs []machine.Segment
 	arena       []byte
-	// arenaLim8 bounds the arena offsets the slot instructions may access
-	// directly: len(arena)-7, or 0 to send them down the checked path
-	// (inspector launches, which must see every access).
-	arenaLim8 uint64
 
 	// insp is non-nil while running an inspector-mode chunk.
 	insp *inspectState
@@ -171,7 +167,6 @@ func (ex *exec) beginLaunch(hostMem, inspect bool, threads int64) {
 	for i := range ex.segCache {
 		ex.segCache[i] = nil
 	}
-	ex.setArenaLim()
 	if inspect {
 		if ex.insp == nil {
 			ex.insp = &inspectState{touched: make(map[uint64]bool), wrote: make(map[uint64]bool)}
@@ -326,14 +321,6 @@ func (ex *exec) growArena(need uint64) {
 		s.Data = arena[off : off+uint64(len(s.Data)) : off+uint64(len(s.Data))]
 	}
 	ex.arena = arena
-	ex.setArenaLim()
-}
-
-func (ex *exec) setArenaLim() {
-	ex.arenaLim8 = 0
-	if n := uint64(len(ex.arena)); n >= 8 && !ex.inspect {
-		ex.arenaLim8 = n - 7
-	}
 }
 
 // lookupSeg resolves addr for a worker context: scratch first (private,
@@ -583,6 +570,7 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 	ic := ex.ic
 	prof := ex.prof
 	race := ex.race
+	insp := ex.insp
 	regs := ex.stack[base : base+int(fc.frame)]
 	cpuAllocas := len(ex.allocas)
 	scratchNext, scratchLen := ex.scratchNext, len(ex.scratchSegs)
@@ -603,7 +591,12 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			if prof != nil {
 				prof[pc-1]++
 			}
+			if insp != nil {
+				insp.acc += int64(i.c) // the run's promoted accesses touch no memory
+			}
 
+		case opMove:
+			regs[i.dst] = regs[i.a]
 		case opAdd:
 			regs[i.dst] = regs[i.a] + regs[i.b]
 		case opSub:
@@ -697,13 +690,6 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 		case opLoadMA8:
 			addr = regs[i.a] + uint64(int64(regs[i.b])*int64(regs[i.d]))
 			goto load8
-		case opLoadSlot8:
-			addr = regs[i.a]
-			if off := addr - ex.scratchBase; off < ex.arenaLim8 {
-				regs[i.dst] = binary.LittleEndian.Uint64(ex.arena[off:])
-				continue
-			}
-			goto load8
 		case opLoad1:
 			addr = regs[i.a]
 			c := &ic[i.c]
@@ -724,13 +710,6 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			goto store8
 		case opStoreMA8:
 			addr = regs[i.a] + uint64(int64(regs[i.b])*int64(regs[i.d]))
-			goto store8
-		case opStoreSlot8:
-			addr = regs[i.a]
-			if off := addr - ex.scratchBase; off < ex.arenaLim8 {
-				binary.LittleEndian.PutUint64(ex.arena[off:], regs[i.dst])
-				continue
-			}
 			goto store8
 		case opStore1:
 			addr = regs[i.a]

@@ -37,12 +37,27 @@ import (
 // origs, so cost, steps and line attribution are the sum of the parts;
 // they are absorbed only when the consumer is their single use, in the
 // same block, and their own operands are defined before them, so no
-// value they read can change between their place and the consumer's.
+// register they read can change between their place and the consumer's.
+//
+// Promotion. An 8-byte alloca whose every use is the address of a whole
+// 8-byte load or store has an address nothing can observe, so its value
+// lives in one more frame slot (zero in the image, like fresh memory) and
+// its accesses touch no memory. opAlloca still runs — the unit is created,
+// declared and charged as before — so addresses and every simulated number
+// stay put; each access keeps its origs entry at memory cost inside its
+// run, and the run's opCharge counts it for the inspector in c. Per block,
+// a load emits nothing and its readers read the slot when all of them are
+// in its block and the slot is not written after the load and before the
+// last of them (an absorbed instruction reads where its consumer runs); a
+// store emits nothing when the instruction computing its value — same
+// block, single use, no access to the local between them — can write the
+// slot itself; any other access is one opMove.
 
 type opcode uint8
 
 const (
-	opCharge opcode = iota // ops += a, steps -= b
+	opCharge opcode = iota // ops += a, steps -= b; c promoted accesses for the inspector
+	opMove                 // dst = regs[a]
 
 	opAdd
 	opSub
@@ -78,20 +93,15 @@ const (
 
 	// Memory: a = address slot, c = inline-cache slot; stores read the
 	// value from dst. The A forms address regs[a]+regs[b], the MA forms
-	// regs[a]+regs[b]*regs[d]. The Slot forms address a whole 8-byte-or-
-	// larger alloca of their own function through its register: in a
-	// kernel that is a live unit of the scratch arena by construction, so
-	// they read and write the arena directly.
+	// regs[a]+regs[b]*regs[d].
 	opLoad8
 	opLoad1
 	opLoadA8
 	opLoadMA8
-	opLoadSlot8
 	opStore8
 	opStore1
 	opStoreA8
 	opStoreMA8
-	opStoreSlot8
 
 	opPure // dst = pureIntrinsic(c, regs[a], regs[b])
 	opTid
@@ -236,16 +246,34 @@ type lowerer struct {
 	globalIndex map[*ir.Global]int32
 
 	// Per function.
-	f        *ir.Func
-	consts   map[uint64]int32
-	globals  map[int32]int32
-	extra    []uint64 // frame image past the registers
-	uses     []int32  // per register: how many operands read it
-	pos      []int32  // per register: program position of its definition
-	absorbed []int32  // per register: nonzero when its consumer computes it
-	blockPC  []int32
-	run      int32 // pc of the open run's opCharge, -1 when none
+	f       *ir.Func
+	consts  map[uint64]int32
+	globals map[int32]int32
+	extra   []uint64  // frame image past the registers
+	regs    []regInfo // per register
+	blockPC []int32
+	run     int32 // pc of the open run's opCharge, -1 when none
 }
+
+// regInfo is what lowering knows about one register. Positions count
+// instructions in program order.
+type regInfo struct {
+	uses     int32 // operands that read it
+	pos      int32 // position of its definition
+	absorbed bool  // its consumer computes it
+	last     int32 // latest position an operand reads it; elsewhere: some read is in another block
+	// slot stands for the register when positive: for an alloca the
+	// promoted local's slot (-1 when its address escapes), for a load the
+	// local whose slot its readers read, for any other instruction the
+	// local whose slot it writes.
+	slot int32
+	// Forwarding candidates: an alloca heads, 1-based, the chain of loads
+	// of it since its last write, each load linking to the one before.
+	link   int32
+	access int32 // alloca: position of the latest load or store of it
+}
+
+const elsewhere = int32(1<<31 - 1)
 
 func (l *lowerer) lowerFunc(fc *funcCode, f *ir.Func) {
 	c := l.c
@@ -257,21 +285,30 @@ func (l *lowerer) lowerFunc(fc *funcCode, f *ir.Func) {
 	clear(l.consts)
 	clear(l.globals)
 	l.extra = l.extra[:0]
-	l.uses = resize(l.uses, f.NumRegs)
-	l.pos = resize(l.pos, f.NumRegs)
-	l.absorbed = resize(l.absorbed, f.NumRegs)
+	l.regs = resize(l.regs, f.NumRegs)
 	l.blockPC = resize(l.blockPC, len(f.Blocks))
 	l.run = -1
 
 	n := int32(0)
 	f.Instrs(func(in *ir.Instr) {
-		for _, a := range in.Args {
-			if d, ok := a.(*ir.Instr); ok && l.hasReg(d) {
-				l.uses[d.Reg]++
+		for i, a := range in.Args {
+			d, ok := a.(*ir.Instr)
+			if !ok || !l.hasReg(d) {
+				continue
+			}
+			r := &l.regs[d.Reg]
+			r.uses++
+			if d.Block != in.Block {
+				r.last = elsewhere
+			} else if r.last < n {
+				r.last = n
+			}
+			if d.Op == ir.OpAlloca && (i != 0 || !l.wholeAccess(in)) {
+				r.slot = -1
 			}
 		}
 		if l.hasReg(in) {
-			l.pos[in.Reg] = n
+			l.regs[in.Reg].pos = n
 		}
 		n++
 	})
@@ -301,9 +338,9 @@ func (l *lowerer) lowerFunc(fc *funcCode, f *ir.Func) {
 	c.image = append(c.image, l.extra...)
 }
 
-func resize(s []int32, n int) []int32 {
+func resize[T any](s []T, n int) []T {
 	if cap(s) < n {
-		return make([]int32, n)
+		return make([]T, n)
 	}
 	s = s[:n]
 	clear(s)
@@ -315,6 +352,30 @@ func (l *lowerer) hasReg(in *ir.Instr) bool {
 	return in.Reg >= 0 && in.Reg < l.f.NumRegs
 }
 
+// wholeAccess reports whether in is a well-formed 8-byte load or store,
+// the only use that leaves an alloca promotable.
+func (l *lowerer) wholeAccess(in *ir.Instr) bool {
+	return in.Size == 8 && (in.Op == ir.OpLoad && len(in.Args) == 1 && l.hasReg(in) ||
+		in.Op == ir.OpStore && len(in.Args) == 2)
+}
+
+// local returns the promoted local that the load or store in accesses,
+// giving it its frame slot on first sight; nil when in is no such access.
+func (l *lowerer) local(in *ir.Instr) *regInfo {
+	if in.Op != ir.OpLoad && in.Op != ir.OpStore || len(in.Args) == 0 {
+		return nil
+	}
+	a, ok := in.Args[0].(*ir.Instr)
+	if !ok || a.Op != ir.OpAlloca || a.Size != 8 || !l.hasReg(a) || l.regs[a.Reg].slot < 0 {
+		return nil
+	}
+	x := &l.regs[a.Reg]
+	if x.slot == 0 {
+		x.slot = l.extraSlot(0)
+	}
+	return x
+}
+
 // slot returns the frame slot that holds v.
 func (l *lowerer) slot(v ir.Value) int32 {
 	switch v := v.(type) {
@@ -322,6 +383,9 @@ func (l *lowerer) slot(v ir.Value) int32 {
 		return int32(v.Reg)
 	case *ir.Instr:
 		if l.hasReg(v) {
+			if s := l.regs[v.Reg].slot; s > 0 {
+				return s
+			}
 			return int32(v.Reg)
 		}
 	case *ir.Const:
@@ -404,7 +468,7 @@ func (l *lowerer) argList(vals []ir.Value) (off, n int32) {
 func (l *lowerer) operandsSettled(x *ir.Instr) bool {
 	for _, a := range x.Args {
 		if d, ok := a.(*ir.Instr); ok && d.Block == x.Block {
-			if !l.hasReg(d) || l.pos[d.Reg] >= l.pos[x.Reg] {
+			if !l.hasReg(d) || l.regs[d.Reg].pos >= l.regs[x.Reg].pos {
 				return false
 			}
 		}
@@ -420,10 +484,29 @@ func (l *lowerer) absorbable(v ir.Value, b *ir.Block, at int32, wanted func(*ir.
 	if !ok || x.Block != b || !l.hasReg(x) || len(x.Args) != 2 || !wanted(x) {
 		return nil
 	}
-	if l.uses[x.Reg] != 1 || l.pos[x.Reg] >= at || !l.operandsSettled(x) {
+	if r := &l.regs[x.Reg]; r.uses != 1 || r.pos >= at || !l.operandsSettled(x) {
 		return nil
 	}
 	return x
+}
+
+// retargetable returns the instruction computing v when it can write
+// promoted local x in place of the store at position at: it is in block
+// b, the store is its single use, it writes nothing but its destination,
+// and no access to x lies between the two.
+func (l *lowerer) retargetable(v ir.Value, b *ir.Block, at int32, x *regInfo) *ir.Instr {
+	d, ok := v.(*ir.Instr)
+	if !ok || d.Block != b || !l.hasReg(d) {
+		return nil
+	}
+	if r := &l.regs[d.Reg]; r.uses != 1 || r.absorbed || r.pos >= at || r.pos <= x.access {
+		return nil
+	}
+	switch {
+	case d.Op >= ir.OpAdd && d.Op <= ir.OpFToI, d.Op == ir.OpLoad && l.local(d) == nil:
+		return d
+	}
+	return nil
 }
 
 func isIntAdd(x *ir.Instr) bool  { return x.Op == ir.OpAdd && !x.Float }
@@ -442,7 +525,7 @@ func (l *lowerer) fusedAddress(m *ir.Instr, at int32) (add, mul *ir.Instr, plain
 		return nil, nil, nil
 	}
 	for _, i := range [2]int{1, 0} {
-		if mul = l.absorbable(add.Args[i], m.Block, l.pos[add.Reg], isIntMul); mul != nil {
+		if mul = l.absorbable(add.Args[i], m.Block, l.regs[add.Reg].pos, isIntMul); mul != nil {
 			return add, mul, add.Args[1-i]
 		}
 	}
@@ -453,32 +536,62 @@ func (l *lowerer) fusedAddress(m *ir.Instr, at int32) (add, mul *ir.Instr, plain
 func (l *lowerer) lowerBlock(b *ir.Block, base int32) {
 	l.run = -1
 	// First pass: which instructions their consumer computes.
-	absorb := func(x *ir.Instr) { l.absorbed[x.Reg] = 1 }
 	for i, in := range b.Instrs {
 		at := base + int32(i)
 		switch in.Op {
 		case ir.OpLoad, ir.OpStore:
 			if add, mul, _ := l.fusedAddress(in, at); add != nil {
-				absorb(add)
+				l.absorb(add, at)
 				if mul != nil {
-					absorb(mul)
+					l.absorb(mul, at)
 				}
 			}
 		case ir.OpCondBr:
 			if len(in.Args) == 1 {
 				if cmp := l.absorbable(in.Args[0], b, at, isCompare); cmp != nil {
-					absorb(cmp)
+					l.absorb(cmp, at)
 				}
 			}
 		}
 	}
 
+	// Second pass: which loads of promoted locals forward and which stores
+	// retarget. A load starts out forwarded; a write to its local landing
+	// after it and before its last reader takes that back.
 	for i, in := range b.Instrs {
-		if l.hasReg(in) && l.absorbed[in.Reg] != 0 {
-			l.account(in.Line, costDefault, true)
+		at := base + int32(i)
+		x := l.local(in)
+		if x == nil {
 			continue
 		}
-		l.lowerInstr(in, base+int32(i))
+		if in.Op == ir.OpLoad {
+			if r := &l.regs[in.Reg]; r.last != elsewhere {
+				r.slot, r.link, x.link = x.slot, x.link, int32(in.Reg)+1
+			}
+			x.access = at
+			continue
+		}
+		w := at
+		if d := l.retargetable(in.Args[1], b, at, x); d != nil {
+			l.regs[d.Reg].slot = x.slot
+			w = l.regs[d.Reg].pos
+		}
+		for p := x.link; p != 0; p = l.regs[p-1].link {
+			if r := &l.regs[p-1]; r.last > w {
+				r.slot = 0
+			}
+		}
+		x.link, x.access = 0, at
+	}
+
+	for i, in := range b.Instrs {
+		if l.hasReg(in) && l.regs[in.Reg].absorbed {
+			l.account(in.Line, costDefault, true)
+		} else if x := l.local(in); x != nil {
+			l.lowerLocal(in, x)
+		} else {
+			l.lowerInstr(in, base+int32(i))
+		}
 	}
 	if b.Terminator() == nil {
 		l.fault(0, "block "+b.Name+" fell through without terminator")
@@ -486,11 +599,38 @@ func (l *lowerer) lowerBlock(b *ir.Block, base int32) {
 	l.run = -1
 }
 
+// absorb marks x computed by its consumer at position at, which is
+// therefore where x reads its operands.
+func (l *lowerer) absorb(x *ir.Instr, at int32) {
+	l.regs[x.Reg].absorbed = true
+	for _, a := range x.Args {
+		if d, ok := a.(*ir.Instr); ok && l.hasReg(d) && l.regs[d.Reg].last < at {
+			l.regs[d.Reg].last = at
+		}
+	}
+}
+
+// lowerLocal lowers a load or store of promoted local x: nothing when the
+// value already sits where it is going, one move otherwise.
+func (l *lowerer) lowerLocal(in *ir.Instr, x *regInfo) {
+	dst, src := x.slot, x.slot
+	if in.Op == ir.OpLoad {
+		dst = l.slot(in)
+	} else {
+		src = l.slot(in.Args[1])
+	}
+	orig := l.account(in.Line, costMemory, true)
+	l.c.insts[l.run].c++
+	if dst != src {
+		l.emit(inst{op: opMove, dst: dst, a: src}, orig)
+	}
+}
+
 func (l *lowerer) lowerInstr(in *ir.Instr, at int32) {
 	c := l.c
 	dst := int32(-1)
 	if l.hasReg(in) {
-		dst = int32(in.Reg)
+		dst = l.slot(in) // a retargeted instruction writes its local
 	}
 	arg := func(i int) int32 {
 		if i < len(in.Args) {
@@ -506,8 +646,10 @@ func (l *lowerer) lowerInstr(in *ir.Instr, at int32) {
 
 	switch in.Op {
 	case ir.OpAlloca:
+		// The register keeps the unit's address even when the local's
+		// value lives in a slot of its own.
 		c.allocas = append(c.allocas, in.Size)
-		light(opAlloca, costDefault, inst{dst: dst, a: int32(len(c.allocas) - 1)})
+		light(opAlloca, costDefault, inst{dst: int32(in.Reg), a: int32(len(c.allocas) - 1)})
 
 	case ir.OpLoad, ir.OpStore:
 		store := in.Op == ir.OpStore
@@ -534,10 +676,6 @@ func (l *lowerer) lowerInstr(in *ir.Instr, at int32) {
 		case add != nil:
 			op = opLoadA8
 			x.a, x.b = l.slot(add.Args[0]), l.slot(add.Args[1])
-		default:
-			if unit, ok := in.Args[0].(*ir.Instr); ok && unit.Op == ir.OpAlloca && l.hasReg(unit) && unit.Size >= 8 {
-				op = opLoadSlot8
-			}
 		}
 		if store {
 			op += opStore8 - opLoad8
