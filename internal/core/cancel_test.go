@@ -3,6 +3,7 @@ package core_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"runtime"
 	"strings"
 	"testing"
@@ -10,6 +11,7 @@ import (
 
 	"cgcm/internal/core"
 	"cgcm/internal/interp"
+	"cgcm/internal/metrics"
 )
 
 // slowVec launches far more kernels than any test deadline allows, so a
@@ -91,6 +93,59 @@ func TestRunContextCancelImmediate(t *testing.T) {
 	if !errors.Is(err, context.Canceled) {
 		t.Fatalf("error %v does not unwrap to context.Canceled", err)
 	}
+}
+
+// sumLoop returns a sequential program whose work is all pure CPU
+// instructions: nothing in it flushes the CPU op counter before it ends.
+func sumLoop(n int64) string {
+	return fmt.Sprintf(`
+int main() {
+	int s = 0;
+	for (int i = 0; i < %d; i++) s = s + i;
+	return s;
+}`, n)
+}
+
+// TestFailedRunReportsItsCPUWork: a run stopped by the step limit or by
+// cancellation reports the CPU work it did, including the ops executed
+// since the last flush point, which for a loop of pure instructions is
+// all of them.
+func TestFailedRunReportsItsCPUWork(t *testing.T) {
+	opts := core.Options{Strategy: core.Sequential}
+	t.Run("step limit", func(t *testing.T) {
+		prog, err := core.Compile("sum.c", sumLoop(1000), opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		full, err := prog.RunWith(core.RunConfig{Metrics: metrics.New()})
+		if err != nil {
+			t.Fatal(err)
+		}
+		// One step short of the whole run: everything but `return s` —
+		// a load and a ret, 3 + 1 ops, the last run of the program — ran.
+		prog.Opts.Limits = &interp.Limits{MaxSteps: int64(full.Metrics.Gauge("interp.steps")) - 1}
+		rep, err := prog.Run()
+		if err == nil || !strings.Contains(err.Error(), "step limit exceeded") {
+			t.Fatalf("run one step short of the limit: %v", err)
+		}
+		if want := full.Stats.CPUOps - 4; rep.Stats.CPUOps != want {
+			t.Errorf("step-limited run reports %d CPU ops, want %d", rep.Stats.CPUOps, want)
+		}
+		if rep.Stats.Wall <= 0 {
+			t.Errorf("step-limited run reports wall %v", rep.Stats.Wall)
+		}
+	})
+	t.Run("canceled", func(t *testing.T) {
+		ctx, cancel := context.WithTimeout(context.Background(), 20*time.Millisecond)
+		defer cancel()
+		rep, err := core.CompileAndRunContext(ctx, "sum.c", sumLoop(1<<40), opts)
+		if !errors.Is(err, context.DeadlineExceeded) {
+			t.Fatalf("run = %v, want a deadline error", err)
+		}
+		if rep.Stats.CPUOps <= 0 || rep.Stats.Wall <= 0 {
+			t.Errorf("canceled run reports %d CPU ops and wall %v", rep.Stats.CPUOps, rep.Stats.Wall)
+		}
+	})
 }
 
 // pollCountCtx reports cancellation from its failAt-th Err call on, so a

@@ -355,6 +355,128 @@ func (s assignStmt) eval(a []int64, f []float64) {
 	a[s.dst] = v
 }
 
+// nestStmt is one statement of a generated loop-nest body over arrays of
+// rows of w elements. The index forms x and y are 0: i*w + j,
+// 1: j + i*w, 2: (i+1)*w + j - 1.
+type nestStmt struct {
+	kind       int   // see src
+	x, y       int   // index forms
+	c, d, m, r int64 // a multiplier, a step of j, a modulus and a residue
+}
+
+func indexSrc(form int, w int64) string {
+	return fmt.Sprintf([...]string{"i * %d + j", "j + i * %d", "(i + 1) * %d + j - 1"}[form], w)
+}
+
+func indexVal(form int, i, j, w int64) int64 {
+	return [...]int64{i*w + j, j + i*w, (i+1)*w + j - 1}[form]
+}
+
+func (s nestStmt) src(w int64) string {
+	x, y := indexSrc(s.x, w), indexSrc(s.y, w)
+	switch s.kind {
+	case 0:
+		return fmt.Sprintf("b[%s] = b[%s] + a[%s] * %d;", x, x, y, s.c)
+	case 1: // one index, read three times
+		return fmt.Sprintf("{ int t = %s; b[t] = b[t] + a[t]; }", x)
+	case 2: // j written after b's index is computed and before a's
+		return fmt.Sprintf("b[%s] = (j = j + %d) + a[%s];", x, s.d, y)
+	case 3:
+		return fmt.Sprintf("if ((i + j) %% %d == %d) continue;", s.m, s.r)
+	}
+	return fmt.Sprintf("if ((i + j) %% %d == %d) break;", s.m, s.r)
+}
+
+// TestFuzzLoopNestsAgainstNativeGo runs random two-deep loop nests over
+// row-major int arrays. The bodies mix the index forms the lowering fuses
+// into one access and ones it does not, an index kept in a local and read
+// three times, the inner loop variable written between an index's
+// computation and its use, and continue and break in the inner loop.
+// Output must match a Go evaluator sequentially on the CPU and under
+// optimized CGCM.
+func TestFuzzLoopNestsAgainstNativeGo(t *testing.T) {
+	rng := rand.New(rand.NewSource(4242))
+	for trial := 0; trial < 100; trial++ {
+		h, l := int64(1+rng.Intn(4)), int64(1+rng.Intn(6))
+		w := l + 3 + int64(rng.Intn(4)) // rows long enough for j to grow by 3
+		size := (h + 1) * w
+		stmts := make([]nestStmt, 1+rng.Intn(5))
+		grow := int64(0)
+		for k := range stmts {
+			s := nestStmt{kind: rng.Intn(5), x: rng.Intn(3), y: rng.Intn(3), c: int64(rng.Intn(7) - 3),
+				d: int64(rng.Intn(2)), m: int64(2 + rng.Intn(4))}
+			s.r = int64(rng.Intn(int(s.m)))
+			if s.kind == 2 {
+				if grow += s.d; grow > 3 {
+					s.kind = 0
+				}
+			}
+			stmts[k] = s
+		}
+
+		a, b := make([]int64, size), make([]int64, size)
+		for k := range a {
+			a[k], b[k] = int64(k*7%13-6), int64(k%5)
+		}
+		for i := int64(0); i < h; i++ {
+		inner:
+			for j := int64(0); j < l; j++ {
+				for _, s := range stmts {
+					x := indexVal(s.x, i, j, w)
+					switch s.kind {
+					case 0:
+						b[x] += a[indexVal(s.y, i, j, w)] * s.c
+					case 1:
+						b[x] += a[x]
+					case 2:
+						j += s.d
+						b[x] = j + a[indexVal(s.y, i, j, w)]
+					case 3:
+						if (i+j)%s.m == s.r {
+							continue inner
+						}
+					default:
+						if (i+j)%s.m == s.r {
+							break inner
+						}
+					}
+				}
+			}
+		}
+		var body, want strings.Builder
+		for _, s := range stmts {
+			fmt.Fprintf(&body, "\t\t\t%s\n", s.src(w))
+		}
+		for _, v := range b {
+			fmt.Fprintf(&want, "%d\n", v)
+		}
+		prog := fmt.Sprintf(`
+int main() {
+	int *a = (int*)malloc(%d * 8);
+	int *b = (int*)malloc(%d * 8);
+	for (int k = 0; k < %d; k++) { a[k] = k * 7 %% 13 - 6; b[k] = k %% 5; }
+	for (int i = 0; i < %d; i++) {
+		for (int j = 0; j < %d; j++) {
+%s		}
+	}
+	for (int k = 0; k < %d; k++) print_int(b[k]);
+	free(a); free(b);
+	return 0;
+}
+`, size, size, size, h, l, body.String(), size)
+
+		for _, s := range []core.Strategy{core.Sequential, core.CGCMOptimized} {
+			rep, err := core.CompileAndRun("nest.c", prog, core.Options{Strategy: s})
+			if err != nil {
+				t.Fatalf("trial %d [%s]: %v\nprogram:\n%s", trial, s, err, prog)
+			}
+			if rep.Output != want.String() {
+				t.Fatalf("trial %d [%s]: output\n%s\nwant\n%s\nprogram:\n%s", trial, s, rep.Output, want.String(), prog)
+			}
+		}
+	}
+}
+
 // TestFuzzAssignmentsAgainstNativeGo runs random sequences of plain and
 // compound assignments over 4-6 int and float locals declared in a loop
 // body (a = b + a; b += a * c; c = c - b; ...) and checks every

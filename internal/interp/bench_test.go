@@ -46,6 +46,15 @@ var dispatchBodies = []struct{ name, decls, body string }{
 	int x = 0;
 	int *p = &x;
 	for (int j = 0; j < N; j++) { x = x + j; *p = *p ^ (j & 3); }`},
+	// buf as two rows of four: each access is one row-major instruction,
+	// where load_store's are an address add and a scaled one.
+	{"row_major", "", `
+	for (int j = 0; j < N; j++) { buf[(j & 1) * 4 + (j & 3)] = buf[(j & 3) + (j & 1) * 4] + j; }`},
+	// The continue gives the loop's increment block a second way in, so
+	// the body's br to it stays a dispatch.
+	{"continue_loop", "", `
+	int x = 0;
+	for (int j = 0; j < N; j++) { if (j & 1) continue; x = x + j; }`},
 }
 
 func dispatchSource(decls, body string, kernel bool) string {

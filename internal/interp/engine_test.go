@@ -332,7 +332,156 @@ func engineCases() []engineCase {
 		t.ret()
 		t.b = no
 		t.condbr(t.y, yes, yes)
-		return want{out: "1\n", ops: 1 + 1 + 1 + 4, uses: []opcode{opBr, opCondBr}}
+		// next is the entry block's layout successor with no other way in,
+		// so the br emits nothing and next continues the entry's run.
+		return want{out: "1\n", ops: 1 + 1 + 1 + 4, uses: []opcode{opCondBr}, lacks: []opcode{opBr}}
+	})
+
+	// The lowering's loop forms — a br merged into its target's run, a
+	// loop test copied into the latch, a row-major access fused — each
+	// against a spelling that defeats it with a use in a block that never
+	// runs. The two execute the same instructions, so
+	// TestLoweredFormsKeepTheCounts holds them to the same output, fault,
+	// steps, charged ops and inspector count.
+	for _, fused := range []bool{true, false} {
+		fused := fused
+		spelling := map[bool]string{true: "fused", false: "unfused"}[fused]
+		// dead, in the unfused spelling, appends a block nothing reaches
+		// that reads vals and branches to to, or returns when to is nil.
+		dead := func(t *tb, to *ir.Block, vals ...ir.Value) {
+			if fused {
+				return
+			}
+			t.b = t.block()
+			for _, v := range vals {
+				t.op(ir.OpXor, v, v)
+			}
+			if to != nil {
+				t.br(to)
+			} else {
+				t.ret()
+			}
+		}
+		add("lower/loop/test-copied/"+spelling, allCtx, ic(3), ic(2), func(t *tb) want {
+			// for (i = 0; i < x*y; i++) s += i; the header reads i, which
+			// the latch writes, and x*y, which the entry block computes.
+			n := t.op(ir.OpMul, t.x, t.y)
+			i, s := t.alloca(8), t.alloca(8)
+			t.store(i, ic(0), 8)
+			t.store(s, ic(0), 8)
+			head, body, exit := t.block(), t.block(), t.block()
+			t.br(head)
+			t.b = head
+			c := t.op(ir.OpLt, t.load(i, 8), n)
+			t.condbr(c, body, exit)
+			t.b = body
+			iv := t.load(i, 8)
+			t.store(s, t.op(ir.OpAdd, t.load(s, 8), iv), 8)
+			t.store(i, t.op(ir.OpAdd, iv, ic(1)), 8)
+			t.br(head)
+			t.b = exit
+			t.print(t.load(s, 8))
+			t.ret()
+			dead(t, nil, c) // the compare read twice: the header is more than a test
+			w := want{out: "15\n", steps: 6 + 3*7 + 7*6 + 2, ops: (1 + 2 + 2 + 3 + 3 + 1) + 5*7 + 15*6 + (3 + 4),
+				uses: []opcode{opBrLt, opBrLt}}
+			if !fused {
+				w.uses, w.lacks = []opcode{opLt, opCondBr}, []opcode{opBrLt}
+			}
+			return w
+		})
+		add("lower/fallthrough-fault/"+spelling, allCtx, i7, ic(0), func(t *tb) want {
+			t.op(ir.OpAdd, t.x, t.x)
+			next := t.block()
+			t.br(next)
+			t.b = next
+			t.op(ir.OpAdd, t.x, t.x)
+			t.op(ir.OpDiv, t.x, t.y)
+			t.op(ir.OpAdd, t.x, t.x) // not reached
+			t.ret()
+			dead(t, next) // a second way into next
+			w := want{fault: "integer division by zero", steps: 4, ops: 1 + 1 + 1, lacks: []opcode{opBr}}
+			if !fused {
+				w.uses, w.lacks = []opcode{opBr}, nil
+			}
+			return w
+		})
+		add("lower/row-major/"+spelling, allCtx, ic(1), ic(1), func(t *tb) want {
+			// buf[x*2 + y] = 99, read back as buf[y + 2*x].
+			st := t.op(ir.OpAdd, t.op(ir.OpMul, t.x, ic(2)), t.y)
+			t.store(t.op(ir.OpAdd, t.ref(t.buf), t.op(ir.OpMul, st, ic(8))), ic(99), 8)
+			ld := t.op(ir.OpAdd, t.y, t.op(ir.OpMul, ic(2), t.x))
+			t.print(t.load(t.op(ir.OpAdd, t.op(ir.OpMul, ic(8), ld), t.ref(t.buf)), 8))
+			t.ret()
+			dead(t, nil, st, ld) // each index read twice
+			w := want{out: "99\n", steps: 11, ops: 2*(1+1+1+1+3) + 4, uses: []opcode{opStoreMMA8, opLoadMMA8}, lacks: []opcode{opMul, opAdd}}
+			if !fused {
+				w.uses, w.lacks = []opcode{opStoreMA8, opLoadMA8, opAdd, opMul}, []opcode{opStoreMMA8, opLoadMMA8}
+			}
+			return w
+		})
+		add("lower/row-major-wrapping/"+spelling, allCtx, ic(-1), ic(1<<61), func(t *tb) want {
+			// Negative: (buf+32)[x*3 - 1] with x = -1 is buf[0]. Wrapping:
+			// (y*4 + 1)*8 with y = 2^61 is 8 modulo 2^64.
+			end := t.op(ir.OpAdd, t.ref(t.buf), ic(32))
+			neg := t.op(ir.OpAdd, t.op(ir.OpMul, t.x, ic(3)), ic(-1))
+			t.store(t.op(ir.OpAdd, end, t.op(ir.OpMul, neg, ic(8))), ic(11), 8)
+			wrap := t.op(ir.OpAdd, t.op(ir.OpMul, t.y, ic(4)), ic(1))
+			t.store(t.op(ir.OpAdd, t.ref(t.buf), t.op(ir.OpMul, wrap, ic(8))), ic(22), 8)
+			t.print(t.load(t.ref(t.buf), 8))
+			t.print(t.load(t.op(ir.OpAdd, t.ref(t.buf), ic(8)), 8))
+			t.ret()
+			dead(t, nil, neg, wrap)
+			w := want{out: "11\n22\n", steps: 1 + 5 + 5 + 2 + 3, ops: 1 + 7 + 7 + (3 + 4) + (1 + 3 + 4),
+				uses: []opcode{opStoreMMA8, opStoreMMA8}, lacks: []opcode{opMul}}
+			if !fused {
+				w.uses, w.lacks = []opcode{opStoreMA8, opStoreMA8}, []opcode{opStoreMMA8}
+			}
+			return w
+		})
+		add("lower/row-major-fault/"+spelling, allCtx, i7, ic(0), func(t *tb) want {
+			t.op(ir.OpAdd, t.x, t.x)
+			idx := t.op(ir.OpAdd, t.op(ir.OpMul, t.x, ic(1000)), t.y)
+			t.load(t.op(ir.OpAdd, t.ref(t.buf), t.op(ir.OpMul, idx, ic(8))), 8) // far past buf
+			t.op(ir.OpAdd, t.x, t.x)                                            // not reached
+			t.ret()
+			dead(t, nil, idx)
+			w := want{fault: "unmapped address", steps: 6, ops: 1 + 4, uses: []opcode{opLoadMMA8}}
+			if !fused {
+				w.uses = []opcode{opLoadMA8}
+			}
+			return w
+		})
+	}
+	add("lower/loop/continue-not-merged", allCtx, ic(5), nil, func(t *tb) want {
+		// for (i = 0; i < x; i++) { if (i & 1) continue; s += i; }
+		i, s := t.alloca(8), t.alloca(8)
+		t.store(i, ic(0), 8)
+		t.store(s, ic(0), 8)
+		head, body, work, latch, exit := t.block(), t.block(), t.block(), t.block(), t.block()
+		t.br(head)
+		t.b = head
+		t.condbr(t.op(ir.OpLt, t.load(i, 8), t.x), body, exit)
+		t.b = body
+		v := t.load(i, 8)
+		t.store(i, t.op(ir.OpAdd, v, ic(1)), 8)
+		t.condbr(t.op(ir.OpAnd, v, ic(1)), latch, work)
+		t.b = work
+		t.store(s, t.op(ir.OpAdd, t.load(s, 8), v), 8)
+		t.br(latch) // the latch's second way in: the br stays
+		t.b = latch
+		t.br(head)
+		t.b = exit
+		t.print(t.load(s, 8))
+		return want{out: "6\n", steps: 5 + 3*6 + 5*5 + 4*3 + 5 + 2, ops: 11 + 5*6 + 9*5 + 8*3 + 5 + 7,
+			uses: []opcode{opBr, opBrLt, opBrLt}}
+	})
+	add("lower/row-major-scale-16", allCtx, ic(0), ic(1), func(t *tb) want {
+		idx := func() ir.Value { return t.op(ir.OpAdd, t.op(ir.OpMul, t.x, ic(2)), t.y) }
+		t.store(t.op(ir.OpAdd, t.ref(t.buf), t.op(ir.OpMul, idx(), ic(16))), ic(5), 8)
+		t.print(t.load(t.op(ir.OpAdd, t.ref(t.buf), t.op(ir.OpMul, idx(), ic(16))), 8))
+		return want{out: "5\n", steps: 11, ops: 2*(1+1+1+1+3) + 4,
+			uses: []opcode{opStoreMA8, opLoadMA8, opAdd, opMul}, lacks: []opcode{opStoreMMA8, opLoadMMA8}}
 	})
 
 	// Allocas: a unit per frame, created (cost 2) on first execution and
@@ -695,12 +844,18 @@ func runEngine(t *testing.T, mod *ir.Module, ctx ctxKind, col *prof.Collector) (
 }
 
 // chargedOps is what the machine was charged for t's instructions, and
-// the steps main itself takes before t runs.
-func chargedOps(ctx ctxKind, st machine.Stats) (ops, harnessSteps int64) {
-	switch ctx {
-	case ctxRoot:
+// the steps main itself takes before t runs. When t failed, main's call
+// and ret never completed; and a kernel thread's partial work is charged
+// nowhere, so it is what the worker that ran it still holds.
+func chargedOps(in *Interp, ctx ctxKind, st machine.Stats, failed bool) (ops, harnessSteps int64) {
+	switch {
+	case ctx == ctxRoot && failed:
+		return st.CPUOps, 1
+	case ctx == ctxRoot:
 		return st.CPUOps - 5 - 1, 1 // main's call and ret
-	case ctxFallback:
+	case failed:
+		return in.workers[0].ops, 3
+	case ctx == ctxFallback:
 		return st.FallbackOps, 3
 	}
 	return st.GPUOps, 3 // two maps and the launch
@@ -722,7 +877,30 @@ func TestEngineTable(t *testing.T) {
 				if out != w.out {
 					t.Errorf("output %q, want %q", out, w.out)
 				}
-				ops, harness := chargedOps(ctx, m.Stats())
+				// An opcode listed n times in uses must occur n times or more.
+				count := func(ops []opcode, op opcode) (n int) {
+					for _, o := range ops {
+						if o == op {
+							n++
+						}
+					}
+					return n
+				}
+				var code []opcode
+				for _, i := range in.code.insts[in.code.funcs[1].entry:in.code.funcs[2].entry] { // h, t, main
+					code = append(code, i.op)
+				}
+				for _, op := range w.uses {
+					if n, want := count(code, op), count(w.uses, op); n < want {
+						t.Errorf("lowered t has opcode %d %d times, want %d", op, n, want)
+					}
+				}
+				for _, op := range w.lacks {
+					if count(code, op) != 0 {
+						t.Errorf("lowered t has opcode %d", op)
+					}
+				}
+				ops, harness := chargedOps(in, ctx, m.Stats(), err != nil)
 				if w.fault != "" {
 					if err == nil || !strings.Contains(err.Error(), w.fault) {
 						t.Fatalf("error %v, want one mentioning %q", err, w.fault)
@@ -730,14 +908,8 @@ func TestEngineTable(t *testing.T) {
 					if got := in.Steps(); got != harness+w.steps {
 						t.Errorf("a run that failed at t's instruction %d counted %d steps, want %d", w.steps, got, harness+w.steps)
 					}
-					// Nothing flushes inside t, so its charged ops are
-					// still pending on the context that ran it.
-					pending := in.root.ops
-					if ctx != ctxRoot {
-						pending = in.workers[0].ops
-					}
-					if w.ops != 0 && pending != w.ops {
-						t.Errorf("a run that failed at t's instruction %d was charged %d ops, want %d", w.steps, pending, w.ops)
+					if w.ops != 0 && ops != w.ops {
+						t.Errorf("a run that failed at t's instruction %d was charged %d ops, want %d", w.steps, ops, w.ops)
 					}
 					return
 				}
@@ -747,24 +919,8 @@ func TestEngineTable(t *testing.T) {
 				if want := w.ops + 1; ops != want { // + t's ret
 					t.Errorf("charged %d ops, want %d", ops, want)
 				}
-				fc := &in.code.funcs[1] // h, t, main
-				has := func(op opcode) bool {
-					for _, i := range in.code.insts[fc.entry:in.code.funcs[2].entry] {
-						if i.op == op {
-							return true
-						}
-					}
-					return false
-				}
-				for _, op := range w.uses {
-					if !has(op) {
-						t.Errorf("lowered t has no opcode %d", op)
-					}
-				}
-				for _, op := range w.lacks {
-					if has(op) {
-						t.Errorf("lowered t has opcode %d", op)
-					}
+				if want := harness + w.steps + 2; w.steps != 0 && in.Steps() != want { // + t's ret and main's
+					t.Errorf("counted %d steps, want %d", in.Steps(), want)
 				}
 			})
 		}
@@ -803,7 +959,7 @@ func TestEngineProfileIsPerInstruction(t *testing.T) {
 		t.Run(c.name, func(t *testing.T) {
 			mod, w := buildEngine(c, ctxKernel)
 			switch {
-			case w.fault != "", strings.HasPrefix(c.name, "alloca/loop"), c.name == "br+condbr-on-register":
+			case w.fault != "", strings.Contains(c.name, "/loop"), c.name == "br+condbr-on-register":
 				t.Skip("successful bodies that branch at most once, forward")
 			case c.name == "call":
 				t.Skip("the callee's instructions carry no lines")

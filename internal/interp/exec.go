@@ -580,20 +580,10 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 	for {
 		i := &insts[pc]
 		pc++
+	dispatch:
 		switch i.op {
 		case opCharge:
-			if ex.budget -= int64(i.b); ex.budget < 0 {
-				if err := ex.refill(fc); err != nil {
-					return 0, err
-				}
-			}
-			ex.ops += int64(i.a)
-			if prof != nil {
-				prof[pc-1]++
-			}
-			if insp != nil {
-				insp.acc += int64(i.c) // the run's promoted accesses touch no memory
-			}
+			goto charge
 
 		case opMove:
 			regs[i.dst] = regs[i.a]
@@ -690,6 +680,9 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 		case opLoadMA8:
 			addr = regs[i.a] + uint64(int64(regs[i.b])*int64(regs[i.d]))
 			goto load8
+		case opLoadMMA8:
+			addr = regs[i.a] + (regs[i.b]*regs[i.d]+regs[i.e])<<3
+			goto load8
 		case opLoad1:
 			addr = regs[i.a]
 			c := &ic[i.c]
@@ -710,6 +703,9 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			goto store8
 		case opStoreMA8:
 			addr = regs[i.a] + uint64(int64(regs[i.b])*int64(regs[i.d]))
+			goto store8
+		case opStoreMMA8:
+			addr = regs[i.a] + (regs[i.b]*regs[i.d]+regs[i.e])<<3
 			goto store8
 		case opStore1:
 			addr = regs[i.a]
@@ -738,32 +734,46 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 
 		case opBr:
 			pc = i.c
+			goto jump
 		case opCondBr:
 			pc = branch(regs[i.a] != 0, i)
+			goto jump
 		case opBrEq:
 			pc = branch(regs[i.a] == regs[i.b], i)
+			goto jump
 		case opBrNe:
 			pc = branch(regs[i.a] != regs[i.b], i)
+			goto jump
 		case opBrLt:
 			pc = branch(int64(regs[i.a]) < int64(regs[i.b]), i)
+			goto jump
 		case opBrLe:
 			pc = branch(int64(regs[i.a]) <= int64(regs[i.b]), i)
+			goto jump
 		case opBrGt:
 			pc = branch(int64(regs[i.a]) > int64(regs[i.b]), i)
+			goto jump
 		case opBrGe:
 			pc = branch(int64(regs[i.a]) >= int64(regs[i.b]), i)
+			goto jump
 		case opBrFEq:
 			pc = branch(ir.B2F(regs[i.a]) == ir.B2F(regs[i.b]), i)
+			goto jump
 		case opBrFNe:
 			pc = branch(ir.B2F(regs[i.a]) != ir.B2F(regs[i.b]), i)
+			goto jump
 		case opBrFLt:
 			pc = branch(ir.B2F(regs[i.a]) < ir.B2F(regs[i.b]), i)
+			goto jump
 		case opBrFLe:
 			pc = branch(ir.B2F(regs[i.a]) <= ir.B2F(regs[i.b]), i)
+			goto jump
 		case opBrFGt:
 			pc = branch(ir.B2F(regs[i.a]) > ir.B2F(regs[i.b]), i)
+			goto jump
 		case opBrFGe:
 			pc = branch(ir.B2F(regs[i.a]) >= ir.B2F(regs[i.b]), i)
+			goto jump
 
 		case opRet, opRetVoid:
 			var ret uint64
@@ -871,6 +881,29 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			}
 		} else if err := ex.store(fc, addr, 8, regs[i.dst], c); err != nil {
 			return 0, ex.faultAt(pc-1, err)
+		}
+		continue
+
+	jump:
+		// A branch applies the opCharge heading its target itself, so
+		// entering a run costs no dispatch of its own.
+		i = &insts[pc]
+		pc++
+		if i.op != opCharge {
+			goto dispatch
+		}
+	charge:
+		if ex.budget -= int64(i.b); ex.budget < 0 {
+			if err := ex.refill(fc); err != nil {
+				return 0, err
+			}
+		}
+		ex.ops += int64(i.a)
+		if prof != nil {
+			prof[pc-1]++
+		}
+		if insp != nil {
+			insp.acc += int64(i.c) // the run's promoted accesses touch no memory
 		}
 	}
 }

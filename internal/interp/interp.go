@@ -263,8 +263,7 @@ func (in *Interp) Run() (int64, error) {
 	}()
 	if in.code.initFn >= 0 {
 		if _, err := in.runRoot(in.code.initFn); err != nil {
-			in.Mach.RunFailed(err)
-			return 0, err
+			return 0, in.failed(err)
 		}
 	}
 	if in.code.mainFn < 0 {
@@ -272,12 +271,20 @@ func (in *Interp) Run() (int64, error) {
 	}
 	ret, err := in.runRoot(in.code.mainFn)
 	if err != nil {
-		in.Mach.RunFailed(err)
-		return 0, err
+		return 0, in.failed(err)
 	}
 	in.root.flushOps()
 	in.Mach.Sync()
 	return int64(ret), nil
+}
+
+// failed ends a run that err stopped. The root context's ops since its
+// last flush are work the run did (faultAt has given back the unexecuted
+// tail), so the machine is charged them before the failure is marked.
+func (in *Interp) failed(err error) error {
+	in.root.flushOps()
+	in.Mach.RunFailed(err)
+	return err
 }
 
 // runRoot runs one of the module's entry functions on the root context.

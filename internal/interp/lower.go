@@ -19,20 +19,30 @@ import (
 //
 // Charging. A straight-line run of instructions whose op cost is known
 // at lowering is headed by one opCharge carrying the run's summed cost
-// and step count. A run ends at a block end and before every instruction
-// that charges itself: calls (their cost lands after the callee returns),
+// and step count; a branch into a run applies its opCharge itself, so the
+// opCharge is dispatched only at function entry and after a
+// self-charging instruction. A run ends before every instruction that
+// charges itself: calls (their cost lands after the callee returns),
 // launches, and the intrinsics that flush the CPU op counter to the
-// machine, print, consume the RNG or cost a data-dependent amount. So
-// the machine receives the same op counts at the same points of the
-// timeline as when every instruction charged itself. The origs table
-// keeps each original instruction's line and cost in program order; a
-// run is a contiguous range of it, which is what lets a fault part-way
-// through a run give back exactly the unexecuted tail, and the profiler
-// attribute a run's executions to source lines.
+// machine, print, consume the RNG or cost a data-dependent amount. It
+// ends at a block end too, but for two branches that become part of it.
+// A br to the next block in layout order that is the only way into it
+// emits nothing, and that block's instructions continue the run. A br
+// back to a block that lowered to an opCharge and a conditional branch
+// alone (a loop header) becomes a copy of that branch, and the run takes
+// in what the header's opCharge carries: copies of its origs entries and
+// its inspector count. So the machine receives the same op counts at the
+// same points of the timeline as when every instruction charged itself.
+// The origs table keeps each original instruction's line and cost, in
+// program order but for the copies a copied test appends; a run is a
+// contiguous range of it, which is what lets a fault part-way through a
+// run give back exactly the unexecuted tail, and the profiler attribute a
+// run's executions to source lines.
 //
 // Fusion. Two patterns make up most of every loop and become single
-// instructions: integer add (optionally of an integer multiply) feeding
-// the address of one 8-byte load or store, and a compare feeding a
+// instructions: integer add (optionally of an integer multiply, and that
+// optionally of a row-major index add(mul(x, y), z) by 8) feeding the
+// address of one 8-byte load or store, and a compare feeding a
 // conditional branch. The absorbed instructions keep their entries in
 // origs, so cost, steps and line attribution are the sum of the parts;
 // they are absorbed only when the consumer is their single use, in the
@@ -93,21 +103,24 @@ const (
 
 	// Memory: a = address slot, c = inline-cache slot; stores read the
 	// value from dst. The A forms address regs[a]+regs[b], the MA forms
-	// regs[a]+regs[b]*regs[d].
+	// regs[a]+regs[b]*regs[d], the MMA forms regs[a]+(regs[b]*regs[d]+regs[e])*8.
 	opLoad8
 	opLoad1
 	opLoadA8
 	opLoadMA8
+	opLoadMMA8
 	opStore8
 	opStore1
 	opStoreA8
 	opStoreMA8
+	opStoreMMA8
 
 	opPure // dst = pureIntrinsic(c, regs[a], regs[b])
 	opTid
 	opNtid
 
-	// Terminators: c (and d, the false edge) are target pcs.
+	// Terminators: c (and d, the false edge) are target pcs. A branch
+	// whose target is an opCharge executes that charge itself.
 	opBr
 	opCondBr
 	opBrEq
@@ -135,9 +148,9 @@ const (
 
 // inst is one lowered instruction. Field use depends on op (see above).
 type inst struct {
-	op         opcode
-	dst        int32
-	a, b, c, d int32
+	op            opcode
+	dst           int32
+	a, b, c, d, e int32
 }
 
 // site is the cold half of an instruction: which original instruction it
@@ -226,9 +239,11 @@ func lower(mod *ir.Module) *code {
 			n += len(b.Instrs)
 		}
 	}
-	c.origs = make([]origInstr, 0, n)
-	c.insts = make([]inst, 0, n+n/4) // most blocks gain an opCharge, fusion takes some back
-	c.sites = make([]site, 0, n+n/4)
+	// Copied loop tests add origs entries; merged branches and fusion take
+	// back more instructions than the opCharges add.
+	c.origs = make([]origInstr, 0, n+n/4)
+	c.insts = make([]inst, 0, n)
+	c.sites = make([]site, 0, n)
 	l := &lowerer{
 		c: c, funcIndex: funcIndex, globalIndex: globalIndex,
 		consts: make(map[uint64]int32), globals: make(map[int32]int32),
@@ -249,10 +264,17 @@ type lowerer struct {
 	f       *ir.Func
 	consts  map[uint64]int32
 	globals map[int32]int32
-	extra   []uint64  // frame image past the registers
-	regs    []regInfo // per register
-	blockPC []int32
-	run     int32 // pc of the open run's opCharge, -1 when none
+	extra   []uint64    // frame image past the registers
+	regs    []regInfo   // per register
+	blocks  []blockInfo // per block
+	block   int         // index of the block being lowered
+	run     int32       // pc of the open run's opCharge, -1 when none
+}
+
+// blockInfo is what lowering knows about one block.
+type blockInfo struct {
+	preds int32 // branch edges into it
+	pc    int32 // its first lowered instruction
 }
 
 // regInfo is what lowering knows about one register. Positions count
@@ -286,11 +308,16 @@ func (l *lowerer) lowerFunc(fc *funcCode, f *ir.Func) {
 	clear(l.globals)
 	l.extra = l.extra[:0]
 	l.regs = resize(l.regs, f.NumRegs)
-	l.blockPC = resize(l.blockPC, len(f.Blocks))
+	l.blocks = resize(l.blocks, len(f.Blocks))
 	l.run = -1
 
 	n := int32(0)
 	f.Instrs(func(in *ir.Instr) {
+		for _, t := range in.Targets {
+			if l.ownBlock(t) {
+				l.blocks[t.Index].preds++
+			}
+		}
 		for i, a := range in.Args {
 			d, ok := a.(*ir.Instr)
 			if !ok || !l.hasReg(d) {
@@ -319,7 +346,8 @@ func (l *lowerer) lowerFunc(fc *funcCode, f *ir.Func) {
 	first := len(c.insts)
 	base := int32(0)
 	for bi, b := range f.Blocks {
-		l.blockPC[bi] = int32(len(c.insts))
+		l.blocks[bi].pc = int32(len(c.insts))
+		l.block = bi
 		l.lowerBlock(b, base)
 		base += int32(len(b.Instrs))
 	}
@@ -327,9 +355,9 @@ func (l *lowerer) lowerFunc(fc *funcCode, f *ir.Func) {
 	for pc := first; pc < len(c.insts); pc++ {
 		in := &c.insts[pc]
 		if in.op == opBr {
-			in.c = l.blockPC[in.c]
+			in.c = l.blocks[in.c].pc
 		} else if in.op >= opCondBr && in.op <= opBrFGe {
-			in.c, in.d = l.blockPC[in.c], l.blockPC[in.d]
+			in.c, in.d = l.blocks[in.c].pc, l.blocks[in.d].pc
 		}
 	}
 
@@ -513,37 +541,60 @@ func isIntAdd(x *ir.Instr) bool  { return x.Op == ir.OpAdd && !x.Float }
 func isIntMul(x *ir.Instr) bool  { return x.Op == ir.OpMul && !x.Float }
 func isCompare(x *ir.Instr) bool { return x.Op >= ir.OpEq && x.Op <= ir.OpGe }
 
-// fusedAddress returns the add that the 8-byte memory instruction m at
-// position at absorbs, and, when one operand of that add is a multiply it
-// can absorb too, the multiply and the add's other operand.
-func (l *lowerer) fusedAddress(m *ir.Instr, at int32) (add, mul *ir.Instr, plain ir.Value) {
+// fusedAddress returns the instructions the 8-byte memory instruction m
+// at position at computes its address from, outermost first and nil past
+// the last: the add feeding the address; a multiply that is an operand of
+// that add; and, when the multiply scales a row-major index
+// add(mul(x, y), z) by 8, that add and its multiply.
+func (l *lowerer) fusedAddress(m *ir.Instr, at int32) (p [4]*ir.Instr) {
 	if m.Size != 8 || len(m.Args) == 0 {
-		return nil, nil, nil
+		return p
 	}
-	add = l.absorbable(m.Args[0], m.Block, at, isIntAdd)
-	if add == nil {
-		return nil, nil, nil
+	if p[0] = l.absorbable(m.Args[0], m.Block, at, isIntAdd); p[0] == nil {
+		return p
 	}
-	for _, i := range [2]int{1, 0} {
-		if mul = l.absorbable(add.Args[i], m.Block, l.regs[add.Reg].pos, isIntMul); mul != nil {
-			return add, mul, add.Args[1-i]
+	if p[1] = l.inner(p[0], isIntMul); p[1] == nil {
+		return p
+	}
+	if idx := l.inner(p[1], isIntAdd); idx != nil {
+		if k, ok := other(p[1], idx).(*ir.Const); ok && !k.Float && k.Bits == 8 {
+			if row := l.inner(idx, isIntMul); row != nil {
+				p[2], p[3] = idx, row
+			}
 		}
 	}
-	return add, nil, nil
+	return p
+}
+
+// inner returns an operand of x, the second one first, that x can compute
+// itself.
+func (l *lowerer) inner(x *ir.Instr, wanted func(*ir.Instr) bool) *ir.Instr {
+	for _, i := range [2]int{1, 0} {
+		if y := l.absorbable(x.Args[i], x.Block, l.regs[x.Reg].pos, wanted); y != nil {
+			return y
+		}
+	}
+	return nil
+}
+
+// other returns the operand of the two-operand x that y is not.
+func other(x, y *ir.Instr) ir.Value {
+	if x.Args[0] == ir.Value(y) {
+		return x.Args[1]
+	}
+	return x.Args[0]
 }
 
 // lowerBlock lowers b, whose first instruction has program position base.
 func (l *lowerer) lowerBlock(b *ir.Block, base int32) {
-	l.run = -1
 	// First pass: which instructions their consumer computes.
 	for i, in := range b.Instrs {
 		at := base + int32(i)
 		switch in.Op {
 		case ir.OpLoad, ir.OpStore:
-			if add, mul, _ := l.fusedAddress(in, at); add != nil {
-				l.absorb(add, at)
-				if mul != nil {
-					l.absorb(mul, at)
+			for _, x := range l.fusedAddress(in, at) {
+				if x != nil {
+					l.absorb(x, at)
 				}
 			}
 		case ir.OpCondBr:
@@ -584,8 +635,11 @@ func (l *lowerer) lowerBlock(b *ir.Block, base int32) {
 		x.link, x.access = 0, at
 	}
 
+	// Third pass: emit. An instruction its consumer computes, and a br the
+	// next block's run continues, only join the run.
+	fall := l.fallsThrough(b)
 	for i, in := range b.Instrs {
-		if l.hasReg(in) && l.regs[in.Reg].absorbed {
+		if l.hasReg(in) && l.regs[in.Reg].absorbed || fall && i == len(b.Instrs)-1 {
 			l.account(in.Line, costDefault, true)
 		} else if x := l.local(in); x != nil {
 			l.lowerLocal(in, x)
@@ -596,7 +650,48 @@ func (l *lowerer) lowerBlock(b *ir.Block, base int32) {
 	if b.Terminator() == nil {
 		l.fault(0, "block "+b.Name+" fell through without terminator")
 	}
-	l.run = -1
+	if !fall {
+		l.run = -1
+	}
+}
+
+// fallsThrough reports whether b ends in a br to the next block in layout
+// order that is that block's only way in. The br then emits nothing: the
+// next block's instructions continue b's run.
+func (l *lowerer) fallsThrough(b *ir.Block) bool {
+	br, next := b.Terminator(), l.block+1
+	return br != nil && br.Op == ir.OpBr && len(br.Targets) == 1 && l.ownBlock(br.Targets[0]) &&
+		br.Targets[0].Index == next && l.blocks[next].preds == 1
+}
+
+// loopTest reports whether block t, already lowered, lowered to an
+// opCharge and a conditional branch alone: a loop header once its loads
+// are forwarded and its compare fused. Such a block cannot fault.
+func (l *lowerer) loopTest(t int) bool {
+	if t >= l.block || l.blocks[t+1].pc != l.blocks[t].pc+2 {
+		return false
+	}
+	pc := l.blocks[t].pc
+	op := l.c.insts[pc+1].op
+	return l.c.insts[pc].op == opCharge && op >= opCondBr && op <= opBrFGe
+}
+
+// copyLoopTest lowers a br at line to loop test t as a copy of t's branch,
+// whose block-index targets the function's final pass resolves. The copy
+// does all that t's code does, so the open run takes in, after the br's
+// own entry, copies of the origs entries t's run charges and its inspector
+// count.
+func (l *lowerer) copyLoopTest(line int32, t int) {
+	c := l.c
+	pc := l.blocks[t].pc
+	head, test := c.insts[pc], c.insts[pc+1]
+	l.account(line, costDefault, true)
+	first, copied := c.sites[pc].orig, int32(len(c.origs))
+	for o := first; o < first+head.b; o++ {
+		l.account(c.origs[o].line, c.origs[o].cost, true)
+	}
+	c.insts[l.run].c += head.c
+	l.emit(test, copied+c.sites[pc+1].orig-first)
 }
 
 // absorb marks x computed by its consumer at position at, which is
@@ -667,15 +762,18 @@ func (l *lowerer) lowerInstr(in *ir.Instr, at int32) {
 			x.dst = arg(1)
 		}
 		op := opLoad8
-		switch add, mul, plain := l.fusedAddress(in, at); {
+		switch p := l.fusedAddress(in, at); {
 		case in.Size == 1:
 			op = opLoad1
-		case mul != nil:
+		case p[3] != nil:
+			op = opLoadMMA8
+			x.a, x.b, x.d, x.e = l.slot(other(p[0], p[1])), l.slot(p[3].Args[0]), l.slot(p[3].Args[1]), l.slot(other(p[2], p[3]))
+		case p[1] != nil:
 			op = opLoadMA8
-			x.a, x.b, x.d = l.slot(plain), l.slot(mul.Args[0]), l.slot(mul.Args[1])
-		case add != nil:
+			x.a, x.b, x.d = l.slot(other(p[0], p[1])), l.slot(p[1].Args[0]), l.slot(p[1].Args[1])
+		case p[0] != nil:
 			op = opLoadA8
-			x.a, x.b = l.slot(add.Args[0]), l.slot(add.Args[1])
+			x.a, x.b = l.slot(p[0].Args[0]), l.slot(p[0].Args[1])
 		}
 		if store {
 			op += opStore8 - opLoad8
@@ -739,7 +837,11 @@ func (l *lowerer) lowerInstr(in *ir.Instr, at int32) {
 			l.fault(in.Line, "malformed br")
 			return
 		}
-		light(opBr, costDefault, inst{c: int32(in.Targets[0].Index)})
+		if t := in.Targets[0].Index; l.loopTest(t) {
+			l.copyLoopTest(in.Line, t)
+		} else {
+			light(opBr, costDefault, inst{c: int32(t)})
+		}
 
 	case ir.OpCondBr:
 		if len(in.Targets) != 2 || len(in.Args) != 1 || !l.ownBlock(in.Targets[0]) || !l.ownBlock(in.Targets[1]) {
