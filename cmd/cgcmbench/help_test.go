@@ -8,11 +8,9 @@ import (
 	"testing"
 )
 
-// TestHelpGolden pins the -help output, and with it the shared
-// execution flag set: the same -trace*/-prof*/-metrics/-gpu-mem/
-// -faults/-async flags must stay registered with identical help text
-// across cgcmrun, cgcmc, and cgcmbench. Regenerate with
-// UPDATE_GOLDEN=1 go test ./cmd/...
+// TestHelpGolden pins the -help output, and with it which of the shared
+// execution flags (internal/cli's RunFlags) this command registers: only
+// those its run reads. Regenerate with UPDATE_GOLDEN=1 go test ./cmd/...
 func TestHelpGolden(t *testing.T) {
 	var stdout, stderr bytes.Buffer
 	if code := run([]string{"-help"}, &stdout, &stderr); code != 2 {

@@ -1,10 +1,9 @@
 // Command cgcmbench regenerates the paper's evaluation artifacts: the
 // applicability comparison (Table 1), the execution schedules (Figure 2),
 // the program-characteristics table (Table 3), and the whole-program
-// speedups (Figure 4). It also maintains performance baselines: a run
-// can be frozen into a schema-versioned JSON document and later runs
-// diffed against it, failing on any change in a simulated wall or in the
-// transfer totals.
+// speedups (Figure 4). -json writes the measured rows in the format of
+// the committed baselines BENCH_0/1.json, which the tier-1 test
+// TestRunAllRecordsTheSuite (internal/bench) holds the suite to.
 //
 // Usage:
 //
@@ -16,10 +15,6 @@
 //	cgcmbench -program lu  # one program, all four systems
 //	cgcmbench -ledger      # per-program communication-ledger summary
 //	cgcmbench -json        # also write machine-readable BENCH_<n>.json
-//	cgcmbench -baseline BENCH_0.json   # freeze this run as a baseline
-//	cgcmbench -compare BENCH_0.json    # diff against a baseline; exit 1 on
-//	                                   # any difference (works with -program too:
-//	                                   # only that program's row is gated)
 //	cgcmbench -trace-out traces/       # Perfetto trace per program and system
 //	cgcmbench -workers 8   # kernel-engine worker goroutines per launch
 //	cgcmbench -ablate mappromo  # skip named optimization passes
@@ -27,22 +22,20 @@
 //	                       # explain, per allocation unit, what the named
 //	                       # passes buy: which units turn cyclic without
 //	                       # them, and which remark promoted each
-//	cgcmbench -faults htod=0.3,seed=7    # resilience mode: rerun the suite
-//	                       # under injected device faults and verify output
-//	                       # is bit-identical to the fault-free run
-//	cgcmbench -gpu-mem 65536             # same, under a finite device
 //	cgcmbench -async       # measure with communication overlap enabled
+//	cgcmbench -gpu-mem 65536 -faults htod=0.3,seed=7
+//	                       # measure on a finite, faulty device; adds what
+//	                       # each optimized run's evict/retry/degrade ladder
+//	                       # did (output must still match sequential)
 //	cgcmbench -metrics-listen :9090      # serve live Prometheus /metrics
 //	                       # over HTTP while the suite measures
 //	cgcmbench -runlog .cgcm/runs  # append one durable run record per program
 //	                       # (optimized-CGCM run) to the store
+//	cgcmbench -timeout 30s # fail any run that takes longer in host time
 //	cgcmbench -version     # print build identity and exit
 //
-// The execution flags (-trace*, -prof*, -metrics, -gpu-mem, -faults,
-// -async, -runlog, -timeout, -version) are one shared set, registered
-// identically by cgcmrun, cgcmc, cgcmbench, and cgcmstat; cgcmbench
-// interprets -trace-out as a directory and ignores the per-run print
-// flags (-trace, -prof*, -metrics).
+// Every measurement run uses -async, -gpu-mem, -faults, -ablate,
+// -workers and -timeout. -trace-out names a directory here, not a file.
 package main
 
 import (
@@ -54,7 +47,6 @@ import (
 	"cgcm/internal/bench"
 	"cgcm/internal/cli"
 	"cgcm/internal/core"
-	"cgcm/internal/faultinject"
 	"cgcm/internal/metrics"
 	"cgcm/internal/runlog"
 )
@@ -62,21 +54,29 @@ import (
 func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
 
 // writeJSON writes the baseline document for rows to the first free
-// BENCH_<n>.json and returns the path.
-func writeJSON(rows []*bench.Row) (string, error) {
+// BENCH_<n>.json and names the file on stderr; it returns a process exit
+// code.
+func writeJSON(stderr io.Writer, rows []*bench.Row) int {
 	for n := 0; ; n++ {
 		path := fmt.Sprintf("BENCH_%d.json", n)
-		if _, err := os.Stat(path); err == nil {
+		_, err := os.Stat(path)
+		if err == nil {
 			continue
-		} else if !os.IsNotExist(err) {
-			return "", err
 		}
-		return path, bench.NewBaseline(rows).WriteFile(path)
+		if os.IsNotExist(err) {
+			err = bench.NewBaseline(rows).WriteFile(path)
+		}
+		if err != nil {
+			fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
+			return 1
+		}
+		fmt.Fprintf(stderr, "wrote %s\n", path)
+		return 0
 	}
 }
 
 // run is the testable entry point: it parses args and writes to the given
-// streams, returning the process exit code (1 on a failed -compare gate).
+// streams, returning the process exit code.
 func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cgcmbench", flag.ContinueOnError)
 	fs.SetOutput(stderr)
@@ -88,13 +88,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ledger := fs.Bool("ledger", false, "render the per-program communication-ledger summary")
 	quiet := fs.Bool("q", false, "suppress progress output")
 	jsonOut := fs.Bool("json", false, "write measured rows to BENCH_<n>.json")
-	baselineOut := fs.String("baseline", "", "freeze this run as a baseline at the given path")
-	compareWith := fs.String("compare", "", "diff this run against the given baseline; exit 1 on any difference")
 	workers := fs.Int("workers", 0, "kernel-engine worker goroutines per launch (0 = GOMAXPROCS)")
 	cli.AddAblateFlag(fs, &bench.Ablate)
 	var ablateDiff core.PassSet
 	fs.Var(&ablateDiff, "ablate-diff", "explain per allocation unit what ablating these passes costs (vs the -ablate set)")
-	runf := cli.AddRunFlags(fs)
+	runf := cli.AddRunFlags(fs, "trace-out", "metrics-listen", "gpu-mem", "faults", "async", "runlog", "timeout", "version")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -102,10 +100,16 @@ func run(args []string, stdout, stderr io.Writer) int {
 		cli.PrintVersion(stdout, "cgcmbench")
 		return 0
 	}
+	spec, err := runf.FaultSpec()
+	if err != nil {
+		fmt.Fprintf(stderr, "cgcmbench: -faults: %v\n", err)
+		return 2
+	}
 	bench.Workers = *workers
 	bench.TraceDir = runf.TraceOut
 	bench.Async = runf.Async
 	bench.Timeout = runf.Timeout
+	bench.GPUMem, bench.Faults = runf.GPUMem, spec
 	if runf.Runlog != "" {
 		st, err := runlog.Open(runf.Runlog)
 		if err != nil {
@@ -131,12 +135,9 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runAblateDiff(stdout, stderr, *one, bench.Ablate, ablateDiff)
 	}
 
-	if runf.Faults != "" || runf.GPUMem > 0 {
-		return runResilience(stdout, stderr, *one, runf.Faults, runf.GPUMem, *quiet)
-	}
-
-	all := !*t1 && !*f2 && !*t3 && !*f4 && !*ledger &&
-		*one == "" && *baselineOut == "" && *compareWith == ""
+	// A configured device adds what each optimized run's fault ladder did.
+	device := runf.GPUMem > 0 || spec != nil
+	all := !*t1 && !*f2 && !*t3 && !*f4 && !*ledger && *one == ""
 
 	if *one != "" {
 		p, ok := bench.ByName(*one)
@@ -149,35 +150,23 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
 			return 1
 		}
-		bench.RenderFigure4(stdout, []*bench.Row{row})
+		rows := []*bench.Row{row}
+		bench.RenderFigure4(stdout, rows)
 		fmt.Fprintln(stdout)
-		bench.RenderTable3(stdout, []*bench.Row{row})
+		bench.RenderTable3(stdout, rows)
 		if *ledger {
 			fmt.Fprintln(stdout)
-			bench.RenderLedger(stdout, []*bench.Row{row})
+			bench.RenderLedger(stdout, rows)
 			fmt.Fprintln(stdout)
 			fmt.Fprintf(stdout, "%s, unoptimized CGCM:\n%s\n", row.Name, row.Unopt.Comm)
 			fmt.Fprintf(stdout, "%s, optimized CGCM:\n%s", row.Name, row.Opt.Comm)
 		}
+		if device {
+			fmt.Fprintln(stdout)
+			bench.RenderResilience(stdout, rows)
+		}
 		if *jsonOut {
-			path, err := writeJSON([]*bench.Row{row})
-			if err != nil {
-				fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "wrote %s\n", path)
-		}
-		if *baselineOut != "" {
-			if err := bench.NewBaseline([]*bench.Row{row}).WriteFile(*baselineOut); err != nil {
-				fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "wrote baseline %s\n", *baselineOut)
-		}
-		if *compareWith != "" {
-			// Single-program gate: keep only this program's baseline row,
-			// so the rest of the suite is not reported missing.
-			return compareAgainst(stdout, stderr, *compareWith, []*bench.Row{row}, row.Name)
+			return writeJSON(stderr, rows)
 		}
 		return 0
 	}
@@ -199,7 +188,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 		bench.RenderFigure2(stdout, sch)
 	}
-	if all || *t3 || *f4 || *ledger || *jsonOut || *baselineOut != "" || *compareWith != "" {
+	if all || *t3 || *f4 || *ledger || *jsonOut {
 		var logw io.Writer = stderr
 		if *quiet {
 			logw = io.Discard
@@ -222,90 +211,15 @@ func run(args []string, stdout, stderr io.Writer) int {
 			}
 			bench.RenderLedger(stdout, rows)
 		}
+		if device {
+			if all || *f4 || *ledger {
+				fmt.Fprintln(stdout)
+			}
+			bench.RenderResilience(stdout, rows)
+		}
 		if *jsonOut {
-			path, err := writeJSON(rows)
-			if err != nil {
-				fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "wrote %s\n", path)
+			return writeJSON(stderr, rows)
 		}
-		if *baselineOut != "" {
-			if err := bench.NewBaseline(rows).WriteFile(*baselineOut); err != nil {
-				fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
-				return 1
-			}
-			fmt.Fprintf(stderr, "wrote baseline %s\n", *baselineOut)
-		}
-		if *compareWith != "" {
-			return compareAgainst(stdout, stderr, *compareWith, rows, "")
-		}
-	}
-	return 0
-}
-
-// compareAgainst diffs rows against the baseline at path and renders the
-// result, returning 1 when the gate fails. When onlyProgram is set, the
-// baseline is narrowed to that program's row first.
-func compareAgainst(stdout, stderr io.Writer, path string, rows []*bench.Row, onlyProgram string) int {
-	base, err := bench.ReadBaseline(path)
-	if err != nil {
-		fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
-		return 1
-	}
-	if onlyProgram != "" {
-		kept := base.Rows[:0]
-		for _, br := range base.Rows {
-			if br.Program == onlyProgram {
-				kept = append(kept, br)
-			}
-		}
-		base.Rows = kept
-	}
-	cmp := bench.Compare(base, rows)
-	bench.RenderComparison(stdout, cmp)
-	if cmp.Failed() {
-		return 1
-	}
-	return 0
-}
-
-// runResilience runs the suite (or one program) twice — fault-free and
-// under the given fault spec / memory cap — and verifies the fault
-// model's headline invariant: bit-identical output. Exit 1 on any
-// mismatch, so CI can gate on it.
-func runResilience(stdout, stderr io.Writer, one, faults string, gpuMem int64, quiet bool) int {
-	var spec *faultinject.Spec
-	if faults != "" {
-		s, err := faultinject.ParseSpec(faults)
-		if err != nil {
-			fmt.Fprintf(stderr, "cgcmbench: -faults: %v\n", err)
-			return 2
-		}
-		spec = s
-	}
-	progs := bench.All()
-	if one != "" {
-		p, ok := bench.ByName(one)
-		if !ok {
-			fmt.Fprintf(stderr, "cgcmbench: unknown program %q\n", one)
-			return 1
-		}
-		progs = []bench.Program{p}
-	}
-	var logw io.Writer = stderr
-	if quiet {
-		logw = io.Discard
-	}
-	rows, err := bench.RunResilienceAll(progs, spec, gpuMem, logw)
-	if err != nil {
-		fmt.Fprintf(stderr, "cgcmbench: %v\n", err)
-		return 1
-	}
-	bench.RenderResilience(stdout, rows, spec, gpuMem)
-	if bench.AnyMismatch(rows) {
-		fmt.Fprintln(stderr, "cgcmbench: resilience invariant violated: faulted output differs from fault-free output")
-		return 1
 	}
 	return 0
 }

@@ -20,12 +20,8 @@
 //	                             # (phases, remarks, metrics; no Stats)
 //	cgcmc -version               # print build identity and exit
 //
-// The execution flags (-trace*, -prof*, -metrics, -gpu-mem, -faults,
-// -async, -runlog, -version) are one shared set, registered identically
-// by cgcmrun, cgcmc, cgcmbench, and cgcmstat. cgcmc never executes the
-// program, so of these only -async (runs the overlap pass), -metrics
-// (compile-phase counters), and -runlog change its output; the run-only
-// flags parse and are ignored.
+// cgcmc never executes the program, so of the shared execution flags it
+// registers only -async, -metrics, -runlog and -version.
 package main
 
 import (
@@ -53,7 +49,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	phases := fs.Bool("phases", false, "report compile phases with wall time and activity")
 	var ablate core.PassSet
 	cli.AddAblateFlag(fs, &ablate)
-	runf := cli.AddRunFlags(fs)
+	runf := cli.AddRunFlags(fs, "metrics", "async", "runlog", "version")
 	rflags := cli.AddRemarkFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2

@@ -33,14 +33,14 @@
 //	                                  # with a typed error and partial output
 //	cgcmrun -version                  # print build identity and exit
 //
-// The execution flags (-trace*, -prof*, -metrics, -gpu-mem, -faults,
-// -async, -runlog, -timeout, -version) are one shared set, registered
-// identically by cgcmrun, cgcmc, cgcmbench, and cgcmstat.
+// cgcmrun registers every shared execution flag (-trace*, -prof*,
+// -metrics*, -gpu-mem, -faults, -async, -runlog, -timeout, -version);
+// cgcmc, cgcmbench and cgcmstat register the subsets they read, with the
+// same help text.
 package main
 
 import (
 	"encoding/json"
-	"errors"
 	"flag"
 	"fmt"
 	"io"
@@ -49,7 +49,6 @@ import (
 
 	"cgcm/internal/cli"
 	"cgcm/internal/core"
-	"cgcm/internal/interp"
 	"cgcm/internal/metrics"
 	tracepkg "cgcm/internal/trace"
 )
@@ -66,7 +65,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 	ledger := fs.Bool("ledger", false, "print the per-allocation-unit communication ledger")
 	var ablate core.PassSet
 	cli.AddAblateFlag(fs, &ablate)
-	runf := cli.AddRunFlags(fs)
+	runf := cli.AddRunFlags(fs, "trace", "trace-out", "prof", "prof-n", "prof-folded", "metrics",
+		"metrics-listen", "gpu-mem", "faults", "async", "runlog", "timeout", "version")
 	rflags := cli.AddRemarkFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -96,15 +96,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	opts := core.Options{Ablate: ablate, GPUMemBytes: runf.GPUMem, FaultSpec: faultSpec, Async: runf.Async}
 	ctx, cancel := runf.RunContext()
 	defer cancel()
-	runFailed := func(err error) int {
-		var cancelErr *interp.CancelError
-		if errors.As(err, &cancelErr) {
-			fmt.Fprintf(stderr, "cgcmrun: run aborted by -timeout %v: %v\n", runf.Timeout, err)
-		} else {
-			fmt.Fprintf(stderr, "cgcmrun: %v\n", err)
-		}
-		return 1
-	}
+	runFailed := func(err error) int { return runf.RunFailed(stderr, "cgcmrun", err) }
 
 	if *compare {
 		fmt.Fprintf(stdout, "%-20s %12s %10s %10s %8s %8s\n", "system", "sim time", "HtoD", "DtoH", "kernels", "speedup")

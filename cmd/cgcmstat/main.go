@@ -30,12 +30,13 @@
 //	                                 # HTML report over the whole store
 //	cgcmstat -version                # print build identity and exit
 //
-// The execution flags (-async, -gpu-mem, -faults, -ablate, -workers,
-// and the rest of the shared set) shape the live run; they are ignored
-// for .json inputs and stored records.
+// -async, -gpu-mem, -faults, -ablate and -workers shape the live run,
+// and -timeout bounds its host time; they are ignored for .json inputs
+// and stored records. -runlog names the store the query modes read.
 package main
 
 import (
+	"context"
 	"flag"
 	"fmt"
 	"io"
@@ -64,7 +65,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	history := fs.Bool("history", false, "list the run-record store as a per-program trend table")
 	regress := fs.Bool("regress", false, "attribute the wall delta between two stored records (two record IDs or paths)")
 	report := fs.String("report", "", "write a self-contained HTML report over the run-record store to this file")
-	runf := cli.AddRunFlags(fs)
+	runf := cli.AddRunFlags(fs, "gpu-mem", "faults", "async", "runlog", "timeout", "version")
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
@@ -76,6 +77,13 @@ func run(args []string, stdout, stderr io.Writer) int {
 	if perr != nil {
 		fmt.Fprintf(stderr, "cgcmstat: -faults: %v\n", perr)
 		return 2
+	}
+	var scenario critpath.Scenario
+	if *whatif != "" {
+		if scenario, perr = critpath.ParseScenario(*whatif); perr != nil {
+			fmt.Fprintf(stderr, "cgcmstat: %v\n", perr)
+			return 2
+		}
 	}
 	opts := core.Options{
 		Strategy: core.CGCMOptimized, Workers: *workers, Ablate: ablate,
@@ -104,28 +112,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return runReport(stdout, stderr, storeDir, *report)
 	}
 
+	ctx, cancel := runf.RunContext()
+	defer cancel()
 	if *diff {
-		return runDiff(stdout, stderr, fs.Args(), opts)
+		return runDiff(ctx, stdout, stderr, runf, fs.Args(), opts)
 	}
 
 	if fs.NArg() != 1 {
 		fmt.Fprintln(stderr, "usage: cgcmstat [-whatif scenario | -diff | -history | -regress a b | -report out.html] [-async] file.c|trace.json")
 		return 2
 	}
-	a, err := load(fs.Arg(0), opts)
+	a, err := load(ctx, fs.Arg(0), opts)
 	if err != nil {
-		fmt.Fprintf(stderr, "cgcmstat: %v\n", err)
-		return 1
+		return runf.RunFailed(stderr, "cgcmstat", err)
 	}
 	var b strings.Builder
 	a.Render(&b)
-	if *whatif != "" {
-		sc, err := critpath.ParseScenario(*whatif)
-		if err != nil {
-			fmt.Fprintf(stderr, "cgcmstat: %v\n", err)
-			return 2
-		}
-		renderPredictions(&b, a, []critpath.Prediction{a.WhatIf(sc)})
+	if scenario != "" {
+		renderPredictions(&b, a, []critpath.Prediction{a.WhatIf(scenario)})
 	} else {
 		renderPredictions(&b, a, a.WhatIfAll())
 	}
@@ -134,8 +138,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 }
 
 // load produces an analysis from either input form: an exported Chrome
-// trace (wall = the latest span end) or a live optimized run.
-func load(path string, opts core.Options) (*critpath.Analysis, error) {
+// trace (wall = the latest span end) or a live optimized run under ctx.
+func load(ctx context.Context, path string, opts core.Options) (*critpath.Analysis, error) {
 	if strings.HasSuffix(path, ".json") {
 		f, err := os.Open(path)
 		if err != nil {
@@ -155,23 +159,18 @@ func load(path string, opts core.Options) (*critpath.Analysis, error) {
 	if err != nil {
 		return nil, err
 	}
-	a, _, err := analyzeLive(path, string(src), opts)
-	return a, err
+	return analyzeLive(ctx, path, string(src), opts)
 }
 
-// analyzeLive compiles and runs one source under opts with a tracer
-// attached and analyzes the spans.
-func analyzeLive(name, src string, opts core.Options) (*critpath.Analysis, *core.Report, error) {
+// analyzeLive compiles and runs one source under opts and ctx with a
+// tracer attached and analyzes the spans.
+func analyzeLive(ctx context.Context, name, src string, opts core.Options) (*critpath.Analysis, error) {
 	opts.Tracer = trace.New()
-	rep, err := core.CompileAndRun(name, src, opts)
+	rep, err := core.CompileAndRunContext(ctx, name, src, opts)
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	a, err := critpath.Analyze(rep.Spans, rep.Stats.Wall)
-	if err != nil {
-		return nil, nil, err
-	}
-	return a, rep, nil
+	return critpath.Analyze(rep.Spans, rep.Stats.Wall)
 }
 
 func renderPredictions(b *strings.Builder, a *critpath.Analysis, preds []critpath.Prediction) {
@@ -184,9 +183,9 @@ func renderPredictions(b *strings.Builder, a *critpath.Analysis, preds []critpat
 
 // runDiff attributes the wall delta between two runs. With two
 // arguments, each loads by its own form; with one source argument, the
-// comparison is the same program sync versus async — the question PR 6
-// left open: did overlap actually change what is on the critical path?
-func runDiff(stdout, stderr io.Writer, args []string, opts core.Options) int {
+// comparison is the same program sync versus async: did overlap change
+// what is on the critical path? Live runs share ctx.
+func runDiff(ctx context.Context, stdout, stderr io.Writer, runf *cli.RunFlags, args []string, opts core.Options) int {
 	var a, b *critpath.Analysis
 	var labelA, labelB string
 	var err error
@@ -204,21 +203,20 @@ func runDiff(stdout, stderr io.Writer, args []string, opts core.Options) int {
 		labelA, labelB = "sync", "async"
 		syncOpts, asyncOpts := opts, opts
 		syncOpts.Async, asyncOpts.Async = false, true
-		if a, _, err = analyzeLive(args[0], string(src), syncOpts); err == nil {
-			b, _, err = analyzeLive(args[0], string(src), asyncOpts)
+		if a, err = analyzeLive(ctx, args[0], string(src), syncOpts); err == nil {
+			b, err = analyzeLive(ctx, args[0], string(src), asyncOpts)
 		}
 	case 2:
 		labelA, labelB = diffLabels(args[0], args[1])
-		if a, err = load(args[0], opts); err == nil {
-			b, err = load(args[1], opts)
+		if a, err = load(ctx, args[0], opts); err == nil {
+			b, err = load(ctx, args[1], opts)
 		}
 	default:
 		fmt.Fprintln(stderr, "usage: cgcmstat -diff file.c | cgcmstat -diff a.json b.json")
 		return 2
 	}
 	if err != nil {
-		fmt.Fprintf(stderr, "cgcmstat: %v\n", err)
-		return 1
+		return runf.RunFailed(stderr, "cgcmstat", err)
 	}
 	d := critpath.Diff(a, b)
 	var out strings.Builder

@@ -6,6 +6,7 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+	"time"
 
 	"cgcm/internal/core"
 	"cgcm/internal/trace"
@@ -102,6 +103,32 @@ func TestWhatIfFlag(t *testing.T) {
 	var bad bytes.Buffer
 	if code := run([]string{"-whatif", "comm-3x", src}, &bad, &bad); code != 2 {
 		t.Errorf("unknown scenario exit %d, want 2", code)
+	}
+	// The scenario is checked before any input is loaded or run.
+	bad.Reset()
+	if code := run([]string{"-whatif", "bogus", "missing.c"}, &bad, &bad); code != 2 || !strings.Contains(bad.String(), `unknown scenario "bogus"`) {
+		t.Errorf("-whatif bogus missing.c: exit %d, output %q; want 2 and the scenario error", code, bad.String())
+	}
+}
+
+// TestTimeoutFlag: -timeout bounds the host time of the live run and of
+// the -diff pair; an unbounded loop stops at the deadline with a message
+// that names it.
+func TestTimeoutFlag(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "spin.c")
+	if err := os.WriteFile(path, []byte(`int main() { long n = 0; while (1) n++; print_int(n); return 0; }`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	for _, mode := range [][]string{{}, {"-diff"}} {
+		var out bytes.Buffer
+		start := time.Now()
+		code := run(append(mode, "-timeout", "100ms", path), &out, &out)
+		if elapsed := time.Since(start); elapsed > 2*time.Second {
+			t.Errorf("%v: took %v under -timeout 100ms", mode, elapsed)
+		}
+		if code != 1 || !strings.Contains(out.String(), "aborted by -timeout 100ms") {
+			t.Errorf("%v: exit %d, output %q; want 1 and the timeout named", mode, code, out.String())
+		}
 	}
 }
 

@@ -1,6 +1,6 @@
 // Baseline and regression gating: a measured suite freezes into a
 // schema-versioned JSON baseline (BENCH_<n>.json), and later runs diff
-// against it. The simulated machine is deterministic, so wall times and
+// against it (TestRunAllRecordsTheSuite holds the suite to BENCH_0/1). The simulated machine is deterministic, so wall times and
 // transfer totals compare exactly — any drift is a real behavior change
 // in the compiler, runtime, or cost model, not measurement noise. Only
 // host_ns fields depend on the host and are excluded from gating.
@@ -106,7 +106,7 @@ func ReadBaseline(path string) (*Baseline, error) {
 		return nil, fmt.Errorf("baseline %s: %w", path, err)
 	}
 	if b.Schema != BaselineSchema {
-		return nil, fmt.Errorf("baseline %s: schema %d, want %d (re-create with -baseline)",
+		return nil, fmt.Errorf("baseline %s: schema %d, want %d (re-create with UPDATE_GOLDEN=1 go test -run TestRunAllRecordsTheSuite ./internal/bench)",
 			path, b.Schema, BaselineSchema)
 	}
 	return &b, nil

@@ -16,6 +16,7 @@ import (
 	"cgcm/internal/cli"
 	"cgcm/internal/core"
 	"cgcm/internal/critpath"
+	"cgcm/internal/faultinject"
 	"cgcm/internal/ir"
 	"cgcm/internal/metrics"
 	"cgcm/internal/runlog"
@@ -44,6 +45,17 @@ var TraceDir string
 // overlap host work. Program output is identical either way — only
 // simulated walls and the overlapped-bytes ledger column change.
 var Async bool
+
+// GPUMem and Faults configure the simulated device of every measurement
+// run (core.Options.GPUMemBytes and FaultSpec): a finite device makes the
+// runtime evict under pressure, and injected faults drive its
+// retry/degrade ladder. Output stays identical either way — RunProgram
+// fails any run whose output differs from sequential — while walls and
+// the resilience counters change.
+var (
+	GPUMem int64
+	Faults *faultinject.Spec
+)
 
 // Metrics, when non-nil, receives instrument updates from every
 // measurement run (core.Options.Metrics). Instruments are atomic, so a
@@ -97,6 +109,16 @@ type Row struct {
 	HostNS int64
 }
 
+// options returns the core.Options of a measurement run under s. The
+// optimized run collects remarks when it is recorded, so stored records
+// can explain their own ledgers.
+func options(s core.Strategy) core.Options {
+	return core.Options{
+		Strategy: s, Workers: Workers, Ablate: Ablate, Async: Async, Metrics: Metrics,
+		GPUMemBytes: GPUMem, FaultSpec: Faults, Remarks: s == core.CGCMOptimized && Runlog != nil,
+	}
+}
+
 // RunProgram measures one program under all four systems. The four
 // strategies compile and run concurrently — each on its own simulated
 // machine, so they share nothing — and their reports land in fixed
@@ -105,10 +127,7 @@ func RunProgram(p Program) (*Row, error) {
 	row := &Row{Program: p}
 	start := time.Now()
 	run := func(s core.Strategy) (*core.Report, error) {
-		opts := core.Options{Strategy: s, Workers: Workers, Ablate: Ablate, Async: Async, Metrics: Metrics}
-		if s == core.CGCMOptimized && Runlog != nil {
-			opts.Remarks = true
-		}
+		opts := options(s)
 		var tr *trace.Tracer
 		// The optimized run is always traced: the limiting-factor column is
 		// computed from its critical path, not from aggregate time shares.
@@ -148,7 +167,7 @@ func RunProgram(p Program) (*Row, error) {
 	}
 	row.Seq, row.IE, row.Unopt, row.Opt = reps[0], reps[1], reps[2], reps[3]
 	for _, rep := range []*core.Report{row.IE, row.Unopt, row.Opt} {
-		if rep.Output != row.Seq.Output {
+		if rep.Output != row.Seq.Output || rep.Exit != row.Seq.Exit {
 			return nil, fmt.Errorf("%s [%s]: output diverged from sequential", p.Name, rep.Strategy)
 		}
 	}
@@ -177,11 +196,7 @@ func RunProgram(p Program) (*Row, error) {
 	}
 	row.HostNS = time.Since(start).Nanoseconds()
 	if Runlog != nil {
-		optOpts := core.Options{
-			Strategy: core.CGCMOptimized, Workers: Workers, Ablate: Ablate,
-			Async: Async, Metrics: Metrics, Remarks: true,
-		}
-		rec := cli.NewRunRecord(p.Name, optOpts, row.Opt, row.HostNS)
+		rec := cli.NewRunRecord(p.Name, options(core.CGCMOptimized), row.Opt, row.HostNS)
 		if _, err := Runlog.Append(rec); err != nil {
 			return nil, fmt.Errorf("%s: %w", p.Name, err)
 		}
@@ -500,4 +515,31 @@ func RenderLedger(w io.Writer, rows []*Row) {
 	}
 	fmt.Fprintln(w, strings.Repeat("-", 96))
 	fmt.Fprintf(w, "totals: %d cyclic units unoptimized -> %d optimized\n", cycUn, cycOpt)
+}
+
+// RenderResilience prints, per program, what the optimized run's
+// evict/retry/degrade ladder did on the configured device: injected
+// faults, evictions, retries, rescue copies, kernels that fell back to
+// the CPU, and whether the run finished on the GPU or in CPU fallback.
+func RenderResilience(w io.Writer, rows []*Row) {
+	device := "unlimited device memory"
+	if GPUMem > 0 {
+		device = fmt.Sprintf("device memory %d bytes", GPUMem)
+	}
+	faults := "no injected faults"
+	if Faults != nil {
+		faults = fmt.Sprintf("fault spec %q", Faults)
+	}
+	fmt.Fprintf(w, "Resilience: the optimized run's fault ladder (%s, %s)\n", faults, device)
+	fmt.Fprintf(w, "%-16s %7s %7s %7s %7s %9s  %s\n",
+		"program", "faults", "evicts", "retries", "rescues", "fallbacks", "mode")
+	for _, r := range rows {
+		st, rt := r.Opt.Stats, r.Opt.RTStats
+		mode := "gpu"
+		if rt.Degraded {
+			mode = "cpu-fallback"
+		}
+		fmt.Fprintf(w, "%-16s %7d %7d %7d %7d %9d  %s\n",
+			r.Name, st.InjectedFaults, rt.Evictions, rt.Retries, rt.RescueCopies, rt.FallbackKernels, mode)
+	}
 }

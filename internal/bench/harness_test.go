@@ -3,11 +3,14 @@ package bench_test
 import (
 	"bytes"
 	"fmt"
+	"os"
 	"strings"
 	"testing"
 
 	"cgcm/internal/bench"
+	"cgcm/internal/core"
 	"cgcm/internal/critpath"
+	"cgcm/internal/faultinject"
 	"cgcm/internal/runlog"
 )
 
@@ -176,10 +179,15 @@ func TestRenderers(t *testing.T) {
 // TestRunAllRecordsTheSuite drives the harness-to-store path end to end:
 // the suite swept sync and then async with bench.Runlog set. The two
 // sweeps must reproduce the committed baselines BENCH_0.json and
-// BENCH_1.json exactly. Each program's two stored records must carry a
+// BENCH_1.json exactly: any change in a simulated wall or in the transfer
+// totals fails. Each program's two stored records must carry a
 // critical-path digest, and the digests' per-class deltas must sum to
 // the wall delta exactly — what `cgcmstat -regress` attributes; the HTML
 // report over the store must be byte-identical across two exports.
+//
+// After an intentional change to a simulated number, rewrite both
+// baselines with UPDATE_GOLDEN=1 go test -run TestRunAllRecordsTheSuite
+// ./internal/bench; on an unchanged tree that touches only host_ns.
 func TestRunAllRecordsTheSuite(t *testing.T) {
 	if testing.Short() {
 		t.Skip("sweeps the whole suite twice")
@@ -198,6 +206,11 @@ func TestRunAllRecordsTheSuite(t *testing.T) {
 			t.Fatalf("async=%v: %v", async, err)
 		}
 		path := fmt.Sprintf("../../BENCH_%d.json", i)
+		if os.Getenv("UPDATE_GOLDEN") != "" {
+			if err := bench.NewBaseline(rows).WriteFile(path); err != nil {
+				t.Fatal(err)
+			}
+		}
 		base, err := bench.ReadBaseline(path)
 		if err != nil {
 			t.Fatal(err)
@@ -247,5 +260,43 @@ func TestRunAllRecordsTheSuite(t *testing.T) {
 	}
 	if !bytes.Equal(exports[0].Bytes(), exports[1].Bytes()) {
 		t.Error("HTML report is not byte-deterministic across exports")
+	}
+}
+
+// TestFaultPlanKeepsEveryOutput sweeps the suite under the standard fault
+// plan — transient host-to-device, device-to-host and allocation faults —
+// on a 256 KiB device and on a 16 KiB one, where the runtime must also
+// evict units it has written and degrade to the CPU. RunProgram fails any
+// program whose output under any strategy differs from sequential, so a
+// break anywhere in the runtime's evict/retry/degrade ladder fails here.
+// Each sweep must also have driven the ladder: faults were injected, and
+// the runtime evicted or retried.
+func TestFaultPlanKeepsEveryOutput(t *testing.T) {
+	if testing.Short() {
+		t.Skip("sweeps the whole suite twice")
+	}
+	spec, err := faultinject.ParseSpec("seed=7,htod=0.2,dtoh=0.2,alloc=0.1")
+	if err != nil {
+		t.Fatal(err)
+	}
+	prevMem, prevFaults := bench.GPUMem, bench.Faults
+	t.Cleanup(func() { bench.GPUMem, bench.Faults = prevMem, prevFaults })
+	for _, kib := range []int64{256, 16} {
+		bench.GPUMem, bench.Faults = kib<<10, spec
+		rows, err := bench.RunAll(nil)
+		if err != nil {
+			t.Errorf("%d KiB: %v", kib, err)
+			continue
+		}
+		var faults, ladder int64
+		for _, r := range rows {
+			for _, rep := range []*core.Report{r.IE, r.Unopt, r.Opt} {
+				faults += rep.Stats.InjectedFaults
+				ladder += rep.RTStats.Evictions + rep.RTStats.Retries
+			}
+		}
+		if faults == 0 || ladder == 0 {
+			t.Errorf("%d KiB: the sweep did not drive the fault ladder: %d faults injected, %d evictions and retries", kib, faults, ladder)
+		}
 	}
 }

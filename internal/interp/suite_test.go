@@ -5,6 +5,7 @@ import (
 
 	"cgcm/internal/bench"
 	"cgcm/internal/core"
+	"cgcm/internal/faultinject"
 	"cgcm/internal/interp"
 )
 
@@ -29,24 +30,43 @@ func TestSuiteLocalsArePromoted(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocations bounds what a warm run of a compute-bound suite
-// program allocates: run_compute's jacobi-2d-imper under optimized CGCM,
-// on one worker. The count repeats to within one object from run to run
-// and does not depend on host speed, so it gates the host cost no timing
-// can: 120 is the count when the bound was set, and a change that raises
-// it must say why here.
+// TestWarmRunAllocations bounds what a warm run of a suite program
+// allocates, on one worker: run_compute's jacobi-2d-imper under optimized
+// CGCM, and run_comm's nw in its three configurations. The count repeats
+// to within one object from run to run and does not depend on host speed,
+// so it gates the host cost no timing can: each bound is one object above
+// the count when it was set, and a change that raises one must say why
+// here.
 func TestWarmRunAllocations(t *testing.T) {
-	const bound = 120
-	p, _ := bench.ByName("jacobi-2d-imper")
-	prog, err := core.Compile(p.Name+".c", p.Source, core.Options{Strategy: core.CGCMOptimized, Workers: 1})
+	faults, err := faultinject.ParseSpec("seed=7,htod=0.2,dtoh=0.2,alloc=0.1")
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := prog.Run(); err != nil { // lowers the module
-		t.Fatal(err)
-	}
-	if n := testing.AllocsPerRun(10, func() { prog.Run() }); n > bound {
-		t.Errorf("a warm run allocates %.0f objects, more than %d", n, bound)
+	for _, c := range []struct {
+		program, config string
+		opts            core.Options
+		bound           float64
+	}{
+		{"jacobi-2d-imper", "opt", core.Options{Strategy: core.CGCMOptimized}, 120},
+		{"nw", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 586},
+		{"nw", "unopt-async", core.Options{Strategy: core.CGCMUnoptimized, Async: true}, 597},
+		{"nw", "opt-faults", core.Options{Strategy: core.CGCMOptimized, GPUMemBytes: 256 << 10, FaultSpec: faults}, 190},
+	} {
+		t.Run(c.program+"/"+c.config, func(t *testing.T) {
+			p, _ := bench.ByName(c.program)
+			c.opts.Workers = 1
+			prog, err := core.Compile(p.Name+".c", p.Source, c.opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := prog.Run(); err != nil { // lowers the module
+				t.Fatal(err)
+			}
+			n := testing.AllocsPerRun(10, func() { prog.Run() })
+			if n > c.bound {
+				t.Errorf("a warm run allocates %.0f objects, more than %.0f", n, c.bound)
+			}
+		})
 	}
 }
 

@@ -102,7 +102,8 @@ func soloRun(t *testing.T, req *RunRequest, rc core.RunConfig) (payload []byte, 
 }
 
 // The standard injected-fault schedule on a capacity-limited device, the
-// one `make resilience` sweeps the suite under.
+// one internal/bench's TestFaultPlanKeepsEveryOutput sweeps the suite
+// under.
 const (
 	stdFaultSpec = "seed=7,htod=0.2,dtoh=0.2,alloc=0.1"
 	stdGPUMem    = 262144
@@ -573,5 +574,39 @@ func TestNegativeSizeIsRunFailed(t *testing.T) {
 	}
 	if rec := post("vec.c", gpuVec); rec.Code != http.StatusOK {
 		t.Fatalf("server did not answer the next request: %d %s", rec.Code, rec.Body.String())
+	}
+}
+
+// tiny is serve_mixed's tiny program: three loops over 48 floats.
+const tiny = `int main() {
+	float *a = (float*)malloc(48 * 8);
+	for (int i = 0; i < 48; i++) a[i] = (float)(i % 5);
+	for (int i = 0; i < 48; i++) a[i] = a[i] * 1.50 + 1.0;
+	float s = 0.0;
+	for (int i = 0; i < 48; i++) s += a[i];
+	print_float(s);
+	free(a);
+	return 0;
+}`
+
+// TestWarmSubmitAllocations bounds what a warm Submit of a cached tiny
+// program allocates: admission, scheduling, the cache hit, the run and
+// the response — serve_mixed's tiny_warm class without HTTP. The count
+// repeats to within one object and does not depend on host speed; the
+// bound is one object above the count when it was set, and a change that
+// raises it must say why here.
+func TestWarmSubmitAllocations(t *testing.T) {
+	const bound = 134
+	s := newTestServer(t, Config{Workers: 1})
+	req := mustRequest(t, "a", "tiny.c", tiny, RunOptions{Workers: 1}, 0)
+	submit := func() {
+		if _, serr, _ := s.Submit(context.Background(), req); serr != nil {
+			t.Fatal(serr)
+		}
+	}
+	submit() // compiles, caches and lowers
+	n := testing.AllocsPerRun(20, submit)
+	if n > bound {
+		t.Errorf("a warm Submit allocates %.0f objects, more than %d", n, bound)
 	}
 }
