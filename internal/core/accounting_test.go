@@ -42,8 +42,8 @@ func accountingConfigs(t *testing.T) []struct {
 
 // TestAccountingFoldsAgree runs programs with every observer attached and
 // holds the tallies of one run to each other: Stats, RTStats, the ledger,
-// the profile's transfer rows, the metrics snapshot and the spans are all
-// folds of the same events, so they must agree on every count they share —
+// the profile, the metrics snapshot and the spans are all folds of the
+// same events, so they must agree on every count they share —
 // on fault, eviction and degradation paths too, not only on a clean run.
 // Between them the configurations must reach every such path, or the
 // agreement is not being tested where it can break.
@@ -172,6 +172,19 @@ func checkAccounting(t *testing.T, rep *core.Report) {
 			t.Errorf("unit %q in the profile but not in the ledger", name)
 		}
 	}
+
+	// Profile totals against Stats: GPU work and CPU-fallback work are
+	// attributed apart, and every launch, on either device, has a row.
+	p := rep.Profile
+	eq("Profile.TotalGPUOps", p.TotalGPUOps, st.GPUOps)
+	eq("Profile.TotalFallbackOps", p.TotalFallbackOps, st.FallbackOps)
+	var launches, fallbacks int64
+	for _, s := range p.Sites {
+		launches += s.Launches
+		fallbacks += s.FallbackLaunches
+	}
+	eq("profile launches", launches+fallbacks, st.NumKernels+st.FallbackKernels)
+	eq("profile GPU launches", launches, st.NumKernels)
 
 	// Spans. A device-to-host copy is followed on the runtime lane by the
 	// span of the call that asked for it: an unmap, or — for the dirty

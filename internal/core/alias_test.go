@@ -31,13 +31,19 @@ func TestTracerSpans(t *testing.T) {
 		t.Fatalf("Report.Spans diverged from the attached tracer: %d vs %d spans",
 			len(rep.Spans), len(tr.Spans()))
 	}
-	// Without a sink, no spans are collected and the report stays empty.
-	bare, err := core.CompileAndRun(p.Name, p.Source, core.Options{Strategy: core.CGCMOptimized})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(bare.Spans) != 0 {
-		t.Fatalf("spans collected without a tracer: %d", len(bare.Spans))
+	// Without a sink, no spans are collected and the report stays empty —
+	// a profile, read from the same event log, does not change that.
+	for _, opts := range []core.Options{
+		{Strategy: core.CGCMOptimized},
+		{Strategy: core.CGCMOptimized, Profile: true},
+	} {
+		bare, err := core.CompileAndRun(p.Name, p.Source, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if bare.Spans != nil {
+			t.Fatalf("spans collected without a tracer (Profile %v): %d", opts.Profile, len(bare.Spans))
+		}
 	}
 }
 

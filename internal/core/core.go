@@ -255,9 +255,9 @@ type Options struct {
 	// Cost overrides the machine cost model; nil uses the default.
 	Cost *machine.CostModel
 	// Tracer, when non-nil, enables structured observability: it receives
-	// compile-phase spans from Compile and, from each Run, the machine,
-	// runtime, and fault spans of that run (merged post-run, so concurrent
-	// runs never interleave). Export with trace.WriteChrome.
+	// compile-phase spans from Compile and, from each Run, the spans
+	// rendered from that run's event log, appended in one step after the
+	// run so concurrent runs never interleave. Export with trace.WriteChrome.
 	Tracer *trace.Tracer
 	// Ablate names optimization passes to skip, for ablation studies.
 	Ablate PassSet
@@ -274,9 +274,8 @@ type Options struct {
 	RaceCheck bool
 	// Profile enables the exact source-level profiler: Report.Profile
 	// receives per-line simulated GPU op attribution, per-launch-site
-	// kernel walls, per-unit transfer bytes, and runtime-library time.
-	// Profiling implies span collection (launch-site walls come from
-	// kernel spans).
+	// kernel walls, per-unit transfer bytes, and runtime-library time,
+	// folded from the run's event log after the run.
 	Profile bool
 	// Metrics, when non-nil, receives counter/gauge/histogram
 	// instrumentation from the machine, the runtime library, and the
@@ -311,9 +310,6 @@ type Options struct {
 
 // ablated reports whether a pass is disabled.
 func (o *Options) ablated(p Pass) bool { return o.Ablate.Has(p) }
-
-// tracing reports whether span collection is wanted.
-func (o *Options) tracing() bool { return o.Tracer != nil || o.Profile }
 
 // Report is the outcome of running a compiled program.
 type Report struct {
@@ -350,7 +346,8 @@ type Report struct {
 	Comm trace.Ledger
 	// Phases records the compile phases with host wall time and activity.
 	Phases []trace.PhaseSpan
-	// Spans holds this run's structured timeline spans (when tracing).
+	// Spans holds this run's structured timeline spans (exactly when
+	// Options.Tracer is set).
 	Spans []trace.Span
 	// Profile is the exact execution profile (when Options.Profile).
 	Profile *prof.Profile
@@ -567,19 +564,12 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 		cost = *p.Opts.Cost
 	}
 	mach := machine.New(cost)
-	// The machine owns the run's observers; the runtime library and the
-	// interpreter pick them up from it. Tracing goes into a private
-	// per-run tracer that merges into the caller's sink after the run, so
-	// concurrent runs never interleave spans.
-	var runTr *trace.Tracer
-	if p.Opts.tracing() {
-		runTr = trace.New()
+	// The timeline and the profile are read from the run's event log after
+	// the run; the machine keeps it only when one of them is wanted.
+	if p.Opts.Tracer != nil || p.Opts.Profile {
+		mach.KeepLog()
 	}
-	var col *prof.Collector
-	if p.Opts.Profile {
-		col = prof.NewCollector(p.name)
-	}
-	mach.Observe(runTr, met, col)
+	mach.Observe(met)
 	rt := runtimelib.New(mach)
 	// Fault model: a finite or fault-injected device flips the runtime
 	// into resilient mode before module load, so even the device regions
@@ -636,16 +626,12 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 		Comm:                   rt.Ledger.Ledger(),
 		Phases:                 p.phases,
 	}
-	if runTr != nil {
-		mach.FlushTrace()
-		rep.Spans = runTr.Spans()
-		if col != nil {
-			// Launch-site walls come from the kernel spans this run
-			// emitted; everything else was attributed during execution.
-			col.ConsumeSpans(rep.Spans)
-			rep.Profile = col.Profile()
-		}
-		p.Opts.Tracer.Merge(runTr)
+	if p.Opts.Tracer != nil {
+		rep.Spans = trace.Spans(mach.Log())
+		p.Opts.Tracer.Emit(rep.Spans...)
+	}
+	if p.Opts.Profile {
+		rep.Profile = prof.FromLog(p.name, mach.Log())
 	}
 	if p.Opts.Remarks {
 		rep.Remarks = withRuntimeRemarks(p.name, p.remarks, rep.Comm, rep.RTStats, rt.DegradeReason())

@@ -2,10 +2,12 @@ package core_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
 	"cgcm/internal/core"
+	"cgcm/internal/trace"
 )
 
 // hotLoop is a DOALL program whose GPU work is dominated by one source
@@ -81,6 +83,30 @@ func TestProfileHotLineAttribution(t *testing.T) {
 	}
 	if launches != rep.Stats.NumKernels {
 		t.Fatalf("profiled %d launches, machine ran %d", launches, rep.Stats.NumKernels)
+	}
+
+	// The profile is read from the run's event log whoever else reads it:
+	// with a tracer attached too it is byte-identical, sync and async, and
+	// a profile alone renders no spans.
+	for _, async := range []bool{false, true} {
+		var docs [2][]byte
+		for i, tr := range []*trace.Tracer{nil, trace.New()} {
+			rep, err := core.CompileAndRun("hot.c", hotLoop, core.Options{
+				Strategy: core.CGCMOptimized, Async: async, Profile: true, Tracer: tr,
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if (rep.Spans != nil) != (tr != nil) {
+				t.Fatalf("async %v, tracer %v: %d spans", async, tr != nil, len(rep.Spans))
+			}
+			if docs[i], err = json.Marshal(rep.Profile); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if !bytes.Equal(docs[0], docs[1]) {
+			t.Fatalf("async %v: profile-only and traced profiles differ:\n%s\n%s", async, docs[0], docs[1])
+		}
 	}
 }
 

@@ -816,11 +816,14 @@ func buildEngine(c engineCase, ctx ctxKind) (*ir.Module, want) {
 	return mod, w
 }
 
-// runEngine runs mod the way ctx asks for.
-func runEngine(t *testing.T, mod *ir.Module, ctx ctxKind, col *prof.Collector) (*Interp, *machine.Machine, string, error) {
+// runEngine runs mod the way ctx asks for, keeping the event log when
+// keepLog is set.
+func runEngine(t *testing.T, mod *ir.Module, ctx ctxKind, keepLog bool) (*Interp, *machine.Machine, string, error) {
 	t.Helper()
 	m := machine.New(machine.DefaultCostModel())
-	m.Observe(nil, nil, col)
+	if keepLog {
+		m.KeepLog()
+	}
 	rt := runtimelib.New(m)
 	if ctx == ctxFallback {
 		spec, err := faultinject.ParseSpec("fail=launch@0")
@@ -873,7 +876,7 @@ func TestEngineTable(t *testing.T) {
 				if err := mod.Verify(); err != nil && w.fault == "" {
 					t.Fatalf("verify: %v", err)
 				}
-				in, m, out, err := runEngine(t, mod, ctx, nil)
+				in, m, out, err := runEngine(t, mod, ctx, false)
 				if out != w.out {
 					t.Errorf("output %q, want %q", out, w.out)
 				}
@@ -964,12 +967,12 @@ func TestEngineProfileIsPerInstruction(t *testing.T) {
 			case c.name == "call":
 				t.Skip("the callee's instructions carry no lines")
 			}
-			col := prof.NewCollector("engine")
-			if _, _, _, err := runEngine(t, mod, ctxKernel, col); err != nil {
+			_, m, _, err := runEngine(t, mod, ctxKernel, true)
+			if err != nil {
 				t.Fatal(err)
 			}
 			got := map[int]int64{}
-			for _, ls := range col.Profile().Lines {
+			for _, ls := range prof.FromLog("engine", m.Log()).Lines {
 				got[ls.Line] += ls.GPUOps
 			}
 			// Walk the path the thread took: each executed instruction

@@ -9,7 +9,6 @@ import (
 
 	"cgcm/internal/ir"
 	"cgcm/internal/machine"
-	"cgcm/internal/prof"
 )
 
 // Scratch address-space layout. Kernel allocas are thread-local by
@@ -47,8 +46,9 @@ type segCache struct {
 	gen  uint64
 }
 
-// lineOps is profile attribution the per-pc counters cannot hold: the
-// executed head of a run that faulted part-way.
+// lineOps is ops charged to one source line: how the per-pc counters are
+// booked, and attribution they cannot hold — the executed head of a run
+// that faulted part-way.
 type lineOps struct {
 	line int32
 	ops  int64
@@ -92,13 +92,13 @@ type exec struct {
 	tid, ntid        int64
 	hostMem, inspect bool
 
-	// prof holds this context's profile counters, indexed by pc, while a
-	// launch runs with exact profiling on: at an opCharge how many times
-	// its run executed, elsewhere the ops the instruction charged itself.
-	// They are folded into the interpreter's collector (and zeroed) after
+	// prof holds this context's per-line op counters, indexed by pc, while
+	// a launch runs on a machine that keeps its event log: at an opCharge
+	// how many times its run executed, elsewhere the ops the instruction
+	// charged itself. They are booked as line-ops events (and zeroed) after
 	// every launch barrier, so they always belong to exactly one kernel.
-	// nil when no collector is attached — the hot path then pays one nil
-	// check per run.
+	// nil when no log is kept — the hot path then pays one nil check per
+	// run.
 	prof      []int64
 	profSpill []lineOps
 
@@ -186,7 +186,7 @@ func (ex *exec) beginLaunch(hostMem, inspect bool, threads int64) {
 	} else {
 		ex.race = nil
 	}
-	if ex.prof == nil && in.Mach.Profile() != nil {
+	if ex.prof == nil && in.Mach.KeepsLog() {
 		ex.prof = make([]int64, len(in.code.insts))
 	}
 }
@@ -473,11 +473,10 @@ func (ex *exec) recordInspect(addr uint64, write bool) {
 	}
 }
 
-// foldProf credits every accumulated profile count to its source line
-// under (kernel, site) and zeroes the counters. Called on the launch
-// goroutine after the worker barrier, so no context is concurrently
-// counting.
-func (ex *exec) foldProf(col *prof.Collector, kernel string, site int) {
+// foldProf appends every accumulated count to acc as ops on its source
+// line and zeroes the counters. Called on the launch goroutine after the
+// worker barrier, so no context is concurrently counting.
+func (ex *exec) foldProf(acc []lineOps) []lineOps {
 	code := ex.in.code
 	for pc, n := range ex.prof {
 		if n == 0 {
@@ -487,16 +486,15 @@ func (ex *exec) foldProf(col *prof.Collector, kernel string, site int) {
 		first := code.sites[pc].orig
 		if head := &code.insts[pc]; head.op == opCharge {
 			for _, o := range code.origs[first : first+head.b] {
-				col.AddKernelOps(kernel, site, int(o.line), n*int64(o.cost))
+				acc = append(acc, lineOps{line: o.line, ops: n * int64(o.cost)})
 			}
 		} else {
-			col.AddKernelOps(kernel, site, int(code.origs[first].line), n)
+			acc = append(acc, lineOps{line: code.origs[first].line, ops: n})
 		}
 	}
-	for _, s := range ex.profSpill {
-		col.AddKernelOps(kernel, site, int(s.line), s.ops)
-	}
+	acc = append(acc, ex.profSpill...)
 	ex.profSpill = ex.profSpill[:0]
+	return acc
 }
 
 // faultAt fails the instruction at pc with err. The run it belongs to
@@ -525,18 +523,6 @@ func (ex *exec) faultAt(pc int32, err error) error {
 		}
 	}
 	return err
-}
-
-// invoke runs function fc in the frame prepare made at stack offset
-// base, into whose parameter slots the caller has stored the arguments.
-func (ex *exec) invoke(fc *funcCode, base int) (uint64, error) {
-	if ex.depth++; ex.depth > ex.in.depthLimit {
-		ex.depth--
-		return 0, &Error{Fn: fc.name, Msg: "call depth limit exceeded"}
-	}
-	ret, err := ex.run(fc, base)
-	ex.depth--
-	return ret, err
 }
 
 // prepare makes room for fc's frame at stack offset base and fills it
@@ -906,6 +892,18 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			insp.acc += int64(i.c) // the run's promoted accesses touch no memory
 		}
 	}
+}
+
+// invoke runs function fc in the frame prepare made at stack offset
+// base, into whose parameter slots the caller has stored the arguments.
+func (ex *exec) invoke(fc *funcCode, base int) (uint64, error) {
+	if ex.depth++; ex.depth > ex.in.depthLimit {
+		ex.depth--
+		return 0, &Error{Fn: fc.name, Msg: "call depth limit exceeded"}
+	}
+	ret, err := ex.run(fc, base)
+	ex.depth--
+	return ret, err
 }
 
 // branch selects a conditional terminator's target pc.

@@ -141,17 +141,18 @@ type Interp struct {
 	root    *exec
 	workers []*exec
 	grid    gridRun
+	// lineAcc is bookLineOps' scratch, kept so a launch reuses it.
+	lineAcc []lineOps
 }
 
 // New prepares an interpreter for the module: it lowers the module to
 // flat code if no interpreter has yet (the result is kept on the module,
 // so this happens once however many runs share it), loads globals into
 // both memory spaces, registers them with the runtime, and seeds the RNG.
-// The run's observers are the ones attached to mach (Machine.Observe): with
-// a profile collector there, every simulated GPU op is credited to the
-// source line of the instruction that incurred it (folded after each
-// launch) and every cgcm.* runtime call is timed on the simulated clock;
-// without one the kernel hot path does no profiling work and allocates
+// When mach keeps its event log (Machine.KeepLog), the interpreter books
+// into it every launch's simulated ops by source line (after each launch
+// barrier) and every cgcm.* runtime call, timed on the simulated clock;
+// without a log the kernel hot path does no such work and allocates
 // nothing for it.
 // Module load is fallible: a bad global initializer is a typed error, and
 // under fault injection the device regions for globals may fail to

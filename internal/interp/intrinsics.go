@@ -7,6 +7,7 @@ import (
 	"cgcm/internal/ir"
 	"cgcm/internal/machine"
 	"cgcm/internal/runtime"
+	"cgcm/internal/trace"
 )
 
 // pureIntrinsic evaluates a builtin that only computes: x and y are its
@@ -151,12 +152,13 @@ func (ex *exec) intrinsic(fc *funcCode, id ir.IntrinsicID, line int, a []uint64)
 		return 0, 0, &Error{Fn: fc.name, Msg: name + " on GPU"}
 	}
 	ex.flushOps()
-	// Stamp the call site (the profile charges the call's transfers to it)
-	// and time the call on the simulated clock.
+	// Stamp the call site (the call's events carry it) and time the call on
+	// the simulated clock.
 	in.RT.Line = line
 	t0 := in.Mach.Now()
 	p, err := rtCall(in.RT, id, a[0])
-	in.Mach.Profile().AddRuntime(name, line, in.Mach.Now()-t0)
+	t1 := in.Mach.Now()
+	in.Mach.Record(&trace.Event{Kind: trace.EvCall, Label: name, Line: line, Start: t0, End: t1, Dur: t1 - t0})
 	return p, 0, wrapErr(fc, err)
 }
 

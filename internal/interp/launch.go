@@ -2,8 +2,10 @@ package interp
 
 import (
 	"bytes"
+	"cmp"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 
@@ -308,14 +310,12 @@ func (in *Interp) runGrid(kernel *funcCode, line int, threads int64, args []uint
 		g.wg.Wait()
 	}
 
-	// Fold exact per-line op attribution on the launch goroutine: the
+	// Book exact per-line op attribution on the launch goroutine: the
 	// barrier above guarantees no context is still counting, and zeroing
-	// after the fold scopes every counter to exactly one launch. Folding
+	// after the fold scopes every counter to exactly one launch. Booking
 	// happens even on a fault so partial work is still attributed.
-	if col := in.Mach.Profile(); col != nil {
-		for _, ex := range ws {
-			ex.foldProf(col, kernel.name, line)
-		}
+	if in.Mach.KeepsLog() {
+		in.bookLineOps(ws, kernel.name, line, hostMem && !inspect)
 	}
 
 	// Replay buffered kernel output in thread order; on a fault, exactly
@@ -374,4 +374,30 @@ func (in *Interp) runGrid(kernel *funcCode, line int, threads int64, args []uint
 		in.Races = append(in.Races, sweepRaces(kernel.name, raceLogs)...)
 	}
 	return res, nil
+}
+
+// bookLineOps books one launch's per-line op counts, gathered from the
+// contexts that ran it: one EvLineOps event per kernel source line, in line
+// order, on the GPU lane — or on the CPU lane when the launch ran as CPU
+// fallback, whose ops the machine charges as FallbackOps, not GPUOps.
+func (in *Interp) bookLineOps(ws []*exec, kernel string, site int, fallback bool) {
+	acc := in.lineAcc[:0]
+	for _, ex := range ws {
+		acc = ex.foldProf(acc)
+	}
+	slices.SortFunc(acc, func(a, b lineOps) int { return cmp.Compare(a.line, b.line) })
+	lane := trace.LaneGPU
+	if fallback {
+		lane = trace.LaneCPU
+	}
+	for i := 0; i < len(acc); {
+		ev := trace.Event{Kind: trace.EvLineOps, Lane: lane, Label: kernel, Line: site, KernelLine: int(acc[i].line)}
+		for ; i < len(acc) && int(acc[i].line) == ev.KernelLine; i++ {
+			ev.Ops += acc[i].ops
+		}
+		if ev.Ops != 0 {
+			in.Mach.Record(&ev)
+		}
+	}
+	in.lineAcc = acc
 }

@@ -21,7 +21,7 @@ func TestLoweredFormsKeepTheCounts(t *testing.T) {
 	}
 	measure := func(t *testing.T, c engineCase, ctx ctxKind) counts {
 		mod, _ := buildEngine(c, ctx)
-		in, m, out, err := runEngine(t, mod, ctx, nil)
+		in, m, out, err := runEngine(t, mod, ctx, false)
 		r := counts{out: out, steps: in.Steps()}
 		r.ops, _ = chargedOps(in, ctx, m.Stats(), err != nil)
 		if err != nil {

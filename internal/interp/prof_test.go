@@ -45,11 +45,13 @@ func buildModule(t *testing.T, src string) *ir.Module {
 	return mod
 }
 
-func runKernelProgram(t *testing.T, col *prof.Collector) (*Interp, *machine.Machine) {
+func runKernelProgram(t *testing.T, keepLog bool) (*Interp, *machine.Machine) {
 	t.Helper()
 	mod := buildModule(t, profKernelSrc)
 	m := machine.New(machine.DefaultCostModel())
-	m.Observe(nil, nil, col)
+	if keepLog {
+		m.KeepLog()
+	}
 	rt := runtimelib.New(m)
 	var out bytes.Buffer
 	in, nerr := New(mod, m, rt, &out)
@@ -63,10 +65,10 @@ func runKernelProgram(t *testing.T, col *prof.Collector) (*Interp, *machine.Mach
 }
 
 // TestProfDisabledAllocatesNothing pins the disabled-path guarantee:
-// with no collector attached, no execution context ever allocates profiling
-// state — the kernel hot path pays only a nil check.
+// on a machine that keeps no event log, no execution context ever
+// allocates profiling state — the kernel hot path pays only a nil check.
 func TestProfDisabledAllocatesNothing(t *testing.T) {
-	in, _ := runKernelProgram(t, nil)
+	in, _ := runKernelProgram(t, false)
 	if in.root.prof != nil {
 		t.Fatalf("root context allocated profile counters with profiling disabled")
 	}
@@ -82,9 +84,8 @@ func TestProfDisabledAllocatesNothing(t *testing.T) {
 // per-instruction costs), and the counters are zeroed by the post-launch
 // fold so no ops leak across launches.
 func TestProfCountsAreExact(t *testing.T) {
-	col := prof.NewCollector("test.c")
-	in, m := runKernelProgram(t, col)
-	p := col.Profile()
+	in, m := runKernelProgram(t, true)
+	p := prof.FromLog("test.c", m.Log())
 	if p.TotalGPUOps == 0 {
 		t.Fatal("profiler attributed no GPU ops")
 	}

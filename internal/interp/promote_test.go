@@ -51,8 +51,7 @@ func TestPromotedAccessesReachTheInspector(t *testing.T) {
 func inspected(t *testing.T, mod *ir.Module) int64 {
 	t.Helper()
 	m := machine.New(machine.DefaultCostModel())
-	tr := trace.New()
-	m.Observe(tr, nil, nil)
+	m.KeepLog()
 	var out bytes.Buffer
 	in, err := New(mod, m, runtimelib.New(m), &out)
 	if err != nil {
@@ -63,7 +62,7 @@ func inspected(t *testing.T, mod *ir.Module) int64 {
 		t.Fatal(err)
 	}
 	var n int64
-	for _, s := range tr.Spans() {
+	for _, s := range trace.Spans(m.Log()) {
 		if v, ok := strings.CutPrefix(s.Name, "inspect "); ok {
 			k, err := strconv.ParseInt(v, 10, 64)
 			if err != nil {

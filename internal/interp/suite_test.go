@@ -36,7 +36,9 @@ func TestSuiteLocalsArePromoted(t *testing.T) {
 // to within one object from run to run and does not depend on host speed,
 // so it gates the host cost no timing can: each bound is one object above
 // the count when it was set, and a change that raises one must say why
-// here.
+// here. The bounds fell by 4 (119/585/596/189 counts before) when the
+// machine's histogram bounds were built once per process instead of once
+// per run, registry or not.
 func TestWarmRunAllocations(t *testing.T) {
 	faults, err := faultinject.ParseSpec("seed=7,htod=0.2,dtoh=0.2,alloc=0.1")
 	if err != nil {
@@ -47,10 +49,10 @@ func TestWarmRunAllocations(t *testing.T) {
 		opts            core.Options
 		bound           float64
 	}{
-		{"jacobi-2d-imper", "opt", core.Options{Strategy: core.CGCMOptimized}, 120},
-		{"nw", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 586},
-		{"nw", "unopt-async", core.Options{Strategy: core.CGCMUnoptimized, Async: true}, 597},
-		{"nw", "opt-faults", core.Options{Strategy: core.CGCMOptimized, GPUMemBytes: 256 << 10, FaultSpec: faults}, 190},
+		{"jacobi-2d-imper", "opt", core.Options{Strategy: core.CGCMOptimized}, 116},
+		{"nw", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 582},
+		{"nw", "unopt-async", core.Options{Strategy: core.CGCMUnoptimized, Async: true}, 593},
+		{"nw", "opt-faults", core.Options{Strategy: core.CGCMOptimized, GPUMemBytes: 256 << 10, FaultSpec: faults}, 186},
 	} {
 		t.Run(c.program+"/"+c.config, func(t *testing.T) {
 			p, _ := bench.ByName(c.program)

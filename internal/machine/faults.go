@@ -44,7 +44,7 @@ func (m *Machine) GPUMemPeak() int64 { return m.gpuPeak }
 // the injected *DeviceError, or nil when the call proceeds. A fired
 // fault charges the CPU timeline for the failed driver call (a failed
 // DMA still pays its latency; a failed launch still pays the enqueue
-// cost) and emits an instant fault span.
+// cost) and books an EvFault event (an instant fault span).
 func (m *Machine) DecideFault(v faultinject.Verb, unit string) *faultinject.DeviceError {
 	fault, call, persistent := m.plan.Decide(v, unit)
 	if !fault {
@@ -146,8 +146,9 @@ func (m *Machine) RescueCopyDtoH(dst, src uint64, n int64) error {
 
 // RunKernelOnCPUAt charges a degraded (CPU-fallback) kernel execution:
 // totalOps scalar operations run sequentially on the host, with no
-// launch overhead and no GPU involvement. The span is emitted as
-// KindFallback so degraded schedules are visually distinct.
+// launch overhead and no GPU involvement. It is booked as EvFallback, not
+// EvKernel, so degraded schedules render distinctly and the profile keeps
+// the launch apart from GPU work.
 func (m *Machine) RunKernelOnCPUAt(name string, line int, totalOps int64) {
 	m.flushCPUSpan()
 	d := float64(totalOps) * m.Cost.CPUOp

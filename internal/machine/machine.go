@@ -23,10 +23,10 @@ package machine
 import (
 	"fmt"
 	"math"
+	"slices"
 
 	"cgcm/internal/faultinject"
 	"cgcm/internal/metrics"
-	"cgcm/internal/prof"
 	"cgcm/internal/rbtree"
 	"cgcm/internal/trace"
 )
@@ -216,15 +216,16 @@ type Machine struct {
 	// advances and consults it, and every event is stamped with it.
 	epoch uint64
 
-	// The run's observers (Observe); each may be nil. The machine books
-	// its own events into tr and met; the runtime library and the
-	// interpreter reach the tracer and the profile collector through it.
-	tr   *trace.Tracer
-	prof *prof.Collector
-	met  machMetrics
+	// log is the run's event log, kept only when a view of it is wanted
+	// (KeepLog): every event the machine, the runtime library and the
+	// interpreter book, in booking order. nil otherwise.
+	log []trace.Event
+	// met holds the per-event histograms (Observe); all nil without a
+	// registry.
+	met machMetrics
 
-	// pendingCPU accumulates CPU op time not yet flushed to the trace, so
-	// traces show contiguous CPU spans rather than one per instruction.
+	// pendingCPU accumulates CPU op time not yet booked, so the log holds
+	// contiguous CPU runs rather than one event per instruction.
 	pendingCPUStart float64
 	pendingCPUOps   int64
 
@@ -297,37 +298,67 @@ func New(cost CostModel) *Machine {
 	}
 }
 
-// Observe attaches the run's observers, any of which may be nil: tr
-// receives the timeline, reg the per-event histograms and col the profile.
-// The runtime library and the interpreter handed this machine reach the
-// tracer and the collector through it.
-func (m *Machine) Observe(tr *trace.Tracer, reg *metrics.Registry, col *prof.Collector) {
-	m.tr, m.prof = tr, col
+// Observe attaches the registry the per-event histograms report into; nil
+// detaches them.
+func (m *Machine) Observe(reg *metrics.Registry) {
 	m.met = machMetrics{
-		kernelDur:   reg.Histogram("machine.kernel.duration_seconds", KernelDurBuckets()),
-		htodBytes:   reg.Histogram("machine.xfer.htod_bytes", TransferSizeBuckets()),
-		dtohBytes:   reg.Histogram("machine.xfer.dtoh_bytes", TransferSizeBuckets()),
-		streamDepth: reg.Histogram("machine.stream.depth", StreamDepthBuckets()),
+		kernelDur:   reg.Histogram("machine.kernel.duration_seconds", kernelDurBounds),
+		htodBytes:   reg.Histogram("machine.xfer.htod_bytes", transferSizeBounds),
+		dtohBytes:   reg.Histogram("machine.xfer.dtoh_bytes", transferSizeBounds),
+		streamDepth: reg.Histogram("machine.stream.depth", streamDepthBounds),
 	}
 }
 
+// The canonical histogram bounds, built once: the registry copies the
+// bounds of a histogram it creates, and a run with no registry must not pay
+// for building them.
+var (
+	transferSizeBounds = metrics.ExpBuckets(64, 4, 13)
+	kernelDurBounds    = metrics.ExpBuckets(1e-6, 4, 13)
+	streamDepthBounds  = metrics.ExpBuckets(1, 2, 8)
+)
+
 // TransferSizeBuckets returns the canonical transfer-size histogram
 // bounds: 64 B to ~1 GB, powers of 4.
-func TransferSizeBuckets() []float64 { return metrics.ExpBuckets(64, 4, 13) }
+func TransferSizeBuckets() []float64 { return slices.Clone(transferSizeBounds) }
 
 // KernelDurBuckets returns the canonical kernel-duration histogram
 // bounds: 1 µs to ~16 s, powers of 4.
-func KernelDurBuckets() []float64 { return metrics.ExpBuckets(1e-6, 4, 13) }
+func KernelDurBuckets() []float64 { return slices.Clone(kernelDurBounds) }
 
 // StreamDepthBuckets returns the canonical stream-depth histogram bounds:
 // 1 to 128 in-flight copies, powers of 2.
-func StreamDepthBuckets() []float64 { return metrics.ExpBuckets(1, 2, 8) }
+func StreamDepthBuckets() []float64 { return slices.Clone(streamDepthBounds) }
 
-// Tracer returns the attached tracer, if any.
-func (m *Machine) Tracer() *trace.Tracer { return m.tr }
+// KeepLog makes the machine keep the run's event log from here on. Nothing
+// is kept otherwise, so a run that wants no view of its events pays for
+// none.
+func (m *Machine) KeepLog() {
+	if m.log == nil {
+		m.log = make([]trace.Event, 0, 256)
+	}
+}
 
-// Profile returns the attached profile collector, if any.
-func (m *Machine) Profile() *prof.Collector { return m.prof }
+// KeepsLog reports whether the run's event log is being kept.
+func (m *Machine) KeepsLog() bool { return m.log != nil }
+
+// Log books the open run of CPU ops, if any, and returns the events booked
+// so far, in booking order (nil unless KeepLog was called).
+func (m *Machine) Log() []trace.Event {
+	m.flushCPUSpan()
+	return m.log
+}
+
+// Record appends ev, stamped with the kernel epoch, to the run's log when
+// one is kept. It folds nothing: machine.emit calls it after the machine's
+// folds, Runtime.emit after the runtime's, and the interpreter books its
+// call timings and line ops through it directly.
+func (m *Machine) Record(ev *trace.Event) {
+	if m.log != nil {
+		ev.Epoch = m.epoch
+		m.log = append(m.log, *ev)
+	}
+}
 
 // Epoch returns the kernel epoch.
 func (m *Machine) Epoch() uint64 { return m.epoch }
@@ -560,9 +591,8 @@ func (m *Machine) WriteBytes(addr uint64, data []byte) error {
 // emit books one event: it is the only place the machine's tallies are
 // written (CPUOps and InspectorOps' clock-and-op adds apart). The folds run
 // in a fixed order: Stats, then the ledger's overlap column (the sink) or
-// the histogram the kind feeds, and the timeline last.
+// the histogram the kind feeds, and the append to the log last.
 func (m *Machine) emit(ev *trace.Event) {
-	ev.Epoch = m.epoch
 	st := &m.stats
 	switch ev.Kind {
 	case trace.EvKernel:
@@ -605,7 +635,7 @@ func (m *Machine) emit(ev *trace.Event) {
 			m.overlapSink(ev.Base, ev.Bytes)
 		}
 	}
-	m.tr.Record(ev)
+	m.Record(ev)
 }
 
 func (m *Machine) flushCPUSpan() {
@@ -650,7 +680,7 @@ func (m *Machine) LaunchKernel(name string, threads int64, totalOps, maxThreadOp
 }
 
 // LaunchKernelAt is LaunchKernel tagged with the launch site's source
-// line, which the emitted kernel span carries for the profiler. The
+// line, which the booked EvKernel event carries for the profile. The
 // kernel additionally starts no earlier than any wait event (the runtime
 // passes the completion events of the async uploads the kernel's live-ins
 // depend on); waits delay the GPU, never the CPU.
@@ -727,7 +757,7 @@ func (m *Machine) ChargeTransfer(kind trace.Kind, n int64) {
 }
 
 // ChargeTransferUnit is ChargeTransfer with an allocation-unit tag for
-// the emitted trace span.
+// the booked copy event.
 func (m *Machine) ChargeTransferUnit(kind trace.Kind, n int64, unit string) {
 	m.charge(kind, nil, 0, 0, n, unit, false, nil)
 }
@@ -749,9 +779,6 @@ func (m *Machine) Sync() {
 	m.resolvePending(math.Inf(1), m.cpuTime)
 	m.stallTo(target)
 }
-
-// FlushTrace closes any open CPU span (call before reading Trace).
-func (m *Machine) FlushTrace() { m.flushCPUSpan() }
 
 // RunFailed marks where execution died on the timeline, so an exported
 // trace shows where the run ended; the interpreter reports the error that

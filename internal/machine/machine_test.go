@@ -181,15 +181,19 @@ func TestKernelCriticalPath(t *testing.T) {
 }
 
 func TestTrace(t *testing.T) {
+	// No log is kept unless asked for.
+	bare := newM()
+	bare.LaunchKernel("k", 16, 1600, 100)
+	if bare.KeepsLog() || bare.Log() != nil {
+		t.Fatalf("machine kept %d events without KeepLog", len(bare.Log()))
+	}
 	m := newM()
-	tr := trace.New()
-	m.Observe(tr, nil, nil)
+	m.KeepLog()
 	m.CPUOps(1000)
 	m.LaunchKernel("k", 16, 1600, 100)
 	m.ChargeTransfer(trace.KindDtoH, 64)
-	m.FlushTrace()
 	kinds := map[trace.Kind]int{}
-	for _, s := range tr.Spans() {
+	for _, s := range trace.Spans(m.Log()) {
 		kinds[s.Kind]++
 		if s.End < s.Start {
 			t.Errorf("span %v ends before start", s)

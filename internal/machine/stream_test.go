@@ -222,21 +222,20 @@ func TestFreeWaitsForInFlightDMA(t *testing.T) {
 func TestStreamTraceLanes(t *testing.T) {
 	const n = 1024
 	m, host, dev := newTestMachine(n)
-	tr := trace.New()
-	m.Observe(tr, nil, nil)
+	m.KeepLog()
 	s := m.NewStream("h2d")
 	if _, err := m.CopyHtoDAsync(s, dev, host, n); err != nil {
 		t.Fatal(err)
 	}
 	m.Sync()
-	m.FlushTrace()
+	spans := trace.Spans(m.Log())
 	var issue, copySpan *trace.Span
-	for i, sp := range tr.Spans() {
+	for i, sp := range spans {
 		switch sp.Kind {
 		case trace.KindIssue:
-			issue = &tr.Spans()[i]
+			issue = &spans[i]
 		case trace.KindHtoD:
-			copySpan = &tr.Spans()[i]
+			copySpan = &spans[i]
 		}
 	}
 	if issue == nil || copySpan == nil {

@@ -22,15 +22,26 @@ func (p *Profile) WriteFlat(w io.Writer, topN int) error {
 		_, err := fmt.Fprintln(w, "no profile collected")
 		return err
 	}
-	var launches int64
+	var launches, fallbacks int64
 	for _, s := range p.Sites {
 		launches += s.Launches
+		fallbacks += s.FallbackLaunches
+	}
+	// Only a run that degraded gets fallback columns, so a healthy run's
+	// report has the same shape as the JSON's healthy rows.
+	degraded := fallbacks > 0 || p.TotalFallbackOps > 0
+	fb := func(cols string, v ...any) string {
+		if !degraded {
+			return ""
+		}
+		return fmt.Sprintf(cols, v...)
 	}
 	if _, err := fmt.Fprintf(w, "CGCM exact profile: %s\n", p.File); err != nil {
 		return err
 	}
 	fmt.Fprintf(w, "GPU: %d simulated ops, %d launches, %.6fs kernel wall\n",
 		p.TotalGPUOps, launches, p.KernelWall)
+	fmt.Fprint(w, fb("CPU fallback: %d simulated ops, %d launches\n", p.TotalFallbackOps, fallbacks))
 	fmt.Fprintf(w, "Runtime library: %.6fs simulated\n", p.RuntimeSeconds())
 
 	n := len(p.Lines)
@@ -38,7 +49,8 @@ func (p *Profile) WriteFlat(w io.Writer, topN int) error {
 		n = topN
 	}
 	fmt.Fprintf(w, "\nHot lines (top %d of %d):\n", n, len(p.Lines))
-	fmt.Fprintf(w, "  %12s  %6s  %6s  %-18s  %s\n", "GPU OPS", "%", "CUM%", "LOCATION", "KERNEL (launch site)")
+	fmt.Fprintf(w, "  %12s  %6s  %6s  %-18s  %s%s\n", "GPU OPS", "%", "CUM%", "LOCATION", "KERNEL (launch site)",
+		fb("  %12s", "FALLBACK OPS"))
 	var cum int64
 	for _, s := range p.Lines[:n] {
 		cum += s.GPUOps
@@ -48,16 +60,19 @@ func (p *Profile) WriteFlat(w io.Writer, topN int) error {
 			}
 			return 100 * float64(v) / float64(p.TotalGPUOps)
 		}
-		fmt.Fprintf(w, "  %12d  %5.1f%%  %5.1f%%  %-18s  %s (%s)\n",
-			s.GPUOps, pct(s.GPUOps), pct(cum), loc(p.File, s.Line), s.Kernel, loc(p.File, s.Site))
+		fmt.Fprintf(w, "  %12d  %5.1f%%  %5.1f%%  %-18s  %s (%s)%s\n",
+			s.GPUOps, pct(s.GPUOps), pct(cum), loc(p.File, s.Line), s.Kernel, loc(p.File, s.Site),
+			fb("  %12d", s.FallbackOps))
 	}
 
 	if len(p.Sites) > 0 {
 		fmt.Fprintf(w, "\nLaunch sites:\n")
-		fmt.Fprintf(w, "  %-24s  %-18s  %8s  %12s  %12s\n", "KERNEL", "SITE", "LAUNCHES", "WALL(s)", "GPU OPS")
+		fmt.Fprintf(w, "  %-24s  %-18s  %8s  %12s  %12s%s\n", "KERNEL", "SITE", "LAUNCHES", "WALL(s)", "GPU OPS",
+			fb("  %8s  %12s", "FALLBACK", "FALLBACK OPS"))
 		for _, s := range p.Sites {
-			fmt.Fprintf(w, "  %-24s  %-18s  %8d  %12.6f  %12d\n",
-				s.Kernel, loc(p.File, s.Site), s.Launches, s.Wall, s.GPUOps)
+			fmt.Fprintf(w, "  %-24s  %-18s  %8d  %12.6f  %12d%s\n",
+				s.Kernel, loc(p.File, s.Site), s.Launches, s.Wall, s.GPUOps,
+				fb("  %8d  %12d", s.FallbackLaunches, s.FallbackOps))
 		}
 	}
 
@@ -89,12 +104,16 @@ func (p *Profile) WriteFlat(w io.Writer, topN int) error {
 //	<kernel>@<file>:<site>;<file>:<line> <ops>
 //
 // The root frame is the kernel and its launch site; the leaf frame is
-// the source line the simulated ops executed on.
+// the source line the simulated ops executed on. Lines that ran only as
+// CPU fallback have no GPU cycles and no stack.
 func (p *Profile) WriteFolded(w io.Writer) error {
 	if p == nil {
 		return nil
 	}
 	for _, s := range p.Lines {
+		if s.GPUOps == 0 {
+			continue
+		}
 		if _, err := fmt.Fprintf(w, "%s@%s;%s %d\n",
 			s.Kernel, loc(p.File, s.Site), loc(p.File, s.Line), s.GPUOps); err != nil {
 			return err

@@ -1,35 +1,33 @@
 // Package prof is CGCM's exact source-level profiler.
 //
 // Unlike a sampling profiler, it counts every simulated GPU operation,
-// every transferred byte, and every runtime-library call at the moment it
-// happens, attributed to the kernel, the launch site, and the mini-C
-// source line responsible:
+// every transferred byte, and every runtime-library call, attributed to the
+// kernel, the launch site, and the mini-C source line responsible. A
+// profile is a pure fold of a run's event log (FromLog), read after the
+// run; no layer of the run knows it exists:
 //
-//   - the interpreter's kernel engine folds per-instruction op counts
-//     into the collector after every launch (AddKernelOps), keyed by the
-//     line stamped on each IR instruction during lowering;
-//   - the CGCM runtime folds every map/unmap/upload event that moved a
-//     unit into a transfer row (AddTransfer), in the same function that
-//     folds it into the communication ledger, so profile byte totals
-//     cannot disagree with the ledger;
+//   - the interpreter's kernel engine books one EvLineOps event per
+//     (launch, source line) after every launch barrier, from per-pc
+//     counters keyed by the line stamped on each IR instruction during
+//     lowering; a launch that ran as CPU fallback books its lines on the
+//     CPU lane, and they fold into the fallback columns;
+//   - the CGCM runtime's copied map/unmap/upload events become transfer
+//     rows — the same events the communication ledger folds, so profile
+//     byte totals cannot disagree with the ledger;
 //   - the interpreter times each cgcm.* runtime call on the simulated
-//     clock (AddRuntime);
-//   - kernel wall time and launch counts come from the trace spans the
-//     machine already emits (ConsumeSpans).
+//     clock and books it as an EvCall event;
+//   - launch counts and kernel wall time come from the machine's EvKernel
+//     and EvFallback events.
 //
-// The collected Profile renders as a flat top-N table (WriteFlat) or as
-// folded stacks (WriteFolded) that flamegraph.pl / speedscope / inferno
-// consume directly.
-//
-// The collector is mutex-protected, but none of its methods sit on the
-// kernel hot path: the per-instruction counting happens in worker-local
-// arrays inside the interpreter and reaches the collector only once per
-// launch.
+// The Profile renders as a flat top-N table (WriteFlat) or as folded
+// stacks (WriteFolded) that flamegraph.pl / speedscope / inferno consume
+// directly.
 package prof
 
 import (
-	"sort"
-	"sync"
+	"cmp"
+	"slices"
+	"strings"
 
 	"cgcm/internal/trace"
 )
@@ -55,134 +53,27 @@ type rtKey struct {
 	Line int
 }
 
-type unitAgg struct {
-	htodBytes, dtohBytes int64
-	htodCount, dtohCount int64
-}
-
-type siteAgg struct {
-	launches int64
-	wall     float64
-}
-
-type rtAgg struct {
-	calls   int64
-	seconds float64
-}
-
-// Collector accumulates exact attribution records during a run. All
-// methods are nil-safe: a nil collector swallows updates, so callers can
-// thread one unconditionally.
-type Collector struct {
-	mu      sync.Mutex
-	file    string
-	ops     map[lineKey]int64
-	sites   map[siteKey]*siteAgg
-	units   map[unitKey]*unitAgg
-	runtime map[rtKey]*rtAgg
-}
-
-// NewCollector returns an empty collector for the named source file.
-func NewCollector(file string) *Collector {
-	return &Collector{
-		file:    file,
-		ops:     make(map[lineKey]int64),
-		sites:   make(map[siteKey]*siteAgg),
-		units:   make(map[unitKey]*unitAgg),
-		runtime: make(map[rtKey]*rtAgg),
-	}
-}
-
-// AddKernelOps charges ops simulated GPU operations to (kernel, launch
-// site, source line).
-func (c *Collector) AddKernelOps(kernel string, site, line int, ops int64) {
-	if c == nil || ops == 0 {
-		return
-	}
-	c.mu.Lock()
-	c.ops[lineKey{kernel, site, line}] += ops
-	c.mu.Unlock()
-}
-
-// AddTransfer charges one host/device copy of bytes to the named
-// allocation unit at the given source line; htod selects the direction.
-// Runtime.emit calls it for the events it folds into the communication
-// ledger as copies, so per-unit profile totals equal ledger totals.
-func (c *Collector) AddTransfer(unit string, line int, htod bool, bytes int64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	a := c.units[unitKey{unit, line}]
-	if a == nil {
-		a = &unitAgg{}
-		c.units[unitKey{unit, line}] = a
-	}
-	if htod {
-		a.htodBytes += bytes
-		a.htodCount++
-	} else {
-		a.dtohBytes += bytes
-		a.dtohCount++
-	}
-	c.mu.Unlock()
-}
-
-// AddRuntime charges seconds of simulated runtime-library time to the
-// named cgcm.* call at the given source line.
-func (c *Collector) AddRuntime(call string, line int, seconds float64) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	a := c.runtime[rtKey{call, line}]
-	if a == nil {
-		a = &rtAgg{}
-		c.runtime[rtKey{call, line}] = a
-	}
-	a.calls++
-	a.seconds += seconds
-	c.mu.Unlock()
-}
-
-// ConsumeSpans harvests launch counts and kernel wall time from machine
-// trace spans (KindKernel spans carry the launch-site line).
-func (c *Collector) ConsumeSpans(spans []trace.Span) {
-	if c == nil {
-		return
-	}
-	c.mu.Lock()
-	for _, s := range spans {
-		if s.Kind != trace.KindKernel {
-			continue
-		}
-		k := siteKey{s.Name, s.Line}
-		a := c.sites[k]
-		if a == nil {
-			a = &siteAgg{}
-			c.sites[k] = a
-		}
-		a.launches++
-		a.wall += s.End - s.Start
-	}
-	c.mu.Unlock()
-}
-
-// LineSample is GPU work charged to one (kernel, launch site, line).
+// LineSample is the work charged to one (kernel, launch site, line): GPU
+// ops, and the ops of launches that ran as CPU fallback after the device
+// degraded.
 type LineSample struct {
-	Kernel string `json:"kernel"`
-	Site   int    `json:"site"` // launch-site source line, 0 if unknown
-	Line   int    `json:"line"` // source line inside the kernel
-	GPUOps int64  `json:"gpu_ops"`
+	Kernel      string `json:"kernel"`
+	Site        int    `json:"site"` // launch-site source line, 0 if unknown
+	Line        int    `json:"line"` // source line inside the kernel
+	GPUOps      int64  `json:"gpu_ops"`
+	FallbackOps int64  `json:"fallback_ops,omitempty"`
 }
 
-// SiteSample is one kernel launch site.
+// SiteSample is one kernel launch site: its GPU launches, their wall and
+// ops, and its CPU-fallback launches and their ops.
 type SiteSample struct {
-	Kernel   string  `json:"kernel"`
-	Site     int     `json:"site"`
-	Launches int64   `json:"launches"`
-	Wall     float64 `json:"wall_seconds"`
-	GPUOps   int64   `json:"gpu_ops"`
+	Kernel           string  `json:"kernel"`
+	Site             int     `json:"site"`
+	Launches         int64   `json:"launches"`
+	Wall             float64 `json:"wall_seconds"`
+	GPUOps           int64   `json:"gpu_ops"`
+	FallbackLaunches int64   `json:"fallback_launches,omitempty"`
+	FallbackOps      int64   `json:"fallback_ops,omitempty"`
 }
 
 // UnitSample is transfer traffic charged to one (allocation unit, line).
@@ -204,95 +95,125 @@ type RuntimeSample struct {
 }
 
 // Profile is the frozen, sorted result of a run. It marshals to JSON and
-// renders with WriteFlat / WriteFolded.
+// renders with WriteFlat / WriteFolded. On a run that finished,
+// TotalGPUOps equals its Stats.GPUOps and TotalFallbackOps its
+// Stats.FallbackOps: both sum the per-thread op counts the machine was
+// charged with.
 type Profile struct {
-	File        string          `json:"file"`
-	TotalGPUOps int64           `json:"total_gpu_ops"`
-	KernelWall  float64         `json:"kernel_wall_seconds"`
-	Lines       []LineSample    `json:"lines,omitempty"`
-	Sites       []SiteSample    `json:"sites,omitempty"`
-	Units       []UnitSample    `json:"units,omitempty"`
-	Runtime     []RuntimeSample `json:"runtime,omitempty"`
+	File             string          `json:"file"`
+	TotalGPUOps      int64           `json:"total_gpu_ops"`
+	TotalFallbackOps int64           `json:"total_fallback_ops,omitempty"`
+	KernelWall       float64         `json:"kernel_wall_seconds"`
+	Lines            []LineSample    `json:"lines,omitempty"`
+	Sites            []SiteSample    `json:"sites,omitempty"`
+	Units            []UnitSample    `json:"units,omitempty"`
+	Runtime          []RuntimeSample `json:"runtime,omitempty"`
 }
 
-// Profile freezes the collector into a deterministic snapshot: lines
-// sorted by descending GPU ops, everything else by name/line.
-func (c *Collector) Profile() *Profile {
-	if c == nil {
-		return nil
+// FromLog folds a run's event log into its profile for the named source
+// file: lines sorted by descending GPU ops, everything else by name/line.
+// Launch-site rows come from EvKernel and EvFallback events; a launch
+// that faulted part-way has none, but the lines it executed still count.
+func FromLog(file string, events []trace.Event) *Profile {
+	lines := make(map[lineKey]*LineSample)
+	sites := make(map[siteKey]*SiteSample)
+	units := make(map[unitKey]*UnitSample)
+	calls := make(map[rtKey]*RuntimeSample)
+	site := func(ev *trace.Event) *SiteSample {
+		k := siteKey{ev.Label, ev.Line}
+		s := sites[k]
+		if s == nil {
+			s = &SiteSample{Kernel: k.Kernel, Site: k.Site}
+			sites[k] = s
+		}
+		return s
 	}
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	p := &Profile{File: c.file}
+	for i := range events {
+		ev := &events[i]
+		switch ev.Kind {
+		case trace.EvLineOps:
+			k := lineKey{ev.Label, ev.Line, ev.KernelLine}
+			l := lines[k]
+			if l == nil {
+				l = &LineSample{Kernel: k.Kernel, Site: k.Site, Line: k.Line}
+				lines[k] = l
+			}
+			if ev.Lane == trace.LaneCPU {
+				l.FallbackOps += ev.Ops
+			} else {
+				l.GPUOps += ev.Ops
+			}
+		case trace.EvKernel:
+			s := site(ev)
+			s.Launches++
+			s.Wall += ev.End - ev.Start
+		case trace.EvFallback:
+			site(ev).FallbackLaunches++
+		case trace.EvMap, trace.EvUnmap, trace.EvUpload:
+			if !ev.Copied {
+				continue
+			}
+			k := unitKey{ev.Unit, ev.Line}
+			u := units[k]
+			if u == nil {
+				u = &UnitSample{Unit: k.Unit, Line: k.Line}
+				units[k] = u
+			}
+			if ev.Kind == trace.EvUnmap {
+				u.DtoHBytes += ev.Size
+				u.DtoHCount++
+			} else {
+				u.HtoDBytes += ev.Size
+				u.HtoDCount++
+			}
+		case trace.EvCall:
+			k := rtKey{ev.Label, ev.Line}
+			r := calls[k]
+			if r == nil {
+				r = &RuntimeSample{Call: k.Call, Line: k.Line}
+				calls[k] = r
+			}
+			r.Calls++
+			r.Seconds += ev.Dur
+		}
+	}
 
-	siteOps := make(map[siteKey]int64, len(c.sites))
-	for k, n := range c.ops {
-		p.Lines = append(p.Lines, LineSample{Kernel: k.Kernel, Site: k.Site, Line: k.Line, GPUOps: n})
-		p.TotalGPUOps += n
-		siteOps[siteKey{k.Kernel, k.Site}] += n
+	p := &Profile{File: file}
+	for k, l := range lines {
+		p.Lines = append(p.Lines, *l)
+		p.TotalGPUOps += l.GPUOps
+		p.TotalFallbackOps += l.FallbackOps
+		if s := sites[siteKey{k.Kernel, k.Site}]; s != nil {
+			s.GPUOps += l.GPUOps
+			s.FallbackOps += l.FallbackOps
+		}
 	}
-	sort.Slice(p.Lines, func(i, j int) bool {
-		a, b := p.Lines[i], p.Lines[j]
-		if a.GPUOps != b.GPUOps {
-			return a.GPUOps > b.GPUOps
-		}
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
-		}
-		if a.Site != b.Site {
-			return a.Site < b.Site
-		}
-		return a.Line < b.Line
+	slices.SortFunc(p.Lines, func(a, b LineSample) int {
+		return cmp.Or(cmp.Compare(b.GPUOps, a.GPUOps), cmp.Compare(b.FallbackOps, a.FallbackOps),
+			strings.Compare(a.Kernel, b.Kernel), cmp.Compare(a.Site, b.Site), cmp.Compare(a.Line, b.Line))
 	})
-
-	for k, a := range c.sites {
-		p.Sites = append(p.Sites, SiteSample{
-			Kernel: k.Kernel, Site: k.Site,
-			Launches: a.launches, Wall: a.wall, GPUOps: siteOps[k],
-		})
-		p.KernelWall += a.wall
+	for _, s := range sites {
+		p.Sites = append(p.Sites, *s)
 	}
-	sort.Slice(p.Sites, func(i, j int) bool {
-		a, b := p.Sites[i], p.Sites[j]
-		if a.Wall != b.Wall {
-			return a.Wall > b.Wall
-		}
-		if a.Kernel != b.Kernel {
-			return a.Kernel < b.Kernel
-		}
-		return a.Site < b.Site
+	slices.SortFunc(p.Sites, func(a, b SiteSample) int {
+		return cmp.Or(cmp.Compare(b.Wall, a.Wall), strings.Compare(a.Kernel, b.Kernel), cmp.Compare(a.Site, b.Site))
 	})
-
-	for k, a := range c.units {
-		p.Units = append(p.Units, UnitSample{
-			Unit: k.Unit, Line: k.Line,
-			HtoDBytes: a.htodBytes, HtoDCount: a.htodCount,
-			DtoHBytes: a.dtohBytes, DtoHCount: a.dtohCount,
-		})
+	// Summed in row order, so the total does not depend on map order.
+	for _, s := range p.Sites {
+		p.KernelWall += s.Wall
 	}
-	sort.Slice(p.Units, func(i, j int) bool {
-		a, b := p.Units[i], p.Units[j]
-		if ta, tb := a.HtoDBytes+a.DtoHBytes, b.HtoDBytes+b.DtoHBytes; ta != tb {
-			return ta > tb
-		}
-		if a.Unit != b.Unit {
-			return a.Unit < b.Unit
-		}
-		return a.Line < b.Line
+	for _, u := range units {
+		p.Units = append(p.Units, *u)
+	}
+	slices.SortFunc(p.Units, func(a, b UnitSample) int {
+		return cmp.Or(cmp.Compare(b.HtoDBytes+b.DtoHBytes, a.HtoDBytes+a.DtoHBytes),
+			strings.Compare(a.Unit, b.Unit), cmp.Compare(a.Line, b.Line))
 	})
-
-	for k, a := range c.runtime {
-		p.Runtime = append(p.Runtime, RuntimeSample{Call: k.Call, Line: k.Line, Calls: a.calls, Seconds: a.seconds})
+	for _, r := range calls {
+		p.Runtime = append(p.Runtime, *r)
 	}
-	sort.Slice(p.Runtime, func(i, j int) bool {
-		a, b := p.Runtime[i], p.Runtime[j]
-		if a.Seconds != b.Seconds {
-			return a.Seconds > b.Seconds
-		}
-		if a.Call != b.Call {
-			return a.Call < b.Call
-		}
-		return a.Line < b.Line
+	slices.SortFunc(p.Runtime, func(a, b RuntimeSample) int {
+		return cmp.Or(cmp.Compare(b.Seconds, a.Seconds), strings.Compare(a.Call, b.Call), cmp.Compare(a.Line, b.Line))
 	})
 	return p
 }

@@ -136,7 +136,8 @@ type Runtime struct {
 	// Line is the source line of the instruction currently calling into the
 	// library: the interpreter stamps it before every allocation (the
 	// ledger records it as the unit's allocation site) and every cgcm.*
-	// call (the profile charges that call's transfers to it).
+	// call (its events carry it, and the profile charges the call's
+	// transfers to it).
 	Line int
 
 	allocs  rbtree.Tree[*AllocInfo]
@@ -177,9 +178,9 @@ func New(m *machine.Machine) *Runtime {
 // names no unit — the call failed or was absorbed after degradation, or the
 // kind has none); copied says the call moved the unit's bytes. It is the
 // only place the runtime's tallies are written, and the folds run in a
-// fixed order: Stats, the ledger, the profile's transfer rows, the
-// timeline. The machine the runtime was handed owns the run's observers and
-// the kernel epoch, so there is nothing to wire.
+// fixed order: Stats, the ledger, then the machine's log. The machine the
+// runtime was handed owns the log and the kernel epoch, so there is
+// nothing to wire.
 func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
 	now := r.M.Now()
 	ev := trace.Event{Kind: kind, Start: now, End: now, Line: r.Line, Epoch: r.M.Epoch(), Copied: copied}
@@ -225,10 +226,7 @@ func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
 		st.EpochSkips++
 	}
 	r.Ledger.Fold(&ev)
-	if copied {
-		r.M.Profile().AddTransfer(info.Name, r.Line, htod, info.Size)
-	}
-	r.M.Tracer().Record(&ev)
+	r.M.Record(&ev)
 }
 
 // Stats returns a snapshot of the runtime counters. Rescue copies and

@@ -594,9 +594,11 @@ const tiny = `int main() {
 // the response — serve_mixed's tiny_warm class without HTTP. The count
 // repeats to within one object and does not depend on host speed; the
 // bound is one object above the count when it was set, and a change that
-// raises it must say why here.
+// raises it must say why here. It fell from 134 to 130 when the machine's
+// histogram bounds were built once per process instead of once per run,
+// registry or not.
 func TestWarmSubmitAllocations(t *testing.T) {
-	const bound = 134
+	const bound = 130
 	s := newTestServer(t, Config{Workers: 1})
 	req := mustRequest(t, "a", "tiny.c", tiny, RunOptions{Workers: 1}, 0)
 	submit := func() {

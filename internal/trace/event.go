@@ -2,11 +2,14 @@
 //
 // The machine and the runtime library each book what they do as an Event,
 // at one place per layer (machine.emit, runtime.emit). That place applies
-// the folds — machine.Stats, runtime.Stats, the ledger (LedgerBuilder.Fold),
-// the profile's transfer rows, the per-event histograms and, when a tracer
-// is attached, the timeline (Tracer.Record) — so the tallies cannot
-// disagree about what happened. DESIGN.md ("Accounting: one event stream,
-// its folds") has the catalogue of kinds and the fields each fold reads.
+// the inline folds — machine.Stats, runtime.Stats, the ledger
+// (LedgerBuilder.Fold) and the per-event histograms — and, when the run
+// keeps an event log, appends the event to it. The interpreter books its
+// cgcm.* call timings and per-line kernel op counts into the same log.
+// Views are pure functions of the log, read after the run: the timeline
+// (Spans) and the profile (prof.FromLog). DESIGN.md ("Accounting: one event
+// stream, its folds") has the catalogue of kinds and the fields each fold
+// reads.
 package trace
 
 import "fmt"
@@ -15,7 +18,7 @@ import "fmt"
 type EventKind int
 
 // Event kinds. The machine books the first group, the runtime library the
-// second.
+// second, the interpreter the third.
 const (
 	EvCPU      EventKind = iota // a flushed run of CPU ops (Ops)
 	EvInspect                   // inspector-executor address-stream walk (Ops)
@@ -39,15 +42,19 @@ const (
 	EvEvict        // a unit's device copy was dropped under memory pressure or at degradation
 	EvRetry        // a transient device fault is being retried
 	EvDegrade      // the device failed; the run continues in CPU fallback (Label = reason)
+
+	EvCall    // a cgcm.* call returned (Label = the call, Line, Dur = simulated time inside it)
+	EvLineOps // one launch's Ops on one kernel source line (Label = kernel, Line = launch site, KernelLine; Lane: LaneGPU, or LaneCPU for a fallback launch)
 )
 
 // Event is one accountable thing a run did. It is a plain fixed-size value:
-// layers build it on the stack and hand it to their emit function, nothing
-// retains it, and every string in it already existed — names for the
-// timeline are built by Tracer.Record, and only when there is a tracer.
+// layers build it on the stack and hand it to their emit function, the
+// run's event log (when one is kept) holds a copy and nothing else retains
+// it, and every string in it already existed — names for the timeline are
+// built by Spans, after the run.
 type Event struct {
 	Kind EventKind
-	Lane Lane // copies: the transfer lane, or the stream's lane
+	Lane Lane // copies: the transfer lane, or the stream's lane; line ops: where they ran
 
 	Start, End float64 // simulated seconds; equal for an instant
 	// Dur is the simulated time charged for the event — what CommTime,
@@ -65,22 +72,31 @@ type Event struct {
 	Size int64
 	Unit string
 
-	Label string // kernel, stream, fault verb, degrade reason or error text
-	Line  int    // source line of the launch or of the cgcm.* call in progress
-	Epoch uint64 // kernel epoch, stamped by the emit functions
-	Flow  uint64 // stream copies: links the issue instant to the copy
+	Label      string // kernel, stream, fault verb, call, degrade reason or error text
+	Line       int    // source line of the launch or of the cgcm.* call in progress
+	KernelLine int    // line ops: the source line inside the kernel the Ops ran on
+	Epoch      uint64 // kernel epoch, stamped when the event is booked
+	Flow       uint64 // stream copies: links the issue instant to the copy
 
 	Copied bool // map/unmap/upload: the call moved the unit's bytes
 	Rescue bool // copies: taken over the slow reliable channel
 }
 
-// Record renders an event onto the timeline. Events that are tallies only
-// (overlap credit, retries, the array verbs, a map call that named no
-// unit) leave no span. This is the only place span names are built.
-func (t *Tracer) Record(ev *Event) {
-	if t == nil {
-		return
+// Spans renders a run's event log as its timeline, in log order. Events
+// that are tallies only (overlap credit, retries, the array verbs, a map
+// call that named no unit, call timings, line ops) leave no span. This is
+// the only place span names are built.
+func Spans(events []Event) []Span {
+	out := make([]Span, 0, len(events))
+	for i := range events {
+		out = appendSpans(out, &events[i])
 	}
+	return out
+}
+
+// appendSpans appends the spans of one event: none, one, or — for a stream
+// copy — its issue instant and then the copy.
+func appendSpans(out []Span, ev *Event) []Span {
 	s := Span{Lane: LaneCPU, Start: ev.Start, End: ev.End, Unit: ev.Unit, Epoch: ev.Epoch}
 	call := false // a runtime-library call about a unit: an instant named after it
 	switch ev.Kind {
@@ -104,7 +120,7 @@ func (t *Tracer) Record(ev *Event) {
 			issue := s
 			issue.Kind, issue.Lane, issue.Name = KindIssue, LaneCPU, "issue "+s.Kind.String()+" "+ev.Label
 			issue.Start, issue.End = ev.Issued, ev.Issued
-			t.Emit(issue)
+			out = append(out, issue)
 		}
 	case EvStall:
 		s.Kind, s.Name = KindStall, "sync"
@@ -125,16 +141,16 @@ func (t *Tracer) Record(ev *Event) {
 	case EvEvict:
 		s.Kind, s.Bytes, call = KindEvict, ev.Size, true
 	default:
-		return
+		return out
 	}
 	if call {
 		if ev.Base == 0 {
-			return
+			return out
 		}
 		if ev.Copied {
 			s.Bytes = ev.Size
 		}
 		s.Lane, s.Name = LaneRT, s.Kind.String()+" "+ev.Unit
 	}
-	t.Emit(s)
+	return append(out, s)
 }

@@ -9,8 +9,8 @@
 //     host wall time and an activity count (loops parallelized, calls
 //     promoted, ...);
 //   - the simulated machine and the CGCM runtime library book what they
-//     do as accounting events (event.go); the tracer renders those as
-//     spans — CPU compute, kernels, transfers and stalls on the simulated
+//     do as accounting events (event.go); Spans renders a run's event log
+//     as spans — CPU compute, kernels, transfers and stalls on the simulated
 //     CPU/GPU/transfer timelines, map/unmap/release calls as instants
 //     tagged with the allocation unit they touched — and the
 //     communication Ledger (ledger.go) folds the runtime's into a
@@ -150,14 +150,15 @@ type Tracer struct {
 // New returns an empty tracer.
 func New() *Tracer { return &Tracer{} }
 
-// Emit appends a span as given. The layers of a run do not call it: they
-// book events, and Record renders those.
-func (t *Tracer) Emit(s Span) {
+// Emit appends spans as given, in one step, so the spans of one call never
+// interleave with another's. The layers of a run do not call it: they book
+// events, and a finished run emits what Spans renders from its log.
+func (t *Tracer) Emit(spans ...Span) {
 	if t == nil {
 		return
 	}
 	t.mu.Lock()
-	t.spans = append(t.spans, s)
+	t.spans = append(t.spans, spans...)
 	t.mu.Unlock()
 }
 
@@ -195,9 +196,7 @@ func (t *Tracer) Phases() []PhaseSpan {
 	return out
 }
 
-// Merge appends everything collected by other into t. Each Program.Run
-// traces into a private per-run tracer and merges it into the caller's
-// sink when it finishes, so concurrent runs never interleave spans.
+// Merge appends everything collected by other into t.
 func (t *Tracer) Merge(other *Tracer) {
 	if t == nil || other == nil || t == other {
 		return

@@ -13,7 +13,6 @@ func fold(b *LedgerBuilder, kind EventKind, base uint64, name string, size int64
 func TestTracerNilSafe(t *testing.T) {
 	var tr *Tracer
 	tr.Emit(Span{Kind: KindCPU})
-	tr.Record(&Event{Kind: EvKernel})
 	tr.RecordPhases(PhaseSpan{Name: "x"})
 	tr.Merge(New())
 	if tr.Spans() != nil || tr.Phases() != nil {
@@ -30,11 +29,13 @@ func TestTracerNilSafe(t *testing.T) {
 }
 
 func TestTracerEpochStamping(t *testing.T) {
-	tr := New()
-	tr.Record(&Event{Kind: EvHtoD})
-	tr.Record(&Event{Kind: EvRetry, Epoch: 1}) // a tally, not a span
-	tr.Record(&Event{Kind: EvKernel, Epoch: 2})
-	spans := tr.Spans()
+	spans := Spans([]Event{
+		{Kind: EvHtoD},
+		{Kind: EvRetry, Epoch: 1}, // a tally, not a span
+		{Kind: EvCall, Label: "cgcm.map", Line: 3, Dur: 1e-6, Epoch: 1},
+		{Kind: EvLineOps, Lane: LaneGPU, Label: "k", Line: 3, KernelLine: 4, Ops: 9, Epoch: 1},
+		{Kind: EvKernel, Epoch: 2},
+	})
 	if len(spans) != 2 {
 		t.Fatalf("got %d spans", len(spans))
 	}
