@@ -1,5 +1,5 @@
-# Developer entry points. `make ci` is the gate: build, gofmt, vet, the
-# full test suite under the Go race detector (the kernel-execution engine
+# Developer entry points. `make ci` is the gate: build, gofmt, vet, no
+# float contraction on arm64 (fpcontract), the full test suite under the Go race detector (the kernel-execution engine
 # and the bench harness are concurrent; -race keeps them honest), one
 # iteration of each per-layer benchmark, and a short fuzz pass. Every
 # suite-wide invariant is an ordinary test, so `race` checks it: the
@@ -12,7 +12,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck test race bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke fuzzsmoke soak hostbench ci
+.PHONY: all build vet fmtcheck fpcontract test race bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke fuzzsmoke soak hostbench ci
 
 all: build
 
@@ -91,6 +91,17 @@ fuzzsmoke:
 soak:
 	CGCM_SOAK=1 $(GO) test -race -timeout 30m -run 'TestSoak' -v ./internal/server/
 
+# No float product contracted into a fused multiply-add. Go may compile
+# x*y + z to one FMA instruction on arm64 and riscv64, which rounds once
+# where amd64 rounds twice, so the simulated clock would depend on the
+# host; an explicit float64(x*y) forbids it. This compiles internal/ for
+# arm64 and fails on any FMA in the assembly (amd64 never emits one, so
+# no amd64 test can catch it). hostbench/ is outside internal/.
+fpcontract:
+	@GOARCH=arm64 $(GO) build ./internal/...
+	@if GOARCH=arm64 $(GO) build -gcflags='cgcm/internal/...=-S' ./internal/... 2>&1 | grep -E '\s(FMADDD|FMSUBD|FNMADDD|FNMSUBD)\s'; then \
+		echo "fpcontract: contracted products above; round each with float64(...)"; exit 1; fi
+
 # Host-clock benchmark (BENCHMARK.json, hostbench/README.md): run the four
 # workloads and print each end-to-end metric. Advisory — host time is
 # noisy and one run is not a measurement — so it is not part of `ci` and
@@ -106,4 +117,4 @@ hostbench:
 		echo "hostbench: no .bench_build/base.json to compare against (copy a parent-commit .bench_build/all.json there for verdicts)"; \
 	fi
 
-ci: build fmtcheck vet race interpbenchsmoke compilebenchsmoke commbenchsmoke fuzzsmoke
+ci: build fmtcheck vet fpcontract race interpbenchsmoke compilebenchsmoke commbenchsmoke fuzzsmoke

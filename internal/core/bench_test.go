@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"cgcm/internal/bench"
 	"cgcm/internal/core"
 )
 
@@ -72,5 +73,35 @@ func TestCompileScalesLinearly(t *testing.T) {
 		t.Errorf("compiling 64 loop groups allocates %.0f times, 32 groups %.0f: ratio %.2f, want at most 2.2", big, small, ratio)
 	} else {
 		t.Logf("allocations: 32 groups %.0f, 64 groups %.0f, ratio %.2f", small, big, ratio)
+	}
+}
+
+// TestCompileAllocations bounds what one suite compile allocates, the
+// per-operation cost of compile_cold (and of every serve_mixed cache
+// miss): 2mm, a PolyBench nest, and srad, the largest Rodinia program,
+// under optimized CGCM. The counts repeat to within one object from run
+// to run and do not depend on host speed, so this gates the host cost no
+// timing can. Each bound is two objects above the count when it was set
+// (5987 and 9939), room for that jitter and no more; a change that raises
+// one must say why here.
+func TestCompileAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
+	for _, c := range []struct {
+		program string
+		bound   float64
+	}{{"2mm", 5989}, {"srad", 9941}} {
+		t.Run(c.program, func(t *testing.T) {
+			p, _ := bench.ByName(c.program)
+			n := testing.AllocsPerRun(5, func() {
+				if _, err := core.Compile(p.Name+".c", p.Source, core.Options{Strategy: core.CGCMOptimized}); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if n > c.bound {
+				t.Errorf("compiling %s allocates %.0f objects, more than %.0f", c.program, n, c.bound)
+			}
+		})
 	}
 }

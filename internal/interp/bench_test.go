@@ -55,6 +55,14 @@ var dispatchBodies = []struct{ name, decls, body string }{
 	{"continue_loop", "", `
 	int x = 0;
 	for (int j = 0; j < N; j++) { if (j & 1) continue; x = x + j; }`},
+	// Multiply-accumulates: each multiply is computed by the add or
+	// subtract it feeds, where a parent commit dispatches it on its own.
+	{"int_mac", "", `
+	int x = 1;
+	for (int j = 0; j < N; j++) { x = x * 3 + j; x = (x & 255) + j * 5; }`},
+	{"float_mac", "", `
+	float x = 1.0;
+	for (int j = 0; j < N; j++) { x = x * 0.5 + 1.0; x = x - 0.25 * x; }`},
 }
 
 func dispatchSource(decls, body string, kernel bool) string {

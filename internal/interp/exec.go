@@ -640,6 +640,12 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			regs[i.dst] = ir.F2B(float64(int64(regs[i.a])))
 		case opFToI:
 			regs[i.dst] = uint64(int64(ir.B2F(regs[i.a])))
+		case opMulAdd:
+			regs[i.dst] = regs[i.a]*regs[i.b] + regs[i.d]
+		case opFMulAdd: // float64(...) forbids contraction into one FMA
+			regs[i.dst] = ir.F2B(ir.B2F(regs[i.d]) + float64(ir.B2F(regs[i.a])*ir.B2F(regs[i.b])))
+		case opFMulSub:
+			regs[i.dst] = ir.F2B(ir.B2F(regs[i.d]) - float64(ir.B2F(regs[i.a])*ir.B2F(regs[i.b])))
 
 		case opAlloca:
 			// The slot doubles as the frame's record of the unit: a loop
@@ -759,6 +765,10 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			goto jump
 		case opBrFGe:
 			pc = branch(ir.B2F(regs[i.a]) >= ir.B2F(regs[i.b]), i)
+			goto jump
+		case opAddBrLt:
+			regs[i.dst] = regs[i.a] + regs[i.b]
+			pc = branch(int64(regs[i.dst]) < int64(regs[i.e]), i)
 			goto jump
 
 		case opRet, opRetVoid:

@@ -72,9 +72,16 @@ func TestLoweredFormsKeepTheCounts(t *testing.T) {
 //   - an 8-byte load or store whose address is
 //     add(base, mul(add(mul(x, y), z), 8)), every part an integer op with
 //     one use, in the access's block, defined after its own operands
-//     there, yet not one row-major instruction.
+//     there, yet not one row-major instruction;
+//   - a latch whose copied test is an integer < of a local that the
+//     latch's last two instructions set to an integer add, used once and
+//     computing no multiply, where the add did not join the test;
+//   - a multiply, used once, in its block, defined after its own operands
+//     there, of the kind of the add or float subtract after it that it
+//     feeds (as its subtrahend), where the add is not part of an address
+//     and the two are not one instruction.
 //
-// The fusion criterion is restated from the IR, not read from the
+// The fusion criteria are restated from the IR, not read from the
 // lowering, so the suite test that calls this notices fusion narrowing.
 func LoweringMisses(mod *ir.Module) []string {
 	c := lowered(mod)
@@ -104,12 +111,12 @@ func LoweringMisses(mod *ir.Module) []string {
 				}
 			}
 		}
-		// part returns operand i of x when it can be part of x's address
-		// computation: an integer op of kind op, used once, in x's block,
-		// before x and after its own operands.
-		part := func(x *ir.Instr, i int, op ir.Op) *ir.Instr {
+		// part returns operand i of x when x can compute it: an op of kind
+		// op, float or not, used once, in x's block, before x and after its
+		// own operands.
+		part := func(x *ir.Instr, i int, op ir.Op, float bool) *ir.Instr {
 			y, ok := x.Args[i].(*ir.Instr)
-			if !ok || y.Op != op || y.Float || len(y.Args) != 2 || y.Block != x.Block || uses[y] != 1 || pos[y] >= pos[x] {
+			if !ok || y.Op != op || y.Float != float || len(y.Args) != 2 || y.Block != x.Block || uses[y] != 1 || pos[y] >= pos[x] {
 				return nil
 			}
 			for _, a := range y.Args {
@@ -120,25 +127,61 @@ func LoweringMisses(mod *ir.Module) []string {
 			return y
 		}
 		rowMajor := func(m *ir.Instr) bool {
-			add := part(m, 0, ir.OpAdd)
+			add := part(m, 0, ir.OpAdd, false)
 			for i := 0; add != nil && i < 2; i++ {
-				mul := part(add, i, ir.OpMul)
+				mul := part(add, i, ir.OpMul, false)
 				for j := 0; mul != nil && j < 2; j++ {
-					idx := part(mul, j, ir.OpAdd)
+					idx := part(mul, j, ir.OpAdd, false)
 					if k, ok := mul.Args[1-j].(*ir.Const); idx == nil || !ok || k.Float || k.Bits != 8 {
 						continue
 					}
-					if part(idx, 0, ir.OpMul) != nil || part(idx, 1, ir.OpMul) != nil {
+					if part(idx, 0, ir.OpMul, false) != nil || part(idx, 1, ir.OpMul, false) != nil {
 						return true
 					}
 				}
 			}
 			return false
 		}
+		// product returns the multiply the add or float subtract x could
+		// compute, nil when none.
+		product := func(x *ir.Instr) *ir.Instr {
+			switch {
+			case len(x.Args) != 2:
+			case x.Op == ir.OpAdd:
+				if y := part(x, 1, ir.OpMul, x.Float); y != nil {
+					return y
+				}
+				return part(x, 0, ir.OpMul, x.Float)
+			case x.Op == ir.OpSub && x.Float:
+				return part(x, 1, ir.OpMul, true)
+			}
+			return nil
+		}
 		copyable := func(h *ir.Block) bool {
 			pc, ok := pcs[origs[h.Instrs[len(h.Instrs)-1]]]
 			return ok && c.insts[pc].op >= opCondBr && c.insts[pc].op <= opBrFGe && pc > 0 &&
 				c.insts[pc-1].op == opCharge && c.sites[pc-1].orig == origs[h.Instrs[0]]
+		}
+		// latchAdd returns the add that latch b, ending in a br back to
+		// loop test h, stores just before its br into the local h's
+		// integer < compares first; nil when there is none such, used once
+		// and computing no multiply.
+		latchAdd := func(b, h *ir.Block) *ir.Instr {
+			n, cond := len(b.Instrs), h.Terminator()
+			if h.Index >= b.Index || n < 3 || cond.Op != ir.OpCondBr {
+				return nil
+			}
+			cmp, ok := cond.Args[0].(*ir.Instr)
+			if !ok || cmp.Op != ir.OpLt || cmp.Float || cmp.Block != h {
+				return nil
+			}
+			ld, ok := cmp.Args[0].(*ir.Instr)
+			st, add := b.Instrs[n-2], b.Instrs[n-3]
+			if !ok || ld.Op != ir.OpLoad || st.Op != ir.OpStore || st.Args[0] != ld.Args[0] || st.Args[1] != ir.Value(add) ||
+				add.Op != ir.OpAdd || add.Float || uses[add] != 1 || product(add) != nil {
+				return nil
+			}
+			return add
 		}
 		for _, b := range f.Blocks {
 			where := fmt.Sprintf("%s: block %d (%s)", f.Name, b.Index, b.Name)
@@ -148,12 +191,29 @@ func LoweringMisses(mod *ir.Module) []string {
 						out = append(out, where+": row-major "+in.String()+" is not one access")
 					}
 				}
+				// An add with no instruction of its own is part of an address.
+				if y := product(in); y != nil && opOf(in) != opCharge {
+					want := opMulAdd
+					switch {
+					case in.Op == ir.OpSub:
+						want = opFMulSub
+					case in.Float:
+						want = opFMulAdd
+					}
+					if opOf(in) != want {
+						out = append(out, where+": "+y.String()+" feeding "+in.String()+" is not one instruction with it")
+					}
+				}
 			}
 			br := b.Terminator()
-			if br == nil || br.Op != ir.OpBr || opOf(br) != opBr {
+			if br == nil || br.Op != ir.OpBr {
 				continue
 			}
 			switch to := br.Targets[0]; {
+			case opOf(br) != opBr:
+				if add := latchAdd(b, to); add != nil && opOf(add) != opAddBrLt {
+					out = append(out, where+": latch "+add.String()+" did not join the copied test of "+to.Name)
+				}
 			case to.Index == b.Index+1 && preds[to] == 1:
 				out = append(out, where+": br to "+to.Name+", its only way in, did not merge")
 			case to.Index < b.Index && copyable(to):

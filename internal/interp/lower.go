@@ -39,15 +39,19 @@ import (
 // run give back exactly the unexecuted tail, and the profiler attribute a
 // run's executions to source lines.
 //
-// Fusion. Two patterns make up most of every loop and become single
+// Fusion. The patterns that make up most of every loop become single
 // instructions: integer add (optionally of an integer multiply, and that
 // optionally of a row-major index add(mul(x, y), z) by 8) feeding the
-// address of one 8-byte load or store, and a compare feeding a
-// conditional branch. The absorbed instructions keep their entries in
-// origs, so cost, steps and line attribution are the sum of the parts;
+// address of one 8-byte load or store; a compare feeding a conditional
+// branch; a multiply feeding an add (integer or float) or the subtrahend
+// of a float subtract, whose float forms round the product before adding,
+// as the two instructions do. The absorbed instructions keep their entries
+// in origs, so cost, steps and line attribution are the sum of the parts;
 // they are absorbed only when the consumer is their single use, in the
 // same block, and their own operands are defined before them, so no
 // register they read can change between their place and the consumer's.
+// A latch's add that a copied < test reads right after it becomes one
+// opAddBrLt; the add still writes its destination.
 //
 // Promotion. An 8-byte alloca whose every use is the address of a whole
 // 8-byte load or store has an address nothing can observe, so its value
@@ -98,6 +102,9 @@ const (
 	opFGe
 	opIToF
 	opFToI
+	opMulAdd  // dst = regs[a]*regs[b] + regs[d]
+	opFMulAdd // dst = regs[d] + regs[a]*regs[b], the product rounded first
+	opFMulSub // dst = regs[d] - regs[a]*regs[b], the product rounded first
 
 	opAlloca // dst = stack unit of allocas[a], created on first execution in a frame
 
@@ -135,7 +142,8 @@ const (
 	opBrFLe
 	opBrFGt
 	opBrFGe
-	opRet // a = value slot
+	opAddBrLt // dst = regs[a]+regs[b], then as opBrLt of regs[dst] and regs[e]
+	opRet     // a = value slot
 	opRetVoid
 
 	// Self-charging instructions; args[a:a+b] are the operand slots.
@@ -356,7 +364,7 @@ func (l *lowerer) lowerFunc(fc *funcCode, f *ir.Func) {
 		in := &c.insts[pc]
 		if in.op == opBr {
 			in.c = l.blocks[in.c].pc
-		} else if in.op >= opCondBr && in.op <= opBrFGe {
+		} else if in.op >= opCondBr && in.op <= opAddBrLt {
 			in.c, in.d = l.blocks[in.c].pc, l.blocks[in.d].pc
 		}
 	}
@@ -537,9 +545,28 @@ func (l *lowerer) retargetable(v ir.Value, b *ir.Block, at int32, x *regInfo) *i
 	return nil
 }
 
-func isIntAdd(x *ir.Instr) bool  { return x.Op == ir.OpAdd && !x.Float }
-func isIntMul(x *ir.Instr) bool  { return x.Op == ir.OpMul && !x.Float }
-func isCompare(x *ir.Instr) bool { return x.Op >= ir.OpEq && x.Op <= ir.OpGe }
+func isIntAdd(x *ir.Instr) bool   { return x.Op == ir.OpAdd && !x.Float }
+func isIntMul(x *ir.Instr) bool   { return x.Op == ir.OpMul && !x.Float }
+func isFloatMul(x *ir.Instr) bool { return x.Op == ir.OpMul && x.Float }
+func isCompare(x *ir.Instr) bool  { return x.Op >= ir.OpEq && x.Op <= ir.OpGe }
+
+// product returns the multiply that the add or subtract x computes itself,
+// nil when none: a single-use multiply of x's kind on either side of an
+// add that no address absorbed, or as a float subtract's subtrahend.
+func (l *lowerer) product(x *ir.Instr) *ir.Instr {
+	if !l.hasReg(x) || len(x.Args) != 2 || l.regs[x.Reg].absorbed {
+		return nil
+	}
+	switch {
+	case x.Op == ir.OpAdd && x.Float:
+		return l.inner(x, isFloatMul)
+	case x.Op == ir.OpAdd:
+		return l.inner(x, isIntMul)
+	case x.Op == ir.OpSub && x.Float:
+		return l.absorbable(x.Args[1], x.Block, l.regs[x.Reg].pos, isFloatMul)
+	}
+	return nil
+}
 
 // fusedAddress returns the instructions the 8-byte memory instruction m
 // at position at computes its address from, outermost first and nil past
@@ -606,7 +633,15 @@ func (l *lowerer) lowerBlock(b *ir.Block, base int32) {
 		}
 	}
 
-	// Second pass: which loads of promoted locals forward and which stores
+	// Second pass, once the first has settled which adds an address
+	// absorbs: which multiplies their add or subtract computes.
+	for i, in := range b.Instrs {
+		if m := l.product(in); m != nil {
+			l.absorb(m, base+int32(i))
+		}
+	}
+
+	// Third pass: which loads of promoted locals forward and which stores
 	// retarget. A load starts out forwarded; a write to its local landing
 	// after it and before its last reader takes that back.
 	for i, in := range b.Instrs {
@@ -635,7 +670,7 @@ func (l *lowerer) lowerBlock(b *ir.Block, base int32) {
 		x.link, x.access = 0, at
 	}
 
-	// Third pass: emit. An instruction its consumer computes, and a br the
+	// Fourth pass: emit. An instruction its consumer computes, and a br the
 	// next block's run continues, only join the run.
 	fall := l.fallsThrough(b)
 	for i, in := range b.Instrs {
@@ -680,17 +715,26 @@ func (l *lowerer) loopTest(t int) bool {
 // whose block-index targets the function's final pass resolves. The copy
 // does all that t's code does, so the open run takes in, after the br's
 // own entry, copies of the origs entries t's run charges and its inspector
-// count.
+// count. A < copy whose first operand the add emitted last in this block
+// and run wrote turns that add into an opAddBrLt instead.
 func (l *lowerer) copyLoopTest(line int32, t int) {
 	c := l.c
 	pc := l.blocks[t].pc
 	head, test := c.insts[pc], c.insts[pc+1]
+	last := int32(len(c.insts)) - 1
+	latch := test.op == opBrLt && last >= l.blocks[l.block].pc && c.sites[last].run == l.run &&
+		c.insts[last].op == opAdd && c.insts[last].dst == test.a
 	l.account(line, costDefault, true)
 	first, copied := c.sites[pc].orig, int32(len(c.origs))
 	for o := first; o < first+head.b; o++ {
 		l.account(c.origs[o].line, c.origs[o].cost, true)
 	}
 	c.insts[l.run].c += head.c
+	if latch {
+		add := &c.insts[last]
+		add.op, add.c, add.d, add.e = opAddBrLt, test.c, test.d, test.b
+		return
+	}
 	l.emit(test, copied+c.sites[pc+1].orig-first)
 }
 
@@ -792,7 +836,15 @@ func (l *lowerer) lowerInstr(in *ir.Instr, at int32) {
 			l.fault(in.Line, kind+" op "+in.Op.String()+" unsupported")
 			return
 		}
-		light(op, costDefault, inst{dst: dst, a: arg(0), b: arg(1)})
+		x := inst{dst: dst, a: arg(0), b: arg(1)}
+		if m := l.product(in); m != nil {
+			op = opMulAdd
+			if in.Float {
+				op = opFMulAdd + opcode(in.Op-ir.OpAdd) // opFMulSub for a subtract
+			}
+			x.a, x.b, x.d = l.slot(m.Args[0]), l.slot(m.Args[1]), l.slot(other(in, m))
+		}
+		light(op, costDefault, x)
 
 	case ir.OpIToF:
 		light(opIToF, costDefault, inst{dst: dst, a: arg(0)})

@@ -74,8 +74,9 @@ func TestWarmRunAllocations(t *testing.T) {
 
 // TestSuiteLoopsAreLowered: in every suite program under every strategy,
 // no br into a block's only way in survives, no latch jumps to a loop
-// test it could run in place, and every row-major access is one
-// instruction. The other half of run_compute's speed is these forms; a
+// test it could run in place or keeps its increment apart from that
+// test, every row-major access is one instruction, and so is every
+// multiply with the add or subtract it feeds. The other half of run_compute's speed is these forms; a
 // front-end or pass change that defeats them fails here, naming the
 // function and block.
 func TestSuiteLoopsAreLowered(t *testing.T) {

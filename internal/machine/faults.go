@@ -151,7 +151,7 @@ func (m *Machine) RescueCopyDtoH(dst, src uint64, n int64) error {
 // the launch apart from GPU work.
 func (m *Machine) RunKernelOnCPUAt(name string, line int, totalOps int64) {
 	m.flushCPUSpan()
-	d := float64(totalOps) * m.Cost.CPUOp
+	d := float64(float64(totalOps) * m.Cost.CPUOp)
 	start := m.cpuTime
 	m.cpuTime += d
 	m.emit(&trace.Event{

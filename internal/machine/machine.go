@@ -607,7 +607,7 @@ func (m *Machine) emit(ev *trace.Event) {
 		st.FallbackOps += ev.Ops
 	case trace.EvHtoD, trace.EvDtoH:
 		if ev.Rescue {
-			st.PenaltyTime += ev.Dur * (1 - 1/rescueSlowdown)
+			st.PenaltyTime += float64(ev.Dur * (1 - 1/rescueSlowdown))
 			st.RescueCopies++
 		}
 		st.CommTime += ev.Dur
@@ -654,7 +654,7 @@ func (m *Machine) CPUOps(n int64) {
 		m.pendingCPUStart = m.cpuTime
 	}
 	m.pendingCPUOps += n
-	d := float64(n) * m.Cost.CPUOp
+	d := float64(float64(n) * m.Cost.CPUOp)
 	m.cpuTime += d
 	m.stats.CPUTime += d
 	m.stats.CPUOps += n
@@ -665,7 +665,7 @@ func (m *Machine) InspectorOps(n int64) {
 	if n <= 0 {
 		return
 	}
-	d := float64(n) * m.Cost.InspectorPerOp
+	d := float64(float64(n) * m.Cost.InspectorPerOp)
 	m.cpuTime += d
 	m.stats.CPUTime += d
 	m.emit(&trace.Event{Kind: trace.EvInspect, Start: m.cpuTime - d, End: m.cpuTime, Ops: n})
@@ -706,7 +706,7 @@ func (m *Machine) LaunchKernelAt(name string, line int, threads int64, totalOps,
 	// Kernel duration: fixed overhead plus the larger of the aggregate
 	// throughput bound and the critical-path (longest thread) bound.
 	throughput := float64(totalOps) * m.Cost.GPUOp / float64(m.Cost.GPUCores)
-	critical := float64(maxThreadOps) * m.Cost.GPUOp
+	critical := float64(float64(maxThreadOps) * m.Cost.GPUOp)
 	dur := m.Cost.LaunchGPU + throughput
 	if critical > throughput {
 		dur = m.Cost.LaunchGPU + critical

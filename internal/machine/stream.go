@@ -172,7 +172,7 @@ func (m *Machine) move(kind trace.Kind, dst, src uint64, n int64, rescue bool) e
 // booked as PenaltyTime.
 func (m *Machine) charge(kind trace.Kind, s *Stream, host, dev uint64, n int64, unit string, rescue bool, waits []Event) Event {
 	m.flushCPUSpan()
-	d := m.Cost.TransferLat + float64(n)*m.Cost.TransferPerB
+	d := m.Cost.TransferLat + float64(float64(n)*m.Cost.TransferPerB)
 	if rescue {
 		d *= rescueSlowdown
 	}

@@ -27,7 +27,7 @@ func (h *HistSnapshot) Quantile(q float64) float64 {
 	if q > 1 {
 		q = 1
 	}
-	rank := q * float64(h.Count)
+	rank := float64(q * float64(h.Count))
 	var cum float64
 	for i, n := range h.Buckets {
 		prev := cum
