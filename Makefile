@@ -1,6 +1,7 @@
 # Developer entry points. `make ci` is the gate: build, gofmt, vet, no
 # float contraction on arm64 (fpcontract), the full test suite under the Go race detector (the kernel-execution engine
-# and the bench harness are concurrent; -race keeps them honest), one
+# and the bench harness are concurrent; -race keeps them honest), the
+# allocation gates without it (allocs), one
 # iteration of each per-layer benchmark, and a short fuzz pass. Every
 # suite-wide invariant is an ordinary test, so `race` checks it: the
 # committed baselines BENCH_0/1.json (TestRunAllRecordsTheSuite), the
@@ -12,7 +13,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck fpcontract test race bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke fuzzsmoke soak hostbench ci
+.PHONY: all build vet fmtcheck fpcontract test race allocs bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke fuzzsmoke soak hostbench ci
 
 all: build
 
@@ -32,6 +33,13 @@ test:
 
 race:
 	$(GO) test -race -timeout 30m ./...
+
+# The allocation gates, every Test*Allocations and Test*AllocatesNothing
+# (compile, warm run, warm Submit, launch, the runtime verb script). The
+# race detector changes allocation counts, so TestCompileAllocations
+# skips under `race`; this runs them all without it.
+allocs:
+	$(GO) test -run 'Allocations$$|AllocatesNothing$$' ./...
 
 # Host-side engine speedup: compare workers=1 vs workers=N.
 bench:
@@ -117,4 +125,4 @@ hostbench:
 		echo "hostbench: no .bench_build/base.json to compare against (copy a parent-commit .bench_build/all.json there for verdicts)"; \
 	fi
 
-ci: build fmtcheck vet fpcontract race interpbenchsmoke compilebenchsmoke commbenchsmoke fuzzsmoke
+ci: build fmtcheck vet fpcontract race allocs interpbenchsmoke compilebenchsmoke commbenchsmoke fuzzsmoke

@@ -54,55 +54,16 @@ type AblationDiff struct {
 	BaseRemarks, AblatedRemarks []remarks.Remark
 }
 
-// appliedRemark finds the Applied remark of an optimization pass naming
-// the unit, preferring map promotion (the pass that deletes interior
-// transfers and so directly turns cyclic patterns acyclic).
-func appliedRemark(rs []remarks.Remark, name string, line int) *remarks.Remark {
-	var found *remarks.Remark
-	for i := range rs {
-		r := &rs[i]
-		if r.Kind != remarks.Applied || !remarks.MatchesUnit(r.Unit, name, line) {
-			continue
-		}
-		switch r.Pass {
-		case "mappromo":
-			return r
-		case "allocapromo", "gluekernel":
-			if found == nil {
-				found = r
-			}
-		}
-	}
-	return found
-}
-
-// missedRemark finds the Missed remark naming the unit, preferring map
-// promotion.
-func missedRemark(rs []remarks.Remark, name string, line int) *remarks.Remark {
-	var found *remarks.Remark
-	for i := range rs {
-		r := &rs[i]
-		if r.Kind != remarks.Missed || !remarks.MatchesUnit(r.Unit, name, line) {
-			continue
-		}
-		if r.Pass == "mappromo" {
-			return r
-		}
-		if found == nil {
-			found = r
-		}
-	}
-	return found
-}
-
 // DiffAblation runs the program under optimized CGCM twice — ablating
-// base, then ablated — with remarks enabled, matches allocation units
-// across the two ledgers, and explains every pattern change.
+// base, then ablated — with remarks enabled (and overlap when Async is
+// set), matches allocation units across the two ledgers, and explains
+// every pattern change.
 func DiffAblation(p Program, base, ablated core.PassSet) (*AblationDiff, error) {
 	run := func(set core.PassSet) (*core.Report, error) {
 		rep, err := core.CompileAndRun(p.Name, p.Source, core.Options{
 			Strategy: core.CGCMOptimized,
 			Ablate:   set,
+			Async:    Async,
 			Workers:  Workers,
 			Remarks:  true,
 		})
@@ -128,45 +89,27 @@ func DiffAblation(p Program, base, ablated core.PassSet) (*AblationDiff, error) 
 		AblatedRemarks: ablRep.Remarks,
 	}
 
-	type side struct {
-		pattern trace.Pattern
-		trips   int64
-	}
-	basePat := make(map[trace.UnitKey]side)
-	for i, k := range baseRep.Comm.Keys() {
-		u := &baseRep.Comm.Units[i]
-		basePat[k] = side{u.Pattern, u.RoundTrips}
-	}
-	seen := make(map[trace.UnitKey]bool)
-	for i, k := range ablRep.Comm.Keys() {
-		u := &ablRep.Comm.Units[i]
-		seen[k] = true
-		b := basePat[k] // zero value (PatternNone) when absent
-		ud := UnitDiff{
-			UnitKey: k, Base: b.pattern, Ablated: u.Pattern,
-			TripsBase: b.trips, TripsAblated: u.RoundTrips,
+	// A unit missing from one ledger keeps that side's zero values
+	// (PatternNone, no trips).
+	for _, p := range trace.JoinUnits(baseRep.Comm, ablRep.Comm) {
+		ud := UnitDiff{UnitKey: p.UnitKey}
+		if p.A != nil {
+			ud.Base, ud.TripsBase = p.A.Pattern, p.A.RoundTrips
 		}
+		if p.B != nil {
+			ud.Ablated, ud.TripsAblated = p.B.Pattern, p.B.RoundTrips
+		}
+		baseCyclic, ablCyclic := ud.Base == trace.PatternCyclic, ud.Ablated == trace.PatternCyclic
 		switch {
-		case u.Pattern == trace.PatternCyclic && b.pattern != trace.PatternCyclic:
-			ud.Explain = appliedRemark(baseRep.Remarks, k.Name, k.Line)
+		case ablCyclic && !baseCyclic:
+			ud.Explain = remarks.Explain(baseRep.Remarks, remarks.Applied, ud.Name, ud.Line, remarks.Promoters...)
 			d.Promoted = append(d.Promoted, ud)
-		case u.Pattern == trace.PatternCyclic && b.pattern == trace.PatternCyclic:
-			ud.Explain = missedRemark(baseRep.Remarks, k.Name, k.Line)
+		case ablCyclic:
+			ud.Explain = remarks.Explain(baseRep.Remarks, remarks.Missed, ud.Name, ud.Line, remarks.Blockers...)
 			d.StillCyclic = append(d.StillCyclic, ud)
-		case u.Pattern != trace.PatternCyclic && b.pattern == trace.PatternCyclic:
+		case baseCyclic:
 			d.Regressed = append(d.Regressed, ud)
 		}
-	}
-	// Units cyclic under base that vanished from the ablated ledger.
-	for i, k := range baseRep.Comm.Keys() {
-		if seen[k] || baseRep.Comm.Units[i].Pattern != trace.PatternCyclic {
-			continue
-		}
-		u := &baseRep.Comm.Units[i]
-		d.Regressed = append(d.Regressed, UnitDiff{
-			UnitKey: k, Base: u.Pattern, Ablated: trace.PatternNone,
-			TripsBase: u.RoundTrips,
-		})
 	}
 	return d, nil
 }

@@ -705,7 +705,7 @@ func withRuntimeRemarks(file string, compile []remarks.Remark, ledger trace.Ledg
 		}
 		out = append(out, remarks.Remark{
 			Pass: "runtime", Kind: remarks.Runtime, Reason: remarks.ReasonDeviceOOM,
-			File: file, Line: u.Line, Unit: unitLabel(u),
+			File: file, Line: u.Line, Unit: u.Label(),
 			Message: fmt.Sprintf(
 				"allocation unit evicted from device memory %d time(s) under memory pressure; each re-map re-uploads %d bytes",
 				u.Evictions, u.Size),
@@ -730,15 +730,15 @@ func withRuntimeRemarks(file string, compile []remarks.Remark, ledger trace.Ledg
 			Kind: remarks.Runtime,
 			File: file,
 			Line: u.Line,
-			Unit: unitLabel(u),
+			Unit: u.Label(),
 			Message: fmt.Sprintf(
 				"allocation unit stayed cyclic: %d round trip(s) over %d transfer epoch(s), %d HtoD / %d DtoH copies",
 				u.RoundTrips, u.TransferEpochs, u.HtoDCopies, u.DtoHCopies),
 		}
-		if blocked := blockingRemark(compile, u); blocked != nil {
+		if blocked := remarks.Explain(compile, remarks.Missed, u.Name, u.Line, remarks.Blockers...); blocked != nil {
 			r.Reason = blocked.Reason
 			r.Message += fmt.Sprintf("; %s left it unpromoted (%s)", blocked.Pass, blocked.Reason)
-		} else if applied := appliedRemark(compile, u); applied != nil {
+		} else if applied := remarks.Explain(compile, remarks.Applied, u.Name, u.Line, remarks.Promoters...); applied != nil {
 			r.Message += fmt.Sprintf("; %s promoted this unit — the residual round trip is inherent to the program's CPU-GPU data flow", applied.Pass)
 		} else {
 			r.Message += "; no compile-time remark names this unit (optimization ablated, or the pattern is inherent to the program)"
@@ -747,57 +747,6 @@ func withRuntimeRemarks(file string, compile []remarks.Remark, ledger trace.Ledg
 	}
 	remarks.Sort(out)
 	return out
-}
-
-// blockingRemark finds the compile-time Missed remark whose unit label
-// names the ledger unit, preferring map promotion (the pass whose miss
-// directly leaves a unit cyclic) over earlier passes.
-func blockingRemark(compile []remarks.Remark, u *trace.UnitStats) *remarks.Remark {
-	var found *remarks.Remark
-	for i := range compile {
-		c := &compile[i]
-		// Overlap remarks describe transfer timing, not promotion; they
-		// must not change the cyclic-unit diagnosis (it is identical with
-		// -async on or off).
-		if c.Pass == "overlap" {
-			continue
-		}
-		if c.Kind != remarks.Missed || !remarks.MatchesUnit(c.Unit, u.Name, u.Line) {
-			continue
-		}
-		if c.Pass == "mappromo" {
-			return c
-		}
-		if found == nil {
-			found = c
-		}
-	}
-	return found
-}
-
-// appliedRemark finds a compile-time Applied promotion remark naming the
-// ledger unit — evidence a pass did fire, so a remaining round trip is
-// inherent data flow, not a missed optimization.
-func appliedRemark(compile []remarks.Remark, u *trace.UnitStats) *remarks.Remark {
-	for i := range compile {
-		c := &compile[i]
-		if c.Kind != remarks.Applied || c.Pass == "commmgmt" || c.Pass == "doall" || c.Pass == "overlap" {
-			continue
-		}
-		if remarks.MatchesUnit(c.Unit, u.Name, u.Line) {
-			return c
-		}
-	}
-	return nil
-}
-
-// unitLabel renders a ledger unit as a remark unit label, embedding the
-// allocation-site line when known so it cross-references compile labels.
-func unitLabel(u *trace.UnitStats) string {
-	if u.Line > 0 {
-		return fmt.Sprintf("%s:%d", u.Name, u.Line)
-	}
-	return u.Name
 }
 
 // CompileAndRun is the one-call convenience used by examples and tests.

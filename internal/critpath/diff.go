@@ -38,18 +38,6 @@ func Diff(a, b *Analysis) *DiffResult {
 	return d
 }
 
-// CommDelta returns the communication class's on-path change (B - A),
-// the number the overlap gate cross-checks against the ledger's
-// overlapped-bytes column.
-func (d *DiffResult) CommDelta() float64 {
-	for _, c := range d.Classes {
-		if c.Class == ClassComm {
-			return c.Delta
-		}
-	}
-	return 0
-}
-
 // Render prints the attribution table.
 func (d *DiffResult) Render(w *strings.Builder, labelA, labelB string) {
 	fmt.Fprintf(w, "wall: %s %.2fus -> %s %.2fus (%+.2fus, %+.2f%%)\n",

@@ -434,3 +434,42 @@ func MatchesUnit(label, name string, allocLine int) bool {
 	}
 	return false
 }
+
+// The passes whose remarks explain a ledger unit's pattern. Promoters'
+// Applied remarks explain a unit that stopped being cyclic, and
+// Blockers' Missed remarks one that stayed cyclic; map promotion comes
+// first in both, because its hoists are what delete a unit's interior
+// transfers. Overlap remarks say when copies run, not whether they do,
+// so neither list has that pass.
+var (
+	Promoters = []string{"mappromo", "allocapromo", "gluekernel"}
+	Blockers  = []string{"mappromo", "doall", "gluekernel", "allocapromo"}
+)
+
+// Explain returns the remark that explains the ledger unit (name,
+// allocLine): among the remarks of kind k that name the unit
+// (MatchesUnit) and come from one of passes, the first from passes[0],
+// else the first from any of them. Nil when none does. It is the one
+// place a unit is tied to its explanation; callers differ only in the
+// kind and the passes they admit.
+func Explain(rs []Remark, k Kind, name string, allocLine int, passes ...string) *Remark {
+	var found *Remark
+	for i := range rs {
+		r := &rs[i]
+		if r.Kind != k || !MatchesUnit(r.Unit, name, allocLine) {
+			continue
+		}
+		for j, p := range passes {
+			if r.Pass != p {
+				continue
+			}
+			if j == 0 {
+				return r
+			}
+			if found == nil {
+				found = r
+			}
+		}
+	}
+	return found
+}

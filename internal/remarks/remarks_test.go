@@ -195,6 +195,46 @@ func TestMatchesUnit(t *testing.T) {
 	}
 }
 
+// TestExplain pins the one explanation rule: the remark must be of the
+// asked kind, name the unit and come from an admitted pass; the first
+// pass listed wins wherever its remark sits, and otherwise the first
+// admitted remark in order does.
+func TestExplain(t *testing.T) {
+	rs := []Remark{
+		{Pass: "overlap", Kind: Applied, Line: 3, Unit: "heap@main:12"},
+		{Pass: "gluekernel", Kind: Applied, Line: 5, Unit: "heap@main:12"},
+		{Pass: "mappromo", Kind: Missed, Line: 6, Unit: "heap@main:12"},
+		{Pass: "allocapromo", Kind: Applied, Line: 8, Unit: "heap@main:4, heap@main:12"},
+		{Pass: "mappromo", Kind: Applied, Line: 9, Unit: "heap@main:12"},
+		{Pass: "mappromo", Kind: Applied, Line: 10, Unit: "global a"},
+	}
+	for _, c := range []struct {
+		kind   Kind
+		name   string
+		line   int
+		passes []string
+		want   int // index into rs; -1 for nil
+	}{
+		{Applied, "malloc", 12, Promoters, 4},
+		{Applied, "malloc", 12, []string{"overlap", "mappromo"}, 0},
+		{Applied, "malloc", 12, []string{"doall", "allocapromo", "gluekernel"}, 1},
+		{Applied, "malloc", 4, Promoters, 3},
+		{Missed, "malloc", 12, Blockers, 2},
+		{Missed, "malloc", 4, Blockers, -1},
+		{Applied, "a", 0, Promoters, 5},
+		{Runtime, "malloc", 12, []string{"runtime"}, -1},
+	} {
+		got := Explain(rs, c.kind, c.name, c.line, c.passes...)
+		var want *Remark
+		if c.want >= 0 {
+			want = &rs[c.want]
+		}
+		if got != want {
+			t.Errorf("Explain(%s, %s:%d, %v) = %v, want %v", c.kind, c.name, c.line, c.passes, got, want)
+		}
+	}
+}
+
 func TestSortDeterministic(t *testing.T) {
 	mk := func() []Remark {
 		return []Remark{

@@ -13,7 +13,7 @@ package runlog
 import (
 	"fmt"
 	"io"
-	"strings"
+	"slices"
 
 	"cgcm/internal/remarks"
 	"cgcm/internal/trace"
@@ -45,70 +45,10 @@ func (u *UnitDelta) changed() bool {
 		u.BytesA != u.BytesB || u.TripsA != u.TripsB || u.OverlapA != u.OverlapB
 }
 
-// appliedRemark finds the Applied remark of an optimization pass naming
-// the unit, preferring map promotion (the pass that deletes interior
-// transfers and so directly turns cyclic patterns acyclic), then the
-// overlap pass for hidden-byte changes.
-func appliedRemark(rs []remarks.Remark, name string, line int) *remarks.Remark {
-	var found *remarks.Remark
-	for i := range rs {
-		r := &rs[i]
-		if r.Kind != remarks.Applied || !remarks.MatchesUnit(r.Unit, name, line) {
-			continue
-		}
-		switch r.Pass {
-		case "mappromo":
-			return r
-		case "allocapromo", "gluekernel", "overlap":
-			if found == nil {
-				found = r
-			}
-		}
-	}
-	return found
-}
-
-// missedRemark finds the remark explaining why the unit stayed cyclic:
-// the Missed remark of the blocking pass (map promotion preferred), or
-// failing that the Runtime remark the ledger emitted for the unit,
-// which cross-references the compile-time blocking reason.
-func missedRemark(rs []remarks.Remark, name string, line int) *remarks.Remark {
-	var found, runtimeR *remarks.Remark
-	for i := range rs {
-		r := &rs[i]
-		if !remarks.MatchesUnit(r.Unit, name, line) {
-			continue
-		}
-		switch r.Kind {
-		case remarks.Missed:
-			if r.Pass == "mappromo" {
-				return r
-			}
-			if found == nil {
-				found = r
-			}
-		case remarks.Runtime:
-			if runtimeR == nil {
-				runtimeR = r
-			}
-		}
-	}
-	if found == nil {
-		return runtimeR
-	}
-	return found
-}
-
-// overlapRemark finds an overlap-pass remark naming the unit.
-func overlapRemark(rs []remarks.Remark, name string, line int) *remarks.Remark {
-	for i := range rs {
-		r := &rs[i]
-		if r.Pass == "overlap" && remarks.MatchesUnit(r.Unit, name, line) {
-			return r
-		}
-	}
-	return nil
-}
+// changers are the passes whose Applied remarks explain a unit's change
+// between two records: the promoters, and overlap, whose stream copies
+// move a unit's overlapped bytes.
+var changers = slices.Concat(remarks.Promoters, []string{"overlap"})
 
 // DiffLedgers matches allocation units across two records and returns
 // the units whose communication changed, in record-B ledger order with
@@ -116,74 +56,44 @@ func overlapRemark(rs []remarks.Remark, name string, line int) *remarks.Remark {
 // records' total comm-byte delta: ledger byte columns and Stats byte
 // totals count the same transfers.
 func DiffLedgers(a, b *Record) []UnitDelta {
-	type side struct {
-		pattern                  trace.Pattern
-		copies, bytes, trips, ov int64
-	}
-	sideOf := func(u *trace.UnitStats) side {
-		return side{
-			pattern: u.Pattern,
-			copies:  u.HtoDCopies + u.DtoHCopies,
-			bytes:   u.BytesHtoD + u.BytesDtoH,
-			trips:   u.RoundTrips,
-			ov:      u.OverlappedBytes,
-		}
-	}
-	aSide := make(map[trace.UnitKey]side)
-	aKeys := a.Comm.Keys()
-	for i, k := range aKeys {
-		aSide[k] = sideOf(&a.Comm.Units[i])
-	}
 	var out []UnitDelta
-	seen := make(map[trace.UnitKey]bool)
-	for i, k := range b.Comm.Keys() {
-		seen[k] = true
-		sb := sideOf(&b.Comm.Units[i])
-		sa := aSide[k] // zero value (PatternNone) when absent
-		d := UnitDelta{
-			Unit:     k.String(),
-			PatternA: sa.pattern, PatternB: sb.pattern,
-			CopiesA: sa.copies, CopiesB: sb.copies,
-			BytesA: sa.bytes, BytesB: sb.bytes,
-			TripsA: sa.trips, TripsB: sb.trips,
-			OverlapA: sa.ov, OverlapB: sb.ov,
+	for _, p := range trace.JoinUnits(a.Comm, b.Comm) {
+		d := UnitDelta{Unit: p.UnitKey.String()}
+		if u := p.A; u != nil {
+			d.PatternA, d.TripsA, d.OverlapA = u.Pattern, u.RoundTrips, u.OverlappedBytes
+			d.CopiesA, d.BytesA = u.HtoDCopies+u.DtoHCopies, u.BytesHtoD+u.BytesDtoH
 		}
-		if !d.changed() {
-			continue
+		if u := p.B; u != nil {
+			d.PatternB, d.TripsB, d.OverlapB = u.Pattern, u.RoundTrips, u.OverlappedBytes
+			d.CopiesB, d.BytesB = u.HtoDCopies+u.DtoHCopies, u.BytesHtoD+u.BytesDtoH
 		}
-		switch {
-		case sa.pattern == trace.PatternCyclic && sb.pattern != trace.PatternCyclic:
-			d.Explain = appliedRemark(b.Remarks, k.Name, k.Line)
-		case sb.pattern == trace.PatternCyclic:
-			d.Explain = missedRemark(b.Remarks, k.Name, k.Line)
-		case sb.ov != sa.ov:
-			d.Explain = overlapRemark(b.Remarks, k.Name, k.Line)
-			if d.Explain == nil {
-				d.Explain = appliedRemark(b.Remarks, k.Name, k.Line)
-			}
-		default:
-			d.Explain = appliedRemark(b.Remarks, k.Name, k.Line)
+		if d.changed() {
+			d.Explain = explainDelta(b.Remarks, p, &d)
+			out = append(out, d)
 		}
-		out = append(out, d)
-	}
-	// Units present only in record A.
-	for i, k := range aKeys {
-		if seen[k] {
-			continue
-		}
-		sa := sideOf(&a.Comm.Units[i])
-		d := UnitDelta{
-			Unit:     k.String(),
-			PatternA: sa.pattern, PatternB: trace.PatternNone,
-			CopiesA: sa.copies, BytesA: sa.bytes, TripsA: sa.trips, OverlapA: sa.ov,
-		}
-		if !d.changed() {
-			continue
-		}
-		d.Explain = appliedRemark(b.Remarks, k.Name, k.Line)
-		out = append(out, d)
 	}
 	return out
+}
+
+// explainDelta picks the remark of record B that accounts for a unit's
+// change: for a unit cyclic in B, the blocking Missed remark, else the
+// Runtime remark its ledger row raised; for a unit in B, cyclic in
+// neither record, whose overlapped bytes moved, the overlap pass's
+// Applied remark; otherwise (or failing that) the Applied remark of the
+// pass that changed it.
+func explainDelta(rs []remarks.Remark, p trace.UnitPair, d *UnitDelta) *remarks.Remark {
+	switch {
+	case d.PatternB == trace.PatternCyclic:
+		if r := remarks.Explain(rs, remarks.Missed, p.Name, p.Line, remarks.Blockers...); r != nil {
+			return r
+		}
+		return remarks.Explain(rs, remarks.Runtime, p.Name, p.Line, "runtime")
+	case p.B != nil && d.PatternA != trace.PatternCyclic && d.OverlapA != d.OverlapB:
+		if r := remarks.Explain(rs, remarks.Applied, p.Name, p.Line, "overlap"); r != nil {
+			return r
+		}
+	}
+	return remarks.Explain(rs, remarks.Applied, p.Name, p.Line, changers...)
 }
 
 // RenderUnitDeltas prints the per-unit attribution table for -regress.
@@ -212,13 +122,4 @@ func RenderUnitDeltas(w io.Writer, labelA, labelB string, ds []UnitDelta) {
 		}
 	}
 	fmt.Fprintf(w, "  total transferred-byte delta across units: %+d (equals the records' comm-byte delta)\n", sum)
-}
-
-// PatternBadge renders a ledger pattern as short display text.
-func PatternBadge(p trace.Pattern) string {
-	s := p.String()
-	if s == "" {
-		return "none"
-	}
-	return strings.ToLower(s)
 }

@@ -362,7 +362,7 @@ func patternBadgeHTML(p trace.Pattern) string {
 		color = "var(--good)"
 	}
 	return fmt.Sprintf("<span class=\"badge\"><span class=\"chip\" style=\"background:%s\"></span>%s</span>",
-		color, html.EscapeString(PatternBadge(p)))
+		color, html.EscapeString(p.String()))
 }
 
 // writeLedger emits the latest record's communication ledger with the
@@ -377,13 +377,9 @@ func writeLedger(b *strings.Builder, r *Record) {
 		"<th class=\"num\">trips</th><th class=\"num\">skips</th><th>pattern</th></tr>\n")
 	for i := range r.Comm.Units {
 		u := &r.Comm.Units[i]
-		label := u.Name
-		if u.Line > 0 {
-			label = fmt.Sprintf("%s:%d", u.Name, u.Line)
-		}
 		fmt.Fprintf(b, "<tr><td>%s</td><td class=\"num\">%d</td><td class=\"num\">%d</td><td class=\"num\">%d</td>"+
 			"<td class=\"num\">%d</td><td class=\"num\">%d</td><td class=\"num\">%d</td><td class=\"num\">%d</td><td>%s</td></tr>\n",
-			html.EscapeString(label), u.Size, u.HtoDCopies, u.DtoHCopies,
+			html.EscapeString(u.Label()), u.Size, u.HtoDCopies, u.DtoHCopies,
 			u.BytesHtoD+u.BytesDtoH, u.OverlappedBytes, u.RoundTrips,
 			u.ResidencySkips+u.EpochSkips, patternBadgeHTML(u.Pattern))
 	}

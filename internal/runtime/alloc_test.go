@@ -53,18 +53,19 @@ func verbScript(t testing.TB, async bool) {
 // looking: with no tracer, profile or registry attached, booking an event
 // allocates nothing, so the script allocates only what its segments,
 // device copies and tracking structures need. The bounds are a tenth above
-// what the script measured once device buffers, tree nodes and device-copy
-// names were recycled (ISSUE 18; 130 and 82 before); an event that escapes
-// to the heap, a span name built with no tracer to read it, or a map/release
-// pair that allocates again shows up here as a higher count.
+// what the script measures (77 and 69) now that the ledger keeps one row
+// per unit and no side maps (87 and 79 before; 130 and 82 before device
+// buffers, tree nodes and device-copy names were recycled); an event that
+// escapes to the heap, a span name built with no tracer to read it, or a
+// map/release pair that allocates again shows up here as a higher count.
 func TestVerbScriptAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		async bool
 		bound float64
 	}{
-		{"blocking", false, 96},
-		{"streams", true, 87},
+		{"blocking", false, 85},
+		{"streams", true, 76},
 	} {
 		got := testing.AllocsPerRun(20, func() { verbScript(t, c.async) })
 		t.Logf("%s: %.0f allocations per script", c.name, got)

@@ -38,6 +38,9 @@ type AllocInfo struct {
 	Name     string
 	IsGlobal bool
 	ReadOnly bool
+	// Line is the source line of the allocation site (0 for globals), the
+	// unit's Line on its ledger row.
+	Line int
 
 	DevPtr   uint64 // GPU copy base; 0 when not resident
 	RefCount int
@@ -135,7 +138,7 @@ type Runtime struct {
 
 	// Line is the source line of the instruction currently calling into the
 	// library: the interpreter stamps it before every allocation (the
-	// ledger records it as the unit's allocation site) and every cgcm.*
+	// unit's AllocInfo keeps it as the allocation site) and every cgcm.*
 	// call (its events carry it, and the profile charges the call's
 	// transfers to it).
 	Line int
@@ -184,8 +187,10 @@ func New(m *machine.Machine) *Runtime {
 func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
 	now := r.M.Now()
 	ev := trace.Event{Kind: kind, Start: now, End: now, Line: r.Line, Epoch: r.M.Epoch(), Copied: copied}
+	site := 0
 	if info != nil {
 		ev.Base, ev.Size, ev.Unit = info.Base, info.Size, info.Name
+		site = info.Line
 	}
 	st := &r.stats
 	switch kind {
@@ -225,7 +230,7 @@ func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
 	case kind == trace.EvUnmap:
 		st.EpochSkips++
 	}
-	r.Ledger.Fold(&ev)
+	r.Ledger.Fold(&ev, site)
 	r.M.Record(&ev)
 }
 
@@ -270,8 +275,7 @@ func (r *Runtime) DeclareGlobal(name string, base uint64, size int64, readOnly b
 // DeclareAlloca registers an escaping stack variable's allocation unit.
 // The registration expires when the frame pops (RemoveAlloca).
 func (r *Runtime) DeclareAlloca(base uint64, size int64, name string) {
-	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: name})
-	r.Ledger.NoteLine(base, r.Line)
+	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: name, Line: r.Line})
 }
 
 // RemoveAlloca expires a stack registration. Any GPU residual is freed
@@ -296,8 +300,7 @@ func (r *Runtime) Malloc(size int64) uint64 {
 	if base == 0 {
 		return 0
 	}
-	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: "malloc"})
-	r.Ledger.NoteLine(base, r.Line)
+	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: "malloc", Line: r.Line})
 	return base
 }
 

@@ -327,6 +327,52 @@ func TestDeclareAllocaExpiry(t *testing.T) {
 	}
 }
 
+// TestLedgerRowKeepsAllocationLine: a function called 1000 times allocates
+// a stack unit and a heap unit on lines 3 and 4 of its body, then maps,
+// launches on and unmaps both from line 7. Each call's units get their
+// own ledger rows, and every row carries the line the unit was allocated
+// on — the AllocInfo's, not the line current when it communicated.
+func TestLedgerRowKeepsAllocationLine(t *testing.T) {
+	rt, m := newRT()
+	const calls = 1000
+	for i := 0; i < calls; i++ {
+		rt.Line = 3
+		s := m.Alloc(machine.CPU, 64, "alloca f")
+		rt.DeclareAlloca(s, 64, "alloca f")
+		rt.Line = 4
+		h := rt.Malloc(64)
+		rt.Line = 7
+		for _, p := range []uint64{s, h} {
+			if _, err := rt.Map(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.KernelLaunched()
+		for _, p := range []uint64{s, h} {
+			if err := rt.Unmap(p); err != nil {
+				t.Fatal(err)
+			}
+			if err := rt.Release(p); err != nil {
+				t.Fatal(err)
+			}
+		}
+		rt.RemoveAlloca(s)
+		if err := rt.Free(h); err != nil {
+			t.Fatal(err)
+		}
+	}
+	l := rt.Ledger.Ledger()
+	if len(l.Units) != 2*calls {
+		t.Fatalf("ledger has %d rows, want %d", len(l.Units), 2*calls)
+	}
+	want := map[string]int{"alloca f": 3, "malloc": 4}
+	for _, u := range l.Units {
+		if u.Line != want[u.Name] {
+			t.Fatalf("%s@%#x: line %d, want %d", u.Name, u.Base, u.Line, want[u.Name])
+		}
+	}
+}
+
 // TestFreeForgetsLastTransfer: the per-unit ordering entry an async copy
 // leaves behind dies with the unit. Host addresses are never reused, so
 // an entry that outlives its unit can only leak.

@@ -151,7 +151,8 @@ type UnitKey struct {
 	N    int // occurrence index among same-site units
 }
 
-// String renders the key as a remark-style unit label.
+// String renders the key as a remark-style unit label, name[:line][#n]:
+// the one place a unit's label is spelled.
 func (k UnitKey) String() string {
 	s := k.Name
 	if k.Line > 0 {
@@ -163,8 +164,12 @@ func (k UnitKey) String() string {
 	return s
 }
 
-// Keys assigns every unit its cross-run key, in ledger order.
-func (l Ledger) Keys() []UnitKey {
+// Label renders the unit as a remark-style label, name[:line]; the line
+// lets the label cross-reference compile-time remarks about the unit.
+func (u *UnitStats) Label() string { return UnitKey{Name: u.Name, Line: u.Line}.String() }
+
+// keys assigns every unit its cross-run key, in ledger order.
+func (l Ledger) keys() []UnitKey {
 	occ := make(map[UnitKey]int)
 	keys := make([]UnitKey, len(l.Units))
 	for i := range l.Units {
@@ -174,6 +179,34 @@ func (l Ledger) Keys() []UnitKey {
 		occ[site]++
 	}
 	return keys
+}
+
+// UnitPair is one allocation unit as two ledgers of the same program
+// record it; A or B is nil when that ledger has no such unit.
+type UnitPair struct {
+	UnitKey
+	A, B *UnitStats
+}
+
+// JoinUnits pairs the units of a and b by UnitKey: b's units in ledger
+// order, then the units only a has, in a's order.
+func JoinUnits(a, b Ledger) []UnitPair {
+	aKeys := a.keys()
+	inA := make(map[UnitKey]*UnitStats, len(aKeys))
+	for i, k := range aKeys {
+		inA[k] = &a.Units[i]
+	}
+	pairs := make([]UnitPair, 0, len(b.Units))
+	for i, k := range b.keys() {
+		pairs = append(pairs, UnitPair{UnitKey: k, A: inA[k], B: &b.Units[i]})
+		delete(inA, k)
+	}
+	for i, k := range aKeys {
+		if inA[k] != nil {
+			pairs = append(pairs, UnitPair{UnitKey: k, A: &a.Units[i]})
+		}
+	}
+	return pairs
 }
 
 // OverlappedBytes sums overlapped transfer bytes across all units.
@@ -221,56 +254,37 @@ func fmtBytes(n int64) string {
 // calls it from the single root execution context, so it needs no locking;
 // a fresh builder is created per Program.Run.
 type LedgerBuilder struct {
-	units map[uint64]*unitAcc
+	units map[uint64]*UnitStats
 	order []uint64
-	// lines holds allocation-site source lines, noted by the runtime at
-	// allocation time; units that never communicate cost one map entry.
-	lines map[uint64]int
-}
-
-type unitAcc struct {
-	UnitStats
-	epochsSeen map[uint64]bool
-	sawDtoH    bool
 }
 
 // NewLedgerBuilder returns an empty builder.
 func NewLedgerBuilder() *LedgerBuilder {
-	return &LedgerBuilder{units: make(map[uint64]*unitAcc), lines: make(map[uint64]int)}
-}
-
-// NoteLine records the allocation-site source line of the unit at base;
-// the fold stamps it onto the unit's UnitStats.
-func (b *LedgerBuilder) NoteLine(base uint64, line int) {
-	if b == nil || line <= 0 {
-		return
-	}
-	b.lines[base] = line
-}
-
-func (b *LedgerBuilder) unit(base uint64, name string, size int64) *unitAcc {
-	u := b.units[base]
-	if u == nil {
-		u = &unitAcc{
-			UnitStats:  UnitStats{Name: name, Base: base, Size: size},
-			epochsSeen: make(map[uint64]bool),
-		}
-		b.units[base] = u
-		b.order = append(b.order, base)
-	}
-	return u
+	return &LedgerBuilder{units: make(map[uint64]*UnitStats)}
 }
 
 // Fold books one runtime-library event against the unit it names: a map,
 // unmap or release call (Copied tells a transfer from a residency or epoch
 // skip), the shadow-array upload of mapArray (always Copied), or an
-// eviction. An event that names no unit — a call absorbed after
-// degradation, a failed call, a retry — is not the ledger's business.
-func (b *LedgerBuilder) Fold(ev *Event) {
+// eviction. line is the unit's allocation site, which the runtime keeps
+// on its own record of the unit; the unit's first event stamps it on the
+// row (host addresses are never reused, so a base names one unit). An
+// event that names no unit — a call absorbed after degradation, a failed
+// call, a retry — is not the ledger's business.
+//
+// Events arrive in non-decreasing epoch order, so a copy opens a new
+// transfer epoch exactly when it is the unit's first or its epoch
+// differs from the last copy's.
+func (b *LedgerBuilder) Fold(ev *Event, line int) {
 	if b == nil || ev.Base == 0 {
 		return
 	}
-	u := b.unit(ev.Base, ev.Unit, ev.Size)
+	u := b.units[ev.Base]
+	if u == nil {
+		u = &UnitStats{Name: ev.Unit, Base: ev.Base, Size: ev.Size, Line: line}
+		b.units[ev.Base] = u
+		b.order = append(b.order, ev.Base)
+	}
 	switch ev.Kind {
 	case EvMap:
 		u.Maps++
@@ -290,22 +304,20 @@ func (b *LedgerBuilder) Fold(ev *Event) {
 	if !ev.Copied {
 		return
 	}
-	if !u.epochsSeen[ev.Epoch] {
-		u.epochsSeen[ev.Epoch] = true
+	if first := u.HtoDCopies+u.DtoHCopies == 0; first || ev.Epoch != u.LastEpoch {
 		u.TransferEpochs++
-	}
-	if u.HtoDCopies+u.DtoHCopies == 0 {
-		u.FirstEpoch = ev.Epoch
+		if first {
+			u.FirstEpoch = ev.Epoch
+		}
 	}
 	u.LastEpoch = ev.Epoch
 	if ev.Kind != EvUnmap {
-		if u.sawDtoH {
+		if u.DtoHCopies > 0 {
 			u.RoundTrips++
 		}
 		u.HtoDCopies++
 		u.BytesHtoD += ev.Size
 	} else {
-		u.sawDtoH = true
 		u.DtoHCopies++
 		u.BytesDtoH += ev.Size
 	}
@@ -340,9 +352,7 @@ func (b *LedgerBuilder) Ledger() Ledger {
 	}
 	var l Ledger
 	for _, base := range b.order {
-		u := b.units[base]
-		s := u.UnitStats
-		s.Line = b.lines[base]
+		s := *b.units[base]
 		switch {
 		case s.HtoDCopies+s.DtoHCopies == 0:
 			s.Pattern = PatternNone

@@ -7,7 +7,7 @@ import (
 
 // fold books one runtime-library event about the unit at base.
 func fold(b *LedgerBuilder, kind EventKind, base uint64, name string, size int64, epoch uint64, copied bool) {
-	b.Fold(&Event{Kind: kind, Base: base, Unit: name, Size: size, Epoch: epoch, Copied: copied})
+	b.Fold(&Event{Kind: kind, Base: base, Unit: name, Size: size, Epoch: epoch, Copied: copied}, 0)
 }
 
 func TestTracerNilSafe(t *testing.T) {
@@ -115,6 +115,37 @@ func TestLedgerNonePattern(t *testing.T) {
 	l := b.Ledger()
 	if got := l.Units[0].Pattern; got != PatternNone {
 		t.Errorf("pattern = %s, want none", got)
+	}
+}
+
+// TestLedgerTransferEpochs: a unit's transfer epochs are the distinct
+// epochs its copies fell in, counted as the events arrive (in epoch
+// order) with no set of epochs kept; only uploads here, so three epochs
+// alone make a unit cyclic.
+func TestLedgerTransferEpochs(t *testing.T) {
+	type ev struct {
+		kind   EventKind
+		epoch  uint64
+		copied bool
+	}
+	for _, c := range []struct {
+		name    string
+		evs     []ev
+		epochs  int
+		pattern Pattern
+	}{
+		{"two copies in one epoch", []ev{{EvMap, 2, true}, {EvUpload, 2, true}}, 1, PatternAcyclic},
+		{"copies in epochs 1, 1, 2, 4", []ev{{EvMap, 1, true}, {EvUpload, 1, true}, {EvMap, 2, true}, {EvMap, 4, true}}, 3, PatternCyclic},
+		{"maps but no copies", []ev{{EvMap, 0, false}, {EvMap, 1, false}, {EvUnmap, 1, false}}, 0, PatternNone},
+	} {
+		b := NewLedgerBuilder()
+		for _, e := range c.evs {
+			fold(b, e.kind, 0x1000, "malloc", 64, e.epoch, e.copied)
+		}
+		u := b.Ledger().Units[0]
+		if u.TransferEpochs != c.epochs || u.Pattern != c.pattern {
+			t.Errorf("%s: %d transfer epochs, %s; want %d, %s", c.name, u.TransferEpochs, u.Pattern, c.epochs, c.pattern)
+		}
 	}
 }
 
