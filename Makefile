@@ -70,16 +70,19 @@ compilebench:
 compilebenchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/core/ ./internal/analysis/
 
-# The communication layer's benchmark (internal/runtime/bench_test.go):
-# the map -> launch -> unmap -> release cycle on one unit, blocking and on
-# streams, at 4 KiB, 64 KiB and 512 KiB — host ns, bytes and objects
-# allocated per cycle. Advisory, and exported API only, like interpbench.
+# The communication layer's benchmarks: the map -> launch -> unmap ->
+# release cycle on one unit, blocking and on streams, at 4 KiB, 64 KiB and
+# 512 KiB — host ns, bytes and objects allocated per cycle
+# (internal/runtime/bench_test.go) — and the machine's clock alone, one
+# Retime of a recorded run's verbs, in ns per verb
+# (internal/machine/retime_bench_test.go). Advisory, and exported API
+# only, like interpbench.
 commbench:
-	$(GO) test -run=NONE -bench=. -benchtime=2s -count=5 ./internal/runtime/
+	$(GO) test -run=NONE -bench=. -benchtime=2s -count=5 ./internal/runtime/ ./internal/machine/
 
 # One iteration of each of those benchmarks, so they cannot rot.
 commbenchsmoke:
-	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/runtime/
+	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/runtime/ ./internal/machine/
 
 # Short native-fuzz pass over the mini-C front end, the full compile
 # pipeline and the parallelizer's differential oracle (the one-verdict

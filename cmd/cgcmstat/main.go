@@ -1,19 +1,21 @@
 // Command cgcmstat is the performance-introspection CLI: it computes
 // the exact critical path of a run on the simulated machine, classifies
-// the limiting factor the way the paper's Table 3 does, and replays the
-// operation graph under counterfactual weights to bound what each
-// optimization could buy.
+// the limiting factor the way the paper's Table 3 does, and retimes the
+// run's machine verbs under counterfactual machines to say exactly what
+// each optimization could buy.
 //
 // It consumes either a mini-C source file (compiled and executed live,
 // optimized CGCM) or a Chrome trace-event JSON file exported earlier
 // with -trace-out — traces are analyzable artifacts, not just pictures.
+// A trace carries the spans but not the verbs, so what-if predictions
+// need a source run.
 //
 // Usage:
 //
-//	cgcmstat file.c                  # critical path, lanes, queues, overlap
-//	cgcmstat trace.json              # same, from an exported trace
+//	cgcmstat file.c                  # critical path, lanes, queues, overlap, what-if
+//	cgcmstat trace.json              # same, from an exported trace, without what-if
 //	cgcmstat -async file.c           # analyze the overlapped schedule
-//	cgcmstat -whatif zero-comm file.c   # one counterfactual replay
+//	cgcmstat -whatif zero-comm file.c   # one counterfactual retime
 //	cgcmstat -diff file.c            # sync vs -async, delta attribution
 //	cgcmstat -diff a.json b.json     # attribute the delta of two traces
 //
@@ -122,59 +124,73 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "usage: cgcmstat [-whatif scenario | -diff | -history | -regress a b | -report out.html] [-async] file.c|trace.json")
 		return 2
 	}
-	a, err := load(ctx, fs.Arg(0), opts)
+	if scenario != "" && isTrace(fs.Arg(0)) {
+		fmt.Fprintln(stderr, "cgcmstat: -whatif needs a source run: a trace file carries no machine verbs")
+		return 2
+	}
+	a, rep, err := load(ctx, fs.Arg(0), opts)
 	if err != nil {
 		return runf.RunFailed(stderr, "cgcmstat", err)
 	}
 	var b strings.Builder
 	a.Render(&b)
-	if scenario != "" {
-		renderPredictions(&b, a, []critpath.Prediction{a.WhatIf(scenario)})
-	} else {
-		renderPredictions(&b, a, a.WhatIfAll())
+	switch {
+	case rep == nil:
+		fmt.Fprintln(&b, "what-if: needs a source run (a trace file carries no machine verbs)")
+	case scenario != "":
+		renderPredictions(&b, a, []critpath.Prediction{critpath.WhatIf(rep.Verbs, opts.CostModel(), scenario)})
+	default:
+		renderPredictions(&b, a, critpath.WhatIfAll(rep.Verbs, opts.CostModel()))
 	}
 	fmt.Fprint(stdout, b.String())
 	return 0
 }
 
+// isTrace reports whether path names an exported Chrome trace rather than
+// a source file.
+func isTrace(path string) bool { return strings.HasSuffix(path, ".json") }
+
 // load produces an analysis from either input form: an exported Chrome
-// trace (wall = the latest span end) or a live optimized run under ctx.
-func load(ctx context.Context, path string, opts core.Options) (*critpath.Analysis, error) {
-	if strings.HasSuffix(path, ".json") {
+// trace (wall = the latest span end; no report) or a live optimized run
+// under ctx, with its report.
+func load(ctx context.Context, path string, opts core.Options) (*critpath.Analysis, *core.Report, error) {
+	if isTrace(path) {
 		f, err := os.Open(path)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		defer f.Close()
 		spans, _, err := trace.ReadChrome(f)
 		if err != nil {
-			return nil, err
+			return nil, nil, err
 		}
 		if len(spans) == 0 {
-			return nil, fmt.Errorf("%s: trace has no machine spans", path)
+			return nil, nil, fmt.Errorf("%s: trace has no machine spans", path)
 		}
-		return critpath.Analyze(spans, critpath.WallOf(spans))
+		a, err := critpath.Analyze(spans, critpath.WallOf(spans))
+		return a, nil, err
 	}
 	src, err := os.ReadFile(path)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	return analyzeLive(ctx, path, string(src), opts)
 }
 
 // analyzeLive compiles and runs one source under opts and ctx with a
 // tracer attached and analyzes the spans.
-func analyzeLive(ctx context.Context, name, src string, opts core.Options) (*critpath.Analysis, error) {
+func analyzeLive(ctx context.Context, name, src string, opts core.Options) (*critpath.Analysis, *core.Report, error) {
 	opts.Tracer = trace.New()
 	rep, err := core.CompileAndRunContext(ctx, name, src, opts)
 	if err != nil {
-		return nil, err
+		return nil, nil, err
 	}
-	return critpath.Analyze(rep.Spans, rep.Stats.Wall)
+	a, err := critpath.Analyze(rep.Spans, rep.Stats.Wall)
+	return a, rep, err
 }
 
 func renderPredictions(b *strings.Builder, a *critpath.Analysis, preds []critpath.Prediction) {
-	fmt.Fprintf(b, "what-if replay (lower bounds; measured wall %.2fus):\n", a.Wall*1e6)
+	fmt.Fprintf(b, "what-if retime (exact; measured wall %.2fus):\n", a.Wall*1e6)
 	for _, p := range preds {
 		fmt.Fprintf(b, "  %-16s predicted %10.2fus   speedup bound %6.2fx\n",
 			p.Scenario, p.Wall*1e6, p.Speedup)
@@ -191,7 +207,7 @@ func runDiff(ctx context.Context, stdout, stderr io.Writer, runf *cli.RunFlags, 
 	var err error
 	switch len(args) {
 	case 1:
-		if strings.HasSuffix(args[0], ".json") {
+		if isTrace(args[0]) {
 			fmt.Fprintln(stderr, "cgcmstat: -diff with one input needs a source file (sync vs async); pass two traces to diff files")
 			return 2
 		}
@@ -203,13 +219,13 @@ func runDiff(ctx context.Context, stdout, stderr io.Writer, runf *cli.RunFlags, 
 		labelA, labelB = "sync", "async"
 		syncOpts, asyncOpts := opts, opts
 		syncOpts.Async, asyncOpts.Async = false, true
-		if a, err = analyzeLive(ctx, args[0], string(src), syncOpts); err == nil {
-			b, err = analyzeLive(ctx, args[0], string(src), asyncOpts)
+		if a, _, err = analyzeLive(ctx, args[0], string(src), syncOpts); err == nil {
+			b, _, err = analyzeLive(ctx, args[0], string(src), asyncOpts)
 		}
 	case 2:
 		labelA, labelB = diffLabels(args[0], args[1])
-		if a, err = load(ctx, args[0], opts); err == nil {
-			b, err = load(ctx, args[1], opts)
+		if a, _, err = load(ctx, args[0], opts); err == nil {
+			b, _, err = load(ctx, args[1], opts)
 		}
 	default:
 		fmt.Fprintln(stderr, "usage: cgcmstat -diff file.c | cgcmstat -diff a.json b.json")

@@ -64,15 +64,16 @@ func writeDemoTrace(t *testing.T, dir string, async bool) string {
 }
 
 // TestAnalyzeLiveAndTrace checks the headline mode both ways — live
-// compile+run and exported-trace file — and that the two agree exactly:
-// a trace is a complete analyzable artifact.
+// compile+run and exported-trace file — and that the two analyses agree
+// exactly: a trace is a complete analyzable artifact. Only the live run
+// predicts: a trace carries no machine verbs to retime.
 func TestAnalyzeLiveAndTrace(t *testing.T) {
 	src := writeDemo(t)
 	var live, fromFile bytes.Buffer
 	if code := run([]string{src}, &live, &live); code != 0 {
 		t.Fatalf("live exit %d:\n%s", code, live.String())
 	}
-	for _, want := range []string{"limiting factor: Comm.", "what-if replay", "zero-comm", "gpu-2x", "perfect-overlap", "sums to wall"} {
+	for _, want := range []string{"limiting factor: Comm.", "what-if retime (exact", "zero-comm", "gpu-2x", "perfect-overlap", "sums to wall"} {
 		if !strings.Contains(live.String(), want) {
 			t.Errorf("live output missing %q:\n%s", want, live.String())
 		}
@@ -81,9 +82,14 @@ func TestAnalyzeLiveAndTrace(t *testing.T) {
 	if code := run([]string{tf}, &fromFile, &fromFile); code != 0 {
 		t.Fatalf("trace-file exit %d:\n%s", code, fromFile.String())
 	}
-	if live.String() != fromFile.String() {
+	analysis, _, _ := strings.Cut(live.String(), "what-if retime")
+	fileAnalysis, rest, _ := strings.Cut(fromFile.String(), "what-if: needs a source run")
+	if analysis != fileAnalysis {
 		t.Errorf("trace-file analysis differs from live analysis:\n--- live ---\n%s--- file ---\n%s",
 			live.String(), fromFile.String())
+	}
+	if rest == "" || strings.Contains(fromFile.String(), "predicted") {
+		t.Errorf("trace-file output should say what-if needs a source run and predict nothing:\n%s", fromFile.String())
 	}
 }
 
@@ -108,6 +114,11 @@ func TestWhatIfFlag(t *testing.T) {
 	bad.Reset()
 	if code := run([]string{"-whatif", "bogus", "missing.c"}, &bad, &bad); code != 2 || !strings.Contains(bad.String(), `unknown scenario "bogus"`) {
 		t.Errorf("-whatif bogus missing.c: exit %d, output %q; want 2 and the scenario error", code, bad.String())
+	}
+	// A trace file carries no verbs to retime: refused before it is read.
+	bad.Reset()
+	if code := run([]string{"-whatif", "zero-comm", "missing.json"}, &bad, &bad); code != 2 || !strings.Contains(bad.String(), "needs a source run") {
+		t.Errorf("-whatif zero-comm missing.json: exit %d, output %q; want 2 and the source-run error", code, bad.String())
 	}
 }
 

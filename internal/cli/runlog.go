@@ -53,7 +53,7 @@ func NewRunRecord(program string, opts core.Options, rep *core.Report, hostNS in
 	if len(rep.Spans) > 0 {
 		if a, err := critpath.Analyze(rep.Spans, rep.Stats.Wall); err == nil {
 			s := a.Summary()
-			s.Predictions = a.WhatIfAll()
+			s.Predictions = critpath.WhatIfAll(rep.Verbs, opts.CostModel())
 			rec.Critpath = &s
 		}
 	}

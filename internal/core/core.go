@@ -308,6 +308,15 @@ type Options struct {
 	Async bool
 }
 
+// CostModel returns the cost model a run under o uses: Cost, or the
+// default.
+func (o Options) CostModel() machine.CostModel {
+	if o.Cost != nil {
+		return *o.Cost
+	}
+	return machine.DefaultCostModel()
+}
+
 // ablated reports whether a pass is disabled.
 func (o *Options) ablated(p Pass) bool { return o.Ablate.Has(p) }
 
@@ -349,6 +358,9 @@ type Report struct {
 	// Spans holds this run's structured timeline spans (exactly when
 	// Options.Tracer is set).
 	Spans []trace.Span
+	// Verbs holds this run's timed machine calls, in call order (exactly
+	// when Spans is set): machine.Retime replays them under any cost model.
+	Verbs []machine.Verb
 	// Profile is the exact execution profile (when Options.Profile).
 	Profile *prof.Profile
 	// Remarks holds the compile-time optimization remarks plus this
@@ -559,11 +571,7 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 	if rc.Metrics != nil {
 		met = rc.Metrics
 	}
-	cost := machine.DefaultCostModel()
-	if p.Opts.Cost != nil {
-		cost = *p.Opts.Cost
-	}
-	mach := machine.New(cost)
+	mach := machine.New(p.Opts.CostModel())
 	// The timeline and the profile are read from the run's event log after
 	// the run; the machine keeps it only when one of them is wanted.
 	if p.Opts.Tracer != nil || p.Opts.Profile {
@@ -628,6 +636,7 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 	}
 	if p.Opts.Tracer != nil {
 		rep.Spans = trace.Spans(mach.Log())
+		rep.Verbs = mach.Verbs()
 		p.Opts.Tracer.Emit(rep.Spans...)
 	}
 	if p.Opts.Profile {

@@ -12,16 +12,16 @@
 // that ends exactly at the cursor, credit it, and jump to its start.
 // The resulting segments tile [0, Wall] contiguously (each segment's
 // start equals the previous segment's end, exactly), which is the
-// invariant `make critpath` asserts across the bench suite.
+// invariant TestLiveInvariant asserts across the bench suite.
 //
 // CPU time the machine advances without emitting a span — kernel enqueue
 // cost, cuMemAlloc charges — appears as synthetic "overhead" segments so
 // the tiling never has holes.
 //
-// On top of the extracted operation graph, whatif.go replays the run
-// under counterfactual edge weights (free transfers, a 2x GPU, perfect
-// overlap) and diff.go attributes the wall delta between two runs to
-// span classes.
+// whatif.go predicts a run's wall under counterfactuals (free transfers,
+// a 2x GPU, perfect overlap) by retiming the run's machine verbs with the
+// machine's own clock, and diff.go attributes the wall delta between two
+// runs to span classes.
 package critpath
 
 import (
@@ -62,7 +62,7 @@ func (c Class) String() string {
 	return "?"
 }
 
-// opKind is the replay/selection role of one operation.
+// opKind is the selection role of one operation.
 type opKind int
 
 const (
@@ -81,12 +81,6 @@ type op struct {
 	span       int // index into the source span slice; -1 for synthetic gaps
 	start, end float64
 	lane       trace.Lane
-	// cause, for stalls, is the op whose completion the stall waited for
-	// (its end equals the stall's end exactly); -1 when unmatched.
-	cause int
-	// waits, for kernels and copies, are the ops whose completion bounds
-	// the start (end == start exactly, on another timeline).
-	waits []int
 }
 
 func (o *op) dur() float64 { return o.end - o.start }
@@ -142,16 +136,6 @@ type Analysis struct {
 
 	spans []trace.Span
 	ops   []op
-	seq   []int // op indices in issue order, for replay
-}
-
-// PathSum returns the sum of path segment durations.
-func (a *Analysis) PathSum() float64 {
-	var s float64
-	for i := range a.Path {
-		s += a.Path[i].End - a.Path[i].Start
-	}
-	return s
 }
 
 // Validate checks the tiling invariant: contiguous segments from 0 to
@@ -300,43 +284,17 @@ func WallOf(spans []trace.Span) float64 {
 }
 
 // build turns spans into ops: the CPU chain (with synthetic gap ops
-// covering untraced clock advancement), the kernel sequence, and the
-// per-stream copy sequences, all interleaved in issue order in a.seq.
+// covering untraced clock advancement), the kernels, and the stream
+// copies, in issue order.
 func (a *Analysis) build() error {
 	cursor := 0.0 // CPU-chain coverage so far
-	endIdx := make(map[float64][]int)
-	addOp := func(o op) int {
-		idx := len(a.ops)
-		a.ops = append(a.ops, o)
-		a.seq = append(a.seq, idx)
-		if o.end > o.start {
-			endIdx[o.end] = append(endIdx[o.end], idx)
-		}
-		return idx
-	}
-	// bindWaits resolves cross-timeline start bounds: ops on other lanes
-	// whose end equals this start exactly.
-	bindWaits := func(self int) {
-		o := &a.ops[self]
-		for _, c := range endIdx[o.start] {
-			if c == self {
-				continue
-			}
-			co := &a.ops[c]
-			if co.lane != o.lane {
-				o.waits = append(o.waits, c)
-			}
-		}
-	}
 	for i := range a.spans {
 		s := &a.spans[i]
 		switch {
 		case s.Kind == trace.KindKernel:
-			idx := addOp(op{kind: opKernel, span: i, start: s.Start, end: s.End, lane: s.Lane, cause: -1})
-			bindWaits(idx)
+			a.ops = append(a.ops, op{kind: opKernel, span: i, start: s.Start, end: s.End, lane: s.Lane})
 		case s.Lane >= trace.LaneStreamBase && (s.Kind == trace.KindHtoD || s.Kind == trace.KindDtoH):
-			idx := addOp(op{kind: opCopy, span: i, start: s.Start, end: s.End, lane: s.Lane, cause: -1})
-			bindWaits(idx)
+			a.ops = append(a.ops, op{kind: opCopy, span: i, start: s.Start, end: s.End, lane: s.Lane})
 		case cpuAdvancing(s):
 			start, end := s.Start, s.End
 			if end <= cursor {
@@ -348,7 +306,7 @@ func (a *Analysis) build() error {
 			if start > cursor {
 				// Untraced CPU-clock advancement (enqueue, cuMemAlloc):
 				// synthesize an overhead op so the chain stays contiguous.
-				addOp(op{kind: opGap, span: -1, start: cursor, end: start, lane: trace.LaneCPU, cause: -1})
+				a.ops = append(a.ops, op{kind: opGap, span: -1, start: cursor, end: start, lane: trace.LaneCPU})
 			}
 			k := opCPU
 			switch s.Kind {
@@ -363,24 +321,7 @@ func (a *Analysis) build() error {
 			case trace.KindHtoD, trace.KindDtoH:
 				k = opXfer
 			}
-			idx := addOp(op{kind: k, span: i, start: start, end: end, lane: s.Lane, cause: -1})
-			if k == opStall {
-				// Bind the stall to what it waited for: a kernel or stream
-				// copy completing exactly at the stall's target.
-				best := -1
-				for _, c := range endIdx[end] {
-					if c == idx {
-						continue
-					}
-					co := &a.ops[c]
-					if co.kind == opKernel && (best == -1 || a.ops[best].kind != opKernel) {
-						best = c
-					} else if co.kind == opCopy && best == -1 {
-						best = c
-					}
-				}
-				a.ops[idx].cause = best
-			}
+			a.ops = append(a.ops, op{kind: k, span: i, start: start, end: end, lane: s.Lane})
 			cursor = end
 		}
 	}
@@ -394,8 +335,7 @@ func (a *Analysis) build() error {
 			}
 		}
 		if a.Wall > last {
-			a.ops = append(a.ops, op{kind: opGap, span: -1, start: last, end: a.Wall, lane: trace.LaneCPU, cause: -1})
-			a.seq = append(a.seq, len(a.ops)-1)
+			a.ops = append(a.ops, op{kind: opGap, span: -1, start: last, end: a.Wall, lane: trace.LaneCPU})
 		}
 	} else if cursor > a.Wall {
 		return fmt.Errorf("critpath: CPU chain runs to %g past wall %g", cursor, a.Wall)
@@ -575,12 +515,13 @@ func (a *Analysis) queueStats() {
 
 // overlapStats measures how much communication time ran under other
 // work: for each stream copy, the portion of its interval covered by
-// CPU compute or kernel execution.
+// CPU compute, CPU overhead (launch enqueue, device allocation) or
+// kernel execution.
 func (a *Analysis) overlapStats() {
 	var busyIv [][2]float64
 	for i := range a.ops {
 		o := &a.ops[i]
-		if o.kind == opCPU || o.kind == opKernel {
+		if o.kind == opCPU || o.kind == opGap || o.kind == opKernel {
 			busyIv = append(busyIv, [2]float64{o.start, o.end})
 		}
 	}

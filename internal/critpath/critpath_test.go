@@ -21,7 +21,11 @@ func tile(t *testing.T, a *critpath.Analysis) {
 	if err := a.Validate(); err != nil {
 		t.Fatal(err)
 	}
-	if s := a.PathSum(); math.Abs(s-a.Wall) > 1e-9*a.Wall {
+	var s float64
+	for _, seg := range a.Path {
+		s += seg.End - seg.Start
+	}
+	if math.Abs(s-a.Wall) > 1e-9*a.Wall {
 		t.Fatalf("path sum %g != wall %g", s, a.Wall)
 	}
 }
@@ -65,13 +69,112 @@ func TestSyntheticSyncSchedule(t *testing.T) {
 	if a.Limiting != "GPU" {
 		t.Errorf("limiting = %q, want GPU", a.Limiting)
 	}
-	// zero-comm removes the two transfers (16) but keeps the kernel wait.
-	p := a.WhatIf(critpath.ScenarioZeroComm)
-	if p.Wall > a.Wall {
-		t.Errorf("zero-comm predicted %g > measured %g", p.Wall, a.Wall)
+}
+
+// cyclicScript drives the canonical cyclic schedule on a machine under
+// cost — CPU work, upload, kernel, download (which waits for the kernel),
+// CPU work — with its verbs kept. On streams, the upload is a prefetch the
+// kernel waits for and the download a flush the host then touches.
+func cyclicScript(t *testing.T, cost machine.CostModel, async bool) *machine.Machine {
+	t.Helper()
+	m := machine.New(cost)
+	m.KeepLog()
+	const n = 4096
+	host, dev := m.Alloc(machine.CPU, n, "a"), m.Alloc(machine.GPU, n, "dev:a")
+	var up, down *machine.Stream
+	if async {
+		up, down = m.NewStream("h2d"), m.NewStream("d2h")
 	}
-	if p.Wall >= a.Wall-15 {
-		t.Errorf("zero-comm predicted %g, expected the 16 units of transfer gone", p.Wall)
+	m.CPUOps(1000)
+	ev, err := m.CopyHtoDAsync(up, dev, host, n)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if async {
+		m.LaunchKernelAt("k", 1, 100_000, 1000, ev)
+	} else {
+		m.LaunchKernelAt("k", 1, 100_000, 1000)
+	}
+	if _, err := m.CopyDtoHAsync(down, host, dev, n); err != nil {
+		t.Fatal(err)
+	}
+	m.CPUOps(100)
+	m.WaitHostUnit(host)
+	m.CPUOps(100)
+	m.Sync()
+	return m
+}
+
+// TestZeroCommRetimesTheVerbs: zero-comm predicts exactly the wall of the
+// same calls on a machine whose transfers are free — the two copies gone,
+// the download's wait for the kernel kept — and identity the measured
+// wall.
+func TestZeroCommRetimesTheVerbs(t *testing.T) {
+	def := machine.DefaultCostModel()
+	for _, async := range []bool{false, true} {
+		m := cyclicScript(t, def, async)
+		measured := m.Stats().Wall
+		if id := critpath.WhatIf(m.Verbs(), def, critpath.ScenarioIdentity); id.Wall != measured || id.Speedup != 1 {
+			t.Errorf("async=%v: identity %+v, measured wall %g", async, id, measured)
+		}
+		p := critpath.WhatIf(m.Verbs(), def, critpath.ScenarioZeroComm)
+		free := cyclicScript(t, critpath.ScenarioZeroComm.Cost(def), async).Stats()
+		if p.Wall != free.Wall || free.CommTime != 0 {
+			t.Errorf("async=%v: zero-comm predicted %g, a free-transfer machine measures %g (comm %g)", async, p.Wall, free.Wall, free.CommTime)
+		}
+		if p.Wall >= measured || p.Speedup != measured/p.Wall {
+			t.Errorf("async=%v: zero-comm %+v against measured %g", async, p, measured)
+		}
+	}
+}
+
+// TestPerfectOverlapRewrite: perfect-overlap retimes the verbs with every
+// copy on one new stream and nothing but the final sync waiting for a
+// copy — exactly the wall of a machine driven that way.
+func TestPerfectOverlapRewrite(t *testing.T) {
+	def := machine.DefaultCostModel()
+	for _, async := range []bool{false, true} {
+		m := cyclicScript(t, def, async)
+		dedicated := 1 // Verb.Stream: 1 + the index of the first stream the run did not use
+		if async {
+			dedicated = 3
+		}
+		verbs := critpath.ScenarioPerfectOverlap.Verbs(m.Verbs())
+		for _, v := range verbs {
+			switch v.Kind {
+			case machine.VerbHtoD, machine.VerbDtoH:
+				if v.Stream != dedicated {
+					t.Errorf("async=%v: copy on stream %d, want the dedicated stream %d", async, v.Stream, dedicated)
+				}
+			case machine.VerbKernel:
+				if len(v.Waits) != 0 {
+					t.Errorf("async=%v: kernel still waits on %v", async, v.Waits)
+				}
+			case machine.VerbTouch, machine.VerbFree:
+				t.Errorf("async=%v: rewrite kept a %v verb", async, v.Kind)
+			}
+		}
+		// The same program on a machine whose copies all go on a third
+		// stream that no launch or host access waits for.
+		o := machine.New(def)
+		const n = 4096
+		host, dev := o.Alloc(machine.CPU, n, "a"), o.Alloc(machine.GPU, n, "dev:a")
+		o.NewStream("h2d")
+		o.NewStream("d2h")
+		dma := o.NewStream("dma")
+		o.CPUOps(1000)
+		o.CopyHtoDAsync(dma, dev, host, n)
+		o.LaunchKernelAt("k", 1, 100_000, 1000)
+		o.CopyDtoHAsync(dma, host, dev, n)
+		o.CPUOps(200)
+		o.Sync()
+		p := critpath.WhatIf(m.Verbs(), def, critpath.ScenarioPerfectOverlap)
+		if want := o.Stats().Wall; p.Wall != want {
+			t.Errorf("async=%v: perfect-overlap predicted %g, the rewritten machine measures %g", async, p.Wall, want)
+		}
+		if p.Wall > m.Stats().Wall {
+			t.Errorf("async=%v: perfect-overlap predicted %g above the measured %g", async, p.Wall, m.Stats().Wall)
+		}
 	}
 }
 
@@ -129,6 +232,16 @@ func livePrograms() []string {
 	return names
 }
 
+// sweepPrograms names the inputs of the sweeps that re-run every
+// program under several configurations: livePrograms, or the sample
+// under the race detector.
+func sweepPrograms() []string {
+	if raceEnabled {
+		return liveSample
+	}
+	return livePrograms()
+}
+
 func analyzeLive(t *testing.T, name string, opts core.Options) (*critpath.Analysis, *core.Report) {
 	t.Helper()
 	p, ok := bench.ByName(name)
@@ -149,14 +262,16 @@ func analyzeLive(t *testing.T, name string, opts core.Options) (*critpath.Analys
 }
 
 // TestLiveInvariant runs real programs sync and async and asserts the
-// tiling invariant plus the zero-comm bound.
+// tiling invariant, that no prediction exceeds the measured wall, and
+// that the identity retime is the measured wall.
 func TestLiveInvariant(t *testing.T) {
 	for _, name := range livePrograms() {
 		for _, async := range []bool{false, true} {
 			a, rep := analyzeLive(t, name, core.Options{Strategy: core.CGCMOptimized, Async: async})
 			tile(t, a)
-			for _, p := range append(a.WhatIfAll(), a.WhatIf(critpath.ScenarioIdentity)) {
-				if p.Wall > rep.Stats.Wall*(1+1e-9) {
+			cost := machine.DefaultCostModel()
+			for _, p := range critpath.WhatIfAll(rep.Verbs, cost) {
+				if p.Wall > rep.Stats.Wall {
 					t.Errorf("%s async=%v: %s predicted %g > measured %g",
 						name, async, p.Scenario, p.Wall, rep.Stats.Wall)
 				}
@@ -164,12 +279,57 @@ func TestLiveInvariant(t *testing.T) {
 					t.Errorf("%s async=%v: %s predicted %g", name, async, p.Scenario, p.Wall)
 				}
 			}
-			// Identity replay should land close to the measured wall: the
-			// only slack is enqueue-gap resolution (a few us per kernel).
-			id := a.WhatIf(critpath.ScenarioIdentity)
-			if id.Wall < 0.9*rep.Stats.Wall {
-				t.Errorf("%s async=%v: identity replay %g far below measured %g",
+			// The identity retime is the measured wall, bit for bit.
+			if id := critpath.WhatIf(rep.Verbs, cost, critpath.ScenarioIdentity); id.Wall != rep.Stats.Wall {
+				t.Errorf("%s async=%v: identity retime %g, measured %g",
 					name, async, id.Wall, rep.Stats.Wall)
+			}
+		}
+	}
+}
+
+// TestCPUSpansAreCPUWork: on every traced run, a CPU span lasts exactly
+// the cost of the ops it names (rounding of the clock's running sum
+// apart), so no other charge — a device allocation, say — hides inside
+// one, and the critical path's CPU class is no more than Stats.CPUTime.
+func TestCPUSpansAreCPUWork(t *testing.T) {
+	cost := machine.DefaultCostModel()
+	for _, name := range sweepPrograms() {
+		for _, strategy := range []core.Strategy{core.CGCMUnoptimized, core.CGCMOptimized, core.InspectorExecutor} {
+			for _, async := range []bool{false, true} {
+				if async && strategy == core.InspectorExecutor {
+					continue // the inspector maps nothing, so it has no async schedule
+				}
+				a, rep := analyzeLive(t, name, core.Options{Strategy: strategy, Async: async})
+				label := fmt.Sprintf("%s %v async=%v", name, strategy, async)
+				bad := 0
+				for _, s := range rep.Spans {
+					if s.Kind != trace.KindCPU {
+						continue
+					}
+					var n int64
+					want := 0.0
+					if _, err := fmt.Sscanf(s.Name, "inspect %d", &n); err == nil {
+						want = float64(n) * cost.InspectorPerOp
+					} else if _, err := fmt.Sscanf(s.Name, "%d ops", &n); err == nil {
+						want = float64(n) * cost.CPUOp
+					} else {
+						t.Fatalf("%s: CPU span %q names no ops", label, s.Name)
+					}
+					if got := s.End - s.Start; math.Abs(got-want) > 1e-6*want {
+						if bad++; bad <= 3 {
+							t.Errorf("%s: CPU span %q at %gus lasts %gus, its ops cost %gus",
+								label, s.Name, s.Start*1e6, got*1e6, want*1e6)
+						}
+					}
+				}
+				if bad > 3 {
+					t.Errorf("%s: %d CPU spans last longer or shorter than their ops", label, bad)
+				}
+				if cpu := a.ByClass[critpath.ClassCPU]; cpu > rep.Stats.CPUTime*(1+1e-9) {
+					t.Errorf("%s: critical path credits CPU with %gus, Stats.CPUTime is %gus",
+						label, cpu*1e6, rep.Stats.CPUTime*1e6)
+				}
 			}
 		}
 	}
@@ -200,10 +360,10 @@ func sameAcrossWorkers(t *testing.T, name string, opts core.Options) {
 	t.Helper()
 	label := fmt.Sprintf("%s async=%v faulty=%v", name, opts.Async, opts.FaultSpec != nil)
 	opts.Workers = 1
-	base, _ := analyzeLive(t, name, opts)
+	base, baseRep := analyzeLive(t, name, opts)
 	tile(t, base)
 	opts.Workers = 4
-	a, _ := analyzeLive(t, name, opts)
+	a, rep := analyzeLive(t, name, opts)
 	tile(t, a)
 	if a.Wall != base.Wall {
 		t.Fatalf("%s: wall differs across workers: %g vs %g", label, a.Wall, base.Wall)
@@ -219,8 +379,9 @@ func sameAcrossWorkers(t *testing.T, name string, opts core.Options) {
 			t.Fatalf("%s: path segment %d differs: %+v vs %+v", label, i, a.Path[i], base.Path[i])
 		}
 	}
-	basePred := base.WhatIfAll()
-	for i, p := range a.WhatIfAll() {
+	cost := machine.DefaultCostModel()
+	basePred := critpath.WhatIfAll(baseRep.Verbs, cost)
+	for i, p := range critpath.WhatIfAll(rep.Verbs, cost) {
 		if p != basePred[i] {
 			t.Errorf("%s: prediction %s differs: %+v vs %+v", label, p.Scenario, p, basePred[i])
 		}
@@ -231,11 +392,12 @@ func sameAcrossWorkers(t *testing.T, name string, opts core.Options) {
 // async attribution on the Comm.-limited programs must agree with the
 // ledger's overlapped-bytes column. Overlap does not shorten the copies
 // themselves — they still gate the kernels, so communication's on-path
-// time is unchanged — it hides CPU work behind them. Agreement
-// therefore means: the CPU/overhead time that left the critical path,
-// the span-derived hidden communication time, and the ledger's
-// overlapped bytes converted at the link's per-byte cost all describe
-// the same quantity.
+// time is unchanged — it hides host overhead behind them: mostly device
+// allocations and kernel enqueues, barely any CPU compute. Agreement
+// therefore means: the overhead and CPU time that left the critical
+// path, the span-derived hidden communication time (copy time under CPU
+// work, CPU overhead or kernels), and the ledger's overlapped bytes
+// converted at the link's per-byte cost all describe the same quantity.
 func TestDiffAgreesWithLedger(t *testing.T) {
 	perByte := machine.DefaultCostModel().TransferPerB
 	for _, name := range bench.CommLimited {

@@ -1,41 +1,35 @@
-// What-if replay: re-times the reconstructed operation graph under
-// counterfactual edge weights. The replay walks the ops in issue order
-// with a tiny scheduler (a CPU clock, a GPU-ready clock, one clock per
-// stream, and a DMA-engine clock for the perfect-overlap scenario),
-// applying the same start rules the machine uses — a kernel starts at
-// max(CPU, GPU, waits), a copy honors its stream's occupancy, a stall
-// waits for its bound cause — but with scenario-adjusted durations.
-//
-// Where the trace underdetermines the original schedule (the exact CPU
-// clock at each enqueue inside an untraced overhead gap), the replay
-// resolves the ambiguity toward earlier starts, so predictions are
-// lower bounds: `-whatif zero-comm` never predicts a wall above the
-// measured one.
+// What-if: a run's wall under a counterfactual machine. A scenario is
+// data — a cost model, or a rewrite of the run's verb list
+// (core.Report.Verbs) — and machine.Retime runs the machine's own clock
+// over it, so a prediction is exactly the wall a re-run under the
+// scenario's cost model measures; perfect-overlap, which no cost model
+// expresses, is exactly the wall of the machine its rewrite describes.
+// A Chrome trace carries no verbs: what-if needs a source run.
 package critpath
 
 import (
 	"fmt"
 
-	"cgcm/internal/trace"
+	"cgcm/internal/machine"
 )
 
-// Scenario names one counterfactual weighting.
+// Scenario names one counterfactual.
 type Scenario string
 
 // Scenarios.
 const (
-	// ScenarioIdentity replays with unchanged weights; it reproduces the
-	// measured wall up to float accumulation and the enqueue-gap
-	// resolution noted above (a self-check, not a prediction).
+	// ScenarioIdentity retimes the run unchanged; it equals the measured
+	// wall bit for bit (a self-check, not a prediction).
 	ScenarioIdentity Scenario = "identity"
-	// ScenarioZeroComm makes every transfer free (zero duration); data
-	// dependencies — a host read still waiting for the kernel that
-	// produced the value — are preserved.
+	// ScenarioZeroComm makes every transfer free: TransferLat and
+	// TransferPerB are 0. Data dependencies — a host read still waiting
+	// for the kernel that produced the value — are preserved.
 	ScenarioZeroComm Scenario = "zero-comm"
-	// ScenarioGPU2x halves every kernel's duration.
+	// ScenarioGPU2x halves GPUOp and LaunchGPU, which halves every
+	// kernel's duration.
 	ScenarioGPU2x Scenario = "gpu-2x"
-	// ScenarioPerfectOverlap moves every transfer onto a DMA engine that
-	// never blocks the CPU or the GPU: the theoretical limit of
+	// ScenarioPerfectOverlap moves every copy onto one dedicated stream
+	// that nothing waits for but the final sync: the theoretical limit of
 	// communication/computation overlap.
 	ScenarioPerfectOverlap Scenario = "perfect-overlap"
 )
@@ -54,143 +48,70 @@ func ParseScenario(s string) (Scenario, error) {
 	return "", fmt.Errorf("unknown scenario %q (want zero-comm, gpu-2x, perfect-overlap, or identity)", s)
 }
 
-// Prediction is the outcome of one what-if replay.
-type Prediction struct {
-	Scenario Scenario `json:"scenario"`
-	Wall     float64  `json:"wall"`    // predicted wall under the scenario
-	Speedup  float64  `json:"speedup"` // measured wall / predicted wall: the speedup bound
-}
-
-// WhatIf replays the run under one scenario.
-func (a *Analysis) WhatIf(sc Scenario) Prediction {
-	w := a.replay(sc)
-	p := Prediction{Scenario: sc, Wall: w}
-	if w > 0 {
-		p.Speedup = a.Wall / w
+// Cost returns the cost model sc retimes a run made under cost with.
+func (sc Scenario) Cost(cost machine.CostModel) machine.CostModel {
+	switch sc {
+	case ScenarioZeroComm:
+		cost.TransferLat, cost.TransferPerB = 0, 0
+	case ScenarioGPU2x:
+		// Halving is exact in floating point, so every kernel's duration
+		// (LaunchGPU plus a product of GPUOp) halves bit for bit.
+		cost.GPUOp /= 2
+		cost.LaunchGPU /= 2
 	}
-	return p
+	return cost
 }
 
-// WhatIfAll replays every predictive scenario.
-func (a *Analysis) WhatIfAll() []Prediction {
-	var out []Prediction
-	for _, sc := range Scenarios() {
-		out = append(out, a.WhatIf(sc))
+// Verbs returns the verb list sc retimes: for perfect-overlap, verbs with
+// every copy moved to one stream of its own and nothing but the final
+// sync waiting for a copy; verbs itself otherwise.
+func (sc Scenario) Verbs(verbs []machine.Verb) []machine.Verb {
+	if sc != ScenarioPerfectOverlap {
+		return verbs
+	}
+	dma := 1
+	for i := range verbs {
+		dma = max(dma, verbs[i].Stream+1)
+	}
+	out := make([]machine.Verb, len(verbs))
+	for i, v := range verbs {
+		switch v.Kind {
+		case machine.VerbHtoD, machine.VerbDtoH:
+			v.Stream = dma
+		case machine.VerbKernel:
+			v.Waits = nil // copies, or marks of the GPU it waits for anyway
+		case machine.VerbTouch, machine.VerbFree:
+			// They wait for copies and do nothing else: zero CPU ops, a
+			// no-op that keeps every event id in place.
+			v = machine.Verb{Kind: machine.VerbCPU}
+		}
+		out[i] = v
 	}
 	return out
 }
 
-// replay is the scenario scheduler. It is a pure function of the
-// analyzed spans, so predictions are bit-identical across engine worker
-// counts and host schedules.
-func (a *Analysis) replay(sc Scenario) float64 {
-	var cpu, gpu, dma float64
-	stream := make(map[trace.Lane]float64)
-	newEnd := make([]float64, len(a.ops))
-	for _, idx := range a.seq {
-		o := &a.ops[idx]
-		d := o.dur()
-		switch o.kind {
-		case opCPU, opBackoff, opGap:
-			cpu += d
-			newEnd[idx] = cpu
+// Prediction is the outcome of one what-if retime.
+type Prediction struct {
+	Scenario Scenario `json:"scenario"`
+	Wall     float64  `json:"wall"`    // the wall under the scenario
+	Speedup  float64  `json:"speedup"` // measured wall / predicted wall
+}
 
-		case opXfer:
-			if sc == ScenarioPerfectOverlap {
-				if cpu > dma {
-					dma = cpu
-				}
-				dma += d
-				newEnd[idx] = dma
-				break
-			}
-			// Synchronous transfers serialize with compute and resync the
-			// GPU timeline, exactly like machine.xfer.
-			if gpu > cpu {
-				cpu = gpu
-			}
-			if sc == ScenarioZeroComm {
-				d = 0
-			}
-			cpu += d
-			if cpu > gpu {
-				gpu = cpu
-			}
-			newEnd[idx] = cpu
+// WhatIf retimes verbs, recorded by a run under cost, under one scenario.
+func WhatIf(verbs []machine.Verb, cost machine.CostModel, sc Scenario) Prediction {
+	wall := machine.Retime(verbs, cost).Wall
+	p := Prediction{Scenario: sc, Wall: machine.Retime(sc.Verbs(verbs), sc.Cost(cost)).Wall}
+	if p.Wall > 0 {
+		p.Speedup = wall / p.Wall
+	}
+	return p
+}
 
-		case opKernel:
-			start := cpu
-			if gpu > start {
-				start = gpu
-			}
-			if sc != ScenarioPerfectOverlap {
-				for _, w := range o.waits {
-					if a.ops[w].kind == opCopy && newEnd[w] > start {
-						start = newEnd[w]
-					}
-				}
-			}
-			if sc == ScenarioGPU2x {
-				d /= 2
-			}
-			gpu = start + d
-			newEnd[idx] = gpu
-
-		case opCopy:
-			start := cpu
-			if s := stream[o.lane]; s > start {
-				start = s
-			}
-			if o.span >= 0 && a.spans[o.span].Kind == trace.KindDtoH && gpu > start {
-				start = gpu
-			}
-			for _, w := range o.waits {
-				if wo := &a.ops[w]; (wo.kind == opCopy || wo.kind == opKernel) && newEnd[w] > start {
-					start = newEnd[w]
-				}
-			}
-			if sc == ScenarioZeroComm {
-				d = 0
-			}
-			stream[o.lane] = start + d
-			newEnd[idx] = start + d
-
-		case opStall:
-			switch {
-			case o.cause >= 0 && a.ops[o.cause].kind == opKernel:
-				if gpu > cpu {
-					cpu = gpu
-				}
-			case o.cause >= 0:
-				// Waiting on a stream copy; perfect overlap removes the wait.
-				if sc != ScenarioPerfectOverlap && newEnd[o.cause] > cpu {
-					cpu = newEnd[o.cause]
-				}
-			default:
-				// Unbound stall: a full synchronization.
-				if gpu > cpu {
-					cpu = gpu
-				}
-				for _, s := range stream {
-					if s > cpu {
-						cpu = s
-					}
-				}
-			}
-			newEnd[idx] = cpu
-		}
+// WhatIfAll retimes verbs under every predictive scenario.
+func WhatIfAll(verbs []machine.Verb, cost machine.CostModel) []Prediction {
+	var out []Prediction
+	for _, sc := range Scenarios() {
+		out = append(out, WhatIf(verbs, cost, sc))
 	}
-	wall := cpu
-	if gpu > wall {
-		wall = gpu
-	}
-	for _, s := range stream {
-		if s > wall {
-			wall = s
-		}
-	}
-	if dma > wall {
-		wall = dma
-	}
-	return wall
+	return out
 }

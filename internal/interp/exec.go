@@ -370,10 +370,8 @@ func (ex *exec) segForAccess(addr uint64, size int64) (*machine.Segment, error) 
 		// machine generation, so every inline cache misses into here; if
 		// the host is touching a unit whose flush is still in flight, it
 		// pays the DMA wait now. Pure host work between flushes never
-		// reaches this check and overlaps the copies.
-		if ex.in.Mach.HostPendingCount() != 0 {
-			ex.in.Mach.WaitHostUnit(addr)
-		}
+		// reaches this call and overlaps the copies.
+		ex.in.Mach.WaitHostUnit(addr)
 		seg = ex.in.Mach.FindSegment(addr)
 	}
 	if seg == nil {

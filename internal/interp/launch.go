@@ -53,7 +53,7 @@ func (in *Interp) launchManaged(kernel *funcCode, line int, threads int64, args 
 	if err != nil {
 		return err
 	}
-	in.Mach.LaunchKernelAt(kernel.name, line, threads, res.totalOps, res.maxOps, in.RT.TakeLaunchWaits()...)
+	in.Mach.LaunchKernelAt(kernel.name, line, res.totalOps, res.maxOps, in.RT.TakeLaunchWaits()...)
 	return nil
 }
 
@@ -108,11 +108,11 @@ func (in *Interp) launchInspector(kernel *funcCode, line int, threads int64, arg
 	// written unit out. Each transfer pays full latency — this is what
 	// keeps the pattern cyclic.
 	for i := 0; i < res.inspTouched; i++ {
-		in.Mach.ChargeTransfer(trace.KindHtoD, 1)
+		in.Mach.ChargeTransferUnit(trace.KindHtoD, 1, "")
 	}
-	in.Mach.LaunchKernelAt(kernel.name, line, threads, res.totalOps, res.maxOps)
+	in.Mach.LaunchKernelAt(kernel.name, line, res.totalOps, res.maxOps)
 	for i := 0; i < res.inspWrote; i++ {
-		in.Mach.ChargeTransfer(trace.KindDtoH, 1)
+		in.Mach.ChargeTransferUnit(trace.KindDtoH, 1, "")
 	}
 	return nil
 }

@@ -175,7 +175,7 @@ func TestCopyVerbTable(t *testing.T) {
 					if moved {
 						t.Error("failed copy moved bytes")
 					}
-					if m.PendingCopies() != 0 {
+					if len(m.clk.pending) != 0 {
 						t.Error("failed copy left a pending stream op")
 					}
 					return
@@ -221,7 +221,7 @@ func TestBlockingIsNilStream(t *testing.T) {
 		m := New(DefaultCostModel())
 		host, dev := m.Alloc(CPU, 4096, "host"), m.Alloc(GPU, 4096, "dev")
 		m.CPUOps(1000)
-		m.LaunchKernel("k", 64, 64000, 1000)
+		m.LaunchKernelAt("k", 0, 64000, 1000)
 		var err1, err2 error
 		if viaStreamVerb {
 			_, err1 = m.CopyHtoDAsync(nil, dev, host, 4096, Event{t: 1}) // waits are ignored when blocking
@@ -233,7 +233,7 @@ func TestBlockingIsNilStream(t *testing.T) {
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
-		if m.PendingCopies() != 0 {
+		if len(m.clk.pending) != 0 {
 			t.Error("blocking copy left a pending stream op")
 		}
 		return m.Stats(), m.Now()

@@ -50,22 +50,7 @@ func (m *Machine) DecideFault(v faultinject.Verb, unit string) *faultinject.Devi
 	if !fault {
 		return nil
 	}
-	m.flushCPUSpan()
-	var cost float64
-	switch v {
-	case faultinject.VerbAlloc:
-		cost = m.Cost.AllocGPU
-	case faultinject.VerbHtoD, faultinject.VerbDtoH:
-		cost = m.Cost.TransferLat
-	case faultinject.VerbLaunch:
-		cost = m.Cost.LaunchCPU
-	}
-	start := m.cpuTime
-	m.cpuTime += cost
-	m.emit(&trace.Event{
-		Kind: trace.EvFault, Label: v.String(), Ops: call,
-		Start: start, End: m.cpuTime, Unit: unit,
-	})
+	m.do(Verb{Kind: VerbFault, Fault: v}, nil, tag{unit: unit, call: call})
 	return &faultinject.DeviceError{
 		Verb: v, Unit: unit, Call: call,
 		Transient: !persistent, Injected: true,
@@ -123,15 +108,7 @@ func (m *Machine) AllocDevice(size int64, name string) (uint64, error) {
 // Penalty advances the CPU timeline by d seconds of non-compute overhead
 // (retry backoff). The time counts toward Wall and PenaltyTime but not
 // CPUTime, so compute accounting stays honest.
-func (m *Machine) Penalty(d float64) {
-	if d <= 0 {
-		return
-	}
-	m.flushCPUSpan()
-	start := m.cpuTime
-	m.cpuTime += d
-	m.emit(&trace.Event{Kind: trace.EvPenalty, Start: start, End: m.cpuTime, Dur: d})
-}
+func (m *Machine) Penalty(d float64) { m.do(Verb{Kind: VerbPenalty, D: d}, nil, tag{}) }
 
 // RescueCopyDtoH copies n device bytes to the host over the driver's
 // slow reliable channel: a blocking CopyDtoH that never consults the fault
@@ -150,12 +127,5 @@ func (m *Machine) RescueCopyDtoH(dst, src uint64, n int64) error {
 // EvKernel, so degraded schedules render distinctly and the profile keeps
 // the launch apart from GPU work.
 func (m *Machine) RunKernelOnCPUAt(name string, line int, totalOps int64) {
-	m.flushCPUSpan()
-	d := float64(float64(totalOps) * m.Cost.CPUOp)
-	start := m.cpuTime
-	m.cpuTime += d
-	m.emit(&trace.Event{
-		Kind: trace.EvFallback, Label: name, Line: line,
-		Start: start, End: m.cpuTime, Dur: d, Ops: totalOps,
-	})
+	m.do(Verb{Kind: VerbFallback, N: totalOps}, nil, tag{name: name, line: line})
 }

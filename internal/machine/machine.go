@@ -11,19 +11,19 @@
 //     of C's pointer arithmetic works, including arithmetic that walks
 //     inside an allocation unit.
 //
-//   - Temporal: a virtual clock advanced by an analytic cost model
-//     (CPU op cost, GPU op throughput, kernel launch overhead, transfer
-//     latency and bandwidth). The CPU and GPU have separate timelines;
-//     kernels launch asynchronously and device-to-host transfers
-//     synchronize, so cyclic communication patterns pay the round-trip
-//     price the paper's Figure 2 illustrates while acyclic patterns
-//     overlap CPU and GPU work.
+//   - Temporal: a virtual clock (clock.go) advanced by an analytic cost
+//     model (CPU op cost, GPU op throughput, kernel launch overhead,
+//     transfer latency and bandwidth). The CPU and GPU have separate
+//     timelines; kernels launch asynchronously and device-to-host
+//     transfers synchronize, so cyclic communication patterns pay the
+//     round-trip price the paper's Figure 2 illustrates while acyclic
+//     patterns overlap CPU and GPU work. The clock sees only each timed
+//     call's cost-free inputs, which a run can keep as a verb list and
+//     Retime under another cost model.
 package machine
 
 import (
 	"fmt"
-	"math"
-	"slices"
 
 	"cgcm/internal/faultinject"
 	"cgcm/internal/metrics"
@@ -200,16 +200,13 @@ type Stats struct {
 
 // Machine is one simulated host+device pair.
 type Machine struct {
-	Cost CostModel
+	// clk is the machine's time (clock.go): every timeline, pending copy
+	// and Stats fold. The rest of the machine is functional.
+	clk clock
 
 	segs    [2]rbtree.Tree[*Segment]
 	nextCPU uint64
 	nextGPU uint64
-
-	cpuTime  float64
-	gpuReady float64
-
-	stats Stats
 
 	// epoch is the kernel epoch ("an epoch count which increases every
 	// time the program launches a GPU function"): the runtime library
@@ -218,16 +215,10 @@ type Machine struct {
 
 	// log is the run's event log, kept only when a view of it is wanted
 	// (KeepLog): every event the machine, the runtime library and the
-	// interpreter book, in booking order. nil otherwise.
-	log []trace.Event
-	// met holds the per-event histograms (Observe); all nil without a
-	// registry.
-	met machMetrics
-
-	// pendingCPU accumulates CPU op time not yet booked, so the log holds
-	// contiguous CPU runs rather than one event per instruction.
-	pendingCPUStart float64
-	pendingCPUOps   int64
+	// interpreter book, in booking order. nil otherwise. verbs is kept with
+	// it: every timed call with its cost-free inputs, in call order.
+	log   []trace.Event
+	verbs []Verb
 
 	// cache holds recently accessed segments per space (4-way, round
 	// robin): kernels typically stream a handful of arrays, and each
@@ -261,15 +252,6 @@ type Machine struct {
 	// created by plain Alloc are never charged to the governor).
 	gov      MemGovernor
 	govBytes map[uint64]int64
-
-	// Stream state (stream.go): created streams, in-flight async copies
-	// awaiting temporal resolution, the flow-id allocator linking issue
-	// instants to copy spans, and the overlap sink feeding the ledger
-	// (Runtime.EnableAsync installs it).
-	streams     []*Stream
-	pending     []asyncOp
-	nextFlow    uint64
-	overlapSink func(hostBase uint64, overlapped int64)
 }
 
 // machMetrics is the machine's per-event instruments: the histograms,
@@ -291,17 +273,15 @@ func (m *Machine) Gen() uint64 { return m.gen }
 
 // New creates a machine with the given cost model.
 func New(cost CostModel) *Machine {
-	return &Machine{
-		Cost:    cost,
-		nextCPU: nullGuard,
-		nextGPU: GPUBase,
-	}
+	m := &Machine{nextCPU: nullGuard, nextGPU: GPUBase}
+	m.clk = clock{cost: cost, obs: m}
+	return m
 }
 
 // Observe attaches the registry the per-event histograms report into; nil
 // detaches them.
 func (m *Machine) Observe(reg *metrics.Registry) {
-	m.met = machMetrics{
+	m.clk.met = machMetrics{
 		kernelDur:   reg.Histogram("machine.kernel.duration_seconds", kernelDurBounds),
 		htodBytes:   reg.Histogram("machine.xfer.htod_bytes", transferSizeBounds),
 		dtohBytes:   reg.Histogram("machine.xfer.dtoh_bytes", transferSizeBounds),
@@ -318,18 +298,6 @@ var (
 	streamDepthBounds  = metrics.ExpBuckets(1, 2, 8)
 )
 
-// TransferSizeBuckets returns the canonical transfer-size histogram
-// bounds: 64 B to ~1 GB, powers of 4.
-func TransferSizeBuckets() []float64 { return slices.Clone(transferSizeBounds) }
-
-// KernelDurBuckets returns the canonical kernel-duration histogram
-// bounds: 1 µs to ~16 s, powers of 4.
-func KernelDurBuckets() []float64 { return slices.Clone(kernelDurBounds) }
-
-// StreamDepthBuckets returns the canonical stream-depth histogram bounds:
-// 1 to 128 in-flight copies, powers of 2.
-func StreamDepthBuckets() []float64 { return slices.Clone(streamDepthBounds) }
-
 // KeepLog makes the machine keep the run's event log from here on. Nothing
 // is kept otherwise, so a run that wants no view of its events pays for
 // none.
@@ -345,14 +313,36 @@ func (m *Machine) KeepsLog() bool { return m.log != nil }
 // Log books the open run of CPU ops, if any, and returns the events booked
 // so far, in booking order (nil unless KeepLog was called).
 func (m *Machine) Log() []trace.Event {
-	m.flushCPUSpan()
+	m.clk.flush()
 	return m.log
 }
 
+// Verbs returns the timed calls made so far, in call order (nil unless
+// KeepLog was called before the first). Retime replays them.
+func (m *Machine) Verbs() []Verb { return m.verbs }
+
+// do runs one timed call on the clock, recording it first when the run
+// keeps its log, and returns the Event it makes (its id names the
+// recorded verb).
+func (m *Machine) do(v Verb, waits []Event, tg tag) Event {
+	id := 0
+	if m.log != nil {
+		if len(waits) > 0 {
+			v.Waits = make([]int, len(waits))
+			for i, e := range waits {
+				v.Waits[i] = e.id
+			}
+		}
+		m.verbs = append(m.verbs, v)
+		id = len(m.verbs)
+	}
+	return Event{t: m.clk.apply(&v, waits, tg), id: id}
+}
+
 // Record appends ev, stamped with the kernel epoch, to the run's log when
-// one is kept. It folds nothing: machine.emit calls it after the machine's
-// folds, Runtime.emit after the runtime's, and the interpreter books its
-// call timings and line ops through it directly.
+// one is kept. It folds nothing: the clock calls it after its folds,
+// Runtime.emit after the runtime's, and the interpreter books its call
+// timings and line ops through it directly.
 func (m *Machine) Record(ev *trace.Event) {
 	if m.log != nil {
 		ev.Epoch = m.epoch
@@ -369,22 +359,10 @@ func (m *Machine) NextEpoch() { m.epoch++ }
 
 // Stats returns a snapshot of the counters; Wall reflects a full sync,
 // including any still-pending stream copies.
-func (m *Machine) Stats() Stats {
-	s := m.stats
-	s.Wall = m.cpuTime
-	if m.gpuReady > s.Wall {
-		s.Wall = m.gpuReady
-	}
-	for _, op := range m.pending {
-		if op.end > s.Wall {
-			s.Wall = op.end
-		}
-	}
-	return s
-}
+func (m *Machine) Stats() Stats { return m.clk.snapshot() }
 
 // Now returns the CPU timeline's current time.
-func (m *Machine) Now() float64 { return m.cpuTime }
+func (m *Machine) Now() float64 { return m.clk.cpu }
 
 func align(n uint64) uint64 { return (n + 15) &^ 15 }
 
@@ -465,8 +443,10 @@ func (m *Machine) Free(space Space, base uint64) error {
 	if !ok {
 		return &Fault{Addr: base, Msg: fmt.Sprintf("free of non-allocated %s address", space)}
 	}
-	if len(m.pending) > 0 {
-		m.waitRange(space, base, int64(len(seg.Data)))
+	if len(m.clk.streams) > 0 {
+		// Only a stream copy can be pending, so without a stream the wait
+		// is a no-op under every cost model and is not recorded.
+		m.do(Verb{Kind: VerbFree, Space: space, Addr: base, N: int64(len(seg.Data))}, nil, tag{})
 	}
 	if space == GPU {
 		size := int64(len(seg.Data))
@@ -588,137 +568,20 @@ func (m *Machine) WriteBytes(addr uint64, data []byte) error {
 	return nil
 }
 
-// emit books one event: it is the only place the machine's tallies are
-// written (CPUOps and InspectorOps' clock-and-op adds apart). The folds run
-// in a fixed order: Stats, then the ledger's overlap column (the sink) or
-// the histogram the kind feeds, and the append to the log last.
-func (m *Machine) emit(ev *trace.Event) {
-	st := &m.stats
-	switch ev.Kind {
-	case trace.EvKernel:
-		st.GPUTime += ev.Dur
-		st.NumKernels++
-		st.GPUOps += ev.Ops
-		m.met.kernelDur.Observe(ev.Dur)
-	case trace.EvFallback:
-		st.CPUTime += ev.Dur
-		st.CPUOps += ev.Ops
-		st.FallbackKernels++
-		st.FallbackOps += ev.Ops
-	case trace.EvHtoD, trace.EvDtoH:
-		if ev.Rescue {
-			st.PenaltyTime += float64(ev.Dur * (1 - 1/rescueSlowdown))
-			st.RescueCopies++
-		}
-		st.CommTime += ev.Dur
-		if ev.Kind == trace.EvHtoD {
-			st.BytesHtoD += ev.Bytes
-			st.NumHtoD++
-			m.met.htodBytes.Observe(float64(ev.Bytes))
-		} else {
-			st.BytesDtoH += ev.Bytes
-			st.NumDtoH++
-			m.met.dtohBytes.Observe(float64(ev.Bytes))
-		}
-		if ev.Flow != 0 {
-			m.met.streamDepth.Observe(float64(ev.Ops))
-		}
-	case trace.EvStall:
-		st.StallTime += ev.Dur
-	case trace.EvPenalty:
-		st.PenaltyTime += ev.Dur
-	case trace.EvFault:
-		st.InjectedFaults++
-	case trace.EvOverlap:
-		st.OverlappedBytes += ev.Bytes
-		if m.overlapSink != nil {
-			m.overlapSink(ev.Base, ev.Bytes)
-		}
-	}
-	m.Record(ev)
-}
-
-func (m *Machine) flushCPUSpan() {
-	if m.pendingCPUOps > 0 {
-		m.emit(&trace.Event{Kind: trace.EvCPU, Start: m.pendingCPUStart, End: m.cpuTime, Ops: m.pendingCPUOps})
-		m.pendingCPUOps = 0
-	}
-}
-
 // CPUOps charges n scalar operations to the CPU timeline.
-func (m *Machine) CPUOps(n int64) {
-	if n <= 0 {
-		return
-	}
-	if m.pendingCPUOps == 0 {
-		m.pendingCPUStart = m.cpuTime
-	}
-	m.pendingCPUOps += n
-	d := float64(float64(n) * m.Cost.CPUOp)
-	m.cpuTime += d
-	m.stats.CPUTime += d
-	m.stats.CPUOps += n
-}
+func (m *Machine) CPUOps(n int64) { m.do(Verb{Kind: VerbCPU, N: n}, nil, tag{}) }
 
 // InspectorOps charges n sequential inspection operations to the CPU.
-func (m *Machine) InspectorOps(n int64) {
-	if n <= 0 {
-		return
-	}
-	d := float64(float64(n) * m.Cost.InspectorPerOp)
-	m.cpuTime += d
-	m.stats.CPUTime += d
-	m.emit(&trace.Event{Kind: trace.EvInspect, Start: m.cpuTime - d, End: m.cpuTime, Ops: n})
-}
+func (m *Machine) InspectorOps(n int64) { m.do(Verb{Kind: VerbInspect, N: n}, nil, tag{}) }
 
-// LaunchKernel models an asynchronous kernel launch executing totalOps
-// scalar operations across threads, where the longest thread executes
+// LaunchKernelAt models an asynchronous kernel launch at source line line
+// executing totalOps scalar operations, where the longest thread executes
 // maxThreadOps. The CPU pays only the enqueue cost; the kernel occupies
-// the GPU timeline.
-func (m *Machine) LaunchKernel(name string, threads int64, totalOps, maxThreadOps int64) {
-	m.LaunchKernelAt(name, 0, threads, totalOps, maxThreadOps)
-}
-
-// LaunchKernelAt is LaunchKernel tagged with the launch site's source
-// line, which the booked EvKernel event carries for the profile. The
-// kernel additionally starts no earlier than any wait event (the runtime
-// passes the completion events of the async uploads the kernel's live-ins
-// depend on); waits delay the GPU, never the CPU.
-func (m *Machine) LaunchKernelAt(name string, line int, threads int64, totalOps, maxThreadOps int64, waits ...Event) {
-	m.flushCPUSpan()
-	m.cpuTime += m.Cost.LaunchCPU
-	start := m.cpuTime
-	if m.gpuReady > start {
-		start = m.gpuReady
-	}
-	if len(waits) > 0 {
-		// base is the start the kernel would have had without the async
-		// copies: copy time before base overlapped work that was happening
-		// anyway; copy time after base delayed this kernel.
-		base := start
-		for _, e := range waits {
-			if e.t > start {
-				start = e.t
-			}
-		}
-		m.resolvePending(start, base)
-	}
-	// Kernel duration: fixed overhead plus the larger of the aggregate
-	// throughput bound and the critical-path (longest thread) bound.
-	throughput := float64(totalOps) * m.Cost.GPUOp / float64(m.Cost.GPUCores)
-	critical := float64(float64(maxThreadOps) * m.Cost.GPUOp)
-	dur := m.Cost.LaunchGPU + throughput
-	if critical > throughput {
-		dur = m.Cost.LaunchGPU + critical
-	}
-	m.gpuReady = start + dur
-	m.emit(&trace.Event{
-		Kind: trace.EvKernel, Label: name, Line: line,
-		Start: start, End: m.gpuReady, Dur: dur, Ops: totalOps,
-	})
-	if m.Cost.SyncAfterLaunch {
-		m.stallTo(m.gpuReady)
-	}
+// the GPU timeline, starting no earlier than any wait event (the runtime
+// passes the completion events of the async uploads the kernel's
+// live-ins depend on); waits delay the GPU, never the CPU.
+func (m *Machine) LaunchKernelAt(name string, line int, totalOps, maxThreadOps int64, waits ...Event) {
+	m.do(Verb{Kind: VerbKernel, N: totalOps, Max: maxThreadOps}, waits, tag{name: name, line: line})
 }
 
 // unitNameAt names the allocation unit containing addr, for tagging
@@ -747,17 +610,12 @@ func (m *Machine) CopyDtoH(dst, src uint64, n int64) error {
 	return err
 }
 
-// ChargeTransfer charges transfer time for n bytes in the given direction
-// (trace.KindHtoD or trace.KindDtoH) without moving any bytes (used by
-// the idealized inspector-executor, which the paper grants an oracle that
-// transfers exactly the needed bytes; the functional copy happens
-// wholesale elsewhere).
-func (m *Machine) ChargeTransfer(kind trace.Kind, n int64) {
-	m.ChargeTransferUnit(kind, n, "")
-}
-
-// ChargeTransferUnit is ChargeTransfer with an allocation-unit tag for
-// the booked copy event.
+// ChargeTransferUnit charges a blocking transfer of n bytes in the given
+// direction (trace.KindHtoD or trace.KindDtoH) without moving any bytes,
+// tagging the booked copy event with unit. The idealized
+// inspector-executor, which the paper grants an oracle that transfers
+// exactly the needed bytes, and the runtime's shadow pointer arrays move
+// their bytes elsewhere.
 func (m *Machine) ChargeTransferUnit(kind trace.Kind, n int64, unit string) {
 	m.charge(kind, nil, 0, 0, n, unit, false, nil)
 }
@@ -765,24 +623,14 @@ func (m *Machine) ChargeTransferUnit(kind trace.Kind, n int64, unit string) {
 // ChargeAllocGPU charges the CPU timeline for one cuMemAlloc call. The
 // runtime library calls this when Map allocates device memory; kernel
 // thread-local scratch is free.
-func (m *Machine) ChargeAllocGPU() { m.cpuTime += m.Cost.AllocGPU }
+func (m *Machine) ChargeAllocGPU() { m.do(Verb{Kind: VerbAlloc}, nil, tag{}) }
 
-// Sync blocks the CPU until the GPU is idle.
-func (m *Machine) Sync() {
-	m.flushCPUSpan()
-	target := m.gpuReady
-	for _, op := range m.pending {
-		if op.end > target {
-			target = op.end
-		}
-	}
-	m.resolvePending(math.Inf(1), m.cpuTime)
-	m.stallTo(target)
-}
+// Sync blocks the CPU until the GPU and every stream are idle.
+func (m *Machine) Sync() { m.do(Verb{Kind: VerbSync}, nil, tag{}) }
 
 // RunFailed marks where execution died on the timeline, so an exported
 // trace shows where the run ended; the interpreter reports the error that
 // stopped it.
 func (m *Machine) RunFailed(err error) {
-	m.emit(&trace.Event{Kind: trace.EvRunError, Start: m.cpuTime, End: m.cpuTime, Label: err.Error()})
+	m.clk.emit(&trace.Event{Kind: trace.EvRunError, Start: m.clk.cpu, End: m.clk.cpu, Label: err.Error()})
 }

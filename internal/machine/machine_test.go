@@ -134,24 +134,24 @@ func TestTimingCyclicVsOverlap(t *testing.T) {
 	// A DtoH after a kernel must wait for the kernel (cyclic); a CPU-only
 	// sequence runs concurrently with the GPU (acyclic overlap).
 	cyclic := newM()
-	cyclic.LaunchKernel("k", 128, 1_000_000, 10_000)
-	cyclic.ChargeTransfer(trace.KindDtoH, 8)
+	cyclic.LaunchKernelAt("k", 0, 1_000_000, 10_000)
+	cyclic.ChargeTransferUnit(trace.KindDtoH, 8, "")
 	cyc := cyclic.Stats().Wall
 
 	overlap := newM()
-	overlap.LaunchKernel("k", 128, 1_000_000, 10_000)
+	overlap.LaunchKernelAt("k", 0, 1_000_000, 10_000)
 	overlap.CPUOps(1_000_000) // CPU work hides the kernel
 	ovl := overlap.Stats().Wall
 
 	kernelOnly := newM()
-	kernelOnly.LaunchKernel("k", 128, 1_000_000, 10_000)
+	kernelOnly.LaunchKernelAt("k", 0, 1_000_000, 10_000)
 	kernelOnly.Sync()
 	ko := kernelOnly.Stats().Wall
 
 	if cyc <= ko {
 		t.Errorf("cyclic wall %.3g not greater than kernel-only %.3g", cyc, ko)
 	}
-	cpuOnly := float64(1_000_000) * overlap.Cost.CPUOp
+	cpuOnly := float64(1_000_000) * DefaultCostModel().CPUOp
 	if ovl > ko+cpuOnly {
 		t.Errorf("no overlap: wall %.3g > kernel %.3g + cpu %.3g", ovl, ko, cpuOnly)
 	}
@@ -164,17 +164,17 @@ func TestTimingCyclicVsOverlap(t *testing.T) {
 func TestKernelCriticalPath(t *testing.T) {
 	m := newM()
 	// One thread doing all the work: critical path, not throughput.
-	m.LaunchKernel("serial", 1, 1000, 1000)
+	m.LaunchKernelAt("serial", 0, 1000, 1000)
 	m.Sync()
-	wantMin := float64(1000) * m.Cost.GPUOp
+	wantMin := float64(1000) * DefaultCostModel().GPUOp
 	if m.Stats().GPUTime < wantMin {
 		t.Errorf("GPU time %.3g below critical path %.3g", m.Stats().GPUTime, wantMin)
 	}
 	// Many threads: throughput bound.
 	m2 := newM()
-	m2.LaunchKernel("wide", 480_000, 480_000, 1)
+	m2.LaunchKernelAt("wide", 0, 480_000, 1)
 	m2.Sync()
-	throughput := float64(480_000) * m2.Cost.GPUOp / float64(m2.Cost.GPUCores)
+	throughput := float64(480_000) * DefaultCostModel().GPUOp / float64(DefaultCostModel().GPUCores)
 	if got := m2.Stats().GPUTime; got < throughput {
 		t.Errorf("GPU time %.3g below throughput bound %.3g", got, throughput)
 	}
@@ -183,15 +183,15 @@ func TestKernelCriticalPath(t *testing.T) {
 func TestTrace(t *testing.T) {
 	// No log is kept unless asked for.
 	bare := newM()
-	bare.LaunchKernel("k", 16, 1600, 100)
+	bare.LaunchKernelAt("k", 0, 1600, 100)
 	if bare.KeepsLog() || bare.Log() != nil {
 		t.Fatalf("machine kept %d events without KeepLog", len(bare.Log()))
 	}
 	m := newM()
 	m.KeepLog()
 	m.CPUOps(1000)
-	m.LaunchKernel("k", 16, 1600, 100)
-	m.ChargeTransfer(trace.KindDtoH, 64)
+	m.LaunchKernelAt("k", 0, 1600, 100)
+	m.ChargeTransferUnit(trace.KindDtoH, 64, "")
 	kinds := map[trace.Kind]int{}
 	for _, s := range trace.Spans(m.Log()) {
 		kinds[s.Kind]++
@@ -232,9 +232,9 @@ func TestQuickWallMonotonic(t *testing.T) {
 			case 0:
 				m.CPUOps(int64(op))
 			case 1:
-				m.LaunchKernel("k", int64(op)+1, int64(op)*10, int64(op))
+				m.LaunchKernelAt("k", 0, int64(op)*10, int64(op))
 			case 2:
-				m.ChargeTransfer(trace.KindHtoD, int64(op))
+				m.ChargeTransferUnit(trace.KindHtoD, int64(op), "")
 			case 3:
 				m.Sync()
 			}

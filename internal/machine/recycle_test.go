@@ -174,7 +174,7 @@ func TestMapCycleStopsAllocating(t *testing.T) {
 		if err := m.CopyHtoD(dev, host, size); err != nil {
 			t.Fatal(err)
 		}
-		m.LaunchKernel("k", 1, 1, 1)
+		m.LaunchKernelAt("k", 0, 1, 1)
 		if err := m.CopyDtoH(host, dev, size); err != nil {
 			t.Fatal(err)
 		}

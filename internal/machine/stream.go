@@ -16,27 +16,16 @@
 // identical call sequence either way: move is the only place a copy
 // consults the fault plan.
 //
-// What differs is only where charge puts the DMA on the timeline:
-//
-//   - Blocking (no stream): the copy runs on the implicit default stream
-//     and the CPU waits for it. The CPU stalls until in-flight kernels
-//     drain, pays the DMA inline on its own clock, and the GPU
-//     resynchronizes to the CPU — issue plus immediate wait.
-//   - Deferred (a stream): the copy occupies [start, end) on the stream's
-//     lane, where start honors the CPU clock, the stream's occupancy, the
-//     explicit waits, and (for DtoH) the GPU timeline. The CPU does not
-//     stall at issue. Pending copies resolve at the next synchronization
-//     point — a kernel launch that waits on them, a host access to a
-//     flushing unit, a free of an involved range, or Sync — and the
-//     portion of each copy's duration that elapsed before the
-//     synchronization observer is credited as overlapped communication
-//     (an EvOverlap event: Stats.OverlappedBytes and the ledger's overlap
-//     column).
+// What differs is only where the clock puts the DMA (clock.copy). A
+// blocking copy (no stream) is issue plus immediate wait: the CPU pays it
+// inline. A stream copy does not stall the CPU at issue; it stays pending
+// until a synchronization point — a kernel launch that waits on it, a host
+// access to a flushing unit, a free of an involved range, or Sync — which
+// credits the part that ran before it as overlapped communication (an
+// EvOverlap event: Stats.OverlappedBytes and the ledger's overlap column).
 package machine
 
 import (
-	"math"
-
 	"cgcm/internal/faultinject"
 	"cgcm/internal/trace"
 )
@@ -45,42 +34,25 @@ import (
 // engine). Create streams with Machine.NewStream; the zero value is not
 // usable.
 type Stream struct {
-	name  string
-	lane  trace.Lane
-	ready float64 // completion time of the stream's last issued copy
+	name string
+	idx  int // the stream's index: its lane and its clock
 }
-
-// Name returns the stream's diagnostic name.
-func (s *Stream) Name() string { return s.name }
 
 // Event marks the completion of an asynchronous operation on the
 // simulated clock. The zero Event is "already complete" and waits for
-// nothing.
+// nothing. id names the verb that made it (Verb.Waits), 0 when no verb
+// list is kept.
 type Event struct {
-	t    float64
-	flow uint64
-}
-
-// Time returns the simulated completion time the event represents.
-func (e Event) Time() float64 { return e.t }
-
-// asyncOp is one in-flight stream copy awaiting temporal resolution.
-type asyncOp struct {
-	kind       trace.Kind // KindHtoD or KindDtoH
-	bytes      int64
-	start, end float64
-	hostBase   uint64 // CPU-side range the copy reads (HtoD) or writes (DtoH)
-	hostEnd    uint64
-	devBase    uint64 // GPU-side range
-	devEnd     uint64
+	t  float64
+	id int
 }
 
 // NewStream creates a stream. Each stream gets its own trace lane
 // (trace.LaneStreamBase + index) so its copies render on a dedicated
 // timeline in the Perfetto export.
 func (m *Machine) NewStream(name string) *Stream {
-	s := &Stream{name: name, lane: trace.LaneStreamBase + trace.Lane(len(m.streams))}
-	m.streams = append(m.streams, s)
+	s := &Stream{name: name, idx: len(m.clk.streams)}
+	m.clk.streams = append(m.clk.streams, 0)
 	return s
 }
 
@@ -90,14 +62,12 @@ func (m *Machine) NewStream(name string) *Stream {
 // needs to. It stays exported only because hostbench's hand-assembled run
 // still makes that call itself (setting the same sink twice is harmless:
 // there is one slot, so no credit is booked twice).
-func (m *Machine) SetOverlapSink(fn func(hostBase uint64, overlapped int64)) {
-	m.overlapSink = fn
-}
+func (m *Machine) SetOverlapSink(fn func(hostBase uint64, overlapped int64)) { m.clk.sink = fn }
 
 // GPUReadyEvent returns an event that completes when every kernel
 // launched so far has finished — the handle an async copy passes as a
 // wait when it must not race the compute timeline.
-func (m *Machine) GPUReadyEvent() Event { return Event{t: m.gpuReady} }
+func (m *Machine) GPUReadyEvent() Event { return m.do(Verb{Kind: VerbMark}, nil, tag{}) }
 
 // CopyHtoDAsync issues a host-to-device copy on stream s. The bytes move
 // immediately; the DMA occupies the stream's lane starting after the
@@ -162,192 +132,42 @@ func (m *Machine) move(kind trace.Kind, dst, src uint64, n int64, rescue bool) e
 	return nil
 }
 
-// charge is the temporal half of every copy verb: it places one n-byte
-// DMA on the timeline and books it as one event. With no stream the copy is
-// blocking and lands on the transfer lane; with a stream it is deferred — an
-// issue instant on the CPU lane linked by a flow id to the copy interval on
-// the stream's lane, stream occupancy, and a pending-op record that later
-// resolves into overlap credit. rescue charges the driver's slow reliable
-// channel: the same copy at rescueSlowdown times the cost, the excess
-// booked as PenaltyTime.
+// charge is the temporal half of every copy verb: one DMA on stream s,
+// blocking when s is nil (clock.copy).
 func (m *Machine) charge(kind trace.Kind, s *Stream, host, dev uint64, n int64, unit string, rescue bool, waits []Event) Event {
-	m.flushCPUSpan()
-	d := m.Cost.TransferLat + float64(float64(n)*m.Cost.TransferPerB)
-	if rescue {
-		d *= rescueSlowdown
-	}
-	ev := trace.Event{
-		Kind: trace.EvHtoD, Lane: trace.LaneXfer, Dur: d,
-		Bytes: n, Base: host, Unit: unit, Rescue: rescue,
-	}
+	v, tg := Verb{Kind: VerbHtoD, Rescue: rescue, N: n, Addr: host, Dev: dev}, tag{unit: unit}
 	if kind == trace.KindDtoH {
-		ev.Kind = trace.EvDtoH
+		v.Kind = VerbDtoH
 	}
-	if s == nil {
-		// Blocking: wait for kernels to drain, pay the DMA inline, and
-		// resynchronize the GPU.
-		m.stallTo(m.gpuReady)
-		ev.Start = m.cpuTime
-		m.cpuTime += d
-		m.gpuReady = m.cpuTime
-	} else {
-		ev.Start = m.cpuTime
-		if s.ready > ev.Start {
-			ev.Start = s.ready
-		}
-		if kind == trace.KindDtoH && m.gpuReady > ev.Start {
-			ev.Start = m.gpuReady
-		}
-		for _, e := range waits {
-			if e.t > ev.Start {
-				ev.Start = e.t
-			}
-		}
-		s.ready = ev.Start + d
-		m.nextFlow++
-		m.pending = append(m.pending, asyncOp{
-			kind: kind, bytes: n, start: ev.Start, end: s.ready,
-			hostBase: host, hostEnd: host + uint64(n),
-			devBase: dev, devEnd: dev + uint64(n),
-		})
-		ev.Lane, ev.Label, ev.Flow = s.lane, s.name, m.nextFlow
-		ev.Issued, ev.Ops = m.cpuTime, int64(len(m.pending))
-		if kind == trace.KindDtoH {
-			// A pending host-bound flush: invalidate the interpreter's inline
-			// caches so the next host access to any unit re-resolves through
-			// the machine and charges WaitHostUnit if it touches this one.
-			m.gen++
-		}
+	if s != nil {
+		v.Stream, tg.name = s.idx+1, s.name
 	}
-	ev.End = ev.Start + d
-	m.emit(&ev)
-	return Event{t: ev.End, flow: ev.Flow}
-}
-
-// retire credits the portion of one finished copy that ran before the
-// observer time tObs as overlapped communication.
-func (m *Machine) retire(op asyncOp, tObs float64) {
-	d := op.end - op.start
-	ov := tObs - op.start
-	if ov > d {
-		ov = d
+	ev := m.do(v, waits, tg)
+	if s != nil && kind == trace.KindDtoH {
+		// A pending host-bound flush: invalidate the interpreter's inline
+		// caches so the next host access to any unit re-resolves through
+		// the machine and charges WaitHostUnit if it touches this one.
+		m.gen++
 	}
-	if d <= 0 || ov <= 0 {
-		return
-	}
-	if ob := int64(float64(op.bytes) * ov / d); ob > 0 {
-		m.emit(&trace.Event{Kind: trace.EvOverlap, Base: op.hostBase, Bytes: ob})
-	}
-}
-
-// resolvePending retires every pending copy that completes by lim,
-// observing overlap relative to tObs (the time useful work had reached
-// when the synchronization happened). Pending order is issue order, so
-// resolution is deterministic.
-func (m *Machine) resolvePending(lim, tObs float64) {
-	if len(m.pending) == 0 {
-		return
-	}
-	kept := m.pending[:0]
-	for _, op := range m.pending {
-		if op.end <= lim {
-			m.retire(op, tObs)
-		} else {
-			kept = append(kept, op)
-		}
-	}
-	m.pending = kept
-}
-
-// stallTo advances the CPU clock to t as GPU-wait stall time (no-op when
-// t is in the past).
-func (m *Machine) stallTo(t float64) {
-	if t <= m.cpuTime {
-		return
-	}
-	m.flushCPUSpan()
-	m.emit(&trace.Event{Kind: trace.EvStall, Start: m.cpuTime, End: t, Dur: t - m.cpuTime})
-	m.cpuTime = t
+	return ev
 }
 
 // SyncStreams drains every pending stream copy, stalling the CPU to the
-// last completion. Sync calls it; the runtime also calls it directly
-// before degrading the device so no async copy is in flight when the
-// escalation ladder takes over.
-func (m *Machine) SyncStreams() {
-	if len(m.pending) == 0 {
-		return
-	}
-	target := m.cpuTime
-	for _, op := range m.pending {
-		if op.end > target {
-			target = op.end
-		}
-	}
-	m.resolvePending(math.Inf(1), m.cpuTime)
-	m.stallTo(target)
-}
-
-// HostPendingCount reports how many device-to-host stream copies are
-// still in flight. The interpreter checks it (cheaply, after an
-// inline-cache miss) to decide whether a host access needs WaitHostUnit.
-func (m *Machine) HostPendingCount() int {
-	n := 0
-	for _, op := range m.pending {
-		if op.kind == trace.KindDtoH {
-			n++
-		}
-	}
-	return n
-}
-
-// PendingCopies reports how many stream copies are in flight (tests).
-func (m *Machine) PendingCopies() int { return len(m.pending) }
+// last completion. Sync does it too; the runtime calls it directly before
+// degrading the device so no async copy is in flight when the escalation
+// ladder takes over.
+func (m *Machine) SyncStreams() { m.do(Verb{Kind: VerbSyncStreams}, nil, tag{}) }
 
 // WaitHostUnit blocks the CPU until every in-flight device-to-host copy
 // whose destination range contains addr has completed. Host code that
 // touches a unit mid-flush pays the DMA wait, exactly like a pagelocked
-// buffer consumed before cuStreamSynchronize.
+// buffer consumed before cuStreamSynchronize. The interpreter calls it on
+// every host access that misses its inline cache; whether it stalls is the
+// clock's to decide.
 func (m *Machine) WaitHostUnit(addr uint64) {
-	target := m.cpuTime
-	found := false
-	for _, op := range m.pending {
-		if op.kind == trace.KindDtoH && addr >= op.hostBase && addr < op.hostEnd {
-			found = true
-			if op.end > target {
-				target = op.end
-			}
-		}
+	if len(m.clk.streams) > 0 {
+		// Only a stream copy can be pending, so without a stream the touch
+		// is a no-op under every cost model and is not recorded.
+		m.do(Verb{Kind: VerbTouch, Addr: addr}, nil, tag{})
 	}
-	if !found {
-		return
-	}
-	m.resolvePending(target, m.cpuTime)
-	m.stallTo(target)
-}
-
-// waitRange blocks until every pending copy intersecting [base, base+size)
-// in the given space has completed; Free calls it so memory is never
-// reclaimed under an in-flight DMA.
-func (m *Machine) waitRange(space Space, base uint64, size int64) {
-	end := base + uint64(size)
-	target := m.cpuTime
-	found := false
-	for _, op := range m.pending {
-		lo, hi := op.hostBase, op.hostEnd
-		if space == GPU {
-			lo, hi = op.devBase, op.devEnd
-		}
-		if base < hi && lo < end {
-			found = true
-			if op.end > target {
-				target = op.end
-			}
-		}
-	}
-	if !found {
-		return
-	}
-	m.resolvePending(target, m.cpuTime)
-	m.stallTo(target)
 }

@@ -30,11 +30,11 @@ func TestAsyncCopyDoesNotStallCPU(t *testing.T) {
 	if m.Now() != before {
 		t.Errorf("async copy advanced the CPU clock: %g -> %g", before, m.Now())
 	}
-	if m.PendingCopies() != 1 {
-		t.Errorf("pending copies = %d, want 1", m.PendingCopies())
+	if len(m.clk.pending) != 1 {
+		t.Errorf("pending copies = %d, want 1", len(m.clk.pending))
 	}
-	d := m.Cost.TransferLat + float64(n)*m.Cost.TransferPerB
-	if got := ev.Time(); got != before+d {
+	d := DefaultCostModel().TransferLat + float64(n)*DefaultCostModel().TransferPerB
+	if got := ev.t; got != before+d {
 		t.Errorf("event time = %g, want %g", got, before+d)
 	}
 
@@ -62,8 +62,8 @@ func TestStreamOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Cost.TransferLat + float64(n)*m.Cost.TransferPerB
-	if got, want := e2.Time()-e1.Time(), d; got != want {
+	d := DefaultCostModel().TransferLat + float64(n)*DefaultCostModel().TransferPerB
+	if got, want := e2.t-e1.t, d; got != want {
 		t.Errorf("same-stream copies overlap: gap %g, want %g", got, want)
 	}
 	s2 := m.NewStream("h2d2")
@@ -71,8 +71,8 @@ func TestStreamOccupancy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e3.Time() >= e2.Time() {
-		t.Errorf("second stream serialized behind the first: %g >= %g", e3.Time(), e2.Time())
+	if e3.t >= e2.t {
+		t.Errorf("second stream serialized behind the first: %g >= %g", e3.t, e2.t)
 	}
 }
 
@@ -91,8 +91,8 @@ func TestEventOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	d := m.Cost.TransferLat + float64(n)*m.Cost.TransferPerB
-	if got, want := e2.Time(), e1.Time()+d; got != want {
+	d := DefaultCostModel().TransferLat + float64(n)*DefaultCostModel().TransferPerB
+	if got, want := e2.t, e1.t+d; got != want {
 		t.Errorf("dependent copy completes at %g, want %g (after its wait)", got, want)
 	}
 	// The zero Event waits for nothing.
@@ -100,8 +100,8 @@ func TestEventOrdering(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if e3.Time() != d {
-		t.Errorf("zero-event wait delayed the copy: %g, want %g", e3.Time(), d)
+	if e3.t != d {
+		t.Errorf("zero-event wait delayed the copy: %g, want %g", e3.t, d)
 	}
 }
 
@@ -142,10 +142,10 @@ func TestWaitHostUnit(t *testing.T) {
 		t.Errorf("unrelated host access stalled the CPU to %g", m.Now())
 	}
 	m.WaitHostUnit(host + 128) // inside the flushing range: stall to completion
-	if m.Now() != ev.Time() {
-		t.Errorf("host access to flushing unit stalled to %g, want %g", m.Now(), ev.Time())
+	if m.Now() != ev.t {
+		t.Errorf("host access to flushing unit stalled to %g, want %g", m.Now(), ev.t)
 	}
-	if m.HostPendingCount() != 0 {
+	if len(m.clk.pending) != 0 {
 		t.Errorf("flush still pending after WaitHostUnit")
 	}
 }
@@ -162,11 +162,11 @@ func TestSyncDrainsStreams(t *testing.T) {
 	}
 	m.CPUOps(1000) // host work overlapping the DMA
 	m.Sync()
-	if m.PendingCopies() != 0 {
-		t.Errorf("pending copies after Sync: %d", m.PendingCopies())
+	if len(m.clk.pending) != 0 {
+		t.Errorf("pending copies after Sync: %d", len(m.clk.pending))
 	}
-	if m.Now() < ev.Time() {
-		t.Errorf("Sync did not reach the copy's completion: %g < %g", m.Now(), ev.Time())
+	if m.Now() < ev.t {
+		t.Errorf("Sync did not reach the copy's completion: %g < %g", m.Now(), ev.t)
 	}
 	st := m.Stats()
 	if st.OverlappedBytes <= 0 || st.OverlappedBytes > n {
@@ -185,8 +185,8 @@ func TestLaunchWaitsResolveOverlap(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	m.LaunchKernelAt("k", 1, 32, 1000, 40, ev)
-	if m.PendingCopies() != 0 {
+	m.LaunchKernelAt("k", 1, 1000, 40, ev)
+	if len(m.clk.pending) != 0 {
 		t.Error("launch wait did not resolve the pending upload")
 	}
 	st := m.Stats()
@@ -194,8 +194,8 @@ func TestLaunchWaitsResolveOverlap(t *testing.T) {
 		t.Errorf("kernels = %d", st.NumKernels)
 	}
 	// The GPU timeline must not start the kernel before the upload landed.
-	if gp := m.GPUReadyEvent().Time(); gp <= ev.Time() {
-		t.Errorf("kernel finished at %g, at or before its input landed (%g)", gp, ev.Time())
+	if gp := m.GPUReadyEvent().t; gp <= ev.t {
+		t.Errorf("kernel finished at %g, at or before its input landed (%g)", gp, ev.t)
 	}
 }
 
@@ -212,8 +212,8 @@ func TestFreeWaitsForInFlightDMA(t *testing.T) {
 	if err := m.Free(CPU, host); err != nil {
 		t.Fatal(err)
 	}
-	if m.Now() < ev.Time() {
-		t.Errorf("Free reclaimed the host range mid-DMA: clock %g < %g", m.Now(), ev.Time())
+	if m.Now() < ev.t {
+		t.Errorf("Free reclaimed the host range mid-DMA: clock %g < %g", m.Now(), ev.t)
 	}
 }
 

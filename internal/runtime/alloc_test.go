@@ -32,7 +32,7 @@ func verbScript(t testing.TB, async bool) {
 		_, err = rt.Map(a + 8) // residency skip
 		check(err)
 		rt.KernelLaunched()
-		m.LaunchKernel("k", 64, 6400, 100)
+		m.LaunchKernelAt("k", 0, 6400, 100)
 		check(rt.Unmap(a))
 		check(rt.Unmap(a)) // epoch skip
 		check(rt.Release(a))
@@ -42,7 +42,7 @@ func verbScript(t testing.TB, async bool) {
 		_, err := rt.MapArray(arr)
 		check(err)
 		rt.KernelLaunched()
-		m.LaunchKernel("k2", 64, 6400, 100)
+		m.LaunchKernelAt("k2", 0, 6400, 100)
 		check(rt.UnmapArray(arr))
 		check(rt.ReleaseArray(arr))
 	}

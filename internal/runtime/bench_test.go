@@ -33,7 +33,7 @@ func BenchmarkMapReleaseCycle(b *testing.B) {
 						b.Fatal(err)
 					}
 					rt.KernelLaunched()
-					m.LaunchKernelAt("k", 0, 64, 6400, 100, rt.TakeLaunchWaits()...)
+					m.LaunchKernelAt("k", 0, 6400, 100, rt.TakeLaunchWaits()...)
 					if err := rt.UnmapAsync(unit); err != nil {
 						b.Fatal(err)
 					}

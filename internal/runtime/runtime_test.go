@@ -397,7 +397,7 @@ func TestFreeForgetsLastTransfer(t *testing.T) {
 			t.Fatal(err)
 		}
 		rt.KernelLaunched()
-		m.LaunchKernelAt("k", 0, 1, 1, 1, rt.TakeLaunchWaits()...)
+		m.LaunchKernelAt("k", 0, 1, 1, rt.TakeLaunchWaits()...)
 		if err := rt.UnmapAsync(p); err != nil {
 			t.Fatal(err)
 		}
