@@ -454,23 +454,6 @@ func (ex *exec) checkSpace(fc *funcCode, addr uint64, write bool) error {
 		"CPU %s of GPU address %#x (stale translation or missing unmap)", what, addr)}
 }
 
-// recordInspect notes one inspector-mode memory access. Scratch
-// addresses are kernel-frame locals that exist on the device and are
-// never transferred, so they are not recorded.
-func (ex *exec) recordInspect(addr uint64, write bool) {
-	st := ex.insp
-	st.acc++
-	if addr-ex.scratchBase < scratchStride {
-		return
-	}
-	if info := ex.in.RT.Lookup(addr); info != nil {
-		st.touched[info.Base] = true
-		if write {
-			st.wrote[info.Base] = true
-		}
-	}
-}
-
 // foldProf appends every accumulated count to acc as ops on its source
 // line and zeroes the counters. Called on the launch goroutine after the
 // worker barrier, so no context is concurrently counting.
@@ -932,6 +915,23 @@ func (ex *exec) popAllocas(mark int) {
 		_ = in.Mach.Free(machine.CPU, base)
 	}
 	ex.allocas = ex.allocas[:mark]
+}
+
+// recordInspect notes one inspector-mode memory access. Scratch
+// addresses are kernel-frame locals that exist on the device and are
+// never transferred, so they are not recorded.
+func (ex *exec) recordInspect(addr uint64, write bool) {
+	st := ex.insp
+	st.acc++
+	if addr-ex.scratchBase < scratchStride {
+		return
+	}
+	if info := ex.in.RT.Lookup(addr); info != nil {
+		st.touched[info.Base] = true
+		if write {
+			st.wrote[info.Base] = true
+		}
+	}
 }
 
 func b2i(b bool) uint64 {
