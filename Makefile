@@ -13,7 +13,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck fpcontract test race allocs bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke fuzzsmoke soak hostbench ci
+.PHONY: all build vet fmtcheck fpcontract test race allocs bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke fuzzsmoke soak hostbench placement ci
 
 all: build
 
@@ -127,5 +127,19 @@ hostbench:
 	else \
 		echo "hostbench: no .bench_build/base.json to compare against (copy a parent-commit .bench_build/all.json there for verdicts)"; \
 	fi
+
+# Where the dispatch loop sits in a hostbench binary built as
+# hostbench/run.sh builds it: the address of interp.(*exec).run, that
+# address mod 64 and its size in bytes. run_compute's times move by a few
+# percent with the loop's alignment alone (32 mod 64 has measured faster
+# than 0), so a perf claim reports this line for both commits. Advisory,
+# like hostbench, and not part of `ci`.
+placement:
+	@d="$$(mktemp -d)"; trap 'rm -rf "$$d"' EXIT; \
+	GOFLAGS=-buildvcs=false $(GO) build -o "$$d/hostbench" ./hostbench && \
+	$(GO) tool nm -size "$$d/hostbench" | while read -r addr size _ name; do \
+		if [ "$$name" = 'cgcm/internal/interp.(*exec).run' ]; then \
+			echo "interp.(*exec).run at 0x$$addr, $$((0x$$addr % 64)) mod 64, $$size bytes"; fi; \
+	done
 
 ci: build fmtcheck vet fpcontract race allocs interpbenchsmoke compilebenchsmoke commbenchsmoke fuzzsmoke

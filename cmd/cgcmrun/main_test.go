@@ -132,3 +132,22 @@ func TestUnknownStrategyRejected(t *testing.T) {
 		t.Fatalf("exit %d, want 2", code)
 	}
 }
+
+// TestFreeOfAStackVariableFails: free() of a stack variable is refused,
+// with exit 1 and one line on stderr; it used to free the frame's unit
+// and exit 0.
+func TestFreeOfAStackVariableFails(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "freestack.c")
+	src := `int main() { int x[4]; x[0] = 7; free(x); print_int(1); return 0; }`
+	if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var stdout, stderr bytes.Buffer
+	if code := run([]string{path}, &stdout, &stderr); code != 1 {
+		t.Fatalf("exit %d, want 1; stdout %q", code, stdout.String())
+	}
+	msg := stderr.String()
+	if strings.Count(msg, "\n") != 1 || !strings.Contains(msg, "cannot free a stack variable") {
+		t.Errorf("stderr %q, want one line naming the stack variable", msg)
+	}
+}

@@ -92,3 +92,53 @@ func TestNegativeSizesAreTypedErrors(t *testing.T) {
 		}
 	}
 }
+
+// stackFreePrograms hand the address of a stack variable to free or
+// realloc. Only heap units may be freed: the runtime used to free the
+// frame's unit, so the first program ran on and exited 0 and the second
+// read its own local as an unmapped address.
+var stackFreePrograms = []struct{ name, src, want string }{
+	{"free_array", `
+int main() {
+	int x[4];
+	x[0] = 7;
+	free(x);
+	print_int(1);
+	return 0;
+}`, "cannot free a stack variable"},
+	{"free_scalar", `
+int main() {
+	int x = 7;
+	int *p = &x;
+	free(p);
+	print_int(*p);
+	return 0;
+}`, "cannot free a stack variable"},
+	{"realloc_scalar", `
+int main() {
+	int x = 7;
+	int *p = (int*)realloc(&x, 64);
+	print_int(p[0]);
+	return 0;
+}`, "not a heap allocation unit"},
+}
+
+func TestFreeOfAStackVariableIsATypedError(t *testing.T) {
+	for _, tc := range stackFreePrograms {
+		for _, strat := range []core.Strategy{core.Sequential, core.CGCMUnoptimized, core.CGCMOptimized} {
+			t.Run(tc.name+"/"+strat.String(), func(t *testing.T) {
+				rep, err := core.CompileAndRun(tc.name+".c", tc.src, core.Options{Strategy: strat})
+				if err == nil {
+					t.Fatalf("run succeeded, output %q", rep.Output)
+				}
+				var ie *interp.Error
+				if !errors.As(err, &ie) {
+					t.Fatalf("error is %T, want a wrapped *interp.Error: %v", err, err)
+				}
+				if !strings.Contains(err.Error(), tc.want) {
+					t.Errorf("error %q does not mention %q", err, tc.want)
+				}
+			})
+		}
+	}
+}

@@ -269,18 +269,28 @@ func (ex *exec) inScratch(addr uint64) bool {
 }
 
 // alloca creates the stack unit of an alloca executing for the first
-// time in its frame: a machine segment registered with the runtime on
-// the CPU, a slice of the private arena in a kernel.
-func (ex *exec) alloca(fc *funcCode, size int64, line int) (uint64, error) {
+// time in its frame: on the CPU a machine segment registered with the
+// runtime, or only an address range for a promoted local, whose value
+// lives in a frame slot; in a kernel a slice of the private arena.
+func (ex *exec) alloca(fc *funcCode, size int64, promoted bool, line int) (uint64, error) {
 	in := ex.in
 	if !ex.worker {
-		base := in.Mach.Alloc(machine.CPU, size, fc.alloca)
+		// The runtime's line is stamped either way: events that follow
+		// without a stamp of their own (a launch's retries) carry it.
+		in.RT.Line = line
+		var base uint64
+		if promoted {
+			base = in.Mach.Reserve(size)
+		} else {
+			base = in.Mach.Alloc(machine.CPU, size, fc.alloca)
+		}
 		if base == 0 {
 			return 0, &Error{Fn: fc.name, Msg: fmt.Sprintf("alloca of %d bytes does not fit in the address space", size)}
 		}
-		in.RT.Line = line
-		in.RT.DeclareAlloca(base, size, fc.alloca)
-		ex.allocas = append(ex.allocas, base)
+		if !promoted {
+			in.RT.DeclareAlloca(base, size, fc.alloca)
+			ex.allocas = append(ex.allocas, base)
+		}
 		return base, nil
 	}
 	if size <= 0 {
@@ -432,26 +442,6 @@ func (ex *exec) store(fc *funcCode, addr uint64, size int64, val uint64, c *segC
 	}
 	seg.Store(addr, size, val)
 	return nil
-}
-
-// checkSpace validates that an access belongs to the executing context's
-// address space.
-func (ex *exec) checkSpace(fc *funcCode, addr uint64, write bool) error {
-	space := machine.SpaceOf(addr)
-	onGPU := ex.worker && !ex.hostMem
-	if (space == machine.GPU) == onGPU {
-		return nil
-	}
-	what := "read"
-	if write {
-		what = "write"
-	}
-	if onGPU {
-		return &Error{Fn: fc.name, Msg: fmt.Sprintf(
-			"GPU kernel %s of CPU address %#x (missing or incorrect communication management)", what, addr)}
-	}
-	return &Error{Fn: fc.name, Msg: fmt.Sprintf(
-		"CPU %s of GPU address %#x (stale translation or missing unmap)", what, addr)}
 }
 
 // foldProf appends every accumulated count to acc as ops on its source
@@ -633,7 +623,7 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			// re-executing the alloca reuses it (C scope re-entry).
 			if regs[i.dst] == 0 {
 				at := code.origs[code.sites[pc-1].orig]
-				unit, err := ex.alloca(fc, code.allocas[i.a], int(at.line))
+				unit, err := ex.alloca(fc, code.allocas[i.a], i.b != 0, int(at.line))
 				if err != nil {
 					return 0, ex.faultAt(pc-1, err)
 				}
@@ -895,6 +885,26 @@ func (ex *exec) invoke(fc *funcCode, base int) (uint64, error) {
 	ret, err := ex.run(fc, base)
 	ex.depth--
 	return ret, err
+}
+
+// checkSpace validates that an access belongs to the executing context's
+// address space.
+func (ex *exec) checkSpace(fc *funcCode, addr uint64, write bool) error {
+	space := machine.SpaceOf(addr)
+	onGPU := ex.worker && !ex.hostMem
+	if (space == machine.GPU) == onGPU {
+		return nil
+	}
+	what := "read"
+	if write {
+		what = "write"
+	}
+	if onGPU {
+		return &Error{Fn: fc.name, Msg: fmt.Sprintf(
+			"GPU kernel %s of CPU address %#x (missing or incorrect communication management)", what, addr)}
+	}
+	return &Error{Fn: fc.name, Msg: fmt.Sprintf(
+		"CPU %s of GPU address %#x (stale translation or missing unmap)", what, addr)}
 }
 
 // branch selects a conditional terminator's target pc.

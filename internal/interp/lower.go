@@ -56,10 +56,13 @@ import (
 // Promotion. An 8-byte alloca whose every use is the address of a whole
 // 8-byte load or store has an address nothing can observe, so its value
 // lives in one more frame slot (zero in the image, like fresh memory) and
-// its accesses touch no memory. opAlloca still runs — the unit is created,
-// declared and charged as before — so addresses and every simulated number
-// stay put; each access keeps its origs entry at memory cost inside its
-// run, and the run's opCharge counts it for the inspector in c. Per block,
+// its accesses touch no memory. It is no allocation unit: on the CPU its
+// opAlloca, charged as before, only reserves the address range the unit
+// would have had (Machine.Reserve) — no segment, no runtime record,
+// nothing to pop at return — so every later address and every simulated
+// number stay put; a kernel frame carves it from scratch as before. Each
+// access keeps its origs entry at memory cost inside its run, and the
+// run's opCharge counts it for the inspector in c. Per block,
 // a load emits nothing and its readers read the slot when all of them are
 // in its block and the slot is not written after the load and before the
 // last of them (an absorbed instruction reads where its consumer runs); a
@@ -106,7 +109,7 @@ const (
 	opFMulAdd // dst = regs[d] + regs[a]*regs[b], the product rounded first
 	opFMulSub // dst = regs[d] - regs[a]*regs[b], the product rounded first
 
-	opAlloca // dst = stack unit of allocas[a], created on first execution in a frame
+	opAlloca // dst = stack unit of allocas[a], created on first execution in a frame; b = 1: promoted
 
 	// Memory: a = address slot, c = inline-cache slot; stores read the
 	// value from dst. The A forms address regs[a]+regs[b], the MA forms
@@ -785,10 +788,15 @@ func (l *lowerer) lowerInstr(in *ir.Instr, at int32) {
 
 	switch in.Op {
 	case ir.OpAlloca:
-		// The register keeps the unit's address even when the local's
-		// value lives in a slot of its own.
+		// The register keeps the local's address even when its value lives
+		// in a slot of its own; b marks such a promoted local, whose
+		// alloca on the CPU only reserves that address.
 		c.allocas = append(c.allocas, in.Size)
-		light(opAlloca, costDefault, inst{dst: int32(in.Reg), a: int32(len(c.allocas) - 1)})
+		x := inst{dst: int32(in.Reg), a: int32(len(c.allocas) - 1)}
+		if in.Size == 8 && l.hasReg(in) && l.regs[in.Reg].slot >= 0 {
+			x.b = 1
+		}
+		light(opAlloca, costDefault, x)
 
 	case ir.OpLoad, ir.OpStore:
 		store := in.Op == ir.OpStore

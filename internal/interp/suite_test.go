@@ -32,15 +32,18 @@ func TestSuiteLocalsArePromoted(t *testing.T) {
 
 // TestWarmRunAllocations bounds what a warm run of a suite program
 // allocates, on one worker: run_compute's jacobi-2d-imper under optimized
-// CGCM, and run_comm's nw in its three configurations. The count repeats
-// to within one object from run to run and does not depend on host speed,
-// so it gates the host cost no timing can: each bound is one object above
-// the count when it was set, and a change that raises one must say why
-// here. The bounds fell by 4 (119/585/596/189 counts before) when the
-// machine's histogram bounds were built once per process instead of once
-// per run, registry or not; they fell again, to 106/548/559/174 counts,
-// when the ledger stopped keeping a map of allocation lines and a map of
-// seen epochs per unit (the unit's line now rides on its AllocInfo).
+// CGCM, run_comm's nw in its three configurations, and cfd, whose
+// helpers are called per element. The count repeats to within one object
+// from run to run and does not depend on host speed, so it gates the host
+// cost no timing can: each bound is one object above the count when it
+// was set, and a change that raises one must say why here. The bounds
+// fell by 4 (119/585/596/189 counts before) when the machine's histogram
+// bounds were built once per process instead of once per run, registry
+// or not; they fell again, to 106/548/559/174 counts, when the ledger
+// stopped keeping a map of allocation lines and a map of seen epochs per
+// unit (the unit's line now rides on its AllocInfo); and to 55/64/75/66
+// (cfd 1337 before) when promoted locals stopped being allocation units
+// and segments, tree nodes and AllocInfos came from per-run slabs.
 func TestWarmRunAllocations(t *testing.T) {
 	faults, err := faultinject.ParseSpec("seed=7,htod=0.2,dtoh=0.2,alloc=0.1")
 	if err != nil {
@@ -51,10 +54,11 @@ func TestWarmRunAllocations(t *testing.T) {
 		opts            core.Options
 		bound           float64
 	}{
-		{"jacobi-2d-imper", "opt", core.Options{Strategy: core.CGCMOptimized}, 107},
-		{"nw", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 549},
-		{"nw", "unopt-async", core.Options{Strategy: core.CGCMUnoptimized, Async: true}, 560},
-		{"nw", "opt-faults", core.Options{Strategy: core.CGCMOptimized, GPUMemBytes: 256 << 10, FaultSpec: faults}, 175},
+		{"jacobi-2d-imper", "opt", core.Options{Strategy: core.CGCMOptimized}, 56},
+		{"nw", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 65},
+		{"nw", "unopt-async", core.Options{Strategy: core.CGCMUnoptimized, Async: true}, 76},
+		{"nw", "opt-faults", core.Options{Strategy: core.CGCMOptimized, GPUMemBytes: 256 << 10, FaultSpec: faults}, 67},
+		{"cfd", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 168},
 	} {
 		t.Run(c.program+"/"+c.config, func(t *testing.T) {
 			p, _ := bench.ByName(c.program)

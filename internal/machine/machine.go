@@ -208,6 +208,11 @@ type Machine struct {
 	nextCPU uint64
 	nextGPU uint64
 
+	// segSlab is the unused tail of the chunk new Segments come from, and
+	// nsegs counts the Segments made so far (newSegment).
+	segSlab []Segment
+	nsegs   int
+
 	// epoch is the kernel epoch ("an epoch count which increases every
 	// time the program launches a GPU function"): the runtime library
 	// advances and consults it, and every event is stamped with it.
@@ -388,16 +393,17 @@ func (m *Machine) Alloc(space Space, size int64, name string) uint64 {
 	if size <= 0 {
 		size = 1
 	}
-	if !m.fits(space, size) {
-		return 0
-	}
 	var base uint64
 	var data []byte
 	if space == CPU {
-		base = m.nextCPU
-		m.nextCPU = align(m.nextCPU + uint64(size))
+		if base = m.Reserve(size); base == 0 {
+			return 0
+		}
 		data = make([]byte, size)
 	} else {
+		if !m.fits(GPU, size) {
+			return 0
+		}
 		base = m.nextGPU
 		m.nextGPU = align(m.nextGPU + uint64(size))
 		m.gpuUsed += int64(align(uint64(size)))
@@ -406,9 +412,42 @@ func (m *Machine) Alloc(space Space, size int64, name string) uint64 {
 		}
 		data = m.deviceBuf(size)
 	}
-	seg := &Segment{Base: base, Data: data, Space: space, Name: name}
+	seg := m.newSegment()
+	*seg = Segment{Base: base, Data: data, Space: space, Name: name}
 	m.segs[space].Put(base, seg)
 	return base
+}
+
+// Reserve takes size bytes of the CPU address range exactly as Alloc
+// would — the same refusal (0), the same alignment — but makes no segment:
+// the range has an address and no bytes, and every later address is the
+// one it would have had. A load or store into it faults as unmapped. The
+// interpreter reserves its promoted locals this way.
+func (m *Machine) Reserve(size int64) uint64 {
+	if size <= 0 {
+		size = 1
+	}
+	if !m.fits(CPU, size) {
+		return 0
+	}
+	base := m.nextCPU
+	m.nextCPU = align(m.nextCPU + uint64(size))
+	return base
+}
+
+// newSegment returns an unused Segment from the machine's slab. A chunk
+// holds as many Segments as the machine has made so far, at least 4 and at
+// most 256, so a short run allocates a few small chunks and a long one
+// few chunks. A Segment is never handed out twice: an inline cache may
+// hold one past its Free.
+func (m *Machine) newSegment() *Segment {
+	if len(m.segSlab) == 0 {
+		m.segSlab = make([]Segment, min(max(4, m.nsegs), 256))
+	}
+	seg := &m.segSlab[0]
+	m.segSlab = m.segSlab[1:]
+	m.nsegs++
+	return seg
 }
 
 // deviceBuf returns the zeroed backing buffer of a new size-byte device
@@ -455,18 +494,20 @@ func (m *Machine) Free(space Space, base uint64) error {
 			m.gov.Release(n)
 			delete(m.govBytes, base)
 		}
-		// The buffer moves to the free list and the segment loses it: a
-		// *Segment held past this Free (an inline cache that missed the Gen
-		// change) then fails its bounds check instead of reading the bytes
-		// of whichever unit the buffer backs next. Segments themselves are
-		// never recycled, for the same reason.
+		// The buffer moves to the free list.
 		if m.free == nil {
 			m.free = make(map[int64][][]byte)
 		}
 		m.free[size] = append(m.free[size], seg.Data)
 		m.pooled += int64(align(uint64(size)))
-		seg.Data = nil
 	}
+	// The segment loses its buffer: a *Segment held past this Free (an
+	// inline cache that missed the Gen change) then fails its bounds check
+	// instead of reading the bytes of whichever unit a recycled buffer
+	// backs next, and the slab chunk the segment sits in keeps no freed
+	// bytes alive. Segments themselves are never recycled, for the same
+	// reason.
+	seg.Data = nil
 	m.segs[space].Delete(base)
 	for i, c := range &m.cache[space] {
 		if c != nil && c.Base == base {

@@ -273,7 +273,21 @@ func TestAllocRefusesWhatCannotFit(t *testing.T) {
 			t.Errorf("refused device allocations counted as used memory: %d", m.GPUMemUsed())
 		}
 	}
+	// Reserve, which takes a promoted local's address range, refuses what
+	// Alloc refuses, takes the range Alloc would and makes no segment.
 	m := newM()
+	before := m.Alloc(CPU, 8, "before")
+	for _, size := range []int64{1 << 62, int64(GPUBase)} {
+		if got := m.Reserve(size); got != 0 {
+			t.Errorf("Reserve(%#x) = %#x, want refusal", size, got)
+		}
+	}
+	if r := m.Reserve(8); r != before+16 || m.FindSegment(r) != nil {
+		t.Errorf("Reserve(8) = %#x (segment %v), want %#x and no segment", r, m.FindSegment(r), before+16)
+	}
+	if after := m.Alloc(CPU, 8, "after"); after != before+32 {
+		t.Errorf("allocation after the reservation at %#x, want %#x", after, before+32)
+	}
 	_, err := m.AllocDevice(1<<62, "huge")
 	var de *faultinject.DeviceError
 	if !errors.As(err, &de) || de.Verb != faultinject.VerbAlloc || de.Injected {

@@ -54,6 +54,31 @@ func TestFreedSegmentLosesItsBytes(t *testing.T) {
 	}
 }
 
+// TestFreedSegmentIsNeverReused: Segments come from a slab but are never
+// handed out twice, in either space — an inline cache may hold one past
+// its Free — and a freed CPU segment loses its bytes too, so the slab
+// keeps none alive.
+func TestFreedSegmentIsNeverReused(t *testing.T) {
+	for _, space := range []Space{CPU, GPU} {
+		m := newM()
+		freed := make(map[*Segment]bool)
+		for i := 0; i < 600; i++ { // past the largest chunk
+			base := m.Alloc(space, 64, "u")
+			seg := m.FindSegment(base)
+			if freed[seg] {
+				t.Fatalf("%s: allocation %d got a freed *Segment", space, i)
+			}
+			if err := m.Free(space, base); err != nil {
+				t.Fatal(err)
+			}
+			if seg.Data != nil {
+				t.Fatalf("%s: freed segment still holds %d bytes", space, len(seg.Data))
+			}
+			freed[seg] = true
+		}
+	}
+}
+
 // TestRecycledBufferReadsZero: machine memory is zeroed, recycled or not,
 // and recycling hands out the same addresses the parent did: the device
 // space only grows.

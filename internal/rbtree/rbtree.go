@@ -32,15 +32,28 @@ type Tree[V any] struct {
 	// release/map pair. Nodes never leave the tree, so no caller can hold
 	// one; the list is as long as the tree once was large.
 	free *node[V]
+
+	// slab is the unused tail of the chunk new nodes come from, and made
+	// counts the nodes taken from chunks so far. A chunk holds that many
+	// nodes, at least 4 and at most 256: n Puts into a fresh tree allocate
+	// about log2(n) times, and once per 256 nodes past the largest chunk.
+	slab []node[V]
+	made int
 }
 
-// newNode returns a red leaf for key, recycled when the free list has one.
+// newNode returns a red leaf for key: recycled when the free list has one,
+// else the next node of the slab.
 func (t *Tree[V]) newNode(key uint64, val V) *node[V] {
 	n := t.free
-	if n == nil {
-		return &node[V]{key: key, val: val, color: red}
+	if n != nil {
+		t.free = n.left
+	} else {
+		if len(t.slab) == 0 {
+			t.slab = make([]node[V], min(max(4, t.made), 256))
+		}
+		n, t.slab = &t.slab[0], t.slab[1:]
+		t.made++
 	}
-	t.free = n.left
 	*n = node[V]{key: key, val: val, color: red}
 	return n
 }

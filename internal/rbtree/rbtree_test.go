@@ -1,10 +1,13 @@
 package rbtree
 
 import (
+	"math/bits"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 	"testing/quick"
+	"time"
 )
 
 func TestEmptyTree(t *testing.T) {
@@ -220,6 +223,50 @@ func TestDeletePutThroughRecycledNodes(t *testing.T) {
 	}); a != 0 {
 		t.Errorf("Delete+Put allocated %v objects per pair, want 0", a)
 	}
+}
+
+// TestPutsAllocateLogarithmically: nodes come from chunks that grow with
+// the tree, so n Puts into a fresh tree allocate O(log n) times up to the
+// largest chunk, not once per node.
+func TestPutsAllocateLogarithmically(t *testing.T) {
+	for _, n := range []int{10, 100, 1000} {
+		got := testing.AllocsPerRun(10, func() {
+			tr := new(Tree[int])
+			for k := 0; k < n; k++ {
+				tr.Put(uint64(k)*16, k)
+			}
+		})
+		if want := float64(bits.Len(uint(n)) + 1); got > want { // +1: the tree
+			t.Errorf("%d Puts allocated %v times, want at most %v", n, got, want)
+		}
+	}
+}
+
+// TestDeleteDropsTheValue: a node's chunk lives as long as the tree, so a
+// deleted value must not stay reachable through it.
+func TestDeleteDropsTheValue(t *testing.T) {
+	var tr Tree[*[64]byte]
+	collected := make(chan struct{})
+	v := new([64]byte)
+	runtime.SetFinalizer(v, func(*[64]byte) { close(collected) })
+	for k := uint64(0); k < 8; k++ {
+		tr.Put(k, new([64]byte))
+	}
+	tr.Put(100, v)
+	v = nil
+	tr.Delete(100)
+	for i := 0; i < 20; i++ {
+		runtime.GC()
+		select {
+		case <-collected:
+			if tr.Len() != 8 {
+				t.Fatalf("Len %d, want 8", tr.Len())
+			}
+			return
+		case <-time.After(10 * time.Millisecond):
+		}
+	}
+	t.Error("a deleted value is still reachable from the tree")
 }
 
 // TestQuickGreatestLTE property: GreatestLTE always equals the brute

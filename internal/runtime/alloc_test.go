@@ -53,19 +53,21 @@ func verbScript(t testing.TB, async bool) {
 // looking: with no tracer, profile or registry attached, booking an event
 // allocates nothing, so the script allocates only what its segments,
 // device copies and tracking structures need. The bounds are a tenth above
-// what the script measures (77 and 69) now that the ledger keeps one row
-// per unit and no side maps (87 and 79 before; 130 and 82 before device
-// buffers, tree nodes and device-copy names were recycled); an event that
-// escapes to the heap, a span name built with no tracer to read it, or a
-// map/release pair that allocates again shows up here as a higher count.
+// what the script measures (50 and 55) now that segments, tree nodes and
+// AllocInfos come from per-run slabs (77 and 69 before; 87 and 79 before
+// the ledger kept one row per unit and no side maps; 130 and 82 before
+// device buffers, tree nodes and device-copy names were recycled); an
+// event that escapes to the heap, a span name built with no tracer to read
+// it, or a map/release pair that allocates again shows up here as a
+// higher count.
 func TestVerbScriptAllocations(t *testing.T) {
 	for _, c := range []struct {
 		name  string
 		async bool
 		bound float64
 	}{
-		{"blocking", false, 85},
-		{"streams", true, 76},
+		{"blocking", false, 55},
+		{"streams", true, 61},
 	} {
 		got := testing.AllocsPerRun(20, func() { verbScript(t, c.async) })
 		t.Logf("%s: %.0f allocations per script", c.name, got)

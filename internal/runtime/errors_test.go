@@ -41,6 +41,25 @@ func TestErrorTaxonomy(t *testing.T) {
 			want: ErrNotHeapUnit,
 		},
 		{
+			name: "free of a stack variable",
+			call: func(rt *Runtime) error {
+				base := rt.M.Alloc(0, 32, "alloca f") // machine.CPU
+				rt.DeclareAlloca(base, 32, "alloca f")
+				return rt.Free(base)
+			},
+			want: ErrNotHeapUnit,
+		},
+		{
+			name: "realloc of a stack variable",
+			call: func(rt *Runtime) error {
+				base := rt.M.Alloc(0, 8, "alloca f") // machine.CPU
+				rt.DeclareAlloca(base, 8, "alloca f")
+				_, err := rt.Realloc(base, 64)
+				return err
+			},
+			want: ErrNotHeapUnit,
+		},
+		{
 			name: "realloc of interior pointer",
 			call: func(rt *Runtime) error {
 				p := rt.Malloc(64)

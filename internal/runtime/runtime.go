@@ -2,10 +2,10 @@
 // paper).
 //
 // The library tracks allocation units — contiguous regions of memory
-// allocated as a single unit (heap blocks, stack slots, globals) — in a
-// self-balancing tree map indexed by base address, and translates opaque
-// CPU pointers into equivalent GPU pointers at allocation-unit
-// granularity. Transferring whole allocation units means valid pointer
+// allocated as a single unit (heap blocks, escaping stack variables,
+// globals) — in a self-balancing tree map indexed by base address, and
+// translates opaque CPU pointers into equivalent GPU pointers at
+// allocation-unit granularity. Transferring whole allocation units means valid pointer
 // arithmetic yields the same results on the CPU and the GPU (C99 makes
 // arithmetic beyond an allocation unit undefined), so no static analysis
 // of aliasing, typing, or indirection is needed.
@@ -37,6 +37,7 @@ type AllocInfo struct {
 	Size     int64
 	Name     string
 	IsGlobal bool
+	IsStack  bool // an escaping stack variable (DeclareAlloca)
 	ReadOnly bool
 	// Line is the source line of the allocation site (0 for globals), the
 	// unit's Line on its ledger row.
@@ -80,7 +81,7 @@ var (
 	// ErrDoubleFree: the pointer names a heap unit that was already freed.
 	ErrDoubleFree = errors.New("double free")
 	// ErrNotHeapUnit: free/realloc of something that is not a heap
-	// allocation unit base (e.g. a global).
+	// allocation unit base (e.g. a global or a stack variable).
 	ErrNotHeapUnit = errors.New("not a heap allocation unit")
 	// ErrUnbalancedRelease: release/releaseArray without a matching map.
 	ErrUnbalancedRelease = errors.New("unbalanced release")
@@ -146,6 +147,11 @@ type Runtime struct {
 	allocs  rbtree.Tree[*AllocInfo]
 	shadows map[uint64]*shadowArray
 	stats   Stats
+
+	// infoSlab is the unused tail of the chunk new AllocInfos come from,
+	// and ninfos counts the AllocInfos made so far (newInfo).
+	infoSlab []AllocInfo
+	ninfos   int
 
 	// Async communication state (async.go). async gates MapAsync/UnmapAsync
 	// between stream copies and their synchronous equivalents, so the
@@ -234,6 +240,22 @@ func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
 	r.M.Record(&ev)
 }
 
+// newInfo tracks a new allocation unit: it puts info, in a record from the
+// runtime's slab, in the allocation map. A chunk holds as many records as
+// the runtime has made so far, at least 4 and at most 256. A record is
+// never handed out twice, so one held past its unit's free or expiry
+// never describes another unit.
+func (r *Runtime) newInfo(info AllocInfo) {
+	if len(r.infoSlab) == 0 {
+		r.infoSlab = make([]AllocInfo, min(max(4, r.ninfos), 256))
+	}
+	p := &r.infoSlab[0]
+	r.infoSlab = r.infoSlab[1:]
+	r.ninfos++
+	*p = info
+	r.allocs.Put(info.Base, p)
+}
+
 // Stats returns a snapshot of the runtime counters. Rescue copies and
 // fallback kernels are things the machine does; the snapshot reports the
 // machine's counts rather than keep a second tally.
@@ -266,16 +288,17 @@ func (r *Runtime) KernelLaunched() {
 // its preallocated device named region (§3.1: "the compiler inserts calls
 // to the run-time library's declareGlobal function before main").
 func (r *Runtime) DeclareGlobal(name string, base uint64, size int64, readOnly bool, deviceGlobal uint64) {
-	r.allocs.Put(base, &AllocInfo{
+	r.newInfo(AllocInfo{
 		Base: base, Size: size, Name: name,
 		IsGlobal: true, ReadOnly: readOnly, DeviceGlobal: deviceGlobal,
 	})
 }
 
 // DeclareAlloca registers an escaping stack variable's allocation unit.
-// The registration expires when the frame pops (RemoveAlloca).
+// The registration expires when the frame pops (RemoveAlloca). A local
+// whose address nothing can observe is not a unit and is never declared.
 func (r *Runtime) DeclareAlloca(base uint64, size int64, name string) {
-	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: name, Line: r.Line})
+	r.newInfo(AllocInfo{Base: base, Size: size, Name: name, IsStack: true, Line: r.Line})
 }
 
 // RemoveAlloca expires a stack registration. Any GPU residual is freed
@@ -300,7 +323,7 @@ func (r *Runtime) Malloc(size int64) uint64 {
 	if base == 0 {
 		return 0
 	}
-	r.allocs.Put(base, &AllocInfo{Base: base, Size: size, Name: "malloc", Line: r.Line})
+	r.newInfo(AllocInfo{Base: base, Size: size, Name: "malloc", Line: r.Line})
 	return base
 }
 
@@ -331,7 +354,7 @@ func (r *Runtime) Realloc(ptr uint64, size int64) (uint64, error) {
 		return r.Malloc(size), nil
 	}
 	info, ok := r.allocs.Get(ptr)
-	if !ok || info.IsGlobal {
+	if !ok || info.IsGlobal || info.IsStack {
 		return 0, &Error{Op: "realloc", Ptr: ptr, Msg: "not a heap allocation unit base", Err: ErrNotHeapUnit}
 	}
 	nbase := r.Malloc(size)
@@ -366,6 +389,9 @@ func (r *Runtime) Free(ptr uint64) error {
 	}
 	if info.IsGlobal {
 		return &Error{Op: "free", Ptr: ptr, Msg: "cannot free a global", Err: ErrNotHeapUnit}
+	}
+	if info.IsStack {
+		return &Error{Op: "free", Ptr: ptr, Msg: "cannot free a stack variable", Err: ErrNotHeapUnit}
 	}
 	if info.DevPtr != 0 {
 		// Mapped (defensive) or cached for reuse (resilient mode): the
