@@ -14,7 +14,7 @@ import (
 	"cgcm/internal/remarks"
 )
 
-var update = flag.Bool("update", false, "rewrite testdata/irhash.golden")
+var update = flag.Bool("update", false, "rewrite the goldens under testdata")
 
 // TestIRHashGolden holds what the compiler does to the suite: for every
 // program, strategy and async setting, one line in testdata/irhash.golden
