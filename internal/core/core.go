@@ -573,7 +573,8 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 	}
 	mach := machine.New(p.Opts.CostModel())
 	// The timeline and the profile are read from the run's event log after
-	// the run; the machine keeps it only when one of them is wanted.
+	// the run; the machine keeps the record it replays only when one of them
+	// is wanted.
 	if p.Opts.Tracer != nil || p.Opts.Profile {
 		mach.KeepLog()
 	}
@@ -634,13 +635,14 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 		Comm:                   rt.Ledger.Ledger(),
 		Phases:                 p.phases,
 	}
+	log := mach.Log() // a replay of the run's record: read it once
 	if p.Opts.Tracer != nil {
-		rep.Spans = trace.Spans(mach.Log())
+		rep.Spans = trace.Spans(log)
 		rep.Verbs = mach.Verbs()
 		p.Opts.Tracer.Emit(rep.Spans...)
 	}
 	if p.Opts.Profile {
-		rep.Profile = prof.FromLog(p.name, mach.Log())
+		rep.Profile = prof.FromLog(p.name, log)
 	}
 	if p.Opts.Remarks {
 		rep.Remarks = withRuntimeRemarks(p.name, p.remarks, rep.Comm, rep.RTStats, rt.DegradeReason())

@@ -236,7 +236,7 @@ func TestBlockingIsNilStream(t *testing.T) {
 		if len(m.clk.pending) != 0 {
 			t.Error("blocking copy left a pending stream op")
 		}
-		return m.Stats(), m.Now()
+		return m.Stats(), m.clk.cpu
 	}
 	s1, t1 := run(false)
 	s2, t2 := run(true)

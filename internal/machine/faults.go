@@ -50,7 +50,7 @@ func (m *Machine) DecideFault(v faultinject.Verb, unit string) *faultinject.Devi
 	if !fault {
 		return nil
 	}
-	m.do(Verb{Kind: VerbFault, Fault: v}, nil, tag{unit: unit, call: call})
+	m.do(Verb{Kind: VerbFault, Fault: v, tag: tag{unit: unit, call: call}}, nil)
 	return &faultinject.DeviceError{
 		Verb: v, Unit: unit, Call: call,
 		Transient: !persistent, Injected: true,
@@ -108,7 +108,7 @@ func (m *Machine) AllocDevice(size int64, name string) (uint64, error) {
 // Penalty advances the CPU timeline by d seconds of non-compute overhead
 // (retry backoff). The time counts toward Wall and PenaltyTime but not
 // CPUTime, so compute accounting stays honest.
-func (m *Machine) Penalty(d float64) { m.do(Verb{Kind: VerbPenalty, D: d}, nil, tag{}) }
+func (m *Machine) Penalty(d float64) { m.do(Verb{Kind: VerbPenalty, D: d}, nil) }
 
 // RescueCopyDtoH copies n device bytes to the host over the driver's
 // slow reliable channel: a blocking CopyDtoH that never consults the fault
@@ -127,5 +127,5 @@ func (m *Machine) RescueCopyDtoH(dst, src uint64, n int64) error {
 // EvKernel, so degraded schedules render distinctly and the profile keeps
 // the launch apart from GPU work.
 func (m *Machine) RunKernelOnCPUAt(name string, line int, totalOps int64) {
-	m.do(Verb{Kind: VerbFallback, N: totalOps}, nil, tag{name: name, line: line})
+	m.do(Verb{Kind: VerbFallback, N: totalOps, tag: tag{name: name, line: line}}, nil)
 }

@@ -93,7 +93,7 @@ func TestDecideFaultChargesTimeAndCounts(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.SetFaultPlan(spec.NewPlan())
-	before := m.Now()
+	before := m.clk.cpu
 	if de := m.DecideFault(faultinject.VerbHtoD, "u"); de == nil {
 		t.Fatal("call 0 listed in spec did not fault")
 	} else {
@@ -104,7 +104,7 @@ func TestDecideFaultChargesTimeAndCounts(t *testing.T) {
 			t.Errorf("htod fault does not match ErrTransfer: %v", de)
 		}
 	}
-	if m.Now() <= before {
+	if m.clk.cpu <= before {
 		t.Error("injected fault charged no driver-call time")
 	}
 	if de := m.DecideFault(faultinject.VerbHtoD, "u"); de != nil {
@@ -149,11 +149,11 @@ func TestPenaltyAdvancesWallNotCompute(t *testing.T) {
 	if after.CPUTime != before.CPUTime {
 		t.Error("penalty charged compute time")
 	}
-	if m.Now() != 0.001 {
-		t.Errorf("penalty did not advance the clock: %g", m.Now())
+	if m.clk.cpu != 0.001 {
+		t.Errorf("penalty did not advance the clock: %g", m.clk.cpu)
 	}
 	m.Penalty(0) // no-op, must not panic or move time
-	if m.Now() != 0.001 {
+	if m.clk.cpu != 0.001 {
 		t.Error("zero penalty moved the clock")
 	}
 }
@@ -174,13 +174,13 @@ func TestRescueCopyDtoHIsSlowButCounted(t *testing.T) {
 	if err := m2.CopyDtoH(h2, d2, 4096); err != nil {
 		t.Fatal(err)
 	}
-	normal := m2.Now()
+	normal := m2.clk.cpu
 
 	if err := m.RescueCopyDtoH(host, dev, 4096); err != nil {
 		t.Fatal(err)
 	}
-	if m.Now() <= normal {
-		t.Errorf("rescue copy (%.9f) not slower than normal DtoH (%.9f)", m.Now(), normal)
+	if m.clk.cpu <= normal {
+		t.Errorf("rescue copy (%.9f) not slower than normal DtoH (%.9f)", m.clk.cpu, normal)
 	}
 	st := m.Stats()
 	if st.RescueCopies != 1 || st.NumDtoH != 1 || st.BytesDtoH != 4096 {

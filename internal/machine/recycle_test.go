@@ -271,7 +271,7 @@ func TestRecyclingInvisibleToDeviceModel(t *testing.T) {
 			log = append(log, fmt.Sprintf("alloc %s %d: +%#x", name, size, base-GPUBase))
 		}
 		log = append(log, fmt.Sprintf("  used %d peak %d gen %d now %.0fus faults %d",
-			m.GPUMemUsed(), m.GPUMemPeak(), m.Gen(), m.Now()*1e6, m.Stats().InjectedFaults))
+			m.GPUMemUsed(), m.GPUMemPeak(), m.Gen(), m.clk.cpu*1e6, m.Stats().InjectedFaults))
 	}
 	free := func(name string) {
 		err := m.Free(GPU, live[name])

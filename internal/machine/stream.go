@@ -67,7 +67,7 @@ func (m *Machine) SetOverlapSink(fn func(hostBase uint64, overlapped int64)) { m
 // GPUReadyEvent returns an event that completes when every kernel
 // launched so far has finished — the handle an async copy passes as a
 // wait when it must not race the compute timeline.
-func (m *Machine) GPUReadyEvent() Event { return m.do(Verb{Kind: VerbMark}, nil, tag{}) }
+func (m *Machine) GPUReadyEvent() Event { return m.do(Verb{Kind: VerbMark}, nil) }
 
 // CopyHtoDAsync issues a host-to-device copy on stream s. The bytes move
 // immediately; the DMA occupies the stream's lane starting after the
@@ -135,14 +135,14 @@ func (m *Machine) move(kind trace.Kind, dst, src uint64, n int64, rescue bool) e
 // charge is the temporal half of every copy verb: one DMA on stream s,
 // blocking when s is nil (clock.copy).
 func (m *Machine) charge(kind trace.Kind, s *Stream, host, dev uint64, n int64, unit string, rescue bool, waits []Event) Event {
-	v, tg := Verb{Kind: VerbHtoD, Rescue: rescue, N: n, Addr: host, Dev: dev}, tag{unit: unit}
+	v := Verb{Kind: VerbHtoD, Rescue: rescue, N: n, Addr: host, Dev: dev, tag: tag{unit: unit}}
 	if kind == trace.KindDtoH {
 		v.Kind = VerbDtoH
 	}
 	if s != nil {
-		v.Stream, tg.name = s.idx+1, s.name
+		v.Stream, v.tag.name = s.idx+1, s.name
 	}
-	ev := m.do(v, waits, tg)
+	ev := m.do(v, waits)
 	if s != nil && kind == trace.KindDtoH {
 		// A pending host-bound flush: invalidate the interpreter's inline
 		// caches so the next host access to any unit re-resolves through
@@ -156,7 +156,7 @@ func (m *Machine) charge(kind trace.Kind, s *Stream, host, dev uint64, n int64, 
 // last completion. Sync does it too; the runtime calls it directly before
 // degrading the device so no async copy is in flight when the escalation
 // ladder takes over.
-func (m *Machine) SyncStreams() { m.do(Verb{Kind: VerbSyncStreams}, nil, tag{}) }
+func (m *Machine) SyncStreams() { m.do(Verb{Kind: VerbSyncStreams}, nil) }
 
 // WaitHostUnit blocks the CPU until every in-flight device-to-host copy
 // whose destination range contains addr has completed. Host code that
@@ -168,6 +168,6 @@ func (m *Machine) WaitHostUnit(addr uint64) {
 	if len(m.clk.streams) > 0 {
 		// Only a stream copy can be pending, so without a stream the touch
 		// is a no-op under every cost model and is not recorded.
-		m.do(Verb{Kind: VerbTouch, Addr: addr}, nil, tag{})
+		m.do(Verb{Kind: VerbTouch, Addr: addr}, nil)
 	}
 }

@@ -22,13 +22,13 @@ func TestAsyncCopyDoesNotStallCPU(t *testing.T) {
 	const n = 4096
 	m, host, dev := newTestMachine(n)
 	s := m.NewStream("h2d")
-	before := m.Now()
+	before := m.clk.cpu
 	ev, err := m.CopyHtoDAsync(s, dev, host, n)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if m.Now() != before {
-		t.Errorf("async copy advanced the CPU clock: %g -> %g", before, m.Now())
+	if m.clk.cpu != before {
+		t.Errorf("async copy advanced the CPU clock: %g -> %g", before, m.clk.cpu)
 	}
 	if len(m.clk.pending) != 1 {
 		t.Errorf("pending copies = %d, want 1", len(m.clk.pending))
@@ -43,8 +43,8 @@ func TestAsyncCopyDoesNotStallCPU(t *testing.T) {
 	if err := m2.CopyHtoD(dev2, host2, n); err != nil {
 		t.Fatal(err)
 	}
-	if m2.Now() < d {
-		t.Errorf("sync copy did not pay the DMA inline: clock %g < %g", m2.Now(), d)
+	if m2.clk.cpu < d {
+		t.Errorf("sync copy did not pay the DMA inline: clock %g < %g", m2.clk.cpu, d)
 	}
 }
 
@@ -138,12 +138,12 @@ func TestWaitHostUnit(t *testing.T) {
 		t.Fatal(err)
 	}
 	m.WaitHostUnit(other) // unrelated: no stall
-	if m.Now() != 0 {
-		t.Errorf("unrelated host access stalled the CPU to %g", m.Now())
+	if m.clk.cpu != 0 {
+		t.Errorf("unrelated host access stalled the CPU to %g", m.clk.cpu)
 	}
 	m.WaitHostUnit(host + 128) // inside the flushing range: stall to completion
-	if m.Now() != ev.t {
-		t.Errorf("host access to flushing unit stalled to %g, want %g", m.Now(), ev.t)
+	if m.clk.cpu != ev.t {
+		t.Errorf("host access to flushing unit stalled to %g, want %g", m.clk.cpu, ev.t)
 	}
 	if len(m.clk.pending) != 0 {
 		t.Errorf("flush still pending after WaitHostUnit")
@@ -165,8 +165,8 @@ func TestSyncDrainsStreams(t *testing.T) {
 	if len(m.clk.pending) != 0 {
 		t.Errorf("pending copies after Sync: %d", len(m.clk.pending))
 	}
-	if m.Now() < ev.t {
-		t.Errorf("Sync did not reach the copy's completion: %g < %g", m.Now(), ev.t)
+	if m.clk.cpu < ev.t {
+		t.Errorf("Sync did not reach the copy's completion: %g < %g", m.clk.cpu, ev.t)
 	}
 	st := m.Stats()
 	if st.OverlappedBytes <= 0 || st.OverlappedBytes > n {
@@ -212,8 +212,8 @@ func TestFreeWaitsForInFlightDMA(t *testing.T) {
 	if err := m.Free(CPU, host); err != nil {
 		t.Fatal(err)
 	}
-	if m.Now() < ev.t {
-		t.Errorf("Free reclaimed the host range mid-DMA: clock %g < %g", m.Now(), ev.t)
+	if m.clk.cpu < ev.t {
+		t.Errorf("Free reclaimed the host range mid-DMA: clock %g < %g", m.clk.cpu, ev.t)
 	}
 }
 

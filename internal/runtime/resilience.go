@@ -268,7 +268,7 @@ func (r *Runtime) degrade(what string, cause error) error {
 	if cause != nil {
 		r.degradeReason = fmt.Sprintf("%s: %v", what, cause)
 	}
-	r.degradeStart = r.M.Now()
+	from := r.M.Pos()
 
 	// Resident units: translation entries, dirty flushes, device frees.
 	// Ascend order is base-address order — deterministic.
@@ -313,7 +313,7 @@ func (r *Runtime) degrade(what string, cause error) error {
 
 	sort.Slice(r.devRanges, func(i, j int) bool { return r.devRanges[i].lo < r.devRanges[j].lo })
 	r.lru = nil
-	r.emit(trace.EvDegrade, nil, false)
+	r.emitFrom(from, trace.EvDegrade, nil, false)
 	return nil
 }
 

@@ -168,7 +168,6 @@ type Runtime struct {
 	res           Resilience
 	degraded      bool
 	degradeReason string
-	degradeStart  float64  // simulated time the escalation began
 	lru           []uint64 // eviction candidates, least recently released first
 	devRanges     []devRange
 	freed         map[uint64]bool // heap bases freed, for double-free detection
@@ -187,12 +186,16 @@ func New(m *machine.Machine) *Runtime {
 // names no unit — the call failed or was absorbed after degradation, or the
 // kind has none); copied says the call moved the unit's bytes. It is the
 // only place the runtime's tallies are written, and the folds run in a
-// fixed order: Stats, the ledger, then the machine's log. The machine the
-// runtime was handed owns the log and the kernel epoch, so there is
-// nothing to wire.
+// fixed order: Stats, the ledger, then a note in the machine's record. The
+// machine the runtime was handed owns the record and the kernel epoch, so
+// there is nothing to wire.
 func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
-	now := r.M.Now()
-	ev := trace.Event{Kind: kind, Start: now, End: now, Line: r.Line, Epoch: r.M.Epoch(), Copied: copied}
+	r.emitFrom(r.M.Pos(), kind, info, copied)
+}
+
+// emitFrom is emit for an event spanning the verbs since position from.
+func (r *Runtime) emitFrom(from int, kind trace.EventKind, info *AllocInfo, copied bool) {
+	ev := trace.Event{Kind: kind, Line: r.Line, Epoch: r.M.Epoch(), Copied: copied}
 	site := 0
 	if info != nil {
 		ev.Base, ev.Size, ev.Unit = info.Base, info.Size, info.Name
@@ -219,7 +222,7 @@ func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
 		st.Retries++
 	case trace.EvDegrade:
 		st.Degraded = true
-		ev.Start, ev.Label = r.degradeStart, r.degradeReason
+		ev.Label = r.degradeReason
 	}
 	htod := kind != trace.EvUnmap
 	switch {
@@ -237,7 +240,7 @@ func (r *Runtime) emit(kind trace.EventKind, info *AllocInfo, copied bool) {
 		st.EpochSkips++
 	}
 	r.Ledger.Fold(&ev, site)
-	r.M.Record(&ev)
+	r.M.Note(&ev, from)
 }
 
 // newInfo tracks a new allocation unit: it puts info, in a record from the

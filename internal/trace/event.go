@@ -1,15 +1,16 @@
 // The accounting event: the one record every tally of a run is folded from.
 //
 // The machine and the runtime library each book what they do as an Event,
-// at one place per layer (machine.emit, runtime.emit). That place applies
-// the inline folds — machine.Stats, runtime.Stats, the ledger
-// (LedgerBuilder.Fold) and the per-event histograms — and, when the run
-// keeps an event log, appends the event to it. The interpreter books its
-// cgcm.* call timings and per-line kernel op counts into the same log.
-// Views are pure functions of the log, read after the run: the timeline
-// (Spans) and the profile (prof.FromLog). DESIGN.md ("Accounting: one event
-// stream, its folds") has the catalogue of kinds and the fields each fold
-// reads.
+// at one place per layer (the machine clock's emit, Runtime.emit), which
+// applies the inline folds: machine.Stats, runtime.Stats, the ledger
+// (LedgerBuilder.Fold) and the per-event histograms. A run that wants a
+// view keeps one record in the machine: its verb list, and the runtime's
+// and the interpreter's events (cgcm.* calls, per-line kernel ops) as
+// notes at a verb position. The event log is that record's replay
+// (machine.Log), and views are pure functions of it, read after the run:
+// the timeline (Spans) and the profile (prof.FromLog). DESIGN.md
+// ("Accounting: one event stream, its folds") has the catalogue of kinds
+// and the fields each fold reads.
 package trace
 
 import "fmt"
@@ -30,7 +31,7 @@ const (
 	EvPenalty                   // retry backoff (Dur)
 	EvFault                     // the fault plan failed a driver call (Label = verb, Ops = call index, Unit)
 	EvOverlap                   // Bytes of a finished stream copy ran under other work (Base = host address)
-	EvRunError                  // execution died (Label = the error)
+	EvRunError                  // execution died (Label = the error); the interpreter notes it
 
 	EvMap          // cgcm.map of a unit (Copied: uploaded, else a residency skip); no unit: absorbed after degradation, or failed
 	EvUnmap        // cgcm.unmap (Copied: copied back, else an epoch skip)
@@ -48,10 +49,10 @@ const (
 )
 
 // Event is one accountable thing a run did. It is a plain fixed-size value:
-// layers build it on the stack and hand it to their emit function, the
-// run's event log (when one is kept) holds a copy and nothing else retains
-// it, and every string in it already existed — names for the timeline are
-// built by Spans, after the run.
+// layers build it on the stack and hand it to their emit function, a note
+// in the run's record (when one is kept) holds a copy and nothing else
+// retains it, and every string in it already existed — names for the
+// timeline are built by Spans, after the run.
 type Event struct {
 	Kind EventKind
 	Lane Lane // copies: the transfer lane, or the stream's lane; line ops: where they ran
@@ -75,7 +76,7 @@ type Event struct {
 	Label      string // kernel, stream, fault verb, call, degrade reason or error text
 	Line       int    // source line of the launch or of the cgcm.* call in progress
 	KernelLine int    // line ops: the source line inside the kernel the Ops ran on
-	Epoch      uint64 // kernel epoch, stamped when the event is booked
+	Epoch      uint64 // kernel epoch when the event was booked
 	Flow       uint64 // stream copies: links the issue instant to the copy
 
 	Copied bool // map/unmap/upload: the call moved the unit's bytes
