@@ -8,6 +8,7 @@ import (
 	"cgcm/internal/core"
 	"cgcm/internal/faultinject"
 	"cgcm/internal/remarks"
+	"cgcm/internal/trace"
 )
 
 // triVec streams three separately-malloc'd vectors through GPU loops in
@@ -336,5 +337,69 @@ func TestDefaultRunsUnaffected(t *testing.T) {
 		rep.RTStats.RescueCopies != 0 || rep.RTStats.Degraded {
 		t.Errorf("fault-free run shows resilience activity: machine %+v runtime %+v",
 			rep.Stats, rep.RTStats)
+	}
+}
+
+// helperLaunch calls a helper with promoted locals before each launch of
+// a hand-written kernel, with no cgcm.* call in between, so the last line
+// stamped before a launch is the helper's unless the launch stamps its
+// own.
+const helperLaunch = `
+__global__ void addk(float *v, int k) {
+	int i = tid();
+	v[i] = v[i] + (float)k;
+}
+int scale(int x) {
+	int y = x * 2;
+	return y + 1;
+}
+int main() {
+	int n = 256;
+	float *a = (float*)malloc(n * sizeof(float));
+	for (int i = 0; i < n; i++) a[i] = (float)i;
+	float *d = (float*)cuda_malloc(n * sizeof(float));
+	cuda_memcpy_h2d(d, a, n * sizeof(float));
+	for (int t = 0; t < 4; t++) {
+		int k = scale(t);
+		addk<<<1, 256>>>(d, k);
+	}
+	cuda_memcpy_d2h(a, d, n * sizeof(float));
+	print_float(a[7]);
+	return 0;
+}`
+
+// TestLaunchFaultsCarryTheLaunchLine: the retries of a launch's transient
+// faults are booked at the launch's source line, not at whatever line the
+// runtime was last stamped with.
+func TestLaunchFaultsCarryTheLaunchLine(t *testing.T) {
+	for _, spec := range []string{"launch@1", "launch@0+3"} {
+		prog, err := core.Compile("helper.c", helperLaunch, core.Options{Strategy: core.Sequential, FaultSpec: mustSpec(t, spec)})
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, log, err := rawTimeline(prog)
+		if err != nil {
+			t.Fatal(err)
+		}
+		checked := 0
+		for i, ev := range log {
+			if ev.Kind != trace.EvRetry {
+				continue
+			}
+			launch := 0
+			for _, next := range log[i:] {
+				if next.Kind == trace.EvKernel {
+					launch = next.Line
+					break
+				}
+			}
+			if launch == 0 || ev.Line != launch {
+				t.Errorf("%s: retry booked at line %d, the launch is at line %d", spec, ev.Line, launch)
+			}
+			checked++
+		}
+		if checked == 0 {
+			t.Errorf("%s: no retry booked; the test is vacuous", spec)
+		}
 	}
 }
