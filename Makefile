@@ -9,7 +9,10 @@
 # critical path (TestLiveInvariant/TestLiveDeterminism) and service
 # contention (TestSubmitMatchesSolo). No target runs a cmd/ binary. After
 # an intentional change to a simulated number, rewrite the baselines with
-# UPDATE_GOLDEN=1 go test -run TestRunAllRecordsTheSuite ./internal/bench.
+# UPDATE_GOLDEN=1 go test -run TestRunAllRecordsTheSuite ./internal/bench;
+# after one to a traced run's verb list or event log, rewrite
+# internal/core/testdata/timeline.golden with
+# go test ./internal/core -run TestTimelineGolden -update.
 
 GO ?= go
 
