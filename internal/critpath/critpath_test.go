@@ -3,6 +3,7 @@ package critpath_test
 import (
 	"fmt"
 	"math"
+	"sort"
 	"testing"
 
 	"cgcm/internal/bench"
@@ -326,6 +327,9 @@ func TestCPUSpansAreCPUWork(t *testing.T) {
 				if bad > 3 {
 					t.Errorf("%s: %d CPU spans last longer or shorter than their ops", label, bad)
 				}
+				if n := nearBoundaries(rep.Spans, rep.Stats.Wall); n > 0 {
+					t.Errorf("%s: %d pairs of distinct span boundaries lie within 1e-10*wall of each other", label, n)
+				}
 				if cpu := a.ByClass[critpath.ClassCPU]; cpu > rep.Stats.CPUTime*(1+1e-9) {
 					t.Errorf("%s: critical path credits CPU with %gus, Stats.CPUTime is %gus",
 						label, cpu*1e6, rep.Stats.CPUTime*1e6)
@@ -333,6 +337,26 @@ func TestCPUSpansAreCPUWork(t *testing.T) {
 			}
 		}
 	}
+}
+
+// nearBoundaries counts the neighbouring distinct span boundaries of a
+// run, Stats.Wall among them, that lie within 1e-10 of the wall of each
+// other. The clock copies each boundary from the time it follows, so a
+// live run has none: such a pair is one instant computed two ways, and
+// the critical path, which matches boundaries exactly, would split it.
+func nearBoundaries(spans []trace.Span, wall float64) int {
+	ts := []float64{wall}
+	for _, s := range spans {
+		ts = append(ts, s.Start, s.End)
+	}
+	sort.Float64s(ts)
+	n := 0
+	for i := 1; i < len(ts); i++ {
+		if ts[i] != ts[i-1] && ts[i]-ts[i-1] <= 1e-10*wall {
+			n++
+		}
+	}
+	return n
 }
 
 // TestLiveDeterminism asserts the path, limiting factor, and what-if

@@ -194,9 +194,10 @@ func (c *clock) apply(v *Verb, waits []Event) float64 {
 		}
 		c.flush()
 		d := float64(float64(v.N) * c.cost.InspectorPerOp)
+		start := c.cpu
 		c.cpu += d
 		c.stats.CPUTime += d
-		c.emit(&trace.Event{Kind: trace.EvInspect, Start: c.cpu - d, End: c.cpu, Ops: v.N})
+		c.emit(&trace.Event{Kind: trace.EvInspect, Start: start, End: c.cpu, Ops: v.N})
 
 	case VerbKernel:
 		// The CPU pays the enqueue; the kernel occupies the GPU from the
