@@ -4,20 +4,20 @@
 // run's machine verbs under counterfactual machines to say exactly what
 // each optimization could buy.
 //
-// It consumes either a mini-C source file (compiled and executed live,
-// optimized CGCM) or a Chrome trace-event JSON file exported earlier
-// with -trace-out — traces are analyzable artifacts, not just pictures.
-// A trace carries the spans but not the verbs, so what-if predictions
-// need a source run.
+// Its input is a mini-C source file, compiled and executed live under
+// optimized CGCM; the analysis reads the run's spans and verbs as the
+// machine recorded them. A Chrome trace exported with -trace-out is a
+// picture for Perfetto, not an input: a run is deterministic, so the
+// source reproduces it, and stored records (-regress) compare runs
+// across builds.
 //
 // Usage:
 //
 //	cgcmstat file.c                  # critical path, lanes, queues, overlap, what-if
-//	cgcmstat trace.json              # same, from an exported trace, without what-if
 //	cgcmstat -async file.c           # analyze the overlapped schedule
 //	cgcmstat -whatif zero-comm file.c   # one counterfactual retime
 //	cgcmstat -diff file.c            # sync vs -async, delta attribution
-//	cgcmstat -diff a.json b.json     # attribute the delta of two traces
+//	cgcmstat -diff a.c b.c           # attribute the delta of two programs
 //
 // It is also the query CLI over the durable run-record store the other
 // commands append to with -runlog (default store: .cgcm/runs):
@@ -33,8 +33,8 @@
 //	cgcmstat -version                # print build identity and exit
 //
 // -async, -gpu-mem, -faults, -ablate and -workers shape the live run,
-// and -timeout bounds its host time; they are ignored for .json inputs
-// and stored records. -runlog names the store the query modes read.
+// and -timeout bounds its host time; they are ignored for stored
+// records. -runlog names the store the query modes read.
 package main
 
 import (
@@ -60,7 +60,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	fs := flag.NewFlagSet("cgcmstat", flag.ContinueOnError)
 	fs.SetOutput(stderr)
 	whatif := fs.String("whatif", "", "replay one scenario: zero-comm | gpu-2x | perfect-overlap | identity (default: all)")
-	diff := fs.Bool("diff", false, "attribute a wall-time delta: two inputs, or one source run sync vs async")
+	diff := fs.Bool("diff", false, "attribute a wall-time delta: two source runs, or one source run sync vs async")
 	workers := fs.Int("workers", 0, "kernel-engine worker goroutines per launch (0 = GOMAXPROCS)")
 	var ablate core.PassSet
 	cli.AddAblateFlag(fs, &ablate)
@@ -121,11 +121,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	if fs.NArg() != 1 {
-		fmt.Fprintln(stderr, "usage: cgcmstat [-whatif scenario | -diff | -history | -regress a b | -report out.html] [-async] file.c|trace.json")
-		return 2
-	}
-	if scenario != "" && isTrace(fs.Arg(0)) {
-		fmt.Fprintln(stderr, "cgcmstat: -whatif needs a source run: a trace file carries no machine verbs")
+		fmt.Fprintln(stderr, "usage: cgcmstat [-whatif scenario | -diff | -history | -regress a b | -report out.html] [-async] file.c")
 		return 2
 	}
 	a, rep, err := load(ctx, fs.Arg(0), opts)
@@ -134,54 +130,24 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 	var b strings.Builder
 	a.Render(&b)
-	switch {
-	case rep == nil:
-		fmt.Fprintln(&b, "what-if: needs a source run (a trace file carries no machine verbs)")
-	case scenario != "":
+	if scenario != "" {
 		renderPredictions(&b, a, []critpath.Prediction{critpath.WhatIf(rep.Verbs, opts.CostModel(), scenario)})
-	default:
+	} else {
 		renderPredictions(&b, a, critpath.WhatIfAll(rep.Verbs, opts.CostModel()))
 	}
 	fmt.Fprint(stdout, b.String())
 	return 0
 }
 
-// isTrace reports whether path names an exported Chrome trace rather than
-// a source file.
-func isTrace(path string) bool { return strings.HasSuffix(path, ".json") }
-
-// load produces an analysis from either input form: an exported Chrome
-// trace (wall = the latest span end; no report) or a live optimized run
-// under ctx, with its report.
+// load compiles and runs one source file under opts and ctx with a
+// tracer attached and analyzes the run's spans.
 func load(ctx context.Context, path string, opts core.Options) (*critpath.Analysis, *core.Report, error) {
-	if isTrace(path) {
-		f, err := os.Open(path)
-		if err != nil {
-			return nil, nil, err
-		}
-		defer f.Close()
-		spans, _, err := trace.ReadChrome(f)
-		if err != nil {
-			return nil, nil, err
-		}
-		if len(spans) == 0 {
-			return nil, nil, fmt.Errorf("%s: trace has no machine spans", path)
-		}
-		a, err := critpath.Analyze(spans, critpath.WallOf(spans))
-		return a, nil, err
-	}
 	src, err := os.ReadFile(path)
 	if err != nil {
 		return nil, nil, err
 	}
-	return analyzeLive(ctx, path, string(src), opts)
-}
-
-// analyzeLive compiles and runs one source under opts and ctx with a
-// tracer attached and analyzes the spans.
-func analyzeLive(ctx context.Context, name, src string, opts core.Options) (*critpath.Analysis, *core.Report, error) {
 	opts.Tracer = trace.New()
-	rep, err := core.CompileAndRunContext(ctx, name, src, opts)
+	rep, err := core.CompileAndRunContext(ctx, path, string(src), opts)
 	if err != nil {
 		return nil, nil, err
 	}
@@ -197,39 +163,28 @@ func renderPredictions(b *strings.Builder, a *critpath.Analysis, preds []critpat
 	}
 }
 
-// runDiff attributes the wall delta between two runs. With two
-// arguments, each loads by its own form; with one source argument, the
-// comparison is the same program sync versus async: did overlap change
-// what is on the critical path? Live runs share ctx.
+// runDiff attributes the wall delta between two runs: of two source
+// files under the same options, or, with one source file, of the same
+// program sync versus async: did overlap change what is on the critical
+// path? Both runs share ctx.
 func runDiff(ctx context.Context, stdout, stderr io.Writer, runf *cli.RunFlags, args []string, opts core.Options) int {
-	var a, b *critpath.Analysis
+	optsA, optsB := opts, opts
 	var labelA, labelB string
-	var err error
 	switch len(args) {
 	case 1:
-		if isTrace(args[0]) {
-			fmt.Fprintln(stderr, "cgcmstat: -diff with one input needs a source file (sync vs async); pass two traces to diff files")
-			return 2
-		}
-		var src []byte
-		if src, err = os.ReadFile(args[0]); err != nil {
-			fmt.Fprintf(stderr, "cgcmstat: %v\n", err)
-			return 1
-		}
+		args = []string{args[0], args[0]}
 		labelA, labelB = "sync", "async"
-		syncOpts, asyncOpts := opts, opts
-		syncOpts.Async, asyncOpts.Async = false, true
-		if a, _, err = analyzeLive(ctx, args[0], string(src), syncOpts); err == nil {
-			b, _, err = analyzeLive(ctx, args[0], string(src), asyncOpts)
-		}
+		optsA.Async, optsB.Async = false, true
 	case 2:
 		labelA, labelB = diffLabels(args[0], args[1])
-		if a, _, err = load(ctx, args[0], opts); err == nil {
-			b, _, err = load(ctx, args[1], opts)
-		}
 	default:
-		fmt.Fprintln(stderr, "usage: cgcmstat -diff file.c | cgcmstat -diff a.json b.json")
+		fmt.Fprintln(stderr, "usage: cgcmstat -diff file.c | cgcmstat -diff a.c b.c")
 		return 2
+	}
+	a, _, err := load(ctx, args[0], optsA)
+	var b *critpath.Analysis
+	if err == nil {
+		b, _, err = load(ctx, args[1], optsB)
 	}
 	if err != nil {
 		return runf.RunFailed(stderr, "cgcmstat", err)
@@ -248,7 +203,7 @@ func runDiff(ctx context.Context, stdout, stderr io.Writer, runf *cli.RunFlags, 
 
 // diffLabels shortens two input paths to distinct display labels: base
 // names, widened by one parent directory when the bases collide (the
-// common case of diffing <dir-sync>/p.json against <dir-async>/p.json).
+// case of diffing <dir-a>/p.c against <dir-b>/p.c).
 func diffLabels(a, b string) (string, string) {
 	la, lb := filepath.Base(a), filepath.Base(b)
 	if la == lb {

@@ -8,7 +8,9 @@ import (
 	"testing"
 	"time"
 
+	"cgcm/internal/cli"
 	"cgcm/internal/core"
+	"cgcm/internal/runlog"
 	"cgcm/internal/trace"
 )
 
@@ -37,39 +39,12 @@ func writeDemo(t *testing.T) string {
 	return path
 }
 
-// writeDemoTrace runs the demo live and exports its Chrome trace.
-func writeDemoTrace(t *testing.T, dir string, async bool) string {
-	t.Helper()
-	tr := trace.New()
-	_, err := core.CompileAndRun("demo.c", demoSource, core.Options{
-		Strategy: core.CGCMOptimized, Tracer: tr, Async: async,
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	name := "sync.json"
-	if async {
-		name = "async.json"
-	}
-	path := filepath.Join(dir, name)
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	if err := trace.WriteChrome(f, tr); err != nil {
-		t.Fatal(err)
-	}
-	return path
-}
-
-// TestAnalyzeLiveAndTrace checks the headline mode both ways — live
-// compile+run and exported-trace file — and that the two analyses agree
-// exactly: a trace is a complete analyzable artifact. Only the live run
-// predicts: a trace carries no machine verbs to retime.
+// TestAnalyzeLiveAndTrace checks the headline mode on a live run, and
+// that the run's exported Chrome trace is no input: a .json argument
+// takes no special path, so it is read as mini-C and fails to compile.
 func TestAnalyzeLiveAndTrace(t *testing.T) {
 	src := writeDemo(t)
-	var live, fromFile bytes.Buffer
+	var live bytes.Buffer
 	if code := run([]string{src}, &live, &live); code != 0 {
 		t.Fatalf("live exit %d:\n%s", code, live.String())
 	}
@@ -78,18 +53,21 @@ func TestAnalyzeLiveAndTrace(t *testing.T) {
 			t.Errorf("live output missing %q:\n%s", want, live.String())
 		}
 	}
-	tf := writeDemoTrace(t, t.TempDir(), false)
-	if code := run([]string{tf}, &fromFile, &fromFile); code != 0 {
-		t.Fatalf("trace-file exit %d:\n%s", code, fromFile.String())
+	tr := trace.New()
+	if _, err := core.CompileAndRun("demo.c", demoSource, core.Options{Strategy: core.CGCMOptimized, Tracer: tr}); err != nil {
+		t.Fatal(err)
 	}
-	analysis, _, _ := strings.Cut(live.String(), "what-if retime")
-	fileAnalysis, rest, _ := strings.Cut(fromFile.String(), "what-if: needs a source run")
-	if analysis != fileAnalysis {
-		t.Errorf("trace-file analysis differs from live analysis:\n--- live ---\n%s--- file ---\n%s",
-			live.String(), fromFile.String())
+	var chrome bytes.Buffer
+	if err := trace.WriteChrome(&chrome, tr); err != nil {
+		t.Fatal(err)
 	}
-	if rest == "" || strings.Contains(fromFile.String(), "predicted") {
-		t.Errorf("trace-file output should say what-if needs a source run and predict nothing:\n%s", fromFile.String())
+	tf := filepath.Join(t.TempDir(), "demo.json")
+	if err := os.WriteFile(tf, chrome.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	var out bytes.Buffer
+	if code := run([]string{tf}, &out, &out); code != 1 || strings.Contains(out.String(), "critical path") {
+		t.Errorf("exported trace as input: exit %d, output %q; want 1 and no analysis", code, out.String())
 	}
 }
 
@@ -114,11 +92,6 @@ func TestWhatIfFlag(t *testing.T) {
 	bad.Reset()
 	if code := run([]string{"-whatif", "bogus", "missing.c"}, &bad, &bad); code != 2 || !strings.Contains(bad.String(), `unknown scenario "bogus"`) {
 		t.Errorf("-whatif bogus missing.c: exit %d, output %q; want 2 and the scenario error", code, bad.String())
-	}
-	// A trace file carries no verbs to retime: refused before it is read.
-	bad.Reset()
-	if code := run([]string{"-whatif", "zero-comm", "missing.json"}, &bad, &bad); code != 2 || !strings.Contains(bad.String(), "needs a source run") {
-		t.Errorf("-whatif zero-comm missing.json: exit %d, output %q; want 2 and the source-run error", code, bad.String())
 	}
 }
 
@@ -157,28 +130,47 @@ func TestDiffSource(t *testing.T) {
 	}
 }
 
-// TestDiffTraces checks the two-trace-file attribution agrees with the
-// one-source live diff: the exported artifacts carry everything the
-// attribution needs.
-func TestDiffTraces(t *testing.T) {
-	dir := t.TempDir()
-	a := writeDemoTrace(t, dir, false)
-	b := writeDemoTrace(t, dir, true)
-	var fromFiles bytes.Buffer
-	if code := run([]string{"-diff", a, b}, &fromFiles, &fromFiles); code != 0 {
-		t.Fatalf("exit %d:\n%s", code, fromFiles.String())
+// TestRegressMatchesDiff covers the modes that compare runs across
+// builds: the demo's sync and async records, appended to a store as
+// -runlog appends them, attribute under -regress exactly as -diff
+// attributes the live pair; -history lists both and -report writes its
+// file.
+func TestRegressMatchesDiff(t *testing.T) {
+	store := filepath.Join(t.TempDir(), "runs")
+	st, err := runlog.Open(store)
+	if err != nil {
+		t.Fatal(err)
 	}
-	var live bytes.Buffer
+	var ids []string
+	for _, async := range []bool{false, true} {
+		opts := core.Options{Strategy: core.CGCMOptimized, Async: async, Tracer: trace.New()}
+		rep, err := core.CompileAndRun("demo.c", demoSource, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		id, err := st.Append(cli.NewRunRecord("demo.c", opts, rep, 0))
+		if err != nil {
+			t.Fatal(err)
+		}
+		ids = append(ids, id)
+	}
+	var regress, live bytes.Buffer
+	if code := run([]string{"-runlog", store, "-regress", ids[0], ids[1]}, &regress, &regress); code != 0 {
+		t.Fatalf("-regress exit %d:\n%s", code, regress.String())
+	}
+	if !strings.Contains(regress.String(), "attribution is exact") {
+		t.Errorf("-regress does not report an exact attribution:\n%s", regress.String())
+	}
 	if code := run([]string{"-diff", writeDemo(t)}, &live, &live); code != 0 {
-		t.Fatalf("exit %d:\n%s", code, live.String())
+		t.Fatalf("-diff exit %d:\n%s", code, live.String())
 	}
 	// Same numbers, different labels: the per-class attribution rows
-	// (which carry no labels) must match exactly.
+	// (which carry no labels) must match exactly. -regress prints the
+	// unit deltas after a blank line.
 	rows := func(s string) []string {
 		var out []string
 		for _, line := range strings.Split(s, "\n") {
-			f := strings.Fields(line)
-			if len(f) > 0 {
+			if f := strings.Fields(line); len(f) > 0 {
 				switch f[0] {
 				case "GPU", "Comm.", "CPU", "Overhead", "Stall", "total":
 					out = append(out, line)
@@ -187,14 +179,26 @@ func TestDiffTraces(t *testing.T) {
 		}
 		return out
 	}
-	fr, lr := rows(fromFiles.String()), rows(live.String())
-	if len(fr) == 0 || len(fr) != len(lr) {
-		t.Fatalf("attribution rows: %d vs %d", len(fr), len(lr))
+	attribution, _, _ := strings.Cut(regress.String(), "\n\n")
+	if rr, lr := rows(attribution), rows(live.String()); len(rr) == 0 || strings.Join(rr, "\n") != strings.Join(lr, "\n") {
+		t.Errorf("-regress rows differ from -diff rows:\n%s\n---\n%s", strings.Join(rr, "\n"), strings.Join(lr, "\n"))
 	}
-	for i := range fr {
-		if fr[i] != lr[i] {
-			t.Errorf("trace-file diff row differs from live diff:\n%s\n%s", fr[i], lr[i])
+	var history bytes.Buffer
+	if code := run([]string{"-runlog", store, "-history"}, &history, &history); code != 0 {
+		t.Fatalf("-history exit %d:\n%s", code, history.String())
+	}
+	for _, id := range ids {
+		if !strings.Contains(history.String(), id) {
+			t.Errorf("-history does not list %s:\n%s", id, history.String())
 		}
+	}
+	html := filepath.Join(t.TempDir(), "report.html")
+	var report bytes.Buffer
+	if code := run([]string{"-runlog", store, "-report", html}, &report, &report); code != 0 {
+		t.Fatalf("-report exit %d:\n%s", code, report.String())
+	}
+	if fi, err := os.Stat(html); err != nil || fi.Size() == 0 {
+		t.Errorf("-report wrote no file: %v", err)
 	}
 }
 
@@ -212,12 +216,12 @@ func TestErrors(t *testing.T) {
 		t.Fatal(err)
 	}
 	if code := run([]string{bad}, &out, &out); code != 1 {
-		t.Errorf("foreign trace exit %d, want 1", code)
+		t.Errorf(".json input exit %d, want 1 (it is read as source)", code)
 	}
 	if code := run([]string{"-diff", bad, bad, bad}, &out, &out); code != 2 {
 		t.Errorf("-diff with three args exit %d, want 2", code)
 	}
-	if code := run([]string{"-diff", bad}, &out, &out); code != 2 {
-		t.Errorf("-diff with one json exit %d, want 2", code)
+	if code := run([]string{"-diff", bad}, &out, &out); code != 1 {
+		t.Errorf("-diff with one json exit %d, want 1 (it is read as source)", code)
 	}
 }

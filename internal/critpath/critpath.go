@@ -12,7 +12,9 @@
 // that ends exactly at the cursor, credit it, and jump to its start.
 // The resulting segments tile [0, Wall] contiguously (each segment's
 // start equals the previous segment's end, exactly), which is the
-// invariant TestLiveInvariant asserts across the bench suite.
+// invariant TestLiveInvariant asserts across the bench suite. The input
+// is a live run's Report.Spans as the machine recorded them; a Chrome
+// export of them is a picture for Perfetto and is never read back.
 //
 // CPU time the machine advances without emitting a span — kernel enqueue
 // cost, cuMemAlloc charges — appears as synthetic "overhead" segments so
@@ -178,60 +180,6 @@ func classOf(o *op) Class {
 	return ClassStall
 }
 
-// snapTol is the relative boundary-clustering tolerance. Live traces
-// carry exact values and cluster trivially; traces re-read from Chrome
-// JSON can be perturbed by an ulp or two per microsecond conversion,
-// which this collapses. Distinct real events are separated by at least
-// one cost-model quantum (~0.5ns), many orders of magnitude above it.
-const snapTol = 1e-10
-
-// snapTimes canonicalizes span boundaries: values within snapTol*scale
-// of each other collapse to one representative, so exact-equality
-// matching works on file-loaded traces too. The wall value, when
-// present in a cluster, wins; 0 always wins.
-func snapTimes(spans []trace.Span, wall float64) {
-	vals := make([]float64, 0, 2*len(spans)+1)
-	for i := range spans {
-		vals = append(vals, spans[i].Start, spans[i].End)
-	}
-	vals = append(vals, wall)
-	sort.Float64s(vals)
-	tol := snapTol * wall
-	if tol <= 0 {
-		return
-	}
-	// Build cluster representatives.
-	rep := make(map[float64]float64)
-	for i := 0; i < len(vals); {
-		j := i
-		for j+1 < len(vals) && vals[j+1]-vals[j] <= tol {
-			j++
-		}
-		r := vals[j] // default: largest member
-		for k := i; k <= j; k++ {
-			if vals[k] == 0 {
-				r = 0
-			}
-		}
-		for k := i; k <= j; k++ {
-			if vals[k] == wall {
-				r = wall
-			}
-		}
-		for k := i; k <= j; k++ {
-			rep[vals[k]] = r
-		}
-		i = j + 1
-	}
-	for i := range spans {
-		spans[i].Start = rep[spans[i].Start]
-		spans[i].End = rep[spans[i].End]
-		if spans[i].End < spans[i].Start {
-			spans[i].End = spans[i].Start
-		}
-	}
-}
-
 // cpuAdvancing reports whether a span advances the CPU clock (and so
 // belongs to the CPU chain).
 func cpuAdvancing(s *trace.Span) bool {
@@ -250,15 +198,12 @@ func cpuAdvancing(s *trace.Span) bool {
 }
 
 // Analyze reconstructs the operation graph from one run's spans and
-// extracts the critical path. wall is Stats.Wall for live runs; pass
-// WallOf(spans) when only a trace file is available. Spans must be in
-// emission (issue) order, which both Report.Spans and ReadChrome
-// preserve.
+// extracts the critical path. wall is the run's Stats.Wall; spans are its
+// Report.Spans, in emission (issue) order. The clock copies every
+// boundary from the time it follows, so boundaries match exactly as they
+// stand. The analysis reads spans and keeps them; it writes nothing.
 func Analyze(spans []trace.Span, wall float64) (*Analysis, error) {
-	a := &Analysis{Wall: wall}
-	a.spans = make([]trace.Span, len(spans))
-	copy(a.spans, spans)
-	snapTimes(a.spans, wall)
+	a := &Analysis{Wall: wall, spans: spans}
 	if err := a.build(); err != nil {
 		return nil, err
 	}
@@ -270,17 +215,6 @@ func Analyze(spans []trace.Span, wall float64) (*Analysis, error) {
 	a.queueStats()
 	a.overlapStats()
 	return a, nil
-}
-
-// WallOf returns the wall implied by a span set: the latest span end.
-func WallOf(spans []trace.Span) float64 {
-	var w float64
-	for i := range spans {
-		if spans[i].End > w {
-			w = spans[i].End
-		}
-	}
-	return w
 }
 
 // build turns spans into ops: the CPU chain (with synthetic gap ops
@@ -326,8 +260,8 @@ func (a *Analysis) build() error {
 		}
 	}
 	if a.Wall > cursor {
-		// Trailing untraced CPU time (or a GPU/stream-bound wall in a
-		// trace cut before the final sync).
+		// Trailing untraced CPU time, or a wall the GPU or a stream
+		// set past the CPU chain's end.
 		last := cursor
 		for _, o := range a.ops {
 			if o.end > last && o.end <= a.Wall {

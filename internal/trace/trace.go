@@ -19,7 +19,8 @@
 //     and §5 are about.
 //
 // Spans export to Chrome trace-event JSON (chrome.go) viewable in
-// Perfetto or chrome://tracing.
+// Perfetto or chrome://tracing. The export is one-way: analyses such as
+// the critical path read a run's spans, not the file.
 package trace
 
 import (
