@@ -403,3 +403,23 @@ func TestLaunchFaultsCarryTheLaunchLine(t *testing.T) {
 		}
 	}
 }
+
+// TestDegradingKeepsManualDeviceMemory: a program that moves its data
+// with cuda_malloc and cuda_memcpy_* and loses the device at any launch
+// prints what the fault-free run prints. The fallback kernels, the later
+// copy and the free reach the cuda_malloc bytes through a host twin.
+func TestDegradingKeepsManualDeviceMemory(t *testing.T) {
+	for _, s := range []core.Strategy{core.Sequential, core.CGCMOptimized} {
+		base := compileRun(t, "helper.c", helperLaunch, core.Options{Strategy: s})
+		for k := 0; k < 4; k++ {
+			spec := fmt.Sprintf("fail=launch@%d", k)
+			rep := compileRun(t, "helper.c", helperLaunch, core.Options{Strategy: s, FaultSpec: mustSpec(t, spec)})
+			if rep.Output != base.Output || rep.Exit != base.Exit {
+				t.Errorf("%s %s: output %q exit %d, fault-free %q exit %d", s, spec, rep.Output, rep.Exit, base.Output, base.Exit)
+			}
+			if !rep.RTStats.Degraded {
+				t.Errorf("%s %s: the device did not degrade", s, spec)
+			}
+		}
+	}
+}

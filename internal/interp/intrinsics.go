@@ -137,12 +137,21 @@ func (ex *exec) intrinsic(fc *funcCode, id ir.IntrinsicID, line int, a []uint64)
 		return base, 0, nil
 	case ir.InCudaFree:
 		ex.flushOps()
+		if cpu, ok := in.hostTwin(a[0]); ok {
+			return 0, 0, wrapErr(fc, in.Mach.Free(machine.CPU, cpu))
+		}
 		return 0, 0, wrapErr(fc, in.Mach.Free(machine.GPU, a[0]))
 	case ir.InCudaMemcpyH2D:
 		ex.flushOps()
+		if cpu, ok := in.hostTwin(a[0]); ok {
+			return 0, 0, wrapErr(fc, in.hostCopy(cpu, a[1], int64(a[2])))
+		}
 		return 0, 0, wrapErr(fc, in.Mach.CopyHtoD(a[0], a[1], int64(a[2])))
 	case ir.InCudaMemcpyD2H:
 		ex.flushOps()
+		if cpu, ok := in.hostTwin(a[1]); ok {
+			return 0, 0, wrapErr(fc, in.hostCopy(a[0], cpu, int64(a[2])))
+		}
 		return 0, 0, wrapErr(fc, in.Mach.CopyDtoH(a[0], a[1], int64(a[2])))
 	}
 
@@ -159,6 +168,26 @@ func (ex *exec) intrinsic(fc *funcCode, id ir.IntrinsicID, line int, a []uint64)
 	p, err := rtCall(in.RT, id, a[0])
 	in.Mach.Note(&trace.Event{Kind: trace.EvCall, Label: name, Line: line}, from)
 	return p, 0, wrapErr(fc, err)
+}
+
+// hostTwin returns the host bytes that stand for device address dev once
+// the device has degraded: manual cuda_* calls then reach the same bytes
+// the fallback kernels do. It fails before degradation.
+func (in *Interp) hostTwin(dev uint64) (uint64, bool) {
+	if !in.RT.Degraded() {
+		return 0, false
+	}
+	return in.RT.TranslateDev(dev)
+}
+
+// hostCopy is a cuda_memcpy_* after degradation: both ends are host
+// memory, and like realloc's copy it charges nothing.
+func (in *Interp) hostCopy(dst, src uint64, n int64) error {
+	data, err := in.Mach.ReadBytes(src, n)
+	if err != nil {
+		return err
+	}
+	return in.Mach.WriteBytes(dst, data)
 }
 
 // rtCall dispatches one cgcm.* runtime-library call; the verbs that

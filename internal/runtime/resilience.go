@@ -72,13 +72,29 @@ type devRange struct {
 }
 
 // TranslateDev maps a device-space address handed out before degradation
-// to its CPU equivalent. Only meaningful after Degrade.
+// to its CPU equivalent. Only meaningful after Degrade. Device memory the
+// program manages itself (cuda_malloc) belongs to no unit: the first
+// translation into it rescues its segment to a host twin over the
+// reliable channel and frees the device copy, as degrade does for units,
+// and records the same kind of entry.
 func (r *Runtime) TranslateDev(addr uint64) (uint64, bool) {
 	i := sort.Search(len(r.devRanges), func(i int) bool { return r.devRanges[i].hi > addr })
 	if i < len(r.devRanges) && addr >= r.devRanges[i].lo {
 		return r.devRanges[i].cpu + (addr - r.devRanges[i].lo), true
 	}
-	return 0, false
+	seg := r.M.FindSegment(addr)
+	if !r.degraded || seg == nil || seg.Space != machine.GPU {
+		return 0, false
+	}
+	lo, size := seg.Base, int64(len(seg.Data))
+	twin := r.M.Alloc(machine.CPU, size, seg.Name)
+	if twin == 0 || r.M.RescueCopyDtoH(twin, lo, size) != nil || r.M.Free(machine.GPU, lo) != nil {
+		return 0, false
+	}
+	r.devRanges = append(r.devRanges, devRange{})
+	copy(r.devRanges[i+1:], r.devRanges[i:])
+	r.devRanges[i] = devRange{lo: lo, hi: lo + uint64(size), cpu: twin}
+	return twin + (addr - lo), true
 }
 
 // noteRetry charges one retry: counter plus exponential simulated backoff.
