@@ -63,9 +63,12 @@ interpbenchsmoke:
 # The compiler's per-layer benchmarks: core.Compile of generated
 # programs of 8 to 128 loop groups (internal/core/bench_test.go; ns/op
 # that more than doubles from one size to the next is a pass that is not
-# linear) and the two whole-module analysis builders over the suite and a
-# 32-group module (internal/analysis/bench_test.go). Advisory, and
-# exported API only, like interpbench.
+# linear), each pass of the pipeline alone over srad and 16 loop groups
+# (BenchmarkPipeline/<pass>/<program>, internal/core/pipeline_bench_test.go,
+# which reaches the pipeline through export_test.go) and the two
+# whole-module analysis builders over the suite and a 32-group module
+# (internal/analysis/bench_test.go). Advisory; all but BenchmarkPipeline
+# use the exported API only, like interpbench.
 compilebench:
 	$(GO) test -run=NONE -bench=. -benchtime=2s -count=5 ./internal/core/ ./internal/analysis/
 

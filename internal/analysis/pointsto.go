@@ -136,18 +136,16 @@ type PointsTo struct {
 // its own (the rest share their object's singleton).
 //
 // While solving, values and objects are known by dense numbers, a
-// value's being its register number, so a function whose numbers are
-// stale (a pass inserted instructions since the last Renumber) is
-// renumbered first; the numbers are derived data that every pass
-// refreshes when it is done.
+// value's being its register number, so the module is renumbered first:
+// a pass may have inserted instructions since the last Renumber, and
+// the numbers are derived data that every pass refreshes when it is
+// done.
 func BuildPointsTo(m *ir.Module) *PointsTo {
 	pt := &PointsTo{M: m, objByGlobal: make(map[*ir.Global]*Object, len(m.Globals))}
 	s := &ptSolver{pt: pt, base: make(map[*ir.Func]int, len(m.Funcs))}
 	regs, instrs, sites := 0, 0, 0
 	for _, f := range m.Funcs {
-		if !numbered(f) {
-			f.Renumber()
-		}
+		f.Renumber()
 		s.base[f] = regs
 		regs += f.NumRegs
 		for _, b := range f.Blocks {
@@ -201,29 +199,6 @@ func allocates(in *ir.Instr) bool {
 	return in.Op == ir.OpAlloca
 }
 
-// numbered reports whether f's register numbers are the ones Renumber
-// would assign.
-func numbered(f *ir.Func) bool {
-	n := 0
-	for _, p := range f.Params {
-		if p.Reg != n {
-			return false
-		}
-		n++
-	}
-	for _, b := range f.Blocks {
-		for _, in := range b.Instrs {
-			if in.Op.HasResult() {
-				if in.Reg != n {
-					return false
-				}
-				n++
-			}
-		}
-	}
-	return f.NumRegs == n
-}
-
 // ptSet is a set of objects as the analysis keeps it: nearly always
 // empty or a single object, for which it needs no map of its own.
 type ptSet struct {
@@ -261,6 +236,15 @@ func (p *ptSet) add(o *Object) bool {
 		p.many, p.one = ObjSet{p.one: true, o: true}, nil
 	}
 	return true
+}
+
+// union adds q's members to p and reports whether p grew.
+func (p *ptSet) union(q ptSet) bool {
+	grew := q.one != nil && p.add(q.one)
+	for o := range q.many {
+		grew = p.add(o) || grew
+	}
+	return grew
 }
 
 // ptCons is an instruction that carries a constraint, with its
@@ -465,16 +449,7 @@ func (s *ptSolver) setOf(v ir.Value, base int) ptSet {
 
 // store adds src to o's contents and queues o's readers if they grew.
 func (s *ptSolver) store(o *Object, src ptSet) {
-	grew := false
-	if src.one != nil {
-		grew = s.held[o.id].add(src.one)
-	}
-	for x := range src.many {
-		if s.held[o.id].add(x) {
-			grew = true
-		}
-	}
-	if grew {
+	if s.held[o.id].union(src) {
 		for l := s.readers[o.id]; l >= 0; l = s.chain[l][1] {
 			s.enqueue(s.chain[l][0])
 		}
@@ -562,6 +537,29 @@ func (pt *PointsTo) objs(v ir.Value) ptSet {
 		return ptSet{one: pt.objByGlobal[g.Global]}
 	}
 	return pt.pts[v]
+}
+
+// Derive gives in, an instruction inserted since the analysis was built,
+// the set its constraint yields from its operands' sets, as the solver
+// would: add and sub take their operands' objects, an 8-byte load the
+// contents of its address's. That is what a rebuild would give in as
+// long as nothing flows from in into what was solved: a clone whose
+// uses are runtime calls and other clones.
+func (pt *PointsTo) Derive(in *ir.Instr) {
+	var p ptSet
+	switch {
+	case in.Op == ir.OpAdd || in.Op == ir.OpSub:
+		for _, a := range in.Args {
+			p.union(pt.objs(a))
+		}
+	case in.Op == ir.OpLoad && in.Size == 8:
+		for o := range pt.PTS(in.Args[0]) {
+			p.union(pt.contents[o])
+		}
+	}
+	if !p.empty() {
+		pt.pts[in] = p
+	}
 }
 
 // PTS returns the points-to set of v (possibly empty). The set belongs

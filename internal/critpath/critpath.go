@@ -27,7 +27,9 @@
 package critpath
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -302,18 +304,23 @@ func priority(k opKind) int {
 
 // sweep extracts the critical path by walking backward from the wall.
 func (a *Analysis) sweep() error {
-	endIdx := make(map[float64][]int)
+	// The ops that take time, by end: the candidates at cursor t are the
+	// run of them that ends there. The choice among them does not depend
+	// on their order.
+	byEnd := make([]int, 0, len(a.ops))
 	for i := range a.ops {
-		o := &a.ops[i]
-		if o.end > o.start {
-			endIdx[o.end] = append(endIdx[o.end], i)
+		if a.ops[i].end > a.ops[i].start {
+			byEnd = append(byEnd, i)
 		}
 	}
+	slices.SortFunc(byEnd, func(i, j int) int { return cmp.Compare(a.ops[i].end, a.ops[j].end) })
 	var segs []Segment
 	t := a.Wall
 	for t > 0 {
 		best := -1
-		for _, c := range endIdx[t] {
+		k, _ := slices.BinarySearchFunc(byEnd, t, func(i int, t float64) int { return cmp.Compare(a.ops[i].end, t) })
+		for ; k < len(byEnd) && a.ops[byEnd[k]].end == t; k++ {
+			c := byEnd[k]
 			if best == -1 || priority(a.ops[c].kind) > priority(a.ops[best].kind) ||
 				(priority(a.ops[c].kind) == priority(a.ops[best].kind) && c > best) {
 				best = c

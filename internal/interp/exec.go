@@ -247,13 +247,6 @@ func (ex *exec) refill(fc *funcCode) error {
 	return nil
 }
 
-func (ex *exec) flushOps() {
-	if !ex.worker && ex.ops > 0 {
-		ex.in.Mach.CPUOps(ex.ops)
-		ex.ops = 0
-	}
-}
-
 // inScratch reports whether addr falls in this worker's scratch arena.
 func (ex *exec) inScratch(addr uint64) bool {
 	return ex.worker && addr-ex.scratchBase < scratchStride
@@ -911,6 +904,13 @@ func branch(taken bool, i *inst) int32 {
 		return i.c
 	}
 	return i.d
+}
+
+func (ex *exec) flushOps() {
+	if !ex.worker && ex.ops > 0 {
+		ex.in.Mach.CPUOps(ex.ops)
+		ex.ops = 0
+	}
 }
 
 // popAllocas expires the CPU-frame allocation units created since the

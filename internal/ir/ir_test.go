@@ -168,6 +168,32 @@ func TestVerifyCatchesMalformed(t *testing.T) {
 			m.AddFunc(g)
 			m.AddFunc(f)
 		}, "not a kernel"},
+		// Membership is read off register numbers and block indices: an
+		// operand from another function whose number is in range, and a
+		// target that left the function with a stale index.
+		{"operand of another function", func(m *Module) {
+			g := &Func{Name: "g"}
+			gb := g.NewBlock("entry")
+			x := gb.Append(&Instr{Op: OpAdd, Args: []Value{IntConst(1), IntConst(2)}})
+			gb.Append(&Instr{Op: OpRet})
+			f := &Func{Name: "f"}
+			b := f.NewBlock("entry")
+			b.Append(&Instr{Op: OpAdd, Args: []Value{IntConst(3), IntConst(4)}})
+			b.Append(&Instr{Op: OpRet, Args: []Value{x}})
+			m.AddFunc(f)
+			m.AddFunc(g)
+			m.Renumber()
+		}, "undefined"},
+		{"target removed from the function", func(m *Module) {
+			f := &Func{Name: "f"}
+			b := f.NewBlock("entry")
+			gone := f.NewBlock("gone")
+			gone.Append(&Instr{Op: OpRet})
+			b.Append(&Instr{Op: OpBr, Targets: []*Block{gone}})
+			m.AddFunc(f)
+			f.Renumber()
+			f.Blocks = f.Blocks[:1]
+		}, "foreign block"},
 	}
 	for _, c := range cases {
 		t.Run(c.name, func(t *testing.T) {
@@ -181,6 +207,25 @@ func TestVerifyCatchesMalformed(t *testing.T) {
 				t.Errorf("error %q does not mention %q", err, c.want)
 			}
 		})
+	}
+}
+
+// TestVerifyRenumbersStaleNumbers: a well-formed function whose numbers
+// went stale (an instruction inserted since the last Renumber) verifies,
+// and comes out numbered.
+func TestVerifyRenumbersStaleNumbers(t *testing.T) {
+	m := NewModule("t")
+	f := buildAddFunc(m)
+	m.Renumber()
+	entry := f.Entry()
+	first := &Instr{Op: OpMul, Args: []Value{f.Params[0], IntConst(2)}}
+	entry.InsertBefore(first, entry.Instrs[0])
+	entry.Instrs[1].Args[0] = first
+	if err := m.Verify(); err != nil {
+		t.Fatalf("verify rejected a well-formed function with stale numbers: %v", err)
+	}
+	if first.Reg != len(f.Params) || entry.Instrs[1].Reg != first.Reg+1 {
+		t.Errorf("registers %d, %d after Verify, want %d, %d", first.Reg, entry.Instrs[1].Reg, len(f.Params), len(f.Params)+1)
 	}
 }
 

@@ -16,23 +16,22 @@ func (m *Module) Verify() error {
 	return nil
 }
 
-// Verify checks structural invariants of a single function.
+// Verify checks structural invariants of a single function. Membership
+// is read off the numbers Renumber assigns, a block's Index and an
+// instruction's Reg, so the function is renumbered first if they are
+// stale.
 func (f *Func) Verify() error {
 	if len(f.Blocks) == 0 {
 		return fmt.Errorf("has no blocks")
 	}
-	inFunc := make(map[*Block]bool, len(f.Blocks))
-	for _, b := range f.Blocks {
-		inFunc[b] = true
+	if !f.numbered() {
+		f.Renumber()
 	}
-	defined := make(map[Value]bool)
-	for _, p := range f.Params {
-		defined[p] = true
-	}
+	defined := make([]*Instr, f.NumRegs)
 	for _, b := range f.Blocks {
 		for _, in := range b.Instrs {
 			if in.Op.HasResult() {
-				defined[in] = true
+				defined[in.Reg] = in
 			}
 		}
 	}
@@ -60,7 +59,7 @@ func (f *Func) Verify() error {
 						return fmt.Errorf("block %s: uses parameter %s of foreign function %s", b.Name, v.Name, v.Fn.Name)
 					}
 				case *Instr:
-					if !defined[v] {
+					if v.Reg < 0 || v.Reg >= len(defined) || defined[v.Reg] != v {
 						return fmt.Errorf("block %s: %s uses undefined instruction value", b.Name, in.Op)
 					}
 				case nil:
@@ -70,7 +69,7 @@ func (f *Func) Verify() error {
 				}
 			}
 			for _, t := range in.Targets {
-				if !inFunc[t] {
+				if t.Index < 0 || t.Index >= len(f.Blocks) || f.Blocks[t.Index] != t {
 					return fmt.Errorf("block %s: branch to foreign block %s", b.Name, t.Name)
 				}
 			}
@@ -114,4 +113,24 @@ func (f *Func) Verify() error {
 		}
 	}
 	return nil
+}
+
+// numbered reports whether f's block indices and result registers are
+// the ones Renumber would assign, which is all Verify reads.
+func (f *Func) numbered() bool {
+	n := len(f.Params)
+	for bi, b := range f.Blocks {
+		for _, in := range b.Instrs {
+			if in.Op.HasResult() {
+				if in.Reg != n {
+					return false
+				}
+				n++
+			}
+		}
+		if b.Index != bi {
+			return false
+		}
+	}
+	return f.NumRegs == n
 }

@@ -22,6 +22,8 @@ package mappromo
 
 import (
 	"fmt"
+	"maps"
+	"slices"
 	"strings"
 
 	"cgcm/internal/analysis"
@@ -44,80 +46,133 @@ const maxIterations = 12
 
 // Run iterates map promotion to convergence over the module. Pass
 // activity is reported as optimization remarks through rc (which may be
-// nil).
+// nil). Points-to, the call graph and mod/ref are built once: a
+// promotion adds no flow they describe, and the values it clones get
+// their points-to sets when the round that made them ends (DESIGN.md,
+// "Map promotion: one build per run").
 func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
-	res := &Result{}
-	done := make(map[string]bool) // idempotence: region+pointer keys already hoisted
+	p := newPromoter(m, rc)
+	p.pt = analysis.BuildPointsTo(m)
+	p.cg = analysis.BuildCallGraph(m)
+	p.mr = analysis.BuildModRef(m, p.pt, p.cg)
+	for p.res.Iterations < maxIterations && p.round() {
+		p.derive()
+	}
+	return p.finish()
+}
+
+// promoter is one run's state: the module analyses the rounds read and
+// what the rounds so far have done.
+type promoter struct {
+	m   *ir.Module
+	pt  *analysis.PointsTo
+	cg  *analysis.CallGraph
+	mr  *analysis.ModRef
+	rc  *remarks.Collector
+	res Result
+	// done holds the region+pointer keys already hoisted (idempotence).
+	done map[string]bool
 	// Rejections are deferred, keyed by the same region+pointer identity:
 	// a candidate blocked in one convergence round may be promoted in a
 	// later one (e.g. after another hoist removes the aliasing access),
 	// and only candidates that never succeed become Missed remarks.
-	var pending map[string]remarks.Remark
+	pending map[string]remarks.Remark
+	// clones are the values the current round copied out of regions, in
+	// the order made (operands first); derive gives them their sets.
+	clones []*ir.Instr
+	// changed lists the functions the latest round rewrote.
+	changed []*ir.Func
+}
+
+func newPromoter(m *ir.Module, rc *remarks.Collector) *promoter {
+	p := &promoter{m: m, rc: rc, done: make(map[string]bool)}
 	if rc != nil {
-		pending = make(map[string]remarks.Remark)
+		p.pending = make(map[string]remarks.Remark)
 	}
-	for res.Iterations < maxIterations {
-		res.Iterations++
-		changed, err := runOnce(m, res, done, rc, pending)
-		if err != nil {
-			return nil, err
-		}
-		if !changed {
-			break
+	return p
+}
+
+// round hoists, in every CPU function, the candidates of one loop,
+// innermost first, then those of every function region, and reports
+// whether anything changed.
+func (p *promoter) round() bool {
+	p.res.Iterations++
+	p.changed = p.changed[:0]
+	for _, f := range p.m.Funcs {
+		if !f.Kernel && p.promoteLoops(f) {
+			p.changed = append(p.changed, f)
 		}
 	}
-	for id, r := range pending {
-		if !done[id] {
-			rc.Emit(r)
+	for _, f := range p.m.Funcs {
+		if !f.Kernel && p.promoteFunction(f) && !slices.Contains(p.changed, f) {
+			p.changed = append(p.changed, f)
 		}
 	}
-	m.Renumber()
-	if err := m.Verify(); err != nil {
+	return len(p.changed) > 0
+}
+
+// derive gives the round's clones the points-to sets a rebuild would:
+// each is computed from its operands, which is what the solver does
+// with a value nothing else flows into.
+func (p *promoter) derive() {
+	for _, in := range p.clones {
+		p.pt.Derive(in)
+	}
+	p.clones = p.clones[:0]
+}
+
+// finish emits the rejections no round overturned, and, when the last
+// round still changed something, says where the round limit left maps
+// inside loops.
+func (p *promoter) finish() (*Result, error) {
+	for id, r := range p.pending {
+		if !p.done[id] {
+			p.rc.Emit(r)
+		}
+	}
+	if p.rc != nil && p.res.Iterations == maxIterations {
+		for _, f := range p.changed {
+			p.rc.Emit(p.roundLimit(f))
+		}
+	}
+	p.m.Renumber()
+	if err := p.m.Verify(); err != nil {
 		return nil, fmt.Errorf("mappromo produced invalid IR: %w", err)
 	}
-	return res, nil
+	return &p.res, nil
 }
 
-// recordMiss stores the first rejection seen for a region+pointer key;
-// Run emits it only if no later round promotes the candidate.
-func recordMiss(pending map[string]remarks.Remark, id string, r remarks.Remark) {
-	if pending == nil {
-		return
+// roundLimit is the Missed remark for f when the last round the limit
+// allows changed it: the units whose maps f still holds in loops, with
+// interior transfers left, are the ones a later round would examine.
+func (p *promoter) roundLimit(f *ir.Func) remarks.Remark {
+	fwd := analysis.SpillForwarding(f)
+	units, line := make(analysis.ObjSet), int32(0)
+	for _, loop := range analysis.FindLoops(f, analysis.NewDominators(f)).All {
+		for _, c := range findCandidates(analysis.Region{Loop: loop}, fwd) {
+			if len(c.maps) > 0 && len(c.unmaps) > 0 {
+				maps.Copy(units, unitSet(c, p.pt))
+				if line == 0 {
+					line = c.line()
+				}
+			}
+		}
 	}
-	if _, ok := pending[id]; !ok {
-		r.Pass = "mappromo"
-		r.Kind = remarks.Missed
-		pending[id] = r
+	return remarks.Remark{
+		Pass: "mappromo", Kind: remarks.Missed, Reason: remarks.ReasonRoundLimit,
+		Line: int(line), Function: f.Name, Unit: units.Labels(),
+		Message: fmt.Sprintf("stopped after %d rounds; later loops were not examined", maxIterations),
 	}
 }
 
-func runOnce(m *ir.Module, res *Result, done map[string]bool, rc *remarks.Collector, pending map[string]remarks.Remark) (bool, error) {
-	pt := analysis.BuildPointsTo(m)
-	cg := analysis.BuildCallGraph(m)
-	mr := analysis.BuildModRef(m, pt, cg)
-
-	changed := false
-	for _, f := range m.Funcs {
-		if f.Kernel {
-			continue
-		}
-		c, err := promoteLoops(m, f, pt, mr, res, done, rc, pending)
-		if err != nil {
-			return false, err
-		}
-		changed = changed || c
+// recordMiss stores the first rejection of candidate c of f seen under
+// region+pointer key id; finish emits it only if no later round
+// promotes the candidate. Without a collector it records nothing.
+func (p *promoter) recordMiss(id string, f *ir.Func, c *candidate, reason remarks.Reason, msg string) {
+	if _, ok := p.pending[id]; !ok && p.pending != nil {
+		p.pending[id] = remarks.Remark{Pass: "mappromo", Kind: remarks.Missed, Reason: reason,
+			Line: int(c.line()), Function: f.Name, Unit: unitSet(c, p.pt).Labels(), Message: msg}
 	}
-	for _, f := range m.Funcs {
-		if f.Kernel {
-			continue
-		}
-		c, err := promoteFunction(m, f, pt, cg, mr, res, done, rc, pending)
-		if err != nil {
-			return false, err
-		}
-		changed = changed || c
-	}
-	return changed, nil
 }
 
 // candidate groups the region's runtime calls on one pointer.
@@ -282,14 +337,9 @@ func stripToUnitBase(v ir.Value, fwd map[*ir.Instr]ir.Value, pt *analysis.Points
 // unitSet returns the allocation units a candidate governs: the pointer's
 // own units plus, for array candidates, the element units.
 func unitSet(c *candidate, pt *analysis.PointsTo) analysis.ObjSet {
-	s := make(analysis.ObjSet)
-	for o := range pt.PTS(c.rep) {
-		s[o] = true
-	}
+	s := maps.Clone(pt.PTS(c.rep))
 	if c.isArray {
-		for o := range pt.Contents(pt.PTS(c.rep)) {
-			s[o] = true
-		}
+		maps.Copy(s, pt.Contents(pt.PTS(c.rep)))
 	}
 	return s
 }
@@ -308,9 +358,10 @@ func cloneableChain(v ir.Value, r analysis.Region) bool {
 	return true
 }
 
-// cloneChainInto copies the region-internal part of v's def chain before
-// pos in block blk, returning the value usable at that point.
-func cloneChainInto(v ir.Value, r analysis.Region, blk *ir.Block, pos *ir.Instr, remap map[ir.Value]ir.Value) ir.Value {
+// cloneChain copies the part of v's def chain inside region r before
+// pos and returns the value usable there. remap holds what is already
+// available (a call site's arguments for the callee's parameters).
+func (p *promoter) cloneChain(v ir.Value, r analysis.Region, pos *ir.Instr, remap map[ir.Value]ir.Value, comment string) ir.Value {
 	if got, ok := remap[v]; ok {
 		return got
 	}
@@ -320,10 +371,11 @@ func cloneChainInto(v ir.Value, r analysis.Region, blk *ir.Block, pos *ir.Instr,
 	}
 	c := ir.CloneInstr(in, nil)
 	for i, a := range c.Args {
-		c.Args[i] = cloneChainInto(a, r, blk, pos, remap)
+		c.Args[i] = p.cloneChain(a, r, pos, remap, comment)
 	}
-	c.Comment = "hoisted by map promotion"
-	blk.InsertBefore(c, pos)
+	c.Comment = comment
+	pos.Block.InsertBefore(c, pos)
 	remap[v] = c
+	p.clones = append(p.clones, c)
 	return c
 }

@@ -52,6 +52,115 @@ int main() {
 	return 0;
 }`
 
+// blockedByRead reads v on the CPU inside the launch loop.
+const blockedByRead = `
+__global__ void k(float *v, int n) {
+	int i = tid();
+	if (i < n) v[i] = v[i] + 1.0;
+}
+int main() {
+	float *v = (float*)malloc(64 * 8);
+	float s = 0.0;
+	for (int t = 0; t < 5; t++) {
+		k<<<1, 64>>>(v, 64);
+		s += v[0];
+	}
+	print_float(s);
+	free(v);
+	return 0;
+}`
+
+// blockedByWrite writes v on the CPU inside the launch loop.
+const blockedByWrite = `
+__global__ void k(float *v, int n) {
+	int i = tid();
+	if (i < n) v[i] = v[i] * 2.0;
+}
+int main() {
+	float *v = (float*)malloc(64 * 8);
+	for (int t = 0; t < 5; t++) {
+		v[0] = (float)t;
+		k<<<1, 64>>>(v, 64);
+	}
+	print_float(v[1]);
+	free(v);
+	return 0;
+}`
+
+// helperCall launches from a helper that main calls in a loop.
+const helperCall = `
+__global__ void k(float *v, int n) {
+	int i = tid();
+	if (i < n) v[i] = v[i] + 1.0;
+}
+void helper(float *v) {
+	k<<<1, 64>>>(v, 64);
+}
+int main() {
+	float *v = (float*)malloc(64 * 8);
+	for (int t = 0; t < 8; t++) {
+		helper(v);
+	}
+	print_float(v[0]);
+	free(v);
+	return 0;
+}`
+
+// recursiveWalk launches from a recursive function.
+const recursiveWalk = `
+__global__ void k(float *v, int n) {
+	int i = tid();
+	if (i < n) v[i] = v[i] + 1.0;
+}
+void walk(float *v, int depth) {
+	if (depth <= 0) return;
+	k<<<1, 64>>>(v, 64);
+	walk(v, depth - 1);
+}
+int main() {
+	float *v = (float*)malloc(64 * 8);
+	walk(v, 4);
+	print_float(v[0]);
+	free(v);
+	return 0;
+}`
+
+// nestedLoops launches from a two-deep loop nest.
+const nestedLoops = `
+__global__ void k(float *v, int n) {
+	int i = tid();
+	if (i < n) v[i] = v[i] + 1.0;
+}
+int main() {
+	float *v = (float*)malloc(64 * 8);
+	for (int o = 0; o < 4; o++) {
+		for (int t = 0; t < 4; t++) {
+			k<<<1, 64>>>(v, 64);
+		}
+	}
+	print_float(v[0]);
+	free(v);
+	return 0;
+}`
+
+// interiorPointer launches on a pointer into the middle of its unit
+// that varies with the loop.
+const interiorPointer = `
+__global__ void k(float *w, int n) {
+	int i = tid();
+	if (i < n) w[i * 8] = w[i * 8] + 1.0;
+}
+int main() {
+	float *big = (float*)malloc(64 * 8 * 8);
+	for (int d = 0; d < 8; d++) {
+		float *w = big + d;
+		k<<<1, 64>>>(w, 64);
+	}
+	print_float(big[3]);
+	free(big);
+	return 0;
+}`
+
 // loopDepthOf returns the loop depth of the block holding in.
 func loopDepthOf(f *ir.Func, in *ir.Instr) int {
 	dom := analysis.NewDominators(f)
@@ -142,22 +251,7 @@ func countRuntimeCalls(m *ir.Module) int {
 func TestBlockedByCPURead(t *testing.T) {
 	// The CPU reads v inside the loop: promotion must NOT fire (the CPU
 	// needs a fresh copy every iteration).
-	m := prepare(t, `
-__global__ void k(float *v, int n) {
-	int i = tid();
-	if (i < n) v[i] = v[i] + 1.0;
-}
-int main() {
-	float *v = (float*)malloc(64 * 8);
-	float s = 0.0;
-	for (int t = 0; t < 5; t++) {
-		k<<<1, 64>>>(v, 64);
-		s += v[0];
-	}
-	print_float(s);
-	free(v);
-	return 0;
-}`)
+	m := prepare(t, blockedByRead)
 	res, err := mappromo.Run(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -176,21 +270,7 @@ int main() {
 
 func TestBlockedByCPUWrite(t *testing.T) {
 	// The CPU writes v inside the loop: the GPU copy would go stale.
-	m := prepare(t, `
-__global__ void k(float *v, int n) {
-	int i = tid();
-	if (i < n) v[i] = v[i] * 2.0;
-}
-int main() {
-	float *v = (float*)malloc(64 * 8);
-	for (int t = 0; t < 5; t++) {
-		v[0] = (float)t;
-		k<<<1, 64>>>(v, 64);
-	}
-	print_float(v[1]);
-	free(v);
-	return 0;
-}`)
+	m := prepare(t, blockedByWrite)
 	if _, err := mappromo.Run(m, nil); err != nil {
 		t.Fatal(err)
 	}
@@ -207,23 +287,7 @@ int main() {
 }
 
 func TestFunctionRegionHoistsToCaller(t *testing.T) {
-	m := prepare(t, `
-__global__ void k(float *v, int n) {
-	int i = tid();
-	if (i < n) v[i] = v[i] + 1.0;
-}
-void helper(float *v) {
-	k<<<1, 64>>>(v, 64);
-}
-int main() {
-	float *v = (float*)malloc(64 * 8);
-	for (int t = 0; t < 8; t++) {
-		helper(v);
-	}
-	print_float(v[0]);
-	free(v);
-	return 0;
-}`)
+	m := prepare(t, helperCall)
 	res, err := mappromo.Run(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -257,23 +321,7 @@ int main() {
 }
 
 func TestRecursiveFunctionNotEligible(t *testing.T) {
-	m := prepare(t, `
-__global__ void k(float *v, int n) {
-	int i = tid();
-	if (i < n) v[i] = v[i] + 1.0;
-}
-void walk(float *v, int depth) {
-	if (depth <= 0) return;
-	k<<<1, 64>>>(v, 64);
-	walk(v, depth - 1);
-}
-int main() {
-	float *v = (float*)malloc(64 * 8);
-	walk(v, 4);
-	print_float(v[0]);
-	free(v);
-	return 0;
-}`)
+	m := prepare(t, recursiveWalk)
 	res, err := mappromo.Run(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -285,22 +333,7 @@ int main() {
 
 func TestNestedLoopsConverge(t *testing.T) {
 	// Maps must climb both loop levels across convergence rounds.
-	m := prepare(t, `
-__global__ void k(float *v, int n) {
-	int i = tid();
-	if (i < n) v[i] = v[i] + 1.0;
-}
-int main() {
-	float *v = (float*)malloc(64 * 8);
-	for (int o = 0; o < 4; o++) {
-		for (int t = 0; t < 4; t++) {
-			k<<<1, 64>>>(v, 64);
-		}
-	}
-	print_float(v[0]);
-	free(v);
-	return 0;
-}`)
+	m := prepare(t, nestedLoops)
 	res, err := mappromo.Run(m, nil)
 	if err != nil {
 		t.Fatal(err)
@@ -342,21 +375,7 @@ func TestInteriorPointerPromotion(t *testing.T) {
 	// varies with the outer loop — but the unit does not. Map promotion
 	// must peel the arithmetic and hoist the base (C99: pointer
 	// arithmetic cannot leave an allocation unit).
-	m := prepare(t, `
-__global__ void k(float *w, int n) {
-	int i = tid();
-	if (i < n) w[i * 8] = w[i * 8] + 1.0;
-}
-int main() {
-	float *big = (float*)malloc(64 * 8 * 8);
-	for (int d = 0; d < 8; d++) {
-		float *w = big + d;
-		k<<<1, 64>>>(w, 64);
-	}
-	print_float(big[3]);
-	free(big);
-	return 0;
-}`)
+	m := prepare(t, interiorPointer)
 	res, err := mappromo.Run(m, nil)
 	if err != nil {
 		t.Fatal(err)

@@ -10,7 +10,7 @@ import (
 
 // promoteLoops performs one round of loop-region promotion in f,
 // innermost loops first so maps climb one level per convergence round.
-func promoteLoops(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, mr *analysis.ModRef, res *Result, done map[string]bool, rc *remarks.Collector, pending map[string]remarks.Remark) (bool, error) {
+func (p *promoter) promoteLoops(f *ir.Func) bool {
 	f.Renumber()
 	dom := analysis.NewDominators(f)
 	forest := analysis.FindLoops(f, dom)
@@ -18,77 +18,33 @@ func promoteLoops(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, mr *analysis.
 
 	// Innermost first: deeper loops later in a postorder walk.
 	loops := append([]*analysis.Loop(nil), forest.All...)
-	sort := func() {
-		for i := 0; i < len(loops); i++ {
-			for j := i + 1; j < len(loops); j++ {
-				if loops[j].Depth > loops[i].Depth {
-					loops[i], loops[j] = loops[j], loops[i]
-				}
+	for i := range loops {
+		for j := i + 1; j < len(loops); j++ {
+			if loops[j].Depth > loops[i].Depth {
+				loops[i], loops[j] = loops[j], loops[i]
 			}
 		}
 	}
-	sort()
 
 	for _, loop := range loops {
 		region := analysis.Region{Loop: loop}
 		var hoist []*candidate
 		for _, c := range findCandidates(region, fwd) {
 			regionID := "loop:" + f.Name + "/" + loop.Header.Name + "|" + c.key
-			if done[regionID] || len(c.maps) == 0 {
-				continue
-			}
-			miss := func(reason remarks.Reason, msg string) {
-				recordMiss(pending, regionID, remarks.Remark{
-					Reason: reason, Line: int(c.line()), Function: f.Name,
-					Unit:    unitSet(c, pt).Labels(),
-					Message: fmt.Sprintf("cannot hoist map out of loop %s: %s", loop.Header.Name, msg),
-				})
-			}
-			if c.mixed {
-				miss(remarks.ReasonMixedIndirection,
-					"pointer is mapped both as a scalar unit and as a pointer array in the region")
-				continue
-			}
-			// No interior device-to-host transfers left: this candidate
+			// A candidate with no interior device-to-host transfers left
 			// was already promoted (hoisting again would only stack
-			// redundant balanced calls).
-			if len(c.unmaps) == 0 {
+			// redundant balanced calls); judge still reports a mixed one.
+			if p.done[regionID] || len(c.maps) == 0 || !c.mixed && len(c.unmaps) == 0 {
 				continue
 			}
-			exclude := c.calls()
-			eff := mr.RegionEffect(region, exclude)
-			inv := mr.NewInvariance(region, eff)
-			rep := analysis.Resolve(c.rep, fwd)
-			// pointsToChanges: the pointer must refer to one allocation
-			// unit throughout the region. A varying pointer whose *base*
-			// is invariant still qualifies — peel the arithmetic.
-			rep = stripToUnitBase(rep, fwd, pt, inv)
-			if !inv.Invariant(rep) {
-				miss(remarks.ReasonLoopVariantBase,
-					"pointer may name different allocation units across iterations")
-				continue
-			}
-			if !cloneableChain(rep, region) {
-				miss(remarks.ReasonEscaping,
-					"pointer computation cannot be recomputed outside the region")
-				continue
-			}
-			// modOrRef: no CPU access to the governed units inside the
-			// region (other than the candidate's own calls).
-			units := unitSet(c, pt)
-			if len(units) == 0 {
-				miss(remarks.ReasonUnknownPointsTo,
-					"no allocation unit is known for the pointer")
-				continue
-			}
-			if eff.Touches(units) {
-				miss(remarks.ReasonAliasing,
-					"CPU code inside the loop may read or write the governed unit(s)")
+			rep, reason, msg := p.judge(c, region, fwd)
+			if rep == nil {
+				p.recordMiss(regionID, f, c, reason, "cannot hoist map out of loop "+loop.Header.Name+": "+msg)
 				continue
 			}
 			c.rep = rep
 			hoist = append(hoist, c)
-			done[regionID] = true
+			p.done[regionID] = true
 		}
 		if len(hoist) == 0 {
 			continue
@@ -96,29 +52,65 @@ func promoteLoops(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, mr *analysis.
 		pre := analysis.EnsurePreheader(f, loop)
 		exits := analysis.SplitExitEdges(f, loop)
 		for _, c := range hoist {
-			rc.Emit(remarks.Remark{
+			p.rc.Emit(remarks.Remark{
 				Pass: "mappromo", Kind: remarks.Applied,
 				Line: int(c.line()), Function: f.Name,
-				Unit: unitSet(c, pt).Labels(),
+				Unit: unitSet(c, p.pt).Labels(),
 				Message: fmt.Sprintf("map hoisted above loop %s; %d interior device-to-host transfer(s) deleted",
 					loop.Header.Name, len(c.unmaps)),
 			})
-			applyLoopPromotion(c, region, pre, exits)
-			res.Promotions++
-			res.LoopPromotions++
+			p.applyLoopPromotion(c, region, pre, exits)
+			p.res.Promotions++
+			p.res.LoopPromotions++
 		}
 		f.Renumber()
-		// CFG changed: let the caller rebuild analyses.
-		return true, nil
+		// CFG changed: the next round finds the loops again.
+		return true
 	}
-	return false, nil
+	return false
+}
+
+// judge applies Algorithm 4's tests to candidate c of region r. It
+// returns the pointer to hoist, or nil and why not; loop and function
+// regions word the same rejections in their own terms.
+func (p *promoter) judge(c *candidate, r analysis.Region, fwd map[*ir.Instr]ir.Value) (ir.Value, remarks.Reason, string) {
+	body, span, inside := "region", "iterations", "inside the loop"
+	if r.Fn != nil {
+		body, span, inside = "function", "the function body", "in the function"
+	}
+	if c.mixed {
+		return nil, remarks.ReasonMixedIndirection,
+			"pointer is mapped both as a scalar unit and as a pointer array in the " + body
+	}
+	eff := p.mr.RegionEffect(r, c.calls())
+	inv := p.mr.NewInvariance(r, eff)
+	// pointsToChanges: the pointer must refer to one allocation unit
+	// throughout the region. A varying pointer whose *base* is invariant
+	// still qualifies — peel the arithmetic.
+	rep := stripToUnitBase(analysis.Resolve(c.rep, fwd), fwd, p.pt, inv)
+	switch {
+	case !inv.Invariant(rep):
+		return nil, remarks.ReasonLoopVariantBase, "pointer may name different allocation units across " + span
+	case !cloneableChain(rep, r):
+		return nil, remarks.ReasonEscaping, "pointer computation cannot be recomputed outside the " + body
+	case r.Fn != nil && !callerComputable(rep, r.Fn):
+		// Callers must recompute the pointer: its chain may only bottom
+		// out in f's parameters, globals, and constants.
+		return nil, remarks.ReasonEscaping, "pointer depends on function-local state call sites cannot recompute"
+	case len(p.pt.PTS(c.rep)) == 0: // so unitSet is empty too
+		return nil, remarks.ReasonUnknownPointsTo, "no allocation unit is known for the pointer"
+	case eff.Touches(unitSet(c, p.pt)):
+		// modOrRef: no CPU access to the governed units inside the region
+		// (other than the candidate's own calls).
+		return nil, remarks.ReasonAliasing, "CPU code " + inside + " may read or write the governed unit(s)"
+	}
+	return rep, remarks.ReasonNone, ""
 }
 
 // applyLoopPromotion performs Algorithm 4's rewrites for one candidate.
-func applyLoopPromotion(c *candidate, region analysis.Region, pre *ir.Block, exits []*ir.Block) {
+func (p *promoter) applyLoopPromotion(c *candidate, region analysis.Region, pre *ir.Block, exits []*ir.Block) {
 	// copy(above(region), candidate.map)
-	remap := make(map[ir.Value]ir.Value)
-	ptrAbove := cloneChainInto(c.rep, region, pre, pre.Terminator(), remap)
+	ptrAbove := p.cloneChain(c.rep, region, pre.Terminator(), make(map[ir.Value]ir.Value), "hoisted by map promotion")
 	pre.InsertBefore(c.call(ir.RtMap, ptrAbove, "map promotion: hoisted map"), pre.Terminator())
 
 	// copy(below(region), candidate.unmap); copy(below, candidate.release)
@@ -138,19 +130,19 @@ func applyLoopPromotion(c *candidate, region analysis.Region, pre *ir.Block, exi
 // ("for a function, the compiler finds all the function's parents in the
 // call graph and inserts the necessary calls before and after the call
 // instructions in the parent functions").
-func promoteFunction(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, cg *analysis.CallGraph, mr *analysis.ModRef, res *Result, done map[string]bool, rc *remarks.Collector, pending map[string]remarks.Remark) (bool, error) {
+func (p *promoter) promoteFunction(f *ir.Func) bool {
 	if f.Name == "main" || f.Name == "__cgcm_init" {
-		return false, nil
+		return false
 	}
-	sites := cg.Callers[f]
+	sites := p.cg.Callers[f]
 	if len(sites) == 0 {
-		return false, nil
+		return false
 	}
 	// Whole-function blockers: record them against every candidate the
 	// function region holds, so the rejection is explained per pointer.
 	blockReason := remarks.ReasonNone
 	blockMsg := ""
-	if cg.Recursive(f) {
+	if p.cg.Recursive(f) {
 		blockReason = remarks.ReasonRecursive
 		blockMsg = f.Name + " is recursive, so hoisted calls in callers would not balance"
 	} else {
@@ -165,152 +157,83 @@ func promoteFunction(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, cg *analys
 	fwd := analysis.SpillForwarding(f)
 	region := analysis.Region{Fn: f}
 	if blockReason != remarks.ReasonNone {
-		if pending != nil {
+		if p.pending != nil {
 			for _, c := range findCandidates(region, fwd) {
 				if len(c.maps) == 0 || len(c.unmaps) == 0 {
 					continue
 				}
-				recordMiss(pending, "fn:"+f.Name+"|"+c.key, remarks.Remark{
-					Reason: blockReason, Line: int(c.line()), Function: f.Name,
-					Unit:    unitSet(c, pt).Labels(),
-					Message: "cannot hoist map into callers: " + blockMsg,
-				})
+				p.recordMiss("fn:"+f.Name+"|"+c.key, f, c, blockReason, "cannot hoist map into callers: "+blockMsg)
 			}
 		}
-		return false, nil
+		return false
 	}
 	changed := false
 	for _, c := range findCandidates(region, fwd) {
 		regionID := "fn:" + f.Name + "|" + c.key
-		if done[regionID] || len(c.maps) == 0 || len(c.unmaps) == 0 {
+		if p.done[regionID] || len(c.maps) == 0 || len(c.unmaps) == 0 {
 			continue
 		}
-		miss := func(reason remarks.Reason, msg string) {
-			recordMiss(pending, regionID, remarks.Remark{
-				Reason: reason, Line: int(c.line()), Function: f.Name,
-				Unit:    unitSet(c, pt).Labels(),
-				Message: "cannot hoist map into callers of " + f.Name + ": " + msg,
-			})
-		}
-		if c.mixed {
-			miss(remarks.ReasonMixedIndirection,
-				"pointer is mapped both as a scalar unit and as a pointer array in the function")
+		rep, reason, msg := p.judge(c, region, fwd)
+		if rep == nil {
+			p.recordMiss(regionID, f, c, reason, "cannot hoist map into callers of "+f.Name+": "+msg)
 			continue
 		}
-		exclude := c.calls()
-		eff := mr.RegionEffect(region, exclude)
-		inv := mr.NewInvariance(region, eff)
-		rep := analysis.Resolve(c.rep, fwd)
-		rep = stripToUnitBase(rep, fwd, pt, inv)
-		if !inv.Invariant(rep) {
-			miss(remarks.ReasonLoopVariantBase,
-				"pointer may name different allocation units across the function body")
-			continue
-		}
-		if !cloneableChain(rep, region) {
-			miss(remarks.ReasonEscaping,
-				"pointer computation cannot be recomputed outside the function")
-			continue
-		}
-		// The pointer must be recomputable by callers: its chain may only
-		// bottom out in f's parameters, globals, and constants.
-		if !callerComputable(rep, f) {
-			miss(remarks.ReasonEscaping,
-				"pointer depends on function-local state call sites cannot recompute")
-			continue
-		}
-		units := unitSet(c, pt)
-		if len(units) == 0 {
-			miss(remarks.ReasonUnknownPointsTo,
-				"no allocation unit is known for the pointer")
-			continue
-		}
-		if eff.Touches(units) {
-			miss(remarks.ReasonAliasing,
-				"CPU code in the function may read or write the governed unit(s)")
-			continue
-		}
-		rc.Emit(remarks.Remark{
+		p.rc.Emit(remarks.Remark{
 			Pass: "mappromo", Kind: remarks.Applied,
 			Line: int(c.line()), Function: f.Name,
-			Unit: unitSet(c, pt).Labels(),
+			Unit: unitSet(c, p.pt).Labels(),
 			Message: fmt.Sprintf("map/unmap hoisted out of %s into its %d call site(s)",
 				f.Name, len(sites)),
 		})
 		for _, site := range sites {
-			applyFuncPromotion(c, rep, region, site)
+			p.applyFuncPromotion(c, rep, region, site)
 		}
 		for _, um := range c.unmaps {
 			um.Block.Remove(um)
 		}
-		done[regionID] = true
-		res.Promotions++
-		res.FuncPromotions++
+		p.done[regionID] = true
+		p.res.Promotions++
+		p.res.FuncPromotions++
 		changed = true
 	}
 	if changed {
-		m.Renumber()
+		p.m.Renumber()
 	}
-	return changed, nil
+	return changed
 }
 
 // callerComputable checks that v's def chain bottoms out in values a call
 // site can supply: f's parameters, globals, and constants.
 func callerComputable(v ir.Value, f *ir.Func) bool {
-	var check func(v ir.Value) bool
-	check = func(v ir.Value) bool {
-		switch x := v.(type) {
-		case *ir.Const, *ir.GlobalRef:
-			return true
-		case *ir.Param:
-			return x.Fn == f
-		case *ir.Instr:
-			for _, a := range x.Args {
-				if !check(a) {
-					return false
-				}
+	switch x := v.(type) {
+	case *ir.Const, *ir.GlobalRef:
+		return true
+	case *ir.Param:
+		return x.Fn == f
+	case *ir.Instr:
+		for _, a := range x.Args {
+			if !callerComputable(a, f) {
+				return false
 			}
-			return x.Op != ir.OpAlloca
 		}
-		return false
+		return x.Op != ir.OpAlloca
 	}
-	return check(v)
+	return false
 }
 
 // applyFuncPromotion inserts the hoisted calls around one call site,
 // rewriting f's parameters to the site's actual arguments.
-func applyFuncPromotion(c *candidate, rep ir.Value, region analysis.Region, site analysis.CallSite) {
+func (p *promoter) applyFuncPromotion(c *candidate, rep ir.Value, region analysis.Region, site analysis.CallSite) {
 	blk := site.Instr.Block
 	remap := make(map[ir.Value]ir.Value)
-	for i, p := range site.Instr.Callee.Params {
+	for i, param := range site.Instr.Callee.Params {
 		if i < len(site.Instr.Args) {
-			remap[p] = site.Instr.Args[i]
+			remap[param] = site.Instr.Args[i]
 		}
 	}
-	ptr := cloneChainIntoWithParams(rep, region, blk, site.Instr, remap)
+	ptr := p.cloneChain(rep, region, site.Instr, remap, "hoisted by map promotion (function region)")
 	blk.InsertBefore(c.call(ir.RtMap, ptr, "map promotion: hoisted to caller"), site.Instr)
 	um := c.call(ir.RtUnmap, ptr, "map promotion: sunk to caller")
 	blk.InsertAfter(um, site.Instr)
 	blk.InsertAfter(c.call(ir.RtRelease, ptr, "map promotion: balancing release"), um)
-}
-
-// cloneChainIntoWithParams is cloneChainInto but with a pre-seeded remap
-// (parameters -> call-site arguments); every chain instruction must be
-// cloned because it belongs to the callee.
-func cloneChainIntoWithParams(v ir.Value, region analysis.Region, blk *ir.Block, pos *ir.Instr, remap map[ir.Value]ir.Value) ir.Value {
-	if got, ok := remap[v]; ok {
-		return got
-	}
-	in, ok := v.(*ir.Instr)
-	if !ok {
-		return v
-	}
-	c := ir.CloneInstr(in, nil)
-	for i, a := range c.Args {
-		c.Args[i] = cloneChainIntoWithParams(a, region, blk, pos, remap)
-	}
-	c.Comment = "hoisted by map promotion (function region)"
-	blk.InsertBefore(c, pos)
-	remap[v] = c
-	return c
 }

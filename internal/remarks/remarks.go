@@ -163,6 +163,10 @@ const (
 	// (mapArray/unmapArray), whose element translation must complete before
 	// the shadow array uploads; it stays synchronous.
 	ReasonIndirectArray
+	// ReasonRoundLimit: map promotion stopped at its round limit while
+	// still hoisting, so maps later rounds would have examined stay in
+	// their loops.
+	ReasonRoundLimit
 )
 
 func (r Reason) String() string {
@@ -209,6 +213,8 @@ func (r Reason) String() string {
 		return "host-access"
 	case ReasonIndirectArray:
 		return "indirect-array"
+	case ReasonRoundLimit:
+		return "round-limit"
 	}
 	return "?"
 }
@@ -222,7 +228,7 @@ func (r *Reason) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &s); err != nil {
 		return err
 	}
-	for v := ReasonNone; v <= ReasonIndirectArray; v++ {
+	for v := ReasonNone; v <= ReasonRoundLimit; v++ {
 		if v.String() == s {
 			*r = v
 			return nil

@@ -603,8 +603,13 @@ const tiny = `int main() {
 // registry or not, to 126 when the ledger stopped keeping a map of
 // allocation lines and a map of seen epochs per unit, and to 95 when
 // promoted locals stopped being allocation units and segments, tree nodes
-// and AllocInfos came from per-run slabs.
+// and AllocInfos came from per-run slabs. The race detector changes the
+// count (it read 96), so the bound holds without it, as `make allocs`
+// runs it.
 func TestWarmSubmitAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
 	const bound = 95
 	s := newTestServer(t, Config{Workers: 1})
 	req := mustRequest(t, "a", "tiny.c", tiny, RunOptions{Workers: 1}, 0)
