@@ -678,7 +678,7 @@ int main() {
 
 func TestSparseBuildersMatchSweeps(t *testing.T) {
 	progs := bench.All()
-	progs = append(progs, bench.Program{Name: "groups3", Source: loopGroups(3)}, bench.Program{Name: "callchain", Source: callChain})
+	progs = append(progs, bench.Program{Name: "groups3", Source: bench.LoopGroups(3)}, bench.Program{Name: "callchain", Source: callChain})
 	for _, p := range progs {
 		m := compile(t, p.Source)
 		checkBuilders(t, p.Name+" after irbuild", m)

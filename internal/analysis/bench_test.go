@@ -1,8 +1,6 @@
 package analysis_test
 
 import (
-	"fmt"
-	"strings"
 	"testing"
 
 	"cgcm/internal/analysis"
@@ -16,24 +14,6 @@ import (
 // communication management already run): the 24 suite programs as one
 // operation, and a generated 32-group program. Exported API only, so the
 // same file measures any commit.
-
-// loopGroups is the loop-group generator of internal/core/bench_test.go.
-func loopGroups(n int) string {
-	var b strings.Builder
-	b.WriteString("int main() {\n\tfloat sum = 0.0;\n")
-	for g := 0; g < n; g++ {
-		size := 16 + 8*(g%3)
-		fmt.Fprintf(&b, "\tfloat *a%d = (float*)malloc(%d * 8);\n", g, size)
-		fmt.Fprintf(&b, "\tfloat *b%d = (float*)malloc(%d * 8);\n", g, size)
-		fmt.Fprintf(&b, "\tfor (int i = 0; i < %d; i++) a%d[i] = (float)(i %% %d) * 0.25;\n", size, g, 3+g%6)
-		b.WriteString("\tfor (int t = 0; t < 3; t++) {\n")
-		fmt.Fprintf(&b, "\t\tfor (int i = 0; i < %d; i++) b%d[i] = a%d[i] * 0.75 + %d.5;\n", size, g, g, g%5)
-		fmt.Fprintf(&b, "\t\tfor (int i = 0; i < %d; i++) a%d[i] = b%d[i] * 0.5;\n", size, g, g)
-		fmt.Fprintf(&b, "\t}\n\tsum += a%d[%d];\n\tfree(a%d); free(b%d);\n", g, g%size, g, g)
-	}
-	b.WriteString("\tprint_float(sum);\n\treturn 0;\n}\n")
-	return b.String()
-}
 
 // managed compiles src through DOALL and communication management.
 func managed(tb testing.TB, name, src string) *ir.Module {
@@ -57,7 +37,7 @@ func benchSets(b *testing.B) []benchSet {
 	}
 	return []benchSet{
 		{"suite", suite},
-		{"groups32", []*ir.Module{managed(b, "groups32", loopGroups(32))}},
+		{"groups32", []*ir.Module{managed(b, "groups32", bench.LoopGroups(32))}},
 	}
 }
 

@@ -2,10 +2,10 @@ package analysis
 
 import "cgcm/internal/ir"
 
-// ModRef computes, per function, the abstract objects the function (and
-// its CPU-side callees, transitively) may read and write. Kernel bodies
-// are excluded: GPU code touches device copies, never the host allocation
-// units these sets describe.
+// ModRef computes, per CPU function, the abstract objects the function
+// (and its CPU-side callees, transitively) may read and write. Kernel
+// bodies are excluded: GPU code touches device copies, never the host
+// allocation units these sets describe.
 type ModRef struct {
 	PT *PointsTo
 	CG *CallGraph
@@ -14,11 +14,13 @@ type ModRef struct {
 	ref map[*ir.Func]ObjSet
 }
 
-// BuildModRef computes the summaries: one pass over each function for
-// its own loads, stores and intrinsics, then the callees' sets flow to
-// their callers along the call graph until nothing grows. Union is
-// monotone, so this reaches the same least fixed point as re-evaluating
-// every instruction of the module until nothing changes.
+// BuildModRef computes the summaries of the CPU functions: one pass over
+// each for its own loads, stores and intrinsics, then the callees' sets
+// flow to their callers along the call graph until nothing grows. Union
+// is monotone, so this reaches the same least fixed point as
+// re-evaluating every instruction of the module until nothing changes.
+// Kernels get none: a launch has no host effect and no call targets a
+// kernel, so no host query reaches a kernel's summary.
 func BuildModRef(m *ir.Module, pt *PointsTo, cg *CallGraph) *ModRef {
 	mr := &ModRef{
 		PT: pt, CG: cg,
@@ -29,6 +31,9 @@ func BuildModRef(m *ir.Module, pt *PointsTo, cg *CallGraph) *ModRef {
 	// callers last took it.
 	var work []*ir.Func
 	for _, f := range m.Funcs {
+		if f.Kernel {
+			continue
+		}
 		mod, ref := make(ObjSet), make(ObjSet)
 		mr.mod[f], mr.ref[f] = mod, ref
 		f.Instrs(func(in *ir.Instr) {
@@ -36,20 +41,18 @@ func BuildModRef(m *ir.Module, pt *PointsTo, cg *CallGraph) *ModRef {
 				mr.addEffect(in, mod, ref)
 			}
 		})
-		if !f.Kernel {
-			work = append(work, f)
-		}
+		work = append(work, f)
 	}
 	for len(work) > 0 {
 		callee := work[len(work)-1]
 		work = work[:len(work)-1]
 		for _, site := range cg.Callers[callee] {
-			if site.Instr.Op != ir.OpCall {
+			if site.Instr.Op != ir.OpCall || site.Caller.Kernel {
 				continue
 			}
 			grewMod := mr.mod[site.Caller].addAll(mr.mod[callee])
 			grewRef := mr.ref[site.Caller].addAll(mr.ref[callee])
-			if (grewMod || grewRef) && !site.Caller.Kernel {
+			if grewMod || grewRef {
 				work = append(work, site.Caller)
 			}
 		}
@@ -58,10 +61,19 @@ func BuildModRef(m *ir.Module, pt *PointsTo, cg *CallGraph) *ModRef {
 }
 
 // FuncMod returns the summary mod set of f.
-func (mr *ModRef) FuncMod(f *ir.Func) ObjSet { return mr.mod[f] }
+func (mr *ModRef) FuncMod(f *ir.Func) ObjSet { return mr.summary(f).Mod }
 
 // FuncRef returns the summary ref set of f.
-func (mr *ModRef) FuncRef(f *ir.Func) ObjSet { return mr.ref[f] }
+func (mr *ModRef) FuncRef(f *ir.Func) ObjSet { return mr.summary(f).Ref }
+
+// summary is f's summary; a kernel's, which BuildModRef does not keep,
+// is its body's effect.
+func (mr *ModRef) summary(f *ir.Func) RegionEffect {
+	if f.Kernel {
+		return mr.RegionEffect(Region{Fn: f}, nil)
+	}
+	return RegionEffect{Mod: mr.mod[f], Ref: mr.ref[f]}
+}
 
 // addEffect adds the objects one instruction may write and read to mod
 // and ref. Launches have no host-memory effect.

@@ -542,9 +542,11 @@ func (pt *PointsTo) objs(v ir.Value) ptSet {
 // Derive gives in, an instruction inserted since the analysis was built,
 // the set its constraint yields from its operands' sets, as the solver
 // would: add and sub take their operands' objects, an 8-byte load the
-// contents of its address's. That is what a rebuild would give in as
-// long as nothing flows from in into what was solved: a clone whose
-// uses are runtime calls and other clones.
+// contents of its address's, and a launch of a kernel made for it gives
+// the kernel's parameters its arguments' sets. That is what a rebuild
+// would give as long as nothing flows from in into what was solved: a
+// clone whose uses are runtime calls and other clones, or an outlined
+// kernel, which stores no pointer to host memory.
 func (pt *PointsTo) Derive(in *ir.Instr) {
 	var p ptSet
 	switch {
@@ -556,9 +558,27 @@ func (pt *PointsTo) Derive(in *ir.Instr) {
 		for o := range pt.PTS(in.Args[0]) {
 			p.union(pt.contents[o])
 		}
+	case in.Op == ir.OpLaunch:
+		for i, prm := range in.Callee.Params {
+			if s := pt.objs(in.Args[i+2]); !s.empty() {
+				pt.pts[prm] = s
+			}
+		}
 	}
 	if !p.empty() {
 		pt.pts[in] = p
+	}
+}
+
+// Replace hands old's set, and its object when old is an alloca, to new,
+// the copy an outline put in old's place in a kernel. Once the copy's
+// operands have their originals' sets, that is the set a rebuild gives.
+func (pt *PointsTo) Replace(old, new *ir.Instr) {
+	if s, ok := pt.pts[old]; ok {
+		pt.pts[new] = s
+	}
+	if o := pt.objByInstr[old]; o != nil {
+		pt.objByInstr[new], o.Alloca = o, new // a kernel allocates no heap
 	}
 }
 

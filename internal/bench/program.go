@@ -10,6 +10,11 @@
 // boundary per iteration, and what CPU work sits between kernel launches.
 package bench
 
+import (
+	"fmt"
+	"strings"
+)
+
 // Program is one benchmark.
 type Program struct {
 	Name  string
@@ -46,4 +51,26 @@ func ByName(name string) (Program, bool) {
 		}
 	}
 	return Program{}, false
+}
+
+// LoopGroups emits n independent loop groups in main — two heap arrays,
+// an init loop, a 3-trip timestep loop around two DOALL loops, a host
+// read: three kernels and five loops per group, the shape hostbench's
+// gen8/16/32 classes compile. The compiler's tests and benchmarks grow
+// it without bound to expose passes whose cost is not linear.
+func LoopGroups(n int) string {
+	var b strings.Builder
+	b.WriteString("int main() {\n\tfloat sum = 0.0;\n")
+	for g := 0; g < n; g++ {
+		size := 16 + 8*(g%3)
+		fmt.Fprintf(&b, "\tfloat *a%d = (float*)malloc(%d * 8);\n", g, size)
+		fmt.Fprintf(&b, "\tfloat *b%d = (float*)malloc(%d * 8);\n", g, size)
+		fmt.Fprintf(&b, "\tfor (int i = 0; i < %d; i++) a%d[i] = (float)(i %% %d) * 0.25;\n", size, g, 3+g%6)
+		b.WriteString("\tfor (int t = 0; t < 3; t++) {\n")
+		fmt.Fprintf(&b, "\t\tfor (int i = 0; i < %d; i++) b%d[i] = a%d[i] * 0.75 + %d.5;\n", size, g, g, g%5)
+		fmt.Fprintf(&b, "\t\tfor (int i = 0; i < %d; i++) a%d[i] = b%d[i] * 0.5;\n", size, g, g)
+		fmt.Fprintf(&b, "\t}\n\tsum += a%d[%d];\n\tfree(a%d); free(b%d);\n", g, g%size, g, g)
+	}
+	b.WriteString("\tprint_float(sum);\n\treturn 0;\n}\n")
+	return b.String()
 }

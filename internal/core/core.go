@@ -13,6 +13,7 @@ import (
 	"strings"
 	"time"
 
+	"cgcm/internal/analysis"
 	"cgcm/internal/doall"
 	"cgcm/internal/faultinject"
 	"cgcm/internal/interp"
@@ -129,7 +130,7 @@ var pipeline = [...]pass{
 		}},
 	{name: PassDOALL, from: InspectorExecutor, ablatable: true, remarks: true, note: "loops parallelized",
 		run: func(p *Program, rc *remarks.Collector) (int, error) {
-			res, err := doall.Run(p.Module, rc)
+			res, err := doall.RunWith(p.Module, p.pointsTo(), rc)
 			if err != nil {
 				return 0, err
 			}
@@ -138,7 +139,7 @@ var pipeline = [...]pass{
 		}},
 	{name: "commmgmt", from: CGCMUnoptimized, remarks: true, note: "maps inserted",
 		run: func(p *Program, rc *remarks.Collector) (int, error) {
-			res, err := commmgmt.Run(p.Module, rc)
+			res, err := commmgmt.RunWith(p.Module, p.pointsTo(), rc)
 			if err != nil {
 				return 0, err
 			}
@@ -146,7 +147,7 @@ var pipeline = [...]pass{
 		}},
 	{name: PassGlueKernel, from: CGCMOptimized, ablatable: true, remarks: true, note: "kernels outlined",
 		run: func(p *Program, rc *remarks.Collector) (int, error) {
-			res, err := gluekernel.Run(p.Module, rc)
+			res, err := gluekernel.RunWith(p.Module, p.pointsTo(), rc)
 			if err != nil {
 				return 0, err
 			}
@@ -158,11 +159,14 @@ var pipeline = [...]pass{
 			if err != nil {
 				return 0, err
 			}
+			if res.Promoted > 0 {
+				p.pt = nil // allocation sites moved: the next pass rebuilds
+			}
 			return res.Promoted, nil
 		}},
 	{name: PassMapPromo, from: CGCMOptimized, ablatable: true, remarks: true, note: "maps promoted",
 		run: func(p *Program, rc *remarks.Collector) (int, error) {
-			res, err := mappromo.Run(p.Module, rc)
+			res, err := mappromo.RunWith(p.Module, p.pointsTo(), rc)
 			if err != nil {
 				return 0, err
 			}
@@ -170,7 +174,7 @@ var pipeline = [...]pass{
 		}},
 	{name: PassOverlap, from: CGCMUnoptimized, async: true, ablatable: true, remarks: true, note: "sites moved to streams",
 		run: func(p *Program, rc *remarks.Collector) (int, error) {
-			res, err := overlap.Run(p.Module, rc)
+			res, err := overlap.RunWith(p.Module, p.pointsTo(), rc)
 			if err != nil {
 				return 0, err
 			}
@@ -381,6 +385,8 @@ type Program struct {
 	name string
 	// doallFound is the one pass count no phase records.
 	doallFound int
+	// pt is the points-to solution the passes share while they run.
+	pt *analysis.PointsTo
 
 	kernels     int
 	launchSites int
@@ -408,6 +414,15 @@ func (p *Program) activity(name Pass) int {
 		}
 	}
 	return 0
+}
+
+// pointsTo returns the module's points-to solution, building it when no
+// pass has yet, or allocapromo dropped it.
+func (p *Program) pointsTo() *analysis.PointsTo {
+	if p.pt == nil {
+		p.pt = analysis.BuildPointsTo(p.Module)
+	}
+	return p.pt
 }
 
 // Remarks returns the compile-time optimization remarks, canonically
@@ -505,6 +520,7 @@ func CompileContext(ctx context.Context, name, src string, opts Options) (prog *
 	}
 
 	p.remarks = rc.Remarks()
+	p.pt = nil
 	mod.Renumber()
 	for _, f := range mod.Funcs {
 		if f.Kernel {

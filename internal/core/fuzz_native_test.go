@@ -12,7 +12,11 @@ import (
 // communication-optimization pass. The contract: Compile returns an
 // error for bad input and never panics. Internal-consistency panics
 // (*ir.InternalError) are recovered into typed errors by Compile
-// itself; anything else escaping is a finding.
+// itself; anything else escaping is a finding. A program optimized CGCM
+// compiles, sync and async, must also come out as the reference
+// pipeline makes it, whose passes each build their own points-to
+// solution: the solution Compile carries from pass to pass must answer
+// every query the passes make as a rebuild would.
 //
 // Seeded with the full benchmark suite so mutation starts from source
 // that reaches the optimizer, not just the parser's error paths.
@@ -29,6 +33,20 @@ func FuzzCompile(f *testing.F) {
 			prog, err := core.Compile("fuzz.c", src, core.Options{Strategy: s})
 			if err == nil && prog == nil {
 				t.Fatalf("%s: nil program with nil error", s)
+			}
+		}
+		for _, async := range []bool{false, true} {
+			opts := core.Options{Strategy: core.CGCMOptimized, Async: async}
+			prog, err := core.Compile("fuzz.c", src, opts)
+			if err != nil {
+				continue
+			}
+			ref, err := core.CompileReference("fuzz.c", src, opts)
+			if err != nil {
+				t.Fatalf("async %v: the reference pipeline fails where Compile does not: %v", async, err)
+			}
+			if got, want := prog.Module.String(), ref.String(); got != want {
+				t.Fatalf("async %v: Compile's module differs from the reference pipeline's.\nCompile:\n%s\nreference:\n%s", async, got, want)
 			}
 		}
 	})

@@ -14,7 +14,7 @@ import (
 // and allocs/op are the pass's. Async is on, so every row runs.
 func BenchmarkPipeline(b *testing.B) {
 	srad, _ := bench.ByName("srad")
-	programs := []struct{ name, src string }{{"srad", srad.Source}, {"groups16", loopGroups(16)}}
+	programs := []struct{ name, src string }{{"srad", srad.Source}, {"groups16", bench.LoopGroups(16)}}
 	opts := core.Options{Strategy: core.CGCMOptimized, Async: true}
 	for _, row := range core.PipelineRows() {
 		for _, prog := range programs {

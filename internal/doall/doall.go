@@ -53,14 +53,23 @@ type Result struct {
 // Run parallelizes every DOALL loop in the module's CPU functions.
 // Pass activity is reported as optimization remarks through rc (which
 // may be nil).
-//
-// The whole-module analyses are built once. Outlining a loop moves its
-// memory operations into a kernel reached through one launch, clones
-// the loads it hoists and adds one store of integer arithmetic, so the
-// flow-insensitive points-to facts of every value that stays behind are
-// what they were, and no later verdict needs them rebuilt.
 func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
-	d := newDriver(m, rc)
+	return RunWith(m, analysis.BuildPointsTo(m), rc)
+}
+
+// RunWith is Run over pt, the module's points-to solution, which it
+// extends to the code it outlines. The other whole-module analyses are
+// built once. Outlining a loop moves its memory operations into a kernel
+// reached through one launch, clones the loads it hoists and adds one
+// store of integer arithmetic, so the flow-insensitive points-to facts
+// of every value that stays behind are what they were, and no later
+// verdict needs them rebuilt.
+func RunWith(m *ir.Module, pt *analysis.PointsTo, rc *remarks.Collector) (*Result, error) {
+	d := &driver{
+		m: m, pt: pt, rc: rc,
+		mr:  analysis.BuildModRef(m, pt, analysis.BuildCallGraph(m)),
+		res: &Result{Kernels: make(map[*ir.Func]*ir.Func)},
+	}
 	for _, f := range m.Funcs {
 		if !f.Kernel {
 			d.function(f)
@@ -81,15 +90,6 @@ type driver struct {
 	rc      *remarks.Collector
 	res     *Result
 	kernels int // kernels generated so far; names the next one
-}
-
-func newDriver(m *ir.Module, rc *remarks.Collector) *driver {
-	pt := analysis.BuildPointsTo(m)
-	return &driver{
-		m: m, pt: pt, rc: rc,
-		mr:  analysis.BuildModRef(m, pt, analysis.BuildCallGraph(m)),
-		res: &Result{Kernels: make(map[*ir.Func]*ir.Func)},
-	}
 }
 
 // node is one loop of a function's forest as the driver sees it: the

@@ -24,26 +24,6 @@ import (
 // program, because the claim is that nothing Run keeps across an
 // outline has gone stale.
 
-// loopGroups emits n independent loop groups in main: two heap arrays,
-// an init loop, a 3-trip timestep loop around two DOALL loops, a host
-// read.
-func loopGroups(n int) string {
-	var b strings.Builder
-	b.WriteString("int main() {\n\tfloat sum = 0.0;\n")
-	for g := 0; g < n; g++ {
-		size := 16 + 8*(g%3)
-		fmt.Fprintf(&b, "\tfloat *a%d = (float*)malloc(%d * 8);\n", g, size)
-		fmt.Fprintf(&b, "\tfloat *b%d = (float*)malloc(%d * 8);\n", g, size)
-		fmt.Fprintf(&b, "\tfor (int i = 0; i < %d; i++) a%d[i] = (float)(i %% %d) * 0.25;\n", size, g, 3+g%6)
-		b.WriteString("\tfor (int t = 0; t < 3; t++) {\n")
-		fmt.Fprintf(&b, "\t\tfor (int i = 0; i < %d; i++) b%d[i] = a%d[i] * 0.75 + %d.5;\n", size, g, g, g%5)
-		fmt.Fprintf(&b, "\t\tfor (int i = 0; i < %d; i++) a%d[i] = b%d[i] * 0.5;\n", size, g, g)
-		fmt.Fprintf(&b, "\t}\n\tsum += a%d[%d];\n\tfree(a%d); free(b%d);\n", g, g%size, g, g)
-	}
-	b.WriteString("\tprint_float(sum);\n\treturn 0;\n}\n")
-	return b.String()
-}
-
 // shrinkingParent is the program whose visit order a single walk of the
 // initial loop forest gets wrong. The t loop (line 7) is rejected and
 // its first child outlined (doall1); that shrinks it below the loop at
@@ -268,7 +248,7 @@ int main() {
 		corpus[p.Name] = p.Source
 	}
 	for _, n := range []int{1, 2, 8, 24} {
-		corpus[fmt.Sprintf("groups%d", n)] = loopGroups(n)
+		corpus[fmt.Sprintf("groups%d", n)] = bench.LoopGroups(n)
 	}
 	return corpus
 }

@@ -314,6 +314,7 @@ func (fs *funcState) outline(l *analysis.Loop, p *plan) *ir.Instr {
 				continue
 			}
 			c := ir.CloneInstr(in, nil)
+			fs.d.pt.Replace(in, c)
 			nb.Append(c)
 			valueMap[in] = c
 		}
@@ -431,7 +432,9 @@ func (fs *funcState) outline(l *analysis.Loop, p *plan) *ir.Instr {
 	}
 	for _, in := range pre.Instrs[first : len(pre.Instrs)-1] {
 		fs.added(in)
+		fs.d.pt.Derive(in)
 	}
+	fs.d.pt.Derive(iVal) // once the launch has given lo its set
 	fs.preds[p.exit] = append(fs.preds[p.exit], pre)
 	return launch
 }

@@ -3,6 +3,7 @@ package doall
 import (
 	"fmt"
 
+	"cgcm/internal/analysis"
 	"cgcm/internal/ir"
 	"cgcm/internal/remarks"
 )
@@ -34,8 +35,9 @@ func RunReference(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 // referenceOnce outlines the first DOALL loop of f in forest order,
 // outermost first, and reports whether it found one.
 func referenceOnce(m *ir.Module, f *ir.Func, res *Result, kernels *int, rc *remarks.Collector) bool {
-	d := newDriver(m, rc)
-	d.res, d.kernels = res, *kernels
+	pt := analysis.BuildPointsTo(m)
+	d := &driver{m: m, pt: pt, rc: rc, res: res, kernels: *kernels,
+		mr: analysis.BuildModRef(m, pt, analysis.BuildCallGraph(m))}
 	fs := d.newFuncState(f)
 	var try func(n *node) bool
 	try = func(n *node) bool {

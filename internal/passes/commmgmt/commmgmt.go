@@ -37,7 +37,11 @@ type Result struct {
 // Pass activity is reported as optimization remarks through rc (which
 // may be nil).
 func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
-	pt := analysis.BuildPointsTo(m)
+	return RunWith(m, analysis.BuildPointsTo(m), rc)
+}
+
+// RunWith is Run over pt, the module's points-to solution.
+func RunWith(m *ir.Module, pt *analysis.PointsTo, rc *remarks.Collector) (*Result, error) {
 	res := &Result{Kernels: make(map[*ir.Func]*typeinfer.Classification)}
 
 	classify := func(k *ir.Func) (*typeinfer.Classification, error) {
@@ -82,8 +86,7 @@ func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 
 // ManageLaunch manages a single launch. The glue kernel pass uses it for
 // the launches it creates after the module-wide management pass has run.
-func ManageLaunch(m *ir.Module, launch *ir.Instr, rc *remarks.Collector) error {
-	pt := analysis.BuildPointsTo(m)
+func ManageLaunch(launch *ir.Instr, pt *analysis.PointsTo, rc *remarks.Collector) error {
 	cls, err := typeinfer.Infer(launch.Callee, pt)
 	if err != nil {
 		return err

@@ -32,6 +32,12 @@ type Result struct {
 // Run outlines glue regions across the module. Pass activity is
 // reported as optimization remarks through rc (which may be nil).
 func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
+	return RunWith(m, analysis.BuildPointsTo(m), rc)
+}
+
+// RunWith is Run over pt, the module's points-to solution, which it
+// extends to the kernels it outlines.
+func RunWith(m *ir.Module, pt *analysis.PointsTo, rc *remarks.Collector) (*Result, error) {
 	res := &Result{}
 	count := 0
 	for _, f := range m.Funcs {
@@ -39,14 +45,14 @@ func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 			continue
 		}
 		for {
-			launch, err := outlineOne(m, f, &count, rc)
+			launch, err := outlineOne(m, f, pt, &count, rc)
 			if err != nil {
 				return nil, err
 			}
 			if launch == nil {
 				break
 			}
-			if err := commmgmt.ManageLaunch(m, launch, rc); err != nil {
+			if err := commmgmt.ManageLaunch(launch, pt, rc); err != nil {
 				return nil, err
 			}
 			rc.Emit(remarks.Remark{
@@ -66,12 +72,11 @@ func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 }
 
 // outlineOne finds and outlines a single glue region in f, returning the
-// new launch (analyses are rebuilt between outlinings).
-func outlineOne(m *ir.Module, f *ir.Func, count *int, rc *remarks.Collector) (*ir.Instr, error) {
+// new launch (the CFG analyses are rebuilt between outlinings).
+func outlineOne(m *ir.Module, f *ir.Func, pt *analysis.PointsTo, count *int, rc *remarks.Collector) (*ir.Instr, error) {
 	f.Renumber()
 	dom := analysis.NewDominators(f)
 	forest := analysis.FindLoops(f, dom)
-	pt := analysis.BuildPointsTo(m)
 
 	for _, loop := range forest.All {
 		// Units used by kernels launched in this loop: the units behind
@@ -117,7 +122,7 @@ func outlineOne(m *ir.Module, f *ir.Func, count *int, rc *remarks.Collector) (*i
 				continue
 			}
 			if run := findRun(b, pt, mapped, blocked, rc); run != nil {
-				launch := outline(m, f, b, run, count)
+				launch := outline(m, f, b, run, count, pt)
 				return launch, nil
 			}
 		}
@@ -298,7 +303,7 @@ func outlineable(in *ir.Instr, pt *analysis.PointsTo, mapped analysis.ObjSet, bl
 // outline moves the run's non-hoisted instructions into a new
 // single-thread kernel and replaces them with a launch; hoisted slot
 // loads are repositioned ahead of the launch and passed by value.
-func outline(m *ir.Module, f *ir.Func, b *ir.Block, r *run, count *int) *ir.Instr {
+func outline(m *ir.Module, f *ir.Func, b *ir.Block, r *run, count *int, pt *analysis.PointsTo) *ir.Instr {
 	*count++
 	k := &ir.Func{Name: fmt.Sprintf("%s__glue%d", f.Name, *count), Kernel: true}
 	m.AddFunc(k)
@@ -335,6 +340,7 @@ func outline(m *ir.Module, f *ir.Func, b *ir.Block, r *run, count *int) *ir.Inst
 			continue
 		}
 		c := ir.CloneInstr(in, nil)
+		pt.Replace(in, c)
 		for i, a := range c.Args {
 			if x, ok := a.(*ir.Instr); ok && inMoved[x] {
 				c.Args[i] = valueMap[x]
@@ -386,6 +392,7 @@ func outline(m *ir.Module, f *ir.Func, b *ir.Block, r *run, count *int) *ir.Inst
 	launch := &ir.Instr{Op: ir.OpLaunch, Callee: k, Args: launchArgs,
 		Comment: "glue kernel", Line: gline}
 	b.InsertBefore(launch, anchor)
+	pt.Derive(launch)
 	for _, in := range r.span {
 		if !r.hoisted[in] {
 			b.Remove(in)

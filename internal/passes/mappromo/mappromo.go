@@ -44,15 +44,20 @@ type Result struct {
 
 const maxIterations = 12
 
-// Run iterates map promotion to convergence over the module. Pass
-// activity is reported as optimization remarks through rc (which may be
-// nil). Points-to, the call graph and mod/ref are built once: a
-// promotion adds no flow they describe, and the values it clones get
-// their points-to sets when the round that made them ends (DESIGN.md,
-// "Map promotion: one build per run").
+// Run iterates map promotion to convergence over the module.
 func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
+	return RunWith(m, analysis.BuildPointsTo(m), rc)
+}
+
+// RunWith is Run over pt, the module's points-to solution. Pass activity
+// is reported as optimization remarks through rc (which may be nil). The
+// call graph and mod/ref are built once: a promotion adds no flow they
+// or pt describe, and the values it clones get their points-to sets when
+// the round that made them ends (DESIGN.md, "Map promotion: one build
+// per run").
+func RunWith(m *ir.Module, pt *analysis.PointsTo, rc *remarks.Collector) (*Result, error) {
 	p := newPromoter(m, rc)
-	p.pt = analysis.BuildPointsTo(m)
+	p.pt = pt
 	p.cg = analysis.BuildCallGraph(m)
 	p.mr = analysis.BuildModRef(m, p.pt, p.cg)
 	for p.res.Iterations < maxIterations && p.round() {
@@ -82,10 +87,15 @@ type promoter struct {
 	clones []*ir.Instr
 	// changed lists the functions the latest round rewrote.
 	changed []*ir.Func
+	// loops (innermost first) and fwds hold each CPU function's loops and
+	// spill forwarding until a loop promotion rewrites it.
+	loops map[*ir.Func][]*analysis.Loop
+	fwds  map[*ir.Func]map[*ir.Instr]ir.Value
 }
 
 func newPromoter(m *ir.Module, rc *remarks.Collector) *promoter {
-	p := &promoter{m: m, rc: rc, done: make(map[string]bool)}
+	p := &promoter{m: m, rc: rc, done: make(map[string]bool),
+		loops: make(map[*ir.Func][]*analysis.Loop), fwds: make(map[*ir.Func]map[*ir.Instr]ir.Value)}
 	if rc != nil {
 		p.pending = make(map[string]remarks.Remark)
 	}

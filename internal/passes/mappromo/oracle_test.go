@@ -20,28 +20,6 @@ import (
 // because the claim is that nothing Run keeps across a round has gone
 // stale.
 
-// loopGroups emits n independent loop groups in main — two heap arrays,
-// an init loop, a 3-trip timestep loop around two DOALL loops, a host
-// read — the shape hostbench's gen8/16/32 classes compile. Map promotion
-// hoists one loop per round, so past 12 groups it stops at its round
-// limit.
-func loopGroups(n int) string {
-	var b strings.Builder
-	b.WriteString("int main() {\n\tfloat sum = 0.0;\n")
-	for g := 0; g < n; g++ {
-		size := 16 + 8*(g%3)
-		fmt.Fprintf(&b, "\tfloat *a%d = (float*)malloc(%d * 8);\n", g, size)
-		fmt.Fprintf(&b, "\tfloat *b%d = (float*)malloc(%d * 8);\n", g, size)
-		fmt.Fprintf(&b, "\tfor (int i = 0; i < %d; i++) a%d[i] = (float)(i %% %d) * 0.25;\n", size, g, 3+g%6)
-		b.WriteString("\tfor (int t = 0; t < 3; t++) {\n")
-		fmt.Fprintf(&b, "\t\tfor (int i = 0; i < %d; i++) b%d[i] = a%d[i] * 0.75 + %d.5;\n", size, g, g, g%5)
-		fmt.Fprintf(&b, "\t\tfor (int i = 0; i < %d; i++) a%d[i] = b%d[i] * 0.5;\n", size, g, g)
-		fmt.Fprintf(&b, "\t}\n\tsum += a%d[%d];\n\tfree(a%d); free(b%d);\n", g, g%size, g, g)
-	}
-	b.WriteString("\tprint_float(sum);\n\treturn 0;\n}\n")
-	return b.String()
-}
-
 // slotWrittenTwice launches on p, whose slot has two stores, so spill
 // forwarding does not see through its loads. The map hoisted out of the
 // t loop is a clone of such a load, and it is the first map of the o
@@ -140,7 +118,7 @@ func TestRunMatchesRoundRebuild(t *testing.T) {
 		pipeline[p.Name] = p.Source
 	}
 	for _, n := range []int{1, 2, 8, 12, 13, 16} {
-		pipeline[fmt.Sprintf("groups%d", n)] = loopGroups(n)
+		pipeline[fmt.Sprintf("groups%d", n)] = bench.LoopGroups(n)
 	}
 	passOnly := map[string]string{
 		"hoistable": hoistable, "blocked-by-read": blockedByRead, "blocked-by-write": blockedByWrite,
@@ -200,7 +178,7 @@ func TestRoundLimitIsReported(t *testing.T) {
 		groups int
 		want   bool
 	}{{11, false}, {16, true}} {
-		p, err := core.Compile("t.c", loopGroups(c.groups), core.Options{Strategy: core.CGCMOptimized, Remarks: true})
+		p, err := core.Compile("t.c", bench.LoopGroups(c.groups), core.Options{Strategy: core.CGCMOptimized, Remarks: true})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -12,20 +12,20 @@ import (
 // innermost loops first so maps climb one level per convergence round.
 func (p *promoter) promoteLoops(f *ir.Func) bool {
 	f.Renumber()
-	dom := analysis.NewDominators(f)
-	forest := analysis.FindLoops(f, dom)
-	fwd := analysis.SpillForwarding(f)
-
-	// Innermost first: deeper loops later in a postorder walk.
-	loops := append([]*analysis.Loop(nil), forest.All...)
-	for i := range loops {
-		for j := i + 1; j < len(loops); j++ {
-			if loops[j].Depth > loops[i].Depth {
-				loops[i], loops[j] = loops[j], loops[i]
+	loops, fwd := p.loops[f], p.fwds[f]
+	if fwd == nil {
+		// Innermost first: deeper loops later in a postorder walk.
+		loops = append([]*analysis.Loop(nil), analysis.FindLoops(f, analysis.NewDominators(f)).All...)
+		for i := range loops {
+			for j := i + 1; j < len(loops); j++ {
+				if loops[j].Depth > loops[i].Depth {
+					loops[i], loops[j] = loops[j], loops[i]
+				}
 			}
 		}
+		fwd = analysis.SpillForwarding(f)
+		p.loops[f], p.fwds[f] = loops, fwd
 	}
-
 	for _, loop := range loops {
 		region := analysis.Region{Loop: loop}
 		var hoist []*candidate
@@ -65,6 +65,7 @@ func (p *promoter) promoteLoops(f *ir.Func) bool {
 		}
 		f.Renumber()
 		// CFG changed: the next round finds the loops again.
+		delete(p.fwds, f)
 		return true
 	}
 	return false

@@ -62,7 +62,11 @@ func (r *Result) Rewritten() int { return r.MapsRewritten + r.UnmapsRewritten }
 // asynchronous variants. It only renames intrinsics — no instructions
 // move — so the module needs no renumbering.
 func Run(m *ir.Module, rc *remarks.Collector) (*Result, error) {
-	pt := analysis.BuildPointsTo(m)
+	return RunWith(m, analysis.BuildPointsTo(m), rc)
+}
+
+// RunWith is Run over pt, the module's points-to solution.
+func RunWith(m *ir.Module, pt *analysis.PointsTo, rc *remarks.Collector) (*Result, error) {
 	res := &Result{}
 	for _, f := range m.Funcs {
 		if f.Kernel {
