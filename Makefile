@@ -16,7 +16,7 @@
 
 GO ?= go
 
-.PHONY: all build vet fmtcheck fpcontract test race allocs bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke fuzzsmoke soak hostbench placement ci
+.PHONY: all build vet fmtcheck fpcontract test race allocs bench interpbench interpbenchsmoke compilebench compilebenchsmoke commbench commbenchsmoke servebench servebenchsmoke fuzzsmoke soak hostbench placement ci
 
 all: build
 
@@ -92,6 +92,19 @@ commbench:
 commbenchsmoke:
 	$(GO) test -run=NONE -bench=. -benchtime=1x ./internal/runtime/ ./internal/machine/ ./internal/critpath/
 
+# The service layer's benchmarks: one POST /run of serve_mixed's tiny
+# program through the HTTP handler, cache hit (warm) and miss (cold)
+# (BenchmarkSubmit, internal/server/bench_test.go), and one warm
+# Program.Run of the tiny program, nw and a manyunits-shaped program
+# (BenchmarkWarmRun, internal/core/bench_test.go) — host ns, bytes and
+# objects per request or run. Advisory, like interpbench.
+servebench:
+	$(GO) test -run=NONE -bench='BenchmarkSubmit|BenchmarkWarmRun' -benchtime=2s -count=5 ./internal/server/ ./internal/core/
+
+# One iteration of each of those benchmarks, so they cannot rot.
+servebenchsmoke:
+	$(GO) test -run=NONE -bench='BenchmarkSubmit|BenchmarkWarmRun' -benchtime=1x ./internal/server/ ./internal/core/
+
 # Short native-fuzz pass over the mini-C front end, the full compile
 # pipeline and the parallelizer's differential oracle (the one-verdict
 # driver against the restart driver it replaced, on FuzzCompile's seed
@@ -150,4 +163,4 @@ placement:
 			echo "interp.(*exec).run at 0x$$addr, $$((0x$$addr % 64)) mod 64, $$size bytes"; fi; \
 	done
 
-ci: build fmtcheck vet fpcontract race allocs interpbenchsmoke compilebenchsmoke commbenchsmoke fuzzsmoke
+ci: build fmtcheck vet fpcontract race allocs interpbenchsmoke compilebenchsmoke commbenchsmoke servebenchsmoke fuzzsmoke

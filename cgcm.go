@@ -75,7 +75,8 @@ type Options = core.Options
 // machine statistics, and per-pass activity counters.
 type Report = core.Report
 
-// Program is a compiled program ready to run on fresh machines.
+// Program is a compiled program ready to run any number of times; every
+// run reports what a run on a new simulated machine would.
 type Program = core.Program
 
 // RaceFinding reports two kernel threads writing overlapping bytes

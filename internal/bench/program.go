@@ -74,3 +74,44 @@ func LoopGroups(n int) string {
 	b.WriteString("\tprint_float(sum);\n\treturn 0;\n}\n")
 	return b.String()
 }
+
+// Tiny is the shape of hostbench's serve_mixed tiny program: three loops
+// over 48 floats in one heap unit, a print and a free. A run of it is
+// mostly a run's fixed cost.
+const Tiny = `int main() {
+	float *a = (float*)malloc(48 * 8);
+	for (int i = 0; i < 48; i++) a[i] = (float)(i % 5);
+	for (int i = 0; i < 48; i++) a[i] = a[i] * 1.50 + 1.0;
+	float s = 0.0;
+	for (int i = 0; i < 48; i++) s += a[i];
+	print_float(s);
+	free(a);
+	return 0;
+}`
+
+// ManyUnits emits the shape of hostbench's manyunits program: units live
+// 16-byte heap units while launches small kernels run over two other
+// arrays, so every map, unmap and release walks a deep allocation tree.
+func ManyUnits(units, launches int) string {
+	return fmt.Sprintf(`int main() {
+	float **keep = (float**)malloc(%[1]d * 8);
+	for (int i = 0; i < %[1]d; i++) {
+		float *u = (float*)malloc(16);
+		u[0] = (float)i;
+		keep[i] = u;
+	}
+	float *x = (float*)malloc(16 * 8);
+	float *y = (float*)malloc(16 * 8);
+	for (int i = 0; i < 16; i++) x[i] = (float)i;
+	float sum = 0.0;
+	for (int t = 0; t < %[2]d; t++) {
+		for (int i = 0; i < 16; i++) y[i] = x[i] * 0.75;
+		sum += y[t %% 16];
+	}
+	float *last = keep[%[1]d - 1];
+	print_float(sum + last[0]);
+	for (int i = 0; i < %[1]d; i++) free(keep[i]);
+	free(keep); free(x); free(y);
+	return 0;
+}`, units, launches)
+}

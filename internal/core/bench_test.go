@@ -94,3 +94,37 @@ func TestCompileAllocations(t *testing.T) {
 		})
 	}
 }
+
+// BenchmarkWarmRun is one Program.Run of a compiled, already run program
+// on one worker: serve_mixed's tiny program, run_comm's nw under
+// unoptimized CGCM, and a manyunits-shaped one (4096 live heap units),
+// whose run is mostly allocation units. A run resets a pooled machine,
+// runtime and interpreter, so allocs/op is what the run itself needs.
+func BenchmarkWarmRun(b *testing.B) {
+	nw, _ := bench.ByName("nw")
+	for _, c := range []struct {
+		name, src string
+		strategy  core.Strategy
+	}{
+		{"tiny", bench.Tiny, core.CGCMOptimized},
+		{"nw-unopt", nw.Source, core.CGCMUnoptimized},
+		{"manyunits", bench.ManyUnits(4096, 20), core.CGCMUnoptimized},
+	} {
+		b.Run(c.name, func(b *testing.B) {
+			p, err := core.Compile(c.name+".c", c.src, core.Options{Strategy: c.strategy, Workers: 1})
+			if err != nil {
+				b.Fatal(err)
+			}
+			if _, err := p.Run(); err != nil { // lowers the module
+				b.Fatal(err)
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := p.Run(); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}

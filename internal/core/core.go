@@ -11,6 +11,7 @@ import (
 	"io"
 	"sort"
 	"strings"
+	"sync"
 	"time"
 
 	"cgcm/internal/analysis"
@@ -375,9 +376,9 @@ type Report struct {
 	Metrics *metrics.Snapshot
 }
 
-// Program is a compiled mini-C program ready to run. Run is read-only on
-// the Program, so one compiled Program may run concurrently on any
-// number of fresh simulated machines.
+// Program is a compiled mini-C program ready to run. Run changes nothing
+// a Report can see, so one compiled Program may run concurrently any
+// number of times.
 type Program struct {
 	Module *ir.Module
 	Opts   Options
@@ -392,6 +393,20 @@ type Program struct {
 	launchSites int
 	phases      []trace.PhaseSpan
 	remarks     []remarks.Remark
+
+	// sets holds *runSet values between runs (see RunWith).
+	sets sync.Pool
+}
+
+// runSet is what one run executes on: a machine, a runtime, an
+// interpreter with its execution contexts, and the output buffer. RunWith
+// resets a pooled one instead of building a new one; see DESIGN.md,
+// "Pooled run sets".
+type runSet struct {
+	mach machine.Machine
+	rt   runtimelib.Runtime
+	in   interp.Interp
+	out  bytes.Buffer
 }
 
 // Kernels reports the number of distinct GPU kernels in the compiled
@@ -567,9 +582,10 @@ type RunConfig struct {
 	MemGovernor machine.MemGovernor
 }
 
-// Run executes the compiled program on a fresh simulated machine. It does
-// not mutate the Program, so concurrent Run calls on one Program are safe
-// and produce identical Reports.
+// Run executes the compiled program on a simulated machine in the state a
+// new one has: a pooled one, reset, when an earlier run left one. Its
+// Report is a fresh machine's, so concurrent Run calls on one Program are
+// safe and produce identical Reports.
 func (p *Program) Run() (*Report, error) { return p.RunWith(RunConfig{}) }
 
 // RunContext is Run with cancellation; see RunConfig.Ctx.
@@ -578,16 +594,23 @@ func (p *Program) RunContext(ctx context.Context) (*Report, error) {
 }
 
 // RunWith executes the program with per-run overrides. Like Run it is
-// read-only on the Program, so concurrent RunWith calls are safe. When
-// the run is canceled the error wraps *interp.CancelError and the
-// returned Report carries the statistics accumulated so far.
+// safe to call concurrently. When the run is canceled the error wraps
+// *interp.CancelError and the returned Report carries the statistics
+// accumulated so far. The run takes a set from the Program's pool, or
+// makes one, and resets it; only a run that succeeds puts it back, so a
+// failed, canceled or panicking run never leaves state behind.
 func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 	defer recoverInternal("run", &err)
 	met := p.Opts.Metrics
 	if rc.Metrics != nil {
 		met = rc.Metrics
 	}
-	mach := machine.New(p.Opts.CostModel())
+	set, _ := p.sets.Get().(*runSet)
+	if set == nil {
+		set = new(runSet)
+	}
+	mach, rt, out := &set.mach, &set.rt, &set.out
+	mach.Reset(p.Opts.CostModel())
 	// The timeline and the profile are read from the run's event log after
 	// the run; the machine keeps the record it replays only when one of them
 	// is wanted.
@@ -595,7 +618,7 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 		mach.KeepLog()
 	}
 	mach.Observe(met)
-	rt := runtimelib.New(mach)
+	rt.Reset(mach)
 	// Fault model: a finite or fault-injected device flips the runtime
 	// into resilient mode before module load, so even the device regions
 	// of globals go through the evict/retry/degrade ladder. A per-run
@@ -616,9 +639,9 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 	if p.Opts.Async {
 		rt.EnableAsync()
 	}
-	var out bytes.Buffer
-	in, err := interp.New(p.Module, mach, rt, &out)
-	if err != nil {
+	out.Reset()
+	in := &set.in
+	if err := in.Reset(p.Module, mach, rt, out); err != nil {
 		return nil, err
 	}
 	if p.Opts.Strategy == InspectorExecutor {
@@ -666,6 +689,9 @@ func (p *Program) RunWith(rc RunConfig) (rep *Report, err error) {
 	if met != nil {
 		publishRun(met, rep.Stats, rep.RTStats, in.Steps(), mach.GPUMemPeak())
 		rep.Metrics = met.Snapshot()
+	}
+	if err == nil {
+		p.sets.Put(set)
 	}
 	return rep, err
 }

@@ -113,3 +113,13 @@ func CompileReference(name, src string, opts Options) (*ir.Module, error) {
 	mod.Renumber()
 	return mod, nil
 }
+
+// Fresh returns a Program with p's compiled module and compile results
+// and an empty pool of run sets: its next run builds its set from zero,
+// as a newly compiled Program's first run does.
+func (p *Program) Fresh() *Program {
+	return &Program{
+		Module: p.Module, Opts: p.Opts, name: p.name, doallFound: p.doallFound,
+		kernels: p.kernels, launchSites: p.launchSites, phases: p.phases, remarks: p.remarks,
+	}
+}

@@ -315,40 +315,6 @@ func (ex *exec) growArena(need uint64) {
 	ex.arena = arena
 }
 
-// lookupSeg resolves addr for a worker context: scratch first (private,
-// so no other worker can observe it), then the worker's small segment
-// cache, then a lock-free walk of the shared tree.
-func (ex *exec) lookupSeg(addr uint64) *machine.Segment {
-	if addr-ex.scratchBase < scratchStride {
-		for i := len(ex.scratchSegs) - 1; i >= 0; i-- {
-			if s := &ex.scratchSegs[i]; addr >= s.Base && addr < s.End() {
-				return s
-			}
-		}
-		return nil
-	}
-	// The tree is read-only during a multi-worker launch, but a 1-thread
-	// glue kernel may free memory mid-launch; a generation bump drops the
-	// cache, exactly like the per-instruction inline caches.
-	if g := ex.in.Mach.Gen(); g != ex.cacheGen {
-		ex.cacheGen = g
-		for i := range ex.segCache {
-			ex.segCache[i] = nil
-		}
-	}
-	for _, c := range &ex.segCache {
-		if c != nil && addr >= c.Base && addr < c.End() {
-			return c
-		}
-	}
-	seg := ex.in.Mach.LookupSegment(addr)
-	if seg != nil {
-		ex.segCache[ex.segIdx] = seg
-		ex.segIdx = (ex.segIdx + 1) & 3
-	}
-	return seg
-}
-
 // segForAccess resolves the segment for a size-byte access at addr,
 // reproducing the machine's fault messages. Root contexts go through
 // the machine (warming its access cache); workers use the lock-free
@@ -855,6 +821,40 @@ func (ex *exec) run(fc *funcCode, base int) (uint64, error) {
 			insp.acc += int64(i.c) // the run's promoted accesses touch no memory
 		}
 	}
+}
+
+// lookupSeg resolves addr for a worker context: scratch first (private,
+// so no other worker can observe it), then the worker's small segment
+// cache, then a lock-free walk of the shared tree.
+func (ex *exec) lookupSeg(addr uint64) *machine.Segment {
+	if addr-ex.scratchBase < scratchStride {
+		for i := len(ex.scratchSegs) - 1; i >= 0; i-- {
+			if s := &ex.scratchSegs[i]; addr >= s.Base && addr < s.End() {
+				return s
+			}
+		}
+		return nil
+	}
+	// The tree is read-only during a multi-worker launch, but a 1-thread
+	// glue kernel may free memory mid-launch; a generation bump drops the
+	// cache, exactly like the per-instruction inline caches.
+	if g := ex.in.Mach.Gen(); g != ex.cacheGen {
+		ex.cacheGen = g
+		for i := range ex.segCache {
+			ex.segCache[i] = nil
+		}
+	}
+	for _, c := range &ex.segCache {
+		if c != nil && addr >= c.Base && addr < c.End() {
+			return c
+		}
+	}
+	seg := ex.in.Mach.LookupSegment(addr)
+	if seg != nil {
+		ex.segCache[ex.segIdx] = seg
+		ex.segIdx = (ex.segIdx + 1) & 3
+	}
+	return seg
 }
 
 // invoke runs function fc in the frame prepare made at stack offset

@@ -33,6 +33,9 @@ int main() {
 // trips of a call as at one. Each promoted parameter and local used to be
 // a segment, a buffer, two tree nodes and an AllocInfo per call.
 func TestCallsAllocateNothing(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
 	var counts [2]float64
 	for k, trips := range []int{1, 1000} {
 		prog, err := core.Compile("calls.c", callLoop(trips), core.Options{Strategy: core.Sequential, Workers: 1})

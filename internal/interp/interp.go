@@ -121,10 +121,10 @@ type Interp struct {
 	// other interpreter of the same module (see lower.go).
 	code *code
 
-	// globalAddr holds each global's host address, indexed like
-	// Mod.Globals. image holds, per address space, every function's
+	// globalAddr holds, per address space, each global's address, indexed
+	// like Mod.Globals. image holds, per address space, every function's
 	// initial frame with the global addresses of that space filled in.
-	globalAddr []uint64
+	globalAddr [2][]uint64
 	image      [2][]uint64
 
 	stepLimit  int64
@@ -166,45 +166,86 @@ type Interp struct {
 // allocate — the runtime then degrades to CPU fallback before main runs,
 // which is still a successful load.
 func New(mod *ir.Module, mach *machine.Machine, rt *runtime.Runtime, out io.Writer) (*Interp, error) {
+	in := new(Interp)
+	if err := in.Reset(mod, mach, rt, out); err != nil {
+		return nil, err
+	}
+	return in, nil
+}
+
+// Reset prepares the interpreter for a run of mod exactly as New does,
+// keeping only host memory: its execution contexts with their frame
+// stacks, scratch arenas and inline caches, cleared, and the slices it
+// fills. Races are left to whoever read them. mach and rt must be fresh
+// or just reset.
+func (in *Interp) Reset(mod *ir.Module, mach *machine.Machine, rt *runtime.Runtime, out io.Writer) error {
 	code := lowered(mod)
 	if code == nil {
-		return nil, &Error{Fn: "module load", Msg: "internal: module could not be lowered"}
+		return &Error{Fn: "module load", Msg: "internal: module could not be lowered"}
 	}
-	in := &Interp{
+	*in = Interp{
 		Mod: mod, Mach: mach, RT: rt, Out: out,
 		Lim:        DefaultLimits,
 		code:       code,
-		globalAddr: make([]uint64, len(mod.Globals)),
+		globalAddr: [2][]uint64{resize(in.globalAddr[0], len(mod.Globals)), resize(in.globalAddr[1], len(mod.Globals))},
+		image:      [2][]uint64{resize(in.image[0], len(code.image)), resize(in.image[1], len(code.image))},
+		root:       in.root,
+		workers:    in.workers,
+		grid:       gridRun{outs: in.grid.outs[:0], faults: in.grid.faults[:0]},
+		lineAcc:    in.lineAcc[:0],
 	}
-	devAddr := make([]uint64, len(mod.Globals))
 	for i, g := range mod.Globals {
-		base := mach.Alloc(machine.CPU, g.Size, "global "+g.Name)
+		base := mach.Alloc(machine.CPU, g.Size, code.labels[i][0])
 		if base == 0 {
-			return nil, &Error{Fn: "module load", Msg: fmt.Sprintf("global %s: %d bytes do not fit in the address space", g.Name, g.Size)}
+			return &Error{Fn: "module load", Msg: fmt.Sprintf("global %s: %d bytes do not fit in the address space", g.Name, g.Size)}
 		}
 		if g.Init != nil {
 			if err := mach.WriteBytes(base, g.Init); err != nil {
-				return nil, &Error{Fn: "module load", Msg: "global " + g.Name + " init: " + err.Error(), Err: err}
+				return &Error{Fn: "module load", Msg: "global " + g.Name + " init: " + err.Error(), Err: err}
 			}
 		}
-		in.globalAddr[i] = base
-		devAddr[i] = rt.AllocDeviceGlobal(base, g.Size, g.Name)
-		rt.DeclareGlobal(g.Name, base, g.Size, g.ReadOnly, devAddr[i])
+		dev := rt.AllocDeviceGlobal(base, g.Size, g.Name, code.labels[i][1])
+		in.globalAddr[machine.CPU][i], in.globalAddr[machine.GPU][i] = base, dev
+		rt.DeclareGlobal(g.Name, base, g.Size, g.ReadOnly, dev)
 	}
-	for space, addrs := range [2][]uint64{machine.CPU: in.globalAddr, machine.GPU: devAddr} {
-		image := make([]uint64, len(code.image))
+	for space, image := range in.image {
 		copy(image, code.image)
 		for _, fix := range code.fixes {
-			image[fix.pos] = addrs[fix.global]
+			image[fix.pos] = in.globalAddr[space][fix.global]
 		}
-		in.image[space] = image
 	}
-	in.root = &exec{
-		in: in, out: out, rng: 0x9E3779B97F4A7C15,
-		image: in.image[machine.CPU],
-		ic:    make([]segCache, code.numIC),
+	if in.root == nil {
+		in.root = &exec{in: in}
 	}
-	return in, nil
+	for _, ex := range in.workers {
+		ex.reset(code.numIC)
+	}
+	in.root.reset(code.numIC)
+	in.root.out, in.root.rng, in.root.image = out, 0x9E3779B97F4A7C15, in.image[machine.CPU]
+	return nil
+}
+
+// reset returns the context to the state it was made in, keeping its
+// memory: the frame stack, the scratch arena and the inline caches,
+// cleared (made for code with numIC memory instructions: a worker's at its
+// first launch), and the slices it appends to.
+func (ex *exec) reset(numIC int32) {
+	clear(ex.stack)
+	clear(ex.arena)
+	clear(ex.ic)
+	ic := ex.ic
+	if len(ic) != int(numIC) {
+		ic = nil
+		if !ex.worker {
+			ic = make([]segCache, numIC)
+		}
+	}
+	*ex = exec{
+		in: ex.in, worker: ex.worker, id: ex.id,
+		stack: ex.stack, ic: ic, arena: ex.arena,
+		allocas: ex.allocas[:0], scratchSegs: ex.scratchSegs[:0], args: ex.args[:0],
+		insp: ex.insp, race: ex.race,
+	}
 }
 
 // SetContext attaches a cancellation context to the interpreter. When

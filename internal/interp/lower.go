@@ -206,8 +206,9 @@ type code struct {
 	msgs    []string
 	image   []uint64
 	fixes   []globalFix
-	numIC   int32 // inline-cache slots, one per memory instruction
-	mainFn  int32 // -1 when absent
+	labels  [][2]string // per global: its host and device segment labels
+	numIC   int32       // inline-cache slots, one per memory instruction
+	mainFn  int32       // -1 when absent
 	initFn  int32
 }
 
@@ -241,8 +242,10 @@ func lower(mod *ir.Module) *code {
 		}
 	}
 	globalIndex := make(map[*ir.Global]int32, len(mod.Globals))
+	c.labels = make([][2]string, len(mod.Globals))
 	for i, g := range mod.Globals {
 		globalIndex[g] = int32(i)
+		c.labels[i] = [2]string{"global " + g.Name, "devglobal " + g.Name}
 	}
 	n := 0
 	for _, f := range mod.Funcs {

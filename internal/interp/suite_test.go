@@ -1,6 +1,7 @@
 package interp_test
 
 import (
+	"runtime"
 	"testing"
 
 	"cgcm/internal/bench"
@@ -30,25 +31,32 @@ func TestSuiteLocalsArePromoted(t *testing.T) {
 	}
 }
 
-// TestWarmRunAllocations bounds what a warm run of a suite program
-// allocates, on one worker: run_compute's jacobi-2d-imper under optimized
-// CGCM, run_comm's nw in its three configurations, and cfd, whose
-// helpers are called per element. The count repeats to within one object
-// from run to run and does not depend on host speed, so it gates the host
-// cost no timing can: each bound is one object above the count when it
-// was set, and a change that raises one must say why here. The bounds
-// fell by 4 (119/585/596/189 counts before) when the machine's histogram
-// bounds were built once per process instead of once per run, registry
-// or not; they fell again, to 106/548/559/174 counts, when the ledger
-// stopped keeping a map of allocation lines and a map of seen epochs per
-// unit (the unit's line now rides on its AllocInfo); and to 55/64/75/66
-// (cfd 1337 before) when promoted locals stopped being allocation units
-// and segments, tree nodes and AllocInfos came from per-run slabs. The
-// nw/unopt-profile row is what keeping the run's record costs: 929
-// objects (~5.2 MB) against 64 (~0.4 MB) bare, most of them the growth
-// of the verb list and the notes, the log's replay and the profile's
-// folds. Under -race it reads 931, so its bound is one above that.
+// TestWarmRunAllocations bounds what a warm run allocates, objects and
+// bytes, on one worker: run_compute's jacobi-2d-imper under optimized
+// CGCM, run_comm's nw in its three configurations, cfd, whose helpers are
+// called per element, serve_mixed's tiny program and a manyunits-shaped
+// one (4096 live 16-byte heap units). The counts repeat to within one
+// object from run to run and do not depend on host speed, so they gate
+// the host cost no timing can: each object bound is one above the count
+// when it was set, each byte bound a quarter above, and a change that
+// raises one must say why here. History of the object counts
+// (jacobi/nw unopt/unopt-async/opt-faults/cfd): 119/585/596/189/- when
+// the machine's histogram bounds were built once per process instead of
+// once per run; 106/548/559/174 when the ledger stopped keeping a map of
+// allocation lines and a map of seen epochs per unit; 55/64/75/66/1337
+// when promoted locals stopped being allocation units and segments, tree
+// nodes and AllocInfos came from per-run slabs; 4/4/7/11/4 (cfd 167,
+// tiny 43, manyunits 4285; bytes 166k/398k/399k/366k/380k, tiny 28k,
+// manyunits 1.53M) when a Program started keeping its machine, runtime
+// and interpreter in a pool and resetting them: what is left is the
+// Report, its Output and ledger, and what a fault plan or a printed
+// float allocates. The nw/unopt-profile row is what keeping the run's
+// record costs: the verb list and the notes (handed to the Report, never
+// reused), the log's replay and the profile's folds.
 func TestWarmRunAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("allocation counts vary under the race detector")
+	}
 	faults, err := faultinject.ParseSpec("seed=7,htod=0.2,dtoh=0.2,alloc=0.1")
 	if err != nil {
 		t.Fatal(err)
@@ -56,32 +64,61 @@ func TestWarmRunAllocations(t *testing.T) {
 	for _, c := range []struct {
 		program, config string
 		opts            core.Options
-		bound           float64
+		objects, bytes  float64
 	}{
-		{"jacobi-2d-imper", "opt", core.Options{Strategy: core.CGCMOptimized}, 56},
-		{"nw", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 65},
-		{"nw", "unopt-async", core.Options{Strategy: core.CGCMUnoptimized, Async: true}, 76},
-		{"nw", "opt-faults", core.Options{Strategy: core.CGCMOptimized, GPUMemBytes: 256 << 10, FaultSpec: faults}, 67},
-		{"cfd", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 168},
-		{"nw", "unopt-profile", core.Options{Strategy: core.CGCMUnoptimized, Profile: true}, 932},
+		{"jacobi-2d-imper", "opt", core.Options{Strategy: core.CGCMOptimized}, 5, 1180},
+		{"nw", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 5, 1180},
+		{"nw", "unopt-async", core.Options{Strategy: core.CGCMUnoptimized, Async: true}, 8, 1260},
+		{"nw", "opt-faults", core.Options{Strategy: core.CGCMOptimized, GPUMemBytes: 256 << 10, FaultSpec: faults}, 12, 1510},
+		{"cfd", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 5, 6820},
+		{"nw", "unopt-profile", core.Options{Strategy: core.CGCMUnoptimized, Profile: true}, 864, 5_970_000},
+		{"tiny", "opt", core.Options{Strategy: core.CGCMOptimized}, 5, 960},
+		{"manyunits", "unopt", core.Options{Strategy: core.CGCMUnoptimized}, 5, 1210},
 	} {
 		t.Run(c.program+"/"+c.config, func(t *testing.T) {
-			p, _ := bench.ByName(c.program)
+			src := warmSources[c.program]
+			if src == "" {
+				p, _ := bench.ByName(c.program)
+				src = p.Source
+			}
 			c.opts.Workers = 1
-			prog, err := core.Compile(p.Name+".c", p.Source, c.opts)
+			prog, err := core.Compile(c.program+".c", src, c.opts)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if _, err := prog.Run(); err != nil { // lowers the module
 				t.Fatal(err)
 			}
-			n := testing.AllocsPerRun(10, func() { prog.Run() })
-			t.Logf("a warm run allocates %.0f objects", n)
-			if n > c.bound {
-				t.Errorf("a warm run allocates %.0f objects, more than %.0f", n, c.bound)
+			objects, bytes := allocsPerRun(10, func() { prog.Run() })
+			t.Logf("a warm run allocates %.0f objects, %.0f bytes", objects, bytes)
+			if objects > c.objects {
+				t.Errorf("a warm run allocates %.0f objects, more than %.0f", objects, c.objects)
+			}
+			if bytes > c.bytes {
+				t.Errorf("a warm run allocates %.0f bytes, more than %.0f", bytes, c.bytes)
 			}
 		})
 	}
+}
+
+// warmSources are TestWarmRunAllocations' programs that are not in the
+// suite: serve_mixed's tiny program, and one holding 4096 live 16-byte
+// heap units while 20 small kernels run, as hostbench's manyunits does.
+var warmSources = map[string]string{"tiny": bench.Tiny, "manyunits": bench.ManyUnits(4096, 20)}
+
+// allocsPerRun is testing.AllocsPerRun that also reports the bytes: the
+// average heap objects and bytes one call of f allocates, after a warm-up
+// call, on one P.
+func allocsPerRun(runs int, f func()) (objects, bytes float64) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return float64(after.Mallocs-before.Mallocs) / float64(runs), float64(after.TotalAlloc-before.TotalAlloc) / float64(runs)
 }
 
 // TestSuiteLoopsAreLowered: in every suite program under every strategy,

@@ -211,10 +211,9 @@ type Machine struct {
 	nextCPU uint64
 	nextGPU uint64
 
-	// segSlab is the unused tail of the chunk new Segments come from, and
-	// nsegs counts the Segments made so far (newSegment).
-	segSlab []Segment
-	nsegs   int
+	// segSlab is where new Segments come from; Free never returns one to
+	// it, because an inline cache may hold a Segment past its Free.
+	segSlab rbtree.Slab[Segment]
 
 	// epoch is the kernel epoch ("an epoch count which increases every
 	// time the program launches a GPU function"): the runtime library
@@ -233,8 +232,9 @@ type Machine struct {
 	cache    [2][4]*Segment
 	cacheIdx [2]uint8
 
-	// gen increments whenever a segment is freed, invalidating the
-	// interpreter's per-instruction inline caches.
+	// gen increments whenever a segment is freed, and at every Reset of a
+	// used machine, invalidating the interpreter's per-instruction inline
+	// caches. It never goes back, so a cache made before a Reset misses.
 	gen uint64
 
 	// Device model (faults.go): capacity is the GPU memory limit in bytes
@@ -245,13 +245,10 @@ type Machine struct {
 	gpuPeak  int64
 	plan     *faultinject.Plan
 
-	// free recycles the backing buffers of freed GPU segments, by exact
-	// size, and pooled is their aligned total (deviceBuf). Host memory
-	// only: no simulated address, byte count or event depends on it. The
-	// map is made by the first device Free, so a run that never frees a
-	// device segment pays nothing.
-	free   map[int64][][]byte
-	pooled int64
+	// bufs recycles the backing buffers of freed segments, per space.
+	// Host memory only: no simulated address, byte count or event depends
+	// on it, and it outlives Reset.
+	bufs [2]bufPool
 
 	// Quota model (quota.go): gov, when non-nil, must approve every
 	// AllocDevice; govBytes remembers how much each reserved base was
@@ -280,9 +277,41 @@ func (m *Machine) Gen() uint64 { return m.gen }
 
 // New creates a machine with the given cost model.
 func New(cost CostModel) *Machine {
-	m := &Machine{nextCPU: nullGuard, nextGPU: GPUBase}
-	m.clk = clock{cost: cost}
+	m := new(Machine)
+	m.Reset(cost)
 	return m
+}
+
+// Reset returns the machine to the state New(cost) makes, keeping only
+// host memory for the next run: the buffers of every segment, freed or
+// still live, on the free lists, the segment slab and the tree nodes. A
+// kept record (KeepLog) is left to whoever read it. The caller must hold
+// no *Segment of the machine's any more.
+func (m *Machine) Reset(cost CostModel) {
+	gen := m.gen
+	if m.nextCPU != 0 { // a used machine: see gen
+		gen++
+	}
+	for s := range m.segs {
+		p := &m.bufs[s]
+		m.segs[s].Ascend(func(_ uint64, seg *Segment) bool {
+			p.put(seg.Data)
+			return true
+		})
+		m.segs[s].Clear()
+	}
+	m.segSlab.Rewind()
+	clear(m.govBytes)
+	*m = Machine{
+		clk:      clock{cost: cost, streams: m.clk.streams[:0], pending: m.clk.pending[:0]},
+		segs:     m.segs,
+		nextCPU:  nullGuard,
+		nextGPU:  GPUBase,
+		segSlab:  m.segSlab,
+		gen:      gen,
+		bufs:     m.bufs,
+		govBytes: m.govBytes,
+	}
 }
 
 // Observe attaches the registry the per-event histograms report into; nil
@@ -403,12 +432,10 @@ func (m *Machine) Alloc(space Space, size int64, name string) uint64 {
 		size = 1
 	}
 	var base uint64
-	var data []byte
 	if space == CPU {
 		if base = m.Reserve(size); base == 0 {
 			return 0
 		}
-		data = make([]byte, size)
 	} else {
 		if !m.fits(GPU, size) {
 			return 0
@@ -419,10 +446,9 @@ func (m *Machine) Alloc(space Space, size int64, name string) uint64 {
 		if m.gpuUsed > m.gpuPeak {
 			m.gpuPeak = m.gpuUsed
 		}
-		data = m.deviceBuf(size)
 	}
-	seg := m.newSegment()
-	*seg = Segment{Base: base, Data: data, Space: space, Name: name}
+	seg := m.segSlab.New()
+	*seg = Segment{Base: base, Data: m.bufs[space].get(size), Space: space, Name: name}
 	m.segs[space].Put(base, seg)
 	return base
 }
@@ -444,42 +470,48 @@ func (m *Machine) Reserve(size int64) uint64 {
 	return base
 }
 
-// newSegment returns an unused Segment from the machine's slab. A chunk
-// holds as many Segments as the machine has made so far, at least 4 and at
-// most 256, so a short run allocates a few small chunks and a long one
-// few chunks. A Segment is never handed out twice: an inline cache may
-// hold one past its Free.
-func (m *Machine) newSegment() *Segment {
-	if len(m.segSlab) == 0 {
-		m.segSlab = make([]Segment, min(max(4, m.nsegs), 256))
-	}
-	seg := &m.segSlab[0]
-	m.segSlab = m.segSlab[1:]
-	m.nsegs++
-	return seg
+// bufPool recycles one space's segment buffers by exact size. live is the
+// aligned bytes of the space's live segments, pooled those of the buffers
+// on the lists, and peak the most live has been, resets included:
+// live+pooled never exceeds peak, because a miss that would carry the sum
+// past it drops the lists. So the host memory behind a space stays within
+// what its programs once had live, however many sizes they free. The map
+// is made by the first put, so a machine that never frees pays nothing.
+type bufPool struct {
+	free               map[int64][][]byte
+	live, pooled, peak int64
 }
 
-// deviceBuf returns the zeroed backing buffer of a new size-byte device
-// segment, already counted in gpuUsed: a recycled one of exactly that size
-// when the free list holds one, else a fresh one. A recycled buffer is
-// cleared, so machine memory always reads zero until written. gpuUsed+pooled never exceeds gpuPeak: Free keeps a buffer in
-// place of the live bytes it held, and a miss that would carry the sum
-// past the mark drops the list, so the host memory behind device segments
-// stays within what the program once had live.
-func (m *Machine) deviceBuf(size int64) []byte {
-	if l := m.free[size]; len(l) > 0 {
+// get returns a zeroed buffer of size bytes: a recycled one of exactly
+// that size when the list holds one, else a fresh one.
+func (p *bufPool) get(size int64) []byte {
+	n := int64(align(uint64(size)))
+	p.live += n
+	p.peak = max(p.peak, p.live)
+	if l := p.free[size]; len(l) > 0 {
 		buf := l[len(l)-1]
 		l[len(l)-1] = nil
-		m.free[size] = l[:len(l)-1]
-		m.pooled -= int64(align(uint64(size)))
+		p.free[size] = l[:len(l)-1]
+		p.pooled -= n
 		clear(buf)
 		return buf
 	}
-	if m.pooled > 0 && m.gpuUsed+m.pooled > m.gpuPeak {
-		clear(m.free)
-		m.pooled = 0
+	if p.pooled > 0 && p.live+p.pooled > p.peak {
+		clear(p.free)
+		p.pooled = 0
 	}
 	return make([]byte, size)
+}
+
+// put files a segment's buffer for reuse.
+func (p *bufPool) put(buf []byte) {
+	if p.free == nil {
+		p.free = make(map[int64][][]byte)
+	}
+	n := int64(len(buf))
+	p.live -= int64(align(uint64(n)))
+	p.free[n] = append(p.free[n], buf)
+	p.pooled += int64(align(uint64(n)))
 }
 
 // Free removes the segment at base. It is an error to free a non-base
@@ -503,19 +535,14 @@ func (m *Machine) Free(space Space, base uint64) error {
 			m.gov.Release(n)
 			delete(m.govBytes, base)
 		}
-		// The buffer moves to the free list.
-		if m.free == nil {
-			m.free = make(map[int64][][]byte)
-		}
-		m.free[size] = append(m.free[size], seg.Data)
-		m.pooled += int64(align(uint64(size)))
 	}
-	// The segment loses its buffer: a *Segment held past this Free (an
-	// inline cache that missed the Gen change) then fails its bounds check
-	// instead of reading the bytes of whichever unit a recycled buffer
-	// backs next, and the slab chunk the segment sits in keeps no freed
-	// bytes alive. Segments themselves are never recycled, for the same
-	// reason.
+	m.bufs[space].put(seg.Data)
+	// The buffer moved to the free list and the segment loses it: a
+	// *Segment held past this Free (an inline cache that missed the Gen
+	// change) then fails its bounds check instead of reading the bytes of
+	// whichever unit a recycled buffer backs next, and the slab chunk the
+	// segment sits in keeps no freed bytes alive. Segments themselves are
+	// not recycled within a run, for the same reason.
 	seg.Data = nil
 	m.segs[space].Delete(base)
 	for i, c := range &m.cache[space] {

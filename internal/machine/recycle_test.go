@@ -9,7 +9,7 @@ import (
 	"cgcm/internal/faultinject"
 )
 
-// Device-segment recycling (Machine.deviceBuf) changes host memory only.
+// Segment-buffer recycling (bufPool) changes host memory only.
 // These tests pin what it must not change — zeroed memory, addresses, the
 // device-memory accounting, the governor's and the fault plan's call
 // sequences — and what it must: a freed segment loses its bytes, the list
@@ -125,7 +125,7 @@ func TestRecycledBufferReadsZero(t *testing.T) {
 func pooledBytes(t *testing.T, m *Machine) int64 {
 	t.Helper()
 	var n int64
-	for size, l := range m.free {
+	for size, l := range m.bufs[GPU].free {
 		for _, buf := range l {
 			if int64(len(buf)) != size {
 				t.Fatalf("a %d-byte buffer is filed under size %d", len(buf), size)
@@ -133,8 +133,8 @@ func pooledBytes(t *testing.T, m *Machine) int64 {
 			n += int64(align(uint64(size)))
 		}
 	}
-	if n != m.pooled {
-		t.Fatalf("pooled = %d, the list holds %d", m.pooled, n)
+	if n != m.bufs[GPU].pooled {
+		t.Fatalf("pooled = %d, the list holds %d", m.bufs[GPU].pooled, n)
 	}
 	return n
 }
@@ -173,7 +173,7 @@ func TestPoolBoundedByPeak(t *testing.T) {
 		check(fmt.Sprintf("live free %d", i+1))
 	}
 	if pooledBytes(t, m) != m.GPUMemPeak() {
-		t.Errorf("freeing a working set at its peak pooled %d of %d bytes", m.pooled, m.GPUMemPeak())
+		t.Errorf("freeing a working set at its peak pooled %d of %d bytes", m.bufs[GPU].pooled, m.GPUMemPeak())
 	}
 	for i := 2; i <= 64; i += 2 {
 		m.Alloc(GPU, int64(i*1000), "d")

@@ -1,6 +1,7 @@
 // Quantile estimation and Prometheus text exposition: the export
 // surface a multi-tenant cgcmd service scrapes. Both operate on frozen
-// Snapshots, so serving them never contends with the instruments.
+// Snapshots, so serving them never contends with the instruments, and
+// only read them: a histogram's Bounds are shared with its registry.
 package metrics
 
 import (

@@ -21,7 +21,9 @@ package metrics
 import (
 	"fmt"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 )
@@ -234,8 +236,11 @@ func (r *Registry) Histogram(name string, bounds []float64) *Histogram {
 
 // HistSnapshot is a frozen histogram.
 type HistSnapshot struct {
-	Name    string    `json:"name"`
-	Bounds  []float64 `json:"bounds"` // ascending upper bounds; final bucket is +Inf
+	Name string `json:"name"`
+	// Bounds are the ascending upper bounds; the final bucket is +Inf.
+	// They are the histogram's own, shared by every snapshot of it:
+	// nothing writes them after creation, and a reader (expo.go) must not.
+	Bounds  []float64 `json:"bounds"`
 	Buckets []int64   `json:"buckets"`
 	Count   int64     `json:"count"`
 	Sum     float64   `json:"sum"`
@@ -259,14 +264,20 @@ type Snapshot struct {
 	Histograms []HistSnapshot `json:"histograms,omitempty"`
 }
 
-// Snapshot freezes the registry. Nil registries freeze to nil.
+// Snapshot freezes the registry. Nil registries freeze to nil. It
+// allocates what it returns and nothing else: the three lists at their
+// final size and each histogram's buckets.
 func (r *Registry) Snapshot() *Snapshot {
 	if r == nil {
 		return nil
 	}
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	s := &Snapshot{}
+	s := &Snapshot{
+		Counters:   sized[NamedValue](len(r.ctrs)),
+		Gauges:     sized[NamedValue](len(r.gauges)),
+		Histograms: sized[HistSnapshot](len(r.hists)),
+	}
 	for name, c := range r.ctrs {
 		s.Counters = append(s.Counters, NamedValue{Name: name, Value: float64(c.Value())})
 	}
@@ -275,22 +286,31 @@ func (r *Registry) Snapshot() *Snapshot {
 	}
 	for name, h := range r.hists {
 		hs := HistSnapshot{
-			Name:   name,
-			Bounds: append([]float64(nil), h.bounds...),
-			Count:  h.Count(),
-			Sum:    h.Sum(),
+			Name:    name,
+			Bounds:  h.bounds,
+			Count:   h.Count(),
+			Sum:     h.Sum(),
+			Buckets: make([]int64, len(h.buckets)),
 		}
-		hs.Buckets = make([]int64, len(h.buckets))
 		for i := range h.buckets {
 			hs.Buckets[i] = h.buckets[i].Load()
 		}
 		hs.fillQuantiles()
 		s.Histograms = append(s.Histograms, hs)
 	}
-	sort.Slice(s.Counters, func(i, j int) bool { return s.Counters[i].Name < s.Counters[j].Name })
-	sort.Slice(s.Gauges, func(i, j int) bool { return s.Gauges[i].Name < s.Gauges[j].Name })
-	sort.Slice(s.Histograms, func(i, j int) bool { return s.Histograms[i].Name < s.Histograms[j].Name })
+	byName := func(a, b NamedValue) int { return strings.Compare(a.Name, b.Name) }
+	slices.SortFunc(s.Counters, byName)
+	slices.SortFunc(s.Gauges, byName)
+	slices.SortFunc(s.Histograms, func(a, b HistSnapshot) int { return strings.Compare(a.Name, b.Name) })
 	return s
+}
+
+// sized returns an empty slice with room for n, nil when n is 0.
+func sized[T any](n int) []T {
+	if n == 0 {
+		return nil
+	}
+	return make([]T, 0, n)
 }
 
 // Counter returns the named frozen counter value, or 0.

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"encoding/json"
+	"fmt"
 	"sync"
 	"testing"
 )
@@ -151,5 +152,32 @@ func TestSnapshotJSONDeterministic(t *testing.T) {
 	}
 	if s.Counter("a") != 2 || s.Counter("missing") != 0 {
 		t.Fatalf("snapshot counter lookup broken")
+	}
+}
+
+// TestSnapshotAllocations: a snapshot allocates what it returns — itself,
+// its three lists at their final size and each histogram's buckets — and
+// nothing to sort or copy with. The registry is a cgcmd tenant's: 14
+// counters, 8 gauges and 4 histograms. It cost 30 objects when the lists
+// grew by append, sort.Slice built a reflect swapper per list and every
+// snapshot copied every histogram's bounds; now 8, and the bound is one
+// above that.
+func TestSnapshotAllocations(t *testing.T) {
+	r := New()
+	for i := 0; i < 14; i++ {
+		r.Counter(fmt.Sprintf("c%02d", 13-i)).Add(int64(i))
+	}
+	for i := 0; i < 8; i++ {
+		r.Gauge(fmt.Sprintf("g%d", 7-i)).Set(float64(i))
+	}
+	for i := 0; i < 4; i++ {
+		r.Histogram(fmt.Sprintf("h%d", 3-i), ExpBuckets(1, 4, 13)).Observe(float64(i))
+	}
+	if n := testing.AllocsPerRun(20, func() { r.Snapshot() }); n > 9 {
+		t.Errorf("a snapshot allocates %.0f objects, more than 9", n)
+	}
+	s := r.Snapshot()
+	if len(s.Counters) != 14 || s.Counters[0].Name != "c00" || s.Gauges[0].Name != "g0" || s.Histograms[0].Name != "h0" {
+		t.Errorf("snapshot lists not full and sorted: %+v", s)
 	}
 }

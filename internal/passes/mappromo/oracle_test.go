@@ -69,6 +69,40 @@ int main() {
 	return 0;
 }`
 
+// siblingExits has two outer loops of one size, each around an inner
+// loop, and the second inner loop has two exits. Hoisting its map splits
+// both exit edges, which grows the second outer loop past the first, so
+// a loop forest built after that hoist lists the second outer loop
+// first and promotes it a round earlier. A driver that keeps a
+// function's loops (or its spill forwarding, which stands for both)
+// across a hoist promotes the outer loops in the old order: same Result,
+// other block names.
+const siblingExits = `
+__global__ void k(float *v, int n) {
+	int i = tid();
+	if (i < n) v[i] = v[i] + 1.0;
+}
+int main() {
+	int n = 64;
+	float *a = (float*)malloc(64 * 8);
+	float *b = (float*)malloc(64 * 8);
+	for (int o = 0; o < 3; o++) {
+		for (int t = 0; t < 4; t++) {
+			k<<<1, 64>>>(b, 64);
+		}
+		if (o > 1) n = 64;
+	}
+	for (int o = 0; o < 3; o++) {
+		for (int t = 0; t < 4; t++) {
+			k<<<1, 64>>>(a, 64);
+			if (n > 100) break;
+		}
+	}
+	print_float(a[0] + b[1]);
+	free(a); free(b);
+	return 0;
+}`
+
 // agree runs Run and RunReference on two builds of one module and
 // reports how they differ, or "".
 func agree(build func() *ir.Module, withRemarks bool) string {
@@ -125,6 +159,7 @@ func TestRunMatchesRoundRebuild(t *testing.T) {
 		"helper-call": helperCall, "recursive-walk": recursiveWalk, "nested-loops": nestedLoops,
 		"interior-pointer":   interiorPointer,
 		"slot-written-twice": slotWrittenTwice, "loop-then-function": loopThenFunction,
+		"sibling-exits": siblingExits,
 	}
 	for name, src := range passOnly {
 		pipeline[name] = src

@@ -18,6 +18,7 @@ func RunReference(m *ir.Module, rc *remarks.Collector) (*Result, error) {
 	p := newPromoter(m, rc)
 	for {
 		p.clones = p.clones[:0]
+		clear(p.loops)
 		clear(p.fwds)
 		p.pt = analysis.BuildPointsTo(m)
 		p.cg = analysis.BuildCallGraph(m)

@@ -65,6 +65,21 @@ func (t *Tree[V]) release(n *node[V]) {
 	t.free = n
 }
 
+// Clear empties the tree; its nodes go on the free list for the Puts that
+// follow.
+func (t *Tree[V]) Clear() {
+	t.releaseAll(t.root)
+	t.root, t.size = nil, 0
+}
+
+func (t *Tree[V]) releaseAll(n *node[V]) {
+	if n != nil {
+		t.releaseAll(n.left)
+		t.releaseAll(n.right)
+		t.release(n)
+	}
+}
+
 // Len returns the number of entries.
 func (t *Tree[V]) Len() int { return t.size }
 

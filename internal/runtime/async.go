@@ -27,7 +27,9 @@ func (r *Runtime) EnableAsync() {
 	r.async = true
 	r.h2d = r.M.NewStream("h2d")
 	r.d2h = r.M.NewStream("d2h")
-	r.lastXfer = make(map[uint64]machine.Event)
+	if r.lastXfer == nil {
+		r.lastXfer = make(map[uint64]machine.Event)
+	}
 	r.M.SetOverlapSink(r.Ledger.RecordOverlap)
 }
 

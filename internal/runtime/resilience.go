@@ -380,15 +380,16 @@ func (r *Runtime) PreLaunch(kernel string) error {
 	}
 }
 
-// AllocDeviceGlobal allocates a global's device named region at module
-// load (cuModuleGetGlobal). Under fault injection the load itself can
-// fail; the runtime then degrades before main ever runs and returns 0 —
-// every kernel will execute in CPU-fallback mode.
-func (r *Runtime) AllocDeviceGlobal(cpuBase uint64, size int64, name string) uint64 {
+// AllocDeviceGlobal allocates global name's device named region, labeled
+// label ("devglobal "+name), at module load (cuModuleGetGlobal). Under
+// fault injection the load itself can fail; the runtime then degrades
+// before main ever runs and returns 0 — every kernel will execute in
+// CPU-fallback mode.
+func (r *Runtime) AllocDeviceGlobal(cpuBase uint64, size int64, name, label string) uint64 {
 	if r.degraded {
 		return 0
 	}
-	dev, err := r.allocDevice(size, "devglobal "+name)
+	dev, err := r.allocDevice(size, label)
 	if err != nil {
 		_ = r.degrade("module load: device region for global "+name, err)
 		return 0

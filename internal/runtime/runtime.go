@@ -55,10 +55,6 @@ type AllocInfo struct {
 	// last host flush. Maintained only in resilient mode, where evicting
 	// a dirty unit must copy it back first.
 	Dirty bool
-
-	// devName is "dev:"+Name, the label of the unit's device copies, built
-	// by the first map that allocates one.
-	devName string
 }
 
 // shadowArray tracks the GPU-side pointer array created by MapArray for a
@@ -148,10 +144,11 @@ type Runtime struct {
 	shadows map[uint64]*shadowArray
 	stats   Stats
 
-	// infoSlab is the unused tail of the chunk new AllocInfos come from,
-	// and ninfos counts the AllocInfos made so far (newInfo).
-	infoSlab []AllocInfo
-	ninfos   int
+	// infoSlab is where new AllocInfos come from (newInfo).
+	infoSlab rbtree.Slab[AllocInfo]
+	// devLabels maps a unit name to "dev:"+name, the label of its device
+	// copies, for the runtime's life, resets included (devLabel).
+	devLabels map[string]string
 
 	// Async communication state (async.go). async gates MapAsync/UnmapAsync
 	// between stream copies and their synchronous equivalents, so the
@@ -175,11 +172,47 @@ type Runtime struct {
 
 // New creates a runtime for machine m.
 func New(m *machine.Machine) *Runtime {
-	return &Runtime{
-		M: m, shadows: make(map[uint64]*shadowArray),
-		Ledger: trace.NewLedgerBuilder(),
-		freed:  make(map[uint64]bool),
+	r := new(Runtime)
+	r.Reset(m)
+	return r
+}
+
+// Reset returns the runtime to the state New(m) makes, keeping only host
+// memory for the next run: the allocation records and tree nodes, the
+// ledger builder and the maps, emptied. The caller must hold no
+// *AllocInfo of the runtime's any more.
+func (r *Runtime) Reset(m *machine.Machine) {
+	r.allocs.Clear()
+	r.infoSlab.Rewind()
+	if r.Ledger == nil {
+		r.Ledger = trace.NewLedgerBuilder()
+		r.shadows = make(map[uint64]*shadowArray)
+		r.freed = make(map[uint64]bool)
 	}
+	r.Ledger.Reset()
+	clear(r.shadows)
+	clear(r.lastXfer)
+	clear(r.freed)
+	*r = Runtime{
+		M: m, Ledger: r.Ledger,
+		allocs: r.allocs, shadows: r.shadows, infoSlab: r.infoSlab,
+		lastXfer: r.lastXfer, pendingUploads: r.pendingUploads[:0],
+		lru: r.lru[:0], devRanges: r.devRanges[:0], freed: r.freed,
+		devLabels: r.devLabels,
+	}
+}
+
+// devLabel returns "dev:"+name, building it once per name.
+func (r *Runtime) devLabel(name string) string {
+	l, ok := r.devLabels[name]
+	if !ok {
+		if r.devLabels == nil {
+			r.devLabels = make(map[string]string)
+		}
+		l = "dev:" + name
+		r.devLabels[name] = l
+	}
+	return l
 }
 
 // emit books one runtime-library event about info's unit (nil: the event
@@ -244,17 +277,11 @@ func (r *Runtime) emitFrom(from int, kind trace.EventKind, info *AllocInfo, copi
 }
 
 // newInfo tracks a new allocation unit: it puts info, in a record from the
-// runtime's slab, in the allocation map. A chunk holds as many records as
-// the runtime has made so far, at least 4 and at most 256. A record is
-// never handed out twice, so one held past its unit's free or expiry
-// never describes another unit.
+// runtime's slab, in the allocation map. A record is never handed out
+// twice in a run, so one held past its unit's free or expiry never
+// describes another unit.
 func (r *Runtime) newInfo(info AllocInfo) {
-	if len(r.infoSlab) == 0 {
-		r.infoSlab = make([]AllocInfo, min(max(4, r.ninfos), 256))
-	}
-	p := &r.infoSlab[0]
-	r.infoSlab = r.infoSlab[1:]
-	r.ninfos++
+	p := r.infoSlab.New()
 	*p = info
 	r.allocs.Put(info.Base, p)
 }
@@ -469,10 +496,7 @@ func (r *Runtime) mapUnit(ptr uint64, s *machine.Stream) (*AllocInfo, bool, erro
 	fresh := false
 	if !info.IsGlobal {
 		if info.DevPtr == 0 {
-			if info.devName == "" {
-				info.devName = "dev:" + info.Name
-			}
-			dev, aerr := r.allocDevice(info.Size, info.devName)
+			dev, aerr := r.allocDevice(info.Size, r.devLabel(info.Name))
 			if aerr != nil {
 				return nil, false, r.degradeMap("device allocation for "+info.Name, aerr)
 			}

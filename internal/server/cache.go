@@ -54,10 +54,12 @@ type cacheEntry struct {
 }
 
 // compileCache is the singleflight compilation cache. Entries persist
-// for the server's lifetime (compiled Programs are small relative to
-// the simulated heaps their runs build, and the bench suite tops out at
-// dozens of distinct sources); a capacity bound can slot into
-// get() later without changing callers.
+// for the server's lifetime (the bench suite tops out at dozens of
+// distinct sources); a capacity bound can slot into get() later without
+// changing callers. A cached Program also pools the run sets its runs
+// reset (machine, runtime, interpreter), which hold up to one run's
+// simulated heap each while the entry is warm; the pool is a sync.Pool,
+// so an entry nobody runs pins none of that after two GC cycles.
 type compileCache struct {
 	mu      sync.Mutex
 	entries map[string]*cacheEntry

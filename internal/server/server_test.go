@@ -52,7 +52,7 @@ int main() {
 	return 0;
 }`
 
-func newTestServer(t *testing.T, cfg Config) *Server {
+func newTestServer(t testing.TB, cfg Config) *Server {
 	t.Helper()
 	if cfg.Workers == 0 {
 		cfg.Workers = 4
@@ -69,7 +69,7 @@ func newTestServer(t *testing.T, cfg Config) *Server {
 	return s
 }
 
-func mustRequest(t *testing.T, tenant, program, source string, opts RunOptions, deadlineMS int64) *RunRequest {
+func mustRequest(t testing.TB, tenant, program, source string, opts RunOptions, deadlineMS int64) *RunRequest {
 	t.Helper()
 	body, err := json.Marshal(RunRequest{Tenant: tenant, Program: program, Source: source, Options: opts, DeadlineMS: deadlineMS})
 	if err != nil {
@@ -581,18 +581,6 @@ func TestNegativeSizeIsRunFailed(t *testing.T) {
 	}
 }
 
-// tiny is serve_mixed's tiny program: three loops over 48 floats.
-const tiny = `int main() {
-	float *a = (float*)malloc(48 * 8);
-	for (int i = 0; i < 48; i++) a[i] = (float)(i % 5);
-	for (int i = 0; i < 48; i++) a[i] = a[i] * 1.50 + 1.0;
-	float s = 0.0;
-	for (int i = 0; i < 48; i++) s += a[i];
-	print_float(s);
-	free(a);
-	return 0;
-}`
-
 // TestWarmSubmitAllocations bounds what a warm Submit of a cached tiny
 // program allocates: admission, scheduling, the cache hit, the run and
 // the response — serve_mixed's tiny_warm class without HTTP. The count
@@ -603,16 +591,18 @@ const tiny = `int main() {
 // registry or not, to 126 when the ledger stopped keeping a map of
 // allocation lines and a map of seen epochs per unit, and to 95 when
 // promoted locals stopped being allocation units and segments, tree nodes
-// and AllocInfos came from per-run slabs. The race detector changes the
-// count (it read 96), so the bound holds without it, as `make allocs`
-// runs it.
+// and AllocInfos came from per-run slabs, and to 30 when a Program
+// started resetting a pooled machine, runtime and interpreter instead of
+// building new ones and a metrics snapshot stopped allocating beyond what
+// it returns. The race detector changes the count, so the bound holds
+// without it, as `make allocs` runs it.
 func TestWarmSubmitAllocations(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts vary under the race detector")
 	}
-	const bound = 95
+	const bound = 31
 	s := newTestServer(t, Config{Workers: 1})
-	req := mustRequest(t, "a", "tiny.c", tiny, RunOptions{Workers: 1}, 0)
+	req := mustRequest(t, "a", "tiny.c", bench.Tiny, RunOptions{Workers: 1}, 0)
 	submit := func() {
 		if _, serr, _ := s.Submit(context.Background(), req); serr != nil {
 			t.Fatal(serr)

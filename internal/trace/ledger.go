@@ -12,9 +12,10 @@
 package trace
 
 import (
+	"cmp"
 	"fmt"
 	"io"
-	"sort"
+	"slices"
 	"strings"
 )
 
@@ -252,15 +253,21 @@ func fmtBytes(n int64) string {
 
 // LedgerBuilder folds runtime-library events into a Ledger. The runtime
 // calls it from the single root execution context, so it needs no locking;
-// a fresh builder is created per Program.Run.
+// each run starts from an empty builder (NewLedgerBuilder, or Reset).
 type LedgerBuilder struct {
-	units map[uint64]*UnitStats
-	order []uint64
+	units map[uint64]int // base -> index in rows
+	rows  []UnitStats    // in first-event order
 }
 
 // NewLedgerBuilder returns an empty builder.
 func NewLedgerBuilder() *LedgerBuilder {
-	return &LedgerBuilder{units: make(map[uint64]*UnitStats)}
+	return &LedgerBuilder{units: make(map[uint64]int)}
+}
+
+// Reset empties the builder, keeping its memory.
+func (b *LedgerBuilder) Reset() {
+	clear(b.units)
+	b.rows = b.rows[:0]
 }
 
 // Fold books one runtime-library event against the unit it names: a map,
@@ -279,12 +286,13 @@ func (b *LedgerBuilder) Fold(ev *Event, line int) {
 	if b == nil || ev.Base == 0 {
 		return
 	}
-	u := b.units[ev.Base]
-	if u == nil {
-		u = &UnitStats{Name: ev.Unit, Base: ev.Base, Size: ev.Size, Line: line}
-		b.units[ev.Base] = u
-		b.order = append(b.order, ev.Base)
+	i, ok := b.units[ev.Base]
+	if !ok {
+		i = len(b.rows)
+		b.units[ev.Base] = i
+		b.rows = append(b.rows, UnitStats{Name: ev.Unit, Base: ev.Base, Size: ev.Size, Line: line})
 	}
+	u := &b.rows[i]
 	switch ev.Kind {
 	case EvMap:
 		u.Maps++
@@ -333,11 +341,9 @@ func (b *LedgerBuilder) RecordOverlap(base uint64, n int64) {
 	if b == nil || n <= 0 {
 		return
 	}
-	u := b.units[base]
-	if u == nil {
-		return
+	if i, ok := b.units[base]; ok {
+		b.rows[i].OverlappedBytes += n
 	}
-	u.OverlappedBytes += n
 }
 
 // Ledger folds the accumulated activity, classifying each unit:
@@ -351,8 +357,10 @@ func (b *LedgerBuilder) Ledger() Ledger {
 		return Ledger{}
 	}
 	var l Ledger
-	for _, base := range b.order {
-		s := *b.units[base]
+	if len(b.rows) > 0 {
+		l.Units = make([]UnitStats, 0, len(b.rows))
+	}
+	for _, s := range b.rows {
 		switch {
 		case s.HtoDCopies+s.DtoHCopies == 0:
 			s.Pattern = PatternNone
@@ -363,6 +371,6 @@ func (b *LedgerBuilder) Ledger() Ledger {
 		}
 		l.Units = append(l.Units, s)
 	}
-	sort.SliceStable(l.Units, func(i, j int) bool { return l.Units[i].Base < l.Units[j].Base })
+	slices.SortStableFunc(l.Units, func(a, b UnitStats) int { return cmp.Compare(a.Base, b.Base) })
 	return l
 }
